@@ -13,6 +13,7 @@ Public surface::
     run_query(query, store, engine="auto",
               batch_size=DEFAULT_BATCH_SIZE, workers=1)   # CQ -> answers
     run_query_batch(queries, store, shared=True)   # MQO: batch -> answers
+    count_union(union, store)                   # |answers|, nothing decoded
     run_plan(plan, extents, engine="auto",
              batch_size=DEFAULT_BATCH_SIZE)               # Plan -> rows
     plan_query / plan_rewriting                 # operator trees (explain)
@@ -63,6 +64,7 @@ from repro.engine.mqo import (
     UNION_PUSHDOWN,
     BatchPlan,
     SharedNode,
+    count_union,
     decode_images,
     describe_union_sharing,
     evaluate_union_shared,
@@ -132,6 +134,7 @@ __all__ = [
     "choose_engine",
     "compile_query",
     "compile_union",
+    "count_union",
     "decode_images",
     "describe_union_sharing",
     "evaluate_union_shared",

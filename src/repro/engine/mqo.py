@@ -33,10 +33,13 @@ subplan once, fan results out — this module:
    across the whole batch/union before :func:`decode_images` decodes
    each distinct answer once.
 
-Three consumers sit on top: :func:`run_query_batch` (independent
+Four consumers sit on top: :func:`run_query_batch` (independent
 queries, the server-mode hook), ``evaluate_union`` in
-:mod:`repro.query.evaluation` (reformulation unions — and through it
-``ReformulationAwareStatistics``), and :func:`plan_union_pushdown`,
+:mod:`repro.query.evaluation` (reformulation unions),
+:func:`count_union` (the size of a union's answer and nothing else:
+images partitioned on head constants, never decoded — what
+``ReformulationAwareStatistics`` gathers its counts with), and
+:func:`plan_union_pushdown`,
 which on a SQL-capable backend compiles an eligible union into **one**
 ``SELECT ... UNION`` statement whose shared subtrees are CTEs
 (:func:`repro.engine.sqlcompile.compile_union`). The compound executes
@@ -56,6 +59,7 @@ measured ablation baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.engine.operators import (
@@ -84,10 +88,10 @@ from repro.engine.sqlcompile import (
     compile_union,
 )
 from repro.obs import metrics, tracing
-from repro.query.cq import Atom, ConjunctiveQuery, Variable
+from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
 from repro.query.containment import canonical_form, canonical_labeling
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import Term
+from repro.rdf.terms import Literal, Term
 
 __all__ = [
     "BatchPlan",
@@ -95,6 +99,7 @@ __all__ = [
     "MATERIALIZE_COST_FACTOR",
     "MQO_DAG",
     "UNION_PUSHDOWN",
+    "count_union",
     "decode_images",
     "evaluate_union_shared",
     "plan_batch",
@@ -113,8 +118,8 @@ UNION_PUSHDOWN = "sql-union-pushdown"
 
 #: Engine-slot token for the per-union routing decision
 #: (keyed by the raw disjunct tuple, so repeated evaluations of the
-#: same union — the statistics collector's access pattern — skip
-#: deduplication, signature lookup, and per-disjunct plan lookups).
+#: same union — a served or re-run query — skip deduplication,
+#: signature lookup, and per-disjunct plan lookups).
 _UNION_ROUTE = "mqo-union-route"
 
 #: Cost gate: a subtree consumed by ``n`` plans is shared only when
@@ -500,41 +505,40 @@ def _join_from(
 
 
 def _images_from_root(
-    query: ConjunctiveQuery, root: Operator, batch_size: int
+    query: ConjunctiveQuery, root: Operator, store: TripleStore, batch_size: int
 ) -> set[tuple]:
-    """Distinct encoded head images of ``query`` from a compiled root."""
+    """Distinct encoded head images of ``query`` from a compiled root.
+
+    A constant head term enters an image as its dictionary code — the
+    image a disjunct binding a head *variable* to the same term
+    produces, and cheaper to hash than a term; only a constant the
+    dictionary has never seen stays a :class:`Term`. Either way each
+    batch is folded in one C-speed ``set.update(zip(...))``: head
+    columns are picked off the columnar batch, like ``_run_query``'s
+    fast path, and a constant rides along as an endless ``repeat``.
+    """
     schema = root.schema
-    slots: list[int | None] = []
-    constants: list[Term | None] = []
+    parts: list = []
     for term in query.head:
         if isinstance(term, Variable):
-            slots.append(schema.index(term.name))
-            constants.append(None)
+            parts.append(schema.index(term.name))
         else:
-            slots.append(None)
-            constants.append(term)
+            code = store.encode_term(term)
+            parts.append(repeat(term if code is None else code))
     images: set[tuple] = set()
-    if all(slot is not None for slot in slots):
-        # Columnar drive, like _run_query's fast path: pick the head
-        # columns off each batch and fold the transposed batch into the
-        # image set in one C-speed ``set.update(zip(...))``.
-        if slots:
-            for cb in root.column_batches(batch_size):
-                images.update(zip(*(cb.columns[slot] for slot in slots)))
-        else:
-            for batch in root.batches(batch_size):
-                if batch:
-                    images.add(())
-                    break
+    if not any(isinstance(part, int) for part in parts):
+        # No head variable: one image iff the body matches at all (a
+        # ``zip`` over nothing but endless repeats would never stop).
+        for batch in root.batches(batch_size):
+            if batch:
+                images.add(tuple(next(part) for part in parts))
+                break
         return images
-    for batch in root.batches(batch_size):
-        for row in batch:
-            images.add(
-                tuple(
-                    constant if slot is None else row[slot]
-                    for slot, constant in zip(slots, constants)
-                )
-            )
+    for cb in root.column_batches(batch_size):
+        columns = cb.columns
+        images.update(
+            zip(*(columns[p] if isinstance(p, int) else p for p in parts))
+        )
     return images
 
 
@@ -575,7 +579,7 @@ def _batch_images(
         else:
             consumer.leaf._rows = materialized[consumer.leaf_key]
             root = consumer.root
-        out.append(_images_from_root(consumer.query, root, batch_size))
+        out.append(_images_from_root(consumer.query, root, store, batch_size))
     # Drop row references so cached trees don't pin this run's
     # materialized batches in memory.
     for node in compiled.nodes:
@@ -616,10 +620,12 @@ def decode_images(images: Iterable[tuple], store: TripleStore) -> set[tuple[Term
 # ----------------------------------------------------------------------
 
 
-#: ``distinct disjunct tuple -> signature`` memo: reformulation unions
-#: are evaluated repeatedly (statistics re-counts them per search
-#: step), and re-sorting hundreds of canonical forms per evaluation
-#: costs more than executing the union.
+#: ``distinct disjunct tuple -> signature`` memo: the same reformulation
+#: union is evaluated again whenever its query is asked again, and
+#: re-sorting hundreds of canonical forms per evaluation costs more
+#: than executing the union. (The statistics collector is not among
+#: the callers: it counts each pattern's union once per store version,
+#: through :func:`count_union`, and signs nothing.)
 _SIGNATURE_CACHE: dict[tuple[ConjunctiveQuery, ...], tuple] = {}
 
 
@@ -860,9 +866,10 @@ def _evaluate_union_impl(
     pushdown: bool,
 ) -> set[tuple[Term, ...]]:
     batch_size = _check_batch_size(batch_size) or DEFAULT_BATCH_SIZE
-    images: set[tuple] = set()
-    interpreted: list[ConjunctiveQuery] = []
-    if pushdown:
+    if not pushdown:
+        distinct = _dedupe(disjuncts)
+        singles: Sequence = (None,) * len(distinct)
+    else:
         distinct, compound, singles = _union_route(
             tuple(disjuncts), store, workers
         )
@@ -870,30 +877,170 @@ def _evaluate_union_impl(
             if metrics.enabled:
                 metrics.inc("mqo.route.compound")
             return compound.execute(store)
-        executed = pruned = 0
-        for single, disjunct in zip(singles, distinct):
-            if single is _EMPTY_BRANCH:
-                pruned += 1
-                continue
-            if single is not None:
-                images |= single.images(store)
-                executed += 1
-            else:
-                interpreted.append(disjunct)
-        if metrics.enabled:
-            if executed:
-                metrics.inc("mqo.route.per_branch")
-            if pruned:
-                metrics.inc("mqo.route.branch_pruned", pruned)
-    else:
-        interpreted.extend(_dedupe(disjuncts))
+    images = _branch_images(distinct, singles, store, batch_size, workers)
+    return decode_images(images, store)
+
+
+def _branch_images(
+    distinct: Sequence[ConjunctiveQuery],
+    singles: Sequence,
+    store: TripleStore,
+    batch_size: int,
+    workers: int,
+) -> set[tuple]:
+    """Distinct encoded head images of a union, before any decoding.
+
+    ``singles`` aligns with ``distinct`` (see :func:`_union_route`): a
+    compiled statement runs in the backend, an empty-prefix branch is
+    skipped, and the rest (``None``) share the interpreted DAG.
+    """
+    images: set[tuple] = set()
+    interpreted: list[ConjunctiveQuery] = []
+    executed = pruned = 0
+    for single, disjunct in zip(singles, distinct):
+        if single is _EMPTY_BRANCH:
+            pruned += 1
+        elif single is not None:
+            images |= single.images(store)
+            executed += 1
+        else:
+            interpreted.append(disjunct)
+    if metrics.enabled:
+        if executed:
+            metrics.inc("mqo.route.per_branch")
+        if pruned:
+            metrics.inc("mqo.route.branch_pruned", pruned)
     if interpreted:
         if metrics.enabled:
             metrics.inc("mqo.route.shared")
         batch = plan_batch(interpreted, store)
         for image_set in _batch_images(batch, store, batch_size, workers):
             images |= image_set
-    return decode_images(images, store)
+    return images
+
+
+def count_union(
+    union: UnionQuery | Iterable[ConjunctiveQuery], store: TripleStore
+) -> int:
+    """``len(evaluate_union(union, store))`` without producing an answer.
+
+    The statistics collector's kernel (Section 4.3 needs
+    ``|Reformulate(v, S)|``, never the answers): images stay dictionary
+    codes and nothing is decoded. A union of one-atom disjuncts — what
+    reformulating a one-atom query yields — has no join to plan and
+    nothing to share, and is counted straight off the index buckets
+    (:func:`_count_partitioned`). Any other union takes the routes of
+    :func:`evaluate_union_shared` up to the decode; a compound
+    statement is counted inside the backend.
+    """
+    disjuncts = union.disjuncts if isinstance(union, UnionQuery) else union
+    distinct = _dedupe(disjuncts)
+    if all(len(query.atoms) == 1 for query in distinct):
+        return _count_partitioned(
+            [(query.head, query) for query in distinct], store, {}
+        )
+    distinct, compound, singles = _union_route(distinct, store, 1)
+    if compound is not None:
+        return compound.count(store)
+    return len(_branch_images(distinct, singles, store, DEFAULT_BATCH_SIZE, 1))
+
+
+#: ``(remaining head, one-atom disjunct)``: the disjunct's images
+#: projected on the head positions no partition has consumed yet.
+_CountItem = tuple[tuple, ConjunctiveQuery]
+
+
+def _count_partitioned(
+    items: list[_CountItem], store: TripleStore, scans: dict
+) -> int:
+    """Distinct images of one-atom ``items``, partitioned on head constants.
+
+    Two images that differ in a head *constant* can never be equal, so
+    the union splits into independent, narrower image sets whose sizes
+    add. The split is on the first head position some item holds a
+    constant at: items sharing the constant ``c`` drop the position and
+    are counted among themselves; the *free* items (a variable there)
+    are counted whole, and what they contribute to ``c``'s partition —
+    the free item with its variable bound to ``c``, an index lookup
+    instead of a row filter — joins that partition and is subtracted
+    once. With no constant left, each item's head columns are folded
+    into one set of code tuples.
+    """
+    if not items:
+        return 0
+    for position in range(len(items[0][0])):
+        free: list[_CountItem] = []
+        groups: dict[Term, dict[_CountItem, None]] = {}
+        for item in items:
+            head, query = item
+            term = head[position]
+            if isinstance(term, Variable):
+                free.append(item)
+            else:
+                rest = head[:position] + head[position + 1:]
+                groups.setdefault(term, {})[(rest, query)] = None
+        if groups:
+            break
+    else:
+        batches = [
+            columns
+            for head, query in items
+            for columns in _head_columns(head, query, store, scans)
+        ]
+        if not items[0][0]:
+            # Every head position was a constant: one image, if any
+            # body matches at all.
+            return int(bool(batches))
+        images: set[tuple] = set()
+        for columns in batches:
+            images.update(zip(*columns))
+        return len(images)
+    total = _count_partitioned(free, store, scans)
+    for constant, members in groups.items():
+        bound: dict[_CountItem, None] = {}
+        for head, query in free:
+            variable = head[position]
+            if variable in query.non_literal and isinstance(constant, Literal):
+                continue
+            binding = {variable: constant}
+            rest = tuple(
+                binding.get(term, term)
+                for term in head[:position] + head[position + 1:]
+            )
+            bound[(rest, query.substitute(binding))] = None
+        total += _count_partitioned(list(members | bound), store, scans)
+        total -= _count_partitioned(list(bound), store, scans)
+    return total
+
+
+def _head_columns(
+    head: tuple, query: ConjunctiveQuery, store: TripleStore, scans: dict
+) -> list[tuple]:
+    """Per batch of a one-atom disjunct's matches, its ``head`` columns.
+
+    The scan honours ``non_literal`` and repeated variables. Memoized in
+    ``scans`` for one :func:`count_union` call under the disjunct's
+    shape with variable names abstracted away: reformulation repeats
+    every subclass's and subproperty's disjuncts — fresh variables
+    aside — under each of its ancestors, so most buckets would
+    otherwise be read several times over.
+    """
+    atom = query.atoms[0]
+    terms = atom.terms()
+    key = (
+        tuple(terms.index(t) if isinstance(t, Variable) else t for t in terms),
+        tuple(terms.index(variable) for variable in head),
+        frozenset(terms.index(variable) for variable in query.non_literal),
+    )
+    batches = scans.get(key)
+    if batches is None:
+        scan = IndexScan(store, atom, query.non_literal)
+        slots = [scan.schema.index(variable.name) for variable in head]
+        batches = scans[key] = [
+            tuple(cb.columns[slot] for slot in slots)
+            for cb in scan.column_batches(DEFAULT_BATCH_SIZE)
+        ]
+    return batches
 
 
 def run_query_batch(

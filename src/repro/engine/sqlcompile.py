@@ -133,8 +133,9 @@ class CompiledQuery:
         return text
 
     def images(self, store: TripleStore) -> set[tuple]:
-        """Distinct *encoded* head images: codes for variable positions,
-        the constant term for constant positions.
+        """Distinct *encoded* head images: codes for variable positions
+        and for constants; a constant the dictionary has never seen
+        stays a term.
 
         The multi-query optimizer merges images across a whole union of
         disjuncts before decoding, so each distinct answer is decoded
@@ -155,7 +156,14 @@ class CompiledQuery:
         slots = self.head_slots
         if all(slot is not None for slot in slots):
             return {tuple(row[slot] for slot in slots) for row in rows}
-        constants = self.head_constants
+        # A constant the dictionary knows enters as its code, so the
+        # image equals the one a disjunct binding a head *variable* to
+        # the same term yields (the union's images are counted as well
+        # as decoded).
+        constants = []
+        for constant in self.head_constants:
+            code = None if constant is None else store.encode_term(constant)
+            constants.append(constant if code is None else code)
         return {
             tuple(
                 constant if slot is None else row[slot]
@@ -462,6 +470,21 @@ class CompiledUnion:
             )
             return {tuple(row[:arity]) for row in rows}
         return {tuple(row) for row in rows}
+
+    def count(self, store: TripleStore) -> int:
+        """Number of distinct head images, counted inside the backend.
+
+        Only a rule-4 residue brings rows back to Python: it needs the
+        dictionary to tell literal codes.
+        """
+        if self.sql is None:
+            return 0
+        if self.extra:
+            return len(self.images(store))
+        rows = store.backend.execute_sql_plan(
+            f"SELECT COUNT(*) FROM ({self.sql})", self.params
+        )
+        return next(iter(rows))[0]
 
     def execute(self, store: TripleStore) -> set[tuple[Term, ...]]:
         """Run the statement and decode each distinct answer once."""

@@ -256,7 +256,7 @@ def _run_instrumented(query, store, probe: _Probe, batch_size: int):
     set equals ``run_query``'s on every plan.
     """
     started = time.perf_counter()
-    images = mqo._images_from_root(query, probe, batch_size)
+    images = mqo._images_from_root(query, probe, store, batch_size)
     answers = mqo.decode_images(images, store)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return images, answers, wall_ms
@@ -436,7 +436,7 @@ def _analyze_dag(queries, store, batch_size: int, workers: int):
             root = consumer.root
             shared_with = f"{len(consumer.leaf.schema)}-col node"
         started = time.perf_counter()
-        images = mqo._images_from_root(query, root, batch_size)
+        images = mqo._images_from_root(query, root, store, batch_size)
         branch_ms = (time.perf_counter() - started) * 1000.0
         image_sets.append(images)
         title = query_header(

@@ -151,6 +151,18 @@ class ConjunctiveQuery:
             object.__setattr__(self, "_hash", cached)
         return cached
 
+    def __getstate__(self) -> dict:
+        # The underscore entries of ``__dict__`` memoize derivations of
+        # this object for this process (its hash; the selection layer's
+        # canonical token, adjacency and body signature). A token names
+        # an entry of the process's intern table, so none of them may
+        # travel to a worker with the pickled query.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.startswith("_")
+        }
+
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------

@@ -74,26 +74,25 @@ class ViewNamer:
 #: tuples of deeply nested canonical encodings.
 _CANONICAL_TOKENS: dict[tuple, int] = {}
 
-#: Per-view-object token memo. Views are immutable and shared across many
-#: states, so after a view is tokenized once, every later state built
-#: around it gets its key component in O(1) — without even re-hashing the
-#: view (canonical_form's own memo still hashes the full query per call).
-_TOKEN_CACHE: dict[int, tuple[int, ConjunctiveQuery]] = {}
-
 
 def canonical_token(view: ConjunctiveQuery) -> int:
-    """A small integer identifying the view's isomorphism class."""
-    cached = _TOKEN_CACHE.get(id(view))
-    if cached is not None and cached[1] is view:
-        return cached[0]
-    form = canonical_form(view)
-    token = _CANONICAL_TOKENS.get(form)
+    """A small integer identifying the view's isomorphism class.
+
+    Memoized on the view object, like its hash: views are immutable and
+    shared across many states, so after a view is tokenized once every
+    later state built around it gets its key component in O(1) — without
+    even re-hashing the view (canonical_form's own memo still hashes the
+    full query per call) — and the memo lives exactly as long as the
+    view does.
+    """
+    token = view.__dict__.get("_token")
     if token is None:
-        token = len(_CANONICAL_TOKENS)
-        _CANONICAL_TOKENS[form] = token
-    if len(_TOKEN_CACHE) > 500_000:
-        _TOKEN_CACHE.clear()
-    _TOKEN_CACHE[id(view)] = (token, view)
+        form = canonical_form(view)
+        token = _CANONICAL_TOKENS.get(form)
+        if token is None:
+            token = len(_CANONICAL_TOKENS)
+            _CANONICAL_TOKENS[form] = token
+        view.__dict__["_token"] = token
     return token
 
 

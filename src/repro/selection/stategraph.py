@@ -17,30 +17,23 @@ from repro.rdf.terms import Term
 from repro.selection.state import State
 
 
-#: Per-view-object adjacency memo. The join graph of a view never
-#: changes (views are immutable) and the same view object appears in
-#: many states during a search, so the atom-adjacency every View Break
-#: enumeration needs is computed once per distinct view object.
-_ADJACENCY_CACHE: dict[int, tuple[dict[int, set[int]], ConjunctiveQuery]] = {}
-
-
 def view_adjacency(view: ConjunctiveQuery) -> dict[int, set[int]]:
     """Atom-index adjacency of one view's join graph (Definition 3.1).
 
     ``adjacency[i]`` holds the atoms sharing a join variable with atom
-    ``i``. Memoized per view object; shared by the transition
-    enumerator's View Break candidates and by :class:`StateGraph`.
+    ``i``. The join graph of a view never changes (views are immutable)
+    and the same view object appears in many states during a search, so
+    the adjacency is memoized on the view object; shared by the
+    transition enumerator's View Break candidates and by
+    :class:`StateGraph`.
     """
-    cached = _ADJACENCY_CACHE.get(id(view))
-    if cached is not None and cached[1] is view:
-        return cached[0]
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(view.atoms))}
-    for i, _, j, _ in view.join_graph_edges():
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    if len(_ADJACENCY_CACHE) > 500_000:
-        _ADJACENCY_CACHE.clear()
-    _ADJACENCY_CACHE[id(view)] = (adjacency, view)
+    adjacency = view.__dict__.get("_adjacency")
+    if adjacency is None:
+        adjacency = {i: set() for i in range(len(view.atoms))}
+        for i, _, j, _ in view.join_graph_edges():
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        view.__dict__["_adjacency"] = adjacency
     return adjacency
 
 

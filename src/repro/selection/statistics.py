@@ -11,11 +11,14 @@ belongs to the selection layer:
   :class:`~repro.stats.provider.CatalogStatistics` bound to the store's
   catalog;
 * :class:`ReformulationAwareStatistics` — the post-reformulation twist
-  of Section 4.3: each atom is reformulated against the RDF Schema and
-  its cardinality is the number of distinct matches of the resulting
-  union on the *non-saturated* store — "the same statistics as if the
-  database was saturated", without saturating it. It lives here (not in
-  ``repro.stats``) because it builds on the reformulation machinery.
+  of Section 4.3: each atom pattern is reformulated against the RDF
+  Schema and its cardinality is the number of distinct matches of the
+  resulting union on the *non-saturated* store — "the same statistics
+  as if the database was saturated", without saturating it. The union
+  is *counted*, never answered (:func:`repro.engine.count_union`), and
+  the counts are kept on the store's catalog, so they are gathered once
+  per store version rather than once per selector. It lives here (not
+  in ``repro.stats``) because it builds on the reformulation machinery.
 
 ``Statistics`` (the protocol), ``FixedStatistics`` and
 ``ZipfStatistics`` are re-exported from :mod:`repro.stats` for
@@ -24,8 +27,11 @@ compatibility.
 
 from __future__ import annotations
 
-from repro.query.cq import ConjunctiveQuery, Variable
-from repro.query.evaluation import evaluate_union
+import time
+
+from repro.engine import count_union
+from repro.obs import metrics
+from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.rdf.schema import RDFSchema
 from repro.rdf.store import TripleStore
 from repro.stats.provider import (
@@ -64,27 +70,28 @@ class ReformulationAwareStatistics:
     """Post-reformulation statistics (Section 4.3).
 
     For each atom ``vi``, ``|vi|`` is replaced by
-    ``|Reformulate(vi, S)|``: the atom is turned into a one-atom query
-    projecting all its terms, reformulated with Algorithm 1, and the
-    union is evaluated on the plain (non-saturated) store; the count of
-    distinct matches is cached. Theorem 4.2 guarantees this equals the
-    atom's count on the saturated store. Column distincts, totals and
-    term sizes come from the store's catalog like everywhere else.
+    ``|Reformulate(vi, S)|``: the atom's constant pattern is turned into
+    a one-atom query projecting one fresh variable per open position,
+    reformulated with Algorithm 1, and the distinct matches of the union
+    on the plain (non-saturated) store are counted. Theorem 4.2
+    guarantees this equals the pattern's count on the saturated store.
+    Column distincts, totals and term sizes come from the store's
+    catalog like everywhere else.
 
-    Reformulation unions overlap heavily, so ``evaluate_union`` runs
-    them through the engine's multi-query optimizer
-    (:mod:`repro.engine.mqo`): shared join subtrees across the
-    disjuncts execute once (one pushed-down ``SELECT ... UNION``
-    statement on SQL-capable backends) — this provider inherits that
-    speedup without holding any MQO state of its own.
+    The paper gathers these numbers once per workload and then searches
+    on plain numbers. So does this provider: it is a thin view over the
+    catalog's :meth:`~repro.stats.catalog.StatisticsCatalog.reformulated_counts`
+    memo, which outlives it — a second provider or
+    :class:`~repro.selection.recommender.ViewSelector` over the same
+    store and schema starts warm, until the store mutates or the schema
+    grows. A miss costs one :func:`~repro.engine.count_union`: index
+    buckets folded into sets of codes, no plan, no decoded answer.
     """
 
     def __init__(self, store: TripleStore, schema: RDFSchema) -> None:
         self._store = store
         self._catalog = store.stats
         self._schema = schema
-        self._cache: dict[tuple, int] = {}
-        self._cache_version = self._catalog.version
 
     @property
     def version(self) -> int:
@@ -94,22 +101,38 @@ class ReformulationAwareStatistics:
         return self._catalog.version
 
     def atom_count(self, atom) -> int:
-        if self._catalog.version != self._cache_version:
-            self._cache.clear()
-            self._cache_version = self._catalog.version
         pattern = _atom_pattern(atom)
-        cached = self._cache.get(pattern)
-        if cached is not None:
-            return cached
+        counts = self._catalog.reformulated_counts(self._schema)
+        count = counts.get(pattern)
+        if count is not None:
+            if metrics.enabled:
+                metrics.inc("selection.stats.reformulated.hit")
+            return count
+        timed = metrics.enabled
+        started = time.perf_counter() if timed else 0.0
         # Import here: reformulation builds on the query layer, and the
         # selection layer builds on both; this keeps import order acyclic.
         from repro.reformulation.reformulate import reformulate
 
-        head = tuple(term for term in atom if isinstance(term, Variable))
-        query = ConjunctiveQuery(head, (atom,), name="stat")
-        union = reformulate(query, self._schema)
-        count = len(evaluate_union(union, self._store))
-        self._cache[pattern] = count
+        # The probe is built from the *pattern* — what the count is
+        # memoized under — never from the atom: ``t(X, p, X)`` and
+        # ``t(X, p, Y)`` share a pattern and must share a count,
+        # whichever is priced first (``atom_pattern`` ignores a
+        # repeated variable on purpose).
+        probe = Atom(*(
+            Variable(f"V{position}") if term is None else term
+            for position, term in enumerate(pattern)
+        ))
+        head = tuple(term for term in probe if isinstance(term, Variable))
+        query = ConjunctiveQuery(head, (probe,), name="stat")
+        count = count_union(reformulate(query, self._schema), self._store)
+        counts[pattern] = count
+        if timed:
+            metrics.inc("selection.stats.reformulated.miss")
+            metrics.observe(
+                "selection.stats.reformulated_ms",
+                (time.perf_counter() - started) * 1000.0,
+            )
         return count
 
     def distinct_values(self, column: str) -> int:

@@ -483,28 +483,24 @@ class TransitionEnumerator:
                     yield self.apply_vf(state, name1, name2)
 
 
-#: Per-view-object body signature cache; views are immutable and shared
-#: across many states, and avf_closure recomputes signatures constantly.
-_SIGNATURE_CACHE: dict[int, tuple[tuple, ConjunctiveQuery]] = {}
-
-
 def _body_signature(view: ConjunctiveQuery) -> tuple:
-    """A cheap isomorphism-invariant filter key for a view body."""
-    cached = _SIGNATURE_CACHE.get(id(view))
-    if cached is not None and cached[1] is view:
-        return cached[0]
-    signature = tuple(
-        sorted(
-            tuple(
-                term.n3() if not isinstance(term, Variable) else "?"
-                for term in atom
+    """A cheap isomorphism-invariant filter key for a view body.
+
+    Memoized on the view object: views are immutable and shared across
+    many states, and avf_closure recomputes signatures constantly.
+    """
+    signature = view.__dict__.get("_body_signature")
+    if signature is None:
+        signature = tuple(
+            sorted(
+                tuple(
+                    term.n3() if not isinstance(term, Variable) else "?"
+                    for term in atom
+                )
+                for atom in view.atoms
             )
-            for atom in view.atoms
         )
-    )
-    if len(_SIGNATURE_CACHE) > 500_000:
-        _SIGNATURE_CACHE.clear()
-    _SIGNATURE_CACHE[id(view)] = (signature, view)
+        view.__dict__["_body_signature"] = signature
     return signature
 
 

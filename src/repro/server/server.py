@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import os
 import queue
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -164,11 +165,19 @@ class Server:
         if self._stopping.is_set():
             return
         self._stopping.set()
+        # Closing the listener does not wake a thread blocked in
+        # ``accept()`` on Linux; a throw-away connection does — the
+        # accept loop fails its handshake, sees ``_stopping`` and ends.
+        try:
+            with socket.socket(socket.AF_UNIX) as wake:
+                wake.connect(self.address)
+        except OSError:
+            pass
+        self._accept_thread.join(timeout=2.0)
         try:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        self._accept_thread.join(timeout=2.0)
         self._dispatcher_thread.join(timeout=2.0)
         self._dispatch_pool.shutdown(wait=True)
         with self._readers_lock:

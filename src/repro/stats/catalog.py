@@ -8,7 +8,10 @@ maintained figure — per-column value multiplicities (hence per-predicate
 triple counts and per-column distinct counts) — moves by an O(1) counter
 update per triple. Nothing is ever recomputed from scratch on the hot
 path; derived caches (the constant-pattern count cache) are invalidated
-lazily through the store's monotonic ``version`` counter.
+lazily through the store's monotonic ``version`` counter. The catalog
+also *keeps* the post-reformulation pattern counts of Section 4.3, one
+memo per RDF Schema (:meth:`StatisticsCatalog.reformulated_counts`):
+gathered once per store version, whichever selector asks first.
 
 This is the single source of cardinality truth for the whole system:
 the view-selection cost model (Section 3.3 of the paper), the engine's
@@ -35,6 +38,11 @@ COLUMNS = ("s", "p", "o")
 #: A constant pattern over decoded terms: a Term, or None for "any".
 TermPattern = tuple["Term | None", "Term | None", "Term | None"]
 
+#: Most RDF Schemas with a live post-reformulation memo. A what-if loop
+#: holds one schema; the bound only keeps a caller that re-parses its
+#: schema per call from growing the catalog without limit.
+_SCHEMA_MEMO_LIMIT = 8
+
 
 class StatisticsCatalog:
     """Per-store statistics, maintained incrementally on every mutation.
@@ -52,7 +60,9 @@ class StatisticsCatalog:
 
     Exact constant-pattern counts (``pattern_count``) read the store's
     hexastore indexes — an O(1) bucket-length lookup — and are memoized
-    per pattern until the store's ``version`` moves.
+    per pattern until the store's ``version`` moves. The
+    post-reformulation counts (``reformulated_counts``) live beside them
+    under the same flush.
     """
 
     def __init__(self, store: "TripleStore") -> None:
@@ -64,9 +74,12 @@ class StatisticsCatalog:
             Counter(),
             Counter(),
         )
-        # Constant-pattern count cache, flushed when the version moves.
+        # Derived memos, flushed together when the version moves: the
+        # constant-pattern counts, and per RDF Schema (by identity) its
+        # size when filled and the post-reformulation pattern counts.
         self._pattern_counts: dict[TermPattern, int] = {}
-        self._pattern_version = store.version
+        self._reformulated: dict[object, tuple[int, dict[TermPattern, int]]] = {}
+        self._memo_version = store.version
 
     # ------------------------------------------------------------------
     # Maintenance hooks (called by the store; O(1) per triple)
@@ -137,16 +150,44 @@ class StatisticsCatalog:
         memoizes per pattern; the memo is flushed lazily when the store's
         ``version`` counter has moved since it was filled.
         """
-        version = self._store.version
-        if version != self._pattern_version:
-            self._pattern_counts.clear()
-            self._pattern_version = version
+        self._flush_stale_memos()
         pattern = (s, p, o)
         cached = self._pattern_counts.get(pattern)
         if cached is None:
             cached = self._store.count(s, p, o)
             self._pattern_counts[pattern] = cached
         return cached
+
+    def reformulated_counts(self, schema) -> dict[TermPattern, int]:
+        """The memo of post-reformulation pattern counts under ``schema``.
+
+        Section 4.3 gathers ``|Reformulate(v, S)|`` once per workload;
+        keeping the numbers here, beside :meth:`pattern_count`'s memo,
+        gathers them once per *store version*: every selector over this
+        store and schema — another strategy, weight vector or budget —
+        reads what the first one counted. The caller
+        (:class:`repro.selection.statistics.ReformulationAwareStatistics`)
+        fills the returned dictionary; the catalog only owns its
+        lifetime. Schemas are told apart by identity; a schema only
+        grows, so its size tells whether a statement arrived since the
+        memo was filled, and a stale memo is dropped. Flushed lazily
+        with the pattern memo when the store's ``version`` moves.
+        """
+        self._flush_stale_memos()
+        size = len(schema)
+        entry = self._reformulated.get(schema)
+        if entry is None or entry[0] != size:
+            if len(self._reformulated) >= _SCHEMA_MEMO_LIMIT:
+                self._reformulated.clear()
+            entry = self._reformulated[schema] = (size, {})
+        return entry[1]
+
+    def _flush_stale_memos(self) -> None:
+        version = self._store.version
+        if version != self._memo_version:
+            self._pattern_counts.clear()
+            self._reformulated.clear()
+            self._memo_version = version
 
     # ------------------------------------------------------------------
     # Serialization (store snapshots; repro.storage.snapshot)
@@ -166,14 +207,15 @@ class StatisticsCatalog:
         """Replace the maintained counters with serialized rows.
 
         Inverse of :meth:`export_column_counts`; used by
-        ``TripleStore.open``. Flushes the pattern memo — it may hold
+        ``TripleStore.open``. Flushes the derived memos — they may hold
         counts from before the store this catalog now describes.
         """
         self._col_values = (Counter(), Counter(), Counter())
         for column, code, count in rows:
             self._col_values[column][code] = count
         self._pattern_counts.clear()
-        self._pattern_version = self._store.version
+        self._reformulated.clear()
+        self._memo_version = self._store.version
 
     # ------------------------------------------------------------------
     # Cloning
@@ -183,7 +225,7 @@ class StatisticsCatalog:
         """An independent catalog for a cloned store.
 
         Counters are copied directly (codes are identical between a
-        store and its clone); the pattern memo starts empty and synced
+        store and its clone); the derived memos start empty and synced
         to the clone's version.
         """
         clone = StatisticsCatalog(store)

@@ -126,3 +126,30 @@ def connected_queries(draw, max_atoms=3, **kwargs):
         )
     )
     return query
+
+
+@st.composite
+def unions(draw, max_disjuncts=4):
+    """A same-arity list of random queries; renamings of earlier
+    disjuncts are mixed in so shared fingerprints actually occur."""
+    first = draw(queries())
+    disjuncts = [first]
+    for _ in range(draw(st.integers(0, max_disjuncts - 1))):
+        disjuncts.append(
+            draw(queries().filter(lambda q: len(q.head) == len(first.head)))
+        )
+    return disjuncts
+
+
+@st.composite
+def restricted_unions(draw, **kwargs):
+    """:func:`unions` with a random rule-4 ``non_literal`` restriction
+    on any subset of each disjunct's variables."""
+    restricted = []
+    for disjunct in draw(unions(**kwargs)):
+        body_vars = sorted(disjunct.variables(), key=lambda v: v.name)
+        picked = draw(
+            st.sets(st.sampled_from(body_vars)) if body_vars else st.just(set())
+        )
+        restricted.append(disjunct.with_non_literal(picked))
+    return restricted

@@ -18,7 +18,13 @@ import repro.engine.mqo as mqo
 from repro.engine import run_query, run_query_batch
 from repro.query.evaluation import evaluate_greedy, evaluate_union
 
-from tests.property.strategies import data_triples, queries, stores
+from tests.property.strategies import (
+    data_triples,
+    queries,
+    restricted_unions,
+    stores,
+    unions,
+)
 
 
 def _reference(disjuncts, store):
@@ -30,19 +36,6 @@ def _reference(disjuncts, store):
 
 def _same_arity(disjuncts):
     return len({len(q.head) for q in disjuncts}) == 1
-
-
-@st.composite
-def unions(draw, max_disjuncts=4):
-    """A same-arity list of random queries; renamings of earlier
-    disjuncts are mixed in so shared fingerprints actually occur."""
-    first = draw(queries())
-    disjuncts = [first]
-    for _ in range(draw(st.integers(0, max_disjuncts - 1))):
-        disjuncts.append(
-            draw(queries().filter(lambda q: len(q.head) == len(first.head)))
-        )
-    return disjuncts
 
 
 @settings(max_examples=50, deadline=None)
@@ -143,15 +136,7 @@ def test_shared_union_parity_survives_mutation(data):
 @given(data=st.data(), backend=st.sampled_from(["memory", "sqlite"]))
 def test_shared_union_with_non_literal_restrictions(data, backend):
     store = data.draw(stores(backend=backend), label="store")
-    disjuncts = data.draw(unions(), label="union")
-    restricted = []
-    for disjunct in disjuncts:
-        body_vars = sorted(disjunct.variables(), key=lambda v: v.name)
-        picked = data.draw(
-            st.sets(st.sampled_from(body_vars)) if body_vars else st.just(set()),
-            label="non_literal",
-        )
-        restricted.append(disjunct.with_non_literal(picked))
+    restricted = data.draw(restricted_unions(), label="union")
     try:
         expected = _reference(restricted, store)
         assert evaluate_union(restricted, store) == expected

@@ -13,6 +13,7 @@ import pytest
 
 from repro.engine import (
     MATERIALIZE_COST_FACTOR,
+    count_union,
     describe_union_sharing,
     evaluate_union_shared,
     plan_batch,
@@ -396,6 +397,36 @@ class TestStatementGate:
         )
         assert compound is not None and singles is None
         assert evaluate_union(disjuncts, sqlite_museum) == expected
+
+    def test_forced_compound_is_counted_inside_the_backend(
+        self, sqlite_museum, monkeypatch
+    ):
+        """``count_union`` wraps the compound statement in ``SELECT
+        COUNT(*)`` — unless a rule-4 residue needs the dictionary, which
+        brings the rows back to Python."""
+        import repro.engine.mqo as mqo
+
+        monkeypatch.setattr(mqo, "STATEMENT_OVERHEAD_ROWS", 0.0)
+        self._clear_plans(sqlite_museum)
+        statements = []
+        execute = sqlite_museum.backend.execute_sql_plan
+
+        def spy(sql, params):
+            statements.append(sql)
+            return execute(sql, params)
+
+        monkeypatch.setattr(sqlite_museum.backend, "execute_sql_plan", spy)
+        disjuncts = (_chain(), _chain_typed())
+        expected = len(_union_reference(disjuncts, sqlite_museum))
+        assert count_union(disjuncts, sqlite_museum) == expected > 0
+        assert [s for s in statements if s.startswith("SELECT COUNT(*) FROM (")]
+
+        del statements[:]
+        restricted = tuple(d.with_non_literal({Z}) for d in disjuncts)
+        assert count_union(restricted, sqlite_museum) == len(
+            _union_reference(restricted, sqlite_museum)
+        )
+        assert statements and not any("COUNT(*)" in s for s in statements)
 
     def test_gate_inequality_drives_the_decision(self, sqlite_museum):
         from repro.engine.mqo import (

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -153,3 +154,20 @@ def test_server_counters_cover_all_requests(snapshot, reference):
     assert counters["server.requests"] == 15
     assert counters["serve.worker.queries"] == 15
     assert counters.get("server.errors", 0) == 0
+
+
+def test_stop_returns_promptly_and_leaves_no_thread(snapshot):
+    """``listener.close()`` does not wake a thread blocked in
+    ``accept()`` on Linux: ``stop`` has to, or it sits out the accept
+    thread's whole join timeout and leaks the thread."""
+    server = Server(snapshot, ServerConfig(workers=1))
+    with server.connect() as client:
+        client.query(WORKLOAD[0], timeout=60.0).answers_or_raise()
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 0.5
+    assert not [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-serve-")
+    ]
