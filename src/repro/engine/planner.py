@@ -295,13 +295,19 @@ def plan_pushdown(
     (:class:`~repro.engine.sqlcompile.CompiledQuery`) when the store's
     backend can execute SQL plans (``supports_sql_plans``) and the
     query is expressible as one statement; ``None`` otherwise — the
-    caller falls back to the interpreted operator tree. Compilation
-    results (including the negative) are cached in the store's
-    prepared-plan cache under the ``(query, engine, workers)`` scheme
-    with :data:`SQL_PUSHDOWN` in the engine slot, so repeated workloads
-    pay SQL generation once per store version; any mutation flushes the
-    entry, which also re-validates provably-empty compilations whose
-    missing constants may have appeared.
+    caller falls back to the interpreted operator tree. The statement
+    joins in :meth:`CardinalityEstimator.join_order
+    <repro.stats.estimator.CardinalityEstimator.join_order>` — the very
+    order :func:`plan_query` compiles the interpreted tree in — spelled
+    ``CROSS JOIN`` so SQLite runs it as written: one planner orders
+    both routes, and SQLite's own only picks the index per step.
+    Compilation results (including the negative) are cached in the
+    store's prepared-plan cache under the ``(query, engine, workers)``
+    scheme with :data:`SQL_PUSHDOWN` in the engine slot, so repeated
+    workloads pay ordering and SQL generation once per store version;
+    any mutation flushes the entry, which also re-validates
+    provably-empty compilations whose missing constants may have
+    appeared.
     """
     if not getattr(store.backend, "supports_sql_plans", False):
         return None
@@ -315,7 +321,8 @@ def plan_pushdown(
         return None if cached is _PUSHDOWN_INELIGIBLE else cached
     if metrics.enabled:
         metrics.inc("engine.plan_cache.miss")
-    compiled = compile_query(query, store)
+    order = _estimator(store, None).join_order(query.atoms)
+    compiled = compile_query(query, store, order)
     if len(plans) >= _PLAN_CACHE_LIMIT:
         plans.clear()
     plans[key] = _PUSHDOWN_INELIGIBLE if compiled is None else compiled

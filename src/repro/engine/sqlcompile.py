@@ -10,25 +10,55 @@ single SQL statement:
 .. code-block:: sql
 
     SELECT DISTINCT t0.s, t1.o
-    FROM triples t0, triples t1
-    WHERE t0.p = ? AND t1.s = t0.o AND t1.p = ?
+    FROM triples t1 CROSS JOIN triples t0
+    WHERE t1.p = ? AND t0.p = ? AND t0.o = t1.s
 
 Executed inside the backend, SQLite evaluates the whole join pipeline in
 its VM against the SPO/POS/OSP covering indexes (every constant binding
-is an index-prefix predicate; ``ANALYZE`` keeps its join-order choice
-honest), and Python touches exactly one row per *distinct head image* —
-"move the computation to the data".
+and every join equality is an index-prefix predicate), and Python
+touches exactly one row per *distinct head image* — "move the
+computation to the data".
+
+**Who orders the join.** We do, SQLite does not. The ``FROM`` clause
+lists the aliases in the order it is handed — for a query,
+:meth:`CardinalityEstimator.join_order
+<repro.stats.estimator.CardinalityEstimator.join_order>` as
+:func:`repro.engine.planner.plan_pushdown` computes it, the very order
+the interpreted operator tree is compiled in; for a union's CTEs and
+arms, the same order as it arrives from :mod:`repro.engine.mqo` — and
+joins them with ``CROSS JOIN``, which SQLite documents as its
+fixed-order join: the left table is always the outer loop. SQLite's
+planner is left one decision per step, which of the three indexes to
+probe, and the bound columns decide that. So both routes run the same
+plan shape, the estimator is the single thing to fix when a plan is
+bad, and the statement does not depend on what SQLite knows about the
+data:
+
+* *without* ``sqlite_stat1`` — every snapshot ``store.save`` writes,
+  hence every served worker — SQLite orders a comma join blind: the
+  six served star texts joining an unbound ``t(X, rdf:type, Y)`` ran
+  9–13 ms against 0.1 ms interpreted, 3-atom chains 25–78 ms;
+* *with* it SQLite 3.40 answers with per-execution bloom filters on
+  every arm of a compound ``WITH … UNION`` statement: the 24-query
+  ad-hoc mix on a writable store took 1.2 s of ``evaluate_union`` with
+  statistics against 0.42–0.51 s without (same emitted order).
+
+Hence the backend never runs ``ANALYZE`` and keeps no staleness
+bookkeeping; an in-memory store, a writable file and a read-only
+snapshot get byte-identical text and walk the tables identically
+(``tests/storage/test_pushdown_plan_parity.py``).
 
 Compilation is pure text generation over dictionary codes:
 
-* each atom becomes one alias of the ``triples`` table, in body order
-  (SQLite's own planner reorders comma joins freely, so the emitted
-  order carries no cost information and the text is deterministic);
+* each atom becomes one alias of the ``triples`` table, named after its
+  *body* index (``t0`` is ``query.atoms[0]`` wherever it joins), so
+  ``EXPLAIN QUERY PLAN`` reads against the query text;
 * a constant becomes ``tN.col = ?`` with its dictionary code as a bound
   parameter — an index-prefix range predicate on SPO/POS/OSP;
 * a repeated variable becomes an equality against its first occurrence
-  (across atoms: the join condition; within an atom: the self-join
-  filter of ``t(X, p, X)``);
+  *in join order* — every equality points at an alias already in the
+  loop nest (across atoms: the join condition; within an atom: the
+  self-join filter of ``t(X, p, X)``);
 * head variables become the ``SELECT DISTINCT`` projection; constant
   head terms are re-attached per answer after decoding.
 
@@ -57,9 +87,10 @@ Python lists, not in the backend, so the rewriting route
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.obs import metrics
-from repro.query.cq import ConjunctiveQuery, Variable
+from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 
@@ -214,9 +245,18 @@ def _implied_non_literal(query: ConjunctiveQuery, variable: Variable) -> bool:
 
 
 def compile_query(
-    query: ConjunctiveQuery, store: TripleStore
+    query: ConjunctiveQuery,
+    store: TripleStore,
+    order: Sequence[int] | None = None,
 ) -> CompiledQuery | None:
     """Compile ``query`` into one SQL statement over the triple table.
+
+    ``order`` is the join order — a permutation of the body's atom
+    indexes, as :meth:`CardinalityEstimator.join_order
+    <repro.stats.estimator.CardinalityEstimator.join_order>` returns it
+    (:func:`repro.engine.planner.plan_pushdown` passes exactly that);
+    without one the atoms join in body order. Either way the ``FROM``
+    clause is a ``CROSS JOIN`` chain SQLite executes as written.
 
     Returns ``None`` when the query is not expressible within the
     pushdown limits (see the module docstring for the eligibility
@@ -238,16 +278,20 @@ def compile_query(
     >>> compiled = compile_query(query, store)
     >>> print(compiled.sql)
     SELECT DISTINCT t0.s, t1.o
-    FROM triples t0, triples t1
+    FROM triples t0 CROSS JOIN triples t1
     WHERE t0.p = ? AND t1.s = t0.o AND t1.p = ?
+    >>> print(compile_query(query, store, order=[1, 0]).sql)
+    SELECT DISTINCT t0.s, t1.o
+    FROM triples t1 CROSS JOIN triples t0
+    WHERE t1.p = ? AND t0.p = ? AND t0.o = t1.s
     >>> sorted((s.n3(), o.n3()) for s, o in compiled.execute(store))
     [('<http://e/a>', '<http://e/c>')]
     >>> store.close()
     """
     if not metrics.enabled:
-        return _compile_query_statement(query, store)
+        return _compile_query_statement(query, store, order)
     with metrics.timer("storage.sqlite.pushdown.compile_ms"):
-        compiled = _compile_query_statement(query, store)
+        compiled = _compile_query_statement(query, store, order)
     metrics.inc(
         "storage.sqlite.pushdown.compiled"
         if compiled is not None
@@ -256,36 +300,72 @@ def compile_query(
     return compiled
 
 
-def _compile_query_statement(
-    query: ConjunctiveQuery, store: TripleStore
-) -> CompiledQuery | None:
-    """The uninstrumented compilation behind :func:`compile_query`."""
-    atoms = query.atoms
-    if len(atoms) > MAX_PUSHDOWN_TABLES:
-        return None
+def _join_clauses(
+    atoms: Sequence[Atom],
+    store: TripleStore,
+    first: dict[Variable, str],
+    order: Sequence[int] | None = None,
+) -> tuple[list[str], list[str], list[int], bool]:
+    """``(tables, conditions, params, empty)`` of one self-join.
+
+    The atoms are walked in ``order`` (body order without one): each
+    becomes the alias ``t<body index>`` in ``tables``, a constant
+    becomes ``alias.col = ?`` with its code appended to ``params``, and
+    a variable seen before — in an earlier atom of the walk, or in
+    ``first`` as handed in (the columns of a CTE the join starts from)
+    — becomes an equality against that first occurrence. ``first`` is
+    extended in place; the caller projects from it. ``empty`` flags a
+    constant the dictionary has never seen: the join is provably empty
+    (until the store mutates, which flushes the plan cache).
+    """
+    tables: list[str] = []
     conditions: list[str] = []
     params: list[int] = []
-    first_occurrence: dict[Variable, str] = {}
     empty = False
-    for index, atom in enumerate(atoms):
+    for index in range(len(atoms)) if order is None else order:
         alias = f"t{index}"
-        for column, term in zip(_COLUMNS, atom):
+        tables.append(f"triples {alias}")
+        for column, term in zip(_COLUMNS, atoms[index]):
             expression = f"{alias}.{column}"
             if isinstance(term, Variable):
-                known = first_occurrence.get(term)
+                known = first.get(term)
                 if known is None:
-                    first_occurrence[term] = expression
+                    first[term] = expression
                 else:
                     conditions.append(f"{expression} = {known}")
             else:
                 code = store.encode_term(term)
                 if code is None:
-                    # A constant the data never mentions: provably empty
-                    # (until the store mutates, which flushes the cache).
                     empty = True
                 else:
                     conditions.append(f"{expression} = ?")
                     params.append(code)
+    return tables, conditions, params, empty
+
+
+def _from_where(tables: list[str], conditions: list[str]) -> str:
+    """The ``FROM ... WHERE ...`` text: tables joined in list order.
+
+    ``CROSS JOIN`` is SQLite's fixed-order join — the left table is
+    always the outer loop — so the statement runs in exactly the order
+    the estimator chose (see the module docstring).
+    """
+    where = f"\nWHERE {' AND '.join(conditions)}" if conditions else ""
+    return f"\nFROM {' CROSS JOIN '.join(tables)}{where}"
+
+
+def _compile_query_statement(
+    query: ConjunctiveQuery,
+    store: TripleStore,
+    order: Sequence[int] | None = None,
+) -> CompiledQuery | None:
+    """The uninstrumented compilation behind :func:`compile_query`."""
+    if len(query.atoms) > MAX_PUSHDOWN_TABLES:
+        return None
+    first_occurrence: dict[Variable, str] = {}
+    tables, conditions, params, empty = _join_clauses(
+        query.atoms, store, first_occurrence, order
+    )
     if len(params) > MAX_PUSHDOWN_PARAMS:
         return None
 
@@ -327,13 +407,12 @@ def _compile_query_statement(
             restricted_slots=(),
         )
 
-    tables = ", ".join(f"triples t{index}" for index in range(len(atoms)))
-    where = f"\nWHERE {' AND '.join(conditions)}" if conditions else ""
+    body = _from_where(tables, conditions)
     if select:
-        sql = f"SELECT DISTINCT {', '.join(select)}\nFROM {tables}{where}"
+        sql = f"SELECT DISTINCT {', '.join(select)}{body}"
     else:
         # No variable to project (an all-constant head): existence test.
-        sql = f"SELECT 1\nFROM {tables}{where}\nLIMIT 1"
+        sql = f"SELECT 1{body}\nLIMIT 1"
     return CompiledQuery(
         sql=sql,
         params=tuple(params),
@@ -511,33 +590,12 @@ def _cte_select(cte: UnionCTE, store: TripleStore):
     the CTE (and every branch reading it) is provably empty.
     """
     first: dict[Variable, str] = {}
-    conditions: list[str] = []
-    params: list[int] = []
-    empty = False
-    for index, atom in enumerate(cte.atoms):
-        alias = f"t{index}"
-        for column, term in zip(_COLUMNS, atom):
-            expression = f"{alias}.{column}"
-            if isinstance(term, Variable):
-                known = first.get(term)
-                if known is None:
-                    first[term] = expression
-                else:
-                    conditions.append(f"{expression} = {known}")
-            else:
-                code = store.encode_term(term)
-                if code is None:
-                    empty = True
-                else:
-                    conditions.append(f"{expression} = ?")
-                    params.append(code)
+    tables, conditions, params, empty = _join_clauses(cte.atoms, store, first)
     select = ", ".join(
         f"{first[variable]} AS c{column}"
         for variable, column in sorted(cte.columns, key=lambda vc: vc[1])
     )
-    tables = ", ".join(f"triples t{index}" for index in range(len(cte.atoms)))
-    where = f"\nWHERE {' AND '.join(conditions)}" if conditions else ""
-    return f"SELECT {select}\nFROM {tables}{where}", params, empty
+    return f"SELECT {select}{_from_where(tables, conditions)}", params, empty
 
 
 def compile_union(
@@ -594,46 +652,28 @@ def _compile_union_statement(
         cte_params.append(params)
 
     overlay: dict[Term, int] = {}
-    compiled_arms: list[tuple[str, list[int], int | None]] = []
     widths: list[int] = []
-    arms: list[tuple[list[str], list[str], list[str], list[str], list[int], int | None]] = []
+    arms: list[tuple[list[str], list[str], str, list[int], int | None]] = []
     for branch in branches:
-        if any(
-            store.encode_term(constant) is None
-            for atom in branch.atoms
-            for constant in atom.constants()
-        ):
-            continue  # provably empty disjunct: contribute no arm
         cte_id = branch.cte
         if cte_id is not None and cte_texts[cte_id] is None:
-            continue
+            continue  # provably empty prefix: contribute no arm
         first: dict[Variable, str] = {}
-        tables: list[str] = []
-        conditions: list[str] = []
-        params: list[int] = []
+        source: list[str] = []
         remaining = branch.atoms
         if cte_id is not None:
             name = f"s{cte_id}"
-            tables.append(name)
+            source.append(name)
             for variable, column in branch.columns:
                 first[variable] = f"{name}.c{column}"
             remaining = branch.atoms[branch.covered:]
-        if len(remaining) + len(tables) > MAX_PUSHDOWN_TABLES:
+        if len(remaining) + len(source) > MAX_PUSHDOWN_TABLES:
             return None
-        for index, atom in enumerate(remaining):
-            alias = f"t{index}"
-            tables.append(f"triples {alias}")
-            for column, term in zip(_COLUMNS, atom):
-                expression = f"{alias}.{column}"
-                if isinstance(term, Variable):
-                    known = first.get(term)
-                    if known is None:
-                        first[term] = expression
-                    else:
-                        conditions.append(f"{expression} = {known}")
-                else:
-                    conditions.append(f"{expression} = ?")
-                    params.append(store.encode_term(term))
+        tables, conditions, params, empty = _join_clauses(
+            remaining, store, first
+        )
+        if empty:
+            continue  # provably empty disjunct: contribute no arm
         select: list[str] = []
         for term in branch.query.head:
             if isinstance(term, Variable):
@@ -654,7 +694,9 @@ def _compile_union_statement(
                 continue
             extras.append(first[variable])
         widths.append(len(extras))
-        arms.append((select, extras, tables, conditions, params, cte_id))
+        arms.append(
+            (select, extras, _from_where(source + tables, conditions), params, cte_id)
+        )
 
     if not arms:
         return CompiledUnion(
@@ -671,13 +713,9 @@ def _compile_union_statement(
         with_clauses.append(f"s{cte_id} AS (\n{body}\n)")
         all_params.extend(cte_params[cte_id])
     parts: list[str] = []
-    for select, extras, tables, conditions, params, _ in arms:
+    for select, extras, body, params, _ in arms:
         padded = select + extras + ["NULL"] * (extra - len(extras))
-        where = f"\nWHERE {' AND '.join(conditions)}" if conditions else ""
-        parts.append(
-            f"SELECT DISTINCT {', '.join(padded)}"
-            f"\nFROM {', '.join(tables)}{where}"
-        )
+        parts.append(f"SELECT DISTINCT {', '.join(padded)}{body}")
         all_params.extend(params)
     if len(all_params) > MAX_PUSHDOWN_PARAMS:
         return None

@@ -15,11 +15,14 @@ bypasses the store's prepared-plan cache (the estimator reads the same
 catalog, so the plan is identical), which keeps the cached, shared
 plans untouched. On the SQL pushdown route the backend's own
 ``EXPLAIN QUERY PLAN`` tree is attached, and the interpreted equivalent
-runs instrumented alongside it so per-join actuals exist on SQLite too.
+runs instrumented alongside it so per-join actuals exist on SQLite too;
+``order=kept`` on the header says SQLite visited the aliases in the
+order the interpreted tree joins them (:func:`visited_aliases`).
 """
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -311,6 +314,22 @@ def _query_plan_rows(compiled, store) -> list[tuple[int, int, str]]:
     return [(row[0], row[1], row[3]) for row in rows]
 
 
+#: A table visit in ``EXPLAIN QUERY PLAN`` detail text; SQLite before
+#: 3.36 spells it ``SEARCH TABLE triples AS t2``.
+_VISIT = re.compile(r"^(?:SEARCH|SCAN) (?:TABLE triples AS )?t(\d+)\b")
+
+
+def visited_aliases(plan_rows) -> list[int]:
+    """Body indexes of the ``tN`` aliases, in the order SQLite's plan
+    visits them (outermost loop first).
+
+    ``plan_rows`` are ``EXPLAIN QUERY PLAN`` rows with the detail text
+    last, as SQLite returns them and :func:`_query_plan_rows` keeps them.
+    """
+    matches = (_VISIT.match(row[-1]) for row in plan_rows)
+    return [int(match.group(1)) for match in matches if match]
+
+
 def analyze_query(
     query,
     store,
@@ -328,7 +347,9 @@ def analyze_query(
     PLAN`` attached) *and* the interpreted equivalent runs instrumented
     beneath it, so per-operator actuals and estimator comparisons exist
     on every backend. ``parity=yes`` on the header confirms both routes
-    agreed on the answer set.
+    agreed on the answer set, ``order=kept`` that SQLite ran the joins
+    in the estimator's order (``reordered`` would mean the ``CROSS
+    JOIN`` text no longer pins it).
     """
     batch_size = _check_batch_size(batch_size) or DEFAULT_BATCH_SIZE
     compiled = None
@@ -341,11 +362,12 @@ def analyze_query(
     wall_ms = (time.perf_counter() - started) * 1000.0
     estimator = _estimator(store, None)
     atoms = query.atoms
+    order = estimator.join_order(atoms)
     est_rows = None
     if atoms:
-        order = estimator.join_order(atoms)
         est_rows = round(estimator.prefix_cardinalities(atoms, order)[-1], 1)
     interpreted = _interpreted_report(query, store, engine, batch_size, workers)
+    plan_rows = _query_plan_rows(compiled, store)
     sql_annotations = {"rows": len(answers), "time_ms": round(wall_ms, 2)}
     if est_rows is not None:
         sql_annotations["est_rows"] = est_rows
@@ -357,9 +379,11 @@ def analyze_query(
         time_ms=round(wall_ms, 2),
         parity=answers == interpreted.answers,
     )
-    header.children.append(
-        sql_tree(compiled, sql_annotations, _query_plan_rows(compiled, store))
-    )
+    if plan_rows:
+        header.annotations["order"] = (
+            "kept" if visited_aliases(plan_rows) == order else "reordered"
+        )
+    header.children.append(sql_tree(compiled, sql_annotations, plan_rows))
     equivalent = PlanNode("interpreted equivalent", header=True)
     equivalent.children.extend(interpreted.tree.children)
     header.children.append(equivalent)

@@ -431,11 +431,11 @@ class TripleStore:
 
         ``read_only=True`` serves the snapshot through a read-only
         SQLite connection: opening performs **zero writes** (no WAL
-        conversion, no schema script, no ``ANALYZE``, no dictionary
-        sync on close) and mutations raise — the mode every server-mode
-        worker uses so N processes can share one snapshot file. The
-        default (``None``) auto-detects files the process cannot write,
-        such as a chmod-0444 snapshot.
+        conversion, no schema script, no dictionary sync on close) and
+        mutations raise — the mode every server-mode worker uses so N
+        processes can share one snapshot file. The default (``None``)
+        auto-detects files the process cannot write, such as a
+        chmod-0444 snapshot.
         """
         if not metrics.enabled and tracing.sink is None:
             return cls._open(path, backend, read_only)

@@ -67,8 +67,8 @@ class ServerConfig:
     retries: int = 1
     request_timeout_s: float = 30.0
     max_pending: int = 1024
-    #: Enables test-only request options (``delay_ms``). Never on in
-    #: production paths.
+    #: Enables test-only request options (``delay_ms``) and the
+    #: per-batch :attr:`Server.batch_log`. Never on in production paths.
     test_hooks: bool = False
 
 
@@ -97,6 +97,8 @@ class Server:
         #: ``(worker_index, texts_tuple)`` per executed batch, in
         #: completion order — lets tests replay exactly the batches each
         #: worker ran and reconcile metrics with a serial re-execution.
+        #: Recorded only under ``config.test_hooks``: it grows with
+        #: every batch, which a long-lived server cannot afford.
         self.batch_log: list[tuple[int, tuple[str, ...]]] = []
         self.pool = WorkerPool(
             self.path,
@@ -201,6 +203,12 @@ class Server:
                 name="repro-serve-reader", daemon=True,
             )
             with self._readers_lock:
+                # Keep only readers whose client is still connected: the
+                # list exists for ``stop()`` to join, not as a history.
+                self._reader_threads = [
+                    reader for reader in self._reader_threads
+                    if reader.is_alive()
+                ]
                 self._reader_threads.append(thread)
             self._conn_locks[id(conn)] = threading.Lock()
             thread.start()
@@ -335,7 +343,8 @@ class Server:
                 error = str(exc)
                 break
             self.pool.release(worker)
-            self.batch_log.append((worker.index, tuple(texts)))
+            if cfg.test_hooks:
+                self.batch_log.append((worker.index, tuple(texts)))
             if dump is not None:
                 with self._metrics_lock:
                     self.metrics.merge(dump)

@@ -100,11 +100,11 @@ class SqliteBackend(StorageBackend):
     ``read_only`` opens an existing database through SQLite's ``mode=ro``
     URI flag: the connection physically cannot write, so serving a
     snapshot performs **zero writes** — no WAL conversion attempt, no
-    schema script, no ``ANALYZE`` — and concurrent reader processes
-    (server mode) share the file safely. ``read_only=None`` (the
-    default) auto-detects: an existing file the process cannot write
-    (e.g. a chmod-0444 snapshot) is served read-only instead of letting
-    doomed write attempts fail one by one behind try/except guards.
+    schema script — and concurrent reader processes (server mode) share
+    the file safely. ``read_only=None`` (the default) auto-detects: an
+    existing file the process cannot write (e.g. a chmod-0444 snapshot)
+    is served read-only instead of letting doomed write attempts fail
+    one by one behind try/except guards.
     """
 
     name = "sqlite"
@@ -164,15 +164,6 @@ class SqliteBackend(StorageBackend):
         self._count = self._con.execute(
             "SELECT COUNT(*) FROM triples"
         ).fetchone()[0]
-        # Rows changed since the SQLite planner last saw fresh ANALYZE
-        # statistics. A database that already carries ``sqlite_stat1``
-        # (a snapshot saved after bulk load) starts fresh; one without
-        # starts fully stale so the first pushed-down plan re-analyzes.
-        has_stats = self._con.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' "
-            "AND name = 'sqlite_stat1'"
-        ).fetchone()
-        self._stale_rows = 0 if has_stats else self._count
 
     # ------------------------------------------------------------------
     # Mutation
@@ -193,7 +184,6 @@ class SqliteBackend(StorageBackend):
         inserted = cursor.rowcount == 1
         if inserted:
             self._count += 1
-            self._stale_rows += 1
         return inserted
 
     def remove(self, encoded: EncodedTriple) -> bool:
@@ -204,7 +194,6 @@ class SqliteBackend(StorageBackend):
         removed = cursor.rowcount == 1
         if removed:
             self._count -= 1
-            self._stale_rows += 1
         return removed
 
     def add_bulk(self, encoded: Iterable[EncodedTriple]) -> int:
@@ -215,31 +204,7 @@ class SqliteBackend(StorageBackend):
         )
         inserted = self._con.total_changes - before
         self._count += inserted
-        if inserted:
-            # Refresh the SQLite planner's statistics right after the
-            # bulk load: pushed-down join plans get chosen against the
-            # real value distribution, not against empty-table guesses.
-            self._stale_rows += inserted
-            self._analyze()
         return inserted
-
-    def _analyze(self) -> None:
-        """Recompute SQLite's own planner statistics (``sqlite_stat1``).
-
-        Read-only databases cannot store them; SQLite then falls back to
-        its built-in estimates, which is exactly the pre-ANALYZE state —
-        so a read-only connection never even attempts the write.
-        """
-        if self.read_only:
-            self._stale_rows = 0
-            return
-        if metrics.enabled:
-            metrics.inc("storage.sqlite.analyze.runs")
-        try:
-            self._con.execute("ANALYZE")
-        except sqlite3.OperationalError:
-            pass
-        self._stale_rows = 0
 
     # ------------------------------------------------------------------
     # Lookup
@@ -422,14 +387,11 @@ class SqliteBackend(StorageBackend):
         engine hands over an entire join pipeline (see
         :mod:`repro.engine.sqlcompile`) and SQLite evaluates it in its
         VM against the SPO/POS/OSP covering indexes — no per-probe or
-        per-batch driver crossing. Stale planner statistics are
-        refreshed first when enough rows changed since the last
-        ``ANALYZE`` that SQLite might pick a bad join order.
+        per-batch driver crossing. The statement arrives with its join
+        order fixed (``CROSS JOIN``), so the backend keeps no planner
+        statistics: every store — in-memory, writable file, read-only
+        snapshot — runs the same text the same way.
         """
-        if self._stale_rows >= max(64, self._count // 8):
-            if metrics.enabled:
-                metrics.inc("storage.sqlite.analyze.stale_triggered")
-            self._analyze()
         if metrics.enabled:
             metrics.inc("storage.sqlite.pushdown.execute")
         return self._con.execute(sql, params)
@@ -469,8 +431,6 @@ class SqliteBackend(StorageBackend):
         clone = SqliteBackend()
         self._con.backup(clone._con)
         clone._count = self._count
-        # The backup carries sqlite_stat1 along (or its absence).
-        clone._stale_rows = self._stale_rows
         return clone
 
     def flush(self) -> None:

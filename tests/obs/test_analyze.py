@@ -55,6 +55,9 @@ def test_pushdown_route_reports_parity_and_backend_plan(
     report = analyze_query(q_painters, sqlite_museum)
     assert report.route == SQL_PUSHDOWN
     assert report.tree.annotations["parity"] is True
+    # SQLite walked the tables in the interpreted tree's join order.
+    assert report.tree.annotations["order"] == "kept"
+    assert "parity=yes order=kept" in report.text()
     labels = [node.label for node in report.tree.walk()]
     assert "SQLPushdown" in labels
     assert "interpreted equivalent" in labels

@@ -168,7 +168,8 @@ def test_served_answers_and_metrics_match_serial(data):
         finally:
             serial_store.close()
 
-        config = ServerConfig(workers=workers, window_ms=0.0)
+        # test_hooks: the replay below needs the per-batch log.
+        config = ServerConfig(workers=workers, window_ms=0.0, test_hooks=True)
         with Server(path, config) as server:
             served: dict[int, list] = {}
 

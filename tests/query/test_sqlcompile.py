@@ -1,8 +1,10 @@
 """Unit tests for whole-plan SQL pushdown (repro.engine.sqlcompile).
 
 Covers the compilation scheme (statement text, bound parameters, head
-slots), the fallback shapes that must stay on the interpreted operator
-tree, and the prepared-SQL cache lifecycle across store mutations.
+slots), the join order (the estimator's, spelled ``CROSS JOIN`` so
+SQLite keeps it), the fallback shapes that must stay on the interpreted
+operator tree, and the prepared-SQL cache lifecycle across store
+mutations.
 """
 
 import pytest
@@ -15,13 +17,16 @@ from repro.engine import (
     plan_pushdown,
     run_query,
 )
-from repro.engine import sqlcompile
+from repro.engine import plan_union_pushdown, sqlcompile
+from repro.engine.planner import _estimator
+from repro.obs.analyze import _query_plan_rows, visited_aliases
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate, evaluate_greedy
 from repro.query.parser import parse_query
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
+from repro.rdf.vocabulary import RDF_TYPE
 
 from tests.conftest import ex
 
@@ -47,7 +52,7 @@ class TestCompileQuery:
         compiled = compile_query(_two_hop(), sqlite_museum)
         assert compiled.sql == (
             "SELECT DISTINCT t0.s, t1.o\n"
-            "FROM triples t0, triples t1\n"
+            "FROM triples t0 CROSS JOIN triples t1\n"
             "WHERE t0.p = ? AND t1.s = t0.o AND t1.p = ?"
         )
         assert compiled.params == (
@@ -135,6 +140,119 @@ class TestCompileQuery:
         assert compiled.execute(sqlite_museum) == evaluate_greedy(
             query, sqlite_museum
         )
+
+
+@pytest.fixture
+def skewed_store():
+    """Many ``rdf:type`` triples, a handful of ``rare`` ones: body order
+    and the estimator's order disagree on every query below."""
+    store = TripleStore(backend="sqlite")
+    for i in range(200):
+        store.add(Triple(ex(f"e{i}"), RDF_TYPE, ex(f"c{i % 7}")))
+        store.add(Triple(ex(f"e{i}"), ex("linksTo"), ex(f"e{(i * 3) % 200}")))
+    for i in range(3):
+        store.add(Triple(ex(f"e{i}"), ex("rare"), ex(f"e{i + 10}")))
+    yield store
+    store.backend.close()
+
+
+def _from_aliases(sql):
+    """Body indexes of the aliases in the statement's ``FROM`` clause."""
+    line = next(text for text in sql.splitlines() if text.startswith("FROM "))
+    return [
+        int(table.removeprefix("triples t"))
+        for table in line.removeprefix("FROM ").split(" CROSS JOIN ")
+    ]
+
+
+#: Shapes whose body order starts on the *widest* atom: a chain ending
+#: in an unbound ``rdf:type`` atom written type-first, and a star that
+#: joins one.
+_CHAIN_TO_TYPE = (
+    "q(X, Z) :- t(Y, rdf:type, Z), t(X, linksTo, Y), t(W, rare, X)"
+)
+_STAR_WITH_TYPE = (
+    "q(X, C) :- t(X, rdf:type, C), t(X, linksTo, Y), t(X, rare, Z)"
+)
+
+
+class TestJoinOrder:
+    @pytest.mark.parametrize("text", [_CHAIN_TO_TYPE, _STAR_WITH_TYPE])
+    def test_from_clause_is_the_estimators_order(self, skewed_store, text):
+        query = parse_query(text, namespace="http://example.org/")
+        order = _estimator(skewed_store, None).join_order(query.atoms)
+        assert order != sorted(order)  # the shape really reorders
+        compiled = plan_pushdown(query, skewed_store)
+        assert _from_aliases(compiled.sql) == order
+        # SQLite visits the aliases as written, rarest atom outermost.
+        assert visited_aliases(_query_plan_rows(compiled, skewed_store)) == order
+        assert query.atoms[order[0]].p == ex("rare")
+        assert compiled.execute(skewed_store) == evaluate_greedy(
+            query, skewed_store
+        )
+        assert compiled.execute(skewed_store) == evaluate(
+            query, skewed_store, pushdown=False
+        )
+
+    def test_explicit_order_keeps_body_aliases(self, sqlite_museum):
+        compiled = compile_query(_two_hop(), sqlite_museum, order=[1, 0])
+        assert compiled.sql == (
+            "SELECT DISTINCT t0.s, t1.o\n"
+            "FROM triples t1 CROSS JOIN triples t0\n"
+            "WHERE t1.p = ? AND t0.p = ? AND t0.o = t1.s"
+        )
+        # Parameters follow the text: t1's constant comes first now.
+        assert compiled.params == (
+            sqlite_museum.encode_term(ex("hasPainted")),
+            sqlite_museum.encode_term(ex("isParentOf")),
+        )
+        assert compiled.execute(sqlite_museum) == evaluate_greedy(
+            _two_hop(), sqlite_museum
+        )
+
+    def test_union_ctes_and_arms_have_no_comma_join(self, skewed_store):
+        # Renamings of one 2-atom prefix, each extended differently:
+        # the prefix becomes a CTE, every disjunct an arm reading it.
+        disjuncts = [
+            parse_query(
+                f"q(X, Z) :- t(X, rare, Y), t(Y, linksTo, Z), t(Z, rdf:type, c{i})",
+                namespace="http://example.org/",
+            )
+            for i in range(4)
+        ]
+        compiled = plan_union_pushdown(disjuncts, skewed_store)
+        assert compiled is not None and compiled.shared_ctes == 1
+        from_lines = [
+            line.strip()
+            for line in compiled.sql.splitlines()
+            if line.strip().startswith("FROM ")
+        ]
+        assert len(from_lines) >= len(disjuncts)
+        assert any(" CROSS JOIN " in line for line in from_lines)
+        assert not any("," in line for line in from_lines)
+        expected = set()
+        for disjunct in disjuncts:
+            expected |= evaluate_greedy(disjunct, skewed_store)
+        assert compiled.execute(skewed_store) == expected
+
+    def test_cartesian_body_compiles_and_agrees(self, skewed_store):
+        query = parse_query(
+            "q(X, A) :- t(X, rare, Y), t(A, rdf:type, c1)",
+            namespace="http://example.org/",
+        )
+        assert not query.is_connected()
+        compiled = plan_pushdown(query, skewed_store)
+        assert compiled is not None and "CROSS JOIN" in compiled.sql
+        answers = compiled.execute(skewed_store)
+        assert len(answers) == 3 * len(
+            evaluate_greedy(
+                parse_query("q(A) :- t(A, rdf:type, c1)",
+                            namespace="http://example.org/"),
+                skewed_store,
+            )
+        )
+        assert answers == evaluate_greedy(query, skewed_store)
+        assert answers == evaluate(query, skewed_store, pushdown=False)
 
 
 class TestFallbackShapes:

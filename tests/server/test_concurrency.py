@@ -140,9 +140,11 @@ def test_windowed_batching_merges_concurrent_requests(snapshot, reference):
 
 def test_single_request_batches_when_window_disabled(snapshot, reference):
     """window_ms=0: every request is its own worker batch."""
-    with Server(snapshot, ServerConfig(workers=2, window_ms=0.0)) as server:
+    config = ServerConfig(workers=2, window_ms=0.0, test_hooks=True)
+    with Server(snapshot, config) as server:
         mismatches = _hammer(server, reference, threads=3, rounds=4)
         assert mismatches == []
+        assert len(server.batch_log) == 12
         assert all(len(texts) == 1 for _, texts in server.batch_log)
 
 
@@ -154,6 +156,47 @@ def test_server_counters_cover_all_requests(snapshot, reference):
     assert counters["server.requests"] == 15
     assert counters["serve.worker.queries"] == 15
     assert counters.get("server.errors", 0) == 0
+
+
+def test_long_lived_server_keeps_no_per_request_state(snapshot, reference):
+    """2 000 requests over 50 short-lived connections: without
+    ``test_hooks`` nothing is logged per batch, and finished reader
+    threads are dropped instead of kept for the life of the server."""
+    with Server(snapshot, ServerConfig(workers=2, window_ms=0.0)) as server:
+        for index in range(50):
+            with server.connect() as client:
+                for round_index in range(40):
+                    text = WORKLOAD[(index + round_index) % len(WORKLOAD)]
+                    answers = client.query(text, timeout=60.0).answers_or_raise()
+                    assert frozenset(answers) == reference[text]
+        assert server.metrics_snapshot()["counters"]["server.requests"] == 2000
+        assert server.batch_log == []
+
+        def wait_for(condition) -> bool:
+            deadline = time.monotonic() + 5.0
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            return condition()
+
+        def live_readers() -> int:
+            return sum(
+                thread.name == "repro-serve-reader"
+                for thread in threading.enumerate()
+            )
+
+        # Every short-lived client's reader ends once it sees the EOF.
+        assert wait_for(lambda: live_readers() == 0)
+        # The next accepts drop the finished ones from the list.
+        with server.connect() as first, server.connect() as second:
+            first.query(WORKLOAD[0], timeout=60.0).answers_or_raise()
+            second.query(WORKLOAD[1], timeout=60.0).answers_or_raise()
+
+            def listed() -> list:
+                with server._readers_lock:
+                    return list(server._reader_threads)
+
+            assert wait_for(lambda: len(listed()) == 2)
+            assert all(reader.is_alive() for reader in listed())
 
 
 def test_stop_returns_promptly_and_leaves_no_thread(snapshot):

@@ -1,8 +1,8 @@
 """Read-only snapshot serving: zero writes, enforced and verified.
 
 The server-mode workers open one shared snapshot from N processes; a
-single stray write (WAL conversion, schema script, ANALYZE, dictionary
-sync on close) would corrupt concurrent readers or fail outright on a
+single stray write (WAL conversion, schema script, dictionary sync on
+close) would corrupt concurrent readers or fail outright on a
 read-only filesystem. These tests pin the contract at every layer:
 the connection is ``mode=ro``, mutations raise, and a full
 open-query-close cycle leaves the file byte-identical."""
@@ -51,7 +51,7 @@ def _fingerprint(path):
 def test_read_only_open_query_close_writes_nothing(saved):
     """The headline regression: a chmod-0444 snapshot goes through a
     full open / query / close cycle byte-identical — no WAL conversion,
-    no schema script, no ANALYZE, no dictionary sync, no commit."""
+    no schema script, no dictionary sync, no commit."""
     path, expected = saved
     path.chmod(0o444)
     try:
@@ -82,19 +82,6 @@ def test_read_only_backend_rejects_mutations(saved):
             reader.backend.add_bulk([(1, 2, 3)])
     finally:
         reader.close()
-
-
-def test_read_only_analyze_is_a_no_op(saved):
-    """The staleness-triggered ANALYZE must never fire on a read-only
-    connection (it writes sqlite_stat tables)."""
-    path, _ = saved
-    backend = SqliteBackend(path, read_only=True)
-    try:
-        backend._stale_rows = 10**9  # force the threshold
-        backend._analyze()
-        assert backend._stale_rows == 0
-    finally:
-        backend.close()
 
 
 def test_auto_detect_unwritable_snapshot(saved):

@@ -345,8 +345,10 @@ def test_analyze_covers_the_pushdown_route(capsys, data_file, workload_file,
         "--analyze",
     )
     assert "pushdown=yes" in out
-    assert "parity=yes" in out
+    assert "parity=yes order=kept" in out
+    assert "order=reordered" not in out
     assert "SQLPushdown" in out
+    assert "CROSS JOIN" in out
     assert "interpreted equivalent:" in out
 
 
