@@ -27,7 +27,10 @@ existential variables introduced by rules 3 and 4.
 
 from __future__ import annotations
 
-from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable, fresh_variable
+import itertools
+from typing import Iterator
+
+from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
 from repro.query.containment import canonical_form
 from repro.rdf import vocabulary
 from repro.rdf.schema import RDFSchema
@@ -47,8 +50,27 @@ def reformulation_bound(schema: RDFSchema, query: ConjunctiveQuery) -> int:
     return (2 * size * size) ** len(query.atoms)
 
 
-def _rule_consequences(query: ConjunctiveQuery, schema: RDFSchema):
-    """All one-step backward rule applications on ``query``."""
+def _fresh_variables(query: ConjunctiveQuery) -> Iterator[Variable]:
+    """The existential variables of one :func:`reformulate` call:
+    ``R0, R1, …``, skipping names ``query`` already uses.
+
+    Numbered per call, not from the process-global counter of
+    :func:`repro.query.cq.fresh_variable`: reformulating the same query
+    twice must yield *equal* unions, because every engine cache is keyed
+    on disjuncts by value.
+    """
+    taken = {variable.name for variable in query.variables()}
+    for number in itertools.count():
+        name = f"R{number}"
+        if name not in taken:
+            yield Variable(name)
+
+
+def _rule_consequences(
+    query: ConjunctiveQuery, schema: RDFSchema, fresh: Iterator[Variable]
+):
+    """All one-step backward rule applications on ``query``; rules 3
+    and 4 draw their existential variables from ``fresh``."""
     rdf_type = vocabulary.RDF_TYPE
     for index, atom in enumerate(query.atoms):
         s, p, o = atom
@@ -73,8 +95,7 @@ def _rule_consequences(query: ConjunctiveQuery, schema: RDFSchema):
                 for prop in sorted(
                     schema.properties_with_domain(o), key=lambda u: u.value
                 ):
-                    fresh = fresh_variable("R")
-                    yield query.replace_atom(index, Atom(s, prop, fresh))
+                    yield query.replace_atom(index, Atom(s, prop, next(fresh)))
                 # Rule 4: an object of p is typed by p's range. The typed
                 # term moves to the object position of the new atom; a
                 # literal there could never have been a triple subject,
@@ -83,8 +104,9 @@ def _rule_consequences(query: ConjunctiveQuery, schema: RDFSchema):
                     for prop in sorted(
                         schema.properties_with_range(o), key=lambda u: u.value
                     ):
-                        fresh = fresh_variable("R")
-                        rewritten = query.replace_atom(index, Atom(fresh, prop, s))
+                        rewritten = query.replace_atom(
+                            index, Atom(next(fresh), prop, s)
+                        )
                         if isinstance(s, Variable):
                             rewritten = rewritten.with_non_literal([s])
                         yield rewritten
@@ -108,11 +130,12 @@ def reformulate(query: ConjunctiveQuery, schema: RDFSchema) -> UnionQuery:
     union on a plain store equals evaluation of ``query`` on the
     saturated store (Theorem 4.2, property-tested in the test suite).
     """
+    fresh = _fresh_variables(query)
     seen: dict[tuple, ConjunctiveQuery] = {canonical_form(query): query}
     worklist: list[ConjunctiveQuery] = [query]
     while worklist:
         current = worklist.pop()
-        for candidate in _rule_consequences(current, schema):
+        for candidate in _rule_consequences(current, schema, fresh):
             key = canonical_form(candidate)
             if key in seen:
                 continue

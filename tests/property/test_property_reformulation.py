@@ -66,10 +66,6 @@ def test_reformulation_only_adds_answers(store, schema, query):
 @COMMON
 @given(schema=us.schemas(), query=us.queries())
 def test_reformulation_is_deterministic(schema, query):
-    u1 = reformulate(query, schema)
-    u2 = reformulate(query, schema)
-    # Fresh existential variables may differ in name; compare up to
-    # isomorphism via pairwise matching.
-    assert len(u1) == len(u2)
-    for cq in u1:
-        assert any(is_isomorphic(cq, other, match_heads=True) for other in u2)
+    """Two reformulations of one query are *equal*, variable names
+    included: every engine cache is keyed on disjuncts by value."""
+    assert reformulate(query, schema) == reformulate(query, schema)

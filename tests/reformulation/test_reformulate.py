@@ -190,6 +190,37 @@ class TestAlgorithmProperties:
         assert len(reformulate(two, table2_schema)) > len(reformulate(one, table2_schema))
 
 
+    def test_fresh_variables_do_not_capture_query_variables(self):
+        """Rules 3/4 number their existentials per call from ``R0``; a
+        query that already says ``R0`` must keep it distinct."""
+        schema = RDFSchema()
+        schema.add_domain(ex("hasPainted"), ex("painter"))
+        schema.add_range(ex("hasPainted"), ex("painting"))
+        query = parse_query(
+            "q(R0, R1) :- t(R0, rdf:type, painter), t(R1, rdf:type, painting)"
+        )
+        union = reformulate(query, schema)
+        assert len(union) == 4
+        for cq in union:
+            existential = cq.variables() - set(cq.head)
+            assert not existential & query.variables()
+            assert cq.head == query.head
+
+    def test_repeated_text_reuses_every_prepared_plan(
+        self, museum_store, museum_schema
+    ):
+        """Asking the same text again adds nothing to the plan cache."""
+        store = museum_store.copy()
+        text = "q(X, Y) :- t(X, rdf:type, painter), t(Y, rdf:type, picture)"
+        first = evaluate_union(reformulate(parse_query(text), museum_schema), store)
+        plans = store._engine_plan_cache["plans"]
+        cached = set(plans)
+        again = evaluate_union(reformulate(parse_query(text), museum_schema), store)
+        assert again == first
+        assert store._engine_plan_cache["plans"] is plans
+        assert set(plans) == cached
+
+
 class TestTheorem42Correctness:
     """evaluate(q, saturate(D, S)) == evaluate(Reformulate(q, S), D)."""
 
