@@ -2,75 +2,39 @@
 
 Paper setup: the five queries of workload Q1, answered several ways —
 
-* **saturated triple table**: scan-based evaluation on the saturated
-  store (the role of the plain PostgreSQL triple-table plan);
-* **restricted triple table**: the same, on a table restricted to the
-  triples relevant to the workload;
-* **pre-reform. views**: rewritings over views selected from the
+* **saturated-tt**: scan-based evaluation on the saturated store (the
+  role of the plain PostgreSQL triple-table plan);
+* **restricted-tt**: the same, on a table restricted to the triples
+  relevant to the workload;
+* **pre-reform**: rewritings over views selected from the
   pre-reformulated workload;
-* **post-reform. views**: rewritings over reformulated views;
-* **seed-greedy**: the seed's greedy index-nested-loop evaluator
-  (re-counts every remaining atom per recursion step) — the baseline
-  the engine must beat;
-* **engine-***: the unified physical-operator engine on the saturated
-  store, one series per join strategy (the RDF-3X role), executing
-  batch-at-a-time (the default since the batched-engine PR); with
-  ``--backend sqlite`` the ``engine-auto`` series takes the whole-plan
-  SQL pushdown route (one statement per query inside the backend) while
-  the fixed-engine series stay interpreted;
-* **engine-auto-tuple**: the same auto-selected plans executed through
-  the historical tuple-at-a-time path (``batch_size=None``) — the
-  baseline the batched engine is measured against;
-* **engine-auto-row**: the same auto-selected plans executed batched
-  but through the row-batch layout (``layout="row"``) — the baseline
-  the columnar layout (the default) is measured against;
-* **union-shared / union-independent**: each query's reformulation
-  union evaluated on the *plain* (non-saturated) store, through the
-  multi-query optimizer (shared subplans execute once; on ``--backend
-  sqlite`` the whole union runs as one ``SELECT ... UNION`` statement)
-  versus fully independent per-disjunct evaluation — the MQO ablation
-  behind the ``mqo_speedup`` figure;
-* **initial state**: the workload queries themselves materialized.
-
-Timings depend on PYTHONHASHSEED (the synthetic Barton generator walks
-hash-ordered dicts), so cross-process comparisons must pin it — the
-committed JSONs use ``PYTHONHASHSEED=0`` (see ``docs/benchmarks.md``).
+* **post-reform**: rewritings over reformulated views;
+* **initial-state**: the workload queries themselves materialized;
+* **engine**: the physical-operator engine on the saturated store (the
+  RDF-3X role).
 
 Expected shape: views beat the triple-table plans by one or more orders
 of magnitude and land in the same range as the native engine; the
 initial state (a plain view scan) is the fastest; pre- and post-
-reformulation views answer identically; every engine strategy beats or
-matches the seed evaluator.
+reformulation views answer identically.
 
-Standalone smoke mode (used by CI to catch evaluation-speed
-regressions per PR, and handy for comparing strategies by hand)::
-
-    PYTHONPATH=src python -m benchmarks.bench_fig8_query_evaluation \
-        --smoke --engine all
+Timings depend on PYTHONHASHSEED (the synthetic Barton generator walks
+hash-ordered dicts), so cross-process comparisons must pin it (see
+``docs/benchmarks.md``). Engine throughput itself is measured by the
+``adhoc-*`` workloads of ``benchmarks/e2e/``; this file keeps the
+paper's figure.
 """
 
 from __future__ import annotations
 
 import time
 
-ENGINE_SERIES = ("auto", "index-nested-loop", "hash", "merge")
-
-try:
-    import pytest
-except ImportError:  # pragma: no cover - smoke mode without pytest
-    pytest = None
+import pytest
 
 from benchmarks.bench_table3_reformulation_workloads import reformulation_workloads
-from benchmarks.support import barton, budget, full_scale, report
-from repro.engine import choose_engine
-from repro.obs import metrics
-from repro.obs.analyze import analyze_query
-from repro.query.evaluation import (
-    evaluate,
-    evaluate_greedy,
-    evaluate_nested_loop,
-    evaluate_union,
-)
+from benchmarks.support import barton, budget, report
+from repro.query.cq import Variable
+from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.rdf.entailment import saturate
 from repro.rdf.store import TripleStore
 from repro.reformulation.reformulate import reformulate
@@ -81,16 +45,8 @@ from repro.selection.search import dfs_search
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.statistics import ReformulationAwareStatistics, StoreStatistics
 from repro.selection.transitions import TransitionEnumerator
-from repro.storage import BACKENDS
 
 EXPERIMENT = "Figure 8: execution times for queries with RDFS (ms per query)"
-
-# Disabled-instrumentation guards a single engine query crosses on its
-# hot path (run_query wrapper, plan-cache lookup + insert + size gauge,
-# route counter, slow-query check, pushdown compile + execute on SQL
-# backends) — counted generously so the smoke gate overestimates the
-# projected disabled overhead rather than undercounting it.
-OBS_TOUCHPOINTS_PER_QUERY = 16
 
 
 def _recommend(initial_builder, statistics):
@@ -104,8 +60,6 @@ def _recommend(initial_builder, statistics):
 
 def _restricted_store(store: TripleStore, schema, queries) -> TripleStore:
     """Only the triples matching some reformulated workload atom."""
-    from repro.query.cq import Variable
-
     restricted = TripleStore()
     for query in queries:
         for disjunct in reformulate(query, schema):
@@ -117,17 +71,8 @@ def _restricted_store(store: TripleStore, schema, queries) -> TripleStore:
     return restricted
 
 
-def _time_ms(callable_, repeats: int = 3) -> float:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        elapsed = (time.perf_counter() - start) * 1000.0
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
-def _setup():
+@pytest.fixture(scope="module")
+def setup():
     store, schema = barton()
     queries = reformulation_workloads()["Q1"]
     saturated = saturate(store, schema)
@@ -150,570 +95,58 @@ def _setup():
     initial_extents = materialize_views(initial, saturated)
     return {
         "queries": queries,
-        # The plain (non-saturated) store and the schema: the
-        # reformulation-union series evaluates Reformulate(q, S) here
-        # (Theorem 4.2's route), shared vs independent.
-        "plain": store,
-        "schema": schema,
         "saturated": saturated,
         "restricted": restricted,
-        "post": (post_state, post_extents),
-        "pre": (pre_state, pre_extents),
-        "initial": (initial, initial_extents),
+        "post-reform": (post_state, post_extents),
+        "pre-reform": (pre_state, pre_extents),
+        "initial-state": (initial, initial_extents),
     }
 
 
-if pytest is not None:
+def _from_views(series: str):
+    def answer(setup, query):
+        state, extents = setup[series]
+        return answer_query(state, query.name, extents)
 
-    @pytest.fixture(scope="module", name="setup")
-    def setup_fixture():
-        return _setup()
-
-
-def _measure(setup, repeats: int = 3, workers: int = 1):
-    queries = setup["queries"]
-    post_state, post_extents = setup["post"]
-    pre_state, pre_extents = setup["pre"]
-    initial, initial_extents = setup["initial"]
-    saturated = setup["saturated"]
-    plain, schema = setup["plain"], setup["schema"]
-
-    rows = []
-    for query in queries:
-        expected = evaluate_greedy(query, saturated)
-        union = reformulate(query, schema)
-        times = {
-            "saturated-tt": _time_ms(
-                lambda: evaluate_nested_loop(query, saturated)
-            ),
-            "restricted-tt": _time_ms(
-                lambda: evaluate_nested_loop(query, setup["restricted"])
-            ),
-            "pre-reform": _time_ms(
-                lambda: answer_query(pre_state, query.name, pre_extents), repeats
-            ),
-            "post-reform": _time_ms(
-                lambda: answer_query(post_state, query.name, post_extents), repeats
-            ),
-            "seed-greedy": _time_ms(
-                lambda: evaluate_greedy(query, saturated), repeats
-            ),
-            "initial-state": _time_ms(
-                lambda: answer_query(initial, query.name, initial_extents), repeats
-            ),
-        }
-        for engine in ENGINE_SERIES:
-            times[f"engine-{engine}"] = _time_ms(
-                lambda: evaluate(query, saturated, engine=engine, workers=workers),
-                repeats,
-            )
-        # The batched engine's baseline: same auto-selected plan, the
-        # historical tuple-at-a-time execution path.
-        times["engine-auto-tuple"] = _time_ms(
-            lambda: evaluate(query, saturated, engine="auto", batch_size=None),
-            repeats,
-        )
-        # The columnar layout's baseline: same auto-selected plans,
-        # batched, but executed through the row-batch layout.
-        times["engine-auto-row"] = _time_ms(
-            lambda: evaluate(query, saturated, engine="auto", layout="row"),
-            repeats,
-        )
-        # The reformulation union on the plain store: through the
-        # multi-query optimizer vs fully independent per-disjunct
-        # evaluation (the MQO ablation pair).
-        times["union-shared"] = _time_ms(
-            lambda: evaluate_union(union, plain, workers=workers), repeats
-        )
-        times["union-independent"] = _time_ms(
-            lambda: evaluate_union(union, plain, workers=workers, shared=False),
-            repeats,
-        )
-        # Correctness: every route returns the complete
-        # (entailment-aware) answers.
-        for engine in ENGINE_SERIES:
-            assert evaluate(query, saturated, engine=engine, workers=workers) == expected
-        assert evaluate(query, saturated, engine="auto", batch_size=None) == expected
-        assert evaluate(query, saturated, engine="auto", layout="row") == expected
-        # Shared and independent union evaluation must agree exactly
-        # (and both equal the saturated-store answers — Theorem 4.2).
-        shared_answers = evaluate_union(union, plain, workers=workers)
-        assert shared_answers == evaluate_union(
-            union, plain, workers=workers, shared=False
-        )
-        assert shared_answers == expected
-        assert answer_query(post_state, query.name, post_extents) == expected
-        assert answer_query(pre_state, query.name, pre_extents) == expected
-        assert answer_query(initial, query.name, initial_extents) == expected
-        rows.append((query.name, times))
-    return rows
+    return answer
 
 
-def _report_rows(setup, rows, emit=report, engine_key="engine-auto"):
-    for name, times in rows:
-        rendered = "  ".join(f"{key}={value:8.2f}" for key, value in times.items())
-        emit(EXPERIMENT, f"{name}: {rendered}")
-    _, post_extents = setup["post"]
-    _, pre_extents = setup["pre"]
-    total_seed = sum(times["seed-greedy"] for _, times in rows)
-    total_engine = sum(times[engine_key] for _, times in rows)
-    speedup = total_seed / total_engine if total_engine else float("inf")
-    emit(
-        EXPERIMENT,
-        f"{engine_key} total {total_engine:.2f} ms vs seed-greedy "
-        f"{total_seed:.2f} ms ({speedup:.1f}x)",
+SERIES = {
+    "saturated-tt": lambda s, q: evaluate_nested_loop(q, s["saturated"]),
+    "restricted-tt": lambda s, q: evaluate_nested_loop(q, s["restricted"]),
+    "pre-reform": _from_views("pre-reform"),
+    "post-reform": _from_views("post-reform"),
+    "initial-state": _from_views("initial-state"),
+    "engine": lambda s, q: evaluate(q, s["saturated"]),
+}
+
+
+@pytest.mark.parametrize("series", list(SERIES))
+def test_fig8_execution_times(benchmark, setup, series):
+    answer = SERIES[series]
+
+    def run():
+        rows = []
+        for query in setup["queries"]:
+            started = time.perf_counter()
+            answers = answer(setup, query)
+            rows.append((answers, (time.perf_counter() - started) * 1000.0))
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    # Every route returns the complete (entailment-aware) answers.
+    for query, (answers, _ms) in zip(setup["queries"], rows):
+        assert answers == evaluate(query, setup["saturated"])
+    rendered = "  ".join(
+        f"{query.name}={ms:9.2f}" for query, (_, ms) in zip(setup["queries"], rows)
     )
-    total_tuple = sum(times.get("engine-auto-tuple", 0.0) for _, times in rows)
-    total_batched = sum(times.get("engine-auto", 0.0) for _, times in rows)
-    if total_tuple and total_batched:
-        emit(
-            EXPERIMENT,
-            f"batched engine-auto total {total_batched:.2f} ms vs "
-            f"tuple-at-a-time {total_tuple:.2f} ms "
-            f"({total_tuple / total_batched:.2f}x)",
-        )
-    total_row_layout = sum(times.get("engine-auto-row", 0.0) for _, times in rows)
-    if total_row_layout and total_batched:
-        emit(
-            EXPERIMENT,
-            f"columnar engine-auto total {total_batched:.2f} ms vs "
-            f"row layout {total_row_layout:.2f} ms "
-            f"({total_row_layout / total_batched:.2f}x)",
-        )
-    total_shared = sum(times.get("union-shared", 0.0) for _, times in rows)
-    total_indep = sum(times.get("union-independent", 0.0) for _, times in rows)
-    if total_shared and total_indep:
-        emit(
-            EXPERIMENT,
-            f"mqo union-shared total {total_shared:.2f} ms vs "
-            f"independent {total_indep:.2f} ms "
-            f"({total_indep / total_shared:.2f}x)",
-        )
-    emit(
+    report(EXPERIMENT, f"{series:<13} {rendered}")
+
+
+def test_fig8_view_storage(setup):
+    report(
         EXPERIMENT,
-        f"view storage: post-reform={extent_size(post_extents)} tuples, "
-        f"pre-reform={extent_size(pre_extents)} tuples, "
+        f"view storage: post-reform={extent_size(setup['post-reform'][1])} tuples, "
+        f"pre-reform={extent_size(setup['pre-reform'][1])} tuples, "
         f"database={len(setup['saturated'])} triples",
     )
-
-
-def test_fig8_execution_times(benchmark, setup):
-    rows = benchmark.pedantic(lambda: _measure(setup), rounds=1, iterations=1)
-    _report_rows(setup, rows)
-
-
-def _observability_payload(setup, workers: int = 1):
-    """One instrumented workload pass, rendered for ``BENCH_fig8.json``.
-
-    Runs every query (engine-auto on the saturated store) and its
-    reformulation union (MQO route on the plain store) once under
-    ``metrics.enabled_registry()`` and embeds the registry snapshot —
-    plan-cache behaviour, route counters, query-latency histograms —
-    next to the timings they explain, plus the measured cost of one
-    *disabled* touchpoint (the figure the smoke overhead gate projects
-    from). See ``docs/observability.md`` for the metric catalog.
-    """
-    queries = setup["queries"]
-    saturated = setup["saturated"]
-    plain, schema = setup["plain"], setup["schema"]
-    metrics.reset()
-    with metrics.enabled_registry():
-        for query in queries:
-            evaluate(query, saturated, engine="auto", workers=workers)
-            evaluate_union(reformulate(query, schema), plain, workers=workers)
-    registry = metrics.snapshot()
-    metrics.reset()
-    return {
-        "disabled_overhead_ns_per_touchpoint": round(
-            metrics.disabled_overhead_ns(), 1
-        ),
-        "workload_pass": registry,
-    }
-
-
-def _json_payload(setup, rows, workers: int = 1):
-    """Machine-readable Figure 8 results (written to ``BENCH_fig8.json``).
-
-    Per query: every measured series in milliseconds plus the engine the
-    cost-based ``auto`` selection picked on the saturated store. Per
-    series: the workload total, plus the batched-over-tuple speedup of
-    the auto engine (the batched-engine acceptance figure). Consumed
-    across PRs to track the evaluation-performance trajectory.
-    """
-    from repro.engine import DEFAULT_BATCH_SIZE
-
-    saturated = setup["saturated"]
-    by_name = {query.name: query for query in setup["queries"]}
-    totals: dict[str, float] = {}
-    for _, times in rows:
-        for series, value in times.items():
-            totals[series] = totals.get(series, 0.0) + value
-    tuple_total = totals.get("engine-auto-tuple", 0.0)
-    batched_total = totals.get("engine-auto", 0.0)
-    row_layout_total = totals.get("engine-auto-row", 0.0)
-    shared_total = totals.get("union-shared", 0.0)
-    independent_total = totals.get("union-independent", 0.0)
-    return {
-        "experiment": "fig8_query_evaluation",
-        "scale": "full" if full_scale() else "quick",
-        "database_triples": len(saturated),
-        "batch_size": DEFAULT_BATCH_SIZE,
-        "workers": workers,
-        "batched_speedup_vs_tuple": (
-            round(tuple_total / batched_total, 2) if batched_total else None
-        ),
-        # The layout ablation: the same auto plans, batched, columnar
-        # (the default engine-auto series) vs the row-batch layout.
-        "columnar_speedup_vs_row": (
-            round(row_layout_total / batched_total, 2) if batched_total else None
-        ),
-        # The MQO ablation: the workload's reformulation unions on the
-        # plain store, shared (one DAG / one UNION statement) vs fully
-        # independent per-disjunct evaluation.
-        "union_shared_ms": round(shared_total, 4),
-        "union_independent_ms": round(independent_total, 4),
-        "mqo_speedup": (
-            round(independent_total / shared_total, 2) if shared_total else None
-        ),
-        "queries": [
-            {
-                "name": name,
-                "chosen_engine": choose_engine(by_name[name], saturated),
-                "timings_ms": {series: round(value, 4) for series, value in times.items()},
-            }
-            for name, times in rows
-        ],
-        "totals_ms": {series: round(value, 4) for series, value in totals.items()},
-        # The registry snapshot of one instrumented workload pass plus
-        # the measured disabled-touchpoint cost (observability PR).
-        "observability": _observability_payload(setup, workers=workers),
-    }
-
-
-def _storage_payload(setup, repeats: int = 3):
-    """Machine-readable storage-backend comparison (``BENCH_storage.json``).
-
-    Per backend: bulk-load time of the saturated store, snapshot save
-    time and file size, snapshot reopen time, and per-query engine-auto
-    latency — the numbers that justify (or veto) running a workload
-    from disk. On SQL-capable backends the auto route is whole-plan SQL
-    pushdown, so each query is additionally measured on the interpreted
-    operator tree (``pushdown=False``) — the per-query ablation behind
-    the ``pushdown_speedup`` figure — and the payload carries the
-    memory-vs-sqlite latency ratio the pushdown PR is gated on. Answer
-    parity across backends and routes is asserted on the way.
-    """
-    import os
-    import tempfile
-
-    saturated = setup["saturated"]
-    queries = setup["queries"]
-    expected = {
-        query.name: evaluate(query, saturated, engine="auto")
-        for query in queries
-    }
-    backends = {}
-    for name in BACKENDS:
-        start = time.perf_counter()
-        converted = saturated.copy(backend=name)
-        load_ms = (time.perf_counter() - start) * 1000.0
-
-        handle, path = tempfile.mkstemp(suffix=f".{name}.db")
-        os.close(handle)
-        start = time.perf_counter()
-        converted.save(path)
-        save_ms = (time.perf_counter() - start) * 1000.0
-        file_size = os.path.getsize(path)
-
-        start = time.perf_counter()
-        reopened = TripleStore.open(path, backend=name)
-        open_ms = (time.perf_counter() - start) * 1000.0
-
-        # Latency is measured on the *reopened* store — for sqlite that
-        # is the snapshot file served in place, the deployment scenario
-        # these figures characterize (not an anonymous warm copy).
-        query_ms = {}
-        interpreted_ms = {}
-        pushdown_capable = reopened.backend.supports_sql_plans
-        for query in queries:
-            assert evaluate(query, reopened, engine="auto") == expected[query.name]
-            query_ms[query.name] = round(
-                _time_ms(lambda: evaluate(query, reopened, engine="auto"), repeats),
-                4,
-            )
-            if pushdown_capable:
-                # The ablation baseline: same store, same auto plan
-                # selection, interpreted operator tree.
-                assert (
-                    evaluate(query, reopened, engine="auto", pushdown=False)
-                    == expected[query.name]
-                )
-                interpreted_ms[query.name] = round(
-                    _time_ms(
-                        lambda: evaluate(
-                            query, reopened, engine="auto", pushdown=False
-                        ),
-                        repeats,
-                    ),
-                    4,
-                )
-        reopened.close()
-        converted.close()
-        os.unlink(path)
-        backends[name] = {
-            "load_ms": round(load_ms, 2),
-            "save_ms": round(save_ms, 2),
-            "snapshot_bytes": file_size,
-            "open_ms": round(open_ms, 2),
-            "query_ms": query_ms,
-            "total_query_ms": round(sum(query_ms.values()), 4),
-        }
-        if pushdown_capable:
-            pushdown_total = sum(query_ms.values())
-            interpreted_total = sum(interpreted_ms.values())
-            backends[name]["query_interpreted_ms"] = interpreted_ms
-            backends[name]["total_query_interpreted_ms"] = round(
-                interpreted_total, 4
-            )
-            backends[name]["pushdown_speedup"] = (
-                round(interpreted_total / pushdown_total, 2)
-                if pushdown_total
-                else None
-            )
-    payload = {
-        "experiment": "storage_backends",
-        "scale": "full" if full_scale() else "quick",
-        "database_triples": len(saturated),
-        "backends": backends,
-    }
-    memory_total = backends.get("memory", {}).get("total_query_ms")
-    sqlite_total = backends.get("sqlite", {}).get("total_query_ms")
-    if memory_total and sqlite_total:
-        payload["memory_vs_sqlite_ratio"] = round(sqlite_total / memory_total, 2)
-    return payload
-
-
-def main(argv=None) -> int:
-    """Standalone entry point: compare engines without pytest-benchmark.
-
-    ``--smoke`` is the CI regression gate: it runs the quick-scale
-    setup, checks answer parity across all engines, and fails when the
-    engine falls behind the seed evaluator.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Figure 8 query-evaluation benchmark (standalone mode)."
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="quick parity + regression gate for CI")
-    parser.add_argument("--engine", choices=ENGINE_SERIES + ("all",), default="all",
-                        help="engine strategy to report (default: all)")
-    parser.add_argument("--backend", choices=BACKENDS, default="memory",
-                        help="storage backend serving the triple-table "
-                        "series (default: memory); the gate then compares "
-                        "engine vs seed on that backend")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for the engine series "
-                        "(default 1 = serial; the planner only partitions "
-                        "joins above its cardinality threshold)")
-    parser.add_argument("--json", metavar="PATH", default="BENCH_fig8.json",
-                        help="write machine-readable results (per-engine "
-                        "timings + chosen engine per query) to PATH; pass "
-                        "an empty string to skip (default: BENCH_fig8.json)")
-    parser.add_argument("--storage-json", metavar="PATH",
-                        default="BENCH_storage.json",
-                        help="write the per-backend storage comparison "
-                        "(load/save/open times, snapshot size, per-query "
-                        "latency) to PATH; empty string to skip "
-                        "(default: BENCH_storage.json)")
-    args = parser.parse_args(argv)
-
-    setup = _setup()
-    storage_payload = None
-    if args.storage_json:
-        import json
-        from pathlib import Path
-
-        storage_payload = _storage_payload(setup)
-        Path(args.storage_json).write_text(
-            json.dumps(storage_payload, indent=2)
-        )
-        print(f"wrote {args.storage_json}")
-    if args.backend != "memory":
-        # Serve the triple-table series (and the gate) from the chosen
-        # backend; view extents are backend-independent. The plain
-        # store converts too so the union series exercises the
-        # backend's route (on sqlite: the single UNION statement).
-        setup["saturated"] = setup["saturated"].copy(backend=args.backend)
-        setup["restricted"] = setup["restricted"].copy(backend=args.backend)
-        setup["plain"] = setup["plain"].copy(backend=args.backend)
-    # Smoke mode gates on sub-millisecond timings; best-of-9 keeps one
-    # noisy repeat on a shared CI runner from tripping the gate.
-    rows = _measure(setup, repeats=9 if args.smoke else 3, workers=args.workers)
-    if args.json:
-        import json
-        from pathlib import Path
-
-        Path(args.json).write_text(
-            json.dumps(_json_payload(setup, rows, workers=args.workers), indent=2)
-        )
-        print(f"wrote {args.json}")
-    engine_key = "engine-auto" if args.engine == "all" else f"engine-{args.engine}"
-    if args.engine != "all":
-        keep = {"saturated-tt", "restricted-tt", "pre-reform", "post-reform",
-                "seed-greedy", "initial-state", "engine-auto-tuple",
-                "engine-auto-row", "union-shared", "union-independent",
-                engine_key}
-        rows = [
-            (name, {k: v for k, v in times.items() if k in keep})
-            for name, times in rows
-        ]
-
-    def emit(_experiment, line):
-        print(line)
-
-    print(EXPERIMENT)
-    _report_rows(setup, rows, emit=emit, engine_key=engine_key)
-
-    if args.smoke:
-        total_seed = sum(times["seed-greedy"] for _, times in rows)
-        total_engine = sum(times[engine_key] for _, times in rows)
-        # Regression gate: the engine must not fall behind the seed
-        # evaluator. The 1.75x guard absorbs shared-runner timer noise
-        # on sub-millisecond totals while still catching real
-        # regressions (losing the plan cache alone costs ~2x).
-        if total_engine > total_seed * 1.75:
-            print(
-                f"SMOKE FAIL: {engine_key} ({total_engine:.2f} ms) slower than "
-                f"seed-greedy ({total_seed:.2f} ms)"
-            )
-            return 1
-        print(f"SMOKE OK: {engine_key} {total_engine:.2f} ms <= "
-              f"seed-greedy {total_seed:.2f} ms * 1.75")
-        # Layout gate: the columnar default must not fall behind the
-        # row-batch layout on the same auto plans (answer parity between
-        # the two layouts is asserted in _measure). The 1.25x margin
-        # absorbs timer noise on sub-millisecond totals; on SQL-pushdown
-        # backends both series take the pushdown route and the ratio
-        # sits near 1.
-        total_columnar = sum(times.get("engine-auto", 0.0) for _, times in rows)
-        total_row_layout = sum(
-            times.get("engine-auto-row", 0.0) for _, times in rows
-        )
-        if total_row_layout and total_columnar:
-            if total_columnar > total_row_layout * 1.25:
-                print(
-                    f"SMOKE FAIL: columnar engine-auto "
-                    f"({total_columnar:.2f} ms) slower than row layout "
-                    f"({total_row_layout:.2f} ms)"
-                )
-                return 1
-            print(f"SMOKE OK: columnar engine-auto {total_columnar:.2f} ms <= "
-                  f"row layout {total_row_layout:.2f} ms * 1.25")
-        # MQO gate: the workload's reformulation unions through the
-        # multi-query optimizer must not fall behind fully independent
-        # per-disjunct evaluation (answer parity between the two routes
-        # — and against the saturated store — is asserted in _measure;
-        # with --backend sqlite the shared route is the single
-        # SELECT ... UNION statement). The 1.25x margin absorbs timer
-        # noise on sub-millisecond union totals.
-        total_shared = sum(times["union-shared"] for _, times in rows)
-        total_indep = sum(times["union-independent"] for _, times in rows)
-        if total_shared > total_indep * 1.25:
-            print(
-                f"SMOKE FAIL: mqo union-shared ({total_shared:.2f} ms) "
-                f"slower than independent ({total_indep:.2f} ms)"
-            )
-            return 1
-        print(f"SMOKE OK: mqo union-shared {total_shared:.2f} ms <= "
-              f"independent {total_indep:.2f} ms * 1.25")
-        if storage_payload is not None:
-            # Pushdown gate: on the SQLite backend, the pushed-down auto
-            # route must not fall behind its own interpreted operator
-            # tree (answer parity is asserted inside _storage_payload).
-            # The 1.25x margin absorbs timer noise on sub-millisecond
-            # per-query latencies.
-            sqlite_series = storage_payload["backends"].get("sqlite", {})
-            pushdown_total = sqlite_series.get("total_query_ms")
-            interpreted_total = sqlite_series.get("total_query_interpreted_ms")
-            if pushdown_total and interpreted_total:
-                if pushdown_total > interpreted_total * 1.25:
-                    print(
-                        f"SMOKE FAIL: sqlite pushdown ({pushdown_total:.2f} ms) "
-                        f"slower than interpreted ({interpreted_total:.2f} ms)"
-                    )
-                    return 1
-                print(
-                    f"SMOKE OK: sqlite pushdown {pushdown_total:.2f} ms <= "
-                    f"interpreted {interpreted_total:.2f} ms * 1.25"
-                )
-        # Observability overhead gate: disabled instrumentation is a
-        # module attribute load plus a branch per touchpoint, far below
-        # wall-clock A/B resolution on this workload — so measure one
-        # touchpoint directly, project it across the (generous)
-        # per-query touchpoint count, and fail when the projection
-        # exceeds 5% of the measured per-query engine time.
-        overhead_ns = metrics.disabled_overhead_ns()
-        per_query_ms = total_engine / max(len(rows), 1)
-        projected_ms = overhead_ns * OBS_TOUCHPOINTS_PER_QUERY / 1e6
-        if projected_ms > per_query_ms * 0.05:
-            print(
-                f"SMOKE FAIL: disabled instrumentation projects to "
-                f"{projected_ms * 1000:.2f} us/query ({overhead_ns:.0f} ns "
-                f"x {OBS_TOUCHPOINTS_PER_QUERY} touchpoints), more than "
-                f"5% of per-query engine time ({per_query_ms:.3f} ms)"
-            )
-            return 1
-        print(
-            f"SMOKE OK: disabled instrumentation {projected_ms * 1000:.2f} "
-            f"us/query ({overhead_ns:.0f} ns x {OBS_TOUCHPOINTS_PER_QUERY} "
-            f"touchpoints) <= 5% of {per_query_ms:.3f} ms/query"
-        )
-        # EXPLAIN ANALYZE gate: run every query once instrumented (the
-        # pushdown route on SQL backends, interpreted elsewhere) and
-        # check the analyzed actuals against the reference evaluator —
-        # the probed answer count must equal the real one, the distinct
-        # encoded images must equal the decoded answers 1:1, and the
-        # probed root cannot report fewer rows than the answers it
-        # produced.
-        analyzed_rows = 0
-        for query in setup["queries"]:
-            expected = evaluate(query, setup["saturated"], engine="auto")
-            analysis = analyze_query(
-                query, setup["saturated"], engine="auto", workers=args.workers
-            )
-            if analysis.answers != expected:
-                print(
-                    f"SMOKE FAIL: EXPLAIN ANALYZE answers for {query.name} "
-                    f"({analysis.answer_count}) disagree with the engine "
-                    f"({len(expected)})"
-                )
-                return 1
-            if analysis.distinct_images != analysis.answer_count:
-                print(
-                    f"SMOKE FAIL: {query.name} recorded "
-                    f"{analysis.distinct_images} distinct images for "
-                    f"{analysis.answer_count} answers"
-                )
-                return 1
-            if analysis.root_rows < analysis.answer_count:
-                print(
-                    f"SMOKE FAIL: {query.name}'s probed root reported "
-                    f"{analysis.root_rows} rows for "
-                    f"{analysis.answer_count} answers"
-                )
-                return 1
-            analyzed_rows += sum(
-                stats.rows_out for _, stats in analysis.operators
-            )
-        print(
-            f"SMOKE OK: EXPLAIN ANALYZE matches the engine on "
-            f"{len(setup['queries'])} queries "
-            f"({analyzed_rows} operator rows recorded)"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

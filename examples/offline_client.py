@@ -72,7 +72,7 @@ def client(snapshot: str) -> None:
     print(f"client (pid {os.getpid()}, no server connection): "
           f"attached to {len(store)} triples on disk")
     for query in workload():
-        answers = evaluate(query, store, engine="auto")
+        answers = evaluate(query, store)
         print(f"  {query.name}:")
         for row in sorted(answers, key=str):
             print("    " + ", ".join(t.value.removeprefix(NS) for t in row))

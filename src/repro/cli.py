@@ -51,11 +51,8 @@ import time
 from pathlib import Path
 
 from repro.engine import (
-    ADAPTIVE_BATCH_SIZE,
-    DEFAULT_BATCH_SIZE,
-    ENGINES,
-    PartitionedHashJoin,
-    choose_engine,
+    INTERPRETED,
+    SQL_PUSHDOWN,
     describe_union_sharing,
     plan_batch,
     plan_pushdown,
@@ -111,19 +108,6 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
-def _batch_size_arg(value: str) -> int | str:
-    """``--batch-size`` values: a non-negative row count or ``adaptive``
-    (planner-derived per-operator sizes)."""
-    if value == ADAPTIVE_BATCH_SIZE:
-        return ADAPTIVE_BATCH_SIZE
-    try:
-        return _non_negative_int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer or 'adaptive', got {value}"
-        ) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -165,16 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--show-answers", action="store_true",
                         help="materialize the views and print each query's "
                         "answer count")
-    parser.add_argument("--engine", choices=ENGINES, default="auto",
-                        help="join strategy of the execution engine used to "
-                        "materialize views and answer queries "
-                        "(default: auto = cost-based per query)")
     parser.add_argument("--explain", action="store_true",
                         help="print each workload query's physical plan on "
-                        "the store (engine chosen by the cost-based "
-                        "selection, batch size, worker count, parallel "
-                        "partitioned join, whole-plan SQL pushdown with the "
-                        "generated SQL on SQL-capable backends), the "
+                        "the store (the operator tree, or the whole-plan "
+                        "SQL pushdown statement on SQL-capable backends), the "
                         "multi-query optimizer's shared-subplan counts per "
                         "reformulation union (with --schema) and across the "
                         "workload batch, plus the search's Figure-5 state "
@@ -189,19 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "MQO shared-node fan-out per reformulation union "
                         "(with --schema) and the workload batch")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for the parallel partitioned "
-                        "hash join and for the search's parallel frontier "
-                        "pricing (default 1 = serial; only join plans above "
-                        "the cost-based cardinality threshold partition, "
-                        "and only large search frontiers fan out)")
-    parser.add_argument("--batch-size", type=_batch_size_arg,
-                        default=DEFAULT_BATCH_SIZE,
-                        metavar="ROWS",
-                        help="rows per operator batch in the execution "
-                        f"engine (default {DEFAULT_BATCH_SIZE}; 0 selects "
-                        "the tuple-at-a-time path; 'adaptive' lets the "
-                        "planner size each operator's batches from its "
-                        "estimated cardinality)")
+                        help="worker processes for the view-selection "
+                        "search's parallel frontier pricing (default 1 = "
+                        "serial; only large search frontiers fan out). "
+                        "Query evaluation is always in-process")
     parser.add_argument("--log-level", choices=_LOG_LEVELS, default="info",
                         help="verbosity of the status narration on the "
                         "'repro' logger (default info)")
@@ -247,15 +216,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "of each other execute as one shared batch, so "
                         "multi-query optimization spans clients "
                         "(default 2.0; 0 disables cross-request batching)")
-    parser.add_argument("--batch-size", type=_batch_size_arg,
-                        default=DEFAULT_BATCH_SIZE, metavar="ROWS",
-                        help="rows per operator batch inside each worker "
-                        f"(default {DEFAULT_BATCH_SIZE}; 0 selects the "
-                        "tuple-at-a-time path; 'adaptive' sizes batches "
-                        "per operator)")
-    parser.add_argument("--engine", choices=ENGINES, default="auto",
-                        help="join strategy inside each worker "
-                        "(default: auto)")
     parser.add_argument("--replay", type=Path, default=None, metavar="PATH",
                         help="instead of serving forever: replay this "
                         "workload file through concurrent clients, verify "
@@ -297,8 +257,6 @@ def _run_serve(args) -> int:
         workers=args.workers,
         backend=args.backend,
         window_ms=args.window_ms,
-        batch_size=None if args.batch_size == 0 else args.batch_size,
-        engine=args.engine,
     )
     try:
         server = Server(args.db, config)
@@ -340,9 +298,7 @@ def _run_serve(args) -> int:
             )
             try:
                 reference = {
-                    str(query): frozenset(
-                        run_query(query, reference_store, engine=args.engine)
-                    )
+                    str(query): frozenset(run_query(query, reference_store))
                     for query in queries
                 }
             finally:
@@ -379,13 +335,6 @@ def _run_serve(args) -> int:
             _LOG.error(f"replay error: {message}")
         return 1
     return 0
-
-
-def _uses_partitioned_join(root) -> bool:
-    """True when the compiled plan contains a PartitionedHashJoin."""
-    if isinstance(root, PartitionedHashJoin):
-        return True
-    return any(_uses_partitioned_join(child) for child in root._children())
 
 
 def _load_store(args) -> TripleStore | None:
@@ -442,131 +391,60 @@ def _load_store(args) -> TripleStore | None:
     return store
 
 
-def _plan_annotations(args):
-    """Static per-operator annotations for ``--explain`` trees.
-
-    With ``--batch-size adaptive`` every operator shows the batch size
-    the planner derived from its estimated cardinality
-    (``batch_hint=``); with ``--workers N>1`` scans running
-    morsel-parallel show ``morsel_workers=``. Plain invocations return
-    None so the historical unannotated rendering is unchanged.
-    """
-    adaptive = args.batch_size == ADAPTIVE_BATCH_SIZE
-    if not adaptive and args.workers <= 1:
-        return None
-
-    def annotate(op) -> dict:
-        notes: dict = {}
-        if adaptive:
-            hint = getattr(op, "preferred_batch_size", None)
-            if hint is not None:
-                notes["batch_hint"] = hint
-        morsels = getattr(op, "morsel_workers", 0)
-        if morsels > 1:
-            notes["morsel_workers"] = morsels
-        return notes
-
-    return annotate
-
-
-def _explain_plan(query, store, args) -> PlanNode:
-    """The ``--explain`` plan tree for one query (no execution)."""
-    # The pushdown route only runs under engine=auto on a batch
-    # path; --batch-size 0 (tuple-at-a-time) stays interpreted.
-    pushdown_route = args.engine == "auto" and args.batch_size != 0
-    chosen = (
-        choose_engine(query, store, pushdown=pushdown_route)
-        if args.engine == "auto"
-        else args.engine
-    )
-    compiled = (
-        plan_pushdown(query, store, args.workers) if pushdown_route else None
-    )
+def _explain_plan(query, store) -> PlanNode:
+    """The ``--explain`` plan tree for one query (no execution): the
+    route ``run_query`` takes and what it runs there."""
+    compiled = plan_pushdown(query, store)
     if compiled is not None:
-        header = query_header(query.name, engine=chosen, pushdown=True)
+        header = query_header(query.name, route=SQL_PUSHDOWN)
         header.children.append(sql_tree(compiled))
         return header
-    root = plan_query(query, store, engine=args.engine, workers=args.workers)
-    header = query_header(
-        query.name,
-        engine=chosen,
-        **{"partitioned-join": _uses_partitioned_join(root)},
-        pushdown=False,
-    )
-    header.children.append(operator_tree(root, _plan_annotations(args)))
+    header = query_header(query.name, route=INTERPRETED)
+    header.children.append(operator_tree(plan_query(query, store)))
     return header
 
 
-def _print_explain(queries, store, schema, args) -> None:
-    batch = "tuple-at-a-time" if args.batch_size == 0 else str(args.batch_size)
-    title = query_header(
-        "physical plans on the store",
-        **{"batch-size": batch, "workers": args.workers},
-    )
-    print(title.line())
+def _print_explain(queries, store, schema) -> None:
+    print(query_header("physical plans on the store").line())
     for query in queries:
-        print(render(_explain_plan(query, store, args), indent=2))
+        print(render(_explain_plan(query, store), indent=2))
     # Shared-subplan accounting (multi-query optimization): per
     # reformulation union when a schema is present, and across the
-    # workload batch. Both only apply on the batched auto route.
-    if args.engine == "auto" and args.batch_size != 0:
-        if schema is not None:
-            from repro.reformulation.reformulate import reformulate
+    # workload batch.
+    if schema is not None:
+        from repro.reformulation.reformulate import reformulate
 
-            sharing = PlanNode(
-                "shared subplans per reformulation union", header=True
-            )
-            for query in queries:
-                union = reformulate(query, schema)
-                line = describe_union_sharing(union.disjuncts, store)
-                sharing.children.append(PlanNode(f"{query.name}: {line}"))
-            print(render(sharing, indent=2))
-        if len(queries) > 1:
-            nodes, consuming = plan_batch(queries, store).sharing_summary()
-            print(f"  workload batch: {nodes} shared subplans "
-                  f"covering {consuming} of {len(queries)} queries")
+        sharing = PlanNode(
+            "shared subplans per reformulation union", header=True
+        )
+        for query in queries:
+            union = reformulate(query, schema)
+            line = describe_union_sharing(union.disjuncts, store)
+            sharing.children.append(PlanNode(f"{query.name}: {line}"))
+        print(render(sharing, indent=2))
+    if len(queries) > 1:
+        nodes, consuming = plan_batch(queries, store).sharing_summary()
+        print(f"  workload batch: {nodes} shared subplans "
+              f"covering {consuming} of {len(queries)} queries")
     print()
 
 
-def _print_analyze(queries, store, schema, args) -> None:
-    batch = "tuple-at-a-time" if args.batch_size == 0 else str(args.batch_size)
-    batch_size = None if args.batch_size == 0 else args.batch_size
-    title = query_header(
-        "explain analyze on the store",
-        **{"batch-size": batch, "workers": args.workers},
-    )
-    print(title.line())
-    pushdown_route = args.engine == "auto" and args.batch_size != 0
+def _print_analyze(queries, store, schema) -> None:
+    print(query_header("explain analyze on the store").line())
     for query in queries:
-        report = analyze_query(
-            query,
-            store,
-            engine=args.engine,
-            batch_size=batch_size,
-            workers=args.workers,
-            pushdown=pushdown_route,
-        )
-        print(report.text(indent=2))
-    if args.engine == "auto" and args.batch_size != 0:
-        if schema is not None:
-            from repro.reformulation.reformulate import reformulate
+        print(analyze_query(query, store).text(indent=2))
+    if schema is not None:
+        from repro.reformulation.reformulate import reformulate
 
-            print("  analyzed reformulation unions:")
-            for query in queries:
-                union = reformulate(query, schema)
-                report = analyze_union(
-                    union.disjuncts,
-                    store,
-                    batch_size=batch_size,
-                    workers=args.workers,
-                )
-                report.tree.label = f"{query.name} {report.tree.label}"
-                print(report.text(indent=4))
-        if len(queries) > 1:
-            tree, _answers = analyze_batch(
-                queries, store, batch_size=batch_size, workers=args.workers
-            )
-            print(render(tree, indent=2))
+        print("  analyzed reformulation unions:")
+        for query in queries:
+            union = reformulate(query, schema)
+            report = analyze_union(union.disjuncts, store)
+            report.tree.label = f"{query.name} {report.tree.label}"
+            print(report.text(indent=4))
+    if len(queries) > 1:
+        tree, _answers = analyze_batch(queries, store)
+        print(render(tree, indent=2))
     print()
 
 
@@ -623,9 +501,9 @@ def _run(args) -> int:
               f"{sum(len(q) for q in queries)} atoms\n")
 
     if args.explain:
-        _print_explain(queries, store, schema, args)
+        _print_explain(queries, store, schema)
     if args.analyze:
-        _print_analyze(queries, store, schema, args)
+        _print_analyze(queries, store, schema)
 
     time_limit = (
         args.search_budget_seconds
@@ -671,15 +549,10 @@ def _run(args) -> int:
         print(f"  states/sec {rate:.0f}")
 
     if args.show_answers:
-        batch_size = None if args.batch_size == 0 else args.batch_size
-        extents = recommendation.materialize(
-            engine=args.engine, batch_size=batch_size, workers=args.workers
-        )
-        print(f"\nanswers from the materialized views ({args.engine} engine):")
+        extents = recommendation.materialize()
+        print("\nanswers from the materialized views:")
         for query in queries:
-            answers = recommendation.answer(
-                query.name, extents, engine=args.engine, batch_size=batch_size
-            )
+            answers = recommendation.answer(query.name, extents)
             print(f"  {query.name}: {len(answers)} answers")
     return 0
 

@@ -10,18 +10,31 @@ extents.
 
 Public surface::
 
-    run_query(query, store, engine="auto",
-              batch_size=DEFAULT_BATCH_SIZE, workers=1)   # CQ -> answers
-    run_query_batch(queries, store, shared=True)   # MQO: batch -> answers
+    run_query(query, store, statistics=None, pushdown=True)  # CQ -> answers
+    run_query_batch(queries, store, shared=True, pushdown=True)  # MQO batch
+    evaluate_union_shared(disjuncts, store, pushdown=True)   # union -> answers
     count_union(union, store)                   # |answers|, nothing decoded
-    run_plan(plan, extents, engine="auto",
-             batch_size=DEFAULT_BATCH_SIZE)               # Plan -> rows
+    run_plan(plan, extents)                     # rewriting Plan -> rows
     plan_query / plan_rewriting                 # operator trees (explain)
     plan_pushdown(query, store)                 # whole-plan SQL route
     plan_batch / plan_union_pushdown            # shared-subplan DAG / UNION
-    choose_engine(query, store)                 # cost-based auto choice
-    ENGINES / FIXED_ENGINES / SQL_PUSHDOWN      # strategies & routes
-    DEFAULT_BATCH_SIZE / PARALLEL_ROW_THRESHOLD # batch/parallel knobs
+    SQL_PUSHDOWN / INTERPRETED                  # the two routes
+    DEFAULT_BATCH_SIZE                          # rows per scan batch
+
+There is one execution path. Operators exchange
+:class:`~repro.engine.columnar.ColumnBatch` objects (one value sequence
+per column) through ``column_batches`` — the single operator contract,
+see :mod:`repro.engine.operators` — with storage backends transposing
+batches natively. There is one plan shape: joins run in the order the
+shared cardinality estimator (:mod:`repro.stats`) picks, a connected
+step as an index-nested-loop probe, a Cartesian step (and every join
+over view extents) as a hash join. On a backend that executes SQL
+itself (SQLite), ``run_query`` first tries **whole-plan SQL pushdown**:
+the entire conjunctive query compiles to one SQL statement
+(:mod:`repro.engine.sqlcompile`), joined in the same estimator order
+and evaluated inside the backend; the operator tree is the fallback
+for shapes SQL cannot express and, through ``pushdown=False``, the
+reference the pushdown tests compare against.
 
 Batches of queries — reformulation unions and independent workloads
 alike — run through the multi-query optimizer (:mod:`repro.engine.mqo`):
@@ -30,30 +43,11 @@ form, cost-gated, executed once, and fanned out to every consumer; on a
 SQL-capable backend an eligible union compiles into one
 ``SELECT ... UNION`` statement whose shared subtrees are CTEs.
 
-``engine="auto"`` is cost-based: the shared cardinality estimator
-(:mod:`repro.stats`) prices every fixed strategy per query and the
-cheapest is compiled, with the choice cached in the prepared-plan
-cache until the store mutates. On a backend that executes SQL itself
-(SQLite), ``auto`` first tries **whole-plan SQL pushdown**: the entire
-conjunctive query compiles to one SQL statement
-(:mod:`repro.engine.sqlcompile`) evaluated inside the backend, and the
-operator tree is the fallback for shapes SQL cannot express.
-
-Execution is batched by default, in **columnar layout**: operators
-exchange :class:`~repro.engine.columnar.ColumnBatch` objects (one
-value sequence per column) through ``column_batches``, with storage
-backends transposing batches natively; ``layout="row"`` keeps the
-row-list batch path (``list`` of row tuples, at most ``batch_size``
-per hand-off — see :mod:`repro.engine.operators` for both contracts)
-as the ablation baseline, and ``batch_size=None`` falls back to the
-historical tuple-at-a-time path. ``batch_size="adaptive"``
-(:data:`ADAPTIVE_BATCH_SIZE`) lets every operator use the batch size
-the planner derived from its estimated cardinality. With
-``workers > 1``, hash joins above an estimated-cardinality threshold
-execute as parallel partitioned joins over a cached process pool
-(:class:`~repro.engine.operators.PartitionedHashJoin`), and large
-unsorted base scans run morsel-driven over the same pool
-(:data:`MORSEL_PARALLEL_THRESHOLD`, :data:`MORSEL_SIZE`).
+The engine/layout/batch-size/workers matrix that used to be selectable
+here (hash, merge and partitioned joins, row-list batches, the
+tuple-at-a-time path, adaptive batch sizes, morsel-parallel scans) is
+retired; docs/benchmarks.md, "Retired paths", keeps each one's last
+measured verdict.
 """
 
 from repro.engine.columnar import ColumnBatch
@@ -74,7 +68,6 @@ from repro.engine.mqo import (
     union_signature,
 )
 from repro.engine.operators import (
-    ADAPTIVE_BATCH_SIZE,
     DEFAULT_BATCH_SIZE,
     Distinct,
     Empty,
@@ -82,23 +75,14 @@ from repro.engine.operators import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
-    MergeJoin,
     Operator,
-    PartitionedHashJoin,
     Projection,
     Relabel,
     Selection,
 )
-from repro.engine.parallel import MORSEL_SIZE
 from repro.engine.planner import (
-    ENGINES,
-    FIXED_ENGINES,
-    HYBRID,
-    LAYOUTS,
-    MORSEL_PARALLEL_THRESHOLD,
-    PARALLEL_ROW_THRESHOLD,
+    INTERPRETED,
     SQL_PUSHDOWN,
-    choose_engine,
     plan_pushdown,
     plan_query,
     plan_rewriting,
@@ -113,17 +97,10 @@ from repro.engine.sqlcompile import (
 )
 
 __all__ = [
-    "ADAPTIVE_BATCH_SIZE",
     "DEFAULT_BATCH_SIZE",
-    "ENGINES",
-    "FIXED_ENGINES",
-    "HYBRID",
-    "LAYOUTS",
+    "INTERPRETED",
     "MATERIALIZE_COST_FACTOR",
-    "MORSEL_PARALLEL_THRESHOLD",
-    "MORSEL_SIZE",
     "MQO_DAG",
-    "PARALLEL_ROW_THRESHOLD",
     "SQL_PUSHDOWN",
     "UNION_PUSHDOWN",
     "BatchPlan",
@@ -131,7 +108,6 @@ __all__ = [
     "CompiledQuery",
     "CompiledUnion",
     "SharedNode",
-    "choose_engine",
     "compile_query",
     "compile_union",
     "count_union",
@@ -149,9 +125,7 @@ __all__ = [
     "HashJoin",
     "IndexNestedLoopJoin",
     "IndexScan",
-    "MergeJoin",
     "Operator",
-    "PartitionedHashJoin",
     "Projection",
     "Relabel",
     "Selection",

@@ -2,7 +2,7 @@
 
 A :class:`ColumnBatch` holds one batch of physical rows decomposed into
 per-column value sequences — the classic columnar (a.k.a. vectorized)
-batch layout. The engine's columnar path
+batch layout. The engine's one operator contract
 (:meth:`~repro.engine.operators.Operator.column_batches`) streams these
 between operators instead of row-tuple lists:
 
@@ -15,13 +15,12 @@ between operators instead of row-tuple lists:
 * the head-image deduplication at the top of ``run_query`` folds whole
   batches into the answer set through ``set.update(zip(*columns))``.
 
-The row-batch contract of :meth:`Operator.batches` is unchanged — the
-columnar path is a second, parallel representation, and
-:meth:`ColumnBatch.rows` / iteration give the row view wherever a
-consumer still wants tuples (``__iter__``, MQO materialization, the
-EXPLAIN ANALYZE probes). A batch is never empty; its width may be zero
-(boolean heads), which is why the row count is stored explicitly
-instead of being derived from a first column that may not exist.
+Iteration and :meth:`ColumnBatch.rows` give the row view wherever a
+consumer wants tuples (selection predicates, duplicate elimination,
+``Operator.rows`` behind ``run_plan`` and MQO materialization). A batch
+is never empty; its width may be zero (boolean heads), which is why the
+row count is stored explicitly instead of being derived from a first
+column that may not exist.
 
 >>> batch = ColumnBatch.from_rows([(1, 10), (2, 20), (3, 30)], 2)
 >>> batch.columns
@@ -36,7 +35,7 @@ instead of being derived from a first column that may not exist.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: A column: any sequence of values (tuple from a ``zip`` transpose,
 #: list from a per-column comprehension — both index and iterate fast).
@@ -66,16 +65,7 @@ class ColumnBatch:
             return cls((), len(rows))
         return cls(tuple(zip(*rows)), len(rows))
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Column], width: int) -> "ColumnBatch":
-        """Wrap per-column sequences; ``width`` guards the zero-row case."""
-        if width == 0:
-            raise ValueError("from_columns needs at least one column; "
-                             "use ColumnBatch((), length) for zero-width rows")
-        columns = tuple(columns)
-        return cls(columns, len(columns[0]))
-
-    # -- row view (the adapter legacy consumers read through) ----------
+    # -- row view ------------------------------------------------------
 
     def __len__(self) -> int:
         return self.length
@@ -87,13 +77,10 @@ class ColumnBatch:
         return zip(*self.columns)
 
     def rows(self) -> list[tuple]:
-        """The batch as a row-tuple list (the ``batches()`` layout)."""
+        """The batch as a row-tuple list."""
         if not self.columns:
             return [()] * self.length
         return list(zip(*self.columns))
-
-    def row(self, index: int) -> tuple:
-        return tuple(column[index] for column in self.columns)
 
     # -- columnar operations -------------------------------------------
 
@@ -112,29 +99,3 @@ class ColumnBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnBatch(width={len(self.columns)}, rows={self.length})"
-
-
-def rows_to_columns(rows: Sequence[tuple], width: int) -> ColumnBatch:
-    """Module-level alias of :meth:`ColumnBatch.from_rows`."""
-    return ColumnBatch.from_rows(rows, width)
-
-
-def concat_batches(
-    batches: Iterable[ColumnBatch], width: int
-) -> ColumnBatch | None:
-    """Concatenate column batches of one schema; None when all empty."""
-    batches = [batch for batch in batches if batch.length]
-    if not batches:
-        return None
-    if len(batches) == 1:
-        return batches[0]
-    length = sum(batch.length for batch in batches)
-    if width == 0:
-        return ColumnBatch((), length)
-    columns = []
-    for position in range(width):
-        merged: list = []
-        for batch in batches:
-            merged.extend(batch.columns[position])
-        columns.append(merged)
-    return ColumnBatch(tuple(columns), length)

@@ -26,38 +26,22 @@ class ViewExtent(list):
 
     def __init__(self, rows: Iterable[Row] = ()) -> None:
         super().__init__(rows)
-        self._indexes: dict[tuple[int, ...], dict[tuple, list[Row]]] = {}
         self._tails: dict[tuple, dict[tuple, list[tuple]]] = {}
-
-    def index_on(self, positions: Sequence[int]) -> dict[tuple, list[Row]]:
-        """Rows grouped by their values at ``positions`` (dict-of-lists).
-
-        Built on first request and cached; the empty position tuple maps
-        every row under ``()``, which makes keyless (cross) joins fall
-        out of the same code path.
-        """
-        key_positions = tuple(positions)
-        index = self._indexes.get(key_positions)
-        if index is None:
-            index = {}
-            for row in self:
-                key = tuple(row[p] for p in key_positions)
-                index.setdefault(key, []).append(row)
-            self._indexes[key_positions] = index
-        return index
 
     def tails_on(
         self, positions: Sequence[int], keep: Sequence[int]
     ) -> dict[tuple, list[tuple]]:
         """Pre-projected join tails grouped by key (dict-of-lists).
 
-        Like :meth:`index_on`, but each bucket holds the rows already
-        projected to the ``keep`` positions — exactly what a hash join
-        appends to matching probe rows. The batched hash join asks for
-        this first, so repeated workload executions skip both the build
-        phase *and* the per-probe projection. Built once per
-        ``(positions, keep)`` pair and cached; bucket order is row
-        order, preserving the seed's join output order.
+        Rows are grouped by their values at ``positions`` and each
+        bucket holds them already projected to the ``keep`` positions —
+        exactly what a hash join appends to matching probe rows, so
+        repeated workload executions skip both the build phase *and*
+        the per-probe projection. Built once per ``(positions, keep)``
+        pair and cached; the empty position tuple maps every row under
+        ``()``, which makes keyless (cross) joins fall out of the same
+        code path. Bucket order is row order, preserving the seed's
+        join output order.
         """
         cache_key = (tuple(positions), tuple(keep))
         tails = self._tails.get(cache_key)

@@ -22,12 +22,12 @@ subplan once, fan results out — this module:
    (:data:`MATERIALIZE_COST_FACTOR`). Longer nodes start from shorter
    materialized nodes, so sharing nests;
 3. **executes each node once** and fans out: node rows are materialized
-   as encoded row batches behind an
+   as encoded rows behind an
    :class:`~repro.engine.operators.ExtentScan` (the ordinary batch
    contract), relabeled per consumer through the canonical-index
-   correspondence, and each consumer joins only its remaining atoms,
-   driven through the columnar batch layout like ``run_query``'s
-   fast path;
+   correspondence, and each consumer joins only its remaining atoms
+   (:func:`repro.engine.planner._join_tree`, the planner's one plan
+   shape) and folds head images exactly like ``run_query``;
 4. **merges encoded answers**: consumers produce *images* (dictionary
    codes, with constant head terms attached) that are deduplicated
    across the whole batch/union before :func:`decode_images` decodes
@@ -50,33 +50,24 @@ encoded answers merged union-wide. Union-level artifacts are cached in
 the store's prepared-plan cache under the union's canonical signature
 and flushed on mutation, like every other prepared plan.
 
-Sharing applies on the cost-based batched route only (``engine="auto"``
-with a batch size); fixed engines, the tuple-at-a-time path, explicit
-statistics providers, and ``shared=False`` stay fully independent — the
-measured ablation baselines.
+``shared=False`` runs every query independently through ``run_query`` —
+the reference the sharing tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
-from repro.engine.operators import (
-    DEFAULT_BATCH_SIZE,
-    ExtentScan,
-    HashJoin,
-    IndexNestedLoopJoin,
-    IndexScan,
-    Operator,
-)
+from repro.engine.operators import ExtentScan, IndexScan, Operator
 from repro.engine.planner import (
     _PLAN_CACHE_LIMIT,
     _PUSHDOWN_INELIGIBLE,
-    _check_batch_size,
     _estimator,
-    _natural_pairs,
+    _images_from_root,
+    _join_tree,
     _plan_cache_entry,
+    decode_images,
     plan_pushdown,
     plan_query,
     run_query,
@@ -108,15 +99,15 @@ __all__ = [
     "union_signature",
 ]
 
-#: Engine-slot token under which shared-subplan DAGs live in the
-#: prepared-plan cache (keyed by the tuple of distinct batch queries).
+#: Token under which shared-subplan DAGs live in the prepared-plan
+#: cache (keyed by the tuple of distinct batch queries).
 MQO_DAG = "mqo-dag"
 
-#: Engine-slot token for compiled ``SELECT ... UNION`` statements
+#: Cache token for compiled ``SELECT ... UNION`` statements
 #: (keyed by the union's canonical signature).
 UNION_PUSHDOWN = "sql-union-pushdown"
 
-#: Engine-slot token for the per-union routing decision
+#: Cache token for the per-union routing decision
 #: (keyed by the raw disjunct tuple, so repeated evaluations of the
 #: same union — a served or re-run query — skip deduplication,
 #: signature lookup, and per-disjunct plan lookups).
@@ -131,8 +122,10 @@ _UNION_ROUTE = "mqo-union-route"
 #: real work, crosses the gate.
 MATERIALIZE_COST_FACTOR = 2.0
 
-#: Per-row factor of an index-nested-loop probe in the gate's cost walk
-#: (same scale as the planner's ``_INL_PROBE_COST``).
+#: Per-row factor of an index-nested-loop probe in the gate's cost walk:
+#: a probe fills a fresh pattern per input row before the index lookup,
+#: which costs more than streaming a row. Only the ratio against
+#: materialization matters.
 _PROBE_COST = 2.0
 
 #: Profit gate for executing a compiled union as ONE compound
@@ -242,10 +235,9 @@ def _prefix_query(
 def _prefix_cost(estimator, atoms: tuple[Atom, ...]) -> tuple[float, float]:
     """``(estimated execution cost, estimated output rows)`` of a prefix.
 
-    An index-nested-loop walk over the already-ordered atoms — the same
-    shape the hybrid compiler builds — priced from the estimator's
-    prefix cardinalities. Only the ratio against materialization
-    matters, so the absolute scale is the planner's.
+    An index-nested-loop walk over the already-ordered atoms — the
+    shape the planner builds — priced from the estimator's prefix
+    cardinalities.
     """
     order = list(range(len(atoms)))
     counts = [float(estimator.atom_cardinality(atom)) for atom in atoms]
@@ -336,7 +328,7 @@ def plan_batch(
     Pure structure — fingerprints, chosen nodes, column correspondences
     — with no materialized rows, so it is cached in the store's
     prepared-plan cache (keyed by the tuple of distinct queries under
-    the :data:`MQO_DAG` engine slot) and flushed on mutation like every
+    the :data:`MQO_DAG` token) and flushed on mutation like every
     other prepared plan: join orders and the cost gate both derive from
     the store's statistics.
     """
@@ -437,7 +429,7 @@ def _compile_batch(plan: BatchPlan, store: TripleStore) -> _CompiledBatch:
     nodes: list[_CompiledNode] = []
     for node in plan.nodes:
         leaf, covered, leaf_key = _compile_leaf(node.prefixes, compiled)
-        root = _join_from(store, leaf, node.atoms[covered:], node.non_literal)
+        root = _join_tree(store, leaf, node.atoms[covered:], node.non_literal)
         by_name = {variable.name: index for variable, index in node.assignment}
         columns = {
             by_name[name]: position for position, name in enumerate(root.schema)
@@ -450,7 +442,7 @@ def _compile_batch(plan: BatchPlan, store: TripleStore) -> _CompiledBatch:
         leaf, covered, leaf_key = _compile_leaf(qplan.prefixes, compiled)
         root = None
         if leaf is not None:
-            root = _join_from(
+            root = _join_tree(
                 store, leaf, qplan.ordered_atoms[covered:], qplan.query.non_literal
             )
         consumers.append(_CompiledConsumer(qplan.query, root, leaf, leaf_key))
@@ -474,80 +466,7 @@ def _compiled_batch(plan: BatchPlan, store: TripleStore) -> _CompiledBatch:
     return built
 
 
-def _join_from(
-    store: TripleStore,
-    leaf: Operator | None,
-    atoms: Sequence[Atom],
-    non_literal: frozenset[Variable],
-) -> Operator:
-    """Left-deep join of ``atoms`` on top of ``leaf`` (or from scratch).
-
-    Hybrid-shaped: index-nested-loop probes for connected steps, hash
-    joins for Cartesian ones — any strategy yields the same answer set,
-    and probing keeps the fan-out from a materialized leaf cheap.
-    """
-    root = leaf
-    remaining = list(atoms)
-    if root is None:
-        root = IndexScan(store, remaining.pop(0), non_literal)
-    for atom in remaining:
-        connected = any(
-            isinstance(term, Variable) and term.name in root.schema
-            for term in atom
-        )
-        if connected:
-            root = IndexNestedLoopJoin(root, store, atom, non_literal)
-        else:
-            right = IndexScan(store, atom, non_literal)
-            pairs, keep_right = _natural_pairs(root.schema, right.schema)
-            root = HashJoin(root, right, pairs, keep_right)
-    return root
-
-
-def _images_from_root(
-    query: ConjunctiveQuery, root: Operator, store: TripleStore, batch_size: int
-) -> set[tuple]:
-    """Distinct encoded head images of ``query`` from a compiled root.
-
-    A constant head term enters an image as its dictionary code — the
-    image a disjunct binding a head *variable* to the same term
-    produces, and cheaper to hash than a term; only a constant the
-    dictionary has never seen stays a :class:`Term`. Either way each
-    batch is folded in one C-speed ``set.update(zip(...))``: head
-    columns are picked off the columnar batch, like ``_run_query``'s
-    fast path, and a constant rides along as an endless ``repeat``.
-    """
-    schema = root.schema
-    parts: list = []
-    for term in query.head:
-        if isinstance(term, Variable):
-            parts.append(schema.index(term.name))
-        else:
-            code = store.encode_term(term)
-            parts.append(repeat(term if code is None else code))
-    images: set[tuple] = set()
-    if not any(isinstance(part, int) for part in parts):
-        # No head variable: one image iff the body matches at all (a
-        # ``zip`` over nothing but endless repeats would never stop).
-        for batch in root.batches(batch_size):
-            if batch:
-                images.add(tuple(next(part) for part in parts))
-                break
-        return images
-    for cb in root.column_batches(batch_size):
-        columns = cb.columns
-        images.update(
-            zip(*(columns[p] if isinstance(p, int) else p for p in parts))
-        )
-    return images
-
-
-def _batch_images(
-    plan: BatchPlan,
-    store: TripleStore,
-    batch_size: int,
-    workers: int = 1,
-) -> list[set[tuple]]:
+def _batch_images(plan: BatchPlan, store: TripleStore) -> list[set[tuple]]:
     """Encoded head images per distinct query, via the shared DAG.
 
     Nodes materialize shortest-first, each starting from the longest
@@ -563,7 +482,7 @@ def _batch_images(
     for node in compiled.nodes:
         if node.leaf is not None:
             node.leaf._rows = materialized[node.leaf_key]
-        materialized[node.key] = node.root.rows_batched(batch_size)
+        materialized[node.key] = node.root.rows()
     if metrics.enabled and compiled.nodes:
         metrics.inc("mqo.shared_nodes.materialized", len(compiled.nodes))
         metrics.inc(
@@ -573,13 +492,11 @@ def _batch_images(
     out: list[set[tuple]] = []
     for consumer in compiled.consumers:
         if consumer.root is None:
-            root = plan_query(
-                consumer.query, store, engine="auto", workers=workers
-            )
+            root = plan_query(consumer.query, store)
         else:
             consumer.leaf._rows = materialized[consumer.leaf_key]
             root = consumer.root
-        out.append(_images_from_root(consumer.query, root, store, batch_size))
+        out.append(_images_from_root(consumer.query, root, store))
     # Drop row references so cached trees don't pin this run's
     # materialized batches in memory.
     for node in compiled.nodes:
@@ -589,30 +506,6 @@ def _batch_images(
         if consumer.leaf is not None:
             consumer.leaf._rows = ()
     return out
-
-
-def decode_images(images: Iterable[tuple], store: TripleStore) -> set[tuple[Term, ...]]:
-    """Decode encoded head images, each distinct code exactly once.
-
-    Image positions are dictionary codes (``int``) or already-decoded
-    constant head terms; both may mix within one union's image set.
-    """
-    decode = store.dictionary.decode
-    cache: dict[int, Term] = {}
-    answers: set[tuple[Term, ...]] = set()
-    for image in images:
-        answer = []
-        for part in image:
-            if isinstance(part, int):
-                term = cache.get(part)
-                if term is None:
-                    term = decode(part)
-                    cache[part] = term
-                answer.append(term)
-            else:
-                answer.append(part)
-        answers.add(tuple(answer))
-    return answers
 
 
 # ----------------------------------------------------------------------
@@ -660,7 +553,7 @@ def plan_union_pushdown(
     pushdown limits, and the caller falls back to the interpreted
     shared DAG. Results (including the negative) are cached in the
     store's prepared-plan cache under the union's canonical signature
-    (:func:`union_signature`, engine slot :data:`UNION_PUSHDOWN`) and
+    (:func:`union_signature`, token :data:`UNION_PUSHDOWN`) and
     flushed when the store mutates.
     """
     if not getattr(store.backend, "supports_sql_plans", False):
@@ -751,7 +644,7 @@ def _empty_node_keys(batch: BatchPlan, store: TripleStore) -> frozenset:
             name="mqo-probe",
             non_literal=node.non_literal,
         )
-        compiled = plan_pushdown(probe, store, 1)
+        compiled = plan_pushdown(probe, store)
         if compiled is None:
             continue
         if compiled.sql is None:
@@ -765,9 +658,7 @@ def _empty_node_keys(batch: BatchPlan, store: TripleStore) -> frozenset:
     return frozenset(empty)
 
 
-def _union_route(
-    disjuncts: tuple[ConjunctiveQuery, ...], store: TripleStore, workers: int
-):
+def _union_route(disjuncts: tuple[ConjunctiveQuery, ...], store: TripleStore):
     """The cached routing decision for one union's pushdown evaluation.
 
     Returns ``(distinct, compound, singles)``: the deduplicated
@@ -782,7 +673,7 @@ def _union_route(
     """
     entry = _plan_cache_entry(store)
     plans = entry["plans"]
-    key = (disjuncts, _UNION_ROUTE, workers)
+    key = (disjuncts, _UNION_ROUTE)
     cached = plans.get(key)
     if cached is None:
         if metrics.enabled:
@@ -794,7 +685,7 @@ def _union_route(
                 compound = None
         singles = None
         if compound is None:
-            singles = [plan_pushdown(d, store, workers) for d in distinct]
+            singles = [plan_pushdown(d, store) for d in distinct]
             if getattr(store.backend, "supports_sql_plans", False):
                 batch = plan_batch(distinct, store)
                 empty = _empty_node_keys(batch, store)
@@ -828,9 +719,6 @@ def _union_route(
 def evaluate_union_shared(
     disjuncts: Sequence[ConjunctiveQuery],
     store: TripleStore,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
     pushdown: bool = True,
 ) -> set[tuple[Term, ...]]:
     """All answers of a union, evaluated as one shared batch.
@@ -852,41 +740,27 @@ def evaluate_union_shared(
     """
     if tracing.sink is not None:
         with tracing.span("mqo.evaluate_union", disjuncts=len(disjuncts)):
-            return _evaluate_union_impl(
-                disjuncts, store, batch_size, workers, pushdown
-            )
-    return _evaluate_union_impl(disjuncts, store, batch_size, workers, pushdown)
+            return _evaluate_union_impl(disjuncts, store, pushdown)
+    return _evaluate_union_impl(disjuncts, store, pushdown)
 
 
 def _evaluate_union_impl(
-    disjuncts: Sequence[ConjunctiveQuery],
-    store: TripleStore,
-    batch_size: int | None,
-    workers: int,
-    pushdown: bool,
+    disjuncts: Sequence[ConjunctiveQuery], store: TripleStore, pushdown: bool
 ) -> set[tuple[Term, ...]]:
-    batch_size = _check_batch_size(batch_size) or DEFAULT_BATCH_SIZE
     if not pushdown:
         distinct = _dedupe(disjuncts)
         singles: Sequence = (None,) * len(distinct)
     else:
-        distinct, compound, singles = _union_route(
-            tuple(disjuncts), store, workers
-        )
+        distinct, compound, singles = _union_route(tuple(disjuncts), store)
         if compound is not None:
             if metrics.enabled:
                 metrics.inc("mqo.route.compound")
             return compound.execute(store)
-    images = _branch_images(distinct, singles, store, batch_size, workers)
-    return decode_images(images, store)
+    return decode_images(_branch_images(distinct, singles, store), store)
 
 
 def _branch_images(
-    distinct: Sequence[ConjunctiveQuery],
-    singles: Sequence,
-    store: TripleStore,
-    batch_size: int,
-    workers: int,
+    distinct: Sequence[ConjunctiveQuery], singles: Sequence, store: TripleStore
 ) -> set[tuple]:
     """Distinct encoded head images of a union, before any decoding.
 
@@ -914,7 +788,7 @@ def _branch_images(
         if metrics.enabled:
             metrics.inc("mqo.route.shared")
         batch = plan_batch(interpreted, store)
-        for image_set in _batch_images(batch, store, batch_size, workers):
+        for image_set in _batch_images(batch, store):
             images |= image_set
     return images
 
@@ -939,10 +813,10 @@ def count_union(
         return _count_partitioned(
             [(query.head, query) for query in distinct], store, {}
         )
-    distinct, compound, singles = _union_route(distinct, store, 1)
+    distinct, compound, singles = _union_route(distinct, store)
     if compound is not None:
         return compound.count(store)
-    return len(_branch_images(distinct, singles, store, DEFAULT_BATCH_SIZE, 1))
+    return len(_branch_images(distinct, singles, store))
 
 
 #: ``(remaining head, one-atom disjunct)``: the disjunct's images
@@ -1038,7 +912,7 @@ def _head_columns(
         slots = [scan.schema.index(variable.name) for variable in head]
         batches = scans[key] = [
             tuple(cb.columns[slot] for slot in slots)
-            for cb in scan.column_batches(DEFAULT_BATCH_SIZE)
+            for cb in scan.column_batches()
         ]
     return batches
 
@@ -1046,28 +920,22 @@ def _head_columns(
 def run_query_batch(
     queries: Sequence[ConjunctiveQuery],
     store: TripleStore,
-    *,
-    engine: str = "auto",
-    statistics=None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
-    pushdown: bool = True,
     shared: bool = True,
+    pushdown: bool = True,
 ) -> list[set[tuple[Term, ...]]]:
     """Answer a batch of independent queries, sharing work across them.
 
     Returns one answer set per input query, in input order — exactly
-    what ``[run_query(q, store, ...) for q in queries]`` returns, but
+    what ``[run_query(q, store) for q in queries]`` returns, but
     common join subtrees across the batch execute once
     (:func:`plan_batch`) and duplicate queries are answered once. This
     is the cross-client batching hook for server mode.
 
-    Sharing needs the cost-based batched route: with a fixed ``engine``,
-    an explicit ``statistics`` provider, the tuple-at-a-time path, or
-    ``shared=False`` (the measured ablation baseline), every query runs
-    independently through :func:`run_query`. On a SQL-capable backend,
-    pushdown-eligible queries keep their single-statement route — it
-    beats interpreted sharing — and the DAG shares work among the rest.
+    With ``shared=False`` (the reference the sharing tests compare
+    against) every distinct query runs independently through
+    :func:`run_query`. On a SQL-capable backend, pushdown-eligible
+    queries keep their single-statement route — it beats interpreted
+    sharing — and the DAG shares work among the rest.
 
     >>> from repro.query.parser import parse_query
     >>> from repro.rdf.ntriples import parse_ntriples
@@ -1093,56 +961,31 @@ def run_query_batch(
         return []
     if tracing.sink is not None:
         with tracing.span("engine.run_query_batch", queries=len(queries)):
-            return _run_query_batch_impl(
-                queries, store, engine, statistics, batch_size, workers,
-                pushdown, shared,
-            )
-    return _run_query_batch_impl(
-        queries, store, engine, statistics, batch_size, workers, pushdown,
-        shared,
-    )
+            return _run_query_batch_impl(queries, store, shared, pushdown)
+    return _run_query_batch_impl(queries, store, shared, pushdown)
 
 
 def _run_query_batch_impl(
     queries: list[ConjunctiveQuery],
     store: TripleStore,
-    engine: str,
-    statistics,
-    batch_size: int | None,
-    workers: int,
-    pushdown: bool,
     shared: bool,
+    pushdown: bool,
 ) -> list[set[tuple[Term, ...]]]:
-    checked = _check_batch_size(batch_size)
-    sharing = (
-        shared
-        and engine == "auto"
-        and statistics is None
-        and checked is not None
-    )
     answers: dict[ConjunctiveQuery, set[tuple[Term, ...]]] = {}
-    if not sharing:
+    if not shared:
         for query in _dedupe(queries):
-            answers[query] = run_query(
-                query,
-                store,
-                engine=engine,
-                statistics=statistics,
-                batch_size=batch_size,
-                workers=workers,
-                pushdown=pushdown,
-            )
+            answers[query] = run_query(query, store, pushdown=pushdown)
         return [answers[query] for query in queries]
     interpreted: list[ConjunctiveQuery] = []
     for query in _dedupe(queries):
-        compiled = plan_pushdown(query, store, workers) if pushdown else None
+        compiled = plan_pushdown(query, store) if pushdown else None
         if compiled is not None:
             answers[query] = compiled.execute(store)
         else:
             interpreted.append(query)
     if interpreted:
         batch = plan_batch(interpreted, store)
-        images = _batch_images(batch, store, checked, workers)
+        images = _batch_images(batch, store)
         for query, image_set in zip(batch.queries, images):
             answers[query] = decode_images(image_set, store)
     return [answers[query] for query in queries]

@@ -1,56 +1,36 @@
-"""Physical operators of the unified execution engine.
+"""Physical operators of the execution engine.
 
-Every operator exposes a ``schema`` (a tuple of column names) and three
-pull-based execution paths over the same plan tree:
-
-* **columnar** (:meth:`Operator.column_batches`, the default execution
-  mode of ``run_query``) — the operator produces
-  :class:`~repro.engine.columnar.ColumnBatch` objects: one value
-  sequence per schema column, all of one length. Projection and
-  relabeling are zero-copy column picks, single-column join keys are
-  read as vectors (no per-row key tuple), and join outputs assemble
-  per column over a selection vector. The per-batch row target is
-  *advisory* on this path: joins may emit batches larger than ``size``
-  rather than pay a repacking pass;
-* **batch-at-a-time** (:meth:`Operator.batches`) — the operator
-  produces *row-list batches*: plain Python ``list`` objects holding at
-  most ``size`` rows (tuples), never empty. This is the engine's
-  row-batch contract: a batch is a ``list[tuple]``, row layout
-  identical to the row-at-a-time path, with no padding and no fixed
-  fill degree (operators may emit short batches after filtering).
-  Batches collapse the per-row generator hand-off between operators
-  into one call per ~thousand rows and let the inner loops run as
-  C-speed list comprehensions / ``itemgetter`` maps;
-* **tuple-at-a-time** (``__iter__``) — the historical one-row-per-
-  ``yield`` path, kept as the benchmark baseline and for consumers that
-  genuinely want early exit after a handful of rows.
-
-Either batched path accepts :data:`ADAPTIVE_BATCH_SIZE` in place of a
-row count: each operator then resolves its *own* planner-annotated
-``preferred_batch_size`` (see ``planner._compile_query``) and passes
-the sentinel through to its children, so a small-output join can run
-narrow batches above a wide-batch scan in the same tree.
-
-Base :class:`IndexScan` leaves additionally support **morsel-driven
-parallel scanning**: the planner sets ``morsel_workers`` on large
-scans, and the scan then pulls its matches as fixed-size morsels
-projected by the cached fork pool (:mod:`repro.engine.parallel`),
-yielding exactly the serial row sequence.
+Every operator exposes a ``schema`` (a tuple of column names) and **one**
+pull-based execution contract, :meth:`Operator.column_batches`: the
+operator produces :class:`~repro.engine.columnar.ColumnBatch` objects —
+one value sequence per schema column, all of one length, never empty.
+Projection and relabeling are zero-copy column picks, single-column
+join keys are read as vectors (no per-row key tuple), and join outputs
+assemble per column over a selection vector. The per-batch row target
+``size`` is *advisory*: scans honour it, joins may emit batches larger
+than ``size`` (fan-out) rather than pay a repacking pass, and filters
+emit short batches. :meth:`Operator.rows` — the row-tuple view that
+``run_plan`` and shared-node materialization read — is derived from it
+once, in the base class.
 
 Two value domains flow through the same operator classes:
 
 * **dictionary codes** (ints) for plans over a :class:`TripleStore` —
-  leaves are :class:`IndexScan`, joins may probe store indexes through
-  :class:`IndexNestedLoopJoin` (whose batched path answers a whole
-  batch of probes through ``match_many_encoded`` — one SQL statement
-  per batch on the SQLite backend) or use :class:`MergeJoin` over the
-  store's sorted-permutation iterators;
+  leaves are :class:`IndexScan`, a connected join step probes the store
+  indexes through :class:`IndexNestedLoopJoin` (a whole batch of probes
+  per ``match_many_encoded`` call — one SQL statement per batch on the
+  SQLite backend), a Cartesian step is a :class:`HashJoin`;
 * **decoded RDF terms** for plans over materialized view extents —
   leaves are :class:`ExtentScan`, joins are hash joins that reuse the
-  extent's cached hash indexes (see :mod:`repro.engine.extents`).
+  extent's cached, pre-projected join tails (see
+  :mod:`repro.engine.extents`).
 
 The planner (:mod:`repro.engine.planner`) decides which operators to
-instantiate; nothing here chooses join orders or algorithms.
+instantiate; nothing here chooses join orders or algorithms. The join
+algorithms and execution paths that used to sit beside these (merge and
+partitioned hash joins, row-list batches, tuple-at-a-time iteration,
+morsel-parallel scans) lost on every measured workload; their last
+verdicts are kept in docs/benchmarks.md, "Retired paths".
 """
 
 from __future__ import annotations
@@ -65,38 +45,6 @@ from repro.storage.base import DEFAULT_BATCH_SIZE
 
 #: A physical row: a tuple of dictionary codes or of decoded RDF terms.
 PhysicalRow = tuple
-
-#: A batch: a non-empty list of at most ``size`` physical rows.
-Batch = list
-
-#: Sentinel accepted wherever a batch size goes: each operator resolves
-#: its planner-annotated ``preferred_batch_size`` instead of one global
-#: row count (and passes the sentinel on to its children).
-ADAPTIVE_BATCH_SIZE = "adaptive"
-
-#: Permutation name whose *leading* attribute is the given triple position.
-_SORT_ORDERS = ("spo", "pso", "osp")
-
-
-def _rebatch(chunks: Iterable[list], size: int) -> Iterator[Batch]:
-    """Repack an iterable of row-lists into batches of at most ``size``.
-
-    The shared flush loop of the joins' batched paths. Linear in total
-    rows: every row is appended once and sliced out once — no
-    front-deletion of the pending list (which would go quadratic on
-    multi-million-row join outputs).
-    """
-    pending: list = []
-    for chunk in chunks:
-        pending.extend(chunk)
-        length = len(pending)
-        if length >= size:
-            for start in range(0, length - size + 1, size):
-                yield pending[start : start + size]
-            tail = length % size
-            pending = pending[length - tail :] if tail else []
-    if pending:
-        yield pending
 
 
 def _projector(positions: Sequence[int]) -> Callable[[PhysicalRow], tuple]:
@@ -116,84 +64,34 @@ def _projector(positions: Sequence[int]) -> Callable[[PhysicalRow], tuple]:
 
 
 class Operator:
-    """Base class: a schema plus an iterable of rows."""
+    """Base class: a schema plus a stream of column batches."""
 
     schema: tuple[str, ...] = ()
-    #: Columns the output is known to be sorted by (a prefix order), or None.
-    sorted_on: tuple[str, ...] | None = None
-    #: Planner-annotated batch size for this operator (rows), consulted
-    #: when the caller passes :data:`ADAPTIVE_BATCH_SIZE`; None means
-    #: unannotated (the default size applies).
-    preferred_batch_size: int | None = None
-
-    def _batch_size(self, size) -> int:
-        """Resolve a possibly-adaptive batch size to a row count."""
-        if size == ADAPTIVE_BATCH_SIZE:
-            return self.preferred_batch_size or DEFAULT_BATCH_SIZE
-        return size
-
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        raise NotImplementedError
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        """The batch-at-a-time path: non-empty lists of ≤ ``size`` rows.
-
-        The base implementation chunks the row iterator, so any operator
-        is batch-consumable; the built-in operators override it with
-        natively vectorized loops that also pull their children through
-        ``batches`` — one override makes the whole subtree batched.
-        """
-        size = self._batch_size(size)
-        batch: Batch = []
-        append = batch.append
-        for row in self:
-            append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        """The columnar path: :class:`ColumnBatch` per batch of rows.
+        """The operator's output as non-empty :class:`ColumnBatch` objects.
 
-        The base implementation transposes :meth:`batches` (one C-speed
-        ``zip`` per batch), so any operator is columnar-consumable —
-        including probed trees and third-party operators. The built-in
-        scans, joins and row shapers override it with natively columnar
-        loops. ``size`` is advisory here: overrides may emit larger
-        batches (join fan-out) instead of paying a repacking pass.
+        ``size`` is the advisory row target per batch (see the module
+        docstring); every operator pulls its children through the same
+        method with the same ``size``.
         """
-        width = len(self.schema)
-        for batch in self.batches(size):
-            yield ColumnBatch.from_rows(batch, width)
+        raise NotImplementedError
 
     def rows(self) -> list[PhysicalRow]:
-        """Materialize the full output."""
-        return list(self)
-
-    def rows_batched(self, size: int = DEFAULT_BATCH_SIZE) -> list[PhysicalRow]:
-        """Materialize the full output through the batched path."""
+        """Materialize the full output as row tuples, in output order."""
         out: list[PhysicalRow] = []
-        for batch in self.batches(size):
-            out.extend(batch)
+        for cb in self.column_batches():
+            out.extend(cb)
         return out
-
-    def hash_index(self, positions: tuple[int, ...]):
-        """A prebuilt hash index keyed on ``positions``, or None.
-
-        Overridden by :class:`ExtentScan` over indexed extents so hash
-        joins can skip the build phase entirely.
-        """
-        return None
 
     def hash_tails(self, positions: tuple[int, ...], keep: tuple[int, ...]):
         """Prebuilt, pre-projected join tails keyed on ``positions``.
 
-        Like :meth:`hash_index`, but the buckets hold rows already
-        projected to ``keep`` — the batched hash join's preferred build
-        input. None when the operator cannot provide it.
+        The buckets hold rows already projected to ``keep`` — a hash
+        join's build side, ready-made. Overridden by
+        :class:`ExtentScan` over indexed extents so hash joins can skip
+        the build phase entirely; None when the operator cannot
+        provide it.
         """
         return None
 
@@ -217,12 +115,6 @@ class Empty(Operator):
     def __init__(self, schema: tuple[str, ...] = ()) -> None:
         self.schema = schema
 
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        return iter(())
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        return iter(())
-
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         return iter(())
 
@@ -235,30 +127,11 @@ class ExtentScan(Operator):
         self._rows = rows
         self.schema = schema
 
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        return iter(self._rows)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        size = self._batch_size(size)
-        rows = self._rows
-        for start in range(0, len(rows), size):
-            yield list(rows[start : start + size])
-
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        size = self._batch_size(size)
         rows = self._rows
         width = len(self.schema)
         for start in range(0, len(rows), size):
             yield ColumnBatch.from_rows(rows[start : start + size], width)
-
-    def rows(self) -> list[PhysicalRow]:
-        return list(self._rows)
-
-    def hash_index(self, positions: tuple[int, ...]):
-        index_on = getattr(self._rows, "index_on", None)
-        if index_on is None:
-            return None
-        return index_on(positions)
 
     def hash_tails(self, positions: tuple[int, ...], keep: tuple[int, ...]):
         tails_on = getattr(self._rows, "tails_on", None)
@@ -327,17 +200,7 @@ class IndexScan(Operator):
     Output columns are the atom's distinct variables in ``(s, p, o)``
     order; repeated variables become intra-atom equality filters, and
     ``non_literal`` variables reject literal codes at binding time (the
-    reformulation rule-4 semantics). With ``sort_by`` set to one of the
-    output columns, rows come back ordered by that column's code via the
-    store's sorted-permutation iterators — the input contract of
-    :class:`MergeJoin`.
-
-    With ``morsel_workers`` set above 1 (the planner does this for
-    scans whose estimated cardinality clears its morsel threshold), the
-    unsorted batched paths pull the matches as fixed-size morsels
-    projected in parallel by the cached fork pool — answers identical
-    to the serial scan, in the same order. Sorted scans and scans with
-    literal filters (which need the dictionary in-process) stay serial.
+    reformulation rule-4 semantics).
     """
 
     def __init__(
@@ -345,7 +208,6 @@ class IndexScan(Operator):
         store: TripleStore,
         atom: Atom,
         non_literal: frozenset[Variable] = frozenset(),
-        sort_by: str | None = None,
     ) -> None:
         self.store = store
         self.atom = atom
@@ -357,94 +219,9 @@ class IndexScan(Operator):
         self._nl = nl
         self.impossible = impossible
         self.schema = tuple(name for _, name in out)
-        self.sort_by = sort_by
-        #: Workers for morsel-parallel scanning (≤ 1 = serial); set by
-        #: the planner after construction, rides the plan cache.
-        self.morsel_workers = 0
-        if sort_by is not None:
-            if sort_by not in self.schema:
-                raise ValueError(f"sort column {sort_by!r} not produced by {self.schema}")
-            self.sorted_on = (sort_by,)
-
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        if self.impossible:
-            return
-        if self.sort_by is None:
-            matches: Iterable = self.store.match_encoded(self.pattern)
-        else:
-            position = next(pos for pos, name in self._out if name == self.sort_by)
-            matches = self.store.match_sorted(self.pattern, _SORT_ORDERS[position])
-        out, eqs, nl = self._out, self._eqs, self._nl
-        if not eqs and not nl:
-            for triple in matches:
-                yield tuple(triple[position] for position, _ in out)
-            return
-        is_literal = self.store.dictionary.is_literal_code
-        for triple in matches:
-            if any(triple[i] != triple[j] for i, j in eqs):
-                continue
-            if any(is_literal(triple[position]) for position in nl):
-                continue
-            yield tuple(triple[position] for position, _ in out)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        if self.impossible:
-            return
-        size = self._batch_size(size)
-        if self.sort_by is None:
-            if self.morsel_workers > 1 and not self._nl:
-                yield from self._morsel_batches(size)
-                return
-            source = self.store.match_encoded_batches(self.pattern, size)
-        else:
-            position = next(pos for pos, name in self._out if name == self.sort_by)
-            source = self.store.match_sorted_batches(
-                self.pattern, _SORT_ORDERS[position], size
-            )
-        eqs, nl = self._eqs, self._nl
-        project = _projector(tuple(position for position, _ in self._out))
-        if not eqs and not nl:
-            for chunk in source:
-                yield [project(triple) for triple in chunk]
-            return
-        is_literal = self.store.dictionary.is_literal_code
-        for chunk in source:
-            batch = [
-                project(triple)
-                for triple in chunk
-                if not any(triple[i] != triple[j] for i, j in eqs)
-                and not any(is_literal(triple[position]) for position in nl)
-            ]
-            if batch:
-                yield batch
-
-    def _morsel_batches(self, size: int) -> Iterator[Batch]:
-        """Pull the scan as pool-projected morsels, repacked to ``size``."""
-        from repro.engine import parallel
-
-        morsels = self.store.match_encoded_batches(self.pattern, parallel.MORSEL_SIZE)
-        chunks = parallel.scan_morsels(
-            morsels,
-            tuple(position for position, _ in self._out),
-            self._eqs,
-            self.morsel_workers,
-        )
-        yield from _rebatch(chunks, size)
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         if self.impossible:
-            return
-        size = self._batch_size(size)
-        width = len(self.schema)
-        if self.sort_by is not None:
-            # Sorted scans feed merge joins, which materialize rows
-            # anyway: transpose the (already filtered) row batches.
-            for batch in self.batches(size):
-                yield ColumnBatch.from_rows(batch, width)
-            return
-        if self.morsel_workers > 1 and not self._nl:
-            for batch in self._morsel_batches(size):
-                yield ColumnBatch.from_rows(batch, width)
             return
         out_positions = tuple(position for position, _ in self._out)
         eqs, nl = self._eqs, self._nl
@@ -515,82 +292,6 @@ class IndexNestedLoopJoin(Operator):
         self._nl = nl
         self.impossible = impossible
         self.schema = child.schema + tuple(name for _, name in out)
-
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        if self.impossible:
-            return
-        template, fills, out = self._template, self._fills, self._out
-        eqs, nl = self._eqs, self._nl
-        match = self.store.match_encoded
-        is_literal = self.store.dictionary.is_literal_code
-        for row in self.child:
-            pattern = list(template)
-            for position, column in fills:
-                pattern[position] = row[column]
-            for triple in match((pattern[0], pattern[1], pattern[2])):
-                if any(triple[i] != triple[j] for i, j in eqs):
-                    continue
-                if any(is_literal(triple[position]) for position in nl):
-                    continue
-                yield row + tuple(triple[position] for position, _ in out)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        """Probe the store with one *batch* of patterns at a time.
-
-        Input rows are grouped by probe key, the distinct keys become a
-        single ``match_many_encoded`` call (one SQL statement on the
-        SQLite backend instead of one SELECT per row), and each key's
-        projected match tails are concatenated onto every input row of
-        its group. Output row *multiset* equals the row-at-a-time path;
-        row order differs (grouped by key within each input batch).
-        """
-        if self.impossible:
-            return iter(())
-        resolved = self._batch_size(size)
-        template, fills, eqs, nl = self._template, self._fills, self._eqs, self._nl
-        match_many = self.store.match_many_encoded
-        is_literal = self.store.dictionary.is_literal_code
-        project = _projector(tuple(position for position, _ in self._out))
-        key_of = _projector(tuple(column for _, column in fills))
-        fill_positions = tuple(position for position, _ in fills)
-        filtered = bool(eqs or nl)
-
-        def joined_chunks() -> Iterator[list]:
-            for in_batch in self.child.batches(size):
-                groups: dict[tuple, list] = {}
-                for row in in_batch:
-                    key = key_of(row)
-                    group = groups.get(key)
-                    if group is None:
-                        groups[key] = [row]
-                    else:
-                        group.append(row)
-                patterns = []
-                for key in groups:
-                    pattern = list(template)
-                    for position, value in zip(fill_positions, key):
-                        pattern[position] = value
-                    patterns.append((pattern[0], pattern[1], pattern[2]))
-                for (key, rows), matches in zip(
-                    groups.items(), match_many(patterns)
-                ):
-                    if not matches:
-                        continue
-                    if filtered:
-                        tails = [
-                            project(triple)
-                            for triple in matches
-                            if not any(triple[i] != triple[j] for i, j in eqs)
-                            and not any(is_literal(triple[p]) for p in nl)
-                        ]
-                    else:
-                        tails = [project(triple) for triple in matches]
-                    if not tails:
-                        continue
-                    for row in rows:
-                        yield [row + tail for tail in tails]
-
-        return _rebatch(joined_chunks(), resolved)
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         """Columnar batched probing: group by key *vector*, probe once.
@@ -698,7 +399,7 @@ class HashJoin(Operator):
     ``pairs`` are ``(left position, right position)`` key pairs;
     ``keep_right`` lists the right positions appended to each output row
     (natural-join semantics drop the right copy of shared columns).
-    When the right input exposes a prebuilt hash index (a scan over an
+    When the right input exposes prebuilt join tails (a scan over an
     indexed view extent), the build phase is skipped entirely.
     """
 
@@ -716,68 +417,6 @@ class HashJoin(Operator):
         self._keep_right = tuple(keep_right)
         self.schema = left.schema + tuple(right.schema[p] for p in self._keep_right)
 
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        right_keys, keep = self._right_keys, self._keep_right
-        table = self.right.hash_index(right_keys)
-        if table is None:
-            table = {}
-            for row in self.right:
-                key = tuple(row[p] for p in right_keys)
-                table.setdefault(key, []).append(row)
-        left_keys = self._left_keys
-        for row in self.left:
-            matches = table.get(tuple(row[p] for p in left_keys))
-            if matches:
-                for other in matches:
-                    yield row + tuple(other[p] for p in keep)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        """Build from right batches, probe left batches.
-
-        When the build side is ours (no prebuilt extent index), the
-        table holds pre-projected right *tails*, so the probe loop is a
-        plain concatenation. Output row order matches the row-at-a-time
-        path exactly (left order, then build order per key).
-        """
-        resolved = self._batch_size(size)
-        keep_of = _projector(self._keep_right)
-        # Best source first: cached pre-projected tails (indexed view
-        # extents), then a cached row index, then build our own tails.
-        table = self.right.hash_tails(self._right_keys, self._keep_right)
-        rows_not_tails = False
-        if table is None:
-            table = self.right.hash_index(self._right_keys)
-            rows_not_tails = table is not None
-        if table is None:
-            right_key_of = _projector(self._right_keys)
-            table = {}
-            get = table.get
-            for right_batch in self.right.batches(size):
-                for row in right_batch:
-                    key = right_key_of(row)
-                    tails = get(key)
-                    if tails is None:
-                        table[key] = [keep_of(row)]
-                    else:
-                        tails.append(keep_of(row))
-        left_key_of = _projector(self._left_keys)
-        get = table.get
-
-        def joined_chunks() -> Iterator[list]:
-            for left_batch in self.left.batches(size):
-                chunk: list = []
-                for row in left_batch:
-                    matches = get(left_key_of(row))
-                    if matches:
-                        if rows_not_tails:
-                            chunk.extend([row + keep_of(other) for other in matches])
-                        else:
-                            chunk.extend([row + tail for tail in matches])
-                if chunk:
-                    yield chunk
-
-        yield from _rebatch(joined_chunks(), resolved)
-
     def _key_vector(self, cb: ColumnBatch, positions: tuple[int, ...], scalar: bool):
         """The probe/build keys of one column batch, cheapest form first."""
         if scalar:
@@ -794,19 +433,14 @@ class HashJoin(Operator):
         When the build side is ours and the join key is one column, the
         hash table is keyed on bare values read straight off the key
         vectors — no per-row key tuple on either side. Prebuilt extent
-        indexes stay tuple-keyed (their contract). Output columns
+        tails stay tuple-keyed (their contract). Output columns
         assemble over a selection vector into the left batch plus the
-        transposed build tails; row order matches the row paths (left
-        order, then build order per key).
+        transposed build tails; rows come out in left order, then build
+        order per key — the seed's join output order.
         """
         keep = self._keep_right
-        keep_of = _projector(keep)
         table = self.right.hash_tails(self._right_keys, keep)
-        rows_not_tails = False
         scalar_key = False
-        if table is None:
-            table = self.right.hash_index(self._right_keys)
-            rows_not_tails = table is not None
         if table is None:
             scalar_key = len(self._right_keys) == 1
             table = {}
@@ -836,12 +470,8 @@ class HashJoin(Operator):
             for index, key in enumerate(probe_keys):
                 matches = get(key)
                 if matches:
-                    fanout = len(matches)
-                    sel.extend([index] * fanout)
-                    if rows_not_tails:
-                        flat_tails.extend([keep_of(other) for other in matches])
-                    else:
-                        flat_tails.extend(matches)
+                    sel.extend([index] * len(matches))
+                    flat_tails.extend(matches)
             if not sel:
                 continue
             columns = [[column[i] for i in sel] for column in left_cb.columns]
@@ -860,275 +490,6 @@ class HashJoin(Operator):
         return (self.left, self.right)
 
 
-#: Runtime floor (total materialized input rows) below which a
-#: partitioned join runs serially even when workers were requested:
-#: dispatching tiny partitions to a pool costs more than joining them.
-MIN_PARALLEL_INPUT_ROWS = 8192
-
-
-class PartitionedHashJoin(Operator):
-    """Equi-join by disjoint hash partitions, optionally across workers.
-
-    Both inputs are materialized (through their batched paths) and split
-    into ``partitions`` disjoint buckets by join-key hash; each bucket
-    pair is hash-joined independently — rows with equal keys always land
-    in the same partition, so the union of the partition joins is
-    exactly the full join. With ``workers > 1`` the partitions are
-    processed by a cached process pool (:mod:`repro.engine.parallel`);
-    with one worker, or when the materialized inputs fall below
-    ``min_parallel_rows`` (planner estimates can be wrong — small joins
-    must never pay pool dispatch), the partitions are joined in-process.
-
-    The planner only instantiates this operator above an estimated-
-    cardinality threshold, so small interactive queries keep the plain
-    streaming :class:`HashJoin` and its latency.
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        pairs: Sequence[tuple[int, int]],
-        keep_right: Sequence[int],
-        workers: int = 1,
-        partitions: int | None = None,
-        min_parallel_rows: int | None = None,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self._left_keys = tuple(lp for lp, _ in pairs)
-        self._right_keys = tuple(rp for _, rp in pairs)
-        self._keep_right = tuple(keep_right)
-        self.workers = max(1, workers)
-        # One partition per worker: partitions are balanced by key hash,
-        # and fewer, larger partitions amortize per-task dispatch best.
-        self.partitions = partitions if partitions else self.workers
-        self.min_parallel_rows = (
-            MIN_PARALLEL_INPUT_ROWS if min_parallel_rows is None else min_parallel_rows
-        )
-        self.schema = left.schema + tuple(right.schema[p] for p in self._keep_right)
-
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        for batch in self.batches():
-            yield from batch
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        from repro.engine.parallel import join_partition
-
-        resolved = self._batch_size(size)
-        left_rows = self.left.rows_batched(size)
-        right_rows = self.right.rows_batched(size)
-        if (
-            self.workers <= 1
-            or self.partitions <= 1
-            or len(left_rows) + len(right_rows) < self.min_parallel_rows
-        ):
-            partition_results: Iterable[list] = (
-                join_partition(
-                    left_rows,
-                    right_rows,
-                    self._left_keys,
-                    self._right_keys,
-                    self._keep_right,
-                ),
-            )
-        else:
-            partition_results = self._parallel_results(left_rows, right_rows)
-        yield from _rebatch(partition_results, resolved)
-
-    def _parallel_results(self, left_rows: list, right_rows: list) -> Iterator[list]:
-        """Partition both inputs and join partitions across the pool.
-
-        A pool that breaks mid-flight (a worker killed under memory
-        pressure) degrades to joining the unfinished partitions
-        in-process — the parallel path must never fail where the serial
-        one would succeed.
-        """
-        from repro.engine.parallel import (
-            BrokenProcessPool,
-            get_executor,
-            instrumented_call,
-            join_partition,
-        )
-        from repro.obs import metrics
-
-        left_key_of = _projector(self._left_keys)
-        right_key_of = _projector(self._right_keys)
-        count = self.partitions
-        left_parts: list[list] = [[] for _ in range(count)]
-        for row in left_rows:
-            left_parts[hash(left_key_of(row)) % count].append(row)
-        right_parts: list[list] = [[] for _ in range(count)]
-        for row in right_rows:
-            right_parts[hash(right_key_of(row)) % count].append(row)
-        pairs = [
-            (left_part, right_part)
-            for left_part, right_part in zip(left_parts, right_parts)
-            if left_part and right_part
-        ]
-        arguments = (self._left_keys, self._right_keys, self._keep_right)
-        # With metrics enabled, workers run under a fresh registry and
-        # ship their counts back for merging (see parallel.py); the
-        # disabled submission path is byte-identical to before.
-        instrumented = metrics.enabled
-        try:
-            executor = get_executor(self.workers)
-            futures = [
-                executor.submit(
-                    instrumented_call, join_partition, left_part, right_part,
-                    *arguments,
-                )
-                if instrumented
-                else executor.submit(
-                    join_partition, left_part, right_part, *arguments
-                )
-                for left_part, right_part in pairs
-            ]
-        except BrokenProcessPool:
-            futures = []
-        # Collect in partition order: deterministic output for a
-        # deterministic partitioning function.
-        for index, future in enumerate(futures):
-            try:
-                result = future.result()
-                if instrumented:
-                    rows, dump = result
-                    metrics.merge(dump)
-                    yield rows
-                else:
-                    yield result
-            except BrokenProcessPool:
-                for left_part, right_part in pairs[index:]:
-                    yield join_partition(left_part, right_part, *arguments)
-                return
-        if not futures:
-            for left_part, right_part in pairs:
-                yield join_partition(left_part, right_part, *arguments)
-
-    def _describe(self) -> str:
-        condition = ",".join(
-            f"{self.left.schema[lp]}={self.right.schema[rp]}"
-            for lp, rp in zip(self._left_keys, self._right_keys)
-        )
-        return (
-            f"PartitionedHashJoin[{condition}]"
-            f"(workers={self.workers}, partitions={self.partitions})"
-            f"{list(self.schema)}"
-        )
-
-    def _children(self) -> tuple[Operator, ...]:
-        return (self.left, self.right)
-
-
-class MergeJoin(Operator):
-    """Sort-merge equi-join.
-
-    Inputs are materialized and sorted on their key columns unless their
-    ``sorted_on`` already matches (leaf scans over the store's sorted
-    permutations arrive presorted). ``value_key`` maps a single value to
-    a sortable key — dictionary codes are naturally ordered, decoded RDF
-    terms sort by their N-Triples rendering.
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        pairs: Sequence[tuple[int, int]],
-        keep_right: Sequence[int],
-        value_key: Callable | None = None,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self._left_keys = tuple(lp for lp, _ in pairs)
-        self._right_keys = tuple(rp for _, rp in pairs)
-        self._keep_right = tuple(keep_right)
-        self._value_key = value_key
-        self.schema = left.schema + tuple(right.schema[p] for p in self._keep_right)
-
-    def _key_function(self, positions: tuple[int, ...]) -> Callable[[PhysicalRow], tuple]:
-        value_key = self._value_key
-        if value_key is None:
-            return lambda row: tuple(row[p] for p in positions)
-        return lambda row: tuple(value_key(row[p]) for p in positions)
-
-    def _sorted_input(
-        self,
-        child: Operator,
-        positions: tuple[int, ...],
-        key,
-        batch_size: int | None = None,
-    ) -> list:
-        rows = child.rows() if batch_size is None else child.rows_batched(batch_size)
-        columns = tuple(child.schema[p] for p in positions)
-        if child.sorted_on is not None and child.sorted_on[: len(columns)] == columns:
-            return rows
-        rows.sort(key=key)
-        return rows
-
-    def _merge(self, left_rows: list, right_rows: list) -> Iterator[PhysicalRow]:
-        left_key = self._key_function(self._left_keys)
-        right_key = self._key_function(self._right_keys)
-        keep = self._keep_right
-        i = j = 0
-        n_left, n_right = len(left_rows), len(right_rows)
-        while i < n_left and j < n_right:
-            lk, rk = left_key(left_rows[i]), right_key(right_rows[j])
-            if lk < rk:
-                i += 1
-            elif rk < lk:
-                j += 1
-            else:
-                i_end = i + 1
-                while i_end < n_left and left_key(left_rows[i_end]) == lk:
-                    i_end += 1
-                j_end = j + 1
-                while j_end < n_right and right_key(right_rows[j_end]) == rk:
-                    j_end += 1
-                for row in left_rows[i:i_end]:
-                    for other in right_rows[j:j_end]:
-                        yield row + tuple(other[p] for p in keep)
-                i, j = i_end, j_end
-
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        left_key = self._key_function(self._left_keys)
-        right_key = self._key_function(self._right_keys)
-        left_rows = self._sorted_input(self.left, self._left_keys, left_key)
-        right_rows = self._sorted_input(self.right, self._right_keys, right_key)
-        return self._merge(left_rows, right_rows)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        """Materialize both sides through their batched paths, then merge.
-
-        The merge pass itself is inherently row-sequential; batching
-        still pays because the inputs arrive through the vectorized
-        subtree and the output leaves in row-list batches.
-        """
-        resolved = self._batch_size(size)
-        left_key = self._key_function(self._left_keys)
-        right_key = self._key_function(self._right_keys)
-        left_rows = self._sorted_input(self.left, self._left_keys, left_key, size)
-        right_rows = self._sorted_input(self.right, self._right_keys, right_key, size)
-        batch: Batch = []
-        for row in self._merge(left_rows, right_rows):
-            batch.append(row)
-            if len(batch) >= resolved:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-    def _describe(self) -> str:
-        condition = ",".join(
-            f"{self.left.schema[lp]}={self.right.schema[rp]}"
-            for lp, rp in zip(self._left_keys, self._right_keys)
-        )
-        return f"MergeJoin[{condition}]{list(self.schema)}"
-
-    def _children(self) -> tuple[Operator, ...]:
-        return (self.left, self.right)
-
-
 class Selection(Operator):
     """Filter rows by an arbitrary predicate; preserves order and schema."""
 
@@ -1136,18 +497,6 @@ class Selection(Operator):
         self.child = child
         self.predicate = predicate
         self.schema = child.schema
-        self.sorted_on = child.sorted_on
-
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        predicate = self.predicate
-        return (row for row in self.child if predicate(row))
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        predicate = self.predicate
-        for in_batch in self.child.batches(size):
-            batch = [row for row in in_batch if predicate(row)]
-            if batch:
-                yield batch
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         # Predicates see row tuples (their contract); the kept row
@@ -1182,38 +531,6 @@ class Projection(Operator):
         self.schema = schema
         self.distinct = distinct
 
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        positions = self._positions
-        if not self.distinct:
-            for row in self.child:
-                yield tuple(row[p] for p in positions)
-            return
-        seen: set = set()
-        for row in self.child:
-            image = tuple(row[p] for p in positions)
-            if image not in seen:
-                seen.add(image)
-                yield image
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        project = _projector(self._positions)
-        if not self.distinct:
-            for in_batch in self.child.batches(size):
-                yield [project(row) for row in in_batch]
-            return
-        seen: set = set()
-        add = seen.add
-        for in_batch in self.child.batches(size):
-            batch: Batch = []
-            append = batch.append
-            for row in in_batch:
-                image = project(row)
-                if image not in seen:
-                    add(image)
-                    append(image)
-            if batch:
-                yield batch
-
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         positions = self._positions
         if not self.distinct:
@@ -1225,7 +542,7 @@ class Projection(Operator):
         seen: set = set()
         add = seen.add
         for cb in self.child.column_batches(size):
-            batch: Batch = []
+            batch: list[PhysicalRow] = []
             append = batch.append
             for image in cb.project(positions):
                 if image not in seen:
@@ -1248,32 +565,12 @@ class Distinct(Operator):
         self.child = child
         self.schema = child.schema
 
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        seen: set = set()
-        for row in self.child:
-            if row not in seen:
-                seen.add(row)
-                yield row
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        seen: set = set()
-        add = seen.add
-        for in_batch in self.child.batches(size):
-            batch = []
-            append = batch.append
-            for row in in_batch:
-                if row not in seen:
-                    add(row)
-                    append(row)
-            if batch:
-                yield batch
-
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         width = len(self.schema)
         seen: set = set()
         add = seen.add
         for cb in self.child.column_batches(size):
-            batch: Batch = []
+            batch: list[PhysicalRow] = []
             append = batch.append
             for row in cb:
                 if row not in seen:
@@ -1296,12 +593,6 @@ class Relabel(Operator):
             )
         self.child = child
         self.schema = schema
-
-    def __iter__(self) -> Iterator[PhysicalRow]:
-        return iter(self.child)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        return self.child.batches(size)
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         return self.child.column_batches(size)

@@ -1,58 +1,40 @@
-"""Worker-pool plumbing of the parallel operators.
+"""The cached fork pool behind the view-selection search's frontier pricing.
 
-Two parallel execution paths share the cached fork pools here:
-
-* the **partitioned hash join** —
-  :class:`~repro.engine.operators.PartitionedHashJoin` splits both join
-  inputs into disjoint partitions by join-key hash and hands each
-  partition to :func:`join_partition`, a self-contained, picklable
-  function over plain row lists, so it runs identically in-process and
-  in a worker process;
-* **morsel-driven scans** — :func:`scan_morsels` fans the fixed-size
-  encoded-triple morsels of one base scan
-  (:class:`~repro.engine.operators.IndexScan`) across the pool, each
-  worker projecting and equality-filtering its morsel through
-  :func:`scan_morsel`, with results streamed back *in submission
-  order* so the parallel scan's answer sequence is identical to the
-  serial one. A bounded in-flight window keeps memory proportional to
-  the worker count, not the scan size.
+:func:`map_chunks` fans independent slices of a work list across a
+process pool; its one caller is the search's wave pricing
+(``SearchCore.price_frontier`` in :mod:`repro.selection.search`).
+:func:`fork_context` is shared with the server-mode worker pool
+(:mod:`repro.server.pool`). The engine itself runs serially: the
+pickle-per-task join partitions and scan morsels that used to live here
+ran at 0.4× of the serial scan and were never triggered by a measured
+workload (docs/benchmarks.md, "Retired paths").
 
 Process pools are cached per worker count (:func:`get_executor`):
 forking a pool costs tens of milliseconds, which must be paid once per
-session, not once per join. Pools use the ``fork`` start method where
-available (rows need not be shipped back through module re-imports) and
-are shut down at interpreter exit.
+session, not once per wave. Pools use the ``fork`` start method where
+available (results need not be shipped back through module re-imports)
+and are shut down at interpreter exit.
 
-Everything crossing the process boundary is plain data — lists of
-tuples of dictionary codes plus position tuples — never an operator,
-store, or database connection.
+Everything crossing the process boundary is plain, picklable data —
+never an operator, store, or database connection.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from operator import itemgetter
 
 from repro.obs import metrics
 
 #: Live executors, keyed by worker count.
 _executors: dict[int, ProcessPoolExecutor] = {}
 
-#: Rows per scan morsel — the unit of work a pool worker pulls. Large
-#: enough that the pickle round-trip amortizes over thousands of rows,
-#: small enough that a scan splits into many independently schedulable
-#: pieces (the morsel-driven scheduling idea).
-MORSEL_SIZE = 8192
-
 
 def fork_context():
     """The ``fork`` multiprocessing context, or the platform default.
 
-    Shared by the join/frontier fork pool below and by the server-mode
+    Shared by the frontier fork pool below and by the server-mode
     worker pool (:mod:`repro.server.pool`): forked workers inherit the
     parent's modules and code, so tasks need no re-imports, and child
     start-up stays in the tens of milliseconds.
@@ -71,9 +53,9 @@ def _is_broken(executor: ProcessPoolExecutor) -> bool:
 def get_executor(workers: int) -> ProcessPoolExecutor:
     """The cached process pool for ``workers`` worker processes.
 
-    A cached pool that broke (a worker was killed — OOM is plausible on
-    exactly the large joins this serves) is discarded and replaced, so
-    one dead worker never poisons every later parallel join.
+    A cached pool that broke (a worker was killed — plausible under
+    memory pressure) is discarded and replaced, so one dead worker
+    never poisons every later parallel wave.
     """
     executor = _executors.get(workers)
     if executor is not None and _is_broken(executor):
@@ -100,13 +82,12 @@ atexit.register(shutdown_executors)
 def map_chunks(function, common, chunks, workers: int) -> list:
     """Run ``function(common, chunk)`` for every chunk on the cached pool.
 
-    The generic fan-out primitive behind both the partitioned hash join
-    and the view-selection search's parallel frontier pricing: ``common``
-    (shipped once per chunk) carries the shared context — a cost model, a
-    statistics snapshot — and each chunk is an independent slice of the
-    work list. Results come back in chunk order. Everything crossing the
+    The fan-out primitive behind the view-selection search's parallel
+    frontier pricing: ``common`` (shipped once per chunk) carries the
+    shared context — a cost model, a statistics snapshot — and each
+    chunk is an independent slice of the work list. Results come back in chunk order. Everything crossing the
     boundary must be picklable; a pool broken mid-flight surfaces as
-    :class:`BrokenProcessPool` for the caller to handle (the search falls
+    :class:`~concurrent.futures.process.BrokenProcessPool` for the caller to handle (the search falls
     back to serial evaluation).
     """
     executor = get_executor(workers)
@@ -138,141 +119,3 @@ def instrumented_call(function, /, *args):
     is byte-identical to the uninstrumented one.
     """
     return metrics.collect(function, *args)
-
-
-def join_partition(
-    left_rows: list,
-    right_rows: list,
-    left_positions: tuple[int, ...],
-    right_positions: tuple[int, ...],
-    keep_positions: tuple[int, ...],
-) -> list:
-    """Hash-join one partition: build on the right, probe with the left.
-
-    Pure function over plain row lists — the unit of work a pool worker
-    executes. Returns the joined rows (left row + kept right columns),
-    in left-row order then right build order per key, matching the
-    serial hash join's output order partition-locally.
-    """
-    if metrics.enabled:
-        metrics.inc(
-            "engine.parallel.join.rows_in", len(left_rows) + len(right_rows)
-        )
-        metrics.inc("engine.parallel.join.partitions")
-    table: dict[tuple, list] = {}
-    get = table.get
-    for row in right_rows:
-        key = tuple(row[position] for position in right_positions)
-        tails = get(key)
-        tail = tuple(row[position] for position in keep_positions)
-        if tails is None:
-            table[key] = [tail]
-        else:
-            tails.append(tail)
-    joined: list = []
-    extend = joined.extend
-    for row in left_rows:
-        tails = get(tuple(row[position] for position in left_positions))
-        if tails:
-            extend([row + tail for tail in tails])
-    if metrics.enabled:
-        metrics.inc("engine.parallel.join.rows_out", len(joined))
-    return joined
-
-
-def scan_morsel(
-    morsel: list,
-    out_positions: tuple[int, ...],
-    eqs: tuple[tuple[int, int], ...],
-) -> list:
-    """Project (and equality-filter) one morsel of encoded triples.
-
-    Pure function over plain data — a list of ``(s, p, o)`` code
-    triples, the output positions, and the intra-atom equality pairs —
-    so it runs identically in-process and in a pool worker. Literal
-    filters (``non_literal`` variables) need the dictionary and are
-    therefore *not* morsel-eligible; the planner never parallelizes
-    those scans.
-    """
-    if eqs:
-        morsel = [
-            triple
-            for triple in morsel
-            if not any(triple[i] != triple[j] for i, j in eqs)
-        ]
-    width = len(out_positions)
-    if width == 1:
-        position = out_positions[0]
-        return [(triple[position],) for triple in morsel]
-    if width == 0:
-        return [()] * len(morsel)
-    project = itemgetter(*out_positions)
-    return [project(triple) for triple in morsel]
-
-
-def scan_morsels(
-    morsels,
-    out_positions: tuple[int, ...],
-    eqs: tuple[tuple[int, int], ...],
-    workers: int,
-):
-    """Fan one scan's morsels across the pool; yield projected row lists.
-
-    Results stream back **in submission order**, so the parallel scan
-    yields exactly the serial row sequence. At most ``2 × workers``
-    morsels are in flight at once (a bounded window): memory stays
-    proportional to the worker count while the pool always has work
-    queued. A pool that breaks mid-scan (a worker killed under memory
-    pressure) degrades to computing the remaining morsels in-process —
-    still in order, because every pending entry keeps its input morsel
-    for recomputation.
-    """
-    window = max(2, workers * 2)
-    pending: deque = deque()
-    executor = None
-    broken = False
-    nmorsels = nrows = 0
-
-    def submit(morsel):
-        nonlocal broken, executor
-        if broken:
-            return None
-        try:
-            if executor is None:
-                executor = get_executor(workers)
-            return executor.submit(scan_morsel, morsel, out_positions, eqs)
-        except (OSError, BrokenProcessPool):
-            broken = True
-            return None
-
-    def resolve(future, morsel):
-        nonlocal broken
-        if future is not None:
-            try:
-                return future.result()
-            except BrokenProcessPool:
-                broken = True
-        return scan_morsel(morsel, out_positions, eqs)
-
-    for morsel in morsels:
-        pending.append((submit(morsel), morsel))
-        if len(pending) < window:
-            continue
-        future, first = pending.popleft()
-        rows = resolve(future, first)
-        nmorsels += 1
-        nrows += len(rows)
-        if rows:
-            yield rows
-    while pending:
-        future, morsel = pending.popleft()
-        rows = resolve(future, morsel)
-        nmorsels += 1
-        nrows += len(rows)
-        if rows:
-            yield rows
-    if metrics.enabled:
-        metrics.inc("engine.morsel.count", nmorsels)
-        metrics.inc("engine.morsel.rows", nrows)
-        if broken:
-            metrics.inc("engine.morsel.fallback")

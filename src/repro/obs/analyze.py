@@ -33,15 +33,14 @@ from repro.engine.operators import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
-    MergeJoin,
     Operator,
-    PartitionedHashJoin,
 )
 from repro.engine.planner import (
+    INTERPRETED,
     SQL_PUSHDOWN,
-    _check_batch_size,
     _estimator,
-    choose_engine,
+    _images_from_root,
+    decode_images,
     plan_pushdown,
     plan_query,
 )
@@ -49,7 +48,7 @@ from repro.obs.render import PlanNode, operator_tree, query_header, render, sql_
 from repro.stats.provider import CatalogStatistics
 
 _CHILD_ATTRS = ("child", "left", "right")
-_JOINS = (HashJoin, PartitionedHashJoin, MergeJoin, IndexNestedLoopJoin)
+_JOINS = (HashJoin, IndexNestedLoopJoin)
 
 
 @dataclass
@@ -66,47 +65,17 @@ class OpStats:
 class _Probe(Operator):
     """Transparent operator wrapper recording its subtree's output.
 
-    Preserves ``schema``/``sorted_on`` and delegates the prebuilt-index
-    fast paths (``hash_index``/``hash_tails``), so wrapped plans execute
-    the exact code paths unwrapped ones do; the recorded wall time is
-    inclusive of the subtree below (children are probed too, so
-    per-operator self-time is the difference).
+    Preserves ``schema`` and delegates the prebuilt-tails fast path
+    (``hash_tails``), so wrapped plans execute the exact code paths
+    unwrapped ones do; the recorded wall time is inclusive of the
+    subtree below (children are probed too, so per-operator self-time
+    is the difference).
     """
 
     def __init__(self, inner: Operator) -> None:
         self.inner = inner
         self.schema = inner.schema
-        self.sorted_on = inner.sorted_on
         self.stats = OpStats()
-
-    def __iter__(self):
-        stats = self.stats
-        iterator = iter(self.inner)
-        while True:
-            started = time.perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                stats.wall_ms += (time.perf_counter() - started) * 1000.0
-                return
-            stats.wall_ms += (time.perf_counter() - started) * 1000.0
-            stats.rows_out += 1
-            yield row
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE):
-        stats = self.stats
-        iterator = self.inner.batches(size)
-        while True:
-            started = time.perf_counter()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                stats.wall_ms += (time.perf_counter() - started) * 1000.0
-                return
-            stats.wall_ms += (time.perf_counter() - started) * 1000.0
-            stats.batches += 1
-            stats.rows_out += len(batch)
-            yield batch
 
     def column_batches(self, size=DEFAULT_BATCH_SIZE):
         stats = self.stats
@@ -123,23 +92,14 @@ class _Probe(Operator):
             stats.rows_out += len(cb)
             yield cb
 
-    def hash_index(self, positions):
-        started = time.perf_counter()
-        table = self.inner.hash_index(positions)
-        self._record_prebuilt(table, started)
-        return table
-
     def hash_tails(self, positions, keep):
         started = time.perf_counter()
         table = self.inner.hash_tails(positions, keep)
-        self._record_prebuilt(table, started)
-        return table
-
-    def _record_prebuilt(self, table, started: float) -> None:
-        """A consumer took our prebuilt index instead of pulling rows."""
         self.stats.wall_ms += (time.perf_counter() - started) * 1000.0
         if table is not None:
+            # A consumer took our prebuilt tails instead of pulling rows.
             self.stats.rows_out += sum(len(bucket) for bucket in table.values())
+        return table
 
     def _describe(self) -> str:
         return self.inner._describe()
@@ -165,10 +125,9 @@ def _annotate_estimates(root: _Probe, estimator, query) -> None:
     """Attach estimator predictions along the plan's left-deep spine.
 
     ``prefix_cardinalities`` prices the output of every join step in
-    the estimator's order — the same numbers the engine choice and the
-    parallel-partition threshold were decided from — so ``est_rows=``
-    next to ``rows=`` is exactly the actual-vs-estimated comparison
-    that debugs the estimator.
+    the estimator's order — the numbers the join order was decided
+    from — so ``est_rows=`` next to ``rows=`` is exactly the
+    actual-vs-estimated comparison that debugs the estimator.
     """
     atoms = query.atoms
     if not atoms:
@@ -208,12 +167,6 @@ def _annotations(probe: _Probe) -> dict:
     annotations["time_ms"] = round(stats.wall_ms, 2)
     if stats.est_rows is not None:
         annotations["est_rows"] = round(stats.est_rows, 1)
-    hint = getattr(probe.inner, "preferred_batch_size", None)
-    if hint is not None:
-        annotations["batch_hint"] = hint
-    morsels = getattr(probe.inner, "morsel_workers", 0)
-    if morsels > 1:
-        annotations["morsel_workers"] = morsels
     return annotations
 
 
@@ -251,42 +204,26 @@ class AnalyzeReport:
         return render(self.tree, indent)
 
 
-def _run_instrumented(query, store, probe: _Probe, batch_size: int):
-    """Execute a probed tree through the head-projection path.
-
-    Mirrors ``run_query``'s batched route: deduplicate encoded head
-    images, decode each distinct image once — so the analyzed answer
-    set equals ``run_query``'s on every plan.
-    """
+def _run_instrumented(query, store, probe: _Probe):
+    """Execute a probed tree through ``run_query``'s head-image fold:
+    deduplicate encoded head images, decode each distinct image once —
+    so the analyzed answer set equals ``run_query``'s on every plan."""
     started = time.perf_counter()
-    images = mqo._images_from_root(query, probe, store, batch_size)
-    answers = mqo.decode_images(images, store)
+    images = _images_from_root(query, probe, store)
+    answers = decode_images(images, store)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return images, answers, wall_ms
 
 
-def _interpreted_report(
-    query, store, engine: str, batch_size: int, workers: int
-) -> AnalyzeReport:
-    resolved = (
-        choose_engine(query, store, pushdown=False)
-        if engine == "auto"
-        else engine
-    )
+def _interpreted_report(query, store) -> AnalyzeReport:
     # An explicit statistics provider bypasses the prepared-plan cache:
     # same catalog, same plan, but a private tree we may mutate.
-    root = plan_query(
-        query,
-        store,
-        engine=engine,
-        statistics=CatalogStatistics(store.stats),
-        workers=workers,
-    )
+    root = plan_query(query, store, statistics=CatalogStatistics(store.stats))
     probe = instrument(root)
     _annotate_estimates(probe, _estimator(store, None), query)
-    images, answers, wall_ms = _run_instrumented(query, store, probe, batch_size)
+    images, answers, wall_ms = _run_instrumented(query, store, probe)
     header = query_header(
-        query.name, engine=resolved, pushdown=False,
+        query.name, route=INTERPRETED,
         rows=len(answers), time_ms=round(wall_ms, 2),
     )
     header.children.append(operator_tree(probe, _annotate))
@@ -296,7 +233,7 @@ def _interpreted_report(
         distinct_images=len(images),
         root_rows=probe.stats.rows_out,
         wall_ms=wall_ms,
-        route="interpreted",
+        route=INTERPRETED,
         operators=_probe_stats(probe),
     )
 
@@ -330,33 +267,23 @@ def visited_aliases(plan_rows) -> list[int]:
     return [int(match.group(1)) for match in matches if match]
 
 
-def analyze_query(
-    query,
-    store,
-    engine: str = "auto",
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
-    pushdown: bool = True,
-) -> AnalyzeReport:
+def analyze_query(query, store, pushdown: bool = True) -> AnalyzeReport:
     """EXPLAIN ANALYZE one query: execute it instrumented, return the
     annotated plan tree plus the actual answers.
 
     Routes exactly like :func:`~repro.engine.planner.run_query`: on a
-    SQL-capable backend under ``engine="auto"`` the pushed-down
-    statement executes (timed, with the backend's ``EXPLAIN QUERY
-    PLAN`` attached) *and* the interpreted equivalent runs instrumented
-    beneath it, so per-operator actuals and estimator comparisons exist
-    on every backend. ``parity=yes`` on the header confirms both routes
+    SQL-capable backend the pushed-down statement executes (timed, with
+    the backend's ``EXPLAIN QUERY PLAN`` attached) *and* the
+    interpreted equivalent runs instrumented beneath it, so
+    per-operator actuals and estimator comparisons exist on every
+    backend. ``parity=yes`` on the header confirms both routes
     agreed on the answer set, ``order=kept`` that SQLite ran the joins
     in the estimator's order (``reordered`` would mean the ``CROSS
     JOIN`` text no longer pins it).
     """
-    batch_size = _check_batch_size(batch_size) or DEFAULT_BATCH_SIZE
-    compiled = None
-    if pushdown and engine == "auto":
-        compiled = plan_pushdown(query, store, workers)
+    compiled = plan_pushdown(query, store) if pushdown else None
     if compiled is None:
-        return _interpreted_report(query, store, engine, batch_size, workers)
+        return _interpreted_report(query, store)
     started = time.perf_counter()
     answers = compiled.execute(store)
     wall_ms = (time.perf_counter() - started) * 1000.0
@@ -366,15 +293,14 @@ def analyze_query(
     est_rows = None
     if atoms:
         est_rows = round(estimator.prefix_cardinalities(atoms, order)[-1], 1)
-    interpreted = _interpreted_report(query, store, engine, batch_size, workers)
+    interpreted = _interpreted_report(query, store)
     plan_rows = _query_plan_rows(compiled, store)
     sql_annotations = {"rows": len(answers), "time_ms": round(wall_ms, 2)}
     if est_rows is not None:
         sql_annotations["est_rows"] = est_rows
     header = query_header(
         query.name,
-        engine=SQL_PUSHDOWN,
-        pushdown=True,
+        route=SQL_PUSHDOWN,
         rows=len(answers),
         time_ms=round(wall_ms, 2),
         parity=answers == interpreted.answers,
@@ -398,7 +324,7 @@ def analyze_query(
     )
 
 
-def _analyze_dag(queries, store, batch_size: int, workers: int):
+def _analyze_dag(queries, store):
     """Instrumented shared-DAG execution over distinct queries.
 
     Compiles a **fresh** (uncached) batch of operator trees, probes
@@ -426,7 +352,7 @@ def _analyze_dag(queries, store, batch_size: int, workers: int):
         if node.leaf is not None:
             node.leaf._rows = materialized[node.leaf_key]
         started = time.perf_counter()
-        rows = probe.rows_batched(batch_size)
+        rows = probe.rows()
         node_ms = (time.perf_counter() - started) * 1000.0
         materialized[node.key] = rows
         title = query_header(
@@ -446,11 +372,7 @@ def _analyze_dag(queries, store, batch_size: int, workers: int):
         if consumer.root is None:
             root = instrument(
                 plan_query(
-                    query,
-                    store,
-                    engine="auto",
-                    statistics=CatalogStatistics(store.stats),
-                    workers=workers,
+                    query, store, statistics=CatalogStatistics(store.stats)
                 )
             )
             _annotate_estimates(root, estimator, query)
@@ -460,7 +382,7 @@ def _analyze_dag(queries, store, batch_size: int, workers: int):
             root = consumer.root
             shared_with = f"{len(consumer.leaf.schema)}-col node"
         started = time.perf_counter()
-        images = mqo._images_from_root(query, root, store, batch_size)
+        images = _images_from_root(query, root, store)
         branch_ms = (time.perf_counter() - started) * 1000.0
         image_sets.append(images)
         title = query_header(
@@ -481,12 +403,7 @@ def _analyze_dag(queries, store, batch_size: int, workers: int):
     return batch, children, image_sets, operators
 
 
-def analyze_union(
-    disjuncts,
-    store,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
-) -> AnalyzeReport:
+def analyze_union(disjuncts, store) -> AnalyzeReport:
     """EXPLAIN ANALYZE a union: MQO shared-node fan-out accounting.
 
     Always executes the instrumented shared DAG (that is the accounting
@@ -494,17 +411,12 @@ def analyze_union(
     ``SELECT ... UNION`` statement, that statement also executes, timed
     and parity-checked against the DAG's answers.
     """
-    batch_size = _check_batch_size(batch_size) or DEFAULT_BATCH_SIZE
-    distinct, compound, _singles = mqo._union_route(
-        tuple(disjuncts), store, workers
-    )
-    batch, children, image_sets, operators = _analyze_dag(
-        distinct, store, batch_size, workers
-    )
+    distinct, compound, _singles = mqo._union_route(tuple(disjuncts), store)
+    batch, children, image_sets, operators = _analyze_dag(distinct, store)
     images: set = set()
     for image_set in image_sets:
         images |= image_set
-    answers = mqo.decode_images(images, store)
+    answers = decode_images(images, store)
     nodes, consuming = batch.sharing_summary()
     route = "interpreted-dag"
     if compound is not None:
@@ -546,24 +458,16 @@ def analyze_union(
     )
 
 
-def analyze_batch(
-    queries,
-    store,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
-) -> tuple[PlanNode, list[set]]:
+def analyze_batch(queries, store) -> tuple[PlanNode, list[set]]:
     """EXPLAIN ANALYZE a workload batch: the shared-subplan DAG across
     queries, with per-query answer sets (``run_query_batch``'s route).
 
     Returns the annotated tree and one decoded answer set per distinct
     query, in batch order.
     """
-    batch_size = _check_batch_size(batch_size) or DEFAULT_BATCH_SIZE
     distinct = mqo._dedupe(queries)
-    batch, children, image_sets, _operators = _analyze_dag(
-        distinct, store, batch_size, workers
-    )
-    answers = [mqo.decode_images(images, store) for images in image_sets]
+    batch, children, image_sets, _operators = _analyze_dag(distinct, store)
+    answers = [decode_images(images, store) for images in image_sets]
     nodes, consuming = batch.sharing_summary()
     header = query_header(
         "workload batch",

@@ -297,7 +297,7 @@ def disabled_overhead_ns(iterations: int = 200_000) -> float:
     (two module attribute loads plus a branch — with both metrics and
     tracing off no call site ever constructs a span or touches the
     registry, they early-return before either) and returns nanoseconds
-    per touchpoint. The Figure 8 smoke benchmark multiplies this by the
+    per touchpoint. ``tests/obs/test_metrics.py`` multiplies this by the
     touchpoints per query to gate the disabled overhead below 5%.
     """
     from repro.obs import tracing

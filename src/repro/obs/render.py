@@ -23,7 +23,7 @@ class PlanNode:
     ``annotations`` become the bracketed ``[key=value ...]`` suffix;
     ``details`` are verbatim lines (e.g. SQL) indented under the node;
     ``header`` nodes (query titles) get a trailing colon, matching the
-    CLI's historical ``q2 [engine=hash ...]:`` framing.
+    CLI's ``q2 [route=interpreted ...]:`` framing.
     """
 
     label: str
@@ -110,5 +110,5 @@ def sql_tree(compiled, annotations=None, plan_rows=()) -> PlanNode:
 
 
 def query_header(name: str, **annotations) -> PlanNode:
-    """The ``qN [engine=... pushdown=...]:`` framing line."""
+    """The ``qN [route=... rows=...]:`` framing line."""
     return PlanNode(name, annotations, header=True)

@@ -5,21 +5,22 @@ Usage::
     from repro.obs import tracing
 
     tracing.configure("trace.jsonl")          # or any .write()-able
-    with tracing.span("engine.run_query", query="q1", engine="auto"):
+    with tracing.span("engine.run_query", query="q1"):
         ...
 
 Each span closes by appending one JSON line to the sink::
 
     {"name": "engine.run_query", "span_id": 2, "parent_id": 1,
      "start_ms": 12.031, "duration_ms": 4.118,
-     "attrs": {"query": "q1", "engine": "auto"}}
+     "attrs": {"query": "q1"}}
 
 ``span_id``/``parent_id`` reconstruct the nesting; ``start_ms`` is
 relative to :func:`configure` so a trace is self-contained. With no
 sink configured :func:`span` returns a shared no-op context manager —
 the disabled path is one attribute load, a branch, and a constant
-``with`` — cheap enough for per-query granularity (the Figure 8 smoke
-gate measures it; see ``metrics.disabled_overhead_ns``).
+``with`` — cheap enough for per-query granularity
+(``tests/obs/test_metrics.py`` gates it; see
+``metrics.disabled_overhead_ns``).
 
 Spans are process-local and single-threaded by design: fork-pool
 workers do not trace (their metrics travel back via

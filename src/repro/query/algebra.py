@@ -263,30 +263,17 @@ def rename_scan(plan: Plan, old: str, new: str) -> Plan:
 # ----------------------------------------------------------------------
 
 
-#: Sentinel: "use the engine's default batch size" (the engine constant
-#: cannot be imported at module top level — the engine imports this
-#: module's plan nodes, so that import would be circular).
-_DEFAULT_BATCH = object()
-
-
-def execute(
-    plan: Plan,
-    extents: Mapping[str, Sequence[Row]],
-    engine: str = "auto",
-    batch_size=_DEFAULT_BATCH,
-) -> list[Row]:
+def execute(plan: Plan, extents: Mapping[str, Sequence[Row]]) -> list[Row]:
     """Run the plan over view extents; returns rows (duplicates preserved
     except through Project, which deduplicates, matching set semantics of
     the conjunctive rewritings).
 
     Delegates to the physical-operator engine (:mod:`repro.engine`).
-    Joins probe the extents' cached hash indexes when the extents are
+    Joins probe the extents' cached join tails when the extents are
     :class:`~repro.engine.extents.ViewExtent` instances (as produced by
     :func:`repro.selection.materialize.materialize_views`); plain
     ``list`` extents still work, building a transient hash table per
-    join. Execution is batch-at-a-time by default; ``batch_size=None``
-    selects the tuple-at-a-time path. The row order matches the
-    historical interpreter exactly under the default engine either way.
+    join. The row order matches the historical interpreter exactly.
 
     >>> extents = {"v1": [(1, 2), (1, 2), (4, 5)], "v2": [(2, 3)]}
     >>> join = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
@@ -297,9 +284,6 @@ def execute(
     """
     # Imported lazily: the engine compiles this module's plan nodes, so
     # a top-level import would be circular.
-    from repro.engine.operators import DEFAULT_BATCH_SIZE
     from repro.engine.planner import run_plan
 
-    if batch_size is _DEFAULT_BATCH:
-        batch_size = DEFAULT_BATCH_SIZE
-    return run_plan(plan, extents, engine=engine, batch_size=batch_size)
+    return run_plan(plan, extents)

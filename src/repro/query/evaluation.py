@@ -1,58 +1,33 @@
 """Evaluation of conjunctive queries and unions over a triple store.
 
 The evaluator is the "standard query evaluation for plain RDF" the paper
-relies on (its ``evaluate`` function in Theorem 4.2). Since the engine
-refactor, :func:`evaluate` delegates to the physical-operator engine
-(:mod:`repro.engine`): atoms are ordered once by exact pattern
-cardinality (RDF-3X-style selectivity ordering) and executed through
-index-nested-loop, hash or merge joins selectable via ``engine=``.
+relies on (its ``evaluate`` function in Theorem 4.2). :func:`evaluate`
+delegates to the physical-operator engine (:mod:`repro.engine`): atoms
+are ordered once by estimated pattern cardinality (RDF-3X-style
+selectivity ordering) and joined through index probes, or the whole
+query runs as one SQL statement on a SQL-capable backend.
 
-Two reference implementations are kept alongside:
-
-* :func:`evaluate_greedy` — the original recursive evaluator that
-  re-counts every remaining atom at each recursion step (the pre-engine
-  behaviour, now a correctness/performance baseline);
-* :func:`evaluate_nested_loop` — the unindexed full-scan baseline
-  playing the paper's "plain triple table" role in Figure 8.
-
-All evaluators enforce the ``non_literal`` rule-4 semantics and agree on
-answer sets (property-tested in ``tests/property/test_property_engine.py``).
+One reference implementation is kept alongside:
+:func:`evaluate_nested_loop`, the unindexed full-scan evaluator playing
+the paper's "plain triple table" role in Figure 8. It shares no index,
+plan or batch code with the engine, which makes it the oracle every
+engine route is property-tested against
+(``tests/property/test_property_engine.py``); both enforce the
+``non_literal`` rule-4 semantics.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.engine import DEFAULT_BATCH_SIZE, evaluate_union_shared, run_query
+from repro.engine import evaluate_union_shared, run_query
 from repro.obs import tracing
 from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
-from repro.rdf.store import EncodedPattern, TripleStore
+from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 
 #: A query answer: one RDF term per head position.
 Answer = tuple[Term, ...]
-
-
-def _encode_atom_pattern(
-    atom: Atom,
-    store: TripleStore,
-    binding: dict[Variable, int],
-) -> EncodedPattern | None:
-    """Encoded pattern for an atom under the current variable binding.
-
-    Returns None when a constant does not occur in the store at all, in
-    which case the atom (and the whole query) has no matches.
-    """
-    encoded: list[int | None] = []
-    for term in atom:
-        if isinstance(term, Variable):
-            encoded.append(binding.get(term))
-        else:
-            code = store.encode_term(term)
-            if code is None:
-                return None
-            encoded.append(code)
-    return (encoded[0], encoded[1], encoded[2])
 
 
 def _match_binding(
@@ -89,143 +64,53 @@ def _match_binding(
     return extended
 
 
-def _evaluate_rec(
-    remaining: list[Atom],
-    binding: dict[Variable, int],
-    store: TripleStore,
-    query: ConjunctiveQuery,
-    results: set[Answer],
-) -> None:
-    if not remaining:
-        answer = []
-        for term in query.head:
-            if isinstance(term, Variable):
-                answer.append(store.dictionary.decode(binding[term]))
-            else:
-                answer.append(term)
-        results.add(tuple(answer))
-        return
-    # Greedy: expand the atom with the fewest matches under the binding.
-    best_index = None
-    best_count = None
-    best_pattern: EncodedPattern | None = None
-    for index, atom in enumerate(remaining):
-        pattern = _encode_atom_pattern(atom, store, binding)
-        if pattern is None:
-            return  # a constant absent from the data: no answers
-        count = store.count_encoded(pattern)
-        if best_count is None or count < best_count:
-            best_index, best_count, best_pattern = index, count, pattern
-            if count == 0:
-                return
-    assert best_index is not None and best_pattern is not None
-    atom = remaining[best_index]
-    rest = remaining[:best_index] + remaining[best_index + 1 :]
-    for triple in store.match_encoded(best_pattern):
-        extended = _match_binding(atom, triple, binding, store, query.non_literal)
-        if extended is not None:
-            _evaluate_rec(rest, extended, store, query, results)
-
-
 def evaluate(
     query: ConjunctiveQuery,
     store: TripleStore,
-    engine: str = "auto",
     statistics=None,
-    batch_size: int | str | None = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
     pushdown: bool = True,
-    layout: str = "columnar",
 ) -> set[Answer]:
     """All answers of a conjunctive query on the store (set semantics).
 
-    Delegates to the physical-operator engine; ``engine`` picks the join
-    strategy (see :data:`repro.engine.ENGINES`) and ``statistics`` may
-    supply precomputed atom cardinalities for join ordering. With
-    ``engine="auto"`` on a SQL-capable backend (SQLite), an eligible
-    query runs as one pushed-down SQL statement inside the backend;
-    ``pushdown=False`` keeps the interpreted operator tree (the
-    ablation baseline). Execution is otherwise batched — columnar by
-    default, ``layout="row"`` for the row-list ablation baseline —
-    with ``batch_size`` rows per operator hand-off (an int,
-    ``"adaptive"`` for planner-derived per-operator sizes, or ``None``
-    to restore the tuple-at-a-time path); ``workers`` enables the
-    parallel partitioned hash join and morsel-parallel scans on
-    big-enough plans.
+    Delegates to the physical-operator engine
+    (:func:`repro.engine.run_query`); ``statistics`` may supply
+    precomputed atom cardinalities for join ordering. On a SQL-capable
+    backend (SQLite) an eligible query runs as one pushed-down SQL
+    statement inside the backend; ``pushdown=False`` keeps the
+    interpreted operator tree (the reference tests compare against).
     """
-    return run_query(
-        query,
-        store,
-        engine=engine,
-        statistics=statistics,
-        batch_size=batch_size,
-        workers=workers,
-        pushdown=pushdown,
-        layout=layout,
-    )
-
-
-def evaluate_greedy(query: ConjunctiveQuery, store: TripleStore) -> set[Answer]:
-    """The seed evaluator: greedy index-nested-loop with per-recursion
-    re-counting of every remaining atom.
-
-    Kept as the reference baseline the engine is benchmarked against
-    (``benchmarks/bench_fig8_query_evaluation.py``) and as an
-    independent oracle for the parity property tests; production callers
-    should use :func:`evaluate`.
-    """
-    results: set[Answer] = set()
-    _evaluate_rec(list(query.atoms), {}, store, query, results)
-    return results
+    return run_query(query, store, statistics=statistics, pushdown=pushdown)
 
 
 def evaluate_union(
     union: UnionQuery | Iterable[ConjunctiveQuery],
     store: TripleStore,
-    engine: str = "auto",
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
     pushdown: bool = True,
     shared: bool = True,
 ) -> set[Answer]:
     """All answers of a union of conjunctive queries (duplicates removed).
 
     Reformulation unions overlap heavily — every rule rewrites one atom
-    and keeps the rest — so on the default route (``engine="auto"`` with
-    a batch size) the disjuncts are evaluated as **one shared batch**
-    through the multi-query optimizer (:mod:`repro.engine.mqo`): common
-    join subtrees execute once and fan out, encoded answer images are
-    deduplicated across the whole union, and each distinct answer is
-    decoded exactly once. On a SQL-capable backend an eligible union
-    runs as a single pushed-down ``SELECT ... UNION`` statement whose
-    shared subtrees are CTEs.
+    and keeps the rest — so the disjuncts are evaluated as **one shared
+    batch** through the multi-query optimizer (:mod:`repro.engine.mqo`):
+    common join subtrees execute once and fan out, encoded answer
+    images are deduplicated across the whole union, and each distinct
+    answer is decoded exactly once. On a SQL-capable backend an
+    eligible union runs as a single pushed-down ``SELECT ... UNION``
+    statement whose shared subtrees are CTEs.
 
-    ``shared=False`` restores fully independent per-disjunct evaluation
-    (the measured ablation baseline), as do fixed engines and the
-    tuple-at-a-time path.
+    ``shared=False`` evaluates every disjunct independently (the
+    reference the sharing tests compare against).
     """
     disjuncts = union.disjuncts if isinstance(union, UnionQuery) else tuple(union)
-    if shared and engine == "auto" and batch_size:
-        return evaluate_union_shared(
-            disjuncts,
-            store,
-            batch_size=batch_size,
-            workers=workers,
-            pushdown=pushdown,
-        )
+    if shared:
+        return evaluate_union_shared(disjuncts, store, pushdown=pushdown)
     with tracing.span(
         "query.evaluate_union", disjuncts=len(disjuncts), shared=False
     ):
         results: set[Answer] = set()
         for disjunct in disjuncts:
-            results |= evaluate(
-                disjunct,
-                store,
-                engine=engine,
-                batch_size=batch_size,
-                workers=workers,
-                pushdown=pushdown,
-            )
+            results |= evaluate(disjunct, store, pushdown=pushdown)
         return results
 
 
@@ -239,8 +124,8 @@ def evaluate_nested_loop(query: ConjunctiveQuery, store: TripleStore) -> set[Ans
     order, full-table scan per atom.
 
     This is the benchmarks' "plain triple table" baseline (the role the
-    unindexed relational plan plays in the paper's Figure 8); production
-    callers should use :func:`evaluate`.
+    unindexed relational plan plays in the paper's Figure 8) and the
+    tests' oracle; production callers should use :func:`evaluate`.
     """
     triples = list(store.match_encoded((None, None, None)))
     results: set[Answer] = set()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.engine.extents import ViewExtent
-from repro.engine.operators import DEFAULT_BATCH_SIZE
 from repro.query.algebra import Row, execute
 from repro.query.evaluation import Answer, evaluate, evaluate_union
 from repro.rdf.schema import RDFSchema
@@ -24,9 +23,6 @@ def materialize_views(
     state: State,
     store: TripleStore,
     schema: RDFSchema | None = None,
-    engine: str = "auto",
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
     pushdown: bool = True,
 ) -> dict[str, ViewExtent]:
     """Compute the extent of every view of ``state`` on ``store``.
@@ -45,16 +41,7 @@ def materialize_views(
     if schema is None:
         for view in state.views:
             extents[view.name] = ViewExtent(
-                _sorted_rows(
-                    evaluate(
-                        view,
-                        store,
-                        engine=engine,
-                        batch_size=batch_size,
-                        workers=workers,
-                        pushdown=pushdown,
-                    )
-                )
+                _sorted_rows(evaluate(view, store, pushdown=pushdown))
             )
         return extents
     from repro.reformulation.reformulate import reformulate
@@ -62,16 +49,7 @@ def materialize_views(
     for view in state.views:
         union = reformulate(view, schema)
         extents[view.name] = ViewExtent(
-            _sorted_rows(
-                evaluate_union(
-                    union,
-                    store,
-                    engine=engine,
-                    batch_size=batch_size,
-                    workers=workers,
-                    pushdown=pushdown,
-                )
-            )
+            _sorted_rows(evaluate_union(union, store, pushdown=pushdown))
         )
     return extents
 
@@ -82,11 +60,7 @@ def _sorted_rows(rows) -> list[Row]:
 
 
 def answer_query(
-    state: State,
-    query_name: str,
-    extents: Mapping[str, Sequence[Row]],
-    engine: str = "auto",
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
+    state: State, query_name: str, extents: Mapping[str, Sequence[Row]]
 ) -> set[Answer]:
     """Answer one workload query purely from materialized view extents."""
     rewriting = state.rewritings.get(query_name)
@@ -94,20 +68,17 @@ def answer_query(
         raise KeyError(f"state has no rewriting for query {query_name!r}")
     answers: set[Answer] = set()
     for disjunct in rewriting:
-        rows = execute(disjunct.plan, extents, engine=engine, batch_size=batch_size)
+        rows = execute(disjunct.plan, extents)
         answers.update(disjunct.answer_rows(rows))
     return answers
 
 
 def answer_all(
-    state: State,
-    extents: Mapping[str, Sequence[Row]],
-    engine: str = "auto",
+    state: State, extents: Mapping[str, Sequence[Row]]
 ) -> dict[str, set[Answer]]:
     """Answer every workload query of the state from the extents."""
     return {
-        name: answer_query(state, name, extents, engine=engine)
-        for name in state.rewritings
+        name: answer_query(state, name, extents) for name in state.rewritings
     }
 
 

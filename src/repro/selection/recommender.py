@@ -10,8 +10,7 @@ provider (exact catalog-backed counts, saturated-store counts, or the
 Section 4.3 post-reformulation counts) feeds the same
 :class:`~repro.stats.estimator.CardinalityEstimator` formulas the
 execution engine plans with, so the search and the engine price joins
-identically. The default ``engine="auto"`` used when materializing and
-answering is the engine's cost-based per-query selection.
+identically.
 
 Typical use::
 
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro.engine.operators import DEFAULT_BATCH_SIZE
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import Answer
 from repro.rdf.entailment import saturate
@@ -80,60 +78,27 @@ class Recommendation:
         """The recommended views."""
         return self.state.views
 
-    def materialize(
-        self,
-        engine: str = "auto",
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
-        workers: int = 1,
-    ) -> dict[str, list]:
+    def materialize(self) -> dict[str, list]:
         """Extents for all recommended views, honoring the entailment mode.
 
         * ``post_reformulation`` — reformulated views on the plain store;
         * ``saturation`` — plain views on the saturated store;
         * otherwise — plain views on the plain store.
-
-        ``engine`` selects the join strategy used to evaluate the views
-        (see :data:`repro.engine.ENGINES`); ``batch_size`` and
-        ``workers`` tune the batched engine exactly as in
-        :func:`repro.engine.run_query`.
         """
         if self.entailment == "post_reformulation":
-            return materialize_views(
-                self.state,
-                self.store,
-                self.schema,
-                engine=engine,
-                batch_size=batch_size,
-                workers=workers,
-            )
+            return materialize_views(self.state, self.store, self.schema)
         if self.entailment == "saturation":
             assert self.schema is not None
             return materialize_views(
-                self.state,
-                saturate(self.store, self.schema),
-                engine=engine,
-                batch_size=batch_size,
-                workers=workers,
+                self.state, saturate(self.store, self.schema)
             )
-        return materialize_views(
-            self.state,
-            self.store,
-            engine=engine,
-            batch_size=batch_size,
-            workers=workers,
-        )
+        return materialize_views(self.state, self.store)
 
     def answer(
-        self,
-        query_name: str,
-        extents: Mapping[str, Sequence],
-        engine: str = "auto",
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
+        self, query_name: str, extents: Mapping[str, Sequence]
     ) -> set[Answer]:
         """Answer one workload query from materialized extents."""
-        return answer_query(
-            self.state, query_name, extents, engine=engine, batch_size=batch_size
-        )
+        return answer_query(self.state, query_name, extents)
 
 
 class ViewSelector:

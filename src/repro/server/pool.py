@@ -1,8 +1,8 @@
 """The persistent worker pool behind server mode.
 
 This is the evolution of :mod:`repro.engine.parallel`'s cached fork
-pool into long-lived, *stateful* workers: where the join pool ships
-self-contained functions over plain rows, a serve worker holds real
+pool into long-lived, *stateful* workers: where that pool ships
+self-contained functions over plain data, a serve worker holds real
 per-process state — its own backend connection to the shared snapshot
 (opened read-only, so N processes serve one file with zero writes), its
 own prepared-plan cache (per-store, warmed by the traffic it sees), and
@@ -27,9 +27,7 @@ import os
 import time
 from typing import Sequence
 
-from repro.engine import DEFAULT_BATCH_SIZE
 from repro.engine.parallel import fork_context
-from repro.engine.planner import _check_batch_size
 from repro.obs import metrics
 from repro.server.protocol import ServerError
 
@@ -61,7 +59,7 @@ def _snapshot_identity(path: str) -> tuple[int, int]:
     return (stat.st_dev, stat.st_ino)
 
 
-def _answer_batch(texts, store, parse_cache, batch_size, engine):
+def _answer_batch(texts, store, parse_cache):
     """Answer one batch of query texts on the worker's store.
 
     Parse failures become per-text error entries; the valid remainder
@@ -87,9 +85,7 @@ def _answer_batch(texts, store, parse_cache, batch_size, engine):
         queries.append(query)
         positions.append(index)
     if queries:
-        answers = run_query_batch(
-            queries, store, engine=engine, batch_size=batch_size
-        )
+        answers = run_query_batch(queries, store)
         if metrics.enabled:
             metrics.inc("serve.worker.queries", len(queries))
             metrics.inc("serve.worker.batches")
@@ -102,8 +98,6 @@ def worker_main(
     conn,
     path: str,
     backend: str,
-    batch_size: int | None,
-    engine: str,
     collect: bool,
     test_hooks: bool,
 ) -> None:
@@ -150,13 +144,10 @@ def worker_main(
             started = time.perf_counter()
             if collect:
                 entries, dump = metrics.collect(
-                    _answer_batch, texts, store, parse_cache, batch_size,
-                    engine,
+                    _answer_batch, texts, store, parse_cache
                 )
             else:
-                entries = _answer_batch(
-                    texts, store, parse_cache, batch_size, engine
-                )
+                entries = _answer_batch(texts, store, parse_cache)
                 dump = None
             exec_ms = (time.perf_counter() - started) * 1000.0
             reply = ("ok", sequence, entries, exec_ms, dump)
@@ -298,8 +289,6 @@ class WorkerPool:
         *,
         workers: int = 2,
         backend: str = "sqlite",
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
-        engine: str = "auto",
         collect_metrics: bool = True,
         test_hooks: bool = False,
     ) -> None:
@@ -309,12 +298,6 @@ class WorkerPool:
             raise ValueError("a worker pool needs at least one worker")
         self.path = str(path)
         self.backend = backend
-        # Normalize once, before any worker forks: the protocol and
-        # replay() hand sizes through verbatim, and an invalid size
-        # must fail here — loudly — rather than inside N workers, while
-        # 0 must mean the tuple path exactly as it does on the CLI.
-        self.batch_size = _check_batch_size(batch_size)
-        self.engine = engine
         self.collect_metrics = collect_metrics
         self.test_hooks = test_hooks
         self._context = fork_context()
@@ -335,8 +318,8 @@ class WorkerPool:
         process = self._context.Process(
             target=worker_main,
             args=(
-                child_conn, self.path, self.backend, self.batch_size,
-                self.engine, self.collect_metrics, self.test_hooks,
+                child_conn, self.path, self.backend,
+                self.collect_metrics, self.test_hooks,
             ),
             name=f"repro-serve-worker-{index}",
             daemon=True,

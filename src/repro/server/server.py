@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import Listener
 from pathlib import Path
 
-from repro.engine import DEFAULT_BATCH_SIZE
-from repro.engine.planner import _check_batch_size
 from repro.obs.metrics import MetricsRegistry
 from repro.server.pool import BatchFailed, WorkerCrash, WorkerPool
 from repro.server.protocol import ServerError
@@ -61,8 +59,6 @@ class ServerConfig:
     backend: str = "sqlite"
     window_ms: float = 2.0
     max_batch_requests: int = 32
-    batch_size: int | None = DEFAULT_BATCH_SIZE
-    engine: str = "auto"
     collect_metrics: bool = True
     retries: int = 1
     request_timeout_s: float = 30.0
@@ -88,10 +84,6 @@ class Server:
         if not Path(self.path).is_file():
             raise ServerError(f"snapshot {self.path} does not exist")
         cfg = self.config
-        # Same normalization as the CLI/engine boundary: 0 → None (the
-        # tuple path), "adaptive" passes, anything invalid raises here
-        # instead of surfacing per-request inside the workers.
-        cfg.batch_size = _check_batch_size(cfg.batch_size)
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
         #: ``(worker_index, texts_tuple)`` per executed batch, in
@@ -104,8 +96,6 @@ class Server:
             self.path,
             workers=cfg.workers,
             backend=cfg.backend,
-            batch_size=cfg.batch_size,
-            engine=cfg.engine,
             collect_metrics=cfg.collect_metrics,
             test_hooks=cfg.test_hooks,
         )
@@ -262,7 +252,6 @@ class Server:
             "workers": cfg.workers,
             "backend": cfg.backend,
             "window_ms": cfg.window_ms,
-            "engine": cfg.engine,
             "worker_pids": self.worker_pids(),
         }
 

@@ -9,7 +9,7 @@ predictions (``est_rows``) sit next to actuals on join steps.
 
 import pytest
 
-from repro.engine import SQL_PUSHDOWN
+from repro.engine import SQL_PUSHDOWN, run_query
 from repro.obs.analyze import analyze_batch, analyze_query, analyze_union
 from repro.query.evaluation import evaluate, evaluate_union
 from repro.query.parser import parse_query
@@ -96,23 +96,23 @@ def test_joins_carry_estimates_next_to_actuals(backend, stores, q_painters):
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_adaptive_sizes_report_as_batch_hints(backend, stores, q_painters):
-    """``batch_size="adaptive"`` analyzes like any other size and every
-    planner-sized operator reports the batch size it resolved to."""
-    store = stores[backend]
-    report = analyze_query(
-        q_painters, store, batch_size="adaptive", pushdown=False
-    )
-    assert report.answers == evaluate(q_painters, store)
-    hints = [
-        node.annotations["batch_hint"]
-        for node in report.tree.walk()
-        if "batch_hint" in node.annotations
-    ]
-    assert hints, "scans and joins must carry their adaptive size"
-    for hint in hints:
-        assert 64 <= hint <= 8192
-        assert hint & (hint - 1) == 0  # a power of two
+def test_analyzed_actuals_match_run_query_on_fig8(backend, fig8):
+    """Every Figure 8 query analyzed once (the pushdown route on
+    SQLite, interpreted in memory): the probed answers equal
+    ``run_query``'s, distinct encoded images map 1:1 to decoded answers,
+    and the probed root cannot report fewer rows than it answered."""
+    queries, saturated = fig8
+    store = saturated if backend == "memory" else saturated.copy(backend=backend)
+    try:
+        for query in queries:
+            report = analyze_query(query, store)
+            assert report.answers == run_query(query, store)
+            assert report.distinct_images == report.answer_count >= 1
+            assert report.root_rows >= report.answer_count
+            assert sum(stats.rows_out for _, stats in report.operators) >= 1
+    finally:
+        if store is not saturated:
+            store.backend.close()
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])

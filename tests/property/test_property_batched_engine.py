@@ -1,158 +1,88 @@
-"""Parity of the batch-at-a-time execution paths (the batched engine's
-safety net).
+"""The one operator contract, ``column_batches(size)``, at its boundaries.
 
-The batched operators must be invisible semantically: for any store,
-any query, any batch size — including the degenerate size 1, a prime
-size that never divides the row counts evenly, and the planner-derived
-``"adaptive"`` sizes — in either batch layout (columnar
-:class:`~repro.engine.columnar.ColumnBatch` streams or row lists), and
-serial or parallel (partitioned hash joins, morsel-driven scans), the
-engine returns exactly the answers of the tuple-at-a-time path and of
-the seed's greedy evaluator. Rewriting plans over extents additionally
-preserve the row *multiset* (duplicates and all) across batch sizes.
+The batch size must be invisible semantically: for any store and any
+query, at the degenerate size 1, at 2, at a prime size that never
+divides the row counts evenly and at the engine default, a compiled
+plan streams well-formed, never-empty
+:class:`~repro.engine.columnar.ColumnBatch` objects carrying the same
+row multiset, whose head images are exactly the oracle's answers.
+Rewriting plans over extents additionally keep the seed's row *order*
+and duplicate semantics.
 
-The matrix runs per storage backend: the SQLite backend serves batches
-through ``fetchmany`` (and columnar batches through ``fetchmany``
-transpose) and batched probes through single-statement
-``IN (VALUES ...)`` queries, which must not change a single row.
+The matrix runs per storage backend: the SQLite backend serves columnar
+batches through a ``fetchmany`` transpose and batched probes through
+single-statement ``IN (VALUES ...)`` queries, which must not change a
+single row.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.engine.operators as operators
-import repro.engine.parallel as parallel
-import repro.engine.planner as planner
-from repro.engine import (
-    ENGINES,
-    ColumnBatch,
-    PartitionedHashJoin,
-    plan_query,
-    run_plan,
-)
+from repro.engine import DEFAULT_BATCH_SIZE, ColumnBatch, plan_query, run_plan
+from repro.engine.planner import plan_rewriting
 from repro.query.algebra import Join, Project, Scan
-from repro.query.cq import Atom, ConjunctiveQuery, Variable
-from repro.query.evaluation import evaluate, evaluate_greedy
-from repro.rdf.store import TripleStore
-from repro.rdf.terms import URI
-from repro.rdf.triples import Triple
+from repro.query.cq import Variable
+from repro.query.evaluation import evaluate_nested_loop
 from repro.storage import BACKENDS
 
 from tests.property.strategies import ENTITIES, queries, stores
 
-#: Batch sizes the parity matrix sweeps: degenerate, prime,
-#: planner-derived per-operator sizes, and the engine default.
-BATCH_SIZES = (1, 7, "adaptive", None)
-
-#: Both batch layouts: the columnar default and the row-list ablation.
-LAYOUTS = ("columnar", "row")
+#: Degenerate, smallest non-trivial, prime, and the engine default.
+BATCH_SIZES = (1, 2, 7, DEFAULT_BATCH_SIZE)
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
 
 
-def _batch_size(value):
-    """None stands for "the engine default" in the sweep."""
-    return {} if value is None else {"batch_size": value}
+def _head_images(query, root, rows, store):
+    """Decoded head tuples of ``rows`` (what ``run_query`` folds)."""
+    decode = store.dictionary.decode
+    slots = [
+        root.schema.index(term.name) if isinstance(term, Variable) else term
+        for term in query.head
+    ]
+    return {
+        tuple(decode(row[s]) if isinstance(s, int) else s for s in slots)
+        for row in rows
+    }
 
 
 @backends
 @settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_batched_answers_match_tuple_at_a_time(backend, data):
-    store = data.draw(stores(backend=backend), label="store")
-    query = data.draw(queries(), label="query")
-    expected = evaluate_greedy(query, store)
-    for engine in ENGINES:
-        assert evaluate(query, store, engine=engine, batch_size=None) == expected
-        for layout in LAYOUTS:
-            for size in BATCH_SIZES:
-                got = evaluate(
-                    query, store, engine=engine, layout=layout,
-                    **_batch_size(size),
-                )
-                assert got == expected, (engine, layout, size)
-
-
-@backends
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_batch_stream_is_well_formed(backend, data):
-    """Batches are non-empty lists of ≤ size rows covering the output."""
-    store = data.draw(stores(backend=backend), label="store")
-    query = data.draw(queries(), label="query")
-    size = data.draw(st.integers(1, 9), label="size")
-    for engine in ENGINES:
-        root = plan_query(query, store, engine=engine)
-        rows = list(root)
-        batched = []
-        for batch in root.batches(size):
-            assert isinstance(batch, list)
-            assert 0 < len(batch) <= size
-            batched.extend(batch)
-        assert Counter(batched) == Counter(rows), engine
-
-
-@backends
-@settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_column_batch_stream_is_well_formed(backend, data):
-    """Columnar streams carry the same row multiset as ``__iter__``,
-    with equal-length non-empty columns — and consuming them leaves the
-    tuple-at-a-time iteration order untouched."""
+    """Equal-length non-empty columns, the same row multiset at every
+    size, and head images equal to the oracle's answers."""
     store = data.draw(stores(backend=backend), label="store")
     query = data.draw(queries(), label="query")
-    size = data.draw(st.integers(1, 9), label="size")
-    for engine in ENGINES:
-        root = plan_query(query, store, engine=engine)
-        rows_before = list(root)
-        width = len(root.schema)
-        transposed = []
+    root = plan_query(query, store)
+    width = len(root.schema)
+    expected = evaluate_nested_loop(query, store)
+    reference = None
+    for size in BATCH_SIZES:
+        rows = []
         for cb in root.column_batches(size):
             assert isinstance(cb, ColumnBatch)
             assert len(cb.columns) == width
             assert len(cb) > 0
             for column in cb.columns:
                 assert len(column) == len(cb)
-            transposed.extend(cb.rows())
-        assert Counter(transposed) == Counter(rows_before), engine
-        assert list(root) == rows_before, engine
-
-
-@backends
-@settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_morsel_parallel_scan_parity(backend, data, monkeypatch):
-    """Morsel-driven scans move speed only: with the eligibility
-    threshold forced to zero and tiny morsels, workers=2 answers are
-    identical to serial in both layouts at every batch size."""
-    store = data.draw(stores(backend=backend, min_size=4), label="store")
-    query = data.draw(queries(), label="query")
-    monkeypatch.setattr(planner, "MORSEL_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(parallel, "MORSEL_SIZE", 16)
-    expected = evaluate_greedy(query, store)
-    for layout in LAYOUTS:
-        for size in (1, "adaptive", None):
-            got = evaluate(
-                query, store, workers=2, layout=layout, pushdown=False,
-                **_batch_size(size),
-            )
-            assert got == expected, (layout, size)
-    # workers=1 never routes through the morsel dispatcher.
-    assert evaluate(query, store, workers=1, pushdown=False) == expected
+            rows.extend(cb.rows())
+        if reference is None:
+            reference = Counter(rows)
+        assert Counter(rows) == reference, size
+        assert _head_images(query, root, rows, store) == expected, size
+    assert Counter(root.rows()) == reference
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_rewriting_plan_multiset_parity_across_batch_sizes(data):
-    """run_plan preserves the exact row multiset (and the seed's row
-    order under the default engine) at every batch size."""
+    """run_plan returns the seed interpreter's rows — its order, its
+    duplicates, ``Project`` deduplicating by first occurrence — and the
+    operator tree streams exactly those rows at every batch size."""
     size_l = data.draw(st.integers(0, 12), label="left rows")
     size_r = data.draw(st.integers(0, 12), label="right rows")
     pick = st.sampled_from(ENTITIES)
@@ -166,117 +96,18 @@ def test_rewriting_plan_multiset_parity_across_batch_sizes(data):
     }
     plan = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
     projected = Project(plan, ("x", "z"))
-    for engine in ENGINES:
-        reference = run_plan(plan, extents, engine=engine, batch_size=None)
+    # The seed's nested loops: left order, then right order per match.
+    joined = [
+        left + (right[1],)
+        for left in extents["v1"]
+        for right in extents["v2"]
+        if left[1] == right[0]
+    ]
+    distinct = list(dict.fromkeys((x, z) for x, _y, z in joined))
+    assert run_plan(plan, extents) == joined
+    assert run_plan(projected, extents) == distinct
+    for tree, reference in ((plan, joined), (projected, distinct)):
+        root = plan_rewriting(tree, extents)
         for size in (1, 7, 1024):
-            rows = run_plan(plan, extents, engine=engine, batch_size=size)
-            assert Counter(rows) == Counter(reference), (engine, size)
-            if engine != "merge":
-                # Non-sorting engines keep the seed's exact row order.
-                assert rows == reference, (engine, size)
-        for size in (1, 7, 1024):
-            assert run_plan(projected, extents, engine=engine, batch_size=size) == (
-                run_plan(projected, extents, engine=engine, batch_size=None)
-            ), (engine, size)
-
-
-@backends
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_parallel_partitioned_join_parity(backend, data, monkeypatch):
-    """Workers and partitioning move speed only, never the answer set."""
-    store = data.draw(stores(backend=backend, min_size=5), label="store")
-    query = data.draw(queries(), label="query")
-    monkeypatch.setattr(planner, "PARALLEL_ROW_THRESHOLD", 0)
-    monkeypatch.setattr(operators, "MIN_PARALLEL_INPUT_ROWS", 0)
-    expected = evaluate_greedy(query, store)
-    for size in BATCH_SIZES:
-        got = evaluate(
-            query, store, engine="hash", workers=2, **_batch_size(size)
-        )
-        assert got == expected, size
-    # Serial partitioned execution (workers=1 collapses to one task).
-    assert evaluate(query, store, engine="hash", workers=1) == expected
-
-
-@backends
-def test_planner_partitions_only_above_threshold(backend, monkeypatch):
-    """The cost model gates the partitioned join on estimated size."""
-    store = TripleStore(backend=backend)
-    p0, p1 = URI("http://u/p0"), URI("http://u/p1")
-    for i in range(40):
-        store.add(Triple(URI(f"http://u/e{i}"), p0, URI(f"http://u/f{i % 7}")))
-        store.add(Triple(URI(f"http://u/f{i % 7}"), p1, URI(f"http://u/g{i % 3}")))
-    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-    query = ConjunctiveQuery((X, Z), (Atom(X, p0, Y), Atom(Y, p1, Z)))
-
-    def has_partitioned(root):
-        if isinstance(root, PartitionedHashJoin):
-            return True
-        return any(has_partitioned(child) for child in root._children())
-
-    # Far below the default threshold: workers alone change nothing.
-    assert not has_partitioned(plan_query(query, store, engine="hash", workers=4))
-    # Forced threshold of zero: the same plan partitions.
-    monkeypatch.setattr(planner, "PARALLEL_ROW_THRESHOLD", 0)
-    store.add(Triple(URI("http://u/inv"), p0, URI("http://u/inv2")))  # flush cache
-    root = plan_query(query, store, engine="hash", workers=4)
-    assert has_partitioned(root)
-    # Serial compilation never partitions, threshold or not.
-    assert not has_partitioned(plan_query(query, store, engine="hash", workers=1))
-    expected = evaluate_greedy(query, store)
-    assert evaluate(query, store, engine="hash", workers=4) == expected
-
-
-@backends
-def test_batch_size_zero_selects_the_tuple_path(backend):
-    """0 follows the CLI convention: tuple-at-a-time, never zero-row batches."""
-    store = TripleStore(backend=backend)
-    p = URI("http://u/p0")
-    store.add(Triple(URI("http://u/e0"), p, URI("http://u/e1")))
-    store.add(Triple(URI("http://u/e1"), p, URI("http://u/e2")))
-    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-    query = ConjunctiveQuery((X, Z), (Atom(X, p, Y), Atom(Y, p, Z)))
-    expected = evaluate_greedy(query, store)
-    assert expected  # non-degenerate: the join has an answer
-    assert evaluate(query, store, batch_size=0) == expected
-    assert evaluate(query, store, batch_size=None) == expected
-    extents = {"v": [(1, 2), (1, 2)]}
-    plan = Scan("v", ("x", "y"))
-    assert run_plan(plan, extents, batch_size=0) == [(1, 2), (1, 2)]
-
-
-def test_negative_batch_size_is_rejected():
-    """A negative size would silently yield empty batches downstream."""
-    store = TripleStore()
-    store.add(Triple(URI("http://u/e0"), URI("http://u/p0"), URI("http://u/e1")))
-    X = Variable("X")
-    query = ConjunctiveQuery((X,), (Atom(X, URI("http://u/p0"), URI("http://u/e1")),))
-    with pytest.raises(ValueError, match="batch_size must be positive"):
-        evaluate(query, store, batch_size=-5)
-    with pytest.raises(ValueError, match="batch_size must be positive"):
-        run_plan(Scan("v", ("x",)), {"v": [(1,)]}, batch_size=-1)
-
-
-def test_unknown_batch_size_string_is_rejected():
-    """Only the ``"adaptive"`` sentinel is a legal string size."""
-    store = TripleStore()
-    store.add(Triple(URI("http://u/e0"), URI("http://u/p0"), URI("http://u/e1")))
-    X = Variable("X")
-    query = ConjunctiveQuery((X,), (Atom(X, URI("http://u/p0"), URI("http://u/e1")),))
-    with pytest.raises(ValueError, match="batch_size"):
-        evaluate(query, store, batch_size="huge")
-    assert evaluate(query, store, batch_size="adaptive") == evaluate(query, store)
-
-
-def test_unknown_layout_is_rejected():
-    store = TripleStore()
-    store.add(Triple(URI("http://u/e0"), URI("http://u/p0"), URI("http://u/e1")))
-    X = Variable("X")
-    query = ConjunctiveQuery((X,), (Atom(X, URI("http://u/p0"), URI("http://u/e1")),))
-    with pytest.raises(ValueError, match="layout"):
-        evaluate(query, store, layout="diagonal")
+            rows = [row for cb in root.column_batches(size) for row in cb]
+            assert rows == reference, size

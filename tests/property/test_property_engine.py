@@ -1,10 +1,12 @@
-"""Answer-set parity of every execution path (the engine's safety net).
+"""Answer-set parity of every execution route (the engine's safety net).
 
-The seed's greedy evaluator (`evaluate_greedy`), the unindexed full-scan
-baseline (`evaluate_nested_loop`) and every join strategy of the unified
-engine must agree on the answer set of any conjunctive query — including
-self-join atoms like ``t(X, p, X)``, Cartesian products, and the rule-4
-``non_literal`` restriction.
+The unindexed full-scan evaluator (`evaluate_nested_loop`, the oracle:
+it shares no index, plan or batch code with the engine) and both routes
+of the engine — the default one, which is whole-plan SQL pushdown on a
+SQL-capable backend, and the interpreted operator tree
+(``pushdown=False``) — must agree on the answer set of any conjunctive
+query, including self-join atoms like ``t(X, p, X)``, Cartesian
+products, and the rule-4 ``non_literal`` restriction.
 
 The whole matrix runs once per storage backend (``repro.storage``): the
 backend swap must be invisible to every evaluator, so a memory-backed
@@ -16,19 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    ENGINES,
-    FIXED_ENGINES,
-    HYBRID,
-    SQL_PUSHDOWN,
-    choose_engine,
-)
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
-from repro.query.evaluation import (
-    evaluate,
-    evaluate_greedy,
-    evaluate_nested_loop,
-)
+from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
@@ -41,37 +32,19 @@ X = Variable("X")
 backends = pytest.mark.parametrize("backend", BACKENDS)
 
 
-@backends
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_all_engines_match_reference_evaluators(backend, data):
-    store = data.draw(stores(backend=backend), label="store")
-    query = data.draw(queries(), label="query")
-    expected = evaluate_greedy(query, store)
-    assert evaluate_nested_loop(query, store) == expected
-    for engine in ENGINES:
-        assert evaluate(query, store, engine=engine) == expected, engine
+#: The engine's two routes, selected by ``pushdown``.
+ROUTES = (True, False)
 
 
 @backends
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_cost_based_auto_matches_every_fixed_engine(backend, data):
-    """The cost-based choice only moves speed, never the answer set.
-
-    On a SQL-capable backend the auto route may be whole-plan SQL
-    pushdown instead of a fixed join strategy; either way the answer
-    set must match every interpreted engine.
-    """
+def test_every_route_matches_the_oracle(backend, data):
     store = data.draw(stores(backend=backend), label="store")
     query = data.draw(queries(), label="query")
-    chosen = choose_engine(query, store)
-    assert chosen in FIXED_ENGINES + (HYBRID, SQL_PUSHDOWN)
-    if chosen == SQL_PUSHDOWN:
-        assert store.backend.supports_sql_plans
-    auto_answers = evaluate(query, store, engine="auto")
-    for engine in FIXED_ENGINES:
-        assert evaluate(query, store, engine=engine) == auto_answers, engine
+    expected = evaluate_nested_loop(query, store)
+    for pushdown in ROUTES:
+        assert evaluate(query, store, pushdown=pushdown) == expected, pushdown
 
 
 @backends
@@ -86,26 +59,24 @@ def test_non_literal_restriction_parity(backend, data):
             st.sets(st.sampled_from(body_vars)), label="non_literal"
         )
         query = query.with_non_literal(restricted)
-    expected = evaluate_greedy(query, store)
-    assert evaluate_nested_loop(query, store) == expected
-    for engine in ENGINES:
-        assert evaluate(query, store, engine=engine) == expected, engine
+    expected = evaluate_nested_loop(query, store)
+    for pushdown in ROUTES:
+        assert evaluate(query, store, pushdown=pushdown) == expected, pushdown
 
 
 @backends
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_self_join_atom_parity(backend, data):
-    # t(X, p, X) forces the intra-atom equality filter in every engine.
+    # t(X, p, X) forces the intra-atom equality filter on every route.
     store = data.draw(stores(backend=backend), label="store")
     prop = URI("http://u/p0")
     store.add(Triple(URI("http://u/e0"), prop, URI("http://u/e0")))
     query = ConjunctiveQuery((X,), (Atom(X, prop, X),))
-    expected = evaluate_greedy(query, store)
+    expected = evaluate_nested_loop(query, store)
     assert (URI("http://u/e0"),) in expected
-    assert evaluate_nested_loop(query, store) == expected
-    for engine in ENGINES:
-        assert evaluate(query, store, engine=engine) == expected, engine
+    for pushdown in ROUTES:
+        assert evaluate(query, store, pushdown=pushdown) == expected, pushdown
 
 
 @backends
@@ -119,11 +90,11 @@ def test_cross_backend_answer_parity(backend, data):
     """
     store = data.draw(stores(backend=backend), label="store")
     query = data.draw(queries(), label="query")
-    expected = evaluate(query, store, engine="auto")
+    expected = evaluate(query, store)
     for target in BACKENDS:
         clone = store.copy(backend=target)
         assert set(clone) == set(store)
-        assert evaluate(query, clone, engine="auto") == expected, target
+        assert evaluate(query, clone) == expected, target
 
 
 @backends
@@ -134,9 +105,11 @@ def test_non_literal_never_binds_literals_deterministic(backend):
     store.add(Triple(URI("http://u/s"), prop, URI("http://u/o")))
     query = ConjunctiveQuery((X,), (Atom(URI("http://u/s"), prop, X),))
     restricted = query.with_non_literal([X])
-    for engine in ENGINES:
-        assert evaluate(query, store, engine=engine) == {
+    for pushdown in ROUTES:
+        assert evaluate(query, store, pushdown=pushdown) == {
             (Literal("text"),),
             (URI("http://u/o"),),
         }
-        assert evaluate(restricted, store, engine=engine) == {(URI("http://u/o"),)}
+        assert evaluate(restricted, store, pushdown=pushdown) == {
+            (URI("http://u/o"),)
+        }

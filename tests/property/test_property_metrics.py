@@ -6,14 +6,13 @@ a fresh registry and the parent merges the returned dump. These
 properties pin the contract — counters and histograms accumulated
 across worker processes are exactly the counts a serial run of the same
 work produces, for any chunking, and instrumentation never changes
-answers (across backends and batch sizes).
+answers (on either backend).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.operators import ExtentScan, PartitionedHashJoin
 from repro.engine.parallel import map_chunks
 from repro.obs import metrics
 from repro.query.evaluation import evaluate
@@ -71,50 +70,6 @@ def test_pool_merged_metrics_equal_serial_totals(values, chunk_size):
     assert ours["min"] == theirs["min"]
     assert ours["max"] == theirs["max"]
     assert sorted(ours["samples"]) == sorted(theirs["samples"])
-
-
-@settings(max_examples=10, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                     min_size=1, max_size=30))
-def test_partitioned_join_worker_metrics_match_serial(rows):
-    """The real pool consumer: PartitionedHashJoin's fan-out.
-
-    ``min_parallel_rows=0`` forces pool dispatch on tiny inputs; the
-    serial reference is the same operator with one worker. The joined
-    rows and the partition-invariant counter (``rows_out`` — equal keys
-    co-partition, so total join output is independent of partitioning)
-    must agree; ``rows_in`` may only shrink on the pool path, which
-    prunes partition pairs with an empty side before dispatch.
-    """
-
-    def join(workers):
-        left = ExtentScan("l", list(rows), ("a", "b"))
-        right = ExtentScan("r", list(rows), ("b", "c"))
-        return PartitionedHashJoin(
-            left, right, pairs=[(1, 0)], keep_right=[1],
-            workers=workers, partitions=2, min_parallel_rows=0,
-        )
-
-    metrics.reset()
-    with metrics.enabled_registry():
-        serial_rows = sorted(join(1))
-    serial = metrics.registry().dump()["counters"]
-
-    metrics.reset()
-    with metrics.enabled_registry():
-        pool_rows = sorted(join(2))
-    merged = metrics.registry().dump()["counters"]
-
-    assert pool_rows == serial_rows
-    assert merged.get("engine.parallel.join.rows_out", 0) == serial.get(
-        "engine.parallel.join.rows_out", 0
-    )
-    assert merged.get("engine.parallel.join.rows_in", 0) <= serial.get(
-        "engine.parallel.join.rows_in", 0
-    )
-    assert merged.get("engine.parallel.join.partitions", 0) <= 2
-    if pool_rows:
-        assert merged["engine.parallel.join.partitions"] >= 1
 
 
 @settings(max_examples=5, deadline=None)
@@ -214,7 +169,7 @@ def test_served_answers_and_metrics_match_serial(data):
                         continue
                     _, dump = metrics.collect(
                         _answer_batch, list(batch_texts), replay_store,
-                        parse_cache, config.batch_size, config.engine,
+                        parse_cache,
                     )
                     serial_registry.merge(dump)
             finally:
@@ -236,13 +191,9 @@ def test_served_answers_and_metrics_match_serial(data):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_and_morsel_counters_are_guarded_per_query(backend, monkeypatch):
+def test_batch_counters_are_guarded_per_query(backend):
     """``engine.batch.*`` counts the head-image drive loop's hand-offs
-    (one guarded ``inc`` per query, never per batch), and
-    ``engine.morsel.*`` appears exactly when a scan ran morsel-parallel.
-    """
-    import repro.engine.parallel as parallel
-    import repro.engine.planner as planner
+    (one guarded ``inc`` per query, never per batch)."""
     from repro.query.cq import Atom, ConjunctiveQuery, Variable
     from repro.rdf.store import TripleStore
     from repro.rdf.terms import URI
@@ -258,39 +209,22 @@ def test_batch_and_morsel_counters_are_guarded_per_query(backend, monkeypatch):
 
     metrics.reset()
     with metrics.enabled_registry():
-        answers = evaluate(query, store, engine="hash", pushdown=False)
+        answers = evaluate(query, store, pushdown=False)
     counters = dict(metrics.registry().counters)
     assert counters["engine.batch.count"] >= 1
     assert counters["engine.batch.rows"] >= len(answers)
-    assert "engine.morsel.count" not in counters  # serial: no morsels
-
-    # engine="hash" keeps both inputs as unsorted base scans — the
-    # shape the morsel dispatcher applies to once the threshold drops.
-    monkeypatch.setattr(planner, "MORSEL_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(parallel, "MORSEL_SIZE", 16)
-    metrics.reset()
-    with metrics.enabled_registry():
-        parallel_answers = evaluate(
-            query, store, engine="hash", workers=2, pushdown=False
-        )
-    assert parallel_answers == answers
-    counters = dict(metrics.registry().counters)
-    assert counters.get("engine.morsel.count", 0) >= 1
-    assert counters.get("engine.morsel.rows", 0) >= 1
-    assert counters["engine.batch.count"] >= 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batch_size", [2, 1024])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_instrumentation_never_changes_answers(backend, batch_size, data):
+def test_instrumentation_never_changes_answers(backend, data):
     store = data.draw(stores(backend=backend), label="store")
     query = data.draw(queries(), label="query")
-    expected = evaluate(query, store, batch_size=batch_size, workers=2)
+    expected = evaluate(query, store)
     metrics.reset()
     with metrics.enabled_registry():
-        observed = evaluate(query, store, batch_size=batch_size, workers=2)
+        observed = evaluate(query, store)
     assert observed == expected
     counters = metrics.registry().counters
     assert counters.get("engine.queries", 0) == 1

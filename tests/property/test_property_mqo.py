@@ -4,9 +4,9 @@
 must return exactly what fully independent evaluation returns, on every
 configuration the route can take: random unions of random conjunctive
 queries (overlapping, isomorphic-but-renamed, and unrelated disjuncts
-alike), both storage backends, every batch size, serial and parallel
-workers, pushdown on and off, and stores mutated between evaluations
-(the union-level prepared-plan cache must invalidate).
+alike), both storage backends, pushdown on and off, and stores mutated
+between evaluations (the union-level prepared-plan cache must
+invalidate). The reference is the naive oracle, disjunct by disjunct.
 """
 
 from unittest import mock
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repro.engine.mqo as mqo
 from repro.engine import run_query, run_query_batch
-from repro.query.evaluation import evaluate_greedy, evaluate_union
+from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 
 from tests.property.strategies import (
     data_triples,
@@ -30,7 +30,7 @@ from tests.property.strategies import (
 def _reference(disjuncts, store):
     answers = set()
     for disjunct in disjuncts:
-        answers |= evaluate_greedy(disjunct, store)
+        answers |= evaluate_nested_loop(disjunct, store)
     return answers
 
 
@@ -54,22 +54,18 @@ def test_shared_union_matches_independent(data, backend):
 @settings(max_examples=30, deadline=None)
 @given(
     data=st.data(),
-    batch_size=st.sampled_from([1, 7, 1024]),
-    workers=st.sampled_from([1, 2]),
+    backend=st.sampled_from(["memory", "sqlite"]),
     pushdown=st.booleans(),
+    shared=st.booleans(),
 )
 def test_shared_union_across_the_configuration_matrix(
-    data, batch_size, workers, pushdown
+    data, backend, pushdown, shared
 ):
-    store = data.draw(stores(backend="sqlite"), label="store")
+    store = data.draw(stores(backend=backend), label="store")
     disjuncts = data.draw(unions(), label="union")
     try:
         assert evaluate_union(
-            disjuncts,
-            store,
-            batch_size=batch_size,
-            workers=workers,
-            pushdown=pushdown,
+            disjuncts, store, pushdown=pushdown, shared=shared
         ) == _reference(disjuncts, store)
     finally:
         store.backend.close()

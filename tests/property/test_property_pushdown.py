@@ -1,13 +1,13 @@
 """Answer-set parity of the whole-plan SQL pushdown route.
 
-``evaluate(engine="auto")`` on a SQLite-backed store runs eligible
-queries as one pushed-down SQL statement; these properties pin it to
-the interpreted engines and the seed's greedy evaluator across the
-matrix the route must survive: random conjunctive queries (self-joins,
-Cartesian products, constants the data never mentions), the rule-4
-``non_literal`` restriction, fresh stores versus stores mutated after
-the first evaluation (the prepared-SQL cache must invalidate), and
-every batch-size configuration. The statement joins in the estimator's
+``evaluate`` on a SQLite-backed store runs eligible queries as one
+pushed-down SQL statement; these properties pin it to the interpreted
+operator tree and the naive oracle across the matrix the route must
+survive: random conjunctive queries (self-joins, Cartesian products,
+constants the data never mentions), the rule-4 ``non_literal``
+restriction, and fresh stores versus stores mutated after the first
+evaluation (the prepared-SQL cache must invalidate). The statement
+joins in the estimator's
 order (``CROSS JOIN``), so the shapes that order matters most for — an
 unbound predicate, a Cartesian product — are pinned explicitly on top
 of the random ones.
@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SQL_PUSHDOWN, choose_engine, plan_pushdown
-from repro.query.evaluation import evaluate, evaluate_greedy
+from repro.engine import plan_pushdown
+from repro.query.evaluation import evaluate, evaluate_nested_loop
 
 from tests.property.strategies import data_triples, queries, stores
 
@@ -38,14 +38,14 @@ def fig8_workload():
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_pushdown_matches_greedy_and_interpreted(data):
+def test_pushdown_matches_oracle_and_interpreted(data):
     store = data.draw(stores(backend="sqlite"), label="store")
     query = data.draw(queries(), label="query")
     try:
-        expected = evaluate_greedy(query, store)
-        # auto on sqlite = pushdown whenever the shape is eligible ...
+        expected = evaluate_nested_loop(query, store)
+        # on sqlite = pushdown whenever the shape is eligible ...
         assert evaluate(query, store) == expected
-        # ... and the interpreted ablation baseline agrees.
+        # ... and the interpreted operator tree agrees.
         assert evaluate(query, store, pushdown=False) == expected
     finally:
         store.backend.close()
@@ -63,7 +63,7 @@ def test_pushdown_parity_with_non_literal_restriction(data):
                 st.sets(st.sampled_from(body_vars)), label="non_literal"
             )
             query = query.with_non_literal(restricted)
-        assert evaluate(query, store) == evaluate_greedy(query, store)
+        assert evaluate(query, store) == evaluate_nested_loop(query, store)
     finally:
         store.backend.close()
 
@@ -76,7 +76,7 @@ def test_pushdown_parity_survives_mutation(data):
     store = data.draw(stores(backend="sqlite"), label="store")
     query = data.draw(queries(), label="query")
     try:
-        assert evaluate(query, store) == evaluate_greedy(query, store)
+        assert evaluate(query, store) == evaluate_nested_loop(query, store)
         stored = sorted(store, key=lambda t: (t.s.n3(), t.p.n3(), t.o.n3()))
         if stored:
             victims = data.draw(
@@ -88,21 +88,7 @@ def test_pushdown_parity_survives_mutation(data):
         for triple in data.draw(data_triples(min_size=0, max_size=5),
                                 label="additions"):
             store.add(triple)
-        assert evaluate(query, store) == evaluate_greedy(query, store)
-    finally:
-        store.backend.close()
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), batch_size=st.sampled_from([None, 1, 7, 1024]))
-def test_pushdown_gate_honors_batch_configuration(data, batch_size):
-    """Every batch size agrees; ``None`` (tuple-at-a-time) never pushes
-    down but must still match."""
-    store = data.draw(stores(backend="sqlite"), label="store")
-    query = data.draw(queries(), label="query")
-    try:
-        expected = evaluate_greedy(query, store)
-        assert evaluate(query, store, batch_size=batch_size) == expected
+        assert evaluate(query, store) == evaluate_nested_loop(query, store)
     finally:
         store.backend.close()
 
@@ -128,7 +114,7 @@ def test_pushdown_parity_on_order_sensitive_shapes(data):
     try:
         for query in parse_queries(_ORDER_SENSITIVE_SHAPES):
             assert plan_pushdown(query, store) is not None
-            expected = evaluate_greedy(query, store)
+            expected = evaluate_nested_loop(query, store)
             assert evaluate(query, store) == expected, query.name
             assert evaluate(query, store, pushdown=False) == expected, query.name
     finally:
@@ -144,12 +130,11 @@ def test_fig8_shapes_take_the_pushdown_route(fig8_workload):
                  lambda s: len(s) >= 20)
     try:
         for query in fig8_workload:
-            assert choose_engine(query, store) == SQL_PUSHDOWN
             assert plan_pushdown(query, store) is not None
-            assert evaluate(query, store) == evaluate_greedy(query, store)
+            assert evaluate(query, store) == evaluate_nested_loop(query, store)
         for triple in list(store)[:5]:
             store.remove(triple)
         for query in fig8_workload:
-            assert evaluate(query, store) == evaluate_greedy(query, store)
+            assert evaluate(query, store) == evaluate_nested_loop(query, store)
     finally:
         store.backend.close()

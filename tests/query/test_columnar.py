@@ -1,19 +1,8 @@
-"""Unit tests of the columnar batch layout and its engine plumbing:
-:class:`ColumnBatch` operations (including the zero-width boolean-head
-case that breaks naive ``zip`` transposes), the planner's adaptive
-batch sizing, and the morsel scan primitive."""
+"""Unit tests of the columnar batch layout: :class:`ColumnBatch`
+operations, including the zero-width boolean-head case that breaks
+naive ``zip`` transposes."""
 
-import pytest
-
-from repro.engine.columnar import ColumnBatch, concat_batches, rows_to_columns
-from repro.engine.operators import ADAPTIVE_BATCH_SIZE, DEFAULT_BATCH_SIZE
-from repro.engine.parallel import scan_morsel
-from repro.engine.planner import (
-    _ADAPTIVE_MAX_BATCH,
-    _ADAPTIVE_MIN_BATCH,
-    _adaptive_batch_size,
-    _check_batch_size,
-)
+from repro.engine.columnar import ColumnBatch
 
 
 class TestColumnBatch:
@@ -24,7 +13,6 @@ class TestColumnBatch:
         assert len(batch) == 3
         assert batch.rows() == rows
         assert list(batch) == rows
-        assert batch.row(1) == (2, "b")
 
     def test_zero_width_batches_keep_their_length(self):
         """Boolean heads produce zero-column rows; the explicit length
@@ -48,60 +36,3 @@ class TestColumnBatch:
         taken = batch.take([2, 0])
         assert taken.rows() == [(3, 30), (1, 10)]
         assert len(taken) == 2
-
-    def test_from_columns_derives_length(self):
-        batch = ColumnBatch.from_columns([(1, 2), (10, 20)], 2)
-        assert len(batch) == 2
-        with pytest.raises(ValueError):
-            ColumnBatch.from_columns([], 0)
-
-    def test_rows_to_columns_alias(self):
-        assert rows_to_columns([(5,)], 1).columns == ((5,),)
-
-    def test_concat_batches(self):
-        one = ColumnBatch.from_rows([(1, 10)], 2)
-        two = ColumnBatch.from_rows([(2, 20), (3, 30)], 2)
-        merged = concat_batches([one, two], 2)
-        assert merged.rows() == [(1, 10), (2, 20), (3, 30)]
-        # Single non-empty input comes back as-is; all-empty is None.
-        assert concat_batches([one, ColumnBatch((), 0)], 2) is one
-        assert concat_batches([], 2) is None
-        zero = concat_batches(
-            [ColumnBatch((), 2), ColumnBatch((), 1)], 0
-        )
-        assert len(zero) == 3 and zero.columns == ()
-
-
-class TestAdaptiveSizing:
-    def test_power_of_two_clamped(self):
-        assert _adaptive_batch_size(0) == _ADAPTIVE_MIN_BATCH
-        assert _adaptive_batch_size(63) == _ADAPTIVE_MIN_BATCH
-        assert _adaptive_batch_size(65) == 128
-        assert _adaptive_batch_size(1000) == 1024
-        assert _adaptive_batch_size(10**9) == _ADAPTIVE_MAX_BATCH
-
-    def test_check_batch_size_accepts_the_sentinel(self):
-        assert _check_batch_size(ADAPTIVE_BATCH_SIZE) == ADAPTIVE_BATCH_SIZE
-        assert _check_batch_size(0) is None
-        assert _check_batch_size(None) is None
-        assert _check_batch_size(512) == 512
-        with pytest.raises(ValueError):
-            _check_batch_size("vectorized")
-        with pytest.raises(ValueError):
-            _check_batch_size(-1)
-
-    def test_default_batch_size_is_in_adaptive_range(self):
-        assert _ADAPTIVE_MIN_BATCH <= DEFAULT_BATCH_SIZE <= _ADAPTIVE_MAX_BATCH
-
-
-class TestScanMorsel:
-    def test_projects_and_filters(self):
-        morsel = [(1, 5, 1), (2, 5, 3), (4, 5, 4)]
-        # No eq constraints: plain projection.
-        assert scan_morsel(morsel, (0, 2), ()) == [(1, 1), (2, 3), (4, 4)]
-        # s == o constraint keeps only the self-loops.
-        assert scan_morsel(morsel, (0, 2), ((0, 2),)) == [(1, 1), (4, 4)]
-        # Single output column still yields 1-tuples.
-        assert scan_morsel(morsel, (1,), ()) == [(5,), (5,), (5,)]
-        # Zero output columns: one empty tuple per surviving triple.
-        assert scan_morsel(morsel, (), ((0, 2),)) == [(), ()]

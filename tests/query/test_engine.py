@@ -3,16 +3,12 @@
 import pytest
 
 from repro.engine import (
-    ENGINES,
-    FIXED_ENGINES,
-    HYBRID,
     Distinct,
     ExtentScan,
     HashJoin,
+    IndexNestedLoopJoin,
     IndexScan,
-    MergeJoin,
     ViewExtent,
-    choose_engine,
     plan_query,
     plan_rewriting,
     run_plan,
@@ -28,7 +24,7 @@ from repro.query.algebra import (
     execute,
 )
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
-from repro.query.evaluation import evaluate, evaluate_greedy
+from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.query.parser import parse_query
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, URI
@@ -41,103 +37,89 @@ X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 A, B, C, D = URI("http://a"), URI("http://b"), URI("http://c"), URI("http://d")
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request):
-    return request.param
+def _operators(root):
+    yield root
+    for child in root._children():
+        yield from _operators(child)
 
 
 class TestRunQuery:
-    def test_single_atom(self, museum_store, engine):
+    def test_single_atom(self, museum_store):
         query = parse_query("q(X, Y) :- t(X, hasPainted, Y)")
-        answers = run_query(query, museum_store, engine=engine)
+        answers = run_query(query, museum_store)
         assert (ex("vanGogh"), ex("starryNight")) in answers
         assert len(answers) == 6
 
-    def test_join_matches_seed_evaluator(self, museum_store, q_painters, engine):
-        assert run_query(q_painters, museum_store, engine=engine) == evaluate_greedy(
+    def test_join_matches_oracle(self, museum_store, q_painters):
+        assert run_query(q_painters, museum_store) == evaluate_nested_loop(
             q_painters, museum_store
         )
 
-    def test_chain_join(self, museum_store, engine):
+    def test_chain_join(self, museum_store):
         query = parse_query(
             "q(X, W) :- t(X, isParentOf, Y), t(Y, hasPainted, Z), "
             "t(Z, rdf:type, W)"
         )
-        assert run_query(query, museum_store, engine=engine) == evaluate_greedy(
+        assert run_query(query, museum_store) == evaluate_nested_loop(
             query, museum_store
         )
 
-    def test_self_join_atom(self, engine):
+    def test_self_join_atom(self):
         store = TripleStore()
         store.add(Triple(ex("a"), ex("p"), ex("a")))
         store.add(Triple(ex("a"), ex("p"), ex("b")))
         query = ConjunctiveQuery((X,), (Atom(X, ex("p"), X),))
-        assert run_query(query, store, engine=engine) == {(ex("a"),)}
+        assert run_query(query, store) == {(ex("a"),)}
 
-    def test_cartesian_product(self, museum_store, engine):
+    def test_cartesian_product(self, museum_store):
         query = parse_query(
             "q(X, Z) :- t(X, hasPainted, starryNight), t(Z, rdf:type, sketch)"
         )
-        assert run_query(query, museum_store, engine=engine) == {
+        assert run_query(query, museum_store) == {
             (ex("vanGogh"), ex("sketch1"))
         }
 
-    def test_unknown_constant_yields_empty(self, museum_store, engine):
+    def test_unknown_constant_yields_empty(self, museum_store):
         query = parse_query("q(X) :- t(X, neverSeenProperty, Y)")
-        assert run_query(query, museum_store, engine=engine) == set()
+        assert run_query(query, museum_store) == set()
 
-    def test_constant_and_duplicate_head(self, museum_store, engine):
+    def test_constant_and_duplicate_head(self, museum_store):
         query = ConjunctiveQuery(
             (X, ex("marker"), X), (Atom(X, ex("hasPainted"), ex("starryNight")),)
         )
-        assert run_query(query, museum_store, engine=engine) == {
+        assert run_query(query, museum_store) == {
             (ex("vanGogh"), ex("marker"), ex("vanGogh"))
         }
 
-    def test_boolean_head(self, museum_store, engine):
+    def test_boolean_head(self, museum_store):
         query = ConjunctiveQuery((), (Atom(X, ex("hasPainted"), ex("starryNight")),))
-        assert run_query(query, museum_store, engine=engine) == {()}
+        assert run_query(query, museum_store) == {()}
 
-    def test_non_literal_restriction(self, museum_store, engine):
+    def test_non_literal_restriction(self, museum_store):
         # starryNight has both a URI-valued and a literal-valued property;
         # restricting Y must drop the literal binding.
         unrestricted = ConjunctiveQuery((Y,), (Atom(ex("starryNight"), X, Y),))
         restricted = unrestricted.with_non_literal([Y])
-        all_values = run_query(unrestricted, museum_store, engine=engine)
-        non_literal = run_query(restricted, museum_store, engine=engine)
+        all_values = run_query(unrestricted, museum_store)
+        non_literal = run_query(restricted, museum_store)
         assert (Literal("The Starry Night"),) in all_values
         assert (Literal("The Starry Night"),) not in non_literal
         assert non_literal == {v for v in all_values if not isinstance(v[0], Literal)}
 
     def test_statistics_provider_is_honored(self, museum_store):
         query = parse_query("q(X, Y) :- t(X, hasPainted, Y), t(X, rdf:type, painter)")
-        answers = run_query(
-            query, museum_store, engine="auto", statistics=FixedStatistics()
-        )
-        assert answers == evaluate_greedy(query, museum_store)
-
-    def test_unknown_engine_rejected(self, museum_store):
-        query = parse_query("q(X) :- t(X, hasPainted, Y)")
-        with pytest.raises(ValueError):
-            run_query(query, museum_store, engine="quantum")
+        answers = run_query(query, museum_store, statistics=FixedStatistics())
+        assert answers == evaluate_nested_loop(query, museum_store)
 
 
 class TestPlanQuery:
-    def test_schema_covers_all_variables(self, museum_store, q_painters, engine):
-        root = plan_query(q_painters, museum_store, engine=engine)
+    def test_schema_covers_all_variables(self, museum_store, q_painters):
+        root = plan_query(q_painters, museum_store)
         assert set(root.schema) == {v.name for v in q_painters.variables()}
 
     def test_explain_renders_tree(self, museum_store, q_painters):
         rendered = plan_query(q_painters, museum_store).explain()
         assert "IndexScan" in rendered
-
-    def test_merge_plan_uses_sorted_leaves(self, museum_store):
-        query = parse_query("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)")
-        root = plan_query(query, museum_store, engine="merge")
-        assert isinstance(root, MergeJoin)
-        leaves = [root.left, root.right]
-        assert all(isinstance(leaf, IndexScan) for leaf in leaves)
-        assert all(leaf.sorted_on == ("Y",) for leaf in leaves)
 
 
 class TestOperators:
@@ -151,16 +133,9 @@ class TestOperators:
         left = ExtentScan("l", extent, ("x", "y"))
         right = ExtentScan("r", extent, ("y", "z"))
         join = HashJoin(left, right, pairs=[(1, 0)], keep_right=[1])
-        assert set(join) == {(A, B, C)}
-        # The extent cached the index the join asked for.
-        assert (0,) in extent._indexes
-
-    def test_merge_join_on_terms(self):
-        left = ExtentScan("l", [(A, B), (B, C)], ("x", "y"))
-        right = ExtentScan("r", [(B, D), (C, A)], ("y", "z"))
-        join = MergeJoin(left, right, pairs=[(1, 0)], keep_right=[1],
-                         value_key=lambda term: term.n3())
-        assert set(join) == {(A, B, D), (B, C, A)}
+        assert join.rows() == [(A, B, C)]
+        # The extent cached the join tails the join asked for.
+        assert ((0,), (1,)) in extent._tails
 
     def test_distinct_preserves_first_occurrence_order(self):
         child = ExtentScan("v", [(A,), (B,), (A,), (B,)], ("x",))
@@ -180,10 +155,9 @@ class TestPlanRewriting:
         )
         assert execute(plan, self.EXTENTS) == run_plan(plan, self.EXTENTS)
 
-    def test_all_engines_agree_on_row_sets(self, engine):
+    def test_join_returns_the_matching_rows(self):
         plan = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
-        rows = run_plan(plan, self.EXTENTS, engine=engine)
-        assert set(rows) == {(A, B, D), (A, C, A), (B, C, A)}
+        assert run_plan(plan, self.EXTENTS) == [(A, B, D), (A, C, A), (B, C, A)]
 
     def test_rename_relabels_schema(self):
         plan = Rename(Scan("v1", ("x", "y")), ("a", "b"))
@@ -204,14 +178,14 @@ class TestViewExtent:
 
     def test_index_is_cached(self):
         extent = ViewExtent([(A, B), (A, C)])
-        first = extent.index_on((0,))
-        second = extent.index_on((0,))
+        first = extent.tails_on((0,), (1,))
+        second = extent.tails_on((0,), (1,))
         assert first is second
-        assert first[(A,)] == [(A, B), (A, C)]
+        assert first[(A,)] == [(B,), (C,)]
 
     def test_empty_key_groups_all_rows(self):
         extent = ViewExtent([(A,), (B,)])
-        assert extent.index_on(())[()] == [(A,), (B,)]
+        assert extent.tails_on((), (0,))[()] == [(A,), (B,)]
 
 
 class TestPlanCache:
@@ -221,8 +195,12 @@ class TestPlanCache:
         query = parse_query("q(X, Y) :- t(X, p, Y)")
         first = plan_query(query, store)
         assert plan_query(query, store) is first
+        stale_entry = store._engine_plan_cache
         store.add(Triple(ex("b"), ex("p"), ex("c")))
         assert plan_query(query, store) is not first
+        # The stale entry is discarded wholesale, not patched.
+        assert store._engine_plan_cache is not stale_entry
+        assert store._engine_plan_cache["version"] == store.version
 
     def test_cache_does_not_miss_new_constants(self):
         # A constant absent at first compile must be seen after insertion.
@@ -241,26 +219,25 @@ class TestPlanCache:
 
 
 class TestCostBasedSelection:
-    """engine="auto" resolves to the cheapest fixed strategy per query."""
-
-    def test_choice_is_a_fixed_engine(self, museum_store, q_painters):
-        assert choose_engine(q_painters, museum_store) in FIXED_ENGINES
+    """The one plan shape: joins in the estimator's order, a connected
+    step as an index probe, a Cartesian step as a hash join."""
 
     def test_connected_join_prefers_index_probes(self, museum_store):
         query = parse_query(
             "q(X, W) :- t(X, isParentOf, Y), t(Y, hasPainted, Z), "
             "t(Z, rdf:type, W)"
         )
-        assert choose_engine(query, museum_store) == "index-nested-loop"
+        kinds = [type(op) for op in _operators(plan_query(query, museum_store))]
+        assert kinds == [IndexNestedLoopJoin, IndexNestedLoopJoin, IndexScan]
 
     def test_cartesian_product_avoids_per_row_rescans(self, museum_store):
         query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)")
-        assert choose_engine(query, museum_store) != "index-nested-loop"
+        kinds = [type(op) for op in _operators(plan_query(query, museum_store))]
+        assert kinds == [HashJoin, IndexScan, IndexScan]
 
     def test_mixed_query_selects_hybrid(self):
-        # A selective connected prefix (where index probes win) feeding a
-        # Cartesian step over enough rows that per-row rescans lose to one
-        # hash build: the hybrid plan prices below every pure strategy.
+        # A selective connected prefix (index probes) feeding a
+        # Cartesian step (one hash build instead of per-row rescans).
         store = TripleStore()
         store.add(Triple(ex("s0"), ex("p"), ex("c")))
         for i in range(10):
@@ -271,62 +248,18 @@ class TestCostBasedSelection:
         query = parse_query(
             "q(X, Y, Z) :- t(X, p, c), t(X, q, Y), t(Z, r, W)"
         )
-        assert choose_engine(query, store) == HYBRID
-        auto_answers = run_query(query, store, engine="auto")
-        assert len(auto_answers) == 200  # 10 paintings x 20 Cartesian rows
-        for fixed in FIXED_ENGINES:
-            assert run_query(query, store, engine=fixed) == auto_answers
-
-    def test_choice_cached_until_mutation(self, museum_store):
-        query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Y, rdf:type, Z)")
-        choice = choose_engine(query, museum_store)
-        entry = museum_store._engine_plan_cache
-        assert entry["choices"][query] == choice
-        # The auto plan itself lands in the prepared-plan cache too.
-        root = plan_query(query, museum_store, engine="auto")
-        assert plan_query(query, museum_store, engine="auto") is root
-
-    def test_mutation_flushes_choice(self):
-        store = TripleStore()
-        store.add(Triple(ex("a"), ex("p"), ex("b")))
-        query = parse_query("q(X, Z) :- t(X, p, Y), t(Y, p, Z)")
-        choose_engine(query, store)
-        stale_entry = store._engine_plan_cache
-        store.add(Triple(ex("b"), ex("p"), ex("c")))
-        # The next lookup re-derives the choice from fresh statistics
-        # in a fresh cache entry (the stale one is discarded wholesale).
-        assert choose_engine(query, store) in FIXED_ENGINES
-        assert store._engine_plan_cache is not stale_entry
-        assert store._engine_plan_cache["version"] == store.version
-
-    def test_explicit_statistics_drive_the_choice(self, museum_store, q_painters):
-        choice = choose_engine(q_painters, museum_store, statistics=FixedStatistics())
-        assert choice in FIXED_ENGINES
-
-    def test_auto_matches_every_fixed_engine_answer(self, museum_store):
-        queries = [
-            parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Y, rdf:type, Z)"),
-            parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, sketch)"),
-            parse_query("q(X) :- t(X, hasPainted, starryNight)"),
-        ]
-        for query in queries:
-            expected = run_query(query, museum_store, engine="auto")
-            for fixed in FIXED_ENGINES:
-                assert run_query(query, museum_store, engine=fixed) == expected
-
-    def test_single_atom_query_selects_deterministically(self, museum_store):
-        query = parse_query("q(X) :- t(X, hasPainted, Y)")
-        assert choose_engine(query, museum_store) == FIXED_ENGINES[0]
+        kinds = {type(op) for op in _operators(plan_query(query, store))}
+        assert kinds == {HashJoin, IndexNestedLoopJoin, IndexScan}
+        answers = run_query(query, store)
+        assert len(answers) == 200  # 10 paintings x 20 Cartesian rows
+        assert answers == evaluate_nested_loop(query, store)
 
     def test_empty_store_selection_is_safe(self):
         query = parse_query("q(X, Z) :- t(X, p, Y), t(Y, q, Z)")
         store = TripleStore()
-        assert choose_engine(query, store) in FIXED_ENGINES
-        assert run_query(query, store, engine="auto") == set()
+        assert plan_query(query, store).rows() == []
+        assert run_query(query, store) == set()
 
 
 def test_evaluate_delegates_to_engine(museum_store, q_painters):
-    for engine_name in ENGINES:
-        assert evaluate(q_painters, museum_store, engine=engine_name) == {
-            (ex("vanGogh"), ex("sketch1"))
-        }
+    assert evaluate(q_painters, museum_store) == {(ex("vanGogh"), ex("sketch1"))}

@@ -25,7 +25,7 @@ from repro.engine import (
 from repro.engine.mqo import decode_images
 from repro.query.containment import canonical_form, canonical_labeling
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
-from repro.query.evaluation import evaluate_greedy, evaluate_union
+from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 from repro.query.parser import parse_query
 from repro.rdf.store import TripleStore
 from repro.rdf.triples import Triple
@@ -65,7 +65,7 @@ def _headless_key(body, non_literal=frozenset()):
 def _union_reference(disjuncts, store):
     answers = set()
     for disjunct in disjuncts:
-        answers |= evaluate_greedy(disjunct, store)
+        answers |= evaluate_nested_loop(disjunct, store)
     return answers
 
 
@@ -200,9 +200,6 @@ class TestSharedExecution:
         expected = [run_query(query, museum_store) for query in queries]
         assert run_query_batch(queries, museum_store) == expected
         assert run_query_batch(queries, museum_store, shared=False) == expected
-        assert (
-            run_query_batch(queries, museum_store, engine="hash") == expected
-        )
 
     def test_batch_matches_individual_runs_on_sqlite(self, sqlite_museum):
         queries = [_chain(), _chain_typed()]
@@ -220,13 +217,6 @@ class TestSharedExecution:
 
     def test_empty_batch(self, museum_store):
         assert run_query_batch([], museum_store) == []
-
-    def test_tuple_at_a_time_stays_independent_but_agrees(self, museum_store):
-        queries = [_chain(), _chain_typed()]
-        expected = [run_query(query, museum_store) for query in queries]
-        assert (
-            run_query_batch(queries, museum_store, batch_size=None) == expected
-        )
 
     def test_decode_images_mixes_codes_and_constants(self, museum_store):
         code = museum_store.encode_term(ex("vanGogh"))
@@ -315,7 +305,7 @@ class TestUnionPushdown:
         compiled = plan_union_pushdown([_chain(), bad], sqlite_museum)
         assert compiled is not None
         assert compiled.branches == 1
-        assert compiled.execute(sqlite_museum) == evaluate_greedy(
+        assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
             _chain(), sqlite_museum
         )
 
@@ -352,7 +342,7 @@ class TestUnionPushdown:
         expected = _union_reference([titled, painted], sqlite_museum)
         assert compiled.execute(sqlite_museum) == expected
         # The restriction really drops the literal title binding.
-        assert evaluate_greedy(titled, sqlite_museum) == set()
+        assert evaluate_nested_loop(titled, sqlite_museum) == set()
 
 
 class TestStatementGate:
@@ -369,7 +359,7 @@ class TestStatementGate:
         from repro.engine.mqo import _union_route
 
         disjuncts = (_chain(), _chain_typed())
-        distinct, compound, singles = _union_route(disjuncts, sqlite_museum, 1)
+        distinct, compound, singles = _union_route(disjuncts, sqlite_museum)
         assert compound is None
         assert singles is not None and all(s is not None for s in singles)
         assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
@@ -380,10 +370,10 @@ class TestStatementGate:
         from repro.engine.mqo import _union_route
 
         disjuncts = (_chain(), _chain_typed())
-        first = _union_route(disjuncts, sqlite_museum, 1)
-        assert _union_route(disjuncts, sqlite_museum, 1) is first
+        first = _union_route(disjuncts, sqlite_museum)
+        assert _union_route(disjuncts, sqlite_museum) is first
         sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
-        assert _union_route(disjuncts, sqlite_museum, 1) is not first
+        assert _union_route(disjuncts, sqlite_museum) is not first
 
     def test_forced_compound_statement_agrees(self, sqlite_museum, monkeypatch):
         import repro.engine.mqo as mqo
@@ -392,9 +382,7 @@ class TestStatementGate:
         expected = _union_reference(disjuncts, sqlite_museum)
         monkeypatch.setattr(mqo, "STATEMENT_OVERHEAD_ROWS", 0.0)
         self._clear_plans(sqlite_museum)
-        distinct, compound, singles = mqo._union_route(
-            disjuncts, sqlite_museum, 1
-        )
+        distinct, compound, singles = mqo._union_route(disjuncts, sqlite_museum)
         assert compound is not None and singles is None
         assert evaluate_union(disjuncts, sqlite_museum) == expected
 
@@ -469,7 +457,7 @@ class TestEmptyPrefixPruning:
         disjuncts = _empty_prefix_union()
         batch = plan_batch(disjuncts, sqlite_museum)
         assert batch.nodes, "the shared prefix must form a gated node"
-        _, compound, singles = _union_route(disjuncts, sqlite_museum, 1)
+        _, compound, singles = _union_route(disjuncts, sqlite_museum)
         assert compound is None
         assert all(single is _EMPTY_BRANCH for single in singles)
         assert evaluate_union(disjuncts, sqlite_museum) == set()
@@ -481,7 +469,7 @@ class TestEmptyPrefixPruning:
         from repro.engine.mqo import _EMPTY_BRANCH, _union_route
 
         disjuncts = (_chain(), _chain_typed())
-        _, _, singles = _union_route(disjuncts, sqlite_museum, 1)
+        _, _, singles = _union_route(disjuncts, sqlite_museum)
         assert all(single is not _EMPTY_BRANCH for single in singles)
 
     def test_pruning_decision_invalidates_on_mutation(self, sqlite_museum):
@@ -492,7 +480,7 @@ class TestEmptyPrefixPruning:
         # Making vienna a parent of a painter fills the probed prefix:
         # the flushed route must re-probe and execute the branches.
         sqlite_museum.add(Triple(ex("vienna"), ex("isParentOf"), ex("bruegelJr")))
-        _, _, singles = _union_route(disjuncts, sqlite_museum, 1)
+        _, _, singles = _union_route(disjuncts, sqlite_museum)
         assert all(single is not _EMPTY_BRANCH for single in singles)
         expected = _union_reference(disjuncts, sqlite_museum)
         assert expected

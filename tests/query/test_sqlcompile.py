@@ -10,9 +10,6 @@ mutations.
 import pytest
 
 from repro.engine import (
-    FIXED_ENGINES,
-    SQL_PUSHDOWN,
-    choose_engine,
     compile_query,
     plan_pushdown,
     run_query,
@@ -21,12 +18,13 @@ from repro.engine import plan_union_pushdown, sqlcompile
 from repro.engine.planner import _estimator
 from repro.obs.analyze import _query_plan_rows, visited_aliases
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
-from repro.query.evaluation import evaluate, evaluate_greedy
+from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.query.parser import parse_query
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.rdf.vocabulary import RDF_TYPE
+from repro.selection.statistics import FixedStatistics
 
 from tests.conftest import ex
 
@@ -65,7 +63,7 @@ class TestCompileQuery:
 
     def test_execution_matches_reference(self, sqlite_museum):
         compiled = compile_query(_two_hop(), sqlite_museum)
-        assert compiled.execute(sqlite_museum) == evaluate_greedy(
+        assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
             _two_hop(), sqlite_museum
         )
 
@@ -93,7 +91,7 @@ class TestCompileQuery:
         compiled = compile_query(query, sqlite_museum)
         assert compiled.head_slots == (None, 0)
         assert compiled.head_constants[0] == ex("tag")
-        assert compiled.execute(sqlite_museum) == evaluate_greedy(
+        assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
             query, sqlite_museum
         )
 
@@ -122,7 +120,7 @@ class TestCompileQuery:
         compiled = compile_query(query, sqlite_museum)
         assert compiled.restricted_slots == (1,)
         assert compiled.execute(sqlite_museum) == set()  # titles are literals
-        assert compiled.execute(sqlite_museum) == evaluate_greedy(
+        assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
             query, sqlite_museum
         )
 
@@ -137,7 +135,7 @@ class TestCompileQuery:
         )
         compiled = compile_query(query, sqlite_museum)
         assert compiled.restricted_slots == ()
-        assert compiled.execute(sqlite_museum) == evaluate_greedy(
+        assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
             query, sqlite_museum
         )
 
@@ -187,7 +185,7 @@ class TestJoinOrder:
         # SQLite visits the aliases as written, rarest atom outermost.
         assert visited_aliases(_query_plan_rows(compiled, skewed_store)) == order
         assert query.atoms[order[0]].p == ex("rare")
-        assert compiled.execute(skewed_store) == evaluate_greedy(
+        assert compiled.execute(skewed_store) == evaluate_nested_loop(
             query, skewed_store
         )
         assert compiled.execute(skewed_store) == evaluate(
@@ -206,7 +204,7 @@ class TestJoinOrder:
             sqlite_museum.encode_term(ex("hasPainted")),
             sqlite_museum.encode_term(ex("isParentOf")),
         )
-        assert compiled.execute(sqlite_museum) == evaluate_greedy(
+        assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
             _two_hop(), sqlite_museum
         )
 
@@ -232,7 +230,7 @@ class TestJoinOrder:
         assert not any("," in line for line in from_lines)
         expected = set()
         for disjunct in disjuncts:
-            expected |= evaluate_greedy(disjunct, skewed_store)
+            expected |= evaluate_nested_loop(disjunct, skewed_store)
         assert compiled.execute(skewed_store) == expected
 
     def test_cartesian_body_compiles_and_agrees(self, skewed_store):
@@ -245,13 +243,13 @@ class TestJoinOrder:
         assert compiled is not None and "CROSS JOIN" in compiled.sql
         answers = compiled.execute(skewed_store)
         assert len(answers) == 3 * len(
-            evaluate_greedy(
+            evaluate_nested_loop(
                 parse_query("q(A) :- t(A, rdf:type, c1)",
                             namespace="http://example.org/"),
                 skewed_store,
             )
         )
-        assert answers == evaluate_greedy(query, skewed_store)
+        assert answers == evaluate_nested_loop(query, skewed_store)
         assert answers == evaluate(query, skewed_store, pushdown=False)
 
 
@@ -263,7 +261,7 @@ class TestFallbackShapes:
         assert compile_query(query, sqlite_museum) is None
         assert plan_pushdown(query, sqlite_museum) is None
         # The interpreted fallback still answers it.
-        assert run_query(query, sqlite_museum) == evaluate_greedy(
+        assert run_query(query, sqlite_museum) == evaluate_nested_loop(
             query, sqlite_museum
         )
 
@@ -281,38 +279,34 @@ class TestFallbackShapes:
         with pytest.raises(NotImplementedError):
             museum_store.backend.execute_sql_plan("SELECT 1")
         assert plan_pushdown(_two_hop(), museum_store) is None
-        assert choose_engine(_two_hop(), museum_store) != SQL_PUSHDOWN
 
     def test_routes_that_must_stay_interpreted(self, sqlite_museum, monkeypatch):
         query = _two_hop()
-        expected = evaluate_greedy(query, sqlite_museum)
+        expected = evaluate_nested_loop(query, sqlite_museum)
         monkeypatch.setattr(
             sqlite_museum.backend,
             "execute_sql_plan",
             lambda *a, **k: pytest.fail("pushdown route taken"),
         )
-        for engine in FIXED_ENGINES:  # explicit engines are a baseline
-            assert evaluate(query, sqlite_museum, engine=engine) == expected
-        # pushdown=False is the ablation switch.
+        # pushdown=False is the reference switch ...
         assert evaluate(query, sqlite_museum, pushdown=False) == expected
-        # The tuple-at-a-time path predates batching and stays as-is.
-        assert evaluate(query, sqlite_museum, batch_size=None) == expected
-
-    def test_auto_route_uses_pushdown(self, sqlite_museum):
-        query = _two_hop()
-        assert choose_engine(query, sqlite_museum) == SQL_PUSHDOWN
-        assert evaluate(query, sqlite_museum) == evaluate_greedy(
-            query, sqlite_museum
+        # ... and an explicit statistics provider orders the operator tree.
+        assert (
+            evaluate(query, sqlite_museum, statistics=FixedStatistics()) == expected
         )
 
-    def test_choose_engine_reports_interpreted_choice(self, sqlite_museum):
-        # pushdown=False asks for the strategy the operator-tree
-        # fallback compiles (what --explain shows on the tuple path).
-        from repro.engine import HYBRID
-
+    def test_auto_route_uses_pushdown(self, sqlite_museum, monkeypatch):
         query = _two_hop()
-        interpreted = choose_engine(query, sqlite_museum, pushdown=False)
-        assert interpreted in FIXED_ENGINES + (HYBRID,)
+        expected = evaluate_nested_loop(query, sqlite_museum)
+        statements = []
+        execute = sqlite_museum.backend.execute_sql_plan
+        monkeypatch.setattr(
+            sqlite_museum.backend,
+            "execute_sql_plan",
+            lambda sql, *a, **k: statements.append(sql) or execute(sql, *a, **k),
+        )
+        assert evaluate(query, sqlite_museum) == expected
+        assert len(statements) == 1
 
 
 class TestPreparedSqlCache:
@@ -347,17 +341,17 @@ class TestPreparedSqlCache:
             assert evaluate(query, store) == set()
             store.add(Triple(URI("http://e/a"), prop, URI("http://e/b")))
             assert evaluate(query, store) == {(URI("http://e/a"),)}
-            assert evaluate(query, store) == evaluate_greedy(query, store)
+            assert evaluate(query, store) == evaluate_nested_loop(query, store)
         finally:
             store.backend.close()
 
     def test_removal_invalidates_compiled_plans(self, sqlite_museum):
         query = _two_hop()
         before = evaluate(query, sqlite_museum)
-        assert before == evaluate_greedy(query, sqlite_museum)
+        assert before == evaluate_nested_loop(query, sqlite_museum)
         sqlite_museum.remove(
             Triple(ex("vanGogh"), ex("isParentOf"), ex("vincentW"))
         )
         after = evaluate(query, sqlite_museum)
-        assert after == evaluate_greedy(query, sqlite_museum)
+        assert after == evaluate_nested_loop(query, sqlite_museum)
         assert after < before

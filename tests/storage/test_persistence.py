@@ -55,8 +55,8 @@ def test_round_trip_across_backends(tmp_path, populated, source, target):
         )
     assert reopened.average_term_size() == store.average_term_size()
     # Query results are identical.
-    assert evaluate(QUERY, reopened, engine="auto") == evaluate(
-        QUERY, populated, engine="auto"
+    assert evaluate(QUERY, reopened) == evaluate(
+        QUERY, populated
     )
     reopened.close()
 
@@ -144,8 +144,8 @@ def test_close_without_mutation_leaves_file_untouched(tmp_path, populated):
     path.chmod(0o444)
     try:
         reader = TripleStore.open(path, backend="sqlite")
-        assert evaluate(QUERY, reader, engine="auto") == evaluate(
-            QUERY, populated, engine="auto"
+        assert evaluate(QUERY, reader) == evaluate(
+            QUERY, populated
         )
         reader.close()  # must not attempt any write
     finally:

@@ -17,7 +17,7 @@ import pytest
 from repro.engine import plan_pushdown
 from repro.engine.planner import _estimator
 from repro.obs.analyze import _query_plan_rows, visited_aliases
-from repro.query.evaluation import evaluate, evaluate_greedy
+from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.query.parser import parse_queries
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import URI
@@ -81,7 +81,7 @@ def _has_stat1(connection) -> bool:
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
 def test_same_statement_and_table_order_on_every_store(stores, query):
-    expected = evaluate_greedy(query, stores["memory"])
+    expected = evaluate_nested_loop(query, stores["memory"])
     order = _estimator(stores["memory"], None).join_order(query.atoms)
     compiled = {kind: plan_pushdown(query, store) for kind, store in stores.items()}
     for kind, store in stores.items():
@@ -137,7 +137,7 @@ def test_analyzed_snapshot_keeps_the_emitted_order(tmp_path):
             assert _table_order(compiled, reader) == estimator.join_order(
                 query.atoms
             )
-            assert evaluate(query, reader) == evaluate_greedy(query, plain)
+            assert evaluate(query, reader) == evaluate_nested_loop(query, plain)
     finally:
         reader.close()
         plain.close()

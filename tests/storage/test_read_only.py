@@ -58,7 +58,7 @@ def test_read_only_open_query_close_writes_nothing(saved):
         before = _fingerprint(path)
         reader = TripleStore.open(path, backend="sqlite", read_only=True)
         assert reader.backend.read_only is True
-        assert evaluate(QUERY, reader, engine="auto") == expected
+        assert evaluate(QUERY, reader) == expected
         reader.close()
         assert _fingerprint(path) == before
         # Zero sidecar files either: WAL mode would have created them.
@@ -97,7 +97,7 @@ def test_auto_detect_unwritable_snapshot(saved):
         expect_detected = not os.access(path, os.W_OK)
         reader = TripleStore.open(path, backend="sqlite")
         assert reader.backend.read_only is expect_detected
-        assert evaluate(QUERY, reader, engine="auto") == expected
+        assert evaluate(QUERY, reader) == expected
         reader.close()
     finally:
         path.chmod(0o644)
@@ -118,7 +118,7 @@ def test_many_read_only_readers_share_one_snapshot(saved):
     ]
     try:
         for reader in readers:
-            assert evaluate(QUERY, reader, engine="auto") == expected
+            assert evaluate(QUERY, reader) == expected
     finally:
         for reader in readers:
             reader.close()
@@ -135,6 +135,6 @@ def test_writable_open_still_works(saved):
     writer.close()
     reader = TripleStore.open(path, backend="sqlite", read_only=True)
     try:
-        assert len(evaluate(QUERY, reader, engine="auto")) == len(expected) + 1
+        assert len(evaluate(QUERY, reader)) == len(expected) + 1
     finally:
         reader.close()

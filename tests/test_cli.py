@@ -77,7 +77,7 @@ def test_entailment_with_schema_file(capsys, data_file, schema_file, tmp_path):
     assert "q1: 6 answers" in out
 
 
-def test_explain_prints_plans_and_chosen_engine(capsys, data_file, workload_file):
+def test_explain_prints_plans_and_route(capsys, data_file, workload_file):
     out = run_cli(
         capsys,
         "--data", str(data_file),
@@ -85,50 +85,10 @@ def test_explain_prints_plans_and_chosen_engine(capsys, data_file, workload_file
         "--time-limit", "2",
         "--explain",
     )
-    assert "physical plans on the store [batch-size=1024 workers=1]:" in out
-    assert "q2 [engine=" in out
-    assert "partitioned-join=no" in out
+    assert "physical plans on the store:" in out
+    assert "q1 [route=interpreted]:" in out
+    assert "q2 [route=interpreted]:" in out
     assert "IndexScan" in out
-
-
-def test_explain_adaptive_batch_size_reports_hints(
-    capsys, data_file, workload_file
-):
-    out = run_cli(
-        capsys,
-        "--data", str(data_file),
-        "--queries", str(workload_file),
-        "--time-limit", "2",
-        "--explain",
-        "--batch-size", "adaptive",
-        "--engine", "hash",
-        "--show-answers",
-    )
-    assert "physical plans on the store [batch-size=adaptive workers=1]:" in out
-    assert "batch_hint=" in out
-    assert "q1: 1 answers" in out  # adaptive sizes execute end to end
-
-
-def test_batch_size_rejects_unknown_strings(data_file, workload_file, capsys):
-    with pytest.raises(SystemExit):
-        main([
-            "--data", str(data_file),
-            "--queries", str(workload_file),
-            "--batch-size", "vectorized",
-        ])
-    capsys.readouterr()
-
-
-def test_explain_honors_fixed_engine(capsys, data_file, workload_file):
-    out = run_cli(
-        capsys,
-        "--data", str(data_file),
-        "--queries", str(workload_file),
-        "--time-limit", "2",
-        "--explain",
-        "--engine", "hash",
-    )
-    assert "q2 [engine=hash partitioned-join=no pushdown=no]" in out
 
 
 def test_empty_workload_errors(capsys, data_file, tmp_path):
@@ -259,21 +219,6 @@ class TestStorageBackends:
         assert "cannot open" in capsys.readouterr().err
 
 
-def test_uses_partitioned_join_walks_the_plan_tree():
-    """--explain's partitioned-join detection finds the operator anywhere."""
-    from repro.cli import _uses_partitioned_join
-    from repro.engine import ExtentScan, HashJoin, PartitionedHashJoin
-
-    left = ExtentScan("l", [(1, 2)], ("x", "y"))
-    right = ExtentScan("r", [(2, 3)], ("y", "z"))
-    plain = HashJoin(left, right, pairs=[(1, 0)], keep_right=[1])
-    assert not _uses_partitioned_join(plain)
-    partitioned = PartitionedHashJoin(left, right, pairs=[(1, 0)], keep_right=[1])
-    assert _uses_partitioned_join(partitioned)
-    nested = HashJoin(partitioned, right, pairs=[(2, 0)], keep_right=[1])
-    assert _uses_partitioned_join(nested)
-
-
 def test_search_budget_flags(capsys, data_file, workload_file):
     out = run_cli(
         capsys,
@@ -285,6 +230,23 @@ def test_search_budget_flags(capsys, data_file, workload_file):
     )
     assert "recommended views:" in out
     assert "cost reduction" in out
+
+
+def test_workers_parallelize_the_search_only(capsys, data_file, workload_file):
+    """``--workers`` is the search's frontier-pricing pool size; plans
+    and answers do not depend on it."""
+    out = run_cli(
+        capsys,
+        "--data", str(data_file),
+        "--queries", str(workload_file),
+        "--time-limit", "2",
+        "--workers", "2",
+        "--explain",
+        "--show-answers",
+    )
+    assert "q2 [route=interpreted]:" in out
+    assert "recommended views:" in out
+    assert "q1: 1 answers" in out
 
 
 def test_explain_prints_search_accounting(capsys, data_file, workload_file):
@@ -304,19 +266,6 @@ def test_explain_prints_search_accounting(capsys, data_file, workload_file):
     assert "states/sec" in out
 
 
-def test_explain_reports_workers_and_batch_size(capsys, data_file, workload_file):
-    out = run_cli(
-        capsys,
-        "--data", str(data_file),
-        "--queries", str(workload_file),
-        "--time-limit", "2",
-        "--explain",
-        "--workers", "2",
-        "--batch-size", "0",
-    )
-    assert "[batch-size=tuple-at-a-time workers=2]" in out
-
-
 def test_analyze_prints_annotated_plan(capsys, data_file, workload_file):
     out = run_cli(
         capsys,
@@ -325,8 +274,8 @@ def test_analyze_prints_annotated_plan(capsys, data_file, workload_file):
         "--time-limit", "2",
         "--analyze",
     )
-    assert "explain analyze on the store [batch-size=1024 workers=1]:" in out
-    assert "q2 [engine=" in out
+    assert "explain analyze on the store:" in out
+    assert "q2 [route=interpreted " in out
     assert "rows=" in out and "batches=" in out and "time_ms=" in out
     assert "est_rows=" in out
     assert "workload batch [queries=2" in out
@@ -344,7 +293,7 @@ def test_analyze_covers_the_pushdown_route(capsys, data_file, workload_file,
         "--time-limit", "2",
         "--analyze",
     )
-    assert "pushdown=yes" in out
+    assert "q2 [route=sql-pushdown " in out
     assert "parity=yes order=kept" in out
     assert "order=reordered" not in out
     assert "SQLPushdown" in out
