@@ -294,15 +294,16 @@ class IndexNestedLoopJoin(Operator):
         self.schema = child.schema + tuple(name for _, name in out)
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        """Columnar batched probing: group by key *vector*, probe once.
+        """Probe the store with one *batch* of patterns at a time.
 
         Input row indexes are grouped by probe key read straight off
         the fill columns (a scalar vector when one column fills the
         pattern — no per-row key tuple), the distinct keys become one
-        ``match_many_encoded`` call, and the output assembles per
-        column over a selection vector into the input batch plus the
-        transposed match tails. Row multiset and order both match the
-        row-batched path.
+        ``match_many_encoded`` call (one SQL statement on the SQLite
+        backend instead of one SELECT per row), and the output
+        assembles per column over a selection vector into the input
+        batch plus the transposed match tails. Within an input batch
+        the output is grouped by probe key, not in input-row order.
         """
         if self.impossible:
             return

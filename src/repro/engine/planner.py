@@ -365,9 +365,8 @@ def _images_from_root(
     if not any(isinstance(part, int) for part in parts):
         # No head variable: one image iff the body matches at all (a
         # ``zip`` over nothing but endless repeats would never stop).
-        for _ in root.column_batches():
+        if next(iter(root.column_batches()), None) is not None:
             images.add(tuple(next(part) for part in parts))
-            break
         return images
     nbatches = nrows = 0
     for cb in root.column_batches():

@@ -4,7 +4,7 @@
   the statistics layer and applies the textbook System-R formulas under
   the uniformity and independence assumptions — implemented once in the
   shared :class:`~repro.stats.estimator.CardinalityEstimator` (the same
-  estimator the engine planner orders joins and selects engines with):
+  estimator the engine planner orders joins with):
   the product of atom counts times, for each join variable,
   ``1/max(distinct)`` per extra occurrence, every division guarded so
   empty and degenerate stores price finitely.

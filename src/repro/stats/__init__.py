@@ -14,8 +14,8 @@ optimizer in the system:
   synthetic providers for dataset-free tests and benchmarks;
 * :class:`CardinalityEstimator` — the System-R formulas implemented
   once: conjunction cardinalities for the view-selection cost model,
-  greedy join ordering and prefix cardinalities for the engine's
-  cost-based plan and engine selection.
+  greedy join ordering for the engine's planner, prefix cardinalities
+  for the multi-query optimizer's cost gate and EXPLAIN ANALYZE.
 
 The historical import path ``repro.selection.statistics`` re-exports the
 providers; new code should import from here.

@@ -7,9 +7,9 @@ every optimizer in the system:
 * the view-selection cost model prices view extents and rewriting plans
   with :meth:`CardinalityEstimator.conjunction_cardinality`;
 * the engine planner orders joins with
-  :meth:`CardinalityEstimator.join_order` and feeds
-  :meth:`CardinalityEstimator.prefix_cardinalities` into its cost-based
-  engine selection.
+  :meth:`CardinalityEstimator.join_order`; the multi-query optimizer's
+  cost gate and EXPLAIN ANALYZE's ``est_rows=`` read
+  :meth:`CardinalityEstimator.prefix_cardinalities`.
 
 The estimate of a conjunction is the product of the atoms' exact
 pattern counts times, for each join variable, ``1/max(distinct)`` per
@@ -163,7 +163,7 @@ class CardinalityEstimator:
 
         ``result[k]`` is the System-R estimate for the conjunction of
         the first ``k + 1`` atoms of ``order`` — the input/output sizes
-        the cost-based engine selection prices each join step with.
+        the shared-subplan cost gate prices each join step with.
         Built incrementally in one pass: each step multiplies in the
         next atom's count and replaces the affected join variables'
         selectivity factors (dividing out the old power, multiplying

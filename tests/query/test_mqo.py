@@ -27,7 +27,6 @@ from repro.query.containment import canonical_form, canonical_labeling
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 from repro.query.parser import parse_query
-from repro.rdf.store import TripleStore
 from repro.rdf.triples import Triple
 
 from tests.conftest import ex

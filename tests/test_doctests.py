@@ -1,7 +1,7 @@
 """Executable documentation: the public-API doctest suite.
 
 The examples in the docstrings of the engine and storage entry points
-(``run_query``/``run_plan``/``choose_engine``, ``algebra.execute``,
+(``run_query``/``run_plan``/``run_query_batch``, ``algebra.execute``,
 ``StorageBackend``/``create_backend``, ``TripleStore.save``/``open``)
 double as regression tests; CI runs them through this module (and the
 docs job runs them standalone). A module listed here with zero
