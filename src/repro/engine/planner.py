@@ -343,7 +343,15 @@ def _run_query(
 def _images_from_root(
     query: ConjunctiveQuery, root: Operator, store: TripleStore
 ) -> set[tuple]:
-    """Distinct encoded head images of ``query`` from a compiled root.
+    """Distinct encoded head images of ``query`` from a compiled root."""
+    return _head_images(query.head, root, store)
+
+
+def _head_images(
+    head: Sequence[Variable | Term], root: Operator, store: TripleStore
+) -> set[tuple]:
+    """Distinct encoded images of ``head`` over the rows of ``root``
+    (whose schema names every head variable).
 
     A constant head term enters an image as its dictionary code — the
     image a disjunct binding a head *variable* to the same term
@@ -355,7 +363,7 @@ def _images_from_root(
     """
     schema = root.schema
     parts: list = []
-    for term in query.head:
+    for term in head:
         if isinstance(term, Variable):
             parts.append(schema.index(term.name))
         else:

@@ -24,7 +24,7 @@ numbers yet never recount from scratch.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.query.cq import ATTRIBUTES, Atom, ConjunctiveQuery, Variable
 from repro.stats.provider import Statistics
@@ -132,18 +132,22 @@ class CardinalityEstimator:
     # Join ordering
     # ------------------------------------------------------------------
 
-    def join_order(self, atoms: Sequence[Atom]) -> list[int]:
+    def join_order(
+        self, atoms: Sequence[Atom], bound: Iterable[Variable] = ()
+    ) -> list[int]:
         """Greedy selectivity order over a conjunction's atoms.
 
         Start from the rarest atom, then always expand with the rarest
         atom connected to the variables bound so far, falling back to a
         Cartesian step only when nothing is connected. Ties break on
-        atom index, keeping plans deterministic.
+        atom index, keeping plans deterministic. ``bound`` names
+        variables an input already binds (the leaf a prepared tree
+        starts from), so the first step too prefers a connected atom.
         """
         counts = [self.atom_cardinality(atom) for atom in atoms]
         remaining = set(range(len(atoms)))
         order: list[int] = []
-        bound: set[Variable] = set()
+        bound = set(bound)
         while remaining:
             if bound:
                 connected = [i for i in remaining if atoms[i].variables() & bound]

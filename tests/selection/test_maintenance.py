@@ -1,12 +1,16 @@
 """Unit tests for incremental view maintenance."""
 
+import sys
+
 import pytest
 
 from repro.query.evaluation import evaluate
 from repro.query.parser import parse_query
 from repro.rdf.entailment import saturate
 from repro.rdf.store import TripleStore
+from repro.rdf.terms import URI
 from repro.rdf.triples import Triple
+from repro.rdf.vocabulary import RDF_TYPE
 from repro.selection.maintenance import MaterializedViewSet
 from repro.selection.state import initial_state
 
@@ -152,3 +156,269 @@ class TestAgainstRematerialization:
         assert maintained.extent(state.views[0].name) == evaluate(
             state.views[0], store
         )
+
+
+# ----------------------------------------------------------------------
+# What an update runs: indexed, prepared, factorised delta rules
+# ----------------------------------------------------------------------
+
+BARTON = "http://simile.mit.edu/barton#"
+
+
+def counters_of(update, triple) -> dict:
+    """The ``selection.maintain.*`` / ``engine.*`` counters one update
+    leaves in a fresh registry."""
+    from repro.obs import metrics
+
+    _, dump = metrics.collect(update, triple)
+    return dump["counters"]
+
+
+def maintain(counters: dict, name: str) -> int:
+    return counters[f"selection.maintain.{name}"]
+
+
+class TestNoOpUpdates:
+    def test_absent_remove_and_present_insert_probe_nothing(
+        self, fresh_store, workload
+    ):
+        maintained = MaterializedViewSet(initial_state(workload), fresh_store)
+        absent = Triple(ex("ghost"), ex("hasPainted"), ex("x"))
+        present = Triple(ex("vanGogh"), ex("hasPainted"), ex("starryNight"))
+        version = fresh_store.version
+        for counters in (
+            counters_of(maintained.remove, absent),
+            counters_of(maintained.insert, present),
+        ):
+            assert maintain(counters, "updates") == 1
+            assert maintain(counters, "rules_matched") == 0
+            assert maintain(counters, "plans_run") == 0
+            assert maintain(counters, "plans_compiled") == 0
+            assert not any(name.startswith("engine.") for name in counters)
+        assert fresh_store.version == version
+
+    def test_real_updates_do_run_plans(self, fresh_store, workload):
+        maintained = MaterializedViewSet(initial_state(workload), fresh_store)
+        triple = Triple(ex("vincentW"), ex("hasPainted"), ex("irises"))
+        inserted = counters_of(maintained.insert, triple)
+        assert maintain(inserted, "rules_matched") >= 2
+        assert maintain(inserted, "plans_run") >= 1
+        assert maintain(inserted, "rows_added") >= 2
+        removed = counters_of(maintained.remove, triple)
+        assert maintain(removed, "rederive_checks") >= 2
+        assert maintain(removed, "rows_dropped") == maintain(inserted, "rows_added")
+        # Prepared once: the second update compiles nothing new for the
+        # delta rules, only the re-derivation trees it runs first here.
+        again = counters_of(maintained.insert, triple)
+        assert maintain(again, "plans_compiled") == 0
+
+
+class TestLiteralRestriction:
+    def test_restricted_head_variable_rejects_a_literal_row(self, monkeypatch):
+        """A rule-4-shaped disjunct ``v(X) :- t(Y, p, X)`` with
+        ``non_literal={X}`` derives no literal row — neither when the
+        delta rules bind X from the triple nor when the deletion check
+        binds X from the candidate row."""
+        from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
+        from repro.rdf.terms import Literal
+
+        x, y = Variable("X"), Variable("Y")
+        plain = ConjunctiveQuery((x,), (Atom(y, ex("q"), x),), name="v")
+        restricted = ConjunctiveQuery(
+            (x,), (Atom(y, ex("p"), x),), name="v", non_literal=frozenset({x})
+        )
+        # The view set reformulates through this module attribute (the
+        # package re-exports the function under the module's own name).
+        monkeypatch.setattr(
+            sys.modules["repro.reformulation.reformulate"],
+            "reformulate",
+            lambda view, schema: UnionQuery((plain, restricted), name="v"),
+        )
+        store = TripleStore()
+        by_q = Triple(ex("a"), ex("q"), Literal("lit"))
+        store.add(by_q)
+        store.add(Triple(ex("b"), ex("p"), Literal("lit")))
+        store.add(Triple(ex("b"), ex("p"), ex("c")))
+        maintained = MaterializedViewSet(
+            initial_state([plain]), store, schema=object()
+        )
+        (name,) = (view.name for view in maintained.state.views)
+        assert maintained.extent(name) == {(Literal("lit"),), (ex("c"),)}
+        # The literal row rests on the unrestricted disjunct alone: the
+        # restricted one must not keep it alive.
+        assert maintained.remove(by_q) == {name: 1}
+        assert maintained.extent(name) == {(ex("c"),)}
+        # Nor may the restricted disjunct's own delta rule add one.
+        other = Triple(ex("d"), ex("p"), Literal("other"))
+        assert maintained.insert(other) == {name: 0}
+        assert maintained.insert(by_q) == {name: 1}
+
+
+class TestRederivation:
+    def test_row_holding_a_constant_the_store_never_saw(self):
+        """``p0 ⊑ p2`` puts ``(a, p2)`` in the extent of ``v(X, P) :-
+        t(X, P, X)`` though no triple mentions ``p2``; when its support
+        goes, the row must not be re-derived by binding the unseen term
+        to the property variable of the original disjunct."""
+        from repro.rdf.schema import RDFSchema
+
+        schema = RDFSchema()
+        schema.add_subproperty(ex("p0"), ex("p2"))
+        store = TripleStore()
+        other = Triple(ex("a"), ex("p1"), ex("a"))
+        store.add(other)
+        state = initial_state([parse_query("v(X, P) :- t(X, P, X)")])
+        (view,) = state.views
+        maintained = MaterializedViewSet(state, store, schema=schema)
+        support = Triple(ex("a"), ex("p0"), ex("a"))
+        assert maintained.insert(support) == {view.name: 2}
+        assert (ex("a"), ex("p2")) in maintained.extent(view.name)
+        assert maintained.remove(support) == {view.name: 2}
+        assert maintained.extent(view.name) == {(ex("a"), ex("p1"))}
+
+
+class TestPreparedRules:
+    @pytest.fixture()
+    def item_view(self, barton_store, barton_schema):
+        """A view whose reformulation rewrites the type atom 99 ways and
+        keeps the other two atoms in every disjunct."""
+        from repro.reformulation.reformulate import reformulate
+
+        view = parse_query(
+            f"v(X, Y) :- t(X, rdf:type, <{BARTON}Item>), t(X, issued, Y), "
+            "t(X, volume, Z)",
+            namespace=BARTON,
+        )
+        disjuncts = reformulate(view, barton_schema).disjuncts
+        assert all(
+            view.atoms[1] in d.atoms and view.atoms[2] in d.atoms for d in disjuncts
+        )
+        store = barton_store.copy()
+        maintained = MaterializedViewSet(initial_state([view]), store, barton_schema)
+        return maintained, store, disjuncts
+
+    def test_unmentioned_predicate_runs_no_plan(self, item_view):
+        maintained, store, _ = item_view
+        triple = Triple(URI(BARTON + "e1"), URI(BARTON + "unheardOf"), URI(BARTON + "e2"))
+        for update in (maintained.insert, maintained.remove):
+            counters = counters_of(update, triple)
+            assert maintain(counters, "rules_matched") == 0
+            assert maintain(counters, "plans_run") == 0
+            assert maintain(counters, "plans_compiled") == 0
+
+    def test_shared_atoms_join_once_per_hit(self, item_view):
+        maintained, store, disjuncts = item_view
+        restricted = sum(1 for d in disjuncts if d.non_literal)
+        assert len(disjuncts) == 99 and restricted == 27
+        volume = URI(BARTON + "volume")
+        subject = next(
+            t.s for t in sorted(store, key=lambda t: t.n3())
+            if next(iter(store.match(s=t.s, p=volume)), None) is None
+        )
+        issued = Triple(subject, URI(BARTON + "issued"), URI(BARTON + "e5"))
+        counters = counters_of(maintained.insert, issued)
+        assert maintain(counters, "rules_matched") == len(disjuncts)
+        # The shared `volume` atom is probed once per literal restriction
+        # (the rule-4 rules form a group of their own) and comes up
+        # empty, so not one of the 99 alternatives runs.
+        assert maintain(counters, "plans_run") == 2
+        assert maintain(counters, "rows_added") == 0
+        # With the shared atom satisfied the alternatives do fan out.
+        maintained.insert(Triple(subject, volume, URI(BARTON + "e6")))
+        maintained.remove(issued)
+        counters = counters_of(maintained.insert, issued)
+        assert maintain(counters, "plans_run") == 2 + len(disjuncts)
+
+    def test_matches_rematerialization_after_hits(self, item_view, barton_schema):
+        from repro.query.evaluation import evaluate_union
+        from repro.reformulation.reformulate import reformulate
+
+        maintained, store, _ = item_view
+        view = maintained.state.views[0]
+        subject = URI(BARTON + "brandNew")
+        updates = [
+            Triple(subject, URI(BARTON + "issued"), URI(BARTON + "e5")),
+            Triple(subject, URI(BARTON + "volume"), URI(BARTON + "e6")),
+            Triple(subject, RDF_TYPE, URI(BARTON + "Article")),
+        ]
+        before = maintained.extent(view.name)
+        for triple in updates:
+            maintained.insert(triple)
+        assert (subject, URI(BARTON + "e5")) in maintained.extent(view.name)
+        assert maintained.extent(view.name) == evaluate_union(
+            reformulate(view, barton_schema), store, shared=False
+        )
+        for triple in updates:
+            maintained.remove(triple)
+        assert maintained.extent(view.name) == before
+
+    def test_constant_unknown_at_compile_time_is_revalidated(self):
+        """A tree compiled while a constant of its atoms was absent from
+        the dictionary is provably empty only until the constant shows
+        up."""
+        store = TripleStore()
+        store.add(Triple(ex("a"), ex("p"), ex("b")))
+        state = initial_state([parse_query("v(X) :- t(X, p, Y), t(X, rdf:type, rare)")])
+        (view,) = state.views
+        maintained = MaterializedViewSet(state, store)
+        # Compiles the remainder `t(X, rdf:type, rare)` with `rare` unknown.
+        first = counters_of(maintained.insert, Triple(ex("c"), ex("p"), ex("d")))
+        assert maintain(first, "plans_compiled") == 1
+        assert maintain(first, "rows_added") == 0
+        maintained.insert(Triple(ex("a"), RDF_TYPE, ex("rare")))
+        assert maintained.extent(view.name) == {(ex("a"),)}
+        maintained.insert(Triple(ex("c"), RDF_TYPE, ex("rare")))
+        # The prepared tree of the `p` rule must see `rare` now.
+        again = counters_of(maintained.insert, Triple(ex("e"), ex("p"), ex("f")))
+        assert maintain(again, "plans_compiled") == 1
+        maintained.insert(Triple(ex("e"), RDF_TYPE, ex("rare")))
+        maintained.remove(Triple(ex("e"), ex("p"), ex("f")))
+        maintained.insert(Triple(ex("e"), ex("p"), ex("g")))
+        assert maintained.extent(view.name) == evaluate(view, store)
+        assert maintained.extent(view.name) == {(ex("a"),), (ex("c"),), (ex("e"),)}
+
+    def test_orders_are_rederived_only_when_the_store_doubles(self):
+        from repro.selection.maintenance import _REPLAN_FACTOR
+
+        store = TripleStore()
+        store.add_all(
+            Triple(ex(f"s{i}"), ex("q"), ex(f"o{i}")) for i in range(8)
+        )
+        state = initial_state([parse_query("v(X, Z) :- t(X, p, Y), t(Y, q, Z)")])
+        (view,) = state.views
+        maintained = MaterializedViewSet(state, store)
+
+        def hit(index: int) -> dict:
+            return counters_of(
+                maintained.insert, Triple(ex(f"a{index}"), ex("p"), ex(f"s{index}"))
+            )
+
+        assert maintain(hit(0), "plans_compiled") == 1
+        compiled_at = len(store)
+        while len(store) + 1 <= compiled_at * _REPLAN_FACTOR:
+            assert maintain(hit(len(store)), "plans_compiled") == 0
+        assert maintain(hit(len(store)), "plans_compiled") == 1
+        assert maintained.extent(view.name) == evaluate(view, store)
+
+
+class TestObservability:
+    def test_update_span_and_quiet_default(self, fresh_store, workload):
+        import io
+        import json
+
+        from repro.obs import metrics, tracing
+
+        maintained = MaterializedViewSet(initial_state(workload), fresh_store)
+        triple = Triple(ex("monet"), ex("hasPainted"), ex("waterLilies"))
+        metrics.reset()
+        maintained.insert(triple)
+        assert not metrics.registry().counters  # off by default
+        buffer = io.StringIO()
+        tracing.configure(buffer)
+        try:
+            maintained.remove(triple)
+        finally:
+            tracing.configure(None)
+        spans = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        (update,) = [s for s in spans if s["name"] == "selection.maintain.update"]
+        assert update["attrs"] == {"kind": "remove"}

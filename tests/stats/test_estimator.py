@@ -74,6 +74,68 @@ class TestJoinOrder:
         )
         assert sorted(estimator.join_order(query.atoms)) == [0, 1, 2]
 
+    def test_bound_variables_lead_with_a_connected_atom(self, museum_store):
+        from repro.query.cq import Variable
+
+        estimator = store_estimator(museum_store)
+        # Unbound, the single-match constant atom 1 leads; with Z bound
+        # by an input row, atom 2 is the only connected first step.
+        query = parse_query(
+            "q(X) :- t(X, hasPainted, Y), t(W, isExposedIn, brussels), "
+            "t(X, isParentOf, Z)"
+        )
+        assert estimator.join_order(query.atoms)[0] == 1
+        assert estimator.join_order(query.atoms, bound=[Variable("Z")]) == [2, 0, 1]
+        # Nothing connected to the bound variables: the unbound order.
+        assert estimator.join_order(
+            query.atoms, bound=[Variable("Elsewhere")]
+        ) == estimator.join_order(query.atoms)
+
+    def test_unbound_order_is_the_one_before_bound_existed(
+        self, barton_store, barton_schema
+    ):
+        """``join_order(atoms)`` over the ad-hoc benchmark's four query
+        classes and every disjunct of their reformulations equals the
+        greedy loop as it stood before ``bound`` was added."""
+        from repro.reformulation import reformulate
+        from repro.workload import (
+            QueryShape, SatisfiableWorkloadGenerator, WorkloadSpec,
+        )
+
+        def before(estimator, atoms):
+            counts = [estimator.atom_cardinality(atom) for atom in atoms]
+            remaining = set(range(len(atoms)))
+            order, bound = [], set()
+            while remaining:
+                if bound:
+                    connected = [i for i in remaining if atoms[i].variables() & bound]
+                    pool = connected or sorted(remaining)
+                else:
+                    pool = sorted(remaining)
+                best = min(pool, key=lambda i: (counts[i], i))
+                order.append(best)
+                remaining.discard(best)
+                bound |= atoms[best].variables()
+            return order
+
+        estimator = store_estimator(barton_store)
+        generator = SatisfiableWorkloadGenerator(barton_store, seed=0)
+        specs = [
+            WorkloadSpec(6, 1, QueryShape.STAR, "low", constant_probability=0.0),
+            WorkloadSpec(6, 4, QueryShape.STAR, "low", constant_probability=0.0),
+            WorkloadSpec(6, 3, QueryShape.CHAIN, "low", constant_probability=0.0),
+            WorkloadSpec(6, 4, QueryShape.STAR, "low", constant_probability=0.5),
+        ]
+        bodies = {
+            disjunct.atoms
+            for spec in specs
+            for query in generator.generate(spec)
+            for disjunct in reformulate(query, barton_schema).disjuncts
+        }
+        assert len(bodies) > 100
+        for atoms in bodies:
+            assert estimator.join_order(atoms) == before(estimator, atoms)
+
     def test_prefix_cardinalities_match_direct_formula(self, museum_store):
         estimator = store_estimator(museum_store)
         query = parse_query(
