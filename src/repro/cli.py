@@ -133,13 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strategy", choices=sorted(STRATEGY_FACTORIES),
                         default="dfs")
     parser.add_argument("--entailment", choices=ENTAILMENT_MODES, default="none")
-    parser.add_argument("--time-limit", type=float, default=30.0,
-                        help="stoptime budget in seconds (default 30); "
-                        "alias of --search-budget-seconds")
-    parser.add_argument("--search-budget-seconds", type=float, default=None,
+    parser.add_argument("--time-limit", "--search-budget-seconds",
+                        dest="time_limit", type=float, default=30.0,
                         metavar="SECONDS",
-                        help="stoptime budget for the view-selection search "
-                        "(overrides --time-limit)")
+                        help="stoptime budget of the view-selection search "
+                        "in seconds (default 30)")
     parser.add_argument("--search-budget-states", type=_non_negative_int,
                         default=None, metavar="STATES",
                         help="bound the number of states the search may "
@@ -166,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "EXPLAIN QUERY PLAN and an answer-parity check), the "
                         "MQO shared-node fan-out per reformulation union "
                         "(with --schema) and the workload batch")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for the view-selection "
-                        "search's parallel frontier pricing (default 1 = "
-                        "serial; only large search frontiers fan out). "
-                        "Query evaluation is always in-process")
     parser.add_argument("--log-level", choices=_LOG_LEVELS, default="info",
                         help="verbosity of the status narration on the "
                         "'repro' logger (default info)")
@@ -505,20 +498,14 @@ def _run(args) -> int:
     if args.analyze:
         _print_analyze(queries, store, schema)
 
-    time_limit = (
-        args.search_budget_seconds
-        if args.search_budget_seconds is not None
-        else args.time_limit
-    )
     selector = ViewSelector(
         store,
         schema=schema,
         strategy=args.strategy,
         entailment=args.entailment,
         budget=SearchBudget(
-            time_limit=time_limit, max_states=args.search_budget_states
+            time_limit=args.time_limit, max_states=args.search_budget_states
         ),
-        workers=args.workers,
     )
     recommendation = selector.recommend(queries)
     result = recommendation.result

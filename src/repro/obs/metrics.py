@@ -6,11 +6,12 @@ Design constraints, in order:
    ``if metrics.enabled:`` — one module-attribute load and a branch.
    Nothing here may run on the hot path while disabled, and the guard
    sits at per-query / per-plan granularity, never per row or batch.
-2. **Mergeable across processes.** The fork pool in ``engine/parallel``
-   runs tasks in worker processes whose registry state was inherited at
-   fork time. :func:`collect` gives a task a fresh registry and returns
-   a picklable dump the parent merges, so worker counts neither leak
-   nor double-count (serial totals == merged worker totals).
+2. **Mergeable across processes.** Server-mode workers
+   (``server/pool``) answer batches in processes whose registry state
+   was inherited at fork time. :func:`collect` gives a batch a fresh
+   registry and returns a picklable dump the server merges, so worker
+   counts neither leak nor double-count (serial totals == merged
+   worker totals).
 3. **Deterministic.** Histograms keep exact count/sum/min/max and a
    bounded sample list decimated with a fixed stride — no randomness,
    no wall-clock reads beyond the timings themselves.
@@ -274,10 +275,11 @@ def collect(function, /, *args, **kwargs):
     """Run ``function`` against a fresh, enabled registry.
 
     Returns ``(result, dump)`` where ``dump`` is the fresh registry's
-    picklable :meth:`MetricsRegistry.dump`. This is what the parallel
-    layer ships to fork-pool workers: whatever registry state the
-    worker inherited at fork time is set aside for the duration, so the
-    parent can merge exactly the counts this one task produced.
+    picklable :meth:`MetricsRegistry.dump`. This is how a server-mode
+    worker (:mod:`repro.server.pool`) answers a batch: whatever registry
+    state the worker inherited at fork time is set aside for the
+    duration, so the server can merge exactly the counts this one batch
+    produced.
     """
     global _REGISTRY, enabled
     outer_registry, outer_enabled = _REGISTRY, enabled

@@ -22,7 +22,7 @@ the disabled path is one attribute load, a branch, and a constant
 (``tests/obs/test_metrics.py`` gates it; see
 ``metrics.disabled_overhead_ns``).
 
-Spans are process-local and single-threaded by design: fork-pool
+Spans are process-local and single-threaded by design: server-mode
 workers do not trace (their metrics travel back via
 ``metrics.collect`` dumps instead), so sink lines never interleave.
 """

@@ -69,8 +69,8 @@ class TripleStore:
 
     Triples are dictionary-encoded on insertion. The public API accepts
     and returns :class:`~repro.rdf.triples.Triple` objects; the encoded
-    layer (``*_encoded`` methods, ``iter_sorted``/``match_sorted``) is
-    used by the evaluation engine and served by the storage backend.
+    layer (the ``*_encoded`` methods) is used by the evaluation engine
+    and served by the storage backend.
     """
 
     def __init__(self, backend: str | StorageBackend = "memory") -> None:
@@ -107,11 +107,7 @@ class TripleStore:
         for name, fast in (
             ("match_encoded", backend.match),
             ("count_encoded", backend.count),
-            ("iter_sorted", backend.iter_sorted),
-            ("match_sorted", backend.match_sorted),
-            ("match_encoded_batches", backend.match_batches),
             ("match_encoded_columns", backend.match_columns),
-            ("match_sorted_batches", backend.match_sorted_batches),
             ("match_many_encoded", backend.match_many),
         ):
             if getattr(cls, name) is getattr(TripleStore, name):
@@ -232,40 +228,9 @@ class TripleStore:
         """Triples matching an encoded pattern, via the tightest index."""
         return self._backend.match(pattern)
 
-    def iter_sorted(self, order: str = "spo") -> Iterator[EncodedTriple]:
-        """All triples in the code order of a column permutation.
-
-        ``order`` is one of the six permutations of ``"spo"``. The
-        memory backend computes the sorted list lazily and caches it
-        until the next mutation; the SQLite backend streams an ``ORDER
-        BY`` over its clustered permutation indexes — both are the
-        in-memory analogue of RDF-3X's clustered permutation indexes.
-        """
-        return self._backend.iter_sorted(order)
-
-    def match_sorted(
-        self, pattern: EncodedPattern, order: str = "spo"
-    ) -> Iterator[EncodedTriple]:
-        """Matches of an encoded pattern, sorted by the given permutation.
-
-        This is what makes merge joins possible over any atom.
-        """
-        return self._backend.match_sorted(pattern, order)
-
     def count_encoded(self, pattern: EncodedPattern) -> int:
         """Exact count of triples matching an encoded pattern."""
         return self._backend.count(pattern)
-
-    def match_encoded_batches(
-        self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
-    ):
-        """Matches of an encoded pattern as row-list batches.
-
-        The batch-at-a-time engine's scan input: lists of at most
-        ``size`` encoded triples, one backend round-trip per batch
-        (SQLite serves each batch with a single ``fetchmany``).
-        """
-        return self._backend.match_batches(pattern, size)
 
     def match_encoded_columns(
         self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
@@ -277,15 +242,6 @@ class TripleStore:
         backend (see :meth:`repro.storage.base.StorageBackend.match_columns`).
         """
         return self._backend.match_columns(pattern, size)
-
-    def match_sorted_batches(
-        self,
-        pattern: EncodedPattern,
-        order: str = "spo",
-        size: int = DEFAULT_BATCH_SIZE,
-    ):
-        """Sorted matches of an encoded pattern as row-list batches."""
-        return self._backend.match_sorted_batches(pattern, order, size)
 
     def match_many_encoded(self, patterns):
         """Matches of a whole batch of encoded patterns, input-aligned.

@@ -42,8 +42,10 @@ exact breakdown together with the per-component differences as a
 :class:`CostDelta`.
 
 ``incremental=False`` restores the pre-refactor pricing path (estimator
-lookups per state, id-keyed plan memo only) and exists as the measured
-baseline of ``benchmarks/bench_selection.py``.
+lookups per state, id-keyed plan memo only) and exists as the reference
+the incremental path is checked against: per transition in
+``tests/property/test_property_selection_search.py``, per whole run in
+``tests/selection/test_search_core.py``.
 """
 
 from __future__ import annotations
@@ -150,11 +152,6 @@ class CostModel:
             "plan_hits": 0,
             "plan_misses": 0,
         }
-
-    def __reduce__(self):
-        # Worker processes (parallel frontier pricing) rebuild a clean
-        # model: id-keyed memos are meaningless across process copies.
-        return (type(self), (self.statistics, self.weights, self.incremental))
 
     def _validate_caches(self) -> None:
         """Flush every price memo when the statistics version moves."""
@@ -423,17 +420,6 @@ class CostModel:
             repriced_views=self.counters["view_misses"] - before_views,
             repriced_plans=self.counters["plan_misses"] - before_plans,
         )
-
-
-def price_states(cost_model: CostModel, states: list[State]) -> list[CostBreakdown]:
-    """Price a batch of states — the unit of parallel frontier work.
-
-    Module-level and pure so a forked worker can run it over a pickled
-    model copy; :meth:`CostModel.__reduce__` ships the copy with cold
-    memos, and cold-vs-warm pricing is bitwise identical by design, so
-    parallel evaluation returns exactly the serial results.
-    """
-    return [cost_model.cost(state) for state in states]
 
 
 def calibrate_maintenance_weight(

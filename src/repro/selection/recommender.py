@@ -115,7 +115,6 @@ class ViewSelector:
         vb_mode: str = "disjoint",
         use_avf: bool = True,
         use_stopvar: bool = True,
-        workers: int = 1,
     ) -> None:
         if strategy not in STRATEGY_FACTORIES:
             raise ValueError(
@@ -137,7 +136,6 @@ class ViewSelector:
         self.vb_mode = vb_mode
         self.use_avf = use_avf
         self.use_stopvar = use_stopvar
-        self.workers = workers
 
     def _statistics(self):
         if self.entailment == "post_reformulation":
@@ -173,7 +171,6 @@ class ViewSelector:
             budget=self.budget,
             use_avf=self.use_avf,
             use_stopvar=self.use_stopvar,
-            workers=self.workers,
         )
         return Recommendation(
             state=result.best_state,

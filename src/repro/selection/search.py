@@ -21,11 +21,8 @@ it, and routes every created successor through the core's
 :meth:`SearchCore.consider` / :meth:`SearchCore.complete` pair — so
 budget, stoptt/stopvar, dedup and best-state accounting live in exactly
 one place. ``complete`` prices whole waves of surviving successors at
-once, through the incremental :class:`~repro.selection.costs.CostModel`
-serially or, with ``workers > 1``, fanned out over the cached fork pool
-of :mod:`repro.engine.parallel` (states in a wave are independent, and
-cold-cache pricing is bitwise equal to warm-cache pricing, so parallel
-results are identical to serial ones).
+once, in process, through the incremental
+:class:`~repro.selection.costs.CostModel`.
 
 Options shared by all strategies:
 
@@ -53,7 +50,7 @@ from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.obs import metrics, tracing
 from repro.query.cq import ConjunctiveQuery, Variable
-from repro.selection.costs import CostBreakdown, CostModel, price_states
+from repro.selection.costs import CostBreakdown, CostModel
 from repro.selection.state import State
 from repro.selection.transitions import (
     STRATIFIED_ORDER,
@@ -61,10 +58,6 @@ from repro.selection.transitions import (
     TransitionEnumerator,
     TransitionKind,
 )
-
-#: Waves smaller than this are always priced in-process: pool dispatch
-#: plus state pickling costs more than pricing a handful of states.
-MIN_PARALLEL_FRONTIER = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,9 +170,8 @@ class SearchCore:
     Strategies create successors in two steps: :meth:`consider` applies
     the per-successor accounting (created / AVF closure / duplicate /
     stop-condition) and returns the surviving state or ``None``;
-    :meth:`complete` prices a wave of survivors (serially, or on the
-    fork pool with ``workers > 1``), offers each as a candidate best,
-    and wraps them into :class:`SearchNode` entries.
+    :meth:`complete` prices a wave of survivors, offers each as a
+    candidate best, and wraps them into :class:`SearchNode` entries.
     """
 
     def __init__(
@@ -191,13 +183,11 @@ class SearchCore:
         use_avf: bool,
         use_stoptt: bool,
         use_stopvar: bool,
-        workers: int = 1,
     ) -> None:
         self.cost_model = cost_model
         self.enumerator = enumerator
         self.budget = budget
         self.use_avf = use_avf
-        self.workers = max(1, workers)
         self.stats = SearchStats()
         self.started = time.perf_counter()
         self.initial_breakdown = cost_model.cost(initial)
@@ -290,18 +280,13 @@ class SearchCore:
         return successor
 
     def price_frontier(self, states: Sequence[State]) -> list[CostBreakdown]:
-        """Exact breakdowns for a wave of independent states.
-
-        Serial by default; with ``workers > 1`` and a large enough wave
-        the states are priced on the cached fork pool. Cold-cache
-        pricing is bitwise identical to warm-cache pricing (the cost
-        model's contract), so both paths return the same floats.
-        """
+        """Exact breakdowns for a wave of independent states."""
+        cost = self.cost_model.cost
         if not metrics.enabled and tracing.sink is None:
-            return self._price_frontier(states)
+            return [cost(state) for state in states]
         with tracing.span("selection.search.wave", states=len(states)):
             started = time.perf_counter()
-            breakdowns = self._price_frontier(states)
+            breakdowns = [cost(state) for state in states]
             if metrics.enabled:
                 metrics.inc("selection.search.waves")
                 metrics.observe("selection.search.wave_size", len(states))
@@ -310,28 +295,6 @@ class SearchCore:
                     (time.perf_counter() - started) * 1000.0,
                 )
         return breakdowns
-
-    def _price_frontier(self, states: Sequence[State]) -> list[CostBreakdown]:
-        if self.workers > 1 and len(states) >= MIN_PARALLEL_FRONTIER:
-            try:
-                from repro.engine.parallel import map_chunks
-
-                chunk = (len(states) + self.workers - 1) // self.workers
-                chunks = [
-                    list(states[start : start + chunk])
-                    for start in range(0, len(states), chunk)
-                ]
-                results = map_chunks(
-                    price_states, self.cost_model, chunks, self.workers
-                )
-                return [breakdown for batch in results for breakdown in batch]
-            except Exception:
-                # Unpicklable statistics provider or a broken pool:
-                # fall back to the (identical) serial pricing, and stop
-                # retrying the pool — the failure is per-run, not
-                # per-wave.
-                self.workers = 1
-        return [self.cost_model.cost(state) for state in states]
 
     def complete(
         self, states: Sequence[State], stages: Sequence[int] | None = None
@@ -642,7 +605,6 @@ def run_search(
     use_avf: bool = True,
     use_stoptt: bool = True,
     use_stopvar: bool = True,
-    workers: int = 1,
 ) -> SearchResult:
     """Run one search strategy through the unified core."""
     if isinstance(strategy, str):
@@ -661,7 +623,6 @@ def run_search(
         use_avf=use_avf,
         use_stoptt=use_stoptt,
         use_stopvar=use_stopvar,
-        workers=workers,
     )
     with tracing.span("selection.run_search", strategy=strategy.name):
         strategy.run(core)
@@ -681,13 +642,11 @@ def dfs_search(
     use_avf: bool = True,
     use_stoptt: bool = True,
     use_stopvar: bool = True,
-    workers: int = 1,
 ) -> SearchResult:
     """Stratified depth-first search (DFS, Section 5.2)."""
     return run_search(
         initial, cost_model, DfsStrategy(), enumerator, budget,
         use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-        workers=workers,
     )
 
 
@@ -699,14 +658,12 @@ def exhaustive_naive_search(
     use_avf: bool = False,
     use_stoptt: bool = True,
     use_stopvar: bool = False,
-    workers: int = 1,
 ) -> SearchResult:
     """EXNAÏVE (Algorithm 2): unordered transitions, CS/ES bookkeeping."""
     return run_search(
         initial, cost_model, ExhaustiveStrategy(stratified=False),
         enumerator, budget,
         use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-        workers=workers,
     )
 
 
@@ -718,14 +675,12 @@ def exhaustive_stratified_search(
     use_avf: bool = False,
     use_stoptt: bool = True,
     use_stopvar: bool = False,
-    workers: int = 1,
 ) -> SearchResult:
     """EXSTR: exhaustive search along stratified paths only."""
     return run_search(
         initial, cost_model, ExhaustiveStrategy(stratified=True),
         enumerator, budget,
         use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-        workers=workers,
     )
 
 
@@ -737,13 +692,11 @@ def greedy_stratified_search(
     use_avf: bool = True,
     use_stoptt: bool = True,
     use_stopvar: bool = True,
-    workers: int = 1,
 ) -> SearchResult:
     """GSTR: exhaust each stratum, keep only the best state in between."""
     return run_search(
         initial, cost_model, GreedyStratifiedStrategy(), enumerator, budget,
         use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-        workers=workers,
     )
 
 
@@ -760,11 +713,9 @@ def descent_search(
         TransitionKind.VB,
         TransitionKind.SC,
     ),
-    workers: int = 1,
 ) -> SearchResult:
     """First-improvement stratified descent (see :class:`DescentStrategy`)."""
     return run_search(
         initial, cost_model, DescentStrategy(kinds), enumerator, budget,
         use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-        workers=workers,
     )

@@ -1,13 +1,12 @@
 """The persistent worker pool behind server mode.
 
-This is the evolution of :mod:`repro.engine.parallel`'s cached fork
-pool into long-lived, *stateful* workers: where that pool ships
-self-contained functions over plain data, a serve worker holds real
-per-process state — its own backend connection to the shared snapshot
-(opened read-only, so N processes serve one file with zero writes), its
-own prepared-plan cache (per-store, warmed by the traffic it sees), and
-its own parse cache — and answers batches of query texts over a
-request/response pipe.
+Workers are long-lived and *stateful*: each holds real per-process
+state — its own backend connection to the shared snapshot (opened
+read-only, so N processes serve one file with zero writes), its own
+prepared-plan cache (per-store, warmed by the traffic it sees), and its
+own parse cache — and answers batches of query texts over a
+request/response pipe. They are the only processes ``repro`` starts:
+the engine and the view-selection search run serially.
 
 Fault tolerance is per worker, not per pool: a worker killed mid-batch
 (OOM, operator error) is detected by liveness polling, the pool spawns
@@ -23,11 +22,11 @@ server's merged totals reconcile with what its workers measured.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from typing import Sequence
 
-from repro.engine.parallel import fork_context
 from repro.obs import metrics
 from repro.server.protocol import ServerError
 
@@ -36,6 +35,18 @@ START_TIMEOUT_S = 30.0
 
 #: Poll interval of the reply/liveness loop, seconds.
 _POLL_S = 0.05
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context, or the platform default.
+
+    Forked workers inherit the parent's modules and code, so they need
+    no re-imports and start in tens of milliseconds.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
 
 
 class WorkerCrash(RuntimeError):

@@ -8,7 +8,7 @@ answer set from single-process evaluation) is supplied, every served
 answer is verified against it **during** the measurement, so a QPS
 figure is only ever reported for correct answers.
 
-Used by ``repro serve --replay`` and ``benchmarks/bench_serve.py``.
+Used by ``repro serve --replay``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ReplayReport:
         return ordered[index]
 
     def summary(self) -> dict:
-        """JSON-ready digest (what BENCH_serve.json records per series)."""
+        """JSON-ready digest (what ``repro serve --replay --json`` writes)."""
         return {
             "queries": self.queries,
             "clients": self.clients,

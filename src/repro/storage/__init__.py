@@ -3,10 +3,10 @@
 The :class:`StorageBackend` contract captures every operation the
 :class:`~repro.rdf.store.TripleStore` performs against its triple
 table: encoded add/remove, pattern matches through the tightest index,
-sorted permutation scans, exact pattern counts, per-column statistics
-ground truth, and deep copies. Everything above the store — the
-physical-operator engine, the planner, the statistics catalog,
-reformulation, and view selection — is backend-agnostic.
+exact pattern counts, per-column statistics ground truth, and deep
+copies. Everything above the store — the physical-operator engine, the
+planner, the statistics catalog, reformulation, and view selection — is
+backend-agnostic.
 
 Backends:
 
@@ -29,10 +29,8 @@ from repro.storage.base import (
     COLUMNS,
     EncodedPattern,
     EncodedTriple,
-    PERMUTATIONS,
     StorageBackend,
     create_backend,
-    permutation_key,
 )
 from repro.storage.memory import MemoryBackend
 from repro.storage.snapshot import SnapshotError, is_snapshot
@@ -44,12 +42,10 @@ __all__ = [
     "EncodedPattern",
     "EncodedTriple",
     "MemoryBackend",
-    "PERMUTATIONS",
     "ReadOnlyBackendError",
     "SnapshotError",
     "SqliteBackend",
     "StorageBackend",
     "create_backend",
     "is_snapshot",
-    "permutation_key",
 ]

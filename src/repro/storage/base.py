@@ -3,20 +3,19 @@
 A :class:`StorageBackend` holds the *encoded* triple table — three
 dictionary codes per triple — and answers exactly the physical
 operations :class:`~repro.rdf.store.TripleStore` needs: mutations,
-pattern matches through the tightest available index, sorted permutation
-scans (the merge-join input contract), exact pattern counts, and the
-per-column figures the statistics catalog verifies against.
+pattern matches through the tightest available index, exact pattern
+counts, and the per-column figures the statistics catalog verifies
+against.
 
-The batched execution engine pulls through three *batched* fetch paths:
-:meth:`StorageBackend.match_batches` and
-:meth:`StorageBackend.match_sorted_batches` deliver one pattern's
-matches as row-list batches (one driver round-trip per batch instead of
-one per row for cursor-backed stores), and
+The execution engine pulls through two *batched* fetch paths:
+:meth:`StorageBackend.match_columns` delivers one pattern's matches as
+column batches (the scan input — one driver round-trip per batch
+instead of one per row for cursor-backed stores), and
 :meth:`StorageBackend.match_many` answers a whole batch of patterns at
 once (the index-nested-loop probe path — SQLite folds it into a single
-statement per batch). The base class derives all three from the
-row-at-a-time primitives, so third-party backends only implement the
-abstract core; the built-in backends override them natively.
+statement per batch). The base class derives both from :meth:`match`,
+so third-party backends only implement the abstract core; the built-in
+backends override them natively.
 
 Backends speak *only* integer codes: no RDF term, query atom or
 statistics type appears here, so the package sits below ``repro.rdf``
@@ -48,29 +47,8 @@ DEFAULT_BATCH_SIZE = 1024
 #: An encoded pattern: a code, or None for an unbound position.
 EncodedPattern = tuple[int | None, int | None, int | None]
 
-#: The six column permutations a sorted iterator can follow.
-PERMUTATIONS: dict[str, tuple[int, int, int]] = {
-    "spo": (0, 1, 2),
-    "sop": (0, 2, 1),
-    "pso": (1, 0, 2),
-    "pos": (1, 2, 0),
-    "osp": (2, 0, 1),
-    "ops": (2, 1, 0),
-}
-
 #: Column names of the triple table, in position order.
 COLUMNS = ("s", "p", "o")
-
-
-def permutation_key(order: str):
-    """Sort-key function for one of the six column permutations."""
-    permutation = PERMUTATIONS.get(order)
-    if permutation is None:
-        raise ValueError(
-            f"unknown sort order {order!r}; pick from {sorted(PERMUTATIONS)}"
-        )
-    a, b, c = permutation
-    return lambda t: (t[a], t[b], t[c])
 
 
 class StorageBackend(ABC):
@@ -125,47 +103,7 @@ class StorageBackend(ABC):
     def count(self, pattern: EncodedPattern) -> int:
         """Exact number of triples matching a pattern."""
 
-    @abstractmethod
-    def iter_sorted(self, order: str = "spo") -> Iterator[EncodedTriple]:
-        """All triples in the code order of a column permutation."""
-
-    @abstractmethod
-    def match_sorted(
-        self, pattern: EncodedPattern, order: str = "spo"
-    ) -> Iterator[EncodedTriple]:
-        """Matches of a pattern, sorted by the given permutation."""
-
-    # -- batched fetch (the batch-at-a-time engine's input paths) ------
-
-    def match_batches(
-        self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
-    ) -> Iterator[list[EncodedTriple]]:
-        """Matches of a pattern as non-empty lists of at most ``size`` rows.
-
-        Semantically ``match`` chunked; cursor-backed stores override it
-        to pay one driver round-trip per batch (SQLite ``fetchmany``)
-        instead of one per row.
-        """
-        iterator = iter(self.match(pattern))
-        while True:
-            batch = list(islice(iterator, size))
-            if not batch:
-                return
-            yield batch
-
-    def match_sorted_batches(
-        self,
-        pattern: EncodedPattern,
-        order: str = "spo",
-        size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator[list[EncodedTriple]]:
-        """``match_sorted`` chunked into lists of at most ``size`` rows."""
-        iterator = self.match_sorted(pattern, order)
-        while True:
-            batch = list(islice(iterator, size))
-            if not batch:
-                return
-            yield batch
+    # -- batched fetch (the engine's input paths) ----------------------
 
     def match_columns(
         self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
@@ -176,12 +114,13 @@ class StorageBackend(ABC):
         length value sequences per batch of at most ``size`` matches —
         the native input of the engine's vectorized scan
         (:meth:`repro.engine.operators.IndexScan.column_batches`). The
-        base derivation transposes :meth:`match_batches` with one
-        C-speed ``zip`` per batch; the built-in backends override it
+        base derivation chunks :meth:`match` and transposes each chunk
+        with one C-speed ``zip``; the built-in backends override it
         (the memory backend transposes an index bucket once, SQLite
         transposes each ``fetchmany`` chunk).
         """
-        for batch in self.match_batches(pattern, size):
+        iterator = iter(self.match(pattern))
+        while batch := list(islice(iterator, size)):
             yield tuple(zip(*batch))
 
     def match_many(
@@ -277,8 +216,8 @@ def create_backend(name: str, *, path=None) -> StorageBackend:
     1
     >>> [sorted(m) for m in backend.match_many([(1, 2, None), (9, None, None)])]
     [[(1, 2, 3), (1, 2, 4)], []]
-    >>> [len(batch) for batch in backend.match_batches((None, None, None), 1)]
-    [1, 1]
+    >>> [sorted(column) for column in next(backend.match_columns((1, 2, None)))]
+    [[1, 1], [2, 2], [3, 4]]
     """
     from repro.storage.memory import MemoryBackend
     from repro.storage.sqlite import SqliteBackend

@@ -3,8 +3,7 @@
 Exhaustive one- and two-column hash indexes over a set of encoded
 triples, exactly as the paper describes for its PostgreSQL substrate
 (Section 6: "we indexed the encoded triple table on s, p, o, and all
-two- and three-column combinations"), plus lazily cached sorted
-permutations feeding merge joins. Extracting the structures behind
+two- and three-column combinations"). Extracting the structures behind
 :class:`~repro.storage.base.StorageBackend` changed no behavior: every
 method body is the seed store's, minus dictionary encoding (which stays
 in :class:`~repro.rdf.store.TripleStore`).
@@ -15,12 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
-from repro.storage.base import (
-    EncodedPattern,
-    EncodedTriple,
-    StorageBackend,
-    permutation_key,
-)
+from repro.storage.base import EncodedPattern, EncodedTriple, StorageBackend
 
 
 class MemoryBackend(StorageBackend):
@@ -38,9 +32,6 @@ class MemoryBackend(StorageBackend):
         self._idx_sp: dict[tuple[int, int], set[EncodedTriple]] = {}
         self._idx_so: dict[tuple[int, int], set[EncodedTriple]] = {}
         self._idx_po: dict[tuple[int, int], set[EncodedTriple]] = {}
-        # Lazily sorted permutations of the triple table (for merge
-        # joins); invalidated wholesale on any mutation.
-        self._sorted_cache: dict[str, list[EncodedTriple]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -57,8 +48,6 @@ class MemoryBackend(StorageBackend):
         self._idx_sp.setdefault((s, p), set()).add(encoded)
         self._idx_so.setdefault((s, o), set()).add(encoded)
         self._idx_po.setdefault((p, o), set()).add(encoded)
-        if self._sorted_cache:
-            self._sorted_cache.clear()
         return True
 
     def remove(self, encoded: EncodedTriple) -> bool:
@@ -80,8 +69,6 @@ class MemoryBackend(StorageBackend):
             bucket.discard(encoded)
             if not bucket:
                 del index[key]
-        if self._sorted_cache:
-            self._sorted_cache.clear()
         return True
 
     # ------------------------------------------------------------------
@@ -149,25 +136,6 @@ class MemoryBackend(StorageBackend):
             if isinstance(matches, (set, tuple))
             else sum(1 for _ in matches)
         )
-
-    def _sorted_triples(self, order: str) -> list[EncodedTriple]:
-        key = permutation_key(order)
-        cached = self._sorted_cache.get(order)
-        if cached is None:
-            cached = sorted(self._triples, key=key)
-            self._sorted_cache[order] = cached
-        return cached
-
-    def iter_sorted(self, order: str = "spo") -> Iterator[EncodedTriple]:
-        return iter(self._sorted_triples(order))
-
-    def match_sorted(
-        self, pattern: EncodedPattern, order: str = "spo"
-    ) -> Iterator[EncodedTriple]:
-        if pattern == (None, None, None):
-            return iter(self._sorted_triples(order))
-        key = permutation_key(order)
-        return iter(sorted(self.match(pattern), key=key))
 
     # ------------------------------------------------------------------
     # Column statistics

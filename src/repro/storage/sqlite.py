@@ -6,9 +6,7 @@ indexes on ``(p, o, s)`` and ``(o, s, p)``. Together the three
 permutations cover every one of the seven constant-pattern shapes as an
 index *prefix* — the classic three-permutation trick of RDF column
 stores — so pattern matches and counts push down to B-tree range
-queries, and the six sorted permutation scans the merge join consumes
-become ``ORDER BY`` over an index (or a one-pass external sort for the
-three non-covered orders, handled by SQLite itself).
+queries.
 
 Because every operator above the store pulls rows through the
 :class:`~repro.storage.base.StorageBackend` contract, a dataset no
@@ -37,7 +35,6 @@ from repro.storage.base import (
     DEFAULT_BATCH_SIZE,
     EncodedPattern,
     EncodedTriple,
-    PERMUTATIONS,
     StorageBackend,
 )
 
@@ -52,9 +49,6 @@ CREATE TABLE IF NOT EXISTS triples (
 CREATE INDEX IF NOT EXISTS idx_triples_pos ON triples (p, o, s);
 CREATE INDEX IF NOT EXISTS idx_triples_osp ON triples (o, s, p);
 """
-
-#: ORDER BY column list per permutation name.
-_ORDER_BY = {name: ", ".join(name) for name in PERMUTATIONS}
 
 #: Probe-column order per bound-column mask, chosen so the batched
 #: ``match_many`` probe always walks an index prefix: SPO for s / (s,p),
@@ -230,23 +224,6 @@ class SqliteBackend(StorageBackend):
         where, params = _where(pattern)
         return self._con.execute(f"SELECT s, p, o FROM triples{where}", params)
 
-    def match_batches(
-        self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
-    ) -> Iterator[list[EncodedTriple]]:
-        s, p, o = pattern
-        if s is not None and p is not None and o is not None:
-            triple = (s, p, o)
-            if triple in self:
-                yield [triple]
-            return
-        where, params = _where(pattern)
-        cursor = self._con.execute(f"SELECT s, p, o FROM triples{where}", params)
-        while True:
-            batch = cursor.fetchmany(size)
-            if not batch:
-                return
-            yield batch
-
     def match_columns(
         self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[tuple]:
@@ -262,27 +239,6 @@ class SqliteBackend(StorageBackend):
             if not batch:
                 return
             yield tuple(zip(*batch))
-
-    def match_sorted_batches(
-        self,
-        pattern: EncodedPattern,
-        order: str = "spo",
-        size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator[list[EncodedTriple]]:
-        order_by = _ORDER_BY.get(order)
-        if order_by is None:
-            raise ValueError(
-                f"unknown sort order {order!r}; pick from {sorted(PERMUTATIONS)}"
-            )
-        where, params = _where(pattern)
-        cursor = self._con.execute(
-            f"SELECT s, p, o FROM triples{where} ORDER BY {order_by}", params
-        )
-        while True:
-            batch = cursor.fetchmany(size)
-            if not batch:
-                return
-            yield batch
 
     def match_many(self, patterns):
         """One SQL statement per probe batch instead of one per probe.
@@ -355,24 +311,6 @@ class SqliteBackend(StorageBackend):
         return self._con.execute(
             f"SELECT COUNT(*) FROM triples{where}", params
         ).fetchone()[0]
-
-    def iter_sorted(self, order: str = "spo") -> Iterator[EncodedTriple]:
-        return self.match_sorted((None, None, None), order)
-
-    def match_sorted(
-        self, pattern: EncodedPattern, order: str = "spo"
-    ) -> Iterator[EncodedTriple]:
-        order_by = _ORDER_BY.get(order)
-        if order_by is None:
-            raise ValueError(
-                f"unknown sort order {order!r}; pick from {sorted(PERMUTATIONS)}"
-            )
-        where, params = _where(pattern)
-        return iter(
-            self._con.execute(
-                f"SELECT s, p, o FROM triples{where} ORDER BY {order_by}", params
-            )
-        )
 
     # ------------------------------------------------------------------
     # Whole-plan SQL pushdown

@@ -1,19 +1,19 @@
-"""Metrics merged back from pool workers equal serial totals.
+"""Metrics merged back from workers equal serial totals.
 
-The fork pool (``repro.engine.parallel``) ships every task through
-``instrumented_call`` when metrics are enabled: the worker records into
-a fresh registry and the parent merges the returned dump. These
-properties pin the contract — counters and histograms accumulated
-across worker processes are exactly the counts a serial run of the same
-work produces, for any chunking, and instrumentation never changes
-answers (on either backend).
+A server-mode worker (``repro.server.pool``) answers every batch under
+``metrics.collect``: the batch records into a fresh registry and the
+server merges the returned dump. These properties pin the contract —
+counters and histograms accumulated from per-chunk dumps are exactly
+the counts a serial run of the same work produces, for any chunking
+(in process), the served form of the same equality across real worker
+processes, and instrumentation never changes answers (on either
+backend).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.parallel import map_chunks
 from repro.obs import metrics
 from repro.query.evaluation import evaluate
 from repro.storage import BACKENDS
@@ -30,7 +30,7 @@ def clean_registry():
 
 
 def _record_chunk(scale, chunk):
-    """The work shipped to pool workers: counts and one histogram."""
+    """One chunk of work: two counters and one histogram."""
     metrics.inc("prop.chunks")
     metrics.inc("prop.items", len(chunk))
     for value in chunk:
@@ -43,7 +43,7 @@ def _record_chunk(scale, chunk):
     values=st.lists(st.integers(0, 100), min_size=1, max_size=40),
     chunk_size=st.integers(1, 8),
 )
-def test_pool_merged_metrics_equal_serial_totals(values, chunk_size):
+def test_merged_chunk_dumps_equal_serial_totals(values, chunk_size):
     chunks = [
         values[start : start + chunk_size]
         for start in range(0, len(values), chunk_size)
@@ -55,13 +55,14 @@ def test_pool_merged_metrics_equal_serial_totals(values, chunk_size):
     serial = metrics.registry().dump()
 
     metrics.reset()
-    with metrics.enabled_registry():
-        pool_results = map_chunks(_record_chunk, 2, chunks, workers=2)
+    collected_results = []
+    for chunk in chunks:
+        result, dump = metrics.collect(_record_chunk, 2, chunk)
+        collected_results.append(result)
+        metrics.merge(dump)
     merged = metrics.registry().dump()
 
-    assert pool_results == serial_results
-    # The pool path adds its own dispatch counter on top of the task's.
-    assert merged["counters"].pop("engine.parallel.tasks") == len(chunks)
+    assert collected_results == serial_results
     assert merged["counters"] == serial["counters"]
     ours = merged["histograms"]["prop.value"]
     theirs = serial["histograms"]["prop.value"]

@@ -5,21 +5,12 @@
     :meth:`CostModel.transition_cost` equal a full recompute by a fresh
     cost model *exactly* (bitwise float equality — the memo layers are
     designed to be indistinguishable from recomputation).
-(c) Parallel frontier evaluation: a search run with ``workers > 1``
-    returns results identical to the serial run — same best state, same
-    Figure-5 accounting, same cost trace.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.selection import search as search_module
-from repro.selection.costs import CostModel, price_states
-from repro.selection.search import (
-    SearchBudget,
-    exhaustive_stratified_search,
-    greedy_stratified_search,
-)
+from repro.selection.costs import CostModel
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.statistics import StoreStatistics, ZipfStatistics
 from repro.selection.transitions import TransitionEnumerator
@@ -85,68 +76,3 @@ def test_repricing_is_bounded_by_the_state_delta(q1, picks):
         assert delta.repriced_views <= len(transition.delta.added)
         assert delta.repriced_plans <= len(transition.delta.plan_changes)
         state, breakdown = transition.result, delta.breakdown
-
-
-# ----------------------------------------------------------------------
-# (c) Parallel frontier evaluation is invisible in the results
-# ----------------------------------------------------------------------
-
-PARALLEL_WORKLOAD = [
-    "q1(X) :- t(X, hasPainted, starryNight)",
-    "q2(X, Y) :- t(X, hasPainted, Y), t(X, rdf:type, painter)",
-    "q3(A, B) :- t(A, hasPainted, B), t(B, rdf:type, painting)",
-]
-
-
-def _search_with_workers(museum_store, search, workers):
-    from repro.query.parser import parse_query
-
-    namer = ViewNamer()
-    enumerator = TransitionEnumerator(namer, vb_mode="overlapping")
-    model = CostModel(StoreStatistics(museum_store))
-    state = initial_state([parse_query(q) for q in PARALLEL_WORKLOAD], namer)
-    return search(
-        state, model, enumerator, SearchBudget(max_states=400), workers=workers
-    )
-
-
-def test_parallel_frontier_matches_serial(museum_store, monkeypatch):
-    """(c) workers=2 returns exactly the serial results for the
-    exhaustive and greedy strategies."""
-    monkeypatch.setattr(search_module, "MIN_PARALLEL_FRONTIER", 2)
-    for search in (exhaustive_stratified_search, greedy_stratified_search):
-        serial = _search_with_workers(museum_store, search, workers=1)
-        parallel = _search_with_workers(museum_store, search, workers=2)
-        assert parallel.best_state.key == serial.best_state.key
-        assert parallel.best_cost == serial.best_cost  # bitwise
-        assert (
-            parallel.stats.created,
-            parallel.stats.duplicates,
-            parallel.stats.discarded,
-            parallel.stats.explored,
-            parallel.stats.transitions,
-        ) == (
-            serial.stats.created,
-            serial.stats.duplicates,
-            serial.stats.discarded,
-            serial.stats.explored,
-            serial.stats.transitions,
-        )
-        assert [cost for _, cost in parallel.cost_history] == [
-            cost for _, cost in serial.cost_history
-        ]
-
-
-def test_price_states_matches_in_process_pricing(museum_store):
-    """The worker task prices exactly like the parent's cost model."""
-    from repro.query.parser import parse_query
-
-    namer = ViewNamer()
-    enumerator = TransitionEnumerator(namer, vb_mode="overlapping")
-    model = CostModel(StoreStatistics(museum_store))
-    state = initial_state([parse_query(q) for q in PARALLEL_WORKLOAD], namer)
-    frontier = [t.result for t in enumerator.transitions(state)]
-    import pickle
-
-    shipped = pickle.loads(pickle.dumps(model))  # what a worker receives
-    assert price_states(shipped, frontier) == [model.cost(s) for s in frontier]

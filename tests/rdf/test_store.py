@@ -227,35 +227,6 @@ class TestCopy:
         assert Triple(u("only-clone"), u("p"), u("b")) not in store
 
 
-class TestSortedIterators:
-    def test_iter_sorted_spo(self, store):
-        triples = list(store.iter_sorted("spo"))
-        assert len(triples) == len(store)
-        assert triples == sorted(triples)
-
-    def test_iter_sorted_ops_orders_by_object_first(self, store):
-        triples = list(store.iter_sorted("ops"))
-        keys = [(o, p, s) for s, p, o in triples]
-        assert keys == sorted(keys)
-
-    def test_match_sorted_restricted_pattern(self, store):
-        p_code = store.dictionary.lookup(u("p"))
-        matches = list(store.match_sorted((None, p_code, None), "osp"))
-        assert len(matches) == 3
-        keys = [(o, s) for s, _, o in matches]
-        assert keys == sorted(keys)
-
-    def test_sorted_iteration_after_mutation(self, store):
-        before = list(store.iter_sorted("spo"))
-        store.add(Triple(u("zz"), u("p"), u("zz")))
-        after = list(store.iter_sorted("spo"))
-        assert len(after) == len(before) + 1
-
-    def test_unknown_order_rejected(self, store):
-        with pytest.raises(ValueError):
-            list(store.iter_sorted("xyz"))
-
-
 def test_fresh_store_rejects_non_empty_backend(tmp_path, store):
     path = tmp_path / "full.db"
     store.save(path)

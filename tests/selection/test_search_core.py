@@ -1,11 +1,15 @@
 """Unit tests for the unified search core: the strategy protocol and
-registry, the Figure-5 accounting ownership, and the incremental
-CostDelta contract."""
+registry, the Figure-5 accounting ownership, the incremental
+CostDelta contract, and incremental == full pricing over a whole run."""
 
 import pytest
 
 from repro.query.parser import parse_query
-from repro.selection.costs import CostDelta, CostModel
+from repro.selection.costs import (
+    CostDelta,
+    CostModel,
+    calibrate_maintenance_weight,
+)
 from repro.selection.search import (
     STRATEGY_FACTORIES,
     DfsStrategy,
@@ -16,6 +20,7 @@ from repro.selection.search import (
 from repro.selection.state import StateDelta, ViewNamer, initial_state
 from repro.selection.statistics import StoreStatistics
 from repro.selection.transitions import TransitionEnumerator
+from repro.workload import QueryShape, SatisfiableWorkloadGenerator, WorkloadSpec
 
 #: Small workloads on which every strategy — greedy ones included —
 #: reaches the global optimum, so their best states must coincide.
@@ -171,3 +176,32 @@ class TestTransitionCost:
         state, enumerator, model = setup
         baseline = CostModel(StoreStatistics(museum_store), incremental=False)
         assert baseline.cost(state) == model.cost(state)
+
+
+@pytest.mark.parametrize("strategy", ["exstr", "gstr"])
+def test_incremental_and_full_pricing_run_the_same_search(barton_store, strategy):
+    """Whole-run form of the per-transition equality above: under a
+    pure state budget the memo-less reference model and the default
+    incremental one explore the same frontier, so they end at the
+    bitwise-same best cost with identical state accounting."""
+    spec = WorkloadSpec(3, 4, QueryShape.STAR, "high", constant_probability=0.4)
+    queries = SatisfiableWorkloadGenerator(barton_store, seed=11).generate(spec)
+    statistics = StoreStatistics(barton_store)
+
+    def search(incremental):
+        namer = ViewNamer()
+        state = initial_state(queries, namer)
+        weights = calibrate_maintenance_weight(state, statistics, ratio=2.0)
+        return run_search(
+            state,
+            CostModel(statistics, weights, incremental=incremental),
+            strategy,
+            TransitionEnumerator(namer),
+            SearchBudget(max_states=1_500),
+        )
+
+    reference, incremental = search(False), search(True)
+    assert reference.stats.created > 0
+    assert incremental.best_cost == reference.best_cost
+    assert incremental.best_cost <= incremental.initial_cost
+    assert incremental.stats == reference.stats

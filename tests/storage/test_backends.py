@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.storage import (
-    BACKENDS,
-    MemoryBackend,
-    SqliteBackend,
-    create_backend,
-    permutation_key,
-)
+from repro.storage import BACKENDS, MemoryBackend, SqliteBackend, create_backend
 
 TRIPLES = [
     (0, 1, 2),
@@ -65,26 +59,6 @@ class TestContract:
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_count_agrees_with_match(self, backend, pattern):
         assert backend.count(pattern) == len(reference_match(pattern))
-
-    @pytest.mark.parametrize("order", ["spo", "sop", "pso", "pos", "osp", "ops"])
-    def test_iter_sorted_every_permutation(self, backend, order):
-        key = permutation_key(order)
-        result = list(backend.iter_sorted(order))
-        assert result == sorted(TRIPLES, key=key)
-
-    @pytest.mark.parametrize("order", ["spo", "pos", "ops"])
-    def test_match_sorted_restricted(self, backend, order):
-        key = permutation_key(order)
-        pattern = (None, 1, None)
-        assert list(backend.match_sorted(pattern, order)) == sorted(
-            reference_match(pattern), key=key
-        )
-
-    def test_unknown_order_rejected(self, backend):
-        with pytest.raises(ValueError):
-            list(backend.iter_sorted("zzz"))
-        with pytest.raises(ValueError):
-            list(backend.match_sorted((None, None, None), "pqr"))
 
     def test_remove(self, backend):
         assert backend.remove(TRIPLES[0]) is True

@@ -1,23 +1,24 @@
 """Contract tests for the storage layer's batched fetch paths.
 
-``match_batches`` / ``match_sorted_batches`` must chunk exactly what
-``match`` / ``match_sorted`` produce, and ``match_many`` must answer a
-batch of patterns exactly as per-pattern ``match`` calls would — on
-every backend, for every pattern shape (the SQLite backend routes each
-bound-column mask through a different index prefix and folds probe
-batches into single ``IN (VALUES ...)`` statements, including chunking
-past its per-statement probe limit).
+``match_columns`` must chunk and transpose exactly what ``match``
+produces, and ``match_many`` must answer a batch of patterns exactly as
+per-pattern ``match`` calls would — on every backend, for every pattern
+shape (the SQLite backend routes each bound-column mask through a
+different index prefix and folds probe batches into single
+``IN (VALUES ...)`` statements, including chunking past its
+per-statement probe limit). The base-class derivations a third-party
+backend inherits are held to the built-in overrides.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import URI
 from repro.rdf.triples import Triple
-from repro.storage import BACKENDS
-from repro.storage.base import PERMUTATIONS
+from repro.storage import BACKENDS, StorageBackend
 from repro.storage.sqlite import _PROBE_PARAM_BUDGET
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
@@ -58,22 +59,10 @@ def _all_shapes(store):
 
 @backends
 @pytest.mark.parametrize("size", [1, 7, 1024])
-def test_match_batches_chunk_match_exactly(backend, size):
-    store = _populated_store(backend)
-    for pattern in _all_shapes(store):
-        expected = sorted(store.match_encoded(pattern))
-        flattened = []
-        for batch in store.match_encoded_batches(pattern, size):
-            assert 0 < len(batch) <= size
-            flattened.extend(batch)
-        assert sorted(flattened) == expected, pattern
-
-
-@backends
-@pytest.mark.parametrize("size", [1, 7, 1024])
 def test_match_columns_transpose_match_exactly(backend, size):
-    """``match_columns`` is ``match_batches`` transposed: same triples,
-    same chunking bound, one equal-length sequence per column."""
+    """``match_columns`` is ``match_encoded`` chunked and transposed:
+    same triples, at most ``size`` per chunk, one equal-length sequence
+    per column."""
     store = _populated_store(backend)
     for pattern in _all_shapes(store):
         expected = sorted(store.match_encoded(pattern))
@@ -87,19 +76,72 @@ def test_match_columns_transpose_match_exactly(backend, size):
         assert sorted(flattened) == expected, pattern
 
 
+class _CoreOnlyBackend(StorageBackend):
+    """The least a third-party backend must write: the abstract core
+    over one plain set, every batched fetch path inherited."""
+
+    name = "core-only"
+
+    def __init__(self, triples=()):
+        self._triples = set(triples)
+
+    def add(self, encoded):
+        new = encoded not in self._triples
+        self._triples.add(encoded)
+        return new
+
+    def remove(self, encoded):
+        present = encoded in self._triples
+        self._triples.discard(encoded)
+        return present
+
+    def __len__(self):
+        return len(self._triples)
+
+    def __contains__(self, encoded):
+        return encoded in self._triples
+
+    def __iter__(self):
+        return iter(self._triples)
+
+    def match(self, pattern):
+        return (
+            triple
+            for triple in self._triples
+            if all(code is None or code == value for code, value in zip(pattern, triple))
+        )
+
+    def count(self, pattern):
+        return sum(1 for _ in self.match(pattern))
+
+    def distinct_values(self, column):
+        return len(self.column_value_counts(column))
+
+    def column_value_counts(self, column):
+        index = self._column_index(column)
+        return Counter(triple[index] for triple in self._triples)
+
+    def copy(self):
+        return _CoreOnlyBackend(self._triples)
+
+
 @backends
-@pytest.mark.parametrize("size", [1, 13])
-def test_match_sorted_batches_preserve_order(backend, size):
+@pytest.mark.parametrize("size", [1, 7, 1024])
+def test_base_class_match_columns_equals_the_builtin_override(backend, size):
     store = _populated_store(backend)
-    for order in PERMUTATIONS:
-        for pattern in [(None, None, None), (None, store.encode_term(URI("http://u/p0")), None)]:
-            expected = list(store.match_sorted(pattern, order))
-            flattened = [
-                triple
-                for batch in store.match_sorted_batches(pattern, order, size)
-                for triple in batch
-            ]
-            assert flattened == expected, (order, pattern)
+    derived = _CoreOnlyBackend(store.backend)
+
+    def chunks(source, pattern):
+        """(chunk lengths, sorted triples) of one columnar fetch."""
+        lengths, triples = [], []
+        for columns in source.match_columns(pattern, size):
+            assert len(columns) == 3
+            lengths.append(len(columns[0]))
+            triples.extend(zip(*columns))
+        return lengths, sorted(triples)
+
+    for pattern in _all_shapes(store) + [(10**6, None, None)]:
+        assert chunks(derived, pattern) == chunks(store.backend, pattern), pattern
 
 
 @backends

@@ -232,23 +232,6 @@ def test_search_budget_flags(capsys, data_file, workload_file):
     assert "cost reduction" in out
 
 
-def test_workers_parallelize_the_search_only(capsys, data_file, workload_file):
-    """``--workers`` is the search's frontier-pricing pool size; plans
-    and answers do not depend on it."""
-    out = run_cli(
-        capsys,
-        "--data", str(data_file),
-        "--queries", str(workload_file),
-        "--time-limit", "2",
-        "--workers", "2",
-        "--explain",
-        "--show-answers",
-    )
-    assert "q2 [route=interpreted]:" in out
-    assert "recommended views:" in out
-    assert "q1: 1 answers" in out
-
-
 def test_explain_prints_search_accounting(capsys, data_file, workload_file):
     out = run_cli(
         capsys,

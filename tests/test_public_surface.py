@@ -1,17 +1,20 @@
 """The public surface after the execution matrix was collapsed.
 
 One execution path means two settable values on ``run_query``
-(``statistics``, ``pushdown``). A knob — an ``engine=``, a
-``batch_size=``, a ``workers=``, a ``layout=`` — cannot come back
-without one of these failing.
+(``statistics``, ``pushdown``), a serial search, and a storage contract
+of pattern matches and counts only. A knob — an ``engine=``, a
+``batch_size=``, a ``workers=``, a ``layout=`` — or a retired fetch
+method cannot come back without one of these failing.
 """
 
 import dataclasses
+import importlib
 import inspect
 
 import pytest
 
 import repro.engine
+import repro.storage
 from repro.cli import build_parser, build_serve_parser
 from repro.engine import (
     evaluate_union_shared,
@@ -22,7 +25,18 @@ from repro.engine import (
     run_query_batch,
 )
 from repro.query.evaluation import evaluate, evaluate_union
+from repro.rdf.store import TripleStore
+from repro.selection import ViewSelector
+from repro.selection.search import (
+    descent_search,
+    dfs_search,
+    exhaustive_naive_search,
+    exhaustive_stratified_search,
+    greedy_stratified_search,
+    run_search,
+)
 from repro.server import ServerConfig
+from repro.storage import StorageBackend
 
 SIGNATURES = {
     run_query: ["query", "store", "statistics", "pushdown"],
@@ -33,7 +47,23 @@ SIGNATURES = {
     evaluate_union: ["union", "store", "pushdown", "shared"],
     run_query_batch: ["queries", "store", "shared", "pushdown"],
     evaluate_union_shared: ["disjuncts", "store", "pushdown"],
+    run_search: [
+        "initial", "cost_model", "strategy", "enumerator", "budget",
+        "use_avf", "use_stoptt", "use_stopvar",
+    ],
+    ViewSelector.__init__: [
+        "self", "store", "schema", "weights", "strategy", "entailment",
+        "budget", "vb_mode", "use_avf", "use_stopvar",
+    ],
 }
+
+SEARCH_WRAPPERS = (
+    dfs_search,
+    exhaustive_naive_search,
+    exhaustive_stratified_search,
+    greedy_stratified_search,
+    descent_search,
+)
 
 RETIRED_NAMES = {
     "ADAPTIVE_BATCH_SIZE",
@@ -49,12 +79,50 @@ RETIRED_NAMES = {
     "choose_engine",
 }
 
+#: What a third-party backend must write; everything else is derived.
+STORAGE_ABSTRACT_CORE = {
+    "add", "remove", "__len__", "__contains__", "__iter__", "match", "count",
+    "distinct_values", "column_value_counts", "copy",
+}
+
+RETIRED_STORAGE_NAMES = {
+    "PERMUTATIONS",
+    "permutation_key",
+    "iter_sorted",
+    "match_sorted",
+    "match_batches",
+    "match_sorted_batches",
+    "match_encoded_batches",
+}
+
+RETIRED_MODULES = ("repro.engine.parallel",)
+
 
 @pytest.mark.parametrize(
-    "function", list(SIGNATURES), ids=lambda function: function.__name__
+    "function", list(SIGNATURES), ids=lambda function: function.__qualname__
 )
 def test_signature(function):
     assert list(inspect.signature(function).parameters) == SIGNATURES[function]
+
+
+@pytest.mark.parametrize(
+    "wrapper", SEARCH_WRAPPERS, ids=lambda wrapper: wrapper.__name__
+)
+def test_search_wrappers_take_no_workers(wrapper):
+    assert "workers" not in inspect.signature(wrapper).parameters
+
+
+@pytest.mark.parametrize("module", RETIRED_MODULES)
+def test_retired_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_storage_contract_is_the_abstract_core():
+    assert StorageBackend.__abstractmethods__ == STORAGE_ABSTRACT_CORE
+    for holder in (StorageBackend, TripleStore, repro.storage):
+        assert not RETIRED_STORAGE_NAMES & set(dir(holder)), holder
+    assert not RETIRED_STORAGE_NAMES & set(repro.storage.__all__)
 
 
 def test_engine_exports_resolve_and_hold_no_retired_name():
@@ -76,6 +144,26 @@ def test_cli_rejects_retired_flags(build, flag, capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(required + [flag, "1"])  # ... and not with it
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_workers_is_a_serve_option_only():
+    """``serve --workers`` is a process count with a measured caller;
+    the recommend verb's frontier-pricing pool is retired."""
+    serve = build_serve_parser().parse_args(
+        ["--db", "kb.snapshot", "--workers", "3"]
+    )
+    assert serve.workers == 3
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--queries", "w.dq", "--workers", "2"])
+
+
+def test_time_limit_spellings_share_one_dest():
+    parser = build_parser()
+    for flag in ("--time-limit", "--search-budget-seconds"):
+        args = parser.parse_args(["--queries", "w.dq", flag, "2.5"])
+        assert args.time_limit == 2.5
+        assert not hasattr(args, "search_budget_seconds")
+    assert parser.parse_args(["--queries", "w.dq"]).time_limit == 30.0
 
 
 def test_server_config_has_no_engine_knobs():
