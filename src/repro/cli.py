@@ -203,12 +203,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="worker processes answering queries "
                         "(default 2); each holds its own connection and "
-                        "prepared-plan cache")
-    parser.add_argument("--window-ms", type=float, default=2.0, metavar="MS",
-                        help="batching window: queries arriving within MS "
-                        "of each other execute as one shared batch, so "
-                        "multi-query optimization spans clients "
-                        "(default 2.0; 0 disables cross-request batching)")
+                        "prepared-plan cache and runs, as one shared "
+                        "batch, whatever queued while it was busy")
     parser.add_argument("--replay", type=Path, default=None, metavar="PATH",
                         help="instead of serving forever: replay this "
                         "workload file through concurrent clients, verify "
@@ -246,11 +242,7 @@ def _run_serve(args) -> int:
     if not args.db.is_file():
         _LOG.error(f"snapshot {args.db} does not exist")
         return 2
-    config = ServerConfig(
-        workers=args.workers,
-        backend=args.backend,
-        window_ms=args.window_ms,
-    )
+    config = ServerConfig(workers=args.workers, backend=args.backend)
     try:
         server = Server(args.db, config)
     except ServerError as exc:
@@ -259,7 +251,7 @@ def _run_serve(args) -> int:
     with server:
         _LOG.info(
             f"serving {args.db} [{args.backend} backend, "
-            f"{args.workers} workers, window {args.window_ms}ms] "
+            f"{args.workers} workers] "
             f"pids={server.worker_pids()}"
         )
         if args.replay is None:
@@ -316,7 +308,6 @@ def _run_serve(args) -> int:
             "snapshot": str(args.db),
             "backend": args.backend,
             "workers": args.workers,
-            "window_ms": args.window_ms,
             "verified": reference is not None,
             "replay": summary,
             "server_metrics": metrics_snapshot,

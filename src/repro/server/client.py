@@ -3,8 +3,8 @@
 One :class:`ServerClient` wraps one socket connection. The protocol is
 strictly request/response per connection, so a client instance is NOT
 thread-safe — give each client thread its own instance (that is also
-what makes concurrent load hit the server's batching window: separate
-connections submit genuinely concurrent requests).
+what lets the server batch concurrent load: separate connections
+submit genuinely concurrent requests, which queue into one batch).
 
 >>> client = ServerClient(server.address, server.authkey)
 >>> result = client.query("SELECT ?s WHERE { ?s <p> <o> }")

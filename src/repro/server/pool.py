@@ -9,11 +9,11 @@ request/response pipe. They are the only processes ``repro`` starts:
 the engine and the view-selection search run serially.
 
 Fault tolerance is per worker, not per pool: a worker killed mid-batch
-(OOM, operator error) is detected by liveness polling, the pool spawns
-a replacement, and the caller gets :class:`WorkerCrash` to retry the
-batch on another worker — one dead process never poisons the pool and
-never hangs a request. Batches are pure reads on an immutable snapshot,
-so retrying is always safe.
+(OOM, operator error) is detected by liveness polling, the caller gets
+:class:`WorkerCrash`, has the pool spawn a replacement into the same
+slot and retries the batch on it — one dead process never poisons the
+pool and never hangs a request. Batches are pure reads on an immutable
+snapshot, so retrying is always safe.
 
 Every reply can carry a :mod:`repro.obs.metrics` dump recorded against
 a fresh registry for exactly that batch (``metrics.collect``), so the
@@ -75,7 +75,7 @@ def _answer_batch(texts, store, parse_cache):
 
     Parse failures become per-text error entries; the valid remainder
     runs through :func:`repro.engine.run_query_batch`, so cross-client
-    sharing (MQO) applies to whatever arrived in the same window.
+    sharing (MQO) applies to whatever queued into the same batch.
     """
     from repro.engine import run_query_batch
     from repro.query.parser import QuerySyntaxError, parse_query
@@ -287,11 +287,10 @@ class Worker:
 class WorkerPool:
     """A fixed-size pool of serve workers with crash replacement.
 
-    ``acquire``/``release`` hand out idle workers to the server's
-    dispatch threads; ``replace`` swaps a crashed worker for a freshly
-    spawned one, so the pool's capacity self-heals. All parent-side
-    state lives in thread-safe queues — the pool is driven by as many
-    dispatch threads as it has workers.
+    ``workers[slot]`` belongs to the server's driver thread of that
+    slot, the only thread that runs batches on it; ``replace`` swaps a
+    crashed worker for a freshly spawned one in the same slot, so the
+    pool's capacity self-heals.
     """
 
     def __init__(
@@ -303,8 +302,6 @@ class WorkerPool:
         collect_metrics: bool = True,
         test_hooks: bool = False,
     ) -> None:
-        import queue
-
         if workers < 1:
             raise ValueError("a worker pool needs at least one worker")
         self.path = str(path)
@@ -312,14 +309,10 @@ class WorkerPool:
         self.collect_metrics = collect_metrics
         self.test_hooks = test_hooks
         self._context = fork_context()
-        self._idle: "queue.Queue[Worker]" = queue.Queue()
-        self._empty = queue.Empty
         self.workers: list[Worker] = []
         try:
             for index in range(workers):
-                worker = self._spawn(index)
-                self.workers.append(worker)
-                self._idle.put(worker)
+                self.workers.append(self._spawn(index))
         except BaseException:
             self.shutdown()
             raise
@@ -341,26 +334,11 @@ class WorkerPool:
         worker.wait_ready()
         return worker
 
-    def acquire(self, timeout: float | None = None) -> Worker:
-        """Next idle worker; raises :class:`ServerError` on timeout
-        (bounded wait — a drained pool must surface, not hang)."""
-        try:
-            return self._idle.get(timeout=timeout)
-        except self._empty:
-            raise ServerError(
-                "no serve worker became available within "
-                f"{timeout:.0f}s (pool exhausted)"
-            ) from None
-
-    def release(self, worker: Worker) -> None:
-        self._idle.put(worker)
-
-    def replace(self, worker: Worker) -> None:
-        """Replace a crashed worker with a fresh one (same slot)."""
-        worker.kill()
-        replacement = self._spawn(worker.index)
-        self.workers[worker.index] = replacement
-        self._idle.put(replacement)
+    def replace(self, slot: int) -> Worker:
+        """Replace the crashed worker of ``slot`` with a fresh one."""
+        self.workers[slot].kill()
+        self.workers[slot] = self._spawn(slot)
+        return self.workers[slot]
 
     def pids(self) -> list[int]:
         """Live worker pids (test and observability hook)."""

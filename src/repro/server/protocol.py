@@ -19,7 +19,9 @@ Server → client::
 where, for a query request, ``payload`` is one entry per submitted
 text, in submission order: ``("ok", answers)`` with the decoded answer
 set, or ``("error", message)``. ``server_ms`` is the server-side
-latency from intake to reply.
+latency from intake to reply. A message of any other shape is answered
+``("result", request_id or None, [("error", "malformed request: ...")],
+0.0)`` and the connection stays usable (:func:`check_request`).
 
 Parent → worker (pipe)::
 
@@ -41,6 +43,42 @@ from dataclasses import dataclass
 class ServerError(RuntimeError):
     """A request failed cleanly: the server answered with an error (or
     could not be reached) instead of an answer set."""
+
+
+def check_request(message) -> tuple[object, str | None]:
+    """``(request_id, problem)`` of one client message; ``problem`` is
+    ``None`` for a well-formed request, else the error to answer with.
+
+    Everything a client sends is checked here, once, so the server's
+    reader and driver threads index requests without guarding.
+    """
+    if (
+        not isinstance(message, tuple) or len(message) < 2
+        or not isinstance(message[0], str)
+    ):
+        return None, (
+            "malformed request: expected a (kind, request_id, ...) tuple"
+        )
+    kind, request_id = message[:2]
+    if kind in ("metrics", "info"):
+        return request_id, None
+    if kind != "query":
+        return request_id, f"unknown request kind {kind!r}"
+    if len(message) != 4:
+        return request_id, (
+            "malformed request: a query is "
+            '("query", request_id, texts, options)'
+        )
+    texts, options = message[2:]
+    if not isinstance(texts, (list, tuple)) or not all(
+        isinstance(text, str) for text in texts
+    ):
+        return request_id, (
+            "malformed request: query texts must be a list of strings"
+        )
+    if not isinstance(options, dict):
+        return request_id, "malformed request: query options must be a dict"
+    return request_id, None
 
 
 @dataclass(frozen=True, slots=True)

@@ -77,9 +77,9 @@ def replay(
 
     The schedule is dealt round-robin across clients; each client
     submits its queries one request at a time (cross-request batching
-    is the *server's* job — the window forms from genuinely concurrent
-    arrivals, exactly as it would in production). Answers are checked
-    against ``reference`` as they return.
+    is the *server's* job — a batch forms from the requests that queue
+    while a worker is busy, exactly as it would in production). Answers
+    are checked against ``reference`` as they return.
     """
     if clients < 1:
         raise ValueError("replay needs at least one client")

@@ -1,33 +1,32 @@
-"""The serve-mode server: accept clients, batch queries, fan out.
+"""The serve-mode server: accept clients, batch queries by load, fan out.
 
 Architecture (one process, N worker processes)::
 
     clients ──sockets──► reader threads ──► bounded intake queue
                                                │
-                                       dispatcher thread
-                                  (gathers batching windows)
-                                               │
-                                 dispatch ThreadPoolExecutor
-                                   │ acquire / release │
-                                   ▼                   ▼
+                          N driver threads, one per worker slot: take
+                          one request, drain what else is queued, run
+                          the batch on the slot's worker, reply
+                                               │ pipe
+                                               ▼
                             WorkerPool (N forked worker processes,
                             each: read-only snapshot + plan cache)
 
-Batching windows are how one server turns concurrent clients into
-multi-query optimization wins: the dispatcher takes the first pending
-request, then keeps draining the intake queue until ``window_ms``
-elapses (or ``max_batch_requests`` requests gathered), and ships all
-their query texts as *one* ``run_query_batch`` call to one worker —
-identical scans and subplans shared across clients that happened to
-arrive together. ``window_ms=0`` disables cross-request batching;
-each request still ships as one batch (its own texts still share).
+Load-formed batches are how one server turns concurrent clients into
+multi-query optimization wins: a driver blocks for one request, takes
+whatever else is *already* queued (up to ``max_batch_requests``) and
+ships all their query texts as *one* ``run_query_batch`` call to its
+worker — a batch is exactly what arrived while that worker was busy,
+so an idle server dispatches at once and a loaded one shares identical
+scans and subplans across the clients that queued together. A
+multi-text request always ships whole (its own texts still share).
 
-Backpressure is the bounded intake queue: when dispatch falls behind,
-reader threads block putting into it, the kernel socket buffers fill,
-and clients slow down — no unbounded queueing inside the server.
+Backpressure is the bounded intake queue, the only queue in the
+server: when the workers fall behind, reader threads block putting
+into it, the kernel socket buffers fill, and clients slow down.
 
 Fault tolerance: a worker that dies mid-batch is replaced in its pool
-slot and the batch retries on another worker (up to ``retries`` times
+slot and the batch retries on the replacement (up to ``retries`` times
 — safe, the snapshot is immutable and read-only); a batch that keeps
 failing answers every affected request with a clean error. Nothing in
 the dispatch path waits unboundedly.
@@ -40,14 +39,13 @@ import queue
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing.connection import Listener
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
 from repro.server.pool import BatchFailed, WorkerCrash, WorkerPool
-from repro.server.protocol import ServerError
+from repro.server.protocol import ServerError, check_request
 
 
 @dataclass(slots=True)
@@ -57,7 +55,6 @@ class ServerConfig:
 
     workers: int = 2
     backend: str = "sqlite"
-    window_ms: float = 2.0
     max_batch_requests: int = 32
     collect_metrics: bool = True
     retries: int = 1
@@ -74,7 +71,7 @@ class Server:
     Construction order is deliberate: the worker pool forks **before**
     any server thread starts (forking a multi-threaded process risks
     inheriting held locks), then the listener socket opens and the
-    accept/dispatcher threads come up. Use as a context manager or call
+    accept and driver threads come up. Use as a context manager or call
     :meth:`stop` explicitly.
     """
 
@@ -108,20 +105,19 @@ class Server:
             self.authkey = os.urandom(16)
             self._listener = Listener(None, "AF_UNIX", authkey=self.authkey)
             self.address = self._listener.address
-            self._dispatch_pool = ThreadPoolExecutor(
-                max_workers=cfg.workers,
-                thread_name_prefix="repro-serve-dispatch",
-            )
             self._accept_thread = threading.Thread(
                 target=self._accept_loop, name="repro-serve-accept",
                 daemon=True,
             )
-            self._dispatcher_thread = threading.Thread(
-                target=self._dispatch_loop, name="repro-serve-dispatcher",
-                daemon=True,
-            )
-            self._accept_thread.start()
-            self._dispatcher_thread.start()
+            self._driver_threads = [
+                threading.Thread(
+                    target=self._drive_loop, args=(slot,),
+                    name=f"repro-serve-driver-{slot}", daemon=True,
+                )
+                for slot in range(cfg.workers)
+            ]
+            for thread in [self._accept_thread, *self._driver_threads]:
+                thread.start()
         except BaseException:
             self.pool.shutdown()
             raise
@@ -170,8 +166,8 @@ class Server:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        self._dispatcher_thread.join(timeout=2.0)
-        self._dispatch_pool.shutdown(wait=True)
+        for thread in self._driver_threads:
+            thread.join()  # at most one batch, itself bounded by its timeout
         with self._readers_lock:
             readers = list(self._reader_threads)
         for thread in readers:
@@ -215,18 +211,16 @@ class Server:
                 if not conn.poll(0.1):
                     continue
                 message = conn.recv()
-                kind, request_id = message[0], message[1]
+                request_id, problem = check_request(message)
+                if problem is not None:
+                    self._reply(conn, request_id, [("error", problem)], 0.0)
+                    continue
+                kind = message[0]
                 if kind == "metrics":
                     self._reply(conn, request_id, self.metrics_dump(), 0.0)
                     continue
                 if kind == "info":
                     self._reply(conn, request_id, self._info(), 0.0)
-                    continue
-                if kind != "query":
-                    self._reply(
-                        conn, request_id,
-                        [("error", f"unknown request kind {kind!r}")], 0.0,
-                    )
                     continue
                 texts, options = list(message[2]), dict(message[3])
                 item = (conn, request_id, texts, options, time.perf_counter())
@@ -251,7 +245,6 @@ class Server:
             "path": self.path,
             "workers": cfg.workers,
             "backend": cfg.backend,
-            "window_ms": cfg.window_ms,
             "worker_pids": self.worker_pids(),
         }
 
@@ -268,99 +261,91 @@ class Server:
 
     # -- dispatch ------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        """Form batching windows from the intake queue."""
-        cfg = self.config
+    def _drive_loop(self, slot: int) -> None:
+        """Feed worker ``slot``: block for one request, take whatever
+        queued while the worker was busy, run it all as one batch."""
+        limit = self.config.max_batch_requests
         while not self._stopping.is_set():
             try:
-                first = self._intake.get(timeout=0.05)
+                batch = [self._intake.get(timeout=0.05)]
             except queue.Empty:
                 continue
-            window = [first]
-            if cfg.window_ms > 0:
-                deadline = time.monotonic() + cfg.window_ms / 1000.0
-                while len(window) < cfg.max_batch_requests:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        window.append(self._intake.get(timeout=remaining))
-                    except queue.Empty:
-                        break
-            self._dispatch_pool.submit(self._run_batch, window)
+            try:
+                while len(batch) < limit:
+                    batch.append(self._intake.get_nowait())
+            except queue.Empty:
+                pass
+            # A client that hung up (its reader saw the EOF and closed
+            # the connection) gets no worker time.
+            live = [request for request in batch if not request[0].closed]
+            if len(live) < len(batch):
+                with self._metrics_lock:
+                    self.metrics.inc("server.abandoned", len(batch) - len(live))
+            if live:
+                self._run_batch(slot, live)
 
-    def _run_batch(self, window: list) -> None:
-        """Execute one window's requests as a single worker batch."""
+    def _run_batch(self, slot: int, batch: list) -> None:
+        """Execute one batch's requests as a single call to the slot's
+        worker; a crashed worker is replaced and the batch retried."""
         cfg = self.config
+        formed = time.perf_counter()
         texts: list[str] = []
-        counts: list[int] = []
         delay_ms = None
-        for _conn, _rid, request_texts, options, _start in window:
+        for _conn, _rid, request_texts, options, _start in batch:
             texts.extend(request_texts)
-            counts.append(len(request_texts))
             if cfg.test_hooks and options.get("delay_ms"):
                 delay_ms = max(delay_ms or 0.0, float(options["delay_ms"]))
-        entries = None
+        worker = self.pool.workers[slot]
+        entries = dump = error = None
         exec_ms = 0.0
-        error = None
-        attempts = 0
-        while attempts <= cfg.retries:
-            attempts += 1
-            try:
-                worker = self.pool.acquire(timeout=cfg.request_timeout_s)
-            except ServerError as exc:
-                error = str(exc)
-                break
+        for attempts_left in range(cfg.retries, -1, -1):
             try:
                 entries, exec_ms, dump = worker.run(
                     texts, delay_ms=delay_ms, timeout=cfg.request_timeout_s
                 )
+                error = None
+                if cfg.test_hooks:
+                    self.batch_log.append((slot, tuple(texts)))
+                break
+            except BatchFailed as exc:
+                error = str(exc)
+                break
             except WorkerCrash as exc:
                 with self._metrics_lock:
                     self.metrics.inc("server.worker_crashes")
-                    if attempts <= cfg.retries:
+                    if attempts_left:
                         self.metrics.inc("server.retries")
                 error = f"worker died while serving the request: {exc}"
                 try:
-                    self.pool.replace(worker)
+                    worker = self.pool.replace(slot)
                 except ServerError as spawn_exc:  # pragma: no cover
                     error = f"{error}; respawn failed: {spawn_exc}"
                     break
-                continue
-            except BatchFailed as exc:
-                self.pool.release(worker)
-                error = str(exc)
-                break
-            self.pool.release(worker)
-            if cfg.test_hooks:
-                self.batch_log.append((worker.index, tuple(texts)))
-            if dump is not None:
-                with self._metrics_lock:
-                    self.metrics.merge(dump)
-            break
         if entries is None:
-            message = error or "request failed"
-            entries = [("error", message)] * len(texts)
+            entries = [("error", error)] * len(texts)
         finished = time.perf_counter()
         with self._metrics_lock:
+            if dump is not None:
+                self.metrics.merge(dump)
             self.metrics.inc("server.batches")
-            self.metrics.inc("server.batch_requests", len(window))
+            self.metrics.inc("server.batch_requests", len(batch))
             self.metrics.inc("server.batch_queries", len(texts))
-            self.metrics.inc("server.requests", len(window))
+            self.metrics.inc("server.requests", len(batch))
             self.metrics.inc("server.queries", len(texts))
             if error is not None:
-                self.metrics.inc("server.errors", len(window))
+                self.metrics.inc("server.errors", len(batch))
             self.metrics.observe("server.worker_exec_ms", exec_ms)
-            for _conn, _rid, _texts, _options, started in window:
+            for _conn, _rid, _texts, _options, started in batch:
+                self.metrics.observe(
+                    "server.queue_ms", (formed - started) * 1000.0
+                )
                 self.metrics.observe(
                     "server.latency_ms", (finished - started) * 1000.0
                 )
         offset = 0
-        for (conn, request_id, _texts, _options, started), count in zip(
-            window, counts
-        ):
-            payload = entries[offset:offset + count]
-            offset += count
+        for conn, request_id, request_texts, _options, started in batch:
+            payload = entries[offset:offset + len(request_texts)]
+            offset += len(request_texts)
             self._reply(
                 conn, request_id, payload, (finished - started) * 1000.0
             )

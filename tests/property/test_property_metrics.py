@@ -125,7 +125,7 @@ def test_served_answers_and_metrics_match_serial(data):
             serial_store.close()
 
         # test_hooks: the replay below needs the per-batch log.
-        config = ServerConfig(workers=workers, window_ms=0.0, test_hooks=True)
+        config = ServerConfig(workers=workers, test_hooks=True)
         with Server(path, config) as server:
             served: dict[int, list] = {}
 

@@ -15,7 +15,7 @@ from repro.rdf.triples import Triple
 NS = "http://test/"
 
 #: Query texts mixing selective scans, star joins, and a chain join —
-#: enough plan diversity that per-worker plan caches and MQO windows
+#: enough plan diversity that per-worker plan caches and MQO batches
 #: have real work to share.
 WORKLOAD = [
     f"q1(X, O) :- t(X, <{NS}p0>, O)",

@@ -33,9 +33,7 @@ def _query_in_background(client, text, delay_ms):
 
 
 def test_killed_worker_is_replaced_and_request_retried(snapshot, reference):
-    config = ServerConfig(
-        workers=1, window_ms=0.0, retries=1, test_hooks=True
-    )
+    config = ServerConfig(workers=1, retries=1, test_hooks=True)
     with Server(snapshot, config) as server:
         victim = server.worker_pids()[0]
         with server.connect() as client:
@@ -54,9 +52,7 @@ def test_killed_worker_is_replaced_and_request_retried(snapshot, reference):
 
 
 def test_killed_worker_without_retries_is_clean_error(snapshot, reference):
-    config = ServerConfig(
-        workers=1, window_ms=0.0, retries=0, test_hooks=True
-    )
+    config = ServerConfig(workers=1, retries=0, test_hooks=True)
     with Server(snapshot, config) as server:
         victim = server.worker_pids()[0]
         with server.connect() as client:
@@ -78,9 +74,7 @@ def test_killed_worker_without_retries_is_clean_error(snapshot, reference):
 
 def test_other_clients_unaffected_by_crash(snapshot, reference):
     """A crash serving one client must not corrupt another's requests."""
-    config = ServerConfig(
-        workers=2, window_ms=0.0, retries=1, test_hooks=True
-    )
+    config = ServerConfig(workers=2, retries=1, test_hooks=True)
     with Server(snapshot, config) as server:
         with server.connect() as victim_client, server.connect() as other:
             thread, box = _query_in_background(
@@ -111,7 +105,7 @@ def test_deleted_snapshot_surfaces_clean_error(tmp_path):
     store = build_store()
     store.save(path)
     store.close()
-    with Server(path, ServerConfig(workers=1, window_ms=0.0)) as server:
+    with Server(path, ServerConfig(workers=1)) as server:
         with server.connect() as client:
             assert client.query(WORKLOAD[0], timeout=60.0).ok
             os.remove(path)
@@ -130,7 +124,7 @@ def test_replaced_snapshot_surfaces_clean_error(tmp_path):
     replacement = build_store()
     replacement.save(tmp_path / "next.snapshot")
     replacement.close()
-    with Server(path, ServerConfig(workers=1, window_ms=0.0)) as server:
+    with Server(path, ServerConfig(workers=1)) as server:
         with server.connect() as client:
             assert client.query(WORKLOAD[0], timeout=60.0).ok
             shutil.move(tmp_path / "next.snapshot", path)
@@ -152,9 +146,7 @@ def test_missing_snapshot_rejected_at_startup(tmp_path):
 
 def test_repeated_crashes_keep_pool_capacity(snapshot, reference):
     """Crash-replace several times in a row; the pool never shrinks."""
-    config = ServerConfig(
-        workers=1, window_ms=0.0, retries=1, test_hooks=True
-    )
+    config = ServerConfig(workers=1, retries=1, test_hooks=True)
     with Server(snapshot, config) as server:
         with server.connect() as client:
             for _ in range(3):

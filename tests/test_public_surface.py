@@ -133,7 +133,7 @@ def test_engine_exports_resolve_and_hold_no_retired_name():
 
 
 @pytest.mark.parametrize("build", [build_parser, build_serve_parser])
-@pytest.mark.parametrize("flag", ["--engine", "--batch-size"])
+@pytest.mark.parametrize("flag", ["--engine", "--batch-size", "--window-ms"])
 def test_cli_rejects_retired_flags(build, flag, capsys):
     required = {
         build_parser: ["--queries", "w.dq"],
@@ -169,3 +169,12 @@ def test_time_limit_spellings_share_one_dest():
 def test_server_config_has_no_engine_knobs():
     fields = {field.name for field in dataclasses.fields(ServerConfig)}
     assert not fields & {"engine", "batch_size", "layout"}
+
+
+def test_server_config_field_set():
+    """Eight knobs; ``window_ms`` went with the batching timer in PR 23
+    (batches form from load). A ninth needs two callers that differ."""
+    assert [field.name for field in dataclasses.fields(ServerConfig)] == [
+        "workers", "backend", "max_batch_requests", "collect_metrics",
+        "retries", "request_timeout_s", "max_pending", "test_hooks",
+    ]
