@@ -17,7 +17,7 @@ Public surface::
     run_plan(plan, extents)                     # rewriting Plan -> rows
     plan_query / plan_rewriting                 # operator trees (explain)
     plan_pushdown(query, store)                 # whole-plan SQL route
-    plan_batch / plan_union_pushdown            # shared-subplan DAG / UNION
+    plan_batch / plan_union_pushdown            # shared-subplan DAG / union route
     SQL_PUSHDOWN / INTERPRETED                  # the two routes
     DEFAULT_BATCH_SIZE                          # rows per scan batch
 
@@ -40,8 +40,8 @@ Batches of queries — reformulation unions and independent workloads
 alike — run through the multi-query optimizer (:mod:`repro.engine.mqo`):
 shared join subtrees across the batch are fingerprinted by canonical
 form, cost-gated, executed once, and fanned out to every consumer; on a
-SQL-capable backend an eligible union compiles into one
-``SELECT ... UNION`` statement whose shared subtrees are CTEs.
+SQL-capable backend a union runs one prepared statement per disjunct,
+skipping every branch over a shared prefix that probes empty.
 
 The engine/layout/batch-size/workers matrix that used to be selectable
 here (hash, merge and partitioned joins, row-list batches, the
@@ -55,7 +55,6 @@ from repro.engine.extents import ViewExtent
 from repro.engine.mqo import (
     MATERIALIZE_COST_FACTOR,
     MQO_DAG,
-    UNION_PUSHDOWN,
     BatchPlan,
     SharedNode,
     count_union,
@@ -65,7 +64,6 @@ from repro.engine.mqo import (
     plan_batch,
     plan_union_pushdown,
     run_query_batch,
-    union_signature,
 )
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
@@ -89,12 +87,7 @@ from repro.engine.planner import (
     run_plan,
     run_query,
 )
-from repro.engine.sqlcompile import (
-    CompiledQuery,
-    CompiledUnion,
-    compile_query,
-    compile_union,
-)
+from repro.engine.sqlcompile import CompiledQuery, compile_query
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -102,14 +95,11 @@ __all__ = [
     "MATERIALIZE_COST_FACTOR",
     "MQO_DAG",
     "SQL_PUSHDOWN",
-    "UNION_PUSHDOWN",
     "BatchPlan",
     "ColumnBatch",
     "CompiledQuery",
-    "CompiledUnion",
     "SharedNode",
     "compile_query",
-    "compile_union",
     "count_union",
     "decode_images",
     "describe_union_sharing",
@@ -118,7 +108,6 @@ __all__ = [
     "plan_pushdown",
     "plan_union_pushdown",
     "run_query_batch",
-    "union_signature",
     "Distinct",
     "Empty",
     "ExtentScan",

@@ -39,16 +39,12 @@ queries, the server-mode hook), ``evaluate_union`` in
 :func:`count_union` (the size of a union's answer and nothing else:
 images partitioned on head constants, never decoded — what
 ``ReformulationAwareStatistics`` gathers its counts with), and
-:func:`plan_union_pushdown`,
-which on a SQL-capable backend compiles an eligible union into **one**
-``SELECT ... UNION`` statement whose shared subtrees are CTEs
-(:func:`repro.engine.sqlcompile.compile_union`). The compound executes
-only when the estimator prices the shared-prefix recompute it avoids
-above its measured per-arm overhead (:data:`STATEMENT_OVERHEAD_ROWS`);
-otherwise the same branches run as per-branch prepared statements with
-encoded answers merged union-wide. Union-level artifacts are cached in
-the store's prepared-plan cache under the union's canonical signature
-and flushed on mutation, like every other prepared plan.
+:func:`plan_union_pushdown`, the route a union takes on a SQL-capable
+backend: one prepared statement per distinct disjunct, encoded answers
+merged union-wide, and every branch over a shared prefix that a single
+``SELECT EXISTS`` probe finds empty skipped outright. The route is
+cached in the store's prepared-plan cache and flushed on mutation,
+like every other prepared plan.
 
 ``shared=False`` runs every query independently through ``run_query`` —
 the reference the sharing tests compare against.
@@ -62,7 +58,6 @@ from typing import Iterable, Sequence
 from repro.engine.operators import ExtentScan, IndexScan, Operator
 from repro.engine.planner import (
     _PLAN_CACHE_LIMIT,
-    _PUSHDOWN_INELIGIBLE,
     _estimator,
     _images_from_root,
     _join_tree,
@@ -72,15 +67,9 @@ from repro.engine.planner import (
     plan_query,
     run_query,
 )
-from repro.engine.sqlcompile import (
-    CompiledUnion,
-    UnionBranch,
-    UnionCTE,
-    compile_union,
-)
 from repro.obs import metrics, tracing
 from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
-from repro.query.containment import canonical_form, canonical_labeling
+from repro.query.containment import canonical_labeling
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, Term
 
@@ -89,28 +78,21 @@ __all__ = [
     "SharedNode",
     "MATERIALIZE_COST_FACTOR",
     "MQO_DAG",
-    "UNION_PUSHDOWN",
     "count_union",
     "decode_images",
     "evaluate_union_shared",
     "plan_batch",
     "plan_union_pushdown",
     "run_query_batch",
-    "union_signature",
 ]
 
 #: Token under which shared-subplan DAGs live in the prepared-plan
 #: cache (keyed by the tuple of distinct batch queries).
 MQO_DAG = "mqo-dag"
 
-#: Cache token for compiled ``SELECT ... UNION`` statements
-#: (keyed by the union's canonical signature).
-UNION_PUSHDOWN = "sql-union-pushdown"
-
-#: Cache token for the per-union routing decision
-#: (keyed by the raw disjunct tuple, so repeated evaluations of the
-#: same union — a served or re-run query — skip deduplication,
-#: signature lookup, and per-disjunct plan lookups).
+#: Cache token for a union's route (keyed by the raw disjunct tuple, so
+#: repeated evaluations of the same union — a served or re-run query —
+#: skip deduplication, compilation and probing).
 _UNION_ROUTE = "mqo-union-route"
 
 #: Cost gate: a subtree consumed by ``n`` plans is shared only when
@@ -127,18 +109,6 @@ MATERIALIZE_COST_FACTOR = 2.0
 #: which costs more than streaming a row. Only the ratio against
 #: materialization matters.
 _PROBE_COST = 2.0
-
-#: Profit gate for executing a compiled union as ONE compound
-#: statement instead of per-branch prepared statements. On the
-#: embedded SQLite backend a compound arm costs roughly this many
-#: indexed row-probes *more* than the identical statement run alone
-#: (SQLite builds per-arm bloom filters and compound machinery on
-#: every execution, which dwarfs the few-microsecond dispatch a
-#: separate cached statement costs). The compound only runs when the
-#: shared-prefix recompute it avoids is estimated to save more rows
-#: per arm than this overhead; selective reformulation unions land far
-#: below it, unions whose shared prefixes are wide cross it.
-STATEMENT_OVERHEAD_ROWS = 16.0
 
 
 # ----------------------------------------------------------------------
@@ -509,107 +479,8 @@ def _batch_images(plan: BatchPlan, store: TripleStore) -> list[set[tuple]]:
 
 
 # ----------------------------------------------------------------------
-# Union pushdown: one SELECT ... UNION statement with shared CTEs
+# The union route: per-branch statements behind empty-prefix probes
 # ----------------------------------------------------------------------
-
-
-#: ``distinct disjunct tuple -> signature`` memo: the same reformulation
-#: union is evaluated again whenever its query is asked again, and
-#: re-sorting hundreds of canonical forms per evaluation costs more
-#: than executing the union. (The statistics collector is not among
-#: the callers: it counts each pattern's union once per store version,
-#: through :func:`count_union`, and signs nothing.)
-_SIGNATURE_CACHE: dict[tuple[ConjunctiveQuery, ...], tuple] = {}
-
-
-def union_signature(disjuncts: Iterable[ConjunctiveQuery]) -> tuple:
-    """The union's canonical signature: sorted distinct canonical forms.
-
-    Two unions share a signature iff their disjunct sets are pairwise
-    isomorphic with head correspondence — such unions have identical
-    answer sets on every store, so compiled union artifacts cached
-    under the signature are shared across variable renamings.
-    """
-    key = _dedupe(disjuncts)
-    signature = _SIGNATURE_CACHE.get(key)
-    if signature is None:
-        if len(_SIGNATURE_CACHE) >= _PLAN_CACHE_LIMIT:
-            _SIGNATURE_CACHE.clear()
-        signature = tuple(sorted({canonical_form(d) for d in key}))
-        _SIGNATURE_CACHE[key] = signature
-    return signature
-
-
-def plan_union_pushdown(
-    disjuncts: Sequence[ConjunctiveQuery], store: TripleStore
-) -> CompiledUnion | None:
-    """The single-statement pushdown route for a union, if it exists.
-
-    On a SQL-capable backend, compiles the whole union — shared
-    subtrees as CTEs, one SELECT arm per non-empty disjunct — into one
-    ``SELECT ... UNION`` statement
-    (:func:`repro.engine.sqlcompile.compile_union`); returns ``None``
-    when the backend cannot execute SQL plans or the union exceeds the
-    pushdown limits, and the caller falls back to the interpreted
-    shared DAG. Results (including the negative) are cached in the
-    store's prepared-plan cache under the union's canonical signature
-    (:func:`union_signature`, token :data:`UNION_PUSHDOWN`) and
-    flushed when the store mutates.
-    """
-    if not getattr(store.backend, "supports_sql_plans", False):
-        return None
-    distinct = _dedupe(disjuncts)
-    entry = _plan_cache_entry(store)
-    plans = entry["plans"]
-    key = (union_signature(distinct), UNION_PUSHDOWN)
-    cached = plans.get(key)
-    if cached is not None:
-        return None if cached is _PUSHDOWN_INELIGIBLE else cached
-    batch = plan_batch(distinct, store)
-    node_index = {node.key: position for position, node in enumerate(batch.nodes)}
-    ctes = tuple(
-        UnionCTE(atoms=node.atoms, columns=node.assignment)
-        for node in batch.nodes
-    )
-    branches = []
-    for qplan in batch.plans:
-        cte_id: int | None = None
-        covered = 0
-        columns: tuple[tuple[Variable, int], ...] = ()
-        for k in range(len(qplan.prefixes), 0, -1):
-            info = qplan.prefixes[k - 1]
-            position = node_index.get(info.key)
-            if position is not None:
-                cte_id, covered, columns = position, k, info.assignment
-                break
-        branches.append(
-            UnionBranch(
-                query=qplan.query,
-                atoms=qplan.ordered_atoms,
-                cte=cte_id,
-                covered=covered,
-                columns=columns,
-            )
-        )
-    compiled = compile_union(branches, ctes, store)
-    if len(plans) >= _PLAN_CACHE_LIMIT:
-        plans.clear()
-    plans[key] = _PUSHDOWN_INELIGIBLE if compiled is None else compiled
-    return compiled
-
-
-def _statement_profitable(batch: BatchPlan) -> bool:
-    """Whether the compound statement should beat per-branch statements.
-
-    Per-branch prepared statements recompute each shared prefix with
-    indexed probes — roughly ``est_rows`` extra row-touches per extra
-    consumer — while the compound pays
-    :data:`STATEMENT_OVERHEAD_ROWS` of per-arm execution overhead.
-    """
-    savings = sum(
-        (node.consumers - 1) * node.est_rows for node in batch.nodes
-    )
-    return savings > STATEMENT_OVERHEAD_ROWS * len(batch.plans)
 
 
 #: Sentinel marking a union branch whose shared prefix was probed
@@ -658,57 +529,55 @@ def _empty_node_keys(batch: BatchPlan, store: TripleStore) -> frozenset:
     return frozenset(empty)
 
 
-def _union_route(disjuncts: tuple[ConjunctiveQuery, ...], store: TripleStore):
-    """The cached routing decision for one union's pushdown evaluation.
+def plan_union_pushdown(
+    disjuncts: Sequence[ConjunctiveQuery], store: TripleStore
+) -> tuple[tuple[ConjunctiveQuery, ...], tuple]:
+    """The route a union takes on ``store``: ``(distinct, branches)``.
 
-    Returns ``(distinct, compound, singles)``: the deduplicated
-    disjuncts, the compiled compound statement when it exists *and*
-    crosses the profit gate (else ``None``), and one entry per
-    disjunct — its compiled statement, ``None`` for the interpreted
-    fallback, or :data:`_EMPTY_BRANCH` when one of its shared prefixes
-    probed empty (the branch is skipped outright). Cached in the
-    prepared-plan cache under the raw disjunct tuple so re-evaluating
-    the same union is a single dictionary hit; flushed on store
-    mutation with every other prepared plan.
+    ``distinct`` are the deduplicated disjuncts and ``branches`` aligns
+    with them: a disjunct's compiled statement
+    (:func:`~repro.engine.planner.plan_pushdown`), ``None`` when it
+    runs on the interpreted shared DAG (a backend without SQL, a shape
+    one statement cannot express), or :data:`_EMPTY_BRANCH` when one of
+    its shared prefixes probed empty (:func:`_empty_node_keys`) and the
+    branch is skipped outright. Cached in the prepared-plan cache under
+    the raw disjunct tuple — re-evaluating the same union is a single
+    dictionary hit, counted as an ``engine.plan_cache`` hit — and
+    flushed on store mutation with every other prepared plan.
     """
-    entry = _plan_cache_entry(store)
-    plans = entry["plans"]
-    key = (disjuncts, _UNION_ROUTE)
-    cached = plans.get(key)
-    if cached is None:
+    plans = _plan_cache_entry(store)["plans"]
+    key = (tuple(disjuncts), _UNION_ROUTE)
+    route = plans.get(key)
+    if route is not None:
         if metrics.enabled:
-            metrics.inc("mqo.route.miss")
-        distinct = _dedupe(disjuncts)
-        compound = plan_union_pushdown(distinct, store)
-        if compound is not None and compound.sql is not None:
-            if not _statement_profitable(plan_batch(distinct, store)):
-                compound = None
-        singles = None
-        if compound is None:
-            singles = [plan_pushdown(d, store) for d in distinct]
-            if getattr(store.backend, "supports_sql_plans", False):
-                batch = plan_batch(distinct, store)
-                empty = _empty_node_keys(batch, store)
-                if empty:
-                    dead = {
-                        plan.query
-                        for plan in batch.plans
-                        if any(info.key in empty for info in plan.prefixes)
-                    }
-                    if metrics.enabled:
-                        metrics.inc("mqo.route.pruned_empty", len(dead))
-                    singles = [
-                        _EMPTY_BRANCH if disjunct in dead else single
-                        for single, disjunct in zip(singles, distinct)
-                    ]
-            singles = tuple(singles)
-        cached = (distinct, compound, singles)
-        if len(plans) >= _PLAN_CACHE_LIMIT:
-            plans.clear()
-        plans[key] = cached
-    elif metrics.enabled:
-        metrics.inc("mqo.route.hit")
-    return cached
+            metrics.inc("mqo.route.hit")
+            metrics.inc("engine.plan_cache.hit")
+        return route
+    if metrics.enabled:
+        metrics.inc("mqo.route.miss")
+        metrics.inc("engine.plan_cache.miss")
+    distinct = _dedupe(disjuncts)
+    branches = [plan_pushdown(d, store) for d in distinct]
+    if getattr(store.backend, "supports_sql_plans", False):
+        batch = plan_batch(distinct, store)
+        empty = _empty_node_keys(batch, store)
+        if empty:
+            dead = {
+                plan.query
+                for plan in batch.plans
+                if any(info.key in empty for info in plan.prefixes)
+            }
+            if metrics.enabled:
+                metrics.inc("mqo.route.pruned_empty", len(dead))
+            branches = [
+                _EMPTY_BRANCH if disjunct in dead else branch
+                for branch, disjunct in zip(branches, distinct)
+            ]
+    route = (distinct, tuple(branches))
+    if len(plans) >= _PLAN_CACHE_LIMIT:
+        plans.clear()
+    plans[key] = route
+    return route
 
 
 # ----------------------------------------------------------------------
@@ -723,20 +592,15 @@ def evaluate_union_shared(
 ) -> set[tuple[Term, ...]]:
     """All answers of a union, evaluated as one shared batch.
 
-    On a SQL-capable backend the union compiles to a single
-    ``SELECT ... UNION`` statement (:func:`plan_union_pushdown`), but
-    the compound only *executes* when the estimator prices the shared
-    prefixes it avoids recomputing above its per-arm overhead
-    (:func:`_statement_profitable`) — for selective unions, per-branch
-    prepared statements from the same plan cache win. On the per-branch
-    route, shared DAG prefixes are probed once with ``SELECT EXISTS``
-    at route-build time and every branch over an empty prefix is
-    skipped outright (:func:`_empty_node_keys`). When the union is
-    not expressible (or the backend is not SQL), disjuncts that push
-    down individually run their compiled statements and the rest share
-    the interpreted DAG. Every route merges encoded answer images
-    across the *whole* union and decodes each distinct answer exactly
-    once.
+    On a SQL-capable backend each disjunct runs its own prepared
+    statement (:func:`plan_union_pushdown`); shared DAG prefixes are
+    probed once with ``SELECT EXISTS`` when the route is built, and
+    every branch over an empty prefix is skipped outright
+    (:func:`_empty_node_keys`). Disjuncts no statement can express — and
+    every disjunct on a backend without SQL, or with ``pushdown=False``
+    — share the interpreted DAG. Every route merges encoded answer
+    images across the *whole* union and decodes each distinct answer
+    exactly once.
     """
     if tracing.sink is not None:
         with tracing.span("mqo.evaluate_union", disjuncts=len(disjuncts)):
@@ -747,35 +611,32 @@ def evaluate_union_shared(
 def _evaluate_union_impl(
     disjuncts: Sequence[ConjunctiveQuery], store: TripleStore, pushdown: bool
 ) -> set[tuple[Term, ...]]:
-    if not pushdown:
-        distinct = _dedupe(disjuncts)
-        singles: Sequence = (None,) * len(distinct)
+    if pushdown:
+        distinct, branches = plan_union_pushdown(disjuncts, store)
     else:
-        distinct, compound, singles = _union_route(tuple(disjuncts), store)
-        if compound is not None:
-            if metrics.enabled:
-                metrics.inc("mqo.route.compound")
-            return compound.execute(store)
-    return decode_images(_branch_images(distinct, singles, store), store)
+        distinct = _dedupe(disjuncts)
+        branches = (None,) * len(distinct)
+    return decode_images(_branch_images(distinct, branches, store), store)
 
 
 def _branch_images(
-    distinct: Sequence[ConjunctiveQuery], singles: Sequence, store: TripleStore
+    distinct: Sequence[ConjunctiveQuery], branches: Sequence, store: TripleStore
 ) -> set[tuple]:
     """Distinct encoded head images of a union, before any decoding.
 
-    ``singles`` aligns with ``distinct`` (see :func:`_union_route`): a
-    compiled statement runs in the backend, an empty-prefix branch is
-    skipped, and the rest (``None``) share the interpreted DAG.
+    ``branches`` aligns with ``distinct`` (see
+    :func:`plan_union_pushdown`): a compiled statement runs in the
+    backend, an empty-prefix branch is skipped, and the rest (``None``)
+    share the interpreted DAG.
     """
     images: set[tuple] = set()
     interpreted: list[ConjunctiveQuery] = []
     executed = pruned = 0
-    for single, disjunct in zip(singles, distinct):
-        if single is _EMPTY_BRANCH:
+    for branch, disjunct in zip(branches, distinct):
+        if branch is _EMPTY_BRANCH:
             pruned += 1
-        elif single is not None:
-            images |= single.images(store)
+        elif branch is not None:
+            images |= branch.images(store)
             executed += 1
         else:
             interpreted.append(disjunct)
@@ -804,8 +665,7 @@ def count_union(
     reformulating a one-atom query yields — has no join to plan and
     nothing to share, and is counted straight off the index buckets
     (:func:`_count_partitioned`). Any other union takes the routes of
-    :func:`evaluate_union_shared` up to the decode; a compound
-    statement is counted inside the backend.
+    :func:`evaluate_union_shared` up to the decode.
     """
     disjuncts = union.disjuncts if isinstance(union, UnionQuery) else union
     distinct = _dedupe(disjuncts)
@@ -813,10 +673,8 @@ def count_union(
         return _count_partitioned(
             [(query.head, query) for query in distinct], store, {}
         )
-    distinct, compound, singles = _union_route(distinct, store)
-    if compound is not None:
-        return compound.count(store)
-    return len(_branch_images(distinct, singles, store))
+    distinct, branches = plan_union_pushdown(distinct, store)
+    return len(_branch_images(distinct, branches, store))
 
 
 #: ``(remaining head, one-atom disjunct)``: the disjunct's images
@@ -1002,29 +860,13 @@ def describe_union_sharing(
         f"{len(tuple(disjuncts))} disjuncts ({len(distinct)} distinct), "
         f"{nodes} shared subplans covering {consuming} disjuncts"
     )
-    compiled = plan_union_pushdown(distinct, store)
-    if compiled is not None:
-        if compiled.sql is None:
-            line += "; pushdown union: EMPTY"
-        else:
-            route = (
-                "compound statement"
-                if _statement_profitable(batch)
-                else "per-branch statements"
-            )
-            line += (
-                f"; pushdown union: {compiled.branches} branches, "
-                f"{compiled.shared_ctes} shared CTEs, route: {route}"
-            )
-            if route == "per-branch statements" and getattr(
-                store.backend, "supports_sql_plans", False
-            ):
-                empty = _empty_node_keys(batch, store)
-                pruned = sum(
-                    1
-                    for plan in batch.plans
-                    if any(info.key in empty for info in plan.prefixes)
-                )
-                if pruned:
-                    line += f", {pruned} branches pruned empty"
+    if getattr(store.backend, "supports_sql_plans", False):
+        _, branches = plan_union_pushdown(disjuncts, store)
+        statements = sum(
+            getattr(branch, "sql", None) is not None for branch in branches
+        )
+        pruned = sum(branch is _EMPTY_BRANCH for branch in branches)
+        line += f"; pushdown union: {statements} branch statements"
+        if pruned:
+            line += f", {pruned} branches pruned empty"
     return line

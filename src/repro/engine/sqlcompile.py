@@ -20,12 +20,11 @@ touches exactly one row per *distinct head image* — "move the
 computation to the data".
 
 **Who orders the join.** We do, SQLite does not. The ``FROM`` clause
-lists the aliases in the order it is handed — for a query,
+lists the aliases in the order it is handed —
 :meth:`CardinalityEstimator.join_order
 <repro.stats.estimator.CardinalityEstimator.join_order>` as
 :func:`repro.engine.planner.plan_pushdown` computes it, the very order
-the interpreted operator tree is compiled in; for a union's CTEs and
-arms, the same order as it arrives from :mod:`repro.engine.mqo` — and
+the interpreted operator tree is compiled in — and
 joins them with ``CROSS JOIN``, which SQLite documents as its
 fixed-order join: the left table is always the outer loop. SQLite's
 planner is left one decision per step, which of the three indexes to
@@ -38,10 +37,10 @@ data:
   hence every served worker — SQLite orders a comma join blind: the
   six served star texts joining an unbound ``t(X, rdf:type, Y)`` ran
   9–13 ms against 0.1 ms interpreted, 3-atom chains 25–78 ms;
-* *with* it SQLite 3.40 answers with per-execution bloom filters on
-  every arm of a compound ``WITH … UNION`` statement: the 24-query
-  ad-hoc mix on a writable store took 1.2 s of ``evaluate_union`` with
-  statistics against 0.42–0.51 s without (same emitted order).
+* *with* it SQLite 3.40 adds per-execution bloom filters to the
+  plans it runs: the 24-query ad-hoc mix on a writable store took
+  1.2 s of ``evaluate_union`` with statistics against 0.42–0.51 s
+  without (same emitted order).
 
 Hence the backend never runs ``ANALYZE`` and keeps no staleness
 bookkeeping; an in-memory store, a writable file and a read-only
@@ -96,13 +95,8 @@ from repro.rdf.terms import Term
 
 __all__ = [
     "CompiledQuery",
-    "CompiledUnion",
-    "UnionBranch",
-    "UnionCTE",
     "compile_query",
-    "compile_union",
     "MAX_PUSHDOWN_TABLES",
-    "MAX_UNION_BRANCHES",
 ]
 
 #: Most atoms one pushed-down statement may join. SQLite refuses joins
@@ -114,12 +108,6 @@ MAX_PUSHDOWN_TABLES = 60
 #: occurrence. Matches the backend's probe budget: below 999, the
 #: SQLITE_MAX_VARIABLE_NUMBER default of the oldest supported builds.
 MAX_PUSHDOWN_PARAMS = 900
-
-#: Most branches one pushed-down UNION statement may hold. SQLite's
-#: compound-select term limit defaults to 500; staying below leaves
-#: headroom, and unions beyond it fall back to the interpreted shared
-#: DAG (which has no size ceiling).
-MAX_UNION_BRANCHES = 400
 
 #: Column names of the triple table, in atom-position order.
 _COLUMNS = ("s", "p", "o")
@@ -303,24 +291,23 @@ def compile_query(
 def _join_clauses(
     atoms: Sequence[Atom],
     store: TripleStore,
-    first: dict[Variable, str],
     order: Sequence[int] | None = None,
-) -> tuple[list[str], list[str], list[int], bool]:
-    """``(tables, conditions, params, empty)`` of one self-join.
+) -> tuple[list[str], list[str], list[int], dict[Variable, str], bool]:
+    """``(tables, conditions, params, first, empty)`` of one self-join.
 
     The atoms are walked in ``order`` (body order without one): each
     becomes the alias ``t<body index>`` in ``tables``, a constant
-    becomes ``alias.col = ?`` with its code appended to ``params``, and
-    a variable seen before — in an earlier atom of the walk, or in
-    ``first`` as handed in (the columns of a CTE the join starts from)
-    — becomes an equality against that first occurrence. ``first`` is
-    extended in place; the caller projects from it. ``empty`` flags a
-    constant the dictionary has never seen: the join is provably empty
-    (until the store mutates, which flushes the plan cache).
+    becomes ``alias.col = ?`` with its code appended to ``params``, a
+    variable's first occurrence is recorded in ``first`` (the caller
+    projects from it), and a later occurrence becomes an equality
+    against it. ``empty`` flags a constant the dictionary has never
+    seen: the join is provably empty (until the store mutates, which
+    flushes the plan cache).
     """
     tables: list[str] = []
     conditions: list[str] = []
     params: list[int] = []
+    first: dict[Variable, str] = {}
     empty = False
     for index in range(len(atoms)) if order is None else order:
         alias = f"t{index}"
@@ -340,7 +327,7 @@ def _join_clauses(
                 else:
                     conditions.append(f"{expression} = ?")
                     params.append(code)
-    return tables, conditions, params, empty
+    return tables, conditions, params, first, empty
 
 
 def _from_where(tables: list[str], conditions: list[str]) -> str:
@@ -362,9 +349,8 @@ def _compile_query_statement(
     """The uninstrumented compilation behind :func:`compile_query`."""
     if len(query.atoms) > MAX_PUSHDOWN_TABLES:
         return None
-    first_occurrence: dict[Variable, str] = {}
-    tables, conditions, params, empty = _join_clauses(
-        query.atoms, store, first_occurrence, order
+    tables, conditions, params, first_occurrence, empty = _join_clauses(
+        query.atoms, store, order
     )
     if len(params) > MAX_PUSHDOWN_PARAMS:
         return None
@@ -419,315 +405,4 @@ def _compile_query_statement(
         head_slots=tuple(head_slots),
         head_constants=tuple(head_constants),
         restricted_slots=tuple(restricted_slots),
-    )
-
-
-# ----------------------------------------------------------------------
-# Union pushdown: one SELECT ... UNION statement with shared CTEs
-# ----------------------------------------------------------------------
-#
-# Reformulation turns one query into a union of conjunctive queries
-# whose bodies overlap heavily. On a SQL-capable backend the whole
-# union — every branch *and* the work they share — is expressible as a
-# single compound statement: each shared join-subtree the multi-query
-# optimizer (:mod:`repro.engine.mqo`) detects becomes one non-recursive
-# CTE, each disjunct becomes one SELECT arm reading its covered prefix
-# from the CTE, and UNION deduplicates the merged head images inside
-# the backend. The sharing decisions (which prefixes, which disjuncts
-# consume them) are made upstream and arrive here as plain data
-# (:class:`UnionCTE` / :class:`UnionBranch`); this module stays pure
-# text generation over dictionary codes.
-#
-# Two encodings keep the compound statement uniform across branches:
-#
-# * a *constant head term* is projected as its dictionary code (an
-#   integer literal in the SELECT list). A constant the store has never
-#   seen still names a valid answer — reformulation binds head
-#   variables to schema constants that may be absent from the data —
-#   so it gets a fresh *negative* placeholder code (real codes are
-#   dense non-negative) recorded in the ``overlay`` decode map;
-# * the rule-4 residue (restricted variables confined to object
-#   positions) is appended per branch as extra columns, NULL-padded to
-#   a uniform width. Rows whose non-NULL extras decode to literals are
-#   dropped in Python; head images are then re-deduplicated, so the
-#   widened UNION stays invisible.
-
-
-@dataclass(frozen=True)
-class UnionCTE:
-    """One shared join subtree, compiled as a CTE of the union statement.
-
-    ``columns`` maps each variable of the representative subtree to its
-    canonical column id — branch arms address CTE output as ``sN.c<id>``
-    through their own variables' ids, so isomorphic prefixes from
-    different disjuncts meet on the same columns.
-    """
-
-    #: The representative prefix body, in its join order.
-    atoms: tuple[Atom, ...]
-    #: ``(variable, canonical column id)`` for every prefix variable.
-    columns: tuple[tuple[Variable, int], ...]
-
-
-@dataclass(frozen=True)
-class UnionBranch:
-    """One disjunct of the union, as a SELECT arm of the statement."""
-
-    #: The disjunct (head, ``non_literal`` restriction).
-    query: ConjunctiveQuery
-    #: The disjunct's body in its join order.
-    atoms: tuple[Atom, ...]
-    #: Index into the CTE list, or None when nothing is shared.
-    cte: int | None
-    #: Number of leading ``atoms`` served by the CTE.
-    covered: int
-    #: ``(variable, canonical column id)`` for the covered prefix.
-    columns: tuple[tuple[Variable, int], ...]
-
-
-@dataclass(frozen=True)
-class CompiledUnion:
-    """A union of conjunctive queries compiled to one SQL statement.
-
-    ``sql is None`` marks a union that is provably empty on the store it
-    was compiled against (every branch mentions a body constant the
-    dictionary has never seen). Like :class:`CompiledQuery`, the
-    compiled form is only valid for the store version it was compiled
-    on; the prepared-plan cache it lives in is flushed on mutation.
-    """
-
-    #: The compound statement, or None when provably empty.
-    sql: str | None
-    #: Dictionary codes bound to ``?`` placeholders, in textual order
-    #: (CTEs first, then branch arms).
-    params: tuple[int, ...]
-    #: Head width — fetched rows are ``arity`` head codes followed by
-    #: ``extra`` rule-4 residue columns.
-    arity: int
-    #: Number of NULL-padded residue columns per row.
-    extra: int
-    #: ``(negative placeholder code, term)`` for head constants absent
-    #: from the dictionary.
-    overlay: tuple[tuple[int, Term], ...]
-    #: Number of SELECT arms (non-empty disjuncts).
-    branches: int
-    #: Number of shared-subtree CTEs the arms read from.
-    shared_ctes: int
-
-    def describe(self) -> str:
-        """The statement with its bound parameters, for ``--explain``."""
-        if self.sql is None:
-            return (
-                "EMPTY (every union branch mentions a constant "
-                "absent from the store)"
-            )
-        text = self.sql
-        for code in self.params:
-            text = text.replace("?", str(code), 1)
-        return text
-
-    def images(self, store: TripleStore) -> set[tuple]:
-        """Distinct encoded head images across the whole union.
-
-        One backend call evaluates every branch and the shared CTEs;
-        Python drops rows whose rule-4 residue binds a literal, strips
-        the residue columns, and re-deduplicates the head images.
-        """
-        if self.sql is None:
-            return set()
-        rows = store.backend.execute_sql_plan(self.sql, self.params)
-        arity = self.arity
-        if self.extra:
-            is_literal = store.dictionary.is_literal_code
-            rows = (
-                row
-                for row in rows
-                if not any(
-                    code is not None and is_literal(code)
-                    for code in row[arity:]
-                )
-            )
-            return {tuple(row[:arity]) for row in rows}
-        return {tuple(row) for row in rows}
-
-    def count(self, store: TripleStore) -> int:
-        """Number of distinct head images, counted inside the backend.
-
-        Only a rule-4 residue brings rows back to Python: it needs the
-        dictionary to tell literal codes.
-        """
-        if self.sql is None:
-            return 0
-        if self.extra:
-            return len(self.images(store))
-        rows = store.backend.execute_sql_plan(
-            f"SELECT COUNT(*) FROM ({self.sql})", self.params
-        )
-        return next(iter(rows))[0]
-
-    def execute(self, store: TripleStore) -> set[tuple[Term, ...]]:
-        """Run the statement and decode each distinct answer once."""
-        decode = store.dictionary.decode
-        overlay = dict(self.overlay)
-        cache: dict[int, Term] = dict(overlay)
-        answers: set[tuple[Term, ...]] = set()
-        for image in self.images(store):
-            answer = []
-            for code in image:
-                term = cache.get(code)
-                if term is None:
-                    term = decode(code)
-                    cache[code] = term
-                answer.append(term)
-            answers.add(tuple(answer))
-        return answers
-
-
-def _cte_select(cte: UnionCTE, store: TripleStore):
-    """``(select text, params, empty)`` for one shared-subtree CTE.
-
-    ``empty`` flags a prefix constant the dictionary has never seen:
-    the CTE (and every branch reading it) is provably empty.
-    """
-    first: dict[Variable, str] = {}
-    tables, conditions, params, empty = _join_clauses(cte.atoms, store, first)
-    select = ", ".join(
-        f"{first[variable]} AS c{column}"
-        for variable, column in sorted(cte.columns, key=lambda vc: vc[1])
-    )
-    return f"SELECT {select}{_from_where(tables, conditions)}", params, empty
-
-
-def compile_union(
-    branches: "list[UnionBranch] | tuple[UnionBranch, ...]",
-    ctes: "list[UnionCTE] | tuple[UnionCTE, ...]",
-    store: TripleStore,
-) -> CompiledUnion | None:
-    """Compile a union of conjunctive queries into one SQL statement.
-
-    ``branches`` carry the disjuncts (with their join order and shared-
-    prefix coverage) and ``ctes`` the shared subtrees, both produced by
-    the multi-query optimizer (:func:`repro.engine.mqo.plan_union_pushdown`
-    is the cached entry point). Returns ``None`` when the union is not
-    expressible within the pushdown limits — a 0-arity (boolean) head,
-    more branches than :data:`MAX_UNION_BRANCHES`, a branch beyond the
-    table or parameter budgets — and the caller falls back to the
-    interpreted shared-DAG route, which has no such ceilings.
-    """
-    if not metrics.enabled:
-        return _compile_union_statement(branches, ctes, store)
-    with metrics.timer("storage.sqlite.pushdown.compile_ms"):
-        compiled = _compile_union_statement(branches, ctes, store)
-    metrics.inc(
-        "storage.sqlite.pushdown.union_compiled"
-        if compiled is not None
-        else "storage.sqlite.pushdown.union_ineligible"
-    )
-    return compiled
-
-
-def _compile_union_statement(
-    branches: "list[UnionBranch] | tuple[UnionBranch, ...]",
-    ctes: "list[UnionCTE] | tuple[UnionCTE, ...]",
-    store: TripleStore,
-) -> CompiledUnion | None:
-    """The uninstrumented compilation behind :func:`compile_union`."""
-    if not branches:
-        return None
-    arity = len(branches[0].query.head)
-    if arity == 0:
-        # A boolean union projects no column; SELECT needs at least one
-        # and the interpreted route answers it with an early exit anyway.
-        return None
-    if len(branches) > MAX_UNION_BRANCHES:
-        return None
-
-    cte_texts: list[str | None] = []
-    cte_params: list[list[int]] = []
-    for cte in ctes:
-        if len(cte.atoms) > MAX_PUSHDOWN_TABLES:
-            return None
-        text, params, empty = _cte_select(cte, store)
-        cte_texts.append(None if empty else text)
-        cte_params.append(params)
-
-    overlay: dict[Term, int] = {}
-    widths: list[int] = []
-    arms: list[tuple[list[str], list[str], str, list[int], int | None]] = []
-    for branch in branches:
-        cte_id = branch.cte
-        if cte_id is not None and cte_texts[cte_id] is None:
-            continue  # provably empty prefix: contribute no arm
-        first: dict[Variable, str] = {}
-        source: list[str] = []
-        remaining = branch.atoms
-        if cte_id is not None:
-            name = f"s{cte_id}"
-            source.append(name)
-            for variable, column in branch.columns:
-                first[variable] = f"{name}.c{column}"
-            remaining = branch.atoms[branch.covered:]
-        if len(remaining) + len(source) > MAX_PUSHDOWN_TABLES:
-            return None
-        tables, conditions, params, empty = _join_clauses(
-            remaining, store, first
-        )
-        if empty:
-            continue  # provably empty disjunct: contribute no arm
-        select: list[str] = []
-        for term in branch.query.head:
-            if isinstance(term, Variable):
-                select.append(first[term])
-            else:
-                code = store.encode_term(term)
-                if code is None:
-                    code = overlay.get(term)
-                    if code is None:
-                        # Real codes are dense non-negative; a negative
-                        # placeholder can never collide with one.
-                        code = -(len(overlay) + 1)
-                        overlay[term] = code
-                select.append(str(code))
-        extras: list[str] = []
-        for variable in sorted(branch.query.non_literal, key=lambda v: v.name):
-            if _implied_non_literal(branch.query, variable):
-                continue
-            extras.append(first[variable])
-        widths.append(len(extras))
-        arms.append(
-            (select, extras, _from_where(source + tables, conditions), params, cte_id)
-        )
-
-    if not arms:
-        return CompiledUnion(
-            sql=None, params=(), arity=arity, extra=0, overlay=(),
-            branches=0, shared_ctes=0,
-        )
-
-    extra = max(widths)
-    used_ctes = sorted({cte_id for *_, cte_id in arms if cte_id is not None})
-    all_params: list[int] = []
-    with_clauses: list[str] = []
-    for cte_id in used_ctes:
-        body = "\n".join(f"  {line}" for line in cte_texts[cte_id].splitlines())
-        with_clauses.append(f"s{cte_id} AS (\n{body}\n)")
-        all_params.extend(cte_params[cte_id])
-    parts: list[str] = []
-    for select, extras, body, params, _ in arms:
-        padded = select + extras + ["NULL"] * (extra - len(extras))
-        parts.append(f"SELECT DISTINCT {', '.join(padded)}{body}")
-        all_params.extend(params)
-    if len(all_params) > MAX_PUSHDOWN_PARAMS:
-        return None
-    sql = "\nUNION\n".join(parts)
-    if with_clauses:
-        sql = "WITH " + ",\n".join(with_clauses) + "\n" + sql
-    return CompiledUnion(
-        sql=sql,
-        params=tuple(all_params),
-        arity=arity,
-        extra=extra,
-        overlay=tuple((code, term) for term, code in overlay.items()),
-        branches=len(arms),
-        shared_ctes=len(used_ctes),
     )

@@ -407,22 +407,21 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
     """EXPLAIN ANALYZE a union: MQO shared-node fan-out accounting.
 
     Always executes the instrumented shared DAG (that is the accounting
-    being explained); when the store's real route is the compound
-    ``SELECT ... UNION`` statement, that statement also executes, timed
-    and parity-checked against the DAG's answers.
+    being explained). On a SQL-capable backend the union's real route —
+    its per-branch statements (:func:`repro.engine.mqo.plan_union_pushdown`)
+    — executes as well: a ``per-branch statements`` node reports the
+    statements run, the branches pruned as provably empty, their time,
+    and parity against the DAG's answers.
     """
-    distinct, compound, _singles = mqo._union_route(tuple(disjuncts), store)
+    distinct, branches = mqo.plan_union_pushdown(disjuncts, store)
     batch, children, image_sets, operators = _analyze_dag(distinct, store)
     images: set = set()
     for image_set in image_sets:
         images |= image_set
     answers = decode_images(images, store)
     nodes, consuming = batch.sharing_summary()
-    route = "interpreted-dag"
-    if compound is not None:
-        route = "compound-statement"
-    elif getattr(store.backend, "supports_sql_plans", False):
-        route = "per-branch-statements"
+    on_sql = getattr(store.backend, "supports_sql_plans", False)
+    route = "per-branch-statements" if on_sql else "interpreted-dag"
     header = query_header(
         "union",
         disjuncts=len(tuple(disjuncts)),
@@ -432,17 +431,23 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
         route=route,
         rows=len(answers),
     )
-    if compound is not None:
+    if on_sql:
         started = time.perf_counter()
-        compound_answers = compound.execute(store)
-        compound_ms = (time.perf_counter() - started) * 1000.0
+        route_answers = decode_images(
+            mqo._branch_images(distinct, branches, store), store
+        )
+        route_ms = (time.perf_counter() - started) * 1000.0
+        pruned = sum(branch is mqo._EMPTY_BRANCH for branch in branches)
+        compiled = sum(branch is not None for branch in branches)
         header.children.append(
-            sql_tree(
-                compound,
+            PlanNode(
+                "per-branch statements",
                 {
-                    "rows": len(compound_answers),
-                    "time_ms": round(compound_ms, 2),
-                    "parity": compound_answers == answers,
+                    "statements": compiled - pruned,
+                    "pruned": pruned,
+                    "rows": len(route_answers),
+                    "time_ms": round(route_ms, 2),
+                    "parity": route_answers == answers,
                 },
             )
         )

@@ -89,7 +89,8 @@ def operator_tree(op, annotate=None) -> PlanNode:
 
 
 def sql_tree(compiled, annotations=None, plan_rows=()) -> PlanNode:
-    """A pushed-down statement as a plan node.
+    """A pushed-down statement (a
+    :class:`~repro.engine.sqlcompile.CompiledQuery`) as a plan node.
 
     ``plan_rows`` are SQLite ``EXPLAIN QUERY PLAN`` ``(id, parent,
     detail)`` rows; they reconstruct the backend's own operator tree as

@@ -95,9 +95,10 @@ def evaluate_union(
     batch** through the multi-query optimizer (:mod:`repro.engine.mqo`):
     common join subtrees execute once and fan out, encoded answer
     images are deduplicated across the whole union, and each distinct
-    answer is decoded exactly once. On a SQL-capable backend an
-    eligible union runs as a single pushed-down ``SELECT ... UNION``
-    statement whose shared subtrees are CTEs.
+    answer is decoded exactly once. On a SQL-capable backend each
+    disjunct runs as its own pushed-down statement, and branches over a
+    shared prefix that one ``SELECT EXISTS`` probe finds empty are
+    skipped.
 
     ``shared=False`` evaluates every disjunct independently (the
     reference the sharing tests compare against).

@@ -122,6 +122,9 @@ def test_analyze_union_matches_evaluate_union(backend, stores):
     report = analyze_union(disjuncts, store)
     assert report.answers == evaluate_union(disjuncts, store)
     assert report.tree.annotations["rows"] == report.answer_count
+    assert report.route == {
+        "memory": "interpreted-dag", "sqlite": "per-branch-statements"
+    }[backend]
     # _chain is a prefix of _chain_typed: the MQO shares one node here
     # (tests/query/test_mqo.py pins the gate), and the analyzed tree
     # must surface its fan-out accounting.
@@ -142,6 +145,45 @@ def test_analyze_union_matches_evaluate_union(backend, stores):
     ]
     assert len(branches) == 2
     assert all("shared" in b.annotations for b in branches)
+    statements = [
+        node
+        for node in report.tree.children
+        if node.label == "per-branch statements"
+    ]
+    assert len(statements) == (backend == "sqlite")
+
+
+def test_analyze_union_runs_the_per_branch_statements(sqlite_museum):
+    """On SQLite the route a union really takes runs next to the DAG:
+    every distinct disjunct is a statement run or a branch pruned empty,
+    and the statements' answers equal the DAG's."""
+    located = "t(X, isLocatedIn, Y), t(Y, isParentOf, Z)"
+    disjuncts = (
+        _chain(),
+        _chain_typed(),
+        _chain(),
+        # The museum's located-in targets are nobody's parent: the shared
+        # prefix probes empty and both branches are pruned.
+        parse_query(f"q1(X, A) :- {located}, t(Z, hasPainted, A)"),
+        parse_query(f"q2(X, Z) :- {located}, t(Z, rdf:type, painter)"),
+    )
+    report = analyze_union(disjuncts, sqlite_museum)
+    assert report.route == "per-branch-statements"
+    assert report.answers == evaluate_union(disjuncts, sqlite_museum)
+    (node,) = [
+        child
+        for child in report.tree.children
+        if child.label == "per-branch statements"
+    ]
+    stats = node.annotations
+    assert stats["pruned"] == 2
+    assert stats["statements"] + stats["pruned"] == report.tree.annotations[
+        "distinct"
+    ] == 4
+    assert stats["parity"] is True
+    assert stats["rows"] == report.answer_count
+    assert stats["time_ms"] >= 0
+    assert "per-branch statements [statements=2 pruned=2" in report.text()
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])

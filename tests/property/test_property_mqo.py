@@ -9,12 +9,9 @@ between evaluations (the union-level prepared-plan cache must
 invalidate). The reference is the naive oracle, disjunct by disjunct.
 """
 
-from unittest import mock
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.engine.mqo as mqo
 from repro.engine import run_query, run_query_batch
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 
@@ -67,22 +64,6 @@ def test_shared_union_across_the_configuration_matrix(
         assert evaluate_union(
             disjuncts, store, pushdown=pushdown, shared=shared
         ) == _reference(disjuncts, store)
-    finally:
-        store.backend.close()
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_forced_compound_statement_matches_independent(data):
-    """With the profit gate forced open, every eligible union runs as
-    the single ``SELECT ... UNION`` statement — answers must still be
-    exactly the independent ones."""
-    store = data.draw(stores(backend="sqlite"), label="store")
-    disjuncts = data.draw(unions(), label="union")
-    try:
-        with mock.patch.object(mqo, "STATEMENT_OVERHEAD_ROWS", 0.0):
-            shared = evaluate_union(disjuncts, store)
-        assert shared == _reference(disjuncts, store)
     finally:
         store.backend.close()
 

@@ -13,16 +13,12 @@ the count must equal
 * the pattern's exact count on the saturated store (Theorem 4.2).
 
 ``count_union`` itself is held to ``len(evaluate_union(...))`` on
-arbitrary unions too: several atoms, constant heads, restrictions, and
-the compound ``SELECT COUNT(*)`` route on SQLite.
+arbitrary unions too: several atoms, constant heads, restrictions.
 """
-
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.engine.mqo as mqo
 from repro.engine import count_union
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate_union
@@ -100,20 +96,14 @@ def test_count_union_matches_evaluated_reformulation(data, backend):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), backend=BACKENDS, force_compound=st.booleans())
-def test_count_union_matches_evaluated_random_union(
-    data, backend, force_compound
-):
-    """Unrelated disjuncts, restrictions on any variable, and — with the
-    profit gate forced open on SQLite — the compound statement counted
-    inside the backend."""
+@given(data=st.data(), backend=BACKENDS)
+def test_count_union_matches_evaluated_random_union(data, backend):
+    """Unrelated disjuncts and restrictions on any variable."""
     store = data.draw(stores(backend=backend), label="store")
     disjuncts = data.draw(restricted_unions(), label="union")
-    overhead = 0.0 if force_compound else mqo.STATEMENT_OVERHEAD_ROWS
     try:
-        with mock.patch.object(mqo, "STATEMENT_OVERHEAD_ROWS", overhead):
-            assert count_union(disjuncts, store) == len(
-                evaluate_union(disjuncts, store)
-            )
+        assert count_union(disjuncts, store) == len(
+            evaluate_union(disjuncts, store)
+        )
     finally:
         store.backend.close()

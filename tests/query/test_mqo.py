@@ -2,15 +2,16 @@
 
 Covers subtree fingerprinting (isomorphic prefixes unify, distinct ones
 never collide), the materialization cost gate, shared execution parity
-with independent evaluation, the whole-union ``SELECT ... UNION``
-pushdown (statement text, shared CTEs, NULL padding, the head-constant
-overlay), and the union-level prepared-plan cache lifecycle — identity,
-negative caching and mutation invalidation mirroring the single-query
-pushdown cache tests.
+with independent evaluation, the per-branch union route on SQL
+backends (provably-empty branches, empty-prefix pruning, the traffic a
+union sends to SQLite), and the union-level prepared-plan cache
+lifecycle — identity, plan-cache accounting and mutation invalidation
+mirroring the single-query pushdown cache tests.
 """
 
 import pytest
 
+from repro.datagen import BartonConfig, generate_barton
 from repro.engine import (
     MATERIALIZE_COST_FACTOR,
     count_union,
@@ -20,7 +21,6 @@ from repro.engine import (
     plan_union_pushdown,
     run_query,
     run_query_batch,
-    union_signature,
 )
 from repro.engine.mqo import decode_images
 from repro.query.containment import canonical_form, canonical_labeling
@@ -28,6 +28,8 @@ from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 from repro.query.parser import parse_query
 from repro.rdf.triples import Triple
+from repro.reformulation import reformulate
+from repro.workload import QueryShape, SatisfiableWorkloadGenerator, WorkloadSpec
 
 from tests.conftest import ex
 
@@ -240,194 +242,138 @@ class TestSharedExecution:
 
 
 class TestUnionPushdown:
-    def test_single_statement_with_shared_cte(self, sqlite_museum):
-        disjuncts = [_chain(), _chain_typed()]
-        compiled = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert compiled is not None
-        assert compiled.sql.startswith("WITH s0 AS (")
-        assert "\nUNION\n" in compiled.sql
-        assert compiled.branches == 2
-        assert compiled.shared_ctes == 1
-        assert compiled.execute(sqlite_museum) == _union_reference(
-            disjuncts, sqlite_museum
-        )
-
-    def test_describe_inlines_the_codes(self, sqlite_museum):
-        compiled = plan_union_pushdown(
-            [_chain(), _chain_typed()], sqlite_museum
-        )
-        assert "?" not in compiled.describe()
+    """The per-branch route: one prepared statement per distinct
+    disjunct, cached per store version."""
 
     def test_memory_backend_has_no_union_pushdown(self, museum_store):
-        assert plan_union_pushdown([_chain(), _chain_typed()], museum_store) is None
+        distinct, branches = plan_union_pushdown(
+            [_chain(), _chain_typed()], museum_store
+        )
+        assert distinct == (_chain(), _chain_typed())
+        assert branches == (None, None)
 
     def test_union_plan_is_cached(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
         first = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert first is not None
+        _, branches = first
+        assert all(branch.sql is not None for branch in branches)
         assert plan_union_pushdown(disjuncts, sqlite_museum) is first
-
-    def test_cache_is_shared_across_variable_renamings(self, sqlite_museum):
-        first = plan_union_pushdown([_chain()], sqlite_museum)
-        assert first is not None
-        assert plan_union_pushdown([_chain_renamed()], sqlite_museum) is first
-
-    def test_signature_ignores_order_and_duplicates(self):
-        a = union_signature([_chain(), _chain_typed()])
-        b = union_signature([_chain_typed(), _chain_renamed(), _chain()])
-        assert a == b
-        assert union_signature([_chain()]) != union_signature([_chain_typed()])
 
     def test_mutation_invalidates_union_plans(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
         first = plan_union_pushdown(disjuncts, sqlite_museum)
         sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
         second = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert second is not None and second is not first
-        assert second.execute(sqlite_museum) == _union_reference(
+        assert second is not first
+        assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
             disjuncts, sqlite_museum
         )
 
-    def test_zero_arity_union_is_cached_ineligible(self, sqlite_museum):
+    def test_zero_arity_union_runs_existence_statements(self, sqlite_museum):
         disjuncts = [
             ConjunctiveQuery((), (Atom(X, ex("hasPainted"), Y),), name="ask")
         ]
-        assert plan_union_pushdown(disjuncts, sqlite_museum) is None
-        assert plan_union_pushdown(disjuncts, sqlite_museum) is None
-        # The union still answers through the per-disjunct route.
+        _, (branch,) = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert branch.sql.startswith("SELECT 1\n")
         assert evaluate_union(disjuncts, sqlite_museum) == {()}
+        assert count_union(disjuncts, sqlite_museum) == 1
 
     def test_absent_constant_branch_is_skipped(self, sqlite_museum):
         bad = ConjunctiveQuery(
             (X, Y), (Atom(X, ex("neverSeen"), Y),), name="bad"
         )
-        compiled = plan_union_pushdown([_chain(), bad], sqlite_museum)
-        assert compiled is not None
-        assert compiled.branches == 1
-        assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
-            _chain(), sqlite_museum
+        _, (chain, empty) = plan_union_pushdown([_chain(), bad], sqlite_museum)
+        assert chain.sql is not None and empty.sql is None
+        assert evaluate_union([_chain(), bad], sqlite_museum) == (
+            evaluate_nested_loop(_chain(), sqlite_museum)
         )
 
-    def test_all_branches_empty_compiles_to_the_empty_union(self, sqlite_museum):
+    def test_all_branches_empty_compiles_to_the_empty_union(
+        self, sqlite_museum, monkeypatch
+    ):
         bad = ConjunctiveQuery(
             (X, Y), (Atom(X, ex("neverSeen"), Y),), name="bad"
         )
-        compiled = plan_union_pushdown([bad], sqlite_museum)
-        assert compiled is not None
-        assert compiled.sql is None
-        assert "EMPTY" in compiled.describe()
-        assert compiled.execute(sqlite_museum) == set()
-
-    def test_head_constant_absent_from_store_uses_the_overlay(
-        self, sqlite_museum
-    ):
-        tag = ex("freshTag")
-        query = ConjunctiveQuery(
-            (X, tag), (Atom(X, ex("hasPainted"), ex("starryNight")),), name="qt"
+        _, (branch,) = plan_union_pushdown([bad], sqlite_museum)
+        assert "EMPTY" in branch.describe()
+        monkeypatch.setattr(
+            sqlite_museum.backend,
+            "execute_sql_plan",
+            lambda *a, **k: pytest.fail("an empty union ran a statement"),
         )
-        compiled = plan_union_pushdown([query], sqlite_museum)
-        assert compiled is not None
-        assert compiled.overlay  # the tag got a placeholder code
-        assert compiled.execute(sqlite_museum) == {(ex("vanGogh"), tag)}
+        assert evaluate_union([bad], sqlite_museum) == set()
 
-    def test_restricted_variables_pad_with_null(self, sqlite_museum):
-        titled = parse_query(
-            "qt(X, T) :- t(X, title, T)"
-        ).with_non_literal({Variable("T")})
-        painted = parse_query("qp(X, Y) :- t(X, hasPainted, Y)")
-        compiled = plan_union_pushdown([titled, painted], sqlite_museum)
-        assert compiled is not None
-        assert "NULL" in compiled.sql
-        expected = _union_reference([titled, painted], sqlite_museum)
-        assert compiled.execute(sqlite_museum) == expected
-        # The restriction really drops the literal title binding.
-        assert evaluate_nested_loop(titled, sqlite_museum) == set()
+    def test_second_evaluation_is_one_plan_cache_hit(self, sqlite_museum):
+        """The route lives in the prepared-plan cache, and its lookup is
+        counted as one: the same union evaluated again adds exactly one
+        ``engine.plan_cache.hit`` and no miss."""
+        from repro.obs import metrics
+
+        disjuncts = (_chain(), _chain_typed())
+        evaluate_union(disjuncts, sqlite_museum)
+        _, counters = metrics.collect(evaluate_union, disjuncts, sqlite_museum)
+        counters = counters["counters"]
+        assert counters.get("engine.plan_cache.hit") == 1
+        assert counters.get("mqo.route.hit") == 1
+        assert "engine.plan_cache.miss" not in counters
 
 
-class TestStatementGate:
-    """The profit gate choosing compound vs per-branch execution."""
+@pytest.fixture(scope="module")
+def barton_star_unions():
+    """``(plain store, unions)``: the star queries of the ad-hoc
+    benchmark's pool on its catalog at smoke scale, reformulated, that
+    have 2 to 200 disjuncts — most of them 93–186 disjuncts sharing a
+    wide prefix beside a ``t(X, rdf:type, C)`` atom. Which queries the
+    pool holds varies with hash randomization; that shape was among them
+    under every hash seed tried (0–39)."""
+    plain, schema = generate_barton(
+        BartonConfig(num_triples=12_000, num_entities=2_000, seed=3)
+    )
+    spec = WorkloadSpec(6, 4, QueryShape.STAR, "low", constant_probability=0.0)
+    unions = [
+        reformulate(query, schema)
+        for query in SatisfiableWorkloadGenerator(plain, seed=0).generate(spec)
+    ]
+    return plain, [u for u in unions if 1 < len(u.disjuncts) <= 200]
 
-    def _clear_plans(self, store):
-        from repro.engine.planner import _plan_cache_entry
 
-        _plan_cache_entry(store)["plans"].clear()
+class TestUnionTraffic:
+    """What a union sends to SQLite: one ``SELECT DISTINCT`` per branch
+    (``SELECT 1 … LIMIT 1`` for a boolean head) and ``SELECT EXISTS``
+    prefix probes — never a ``WITH`` statement or arms joined by
+    ``UNION``."""
 
-    def test_selective_union_routes_to_per_branch_statements(
-        self, sqlite_museum
+    def test_star_unions_run_only_single_statements(
+        self, barton_star_unions, monkeypatch
     ):
-        from repro.engine.mqo import _union_route
-
-        disjuncts = (_chain(), _chain_typed())
-        distinct, compound, singles = _union_route(disjuncts, sqlite_museum)
-        assert compound is None
-        assert singles is not None and all(s is not None for s in singles)
-        assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
-            disjuncts, sqlite_museum
-        )
-
-    def test_route_decision_is_cached(self, sqlite_museum):
-        from repro.engine.mqo import _union_route
-
-        disjuncts = (_chain(), _chain_typed())
-        first = _union_route(disjuncts, sqlite_museum)
-        assert _union_route(disjuncts, sqlite_museum) is first
-        sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
-        assert _union_route(disjuncts, sqlite_museum) is not first
-
-    def test_forced_compound_statement_agrees(self, sqlite_museum, monkeypatch):
-        import repro.engine.mqo as mqo
-
-        disjuncts = (_chain(), _chain_typed())
-        expected = _union_reference(disjuncts, sqlite_museum)
-        monkeypatch.setattr(mqo, "STATEMENT_OVERHEAD_ROWS", 0.0)
-        self._clear_plans(sqlite_museum)
-        distinct, compound, singles = mqo._union_route(disjuncts, sqlite_museum)
-        assert compound is not None and singles is None
-        assert evaluate_union(disjuncts, sqlite_museum) == expected
-
-    def test_forced_compound_is_counted_inside_the_backend(
-        self, sqlite_museum, monkeypatch
-    ):
-        """``count_union`` wraps the compound statement in ``SELECT
-        COUNT(*)`` — unless a rule-4 residue needs the dictionary, which
-        brings the rows back to Python."""
-        import repro.engine.mqo as mqo
-
-        monkeypatch.setattr(mqo, "STATEMENT_OVERHEAD_ROWS", 0.0)
-        self._clear_plans(sqlite_museum)
+        plain, unions = barton_star_unions
+        assert unions
+        store = plain.copy(backend="sqlite")
         statements = []
-        execute = sqlite_museum.backend.execute_sql_plan
+        execute = store.backend.execute_sql_plan
 
-        def spy(sql, params):
+        def spy(sql, params=()):
             statements.append(sql)
             return execute(sql, params)
 
-        monkeypatch.setattr(sqlite_museum.backend, "execute_sql_plan", spy)
-        disjuncts = (_chain(), _chain_typed())
-        expected = len(_union_reference(disjuncts, sqlite_museum))
-        assert count_union(disjuncts, sqlite_museum) == expected > 0
-        assert [s for s in statements if s.startswith("SELECT COUNT(*) FROM (")]
-
-        del statements[:]
-        restricted = tuple(d.with_non_literal({Z}) for d in disjuncts)
-        assert count_union(restricted, sqlite_museum) == len(
-            _union_reference(restricted, sqlite_museum)
-        )
-        assert statements and not any("COUNT(*)" in s for s in statements)
-
-    def test_gate_inequality_drives_the_decision(self, sqlite_museum):
-        from repro.engine.mqo import (
-            STATEMENT_OVERHEAD_ROWS,
-            _statement_profitable,
-        )
-
-        batch = plan_batch((_chain(), _chain_typed()), sqlite_museum)
-        savings = sum(
-            (node.consumers - 1) * node.est_rows for node in batch.nodes
-        )
-        assert _statement_profitable(batch) == (
-            savings > STATEMENT_OVERHEAD_ROWS * len(batch.plans)
-        )
+        try:
+            monkeypatch.setattr(store.backend, "execute_sql_plan", spy)
+            for union in unions:
+                del statements[:]
+                answers = evaluate_union(union, store)
+                for sql in statements:
+                    assert not sql.startswith("WITH"), sql
+                    assert "UNION" not in sql, sql
+                    assert sql.startswith(
+                        ("SELECT DISTINCT ", "SELECT EXISTS (")
+                    ) or (
+                        sql.startswith("SELECT 1\n") and sql.endswith("LIMIT 1")
+                    ), sql
+                assert statements
+                assert answers == evaluate_union(union, store, pushdown=False)
+                assert answers == evaluate_union(union, store, shared=False)
+        finally:
+            store.backend.close()
 
 
 def _empty_prefix_union():
@@ -451,36 +397,35 @@ class TestEmptyPrefixPruning:
     """Branches over a probed-empty shared prefix are skipped outright."""
 
     def test_empty_shared_prefix_prunes_every_consumer(self, sqlite_museum):
-        from repro.engine.mqo import _EMPTY_BRANCH, _union_route
+        from repro.engine.mqo import _EMPTY_BRANCH
 
         disjuncts = _empty_prefix_union()
         batch = plan_batch(disjuncts, sqlite_museum)
         assert batch.nodes, "the shared prefix must form a gated node"
-        _, compound, singles = _union_route(disjuncts, sqlite_museum)
-        assert compound is None
-        assert all(single is _EMPTY_BRANCH for single in singles)
+        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert all(branch is _EMPTY_BRANCH for branch in branches)
         assert evaluate_union(disjuncts, sqlite_museum) == set()
         assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
             disjuncts, sqlite_museum
         )
 
     def test_nonempty_prefixes_are_never_pruned(self, sqlite_museum):
-        from repro.engine.mqo import _EMPTY_BRANCH, _union_route
+        from repro.engine.mqo import _EMPTY_BRANCH
 
         disjuncts = (_chain(), _chain_typed())
-        _, _, singles = _union_route(disjuncts, sqlite_museum)
-        assert all(single is not _EMPTY_BRANCH for single in singles)
+        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert all(branch is not _EMPTY_BRANCH for branch in branches)
 
     def test_pruning_decision_invalidates_on_mutation(self, sqlite_museum):
-        from repro.engine.mqo import _EMPTY_BRANCH, _union_route
+        from repro.engine.mqo import _EMPTY_BRANCH
 
         disjuncts = _empty_prefix_union()
         assert evaluate_union(disjuncts, sqlite_museum) == set()
         # Making vienna a parent of a painter fills the probed prefix:
         # the flushed route must re-probe and execute the branches.
         sqlite_museum.add(Triple(ex("vienna"), ex("isParentOf"), ex("bruegelJr")))
-        _, _, singles = _union_route(disjuncts, sqlite_museum)
-        assert all(single is not _EMPTY_BRANCH for single in singles)
+        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert all(branch is not _EMPTY_BRANCH for branch in branches)
         expected = _union_reference(disjuncts, sqlite_museum)
         assert expected
         assert evaluate_union(disjuncts, sqlite_museum) == expected
@@ -503,18 +448,5 @@ class TestDescribeUnionSharing:
         line = describe_union_sharing(
             [_chain(), _chain_typed()], sqlite_museum
         )
-        assert "pushdown union: 2 branches, 1 shared CTEs" in line
-        assert "route: per-branch statements" in line
-
-    def test_describe_reports_compound_route_when_gated_on(
-        self, sqlite_museum, monkeypatch
-    ):
-        import repro.engine.mqo as mqo
-        from repro.engine.planner import _plan_cache_entry
-
-        monkeypatch.setattr(mqo, "STATEMENT_OVERHEAD_ROWS", 0.0)
-        _plan_cache_entry(sqlite_museum)["plans"].clear()
-        line = describe_union_sharing(
-            [_chain(), _chain_typed()], sqlite_museum
-        )
-        assert "route: compound statement" in line
+        assert "pushdown union: 2 branch statements" in line
+        assert "CTE" not in line

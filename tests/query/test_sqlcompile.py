@@ -14,7 +14,7 @@ from repro.engine import (
     plan_pushdown,
     run_query,
 )
-from repro.engine import plan_union_pushdown, sqlcompile
+from repro.engine import sqlcompile
 from repro.engine.planner import _estimator
 from repro.obs.analyze import _query_plan_rows, visited_aliases
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
@@ -207,31 +207,6 @@ class TestJoinOrder:
         assert compiled.execute(sqlite_museum) == evaluate_nested_loop(
             _two_hop(), sqlite_museum
         )
-
-    def test_union_ctes_and_arms_have_no_comma_join(self, skewed_store):
-        # Renamings of one 2-atom prefix, each extended differently:
-        # the prefix becomes a CTE, every disjunct an arm reading it.
-        disjuncts = [
-            parse_query(
-                f"q(X, Z) :- t(X, rare, Y), t(Y, linksTo, Z), t(Z, rdf:type, c{i})",
-                namespace="http://example.org/",
-            )
-            for i in range(4)
-        ]
-        compiled = plan_union_pushdown(disjuncts, skewed_store)
-        assert compiled is not None and compiled.shared_ctes == 1
-        from_lines = [
-            line.strip()
-            for line in compiled.sql.splitlines()
-            if line.strip().startswith("FROM ")
-        ]
-        assert len(from_lines) >= len(disjuncts)
-        assert any(" CROSS JOIN " in line for line in from_lines)
-        assert not any("," in line for line in from_lines)
-        expected = set()
-        for disjunct in disjuncts:
-            expected |= evaluate_nested_loop(disjunct, skewed_store)
-        assert compiled.execute(skewed_store) == expected
 
     def test_cartesian_body_compiles_and_agrees(self, skewed_store):
         query = parse_query(

@@ -4,12 +4,16 @@ One execution path means two settable values on ``run_query``
 (``statistics``, ``pushdown``), a serial search, and a storage contract
 of pattern matches and counts only. A knob — an ``engine=``, a
 ``batch_size=``, a ``workers=``, a ``layout=`` — or a retired fetch
-method cannot come back without one of these failing.
+method or union route cannot come back without one of these failing,
+and no name the benchmarks import can go without one failing either.
 """
 
+import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -71,13 +75,23 @@ RETIRED_NAMES = {
     "FIXED_ENGINES",
     "HYBRID",
     "LAYOUTS",
+    "MAX_UNION_BRANCHES",
     "MORSEL_PARALLEL_THRESHOLD",
     "MORSEL_SIZE",
     "PARALLEL_ROW_THRESHOLD",
+    "STATEMENT_OVERHEAD_ROWS",
+    "UNION_PUSHDOWN",
+    "CompiledUnion",
     "MergeJoin",
     "PartitionedHashJoin",
+    "UnionBranch",
+    "UnionCTE",
     "choose_engine",
+    "compile_union",
+    "union_signature",
 }
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 #: What a third-party backend must write; everything else is derived.
 STORAGE_ABSTRACT_CORE = {
@@ -130,6 +144,35 @@ def test_engine_exports_resolve_and_hold_no_retired_name():
         assert hasattr(repro.engine, name), name
     assert not RETIRED_NAMES & set(repro.engine.__all__)
     assert not RETIRED_NAMES & set(vars(repro.engine))
+    for module in ("mqo", "sqlcompile"):
+        assert not RETIRED_NAMES & set(vars(getattr(repro.engine, module)))
+
+
+def _benchmark_imports():
+    """``(file:line, module, name)`` for every ``from repro… import name``
+    in ``benchmarks/``, read with ``ast`` — nothing is executed."""
+    for path in sorted(BENCHMARKS.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module == "repro" or node.module.startswith("repro.")
+            ):
+                where = f"{path.relative_to(BENCHMARKS.parent)}:{node.lineno}"
+                for alias in node.names:
+                    yield where, node.module, alias.name
+
+
+def test_benchmark_imports_resolve():
+    """The benchmarks import the program as a library; every name they
+    import is public surface, kept alive even where nothing in ``src/``
+    calls it (``benchmarks/e2e/`` is not edited with the program)."""
+    imports = list(_benchmark_imports())
+    assert any(module == "repro.engine" for _, module, _ in imports)
+    for where, module, name in imports:
+        imported = importlib.import_module(module)
+        assert hasattr(imported, name) or importlib.util.find_spec(
+            f"{module}.{name}"
+        ), f"{where}: from {module} import {name}"
 
 
 @pytest.mark.parametrize("build", [build_parser, build_serve_parser])
