@@ -50,7 +50,6 @@ from repro.query import (
     evaluate_union,
     parse_queries,
     parse_query,
-    parse_sparql_bgp,
 )
 from repro.reformulation import reformulate
 from repro.stats import (
@@ -105,7 +104,6 @@ __all__ = [
     "evaluate_union",
     "parse_queries",
     "parse_query",
-    "parse_sparql_bgp",
     "reformulate",
     "CardinalityEstimator",
     "CatalogStatistics",

@@ -11,7 +11,6 @@ from repro.query.cq import (
     fresh_variable,
 )
 from repro.query.parser import parse_query, parse_queries, QuerySyntaxError
-from repro.query.sparql import parse_sparql_bgp
 from repro.query.containment import (
     canonical_form,
     containment_mapping,
@@ -34,7 +33,6 @@ __all__ = [
     "parse_query",
     "parse_queries",
     "QuerySyntaxError",
-    "parse_sparql_bgp",
     "canonical_form",
     "containment_mapping",
     "equivalent",

@@ -103,11 +103,11 @@ def _enumerate_query_pool(
             for transition in enumerator.transitions(state, [kind]):
                 run.stats.created += 1
                 run.stats.transitions += 1
-                successor = transition.result
-                if successor.key in seen:
+                if transition.key in seen:
                     run.stats.duplicates += 1
                     continue
-                seen.add(successor.key)
+                seen.add(transition.key)
+                successor = transition.result
                 pool.append(successor)
                 stack.append((successor, kind_index, depth + 1))
                 if len(pool) > max_pool or _states_exceeded(run):

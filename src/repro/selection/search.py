@@ -46,14 +46,15 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.obs import metrics, tracing
 from repro.query.cq import ConjunctiveQuery, Variable
 from repro.selection.costs import CostBreakdown, CostModel
-from repro.selection.state import State
+from repro.selection.state import State, derive_key, fusable_pairs
 from repro.selection.transitions import (
     STRATIFIED_ORDER,
+    Move,
     Transition,
     TransitionEnumerator,
     TransitionKind,
@@ -125,6 +126,28 @@ def view_is_all_variables(view: ConjunctiveQuery) -> bool:
     return not view.constants()
 
 
+def fusion_moves(
+    views: Iterable[ConjunctiveQuery], enumerator: TransitionEnumerator
+) -> list[Move]:
+    """The View Fusions AVF applies to a view set, in order: each fuses
+    the first fusable pair left. Works on the view list alone, so a
+    successor's closure is known before the successor is built."""
+    views = list(views)
+    moves = []
+    while pairs := fusable_pairs(views):
+        move = enumerator.vf_move(*pairs[0])
+        moves.append(move)
+        views = [v for v in views if all(v is not r for r in move.removed)]
+        views.extend(move.added)
+    return moves
+
+
+def _fused(state: State, moves: Sequence[Move]) -> State:
+    for move in moves:
+        state = Transition(TransitionKind.VF, state, move).result
+    return state
+
+
 def avf_closure(
     state: State, enumerator: TransitionEnumerator, run: "SearchCore | None" = None
 ) -> State:
@@ -134,17 +157,10 @@ def avf_closure(
     fusions converge to a single state since each strictly shrinks the
     view count.
     """
-    current = state
-    while True:
-        pairs = enumerator.vf_candidates(current)
-        if not pairs:
-            return current
-        transition = enumerator.apply_vf(current, *pairs[0])
-        if run is not None:
-            run.stats.created += 1
-            run.stats.transitions += 1
-            run.stats.discarded += 1  # the pre-fusion intermediate is dropped
-        current = transition.result
+    moves = fusion_moves(state.views, enumerator)
+    if run is not None:
+        run.count_fusions(len(moves))
+    return _fused(state, moves)
 
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(STRATIFIED_ORDER)}
@@ -225,12 +241,15 @@ class SearchCore:
             return True
         return False
 
-    def rejected(self, state: State) -> bool:
-        """Apply the stoptt / stopvar stop conditions."""
-        if self.use_stoptt and any(view_is_triple_table(v) for v in state.views):
-            return True
-        if self.use_stopvar and any(view_is_all_variables(v) for v in state.views):
-            return True
+    def rejected(self, views: Iterable[ConjunctiveQuery]) -> bool:
+        """Apply the stoptt / stopvar stop conditions to ``views``."""
+        for view in views:
+            flags = view.__dict__.get("_stop_flags")
+            if flags is None:
+                flags = (view_is_triple_table(view), view_is_all_variables(view))
+                view.__dict__["_stop_flags"] = flags
+            if (self.use_stoptt and flags[0]) or (self.use_stopvar and flags[1]):
+                return True
         return False
 
     def offer(self, state: State, cost: float) -> None:
@@ -264,20 +283,43 @@ class SearchCore:
         detection on canonical state keys, and the stoptt/stopvar stop
         conditions. ``None`` means the successor was consumed by the
         accounting (duplicate or discarded).
+
+        Key first: the successor's key is derived from the parent's
+        through the transition's and the closure's view deltas, the stop
+        conditions look at the added views only (the parent's passed
+        them; a fused view has the body of a view it replaced), and a
+        duplicate or discarded successor never builds a :class:`State`.
         """
         self.stats.created += 1
         self.stats.transitions += 1
-        successor = transition.result
-        if self.use_avf and transition.kind is not TransitionKind.VF:
-            successor = avf_closure(successor, self.enumerator, self)
-        if successor.key in self.seen:
+        key = transition.key
+        fusions: list[Move] = []
+        source, removed, added = transition.source, transition.removed, transition.added
+        if (
+            self.use_avf
+            and transition.kind is not TransitionKind.VF
+            and source.may_fuse(removed, added)
+        ):
+            views = [v for v in source.views if all(v is not r for r in removed)]
+            fusions = fusion_moves(views + list(added), self.enumerator)
+            self.count_fusions(len(fusions))
+            for move in fusions:
+                key = derive_key(key, move.removed, move.added)
+        if key in self.seen:
             self.stats.duplicates += 1
             return None
-        self.seen.add(successor.key)
-        if self.rejected(successor):
+        self.seen.add(key)
+        if self.rejected(added):
             self.stats.discarded += 1
             return None
-        return successor
+        return _fused(transition.result, fusions)
+
+    def count_fusions(self, count: int) -> None:
+        """Account ``count`` AVF fusions: each creates a state and
+        discards the pre-fusion intermediate."""
+        self.stats.created += count
+        self.stats.transitions += count
+        self.stats.discarded += count
 
     def price_frontier(self, states: Sequence[State]) -> list[CostBreakdown]:
         """Exact breakdowns for a wave of independent states."""

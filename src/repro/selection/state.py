@@ -14,12 +14,13 @@ implements exactly that equivalence for duplicate detection.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.query.algebra import Plan, Scan, view_names
 from repro.query.cq import ConjunctiveQuery, QueryTerm, UnionQuery, Variable
-from repro.query.containment import canonical_form
+from repro.query.containment import canonical_form, find_isomorphism
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,72 @@ def canonical_token(view: ConjunctiveQuery) -> int:
     return token
 
 
+def body_signature(view: ConjunctiveQuery) -> tuple:
+    """A cheap isomorphism-invariant filter key for a view body.
+
+    Memoized on the view object: views are immutable and shared across
+    many states, and View Fusion candidates are grouped by it constantly.
+    """
+    signature = view.__dict__.get("_body_signature")
+    if signature is None:
+        signature = tuple(
+            sorted(
+                tuple(
+                    term.n3() if not isinstance(term, Variable) else "?"
+                    for term in atom
+                )
+                for atom in view.atoms
+            )
+        )
+        view.__dict__["_body_signature"] = signature
+    return signature
+
+
+def _signature_groups(
+    views: Iterable[ConjunctiveQuery],
+) -> dict[tuple, list[ConjunctiveQuery]]:
+    groups: dict[tuple, list[ConjunctiveQuery]] = {}
+    for view in views:
+        groups.setdefault(body_signature(view), []).append(view)
+    return groups
+
+
+def fusable_pairs(
+    views: Iterable[ConjunctiveQuery],
+) -> list[tuple[ConjunctiveQuery, ConjunctiveQuery]]:
+    """Pairs of views View Fusion applies to: isomorphic bodies with the
+    same non-literal restrictions. Cheap filters first: only views with
+    equal :func:`body_signature` are tested for isomorphism."""
+    pairs = []
+    for group in _signature_groups(views).values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                mapping = find_isomorphism(group[i], group[j])
+                if mapping is None:
+                    continue
+                mapped = {mapping[v] for v in group[j].non_literal}
+                if mapped != set(group[i].non_literal):
+                    continue
+                pairs.append((group[i], group[j]))
+    return pairs
+
+
+def derive_key(
+    key: tuple,
+    removed: Iterable[ConjunctiveQuery],
+    added: Iterable[ConjunctiveQuery],
+) -> tuple:
+    """A state key with the ``removed`` views' tokens taken out and the
+    ``added`` views' tokens put in — the key of the successor state,
+    without building it."""
+    tokens = list(key)
+    for view in removed:
+        tokens.remove(canonical_token(view))
+    for view in added:
+        insort(tokens, canonical_token(view))
+    return tuple(tokens)
+
+
 @dataclass(frozen=True, slots=True)
 class StateDelta:
     """The structural difference one transition makes to a state.
@@ -120,21 +187,29 @@ class State:
     ``validate=False`` skips the structural invariant checks; the
     transitions use it (they construct states by correctness-preserving
     rewrites, and validation cost scales with the workload).
+
+    The derived structures — :attr:`key`, :meth:`users`,
+    :meth:`fusable_pairs` — are computed on first use and cached on the
+    instance; :meth:`replace_views` seeds a successor's key and users
+    index from this state's instead of recomputing them.
     """
 
     views: tuple[ConjunctiveQuery, ...]
     rewritings: Mapping[str, Rewriting]
     validate: bool = field(default=True, compare=False, repr=False)
-    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.validate:
             self._check_invariants()
-        object.__setattr__(
-            self,
-            "key",
-            tuple(sorted(canonical_token(view) for view in self.views)),
-        )
+
+    @property
+    def key(self) -> tuple:
+        """The sorted tuple of the views' :func:`canonical_token`."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = tuple(sorted(canonical_token(view) for view in self.views))
+            object.__setattr__(self, "_key", key)
+        return key
 
     def _check_invariants(self) -> None:
         names = [view.name for view in self.views]
@@ -174,25 +249,90 @@ class State:
         """Total number of atoms over all views."""
         return sum(len(view) for view in self.views)
 
+    def users(self) -> Mapping[str, frozenset[str]]:
+        """View name → names of the queries whose rewriting reads it."""
+        users = self.__dict__.get("_users")
+        if users is None:
+            found: dict[str, set[str]] = {}
+            for query_name, rewriting in self.rewritings.items():
+                for disjunct in rewriting:
+                    for name in view_names(disjunct.plan):
+                        found.setdefault(name, set()).add(query_name)
+            users = {name: frozenset(queries) for name, queries in found.items()}
+            object.__setattr__(self, "_users", users)
+        return users
+
+    def fusable_pairs(self) -> list[tuple[ConjunctiveQuery, ConjunctiveQuery]]:
+        """The :func:`fusable_pairs` of this state's views."""
+        pairs = self.__dict__.get("_fusable_pairs")
+        if pairs is None:
+            pairs = fusable_pairs(self.views)
+            object.__setattr__(self, "_fusable_pairs", pairs)
+        return pairs
+
+    def _signature_groups(self) -> dict[tuple, list[ConjunctiveQuery]]:
+        groups = self.__dict__.get("_groups")
+        if groups is None:
+            groups = _signature_groups(self.views)
+            object.__setattr__(self, "_groups", groups)
+        return groups
+
+    def may_fuse(
+        self, removed: Sequence[ConjunctiveQuery], added: Sequence[ConjunctiveQuery]
+    ) -> bool:
+        """Whether the state ``replace_views(removed, added, …)`` builds
+        can hold a fusable pair — without building it.
+
+        ``False`` is exact: a fusable pair either survives from this
+        state or involves an added view, whose body signature must then
+        occur twice in the successor. ``True`` may be a signature
+        collision between non-isomorphic bodies.
+        """
+        for pair in self.fusable_pairs():
+            if not any(view is member for view in removed for member in pair):
+                return True
+        change: dict[tuple, int] = {}
+        for view in added:
+            signature = body_signature(view)
+            change[signature] = change.get(signature, 0) + 1
+        for view in removed:
+            signature = body_signature(view)
+            if signature in change:
+                change[signature] -= 1
+        groups = self._signature_groups()
+        return any(
+            len(groups.get(signature, ())) + count >= 2
+            for signature, count in change.items()
+        )
+
     def replace_views(
         self,
-        removed: Sequence[str],
+        removed: Sequence[ConjunctiveQuery],
         added: Sequence[ConjunctiveQuery],
-        substitute,
+        substitute: Callable[[Plan], Plan],
     ) -> tuple["State", StateDelta]:
         """A new state with ``removed`` views replaced by ``added`` ones.
 
-        ``substitute`` is a function Plan -> Plan applied to every
-        rewriting disjunct plan (the transition's symbol substitution).
-        Returns the state together with the :class:`StateDelta` recording
-        exactly which views and disjunct plans changed.
+        ``substitute`` is the transition's symbol substitution, a
+        function Plan -> Plan that replaces every scan of a removed view
+        by an expression reading all ``added`` views. It is applied only
+        to the rewritings the :meth:`users` index names as readers of a
+        removed view; the others, and every untouched disjunct, are
+        shared by identity. Returns the state together with the
+        :class:`StateDelta` recording exactly which views and disjunct
+        plans changed.
         """
-        removed_set = set(removed)
-        removed_views = tuple(v for v in self.views if v.name in removed_set)
-        views = tuple(v for v in self.views if v.name not in removed_set) + tuple(added)
-        rewritings = {}
+        users = dict(self.users())
+        affected: frozenset[str] = frozenset().union(
+            *(users.pop(view.name, ()) for view in removed)
+        )
+        removed_names = {view.name for view in removed}
+        views = tuple(v for v in self.views if v.name not in removed_names) + tuple(added)
+        rewritings = dict(self.rewritings)
         plan_changes: list[tuple[Plan, Plan]] = []
         for query_name, rewriting in self.rewritings.items():
+            if query_name not in affected:
+                continue
             disjuncts = []
             changed = False
             for disjunct in rewriting:
@@ -205,9 +345,16 @@ class State:
                     )
                     plan_changes.append((disjunct.plan, new_plan))
                     changed = True
-            rewritings[query_name] = tuple(disjuncts) if changed else rewriting
-        delta = StateDelta(removed_views, tuple(added), tuple(plan_changes))
-        return State(views, rewritings, validate=False), delta
+            if changed:
+                rewritings[query_name] = tuple(disjuncts)
+        if affected:
+            for view in added:
+                users[view.name] = affected
+        state = State(views, rewritings, validate=False)
+        object.__setattr__(state, "_key", derive_key(self.key, removed, added))
+        object.__setattr__(state, "_users", users)
+        delta = StateDelta(tuple(removed), tuple(added), tuple(plan_changes))
+        return state, delta
 
     def describe(self) -> str:
         """A readable multi-line rendering (views then rewritings)."""

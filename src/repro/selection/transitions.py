@@ -22,13 +22,20 @@ views, exactly as Definitions 3.2–3.5 prescribe:
 
 All produced plan nodes carry the conjunctive query they compute, so the
 cost model prices every intermediate result consistently.
+
+What a move produces — the new views and the replacement expression of
+each removed view — depends only on the move's view objects and its
+candidate, never on the state it is applied in. The enumerator builds
+each move's product once and shares it by identity across every state
+the move is applied in; a :class:`Transition` is that product plus its
+source state, and builds the successor state only on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.query.algebra import (
     EqualsColumn,
@@ -50,8 +57,11 @@ from repro.query.cq import (
 )
 from repro.query.containment import find_isomorphism
 from repro.rdf.terms import Term
-from repro.selection.state import State, StateDelta, ViewNamer
+from repro.selection.state import State, StateDelta, ViewNamer, derive_key
 from repro.selection.stategraph import view_adjacency
+
+#: Bound on an enumerator's move memo, like its candidate memos.
+_MEMO_LIMIT = 500_000
 
 
 class TransitionKind(Enum):
@@ -72,19 +82,92 @@ STRATIFIED_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One applied transition: its kind, a label, and the state reached.
+@dataclass(frozen=True, slots=True, eq=False)
+class Move:
+    """The state-independent product of one move.
 
-    ``delta`` records which views and rewriting plans the transition
-    actually touched (everything else is shared by identity with the
-    source state); the incremental cost model re-prices only the delta.
+    ``replacements[i]`` is the expression that replaces every scan of
+    ``removed[i]``; each one reads all ``added`` views.
     """
 
-    kind: TransitionKind
     description: str
-    result: State
-    delta: StateDelta | None = None
+    removed: tuple[ConjunctiveQuery, ...]
+    added: tuple[ConjunctiveQuery, ...]
+    replacements: tuple[Plan, ...]
+    _substituted: dict = field(default_factory=dict, init=False, repr=False)
+
+    def substitute(self, plan: Plan) -> Plan:
+        """``plan`` with the replacements substituted, in order.
+
+        Memoized per plan object (id-keyed, identity-checked): states
+        share untouched rewriting plans by identity, so one plan meets
+        the same move on many branches, and the substituted plan is
+        then shared too.
+        """
+        cached = self._substituted.get(id(plan))
+        if cached is not None and cached[0] is plan:
+            return cached[1]
+        result = plan
+        for view, replacement in zip(self.removed, self.replacements):
+            result = replace_scan(result, view.name, replacement)
+        if len(self._substituted) > _MEMO_LIMIT:
+            self._substituted.clear()
+        self._substituted[id(plan)] = (plan, result)
+        return result
+
+
+class Transition:
+    """One applicable transition, held as a delta against its source.
+
+    ``key`` is the successor's state key, derived from the source's;
+    ``result`` (the state reached) and ``delta`` (which views and
+    rewriting plans it touched — everything else is shared by identity
+    with the source; the incremental cost model re-prices only the
+    delta) are built together on first access.
+    """
+
+    __slots__ = ("kind", "source", "move", "_key", "_built")
+
+    def __init__(self, kind: TransitionKind, source: State, move: Move) -> None:
+        self.kind = kind
+        self.source = source
+        self.move = move
+        self._key: tuple | None = None
+        self._built: tuple[State, StateDelta] | None = None
+
+    @property
+    def description(self) -> str:
+        return self.move.description
+
+    @property
+    def removed(self) -> tuple[ConjunctiveQuery, ...]:
+        return self.move.removed
+
+    @property
+    def added(self) -> tuple[ConjunctiveQuery, ...]:
+        return self.move.added
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            self._key = derive_key(self.source.key, self.move.removed, self.move.added)
+        return self._key
+
+    def _build(self) -> tuple[State, StateDelta]:
+        if self._built is None:
+            move = self.move
+            self._built = self.source.replace_views(
+                move.removed, move.added, move.substitute
+            )
+        return self._built
+
+    @property
+    def result(self) -> State:
+        return self._build()[0]
+
+    @property
+    def delta(self) -> StateDelta:
+        return self._build()[1]
 
 
 def _scan(view: ConjunctiveQuery) -> Scan:
@@ -143,16 +226,39 @@ class TransitionEnumerator:
         self._sc_cache: dict[int, tuple[list, ConjunctiveQuery]] = {}
         self._jc_cache: dict[int, tuple[list, ConjunctiveQuery]] = {}
         self._vb_cache: dict[int, tuple[list, ConjunctiveQuery]] = {}
+        # The move memo: (kind, view ids, candidate) -> Move. Branches of
+        # one search apply the same move to the same shared view object
+        # over and over; its new views (names, fresh variables) and
+        # replacement plans are built once.
+        self._moves: dict[tuple, Move] = {}
 
     def _memoized(self, cache: dict, view: ConjunctiveQuery, compute) -> list:
         cached = cache.get(id(view))
         if cached is not None and cached[1] is view:
             return cached[0]
         result = compute(view)
-        if len(cache) > 500_000:
+        if len(cache) > _MEMO_LIMIT:
             cache.clear()
         cache[id(view)] = (result, view)
         return result
+
+    def _move(
+        self,
+        kind: TransitionKind,
+        views: tuple[ConjunctiveQuery, ...],
+        candidate: tuple,
+        build: Callable[..., Move],
+    ) -> Move:
+        """One move's product, from the memo (id-keyed, identity-checked)
+        or ``build``."""
+        key = (kind, *map(id, views), *candidate)
+        move = self._moves.get(key)
+        if move is None or any(a is not b for a, b in zip(move.removed, views)):
+            move = build(*views, *candidate)
+            if len(self._moves) > _MEMO_LIMIT:
+                self._moves.clear()
+            self._moves[key] = move
+        return move
 
     # ------------------------------------------------------------------
     # Selection Cut
@@ -162,7 +268,15 @@ class TransitionEnumerator:
         self, state: State, view_name: str, atom_index: int, attribute: str
     ) -> Transition:
         """Cut the selection edge at ``(atom_index, attribute)`` of a view."""
+        kind = TransitionKind.SC
         view = state.view(view_name)
+        move = self._move(kind, (view,), (atom_index, attribute), self._sc_move)
+        return Transition(kind, state, move)
+
+    def _sc_move(
+        self, view: ConjunctiveQuery, atom_index: int, attribute: str
+    ) -> Move:
+        view_name = view.name
         constant = view.atoms[atom_index].term_at(attribute)
         if isinstance(constant, Variable):
             raise ValueError(
@@ -186,13 +300,8 @@ class TransitionEnumerator:
             query=view,
         )
         replacement: Plan = Project(selection, old_schema, query=view)
-        result, delta = state.replace_views(
-            [view_name],
-            [new_view],
-            lambda plan: replace_scan(plan, view_name, replacement),
-        )
         description = f"SC({view_name}.n{atom_index}.{attribute}={constant.n3()})"
-        return Transition(TransitionKind.SC, description, result, delta)
+        return Move(description, (view,), (new_view,), (replacement,))
 
     def sc_candidates(self, view: ConjunctiveQuery) -> list[tuple[int, str, Term]]:
         """All selection edges of a view (memoized per view object)."""
@@ -208,7 +317,15 @@ class TransitionEnumerator:
         self, state: State, view_name: str, atom_index: int, attribute: str
     ) -> Transition:
         """Cut the join variable occurrence at ``(atom_index, attribute)``."""
+        kind = TransitionKind.JC
         view = state.view(view_name)
+        move = self._move(kind, (view,), (atom_index, attribute), self._jc_move)
+        return Transition(kind, state, move)
+
+    def _jc_move(
+        self, view: ConjunctiveQuery, atom_index: int, attribute: str
+    ) -> Move:
+        view_name = view.name
         variable = view.atoms[atom_index].term_at(attribute)
         if not isinstance(variable, Variable):
             raise ValueError(
@@ -249,12 +366,7 @@ class TransitionEnumerator:
                 query=view,
             )
             replacement: Plan = Project(selection, old_schema, query=view)
-            result, delta = state.replace_views(
-                [view_name],
-                [new_view],
-                lambda plan: replace_scan(plan, view_name, replacement),
-            )
-            return Transition(TransitionKind.JC, description, result, delta)
+            return Move(description, (view,), (new_view,), (replacement,))
         if len(components) != 2:
             raise AssertionError(
                 f"join cut split {view_name} into {len(components)} components"
@@ -289,12 +401,7 @@ class TransitionEnumerator:
             query=view,
         )
         replacement = Project(join, old_schema, query=view)
-        result, delta = state.replace_views(
-            [view_name],
-            [left_view, right_view],
-            lambda plan: replace_scan(plan, view_name, replacement),
-        )
-        return Transition(TransitionKind.JC, description, result, delta)
+        return Move(description, (view,), (left_view, right_view), (replacement,))
 
     def jc_candidates(self, view: ConjunctiveQuery) -> list[tuple[int, str]]:
         """All cuttable join-variable occurrences ``(atom index, attribute)``."""
@@ -312,7 +419,17 @@ class TransitionEnumerator:
         part2: Sequence[int],
     ) -> Transition:
         """Break a view along two covering, connected node sets."""
+        kind = TransitionKind.VB
         view = state.view(view_name)
+        move = self._move(kind, (view,), (tuple(part1), tuple(part2)), self._vb_move)
+        return Transition(kind, state, move)
+
+    def _vb_move(
+        self,
+        view: ConjunctiveQuery,
+        part1: tuple[int, ...],
+        part2: tuple[int, ...],
+    ) -> Move:
         set1, set2 = set(part1), set(part2)
         if set1 | set2 != set(range(len(view.atoms))):
             raise ValueError("view break parts must cover all atoms")
@@ -348,13 +465,8 @@ class TransitionEnumerator:
         old_schema = tuple(term.name for term in view.head)
         join = Join(_scan(left_view), _scan(right_view), query=view)
         replacement = Project(join, old_schema, query=view)
-        result, delta = state.replace_views(
-            [view_name],
-            [left_view, right_view],
-            lambda plan: replace_scan(plan, view_name, replacement),
-        )
-        description = f"VB({view_name}:{sorted(set1)}|{sorted(set2)})"
-        return Transition(TransitionKind.VB, description, result, delta)
+        description = f"VB({view.name}:{sorted(set1)}|{sorted(set2)})"
+        return Move(description, (view,), (left_view, right_view), (replacement,))
 
     def vb_candidates(
         self, view: ConjunctiveQuery
@@ -407,7 +519,15 @@ class TransitionEnumerator:
 
     def apply_vf(self, state: State, name1: str, name2: str) -> Transition:
         """Fuse two views with isomorphic bodies (Definition 3.5)."""
-        view1, view2 = state.view(name1), state.view(name2)
+        move = self.vf_move(state.view(name1), state.view(name2))
+        return Transition(TransitionKind.VF, state, move)
+
+    def vf_move(self, view1: ConjunctiveQuery, view2: ConjunctiveQuery) -> Move:
+        """The product of fusing two views, independent of any state."""
+        return self._move(TransitionKind.VF, (view1, view2), (), self._vf_move)
+
+    def _vf_move(self, view1: ConjunctiveQuery, view2: ConjunctiveQuery) -> Move:
+        name1, name2 = view1.name, view2.name
         mapping = find_isomorphism(view1, view2)
         if mapping is None:
             raise ValueError(f"views {name1} and {name2} are not isomorphic")
@@ -430,32 +550,17 @@ class TransitionEnumerator:
             _scan(fused), tuple(term.name for term in mapped_head2), query=view2
         )
         replacement2: Plan = Rename(projected2, schema2, query=view2)
-
-        def substitute(plan: Plan) -> Plan:
-            plan = replace_scan(plan, name1, replacement1)
-            return replace_scan(plan, name2, replacement2)
-
-        result, delta = state.replace_views([name1, name2], [fused], substitute)
-        description = f"VF({name1},{name2})"
-        return Transition(TransitionKind.VF, description, result, delta)
+        return Move(
+            f"VF({name1},{name2})",
+            (view1, view2),
+            (fused,),
+            (replacement1, replacement2),
+        )
 
     def vf_candidates(self, state: State) -> list[tuple[str, str]]:
-        """Pairs of views with isomorphic bodies, cheap filters first."""
-        signatures: dict[tuple, list[ConjunctiveQuery]] = {}
-        for view in state.views:
-            signatures.setdefault(_body_signature(view), []).append(view)
-        pairs = []
-        for group in signatures.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    mapping = find_isomorphism(group[i], group[j])
-                    if mapping is None:
-                        continue
-                    mapped = {mapping[v] for v in group[j].non_literal}
-                    if mapped != set(group[i].non_literal):
-                        continue
-                    pairs.append((group[i].name, group[j].name))
-        return pairs
+        """Name pairs of views with isomorphic bodies (see
+        :func:`~repro.selection.state.fusable_pairs`)."""
+        return [(view1.name, view2.name) for view1, view2 in state.fusable_pairs()]
 
     # ------------------------------------------------------------------
     # Uniform enumeration
@@ -481,27 +586,6 @@ class TransitionEnumerator:
             else:
                 for name1, name2 in self.vf_candidates(state):
                     yield self.apply_vf(state, name1, name2)
-
-
-def _body_signature(view: ConjunctiveQuery) -> tuple:
-    """A cheap isomorphism-invariant filter key for a view body.
-
-    Memoized on the view object: views are immutable and shared across
-    many states, and avf_closure recomputes signatures constantly.
-    """
-    signature = view.__dict__.get("_body_signature")
-    if signature is None:
-        signature = tuple(
-            sorted(
-                tuple(
-                    term.n3() if not isinstance(term, Variable) else "?"
-                    for term in atom
-                )
-                for atom in view.atoms
-            )
-        )
-        view.__dict__["_body_signature"] = signature
-    return signature
 
 
 def _jc_candidates(view: ConjunctiveQuery) -> list[tuple[int, str]]:

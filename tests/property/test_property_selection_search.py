@@ -5,13 +5,15 @@
     :meth:`CostModel.transition_cost` equal a full recompute by a fresh
     cost model *exactly* (bitwise float equality — the memo layers are
     designed to be indistinguishable from recomputation).
+(b) Delta-derived state structures: a successor's key and users index,
+    derived from its parent's, equal their recomputation from scratch.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.selection.costs import CostModel
-from repro.selection.state import ViewNamer, initial_state
+from repro.selection.state import State, ViewNamer, canonical_token, initial_state
 from repro.selection.statistics import StoreStatistics, ZipfStatistics
 from repro.selection.transitions import TransitionEnumerator
 
@@ -76,3 +78,30 @@ def test_repricing_is_bounded_by_the_state_delta(q1, picks):
         assert delta.repriced_views <= len(transition.delta.added)
         assert delta.repriced_plans <= len(transition.delta.plan_changes)
         state, breakdown = transition.result, delta.breakdown
+
+
+@COMMON
+@given(
+    q1=us.connected_queries(max_atoms=3, allow_property_variable=False),
+    q2=us.connected_queries(max_atoms=3, allow_property_variable=False),
+    picks=st.lists(st.integers(0, 1_000), min_size=1, max_size=5),
+)
+def test_derived_keys_and_users_equal_recomputation(q1, q2, picks):
+    """(b) Along any transition sequence, every successor's key derived
+    from its parent's equals the key recomputed from its views, and its
+    derived users index equals the one recomputed from the rewritings."""
+    namer = ViewNamer()
+    enumerator = TransitionEnumerator(namer, vb_mode="overlapping")
+    state = initial_state([q1.with_name("q1"), q2.with_name("q2")], namer)
+    for pick in picks:
+        transitions = list(enumerator.transitions(state))
+        if not transitions:
+            break
+        for transition in transitions:
+            result = transition.result
+            recomputed = tuple(sorted(canonical_token(v) for v in result.views))
+            assert transition.key == recomputed
+            assert result.key == recomputed
+            fresh = State(result.views, result.rewritings)
+            assert result.users() == fresh.users()
+        state = transitions[pick % len(transitions)].result

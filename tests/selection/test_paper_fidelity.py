@@ -6,12 +6,24 @@ saturating it. So a search priced on post-reformulation statistics and
 one priced on the saturated store must be the *same* search: equal
 initial cost, equal best cost, equal number of states created, under
 the same state budget. And the database handed in stays as it was.
+
+Figure 5: aggressive view fusion lowers the number of duplicate states
+and reaches a state at least as good under the same state budget.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.datagen import BartonConfig, generate_barton
 from repro.selection import SearchBudget, ViewSelector
 from repro.workload import QueryShape, SatisfiableWorkloadGenerator, WorkloadSpec
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +53,58 @@ def test_post_reformulation_search_equals_saturated_search(
         assert outcomes[0] == outcomes[1]
     # Neither mode saturates, or otherwise touches, the input store.
     assert (len(barton_store), barton_store.version) == (size, version)
+
+
+def figure5_runs(max_states: int = 2_000) -> list[dict]:
+    """Duplicates and best cost of ``dfs`` and ``exstr`` with AVF on and
+    off, on the inputs of the e2e ``select`` workload: its catalog
+    (30 000 triples, 4 500 entities, catalog seed 3) and its six query
+    sets (pool seed 0), under one state budget for every run."""
+    store, schema = generate_barton(
+        BartonConfig(num_triples=30_000, num_entities=4_500, seed=3)
+    )
+    generator = SatisfiableWorkloadGenerator(store, seed=0)
+    runs = []
+    for shape in (QueryShape.STAR, QueryShape.CHAIN, QueryShape.MIXED):
+        for commonality in ("high", "low"):
+            queries = generator.generate(WorkloadSpec(5, 4, shape, commonality))
+            for strategy in ("dfs", "exstr"):
+                run = {"set": f"{shape.name}/{commonality}", "strategy": strategy}
+                for avf in (True, False):
+                    result = ViewSelector(
+                        store, schema, strategy=strategy,
+                        entailment="post_reformulation",
+                        budget=SearchBudget(max_states=max_states), use_avf=avf,
+                    ).recommend(queries).result
+                    label = "avf" if avf else "plain"
+                    run[label] = (result.stats.duplicates, result.best_cost)
+                runs.append(run)
+    return runs
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_avf_lowers_duplicates_and_never_raises_the_best_cost(hashseed):
+    """Figure 5, per (set, strategy): AVF's run has no more duplicates
+    and a best cost no higher than the run without it. The generated
+    catalog depends on string hashing, so each hash seed runs in its
+    own interpreter."""
+    source = ROOT / "src"
+    environment = {
+        **os.environ,
+        "PYTHONHASHSEED": hashseed,
+        "PYTHONPATH": os.pathsep.join([str(source), str(ROOT)]),
+    }
+    script = (
+        "import json; from tests.selection.test_paper_fidelity import "
+        "figure5_runs; print(json.dumps(figure5_runs()))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=environment,
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    runs = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert len(runs) == 12
+    for run in runs:
+        (avf_duplicates, avf_best), (duplicates, best) = run["avf"], run["plain"]
+        assert avf_duplicates <= duplicates, run
+        assert avf_best <= best, run

@@ -1,6 +1,8 @@
 """Unit tests for the unified search core: the strategy protocol and
 registry, the Figure-5 accounting ownership, the incremental
-CostDelta contract, and incremental == full pricing over a whole run."""
+CostDelta contract, incremental == full pricing over a whole run, and
+the key-first successor pipeline == the eager one it replaced (kept
+here, and only here, as the oracle)."""
 
 import pytest
 
@@ -14,12 +16,18 @@ from repro.selection.search import (
     STRATEGY_FACTORIES,
     DfsStrategy,
     SearchBudget,
+    SearchCore,
     SearchStrategy,
     run_search,
 )
-from repro.selection.state import StateDelta, ViewNamer, initial_state
+from repro.selection.state import (
+    StateDelta,
+    ViewNamer,
+    canonical_token,
+    initial_state,
+)
 from repro.selection.statistics import StoreStatistics
-from repro.selection.transitions import TransitionEnumerator
+from repro.selection.transitions import TransitionEnumerator, TransitionKind
 from repro.workload import QueryShape, SatisfiableWorkloadGenerator, WorkloadSpec
 
 #: Small workloads on which every strategy — greedy ones included —
@@ -205,3 +213,106 @@ def test_incremental_and_full_pricing_run_the_same_search(barton_store, strategy
     assert incremental.best_cost == reference.best_cost
     assert incremental.best_cost <= incremental.initial_cost
     assert incremental.stats == reference.stats
+
+
+class FreshMoves(TransitionEnumerator):
+    """The oracle's enumerator: every application builds its move anew
+    (new views, names, fresh variables and plans), as if no move memo
+    existed."""
+
+    def _move(self, kind, views, candidate, build):
+        return build(*views, *candidate)
+
+
+class EagerCore(SearchCore):
+    """The oracle's successor pipeline: build every successor, close it
+    under AVF state by state, key it from scratch, and test the stop
+    conditions on all of its views."""
+
+    def consider(self, transition):
+        self.stats.created += 1
+        self.stats.transitions += 1
+        successor = transition.result
+        if self.use_avf and transition.kind is not TransitionKind.VF:
+            while pairs := self.enumerator.vf_candidates(successor):
+                successor = self.enumerator.apply_vf(successor, *pairs[0]).result
+                self.count_fusions(1)
+        key = tuple(sorted(canonical_token(view) for view in successor.views))
+        if key in self.seen:
+            self.stats.duplicates += 1
+            return None
+        self.seen.add(key)
+        if self.rejected(successor.views):
+            self.stats.discarded += 1
+            return None
+        return successor
+
+
+class CheckedCore(SearchCore):
+    """The shipped pipeline, with every survivor's invariants checked:
+    memoized views are shared across states, so a state holding one
+    twice would show up as duplicate view names."""
+
+    def consider(self, transition):
+        survivor = super().consider(transition)
+        if survivor is not None:
+            survivor._check_invariants()
+        return survivor
+
+
+#: (generator seed, spec): S0 of the first holds a fusable pair, so AVF
+#: closes successors of an unclosed parent.
+ORACLE_WORKLOADS = {
+    "mixed-high": (0, WorkloadSpec(4, 3, QueryShape.MIXED, "high")),
+    "star-constants": (
+        11, WorkloadSpec(3, 4, QueryShape.STAR, "high", constant_probability=0.4)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_workloads(barton_store):
+    return {
+        label: SatisfiableWorkloadGenerator(barton_store, seed=seed).generate(spec)
+        for label, (seed, spec) in ORACLE_WORKLOADS.items()
+    }
+
+
+@pytest.mark.parametrize("use_avf", [True, False], ids=["avf", "no-avf"])
+@pytest.mark.parametrize("use_stopvar", [True, False], ids=["stopvar", "no-stopvar"])
+@pytest.mark.parametrize("workload", sorted(ORACLE_WORKLOADS))
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_FACTORIES))
+def test_key_first_search_equals_the_eager_oracle(
+    barton_store, oracle_workloads, strategy, workload, use_avf, use_stopvar
+):
+    """Deriving keys from the parent's, memoizing moves and building
+    only survivors changes no decision of any strategy: the same states
+    are created, deduplicated, discarded and explored, and the run ends
+    at the same best state and cost trace as the eager pipeline."""
+    statistics = StoreStatistics(barton_store)
+
+    def search(core_class, enumerator_class):
+        namer = ViewNamer()
+        state = initial_state(oracle_workloads[workload], namer)
+        core = core_class(
+            state,
+            CostModel(statistics),
+            enumerator_class(namer),
+            SearchBudget(max_states=500),
+            use_avf=use_avf,
+            use_stoptt=True,
+            use_stopvar=use_stopvar,
+        )
+        STRATEGY_FACTORIES[strategy]().run(core)
+        return core.result(strategy)
+
+    oracle = search(EagerCore, FreshMoves)
+    shipped = search(CheckedCore, TransitionEnumerator)
+    assert oracle.stats.created > 1
+    assert shipped.stats == oracle.stats
+    assert shipped.initial_cost == oracle.initial_cost
+    assert shipped.best_cost == oracle.best_cost
+    assert [cost for _, cost in shipped.cost_history] == [
+        cost for _, cost in oracle.cost_history
+    ]
+    assert shipped.best_state.key == oracle.best_state.key

@@ -109,7 +109,7 @@ RETIRED_STORAGE_NAMES = {
     "match_encoded_batches",
 }
 
-RETIRED_MODULES = ("repro.engine.parallel",)
+RETIRED_MODULES = ("repro.engine.parallel", "repro.query.sparql")
 
 
 @pytest.mark.parametrize(
