@@ -22,7 +22,7 @@ from benchmarks.support import (
     satisfiable_workload,
 )
 from repro.selection.costs import CostModel, CostWeights, calibrate_maintenance_weight
-from repro.selection.search import dfs_search
+from repro.selection.search import run_search
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.transitions import TransitionEnumerator
 from repro.workload import QueryShape
@@ -53,7 +53,7 @@ def test_ablation_cost_weights(benchmark, label):
         enumerator = TransitionEnumerator(namer)
         state = initial_state(queries, namer)
         model = CostModel(statistics, weights)
-        return dfs_search(state, model, enumerator, budget(2.0))
+        return run_search(state, model, "dfs", enumerator, budget(2.0))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     report(

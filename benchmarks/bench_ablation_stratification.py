@@ -12,19 +12,12 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.support import full_scale, report, satisfiable_workload, search_setup
-from repro.selection.search import (
-    SearchBudget,
-    exhaustive_naive_search,
-    exhaustive_stratified_search,
-)
+from repro.selection.search import SearchBudget, run_search
 from repro.workload import QueryShape
 
 EXPERIMENT = "Ablation: stratification (EXNAIVE vs EXSTR, Theorem 5.3)"
 
-STRATEGIES = {
-    "EXNAIVE": exhaustive_naive_search,
-    "EXSTR": exhaustive_stratified_search,
-}
+STRATEGIES = {"EXNAIVE": "exnaive", "EXSTR": "exstr"}
 
 
 @pytest.mark.parametrize("label", list(STRATEGIES))
@@ -34,7 +27,11 @@ def test_ablation_stratification(benchmark, label):
 
     def run():
         state, model, enumerator = search_setup(queries, vb_mode="overlapping")
-        return STRATEGIES[label](state, model, enumerator, state_budget)
+        # Algorithm 2 as the paper states it: no AVF, no STV.
+        return run_search(
+            state, model, STRATEGIES[label], enumerator, state_budget,
+            use_avf=False, use_stopvar=False,
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     report(

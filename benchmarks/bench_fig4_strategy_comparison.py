@@ -30,7 +30,7 @@ from repro.selection.competitors import (
     pruning_relational_search,
 )
 from repro.selection.costs import CostModel, calibrate_maintenance_weight
-from repro.selection.search import dfs_search, greedy_stratified_search
+from repro.selection.search import run_search
 from repro.selection.state import initial_state
 from repro.workload import QueryShape
 
@@ -45,9 +45,9 @@ WORKLOAD_KINDS = [
 COMPETITOR_STATE_CAP = 40_000
 
 
-def _run_ours(search, queries):
+def _run_ours(strategy, queries):
     state, model, enumerator = search_setup(queries)
-    return search(state, model, enumerator, budget(1.5)).rcr
+    return run_search(state, model, strategy, enumerator, budget(1.5)).rcr
 
 
 def _run_competitor(search, queries):
@@ -69,8 +69,8 @@ STRATEGIES = {
     "Greedy[21]": lambda queries: _run_competitor(greedy_relational_search, queries),
     "Heuristic[21]": lambda queries: _run_competitor(heuristic_relational_search, queries),
     "Pruning[21]": lambda queries: _run_competitor(pruning_relational_search, queries),
-    "DFS-AVF-STV": lambda queries: _run_ours(dfs_search, queries),
-    "GSTR-AVF-STV": lambda queries: _run_ours(greedy_stratified_search, queries),
+    "DFS-AVF-STV": lambda queries: _run_ours("dfs", queries),
+    "GSTR-AVF-STV": lambda queries: _run_ours("gstr", queries),
 }
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.support import full_scale, report, satisfiable_workload, search_setup
-from repro.selection.search import SearchBudget, dfs_search
+from repro.selection.search import SearchBudget, run_search
 from repro.workload import QueryShape
 
 CONFIGURATIONS = {
@@ -50,7 +50,7 @@ def test_fig5_heuristic_state_counts(benchmark, label, workload):
 
     def run():
         state, model, enumerator = search_setup(workload, vb_mode="overlapping")
-        return dfs_search(state, model, enumerator, state_budget, **flags)
+        return run_search(state, model, "dfs", enumerator, state_budget, **flags)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = result.stats

@@ -13,7 +13,7 @@ stars and dense graphs; high commonality beats low commonality.
 The paper's runs had a 3-hour stoptime each; at Python speed the eager
 searches cannot even expand the 200-query initial state, so both
 strategies run in their work-queue scaling mode: DFS as the
-first-improvement descent (``descent_search``), GSTR as the same descent
+first-improvement descent (``DescentStrategy``), GSTR as the same descent
 constrained to one stratum at a time (VB*, then SC*, then JC*, fusions
 folded in) — keeping GSTR's defining trait of carrying a single state
 between strata. Time budgets scale mildly with the workload.
@@ -31,25 +31,23 @@ from benchmarks.support import (
     search_setup,
     synthetic_workload,
 )
-from repro.selection.search import descent_search
+from repro.selection.search import DescentStrategy, SearchBudget, run_search
 from repro.selection.transitions import TransitionKind
 from repro.workload import QueryShape
 
 
 def _dfs_descent(state, model, enumerator, run_budget):
-    return descent_search(state, model, enumerator, run_budget)
+    return run_search(state, model, "descent", enumerator, run_budget)
 
 
 def _gstr_descent(state, model, enumerator, run_budget):
     """Stratified greedy: one stratum at a time, single carried state."""
-    from repro.selection.search import SearchBudget
-
     remaining = run_budget.time_limit or 0.0
     result = None
     for kind in (TransitionKind.VB, TransitionKind.SC, TransitionKind.JC):
         slice_budget = SearchBudget(time_limit=max(remaining / 3.0, 0.1))
-        step = descent_search(
-            state, model, enumerator, slice_budget, kinds=(kind,)
+        step = run_search(
+            state, model, DescentStrategy(kinds=(kind,)), enumerator, slice_budget
         )
         state = step.best_state
         if result is None:

@@ -24,7 +24,7 @@ from repro.query.evaluation import evaluate_union
 from repro.reformulation.reformulate import reformulate
 from repro.reformulation.workflows import pre_reformulation_initial_state
 from repro.selection.costs import CostModel, calibrate_maintenance_weight
-from repro.selection.search import dfs_search
+from repro.selection.search import run_search
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.statistics import ReformulationAwareStatistics, StoreStatistics
 from repro.selection.transitions import TransitionEnumerator
@@ -40,7 +40,7 @@ def _search(initial_builder, statistics):
     state = initial_builder(namer)
     weights = calibrate_maintenance_weight(state, statistics, ratio=2.0)
     model = CostModel(statistics, weights)
-    return dfs_search(state, model, enumerator, budget(4.0))
+    return run_search(state, model, "dfs", enumerator, budget(4.0))
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q2"])

@@ -41,7 +41,7 @@ from repro.reformulation.reformulate import reformulate
 from repro.reformulation.workflows import pre_reformulation_initial_state
 from repro.selection.costs import CostModel, calibrate_maintenance_weight
 from repro.selection.materialize import answer_query, extent_size, materialize_views
-from repro.selection.search import dfs_search
+from repro.selection.search import run_search
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.statistics import ReformulationAwareStatistics, StoreStatistics
 from repro.selection.transitions import TransitionEnumerator
@@ -55,7 +55,7 @@ def _recommend(initial_builder, statistics):
     state = initial_builder(namer)
     weights = calibrate_maintenance_weight(state, statistics, ratio=2.0)
     model = CostModel(statistics, weights)
-    return dfs_search(state, model, enumerator, budget(3.0)).best_state
+    return run_search(state, model, "dfs", enumerator, budget(3.0)).best_state
 
 
 def _restricted_store(store: TripleStore, schema, queries) -> TripleStore:

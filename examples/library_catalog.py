@@ -15,12 +15,7 @@ from repro.datagen import BartonConfig, generate_barton
 from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.selection.costs import CostModel, calibrate_maintenance_weight
 from repro.selection.materialize import answer_query, extent_size, materialize_views
-from repro.selection.search import (
-    SearchBudget,
-    descent_search,
-    dfs_search,
-    greedy_stratified_search,
-)
+from repro.selection.search import SearchBudget, run_search
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.statistics import StoreStatistics
 from repro.selection.transitions import TransitionEnumerator
@@ -49,17 +44,19 @@ def main() -> None:
     weights = calibrate_maintenance_weight(initial_state(workload), statistics, ratio=2.0)
 
     strategies = {
-        "DFS-AVF-STV": dfs_search,
-        "GSTR-AVF-STV": greedy_stratified_search,
-        "descent (scaling mode)": descent_search,
+        "DFS-AVF-STV": "dfs",
+        "GSTR-AVF-STV": "gstr",
+        "descent (scaling mode)": "descent",
     }
     best = None
-    for name, search in strategies.items():
+    for name, strategy in strategies.items():
         namer = ViewNamer()
         enumerator = TransitionEnumerator(namer)
         state = initial_state(workload, namer)
         model = CostModel(statistics, weights)
-        result = search(state, model, enumerator, SearchBudget(time_limit=4.0))
+        result = run_search(
+            state, model, strategy, enumerator, SearchBudget(time_limit=4.0)
+        )
         print(f"{name:<24} rcr={result.rcr:.3f} "
               f"views={len(result.best_state.views)} "
               f"avg atoms/view={result.average_view_atoms():.1f} "

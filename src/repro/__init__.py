@@ -58,7 +58,6 @@ from repro.stats import (
     StatisticsCatalog,
 )
 from repro.selection import (
-    CostDelta,
     CostModel,
     CostWeights,
     Recommendation,
@@ -69,8 +68,6 @@ from repro.selection import (
     ReformulationAwareStatistics,
     TransitionEnumerator,
     ViewSelector,
-    dfs_search,
-    greedy_stratified_search,
     initial_state,
     materialize_views,
     run_search,
@@ -108,7 +105,6 @@ __all__ = [
     "CardinalityEstimator",
     "CatalogStatistics",
     "StatisticsCatalog",
-    "CostDelta",
     "CostModel",
     "CostWeights",
     "Recommendation",
@@ -120,8 +116,6 @@ __all__ = [
     "ReformulationAwareStatistics",
     "TransitionEnumerator",
     "ViewSelector",
-    "dfs_search",
-    "greedy_stratified_search",
     "initial_state",
     "materialize_views",
 ]

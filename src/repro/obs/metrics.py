@@ -12,9 +12,10 @@ Design constraints, in order:
    registry and returns a picklable dump the server merges, so worker
    counts neither leak nor double-count (serial totals == merged
    worker totals).
-3. **Deterministic.** Histograms keep exact count/sum/min/max and a
-   bounded sample list decimated with a fixed stride — no randomness,
-   no wall-clock reads beyond the timings themselves.
+3. **Deterministic and exactly mergeable.** Histograms keep exact
+   count/sum/min/max and counts in fixed log-scale buckets — no
+   sampling, so a merged histogram's percentiles equal those of one
+   histogram that saw every value.
 
 >>> from repro.obs import metrics
 >>> metrics.reset()
@@ -28,6 +29,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 
@@ -40,24 +42,44 @@ enabled = False
 #: milliseconds (the CLI sets it; see ``--slow-query-ms``).
 slow_query_ms: float | None = None
 
-#: Cap on retained histogram samples; on overflow the sample list is
-#: decimated 2:1 and the keep-stride doubles. count/sum/min/max stay
-#: exact regardless.
-_SAMPLE_LIMIT = 4096
+#: Histogram bucket ratio ``r``: positive bucket ``i`` holds the values
+#: in ``(r**(i-1), r**i]``, so reading a percentile as its bucket's
+#: upper edge overstates it by at most ``r - 1`` (4.4 %).
+BUCKET_RATIO = 2.0 ** (1.0 / 16)
+_LOG_BUCKET_RATIO = math.log(BUCKET_RATIO)
+
+#: The bucket of every value ``<= 0``; below the index of the smallest
+#: positive float (about -17 200), so bucket order is value order.
+_NONPOSITIVE = -(1 << 20)
+
+
+def _bucket(value: float) -> int:
+    if value <= 0.0:
+        return _NONPOSITIVE
+    return math.ceil(math.log(value) / _LOG_BUCKET_RATIO)
+
+
+def _upper_edge(bucket: int) -> float:
+    return 0.0 if bucket == _NONPOSITIVE else BUCKET_RATIO**bucket
 
 
 class Histogram:
-    """Timing/size distribution with exact totals and bounded samples."""
+    """Timing/size distribution: exact count/total/min/max plus counts in
+    fixed log-scale buckets.
 
-    __slots__ = ("count", "maximum", "minimum", "samples", "stride", "total")
+    The buckets are the same in every process, so merging two histograms
+    adds their bucket counts and equals recording both streams into one
+    histogram, percentiles included.
+    """
+
+    __slots__ = ("buckets", "count", "maximum", "minimum", "total")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.minimum: float | None = None
         self.maximum: float | None = None
-        self.samples: list[float] = []
-        self.stride = 1
+        self.buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -67,11 +89,8 @@ class Histogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        if self.count % self.stride == 0:
-            self.samples.append(value)
-            if len(self.samples) > _SAMPLE_LIMIT:
-                self.samples = self.samples[::2]
-                self.stride *= 2
+        bucket = _bucket(value)
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     def merge(self, dump: dict) -> None:
         self.count += dump["count"]
@@ -86,10 +105,8 @@ class Histogram:
                 self.minimum = merged
             else:
                 self.maximum = merged
-        self.samples.extend(dump["samples"])
-        if len(self.samples) > _SAMPLE_LIMIT:
-            self.samples = self.samples[::2]
-            self.stride *= 2
+        for bucket, count in dump["buckets"].items():
+            self.buckets[bucket] = self.buckets.get(bucket, 0) + count
 
     def dump(self) -> dict:
         return {
@@ -97,15 +114,21 @@ class Histogram:
             "total": self.total,
             "min": self.minimum,
             "max": self.maximum,
-            "samples": list(self.samples),
+            "buckets": dict(self.buckets),
         }
 
     def percentile(self, fraction: float) -> float | None:
-        if not self.samples:
+        """The upper edge of the bucket holding the order statistic of
+        rank ``int(fraction * count)``, clamped to ``[min, max]``."""
+        if not self.count:
             return None
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        rank = min(self.count - 1, int(fraction * self.count))
+        seen = 0
+        for bucket in sorted(self.buckets):
+            seen += self.buckets[bucket]
+            if seen > rank:
+                break
+        return min(max(_upper_edge(bucket), self.minimum), self.maximum)
 
     def summary(self) -> dict:
         return {
@@ -155,7 +178,7 @@ class MetricsRegistry:
         }
 
     def dump(self) -> dict:
-        """Lossless, mergeable, picklable form (raw histogram samples)."""
+        """Lossless, mergeable, picklable form (histogram bucket counts)."""
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),

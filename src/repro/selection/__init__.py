@@ -11,18 +11,16 @@ of Section 6.1 (:mod:`repro.selection.competitors`).
 
 from repro.selection.state import (
     State,
-    StateDelta,
     Rewriting,
     RewritingDisjunct,
     initial_state,
 )
-from repro.selection.stategraph import StateGraph
 from repro.selection.statistics import (
     Statistics,
     StoreStatistics,
     ReformulationAwareStatistics,
 )
-from repro.selection.costs import CostModel, CostWeights, CostBreakdown, CostDelta
+from repro.selection.costs import CostModel, CostWeights, CostBreakdown
 from repro.selection.transitions import (
     Transition,
     TransitionKind,
@@ -35,11 +33,6 @@ from repro.selection.search import (
     SearchNode,
     SearchResult,
     SearchStrategy,
-    descent_search,
-    dfs_search,
-    exhaustive_naive_search,
-    exhaustive_stratified_search,
-    greedy_stratified_search,
     run_search,
 )
 from repro.selection.competitors import (
@@ -60,18 +53,15 @@ from repro.selection.recommender import Recommendation, ViewSelector
 
 __all__ = [
     "State",
-    "StateDelta",
     "Rewriting",
     "RewritingDisjunct",
     "initial_state",
-    "StateGraph",
     "Statistics",
     "StoreStatistics",
     "ReformulationAwareStatistics",
     "CostModel",
     "CostWeights",
     "CostBreakdown",
-    "CostDelta",
     "Transition",
     "TransitionKind",
     "TransitionEnumerator",
@@ -82,11 +72,6 @@ __all__ = [
     "SearchResult",
     "SearchStrategy",
     "run_search",
-    "dfs_search",
-    "descent_search",
-    "exhaustive_naive_search",
-    "exhaustive_stratified_search",
-    "greedy_stratified_search",
     "MemoryBudgetExceeded",
     "greedy_relational_search",
     "heuristic_relational_search",

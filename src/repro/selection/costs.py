@@ -16,12 +16,13 @@
   never increases a state's cost (the AVF optimization relies on it).
 * **VMCε** is ``Σ_v f^len(v)`` for a user-provided factor ``f``.
 
-Incremental costing (the search-core refactor)
-----------------------------------------------
+Incremental costing
+-------------------
 
 A transition touches at most two views and the rewriting disjuncts that
 referenced them; everything else is shared *by identity* with the source
-state. The model exploits this with a two-level cross-state memo:
+state. The model never prices a delta: ``cost(state)`` prices the whole
+successor, and its incrementality lives in a two-level cross-state memo:
 
 * per-object fast path — every view / plan object is priced at most
   once, ever (id-keyed, identity-checked);
@@ -37,9 +38,9 @@ its factors in canonical (sorted) order: isomorphic bodies price to the
 prices in the state's own canonical order (views in order, rewritings in
 order), so a warm-cache total is indistinguishable — bit for bit — from
 a cold full recompute; the property suite pins exactly that oracle
-equality. :meth:`CostModel.transition_cost` packages the successor's
-exact breakdown together with the per-component differences as a
-:class:`CostDelta`.
+equality. Untouched components answer from the id fast path, so pricing
+a successor misses the memo only on its added views and rewritten plans
+(``counters`` records hits and misses per level).
 
 ``incremental=False`` restores the pre-refactor pricing path (estimator
 lookups per state, id-keyed plan memo only) and exists as the reference
@@ -51,16 +52,12 @@ the incremental path is checked against: per transition in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.query.algebra import Join, Plan, Project, Rename, Scan, Select
 from repro.query.cq import ConjunctiveQuery
 from repro.selection.state import State, canonical_token
 from repro.stats.estimator import CardinalityEstimator
 from repro.stats.provider import Statistics
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, no cycle
-    from repro.selection.transitions import Transition
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,28 +86,6 @@ class CostBreakdown:
     rec: float
     vmc: float
     total: float
-
-
-@dataclass(frozen=True, slots=True)
-class CostDelta:
-    """The cost effect of one transition.
-
-    ``breakdown`` is the successor state's *exact* cost (folded from
-    cached component prices in the successor's canonical order — bitwise
-    equal to a full recompute). ``vso``/``rec``/``vmc``/``total`` are the
-    differences against the base state's breakdown. ``repriced_views`` /
-    ``repriced_plans`` count the components that actually missed the
-    cross-state memo — the work the incremental model paid, at most the
-    size of the transition's :class:`~repro.selection.state.StateDelta`.
-    """
-
-    breakdown: CostBreakdown
-    vso: float
-    rec: float
-    vmc: float
-    total: float
-    repriced_views: int = 0
-    repriced_plans: int = 0
 
 
 class CostModel:
@@ -393,33 +368,6 @@ class CostModel:
     def total_cost(self, state: State) -> float:
         """Shorthand for ``cost(state).total``."""
         return self.cost(state).total
-
-    # ------------------------------------------------------------------
-    # Incremental transition pricing
-    # ------------------------------------------------------------------
-
-    def transition_cost(self, base: CostBreakdown, transition: "Transition") -> CostDelta:
-        """Price a transition's successor against its base breakdown.
-
-        Only the views/plans named by the transition's
-        :class:`~repro.selection.state.StateDelta` can miss the memo —
-        every untouched component is shared by identity with the base
-        state and answers from the id fast path. ``breakdown`` is the
-        successor's exact cost; the component fields are the differences
-        against ``base`` (float subtraction of two exact sums).
-        """
-        before_views = self.counters["view_misses"]
-        before_plans = self.counters["plan_misses"]
-        breakdown = self.cost(transition.result)
-        return CostDelta(
-            breakdown=breakdown,
-            vso=breakdown.vso - base.vso,
-            rec=breakdown.rec - base.rec,
-            vmc=breakdown.vmc - base.vmc,
-            total=breakdown.total - base.total,
-            repriced_views=self.counters["view_misses"] - before_views,
-            repriced_plans=self.counters["plan_misses"] - before_plans,
-        )
 
 
 def calibrate_maintenance_weight(

@@ -21,12 +21,12 @@ without any algorithmic change.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.query.cq import ConjunctiveQuery
 from repro.rdf.terms import Term
 from repro.selection.costs import CostModel
-from repro.selection.search import SearchBudget, SearchResult, dfs_search
+from repro.selection.search import SearchBudget, SearchResult, run_search
 from repro.selection.state import State, ViewNamer, initial_state
 from repro.selection.transitions import TransitionEnumerator
 
@@ -78,7 +78,7 @@ def merge_states(states: Sequence[State]) -> State:
 def partitioned_search(
     queries: Sequence[ConjunctiveQuery],
     cost_model: CostModel,
-    strategy: Callable = dfs_search,
+    strategy: str = "dfs",
     budget: SearchBudget | None = None,
     enumerator: TransitionEnumerator | None = None,
     min_shared_constants: int = 1,
@@ -86,7 +86,9 @@ def partitioned_search(
 ) -> tuple[State, list[SearchResult]]:
     """Search each commonality group independently and merge the results.
 
-    The time budget is divided evenly across groups. Returns the merged
+    ``strategy`` names a :func:`~repro.selection.search.run_search`
+    strategy; ``strategy_options`` are its flags (``use_avf`` …). The
+    time budget is divided evenly across groups. Returns the merged
     recommended state and the per-group search results.
     """
     if not queries:
@@ -103,8 +105,9 @@ def partitioned_search(
     partial_states = []
     for group in groups:
         start = initial_state(group, enumerator.namer)
-        result = strategy(
-            start, cost_model, enumerator, per_group_budget, **strategy_options
+        result = run_search(
+            start, cost_model, strategy, enumerator, per_group_budget,
+            **strategy_options,
         )
         results.append(result)
         partial_states.append(result.best_state)

@@ -24,7 +24,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import Answer
@@ -37,28 +37,11 @@ from repro.selection.search import (
     STRATEGY_FACTORIES,
     SearchBudget,
     SearchResult,
-    descent_search,
-    dfs_search,
-    exhaustive_naive_search,
-    exhaustive_stratified_search,
-    greedy_stratified_search,
     run_search,
 )
 from repro.selection.state import State, ViewNamer, initial_state
 from repro.selection.statistics import ReformulationAwareStatistics, StoreStatistics
 from repro.selection.transitions import TransitionEnumerator
-
-#: Historical name -> search-function map, kept for the public API; the
-#: names are exactly the keys of the strategy registry the selector
-#: validates against and ``run_search`` resolves with.
-STRATEGIES: dict[str, Callable] = {
-    "dfs": dfs_search,
-    "descent": descent_search,
-    "gstr": greedy_stratified_search,
-    "exnaive": exhaustive_naive_search,
-    "exstr": exhaustive_stratified_search,
-}
-assert STRATEGIES.keys() == STRATEGY_FACTORIES.keys()
 
 ENTAILMENT_MODES = ("none", "saturation", "pre_reformulation", "post_reformulation")
 

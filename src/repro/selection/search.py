@@ -35,10 +35,8 @@ Options shared by all strategies:
   stop condition satisfied by the initial state is disabled, as the
   paper requires.
 
-The historical entry points (:func:`dfs_search`,
-:func:`exhaustive_naive_search`, :func:`exhaustive_stratified_search`,
-:func:`greedy_stratified_search`, :func:`descent_search`) are thin
-wrappers over :func:`run_search` and behave exactly as before.
+:func:`run_search` (a strategy name or object) is the one way to run a
+search; :class:`~repro.selection.recommender.ViewSelector` calls it.
 """
 
 from __future__ import annotations
@@ -670,94 +668,3 @@ def run_search(
         strategy.run(core)
     return core.result(strategy.name)
 
-
-# ----------------------------------------------------------------------
-# Historical entry points (thin wrappers, unchanged signatures)
-# ----------------------------------------------------------------------
-
-
-def dfs_search(
-    initial: State,
-    cost_model: CostModel,
-    enumerator: TransitionEnumerator | None = None,
-    budget: SearchBudget | None = None,
-    use_avf: bool = True,
-    use_stoptt: bool = True,
-    use_stopvar: bool = True,
-) -> SearchResult:
-    """Stratified depth-first search (DFS, Section 5.2)."""
-    return run_search(
-        initial, cost_model, DfsStrategy(), enumerator, budget,
-        use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-    )
-
-
-def exhaustive_naive_search(
-    initial: State,
-    cost_model: CostModel,
-    enumerator: TransitionEnumerator | None = None,
-    budget: SearchBudget | None = None,
-    use_avf: bool = False,
-    use_stoptt: bool = True,
-    use_stopvar: bool = False,
-) -> SearchResult:
-    """EXNAÏVE (Algorithm 2): unordered transitions, CS/ES bookkeeping."""
-    return run_search(
-        initial, cost_model, ExhaustiveStrategy(stratified=False),
-        enumerator, budget,
-        use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-    )
-
-
-def exhaustive_stratified_search(
-    initial: State,
-    cost_model: CostModel,
-    enumerator: TransitionEnumerator | None = None,
-    budget: SearchBudget | None = None,
-    use_avf: bool = False,
-    use_stoptt: bool = True,
-    use_stopvar: bool = False,
-) -> SearchResult:
-    """EXSTR: exhaustive search along stratified paths only."""
-    return run_search(
-        initial, cost_model, ExhaustiveStrategy(stratified=True),
-        enumerator, budget,
-        use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-    )
-
-
-def greedy_stratified_search(
-    initial: State,
-    cost_model: CostModel,
-    enumerator: TransitionEnumerator | None = None,
-    budget: SearchBudget | None = None,
-    use_avf: bool = True,
-    use_stoptt: bool = True,
-    use_stopvar: bool = True,
-) -> SearchResult:
-    """GSTR: exhaust each stratum, keep only the best state in between."""
-    return run_search(
-        initial, cost_model, GreedyStratifiedStrategy(), enumerator, budget,
-        use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-    )
-
-
-def descent_search(
-    initial: State,
-    cost_model: CostModel,
-    enumerator: TransitionEnumerator | None = None,
-    budget: SearchBudget | None = None,
-    use_avf: bool = True,
-    use_stoptt: bool = True,
-    use_stopvar: bool = True,
-    kinds: tuple[TransitionKind, ...] = (
-        TransitionKind.JC,
-        TransitionKind.VB,
-        TransitionKind.SC,
-    ),
-) -> SearchResult:
-    """First-improvement stratified descent (see :class:`DescentStrategy`)."""
-    return run_search(
-        initial, cost_model, DescentStrategy(kinds), enumerator, budget,
-        use_avf=use_avf, use_stoptt=use_stoptt, use_stopvar=use_stopvar,
-    )

@@ -163,23 +163,6 @@ def derive_key(
     return tuple(tokens)
 
 
-@dataclass(frozen=True, slots=True)
-class StateDelta:
-    """The structural difference one transition makes to a state.
-
-    ``removed``/``added`` are the view objects that left/entered the view
-    set; ``plan_changes`` pairs every rewriting-disjunct plan the symbol
-    substitution rewrote with its replacement (untouched disjuncts are
-    shared by identity and do not appear). This is exactly the
-    information an incremental cost model needs: every component of a
-    state's cost not named here is priced identically in both states.
-    """
-
-    removed: tuple[ConjunctiveQuery, ...]
-    added: tuple[ConjunctiveQuery, ...]
-    plan_changes: tuple[tuple[Plan, Plan], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """A candidate view set with its workload rewritings.
@@ -310,7 +293,7 @@ class State:
         removed: Sequence[ConjunctiveQuery],
         added: Sequence[ConjunctiveQuery],
         substitute: Callable[[Plan], Plan],
-    ) -> tuple["State", StateDelta]:
+    ) -> "State":
         """A new state with ``removed`` views replaced by ``added`` ones.
 
         ``substitute`` is the transition's symbol substitution, a
@@ -318,9 +301,8 @@ class State:
         by an expression reading all ``added`` views. It is applied only
         to the rewritings the :meth:`users` index names as readers of a
         removed view; the others, and every untouched disjunct, are
-        shared by identity. Returns the state together with the
-        :class:`StateDelta` recording exactly which views and disjunct
-        plans changed.
+        shared by identity (which is what lets the cost model's id-keyed
+        memo price them for free).
         """
         users = dict(self.users())
         affected: frozenset[str] = frozenset().union(
@@ -329,7 +311,6 @@ class State:
         removed_names = {view.name for view in removed}
         views = tuple(v for v in self.views if v.name not in removed_names) + tuple(added)
         rewritings = dict(self.rewritings)
-        plan_changes: list[tuple[Plan, Plan]] = []
         for query_name, rewriting in self.rewritings.items():
             if query_name not in affected:
                 continue
@@ -343,7 +324,6 @@ class State:
                     disjuncts.append(
                         RewritingDisjunct(new_plan, disjunct.head_template)
                     )
-                    plan_changes.append((disjunct.plan, new_plan))
                     changed = True
             if changed:
                 rewritings[query_name] = tuple(disjuncts)
@@ -353,8 +333,7 @@ class State:
         state = State(views, rewritings, validate=False)
         object.__setattr__(state, "_key", derive_key(self.key, removed, added))
         object.__setattr__(state, "_users", users)
-        delta = StateDelta(tuple(removed), tuple(added), tuple(plan_changes))
-        return state, delta
+        return state
 
     def describe(self) -> str:
         """A readable multi-line rendering (views then rewritings)."""

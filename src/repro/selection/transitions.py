@@ -57,8 +57,7 @@ from repro.query.cq import (
 )
 from repro.query.containment import find_isomorphism
 from repro.rdf.terms import Term
-from repro.selection.state import State, StateDelta, ViewNamer, derive_key
-from repro.selection.stategraph import view_adjacency
+from repro.selection.state import State, ViewNamer, derive_key
 
 #: Bound on an enumerator's move memo, like its candidate memos.
 _MEMO_LIMIT = 500_000
@@ -120,20 +119,19 @@ class Transition:
     """One applicable transition, held as a delta against its source.
 
     ``key`` is the successor's state key, derived from the source's;
-    ``result`` (the state reached) and ``delta`` (which views and
-    rewriting plans it touched — everything else is shared by identity
-    with the source; the incremental cost model re-prices only the
-    delta) are built together on first access.
+    ``result`` (the state reached, sharing every untouched view and
+    rewriting plan with the source by identity) is built on first
+    access.
     """
 
-    __slots__ = ("kind", "source", "move", "_key", "_built")
+    __slots__ = ("kind", "source", "move", "_key", "_result")
 
     def __init__(self, kind: TransitionKind, source: State, move: Move) -> None:
         self.kind = kind
         self.source = source
         self.move = move
         self._key: tuple | None = None
-        self._built: tuple[State, StateDelta] | None = None
+        self._result: State | None = None
 
     @property
     def description(self) -> str:
@@ -153,21 +151,14 @@ class Transition:
             self._key = derive_key(self.source.key, self.move.removed, self.move.added)
         return self._key
 
-    def _build(self) -> tuple[State, StateDelta]:
-        if self._built is None:
-            move = self.move
-            self._built = self.source.replace_views(
-                move.removed, move.added, move.substitute
-            )
-        return self._built
-
     @property
     def result(self) -> State:
-        return self._build()[0]
-
-    @property
-    def delta(self) -> StateDelta:
-        return self._build()[1]
+        if self._result is None:
+            move = self.move
+            self._result = self.source.replace_views(
+                move.removed, move.added, move.substitute
+            )
+        return self._result
 
 
 def _scan(view: ConjunctiveQuery) -> Scan:
@@ -600,6 +591,25 @@ def _jc_candidates(view: ConjunctiveQuery) -> list[tuple[int, str]]:
             if isinstance(term, Variable) and counts[term] >= 2:
                 candidates.append((index, attribute))
     return candidates
+
+
+def view_adjacency(view: ConjunctiveQuery) -> dict[int, set[int]]:
+    """Atom-index adjacency of one view's join graph (Definition 3.1).
+
+    ``adjacency[i]`` holds the atoms sharing a join variable with atom
+    ``i``. The join graph of a view never changes (views are immutable)
+    and the same view object appears in many states during a search, so
+    the adjacency is memoized on the view object; the View Break
+    candidates are the connected covers of this graph.
+    """
+    adjacency = view.__dict__.get("_adjacency")
+    if adjacency is None:
+        adjacency = {i: set() for i in range(len(view.atoms))}
+        for i, _, j, _ in view.join_graph_edges():
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        view.__dict__["_adjacency"] = adjacency
+    return adjacency
 
 
 def _connected_subsets(n: int, adjacency: dict[int, set[int]]) -> list[frozenset[int]]:

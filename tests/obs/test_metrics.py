@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry (repro.obs.metrics)."""
 
 import json
+import math
 import time
 
 import pytest
@@ -34,26 +35,41 @@ def test_counters_gauges_histograms_roundtrip():
     assert summary["min"] == 1.0 and summary["max"] == 3.0
 
 
-def test_histogram_percentiles_are_order_statistics():
+def test_histogram_percentiles_are_bucketed_order_statistics():
     histogram = Histogram()
     for value in range(100, 0, -1):  # insertion order must not matter
         histogram.observe(float(value))
-    assert histogram.percentile(0.50) == 51.0
-    assert histogram.percentile(0.95) == 96.0
+    # The order statistic's bucket edge: never below it, at most one
+    # bucket ratio above it, and clamped to the exact maximum.
+    assert 51.0 <= histogram.percentile(0.50) <= 51.0 * metrics.BUCKET_RATIO
+    assert 96.0 <= histogram.percentile(0.95) <= 96.0 * metrics.BUCKET_RATIO
     assert histogram.percentile(0.99) == 100.0
 
 
-def test_histogram_decimation_keeps_exact_totals():
+def test_histogram_keeps_exact_totals_in_bounded_buckets():
     histogram = Histogram()
-    n = metrics._SAMPLE_LIMIT * 3
+    n = 12_288
     for value in range(n):
         histogram.observe(float(value))
     assert histogram.count == n
     assert histogram.total == sum(float(v) for v in range(n))
     assert histogram.minimum == 0.0
     assert histogram.maximum == float(n - 1)
-    assert len(histogram.samples) <= metrics._SAMPLE_LIMIT
-    assert histogram.percentile(0.5) is not None
+    # One bucket per ratio step between 1 and n, plus the one for <= 0.
+    assert len(histogram.buckets) <= math.log(n, metrics.BUCKET_RATIO) + 2
+    assert histogram.percentile(0.0) == 0.0
+
+
+def test_histogram_nonpositive_values_share_the_lowest_bucket():
+    histogram = Histogram()
+    for value in (-3.0, 0.0, 2.0):
+        histogram.observe(value)
+    assert histogram.buckets[min(histogram.buckets)] == 2
+    assert histogram.percentile(0.0) == 0.0  # the bucket's upper edge
+    assert histogram.percentile(0.99) == 2.0  # clamped to the maximum
+    below = Histogram()
+    below.observe(-1.0)
+    assert below.percentile(0.5) == -1.0  # the edge 0, clamped
 
 
 def test_merge_equals_serial_recording():
@@ -74,7 +90,8 @@ def test_merge_equals_serial_recording():
     assert ours.total == theirs.total
     assert ours.minimum == theirs.minimum
     assert ours.maximum == theirs.maximum
-    assert sorted(ours.samples) == sorted(theirs.samples)
+    assert ours.buckets == theirs.buckets
+    assert ours.summary() == theirs.summary()
 
 
 def test_collect_isolates_and_restores_the_registry():

@@ -1,10 +1,11 @@
 """Property-based contracts of the incremental search core.
 
 (a) Incremental costing: along any random transition sequence, the
-    :class:`CostDelta` breakdowns produced by
-    :meth:`CostModel.transition_cost` equal a full recompute by a fresh
-    cost model *exactly* (bitwise float equality — the memo layers are
-    designed to be indistinguishable from recomputation).
+    memoized ``CostModel.cost`` of every successor equals a full
+    recompute by a fresh cost model *exactly* (bitwise float equality —
+    the memo layers are designed to be indistinguishable from
+    recomputation), and pricing a successor misses the memo only on the
+    views and plans its transition touched.
 (b) Delta-derived state structures: a successor's key and users index,
     derived from its parent's, equal their recomputation from scratch.
 """
@@ -33,7 +34,7 @@ COMMON = settings(
     q2=us.connected_queries(max_atoms=2, allow_property_variable=False),
     picks=st.lists(st.integers(0, 1_000), min_size=1, max_size=5),
 )
-def test_incremental_cost_deltas_match_full_recompute_oracle(store, q1, q2, picks):
+def test_incremental_costs_match_full_recompute_oracle(store, q1, q2, picks):
     """(a) Chained incremental breakdowns == fresh-model recompute, exactly."""
     queries = [q1.with_name("q1"), q2.with_name("q2")]
     namer = ViewNamer()
@@ -41,20 +42,18 @@ def test_incremental_cost_deltas_match_full_recompute_oracle(store, q1, q2, pick
     statistics = StoreStatistics(store)
     model = CostModel(statistics)
     state = initial_state(queries, namer)
-    breakdown = model.cost(state)
-    assert breakdown == CostModel(statistics, incremental=False).cost(state)
+    assert model.cost(state) == CostModel(statistics, incremental=False).cost(state)
     for pick in picks:
         transitions = list(enumerator.transitions(state))
         if not transitions:
             break
         transition = transitions[pick % len(transitions)]
-        delta = model.transition_cost(breakdown, transition)
         # The full-recompute oracle: a fresh, memo-less model.
         oracle = CostModel(statistics, incremental=False).cost(transition.result)
-        assert delta.breakdown == oracle  # bitwise — no approx
+        assert model.cost(transition.result) == oracle  # bitwise — no approx
         # And a fresh *incremental* model agrees too (cold == warm).
         assert CostModel(statistics).cost(transition.result) == oracle
-        state, breakdown = transition.result, delta.breakdown
+        state = transition.result
 
 
 @COMMON
@@ -62,22 +61,37 @@ def test_incremental_cost_deltas_match_full_recompute_oracle(store, q1, q2, pick
     q1=us.connected_queries(max_atoms=3, allow_property_variable=False),
     picks=st.lists(st.integers(0, 1_000), min_size=1, max_size=4),
 )
-def test_repricing_is_bounded_by_the_state_delta(q1, picks):
-    """(a) The incremental model re-prices at most the touched components."""
+def test_repricing_is_bounded_by_the_transition(q1, picks):
+    """(a) The incremental model re-prices at most the touched components:
+    its memo misses grow by at most the added views and the rewriting
+    plans the substitution replaced (found by plan identity)."""
     namer = ViewNamer()
     enumerator = TransitionEnumerator(namer, vb_mode="overlapping")
     model = CostModel(ZipfStatistics(seed=11))
     state = initial_state([q1.with_name("q1")], namer)
-    breakdown = model.cost(state)
+    model.cost(state)
+    counters = model.counters
     for pick in picks:
         transitions = list(enumerator.transitions(state))
         if not transitions:
             break
         transition = transitions[pick % len(transitions)]
-        delta = model.transition_cost(breakdown, transition)
-        assert delta.repriced_views <= len(transition.delta.added)
-        assert delta.repriced_plans <= len(transition.delta.plan_changes)
-        state, breakdown = transition.result, delta.breakdown
+        before = {
+            id(disjunct.plan)
+            for rewriting in state.rewritings.values()
+            for disjunct in rewriting
+        }
+        result = transition.result
+        rewritten = sum(
+            id(disjunct.plan) not in before
+            for rewriting in result.rewritings.values()
+            for disjunct in rewriting
+        )
+        views, plans = counters["view_misses"], counters["plan_misses"]
+        model.cost(result)
+        assert counters["view_misses"] - views <= len(transition.added)
+        assert counters["plan_misses"] - plans <= rewritten
+        state = result
 
 
 @COMMON

@@ -7,7 +7,7 @@ from repro.query.evaluation import evaluate
 from repro.query.parser import parse_query
 from repro.selection.costs import CostModel, calibrate_maintenance_weight
 from repro.selection.materialize import answer_query, materialize_views
-from repro.selection.search import SearchBudget, descent_search
+from repro.selection.search import DescentStrategy, SearchBudget, run_search
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.statistics import StoreStatistics, ZipfStatistics
 from repro.selection.transitions import TransitionEnumerator, TransitionKind
@@ -32,12 +32,16 @@ def setup(museum_store):
 class TestDescentSearch:
     def test_never_worse_than_initial(self, setup):
         queries, state, enumerator, model = setup
-        result = descent_search(state, model, enumerator, SearchBudget(time_limit=3.0))
+        result = run_search(
+            state, model, "descent", enumerator, SearchBudget(time_limit=3.0)
+        )
         assert result.best_cost <= result.initial_cost
 
     def test_rewritings_stay_sound(self, setup, museum_store):
         queries, state, enumerator, model = setup
-        result = descent_search(state, model, enumerator, SearchBudget(time_limit=3.0))
+        result = run_search(
+            state, model, "descent", enumerator, SearchBudget(time_limit=3.0)
+        )
         extents = materialize_views(result.best_state, museum_store)
         for query in queries:
             assert answer_query(result.best_state, query.name, extents) == evaluate(
@@ -46,18 +50,20 @@ class TestDescentSearch:
 
     def test_cost_history_strictly_decreasing(self, setup):
         queries, state, enumerator, model = setup
-        result = descent_search(state, model, enumerator, SearchBudget(time_limit=3.0))
+        result = run_search(
+            state, model, "descent", enumerator, SearchBudget(time_limit=3.0)
+        )
         costs = [cost for _, cost in result.cost_history]
         assert all(a > b for a, b in zip(costs, costs[1:]))
 
     def test_kind_restriction(self, setup):
         queries, state, enumerator, model = setup
-        result = descent_search(
+        result = run_search(
             state,
             model,
+            DescentStrategy(kinds=(TransitionKind.SC,)),
             enumerator,
             SearchBudget(time_limit=2.0),
-            kinds=(TransitionKind.SC,),
         )
         # SC never improves the cost, so a pure-SC descent stays at S0
         # modulo fusions.
@@ -72,7 +78,9 @@ class TestDescentSearch:
         enumerator = TransitionEnumerator(namer)
         model = CostModel(ZipfStatistics(seed=3))
         state = initial_state(queries, namer)
-        result = descent_search(state, model, enumerator, SearchBudget(time_limit=3.0))
+        result = run_search(
+            state, model, "descent", enumerator, SearchBudget(time_limit=3.0)
+        )
         # The descent must at least examine candidates for every query's
         # view without timing out (S0 may legitimately be locally optimal).
         assert result.stats.created >= len(queries)

@@ -11,7 +11,7 @@ from repro.selection.partition import (
     partition_workload,
     partitioned_search,
 )
-from repro.selection.search import SearchBudget, dfs_search, descent_search
+from repro.selection.search import SearchBudget, run_search
 from repro.selection.state import initial_state
 from repro.selection.statistics import StoreStatistics
 
@@ -80,7 +80,7 @@ class TestMergeStates:
 
 
 class TestPartitionedSearch:
-    @pytest.mark.parametrize("strategy", [dfs_search, descent_search])
+    @pytest.mark.parametrize("strategy", ["dfs", "descent"])
     def test_covers_all_queries_and_answers(
         self, disjoint_workload, museum_store, strategy
     ):
@@ -126,9 +126,10 @@ class TestPartitionedSearch:
         from repro.selection.transitions import TransitionEnumerator
 
         namer = ViewNamer()
-        joint = dfs_search(
+        joint = run_search(
             initial_state(disjoint_workload, namer),
             model,
+            "dfs",
             TransitionEnumerator(namer),
             SearchBudget(time_limit=4.0),
         )

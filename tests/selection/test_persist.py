@@ -9,7 +9,7 @@ from repro.rdf.terms import BlankNode, Literal, URI
 from repro.selection import persist
 from repro.selection.costs import CostModel
 from repro.selection.materialize import answer_query, materialize_views
-from repro.selection.search import SearchBudget, dfs_search
+from repro.selection.search import SearchBudget, run_search
 from repro.selection.state import ViewNamer, initial_state
 from repro.selection.statistics import StoreStatistics
 from repro.selection.transitions import TransitionEnumerator
@@ -57,7 +57,9 @@ class TestStateRoundtrip:
         enumerator = TransitionEnumerator(namer, vb_mode="overlapping")
         model = CostModel(StoreStatistics(museum_store))
         state = initial_state(queries, namer)
-        result = dfs_search(state, model, enumerator, SearchBudget(time_limit=2.0))
+        result = run_search(
+            state, model, "dfs", enumerator, SearchBudget(time_limit=2.0)
+        )
         return queries, result.best_state
 
     def test_state_key_survives_roundtrip(self, museum_store):

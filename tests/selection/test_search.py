@@ -9,10 +9,7 @@ from repro.selection.materialize import answer_query, materialize_views
 from repro.selection.search import (
     SearchBudget,
     avf_closure,
-    dfs_search,
-    exhaustive_naive_search,
-    exhaustive_stratified_search,
-    greedy_stratified_search,
+    run_search,
     view_is_all_variables,
     view_is_triple_table,
 )
@@ -34,12 +31,26 @@ def setup(museum_store):
     return queries, state, enum, model
 
 
+#: The exhaustive strategies run without AVF and STV here, as the
+#: paper's Algorithm 2 states them.
+EXHAUSTIVE = dict(use_avf=False, use_stopvar=False)
+
+#: (strategy name, flags) pairs.
 ALL_STRATEGIES = [
-    dfs_search,
-    greedy_stratified_search,
-    exhaustive_naive_search,
-    exhaustive_stratified_search,
+    ("dfs", {}),
+    ("gstr", {}),
+    ("exnaive", EXHAUSTIVE),
+    ("exstr", EXHAUSTIVE),
 ]
+
+
+def strategy_id(case):
+    return case[0]
+
+
+def _run(case, state, model, enum, budget):
+    name, flags = case
+    return run_search(state, model, name, enum, budget, **flags)
 
 
 class TestStopConditionPredicates:
@@ -53,17 +64,17 @@ class TestStopConditionPredicates:
         assert not view_is_all_variables(parse_query("v(X) :- t(X, p, Y)"))
 
 
-@pytest.mark.parametrize("search", ALL_STRATEGIES)
+@pytest.mark.parametrize("search", ALL_STRATEGIES, ids=strategy_id)
 class TestStrategyContracts:
     def test_best_never_worse_than_initial(self, setup, search):
         queries, state, enum, model = setup
-        result = search(state, model, enum, SearchBudget(time_limit=3.0))
+        result = _run(search, state, model, enum, SearchBudget(time_limit=3.0))
         assert result.best_cost <= result.initial_cost
         assert 0.0 <= result.rcr <= 1.0
 
     def test_best_state_rewritings_are_sound(self, setup, museum_store, search):
         queries, state, enum, model = setup
-        result = search(state, model, enum, SearchBudget(time_limit=3.0))
+        result = _run(search, state, model, enum, SearchBudget(time_limit=3.0))
         extents = materialize_views(result.best_state, museum_store)
         for query in queries:
             assert answer_query(result.best_state, query.name, extents) == evaluate(
@@ -72,20 +83,20 @@ class TestStrategyContracts:
 
     def test_stats_are_populated(self, setup, search):
         queries, state, enum, model = setup
-        result = search(state, model, enum, SearchBudget(time_limit=3.0))
+        result = _run(search, state, model, enum, SearchBudget(time_limit=3.0))
         assert result.stats.created > 0
         assert result.stats.transitions >= result.stats.created
 
     def test_cost_history_is_decreasing(self, setup, search):
         queries, state, enum, model = setup
-        result = search(state, model, enum, SearchBudget(time_limit=3.0))
+        result = _run(search, state, model, enum, SearchBudget(time_limit=3.0))
         costs = [cost for _, cost in result.cost_history]
         assert costs == sorted(costs, reverse=True)
         assert costs[0] == result.initial_cost
 
     def test_state_budget_stops_search(self, setup, search):
         queries, state, enum, model = setup
-        result = search(state, model, enum, SearchBudget(max_states=5))
+        result = _run(search, state, model, enum, SearchBudget(max_states=5))
         assert not result.completed
         assert result.stats.created <= 5 + 10  # small overshoot allowed
 
@@ -115,8 +126,10 @@ class TestStratificationAblation:
         namer_b = ViewNamer("w")
         enum_b = TransitionEnumerator(namer_b, vb_mode="overlapping")
         budget = SearchBudget(time_limit=10.0)
-        naive = exhaustive_naive_search(state, model, enum_a, budget)
-        stratified = exhaustive_stratified_search(state, model, enum_b, budget)
+        naive = run_search(state, model, "exnaive", enum_a, budget, **EXHAUSTIVE)
+        stratified = run_search(
+            state, model, "exstr", enum_b, budget, **EXHAUSTIVE
+        )
         if naive.completed and stratified.completed:
             assert stratified.stats.transitions <= naive.stats.transitions
             # Both exhaustive searches find the same best cost.
@@ -135,8 +148,9 @@ class TestDfsSpecifics:
             namer = ViewNamer()
             enum = TransitionEnumerator(namer, vb_mode="overlapping")
             state = initial_state(queries, namer)
-            return dfs_search(
-                state, model, enum, SearchBudget(time_limit=10.0), use_avf=use_avf
+            return run_search(
+                state, model, "dfs", enum, SearchBudget(time_limit=10.0),
+                use_avf=use_avf,
             )
 
         with_avf = run(True)
@@ -147,8 +161,8 @@ class TestDfsSpecifics:
 
     def test_stopvar_discards_states(self, setup):
         queries, state, enum, model = setup
-        result = dfs_search(
-            state, model, enum, SearchBudget(time_limit=5.0), use_stopvar=True
+        result = run_search(
+            state, model, "dfs", enum, SearchBudget(time_limit=5.0), use_stopvar=True
         )
         assert result.stats.discarded > 0
         for view in result.best_state.views:
@@ -156,17 +170,17 @@ class TestDfsSpecifics:
 
     def test_average_view_atoms(self, setup):
         queries, state, enum, model = setup
-        result = dfs_search(state, model, enum, SearchBudget(time_limit=2.0))
+        result = run_search(state, model, "dfs", enum, SearchBudget(time_limit=2.0))
         assert result.average_view_atoms() >= 1.0
 
 
 class TestGstrSpecifics:
     def test_gstr_explores_fewer_states_than_dfs(self, setup, museum_store):
         queries, state, enum, model = setup
-        dfs = dfs_search(state, model, enum, SearchBudget(time_limit=10.0))
+        dfs = run_search(state, model, "dfs", enum, SearchBudget(time_limit=10.0))
         namer = ViewNamer("g")
         enum2 = TransitionEnumerator(namer, vb_mode="overlapping")
         state2 = initial_state(queries, namer)
-        gstr = greedy_stratified_search(state2, model, enum2, SearchBudget(time_limit=10.0))
+        gstr = run_search(state2, model, "gstr", enum2, SearchBudget(time_limit=10.0))
         if dfs.completed and gstr.completed:
             assert gstr.stats.created <= dfs.stats.created

@@ -1,17 +1,14 @@
 """Unit tests for the unified search core: the strategy protocol and
-registry, the Figure-5 accounting ownership, the incremental
-CostDelta contract, incremental == full pricing over a whole run, and
-the key-first successor pipeline == the eager one it replaced (kept
-here, and only here, as the oracle)."""
+registry, one search per strategy name (``ViewSelector`` == ``run_search``),
+memo-only incremental pricing == full pricing per successor and over a
+whole run, and the key-first successor pipeline == the eager one it
+replaced (kept here, and only here, as the oracle)."""
 
 import pytest
 
 from repro.query.parser import parse_query
-from repro.selection.costs import (
-    CostDelta,
-    CostModel,
-    calibrate_maintenance_weight,
-)
+from repro.selection.costs import CostModel, calibrate_maintenance_weight
+from repro.selection.recommender import ViewSelector
 from repro.selection.search import (
     STRATEGY_FACTORIES,
     DfsStrategy,
@@ -20,12 +17,7 @@ from repro.selection.search import (
     SearchStrategy,
     run_search,
 )
-from repro.selection.state import (
-    StateDelta,
-    ViewNamer,
-    canonical_token,
-    initial_state,
-)
+from repro.selection.state import ViewNamer, canonical_token, initial_state
 from repro.selection.statistics import StoreStatistics
 from repro.selection.transitions import TransitionEnumerator, TransitionKind
 from repro.workload import QueryShape, SatisfiableWorkloadGenerator, WorkloadSpec
@@ -124,6 +116,22 @@ def test_budget_states_stops_every_strategy(museum_store):
         assert result.stats.created <= 5 + 10  # small overshoot allowed
 
 
+def rewritten_plans(transition):
+    """The rewriting plans of a transition's result that are not its
+    source's (by identity): what the substitution rewrote."""
+    before = {
+        id(disjunct.plan)
+        for rewriting in transition.source.rewritings.values()
+        for disjunct in rewriting
+    }
+    return [
+        disjunct.plan
+        for rewriting in transition.result.rewritings.values()
+        for disjunct in rewriting
+        if id(disjunct.plan) not in before
+    ]
+
+
 class TestTransitionCost:
     @pytest.fixture()
     def setup(self, museum_store):
@@ -137,48 +145,37 @@ class TestTransitionCost:
 
     def test_breakdown_matches_full_recompute_exactly(self, setup, museum_store):
         state, enumerator, model = setup
-        base = model.cost(state)
+        model.cost(state)
         for transition in enumerator.transitions(state):
-            delta = model.transition_cost(base, transition)
             oracle = CostModel(
                 StoreStatistics(museum_store), incremental=False
             ).cost(transition.result)
-            assert delta.breakdown == oracle  # bitwise, not approx
-
-    def test_delta_components_are_differences(self, setup):
-        state, enumerator, model = setup
-        base = model.cost(state)
-        transition = next(iter(enumerator.transitions(state)))
-        delta = model.transition_cost(base, transition)
-        assert isinstance(delta, CostDelta)
-        assert delta.total == delta.breakdown.total - base.total
-        assert delta.vso == delta.breakdown.vso - base.vso
-        assert delta.vmc == delta.breakdown.vmc - base.vmc
+            assert model.cost(transition.result) == oracle  # bitwise, not approx
 
     def test_only_touched_views_are_repriced(self, setup):
         state, enumerator, model = setup
-        base = model.cost(state)
+        model.cost(state)
         transition = next(iter(enumerator.transitions(state)))
-        assert isinstance(transition.delta, StateDelta)
-        delta = model.transition_cost(base, transition)
-        assert delta.repriced_views <= len(transition.delta.added)
-        assert delta.repriced_plans <= len(transition.delta.plan_changes)
+        counters = model.counters
+        views, plans = counters["view_misses"], counters["plan_misses"]
+        breakdown = model.cost(transition.result)
+        assert counters["view_misses"] - views <= len(transition.added)
+        assert counters["plan_misses"] - plans <= len(rewritten_plans(transition))
         # Pricing the same successor again re-prices nothing at all.
-        again = model.transition_cost(base, transition)
-        assert again.repriced_views == 0
-        assert again.repriced_plans == 0
-        assert again.breakdown == delta.breakdown
+        views, plans = counters["view_misses"], counters["plan_misses"]
+        assert model.cost(transition.result) == breakdown
+        assert (counters["view_misses"], counters["plan_misses"]) == (views, plans)
 
-    def test_state_delta_names_exactly_the_swapped_views(self, setup):
+    def test_transition_names_exactly_the_swapped_views(self, setup):
         state, enumerator, model = setup
         transition = next(iter(enumerator.transitions(state)))
-        removed = {view.name for view in transition.delta.removed}
-        added = {view.name for view in transition.delta.added}
+        removed = {view.name for view in transition.removed}
+        added = {view.name for view in transition.added}
         before = {view.name for view in state.views}
         after = {view.name for view in transition.result.views}
         assert removed == before - after
         assert added == after - before
-        assert transition.delta.plan_changes  # the rewriting was rewritten
+        assert rewritten_plans(transition)  # the rewriting was rewritten
 
     def test_baseline_model_prices_identically(self, setup, museum_store):
         state, enumerator, model = setup
@@ -316,3 +313,35 @@ def test_key_first_search_equals_the_eager_oracle(
         cost for _, cost in oracle.cost_history
     ]
     assert shipped.best_state.key == oracle.best_state.key
+
+
+@pytest.mark.parametrize("use_avf", [True, False], ids=["avf", "no-avf"])
+@pytest.mark.parametrize("use_stopvar", [True, False], ids=["stopvar", "no-stopvar"])
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_FACTORIES))
+def test_selector_runs_the_search_its_strategy_names(
+    barton_store, oracle_workloads, strategy, use_avf, use_stopvar
+):
+    """One name, one search: ``ViewSelector(strategy=name)`` and
+    ``run_search(..., name, ...)`` with the same flags make the same
+    decisions and end at the same state."""
+    queries = oracle_workloads["mixed-high"]
+    budget = SearchBudget(max_states=300)
+    selected = ViewSelector(
+        barton_store, strategy=strategy, budget=budget,
+        use_avf=use_avf, use_stopvar=use_stopvar,
+    ).recommend(queries).result
+    namer = ViewNamer()
+    direct = run_search(
+        initial_state(queries, namer),
+        CostModel(StoreStatistics(barton_store)),
+        strategy,
+        TransitionEnumerator(namer),
+        budget,
+        use_avf=use_avf,
+        use_stoptt=True,
+        use_stopvar=use_stopvar,
+    )
+    assert direct.stats.created > 1
+    assert selected.stats == direct.stats
+    assert selected.best_cost == direct.best_cost
+    assert selected.best_state.key == direct.best_state.key

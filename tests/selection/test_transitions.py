@@ -11,7 +11,11 @@ from repro.query.evaluation import evaluate
 from repro.query.parser import parse_query
 from repro.selection.materialize import answer_query, materialize_views
 from repro.selection.state import ViewNamer, initial_state
-from repro.selection.transitions import TransitionEnumerator, TransitionKind
+from repro.selection.transitions import (
+    TransitionEnumerator,
+    TransitionKind,
+    view_adjacency,
+)
 
 
 def check_rewriting_equivalence(state, queries, store):
@@ -164,6 +168,20 @@ class TestViewBreak:
         for part1, part2 in candidates:
             transition = enum.apply_vb(state, view.name, part1, part2)
             check_rewriting_equivalence(transition.result, [q_painters], museum_store)
+
+    def test_candidates_are_connected_covers_of_the_join_graph(self, q_painters):
+        # q1 is a chain: X joins atoms 0-1, Y joins atoms 1-2.
+        assert view_adjacency(q_painters) == {0: {1}, 1: {0, 2}, 2: {1}}
+        disjoint = TransitionEnumerator(vb_mode="disjoint")
+        assert disjoint.vb_candidates(q_painters) == [((0,), (1, 2)), ((0, 1), (2,))]
+
+    def test_star_view_breaks_anywhere(self):
+        # Star queries have clique join graphs (Section 6.2): every
+        # two-block split of the atoms is a pair of connected parts.
+        query = parse_query("q(X) :- t(X, p, c), t(X, q, d), t(X, r, e), t(X, s, f)")
+        adjacency = view_adjacency(query)
+        assert all(adjacency[i] == {0, 1, 2, 3} - {i} for i in range(4))
+        assert len(TransitionEnumerator().vb_candidates(query)) == 2 ** 3 - 1
 
     def test_disjoint_mode_yields_fewer_candidates(self, q_painters):
         disjoint = TransitionEnumerator(vb_mode="disjoint")

@@ -30,15 +30,14 @@ from repro.engine import (
 )
 from repro.query.evaluation import evaluate, evaluate_union
 from repro.rdf.store import TripleStore
+import repro
+import repro.selection
+import repro.selection.costs
+import repro.selection.search
+import repro.selection.state
+import repro.selection.transitions
 from repro.selection import ViewSelector
-from repro.selection.search import (
-    descent_search,
-    dfs_search,
-    exhaustive_naive_search,
-    exhaustive_stratified_search,
-    greedy_stratified_search,
-    run_search,
-)
+from repro.selection.search import run_search
 from repro.server import ServerConfig
 from repro.storage import StorageBackend
 
@@ -61,13 +60,22 @@ SIGNATURES = {
     ],
 }
 
-SEARCH_WRAPPERS = (
-    dfs_search,
-    exhaustive_naive_search,
-    exhaustive_stratified_search,
-    greedy_stratified_search,
-    descent_search,
-)
+#: One way to run a search (``run_search``, or ``ViewSelector`` over
+#: it): the per-strategy wrappers, the pricing-delta contract nothing
+#: but tests read, and the explicit state graph are retired.
+RETIRED_SELECTION_NAMES = {
+    "dfs_search",
+    "descent_search",
+    "exhaustive_naive_search",
+    "exhaustive_stratified_search",
+    "greedy_stratified_search",
+    "STRATEGIES",
+    "CostDelta",
+    "StateDelta",
+    "StateGraph",
+    "transition_cost",
+    "delta",
+}
 
 RETIRED_NAMES = {
     "ADAPTIVE_BATCH_SIZE",
@@ -109,7 +117,11 @@ RETIRED_STORAGE_NAMES = {
     "match_encoded_batches",
 }
 
-RETIRED_MODULES = ("repro.engine.parallel", "repro.query.sparql")
+RETIRED_MODULES = (
+    "repro.engine.parallel",
+    "repro.query.sparql",
+    "repro.selection.stategraph",
+)
 
 
 @pytest.mark.parametrize(
@@ -120,10 +132,22 @@ def test_signature(function):
 
 
 @pytest.mark.parametrize(
-    "wrapper", SEARCH_WRAPPERS, ids=lambda wrapper: wrapper.__name__
+    "holder",
+    [
+        repro,
+        repro.selection,
+        repro.selection.search,
+        repro.selection.recommender,
+        repro.selection.state,
+        repro.selection.costs,
+        repro.selection.costs.CostModel,
+        repro.selection.transitions.Transition,
+    ],
+    ids=lambda holder: holder.__name__,
 )
-def test_search_wrappers_take_no_workers(wrapper):
-    assert "workers" not in inspect.signature(wrapper).parameters
+def test_retired_selection_names_are_gone(holder):
+    assert not RETIRED_SELECTION_NAMES & set(dir(holder))
+    assert not RETIRED_SELECTION_NAMES & set(getattr(holder, "__all__", ()))
 
 
 @pytest.mark.parametrize("module", RETIRED_MODULES)
