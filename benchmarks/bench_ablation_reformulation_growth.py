@@ -38,7 +38,9 @@ def test_ablation_reformulation_growth(benchmark, atoms):
     query = chain_query(atoms)
 
     def run():
-        return reformulate(query, schema)
+        union = reformulate(query, schema)
+        union.disjuncts  # Algorithm 1 runs on first access
+        return union
 
     union = benchmark.pedantic(run, rounds=1, iterations=1)
     bound = reformulation_bound(schema, query)

@@ -392,18 +392,15 @@ def _print_explain(queries, store, schema) -> None:
     print(query_header("physical plans on the store").line())
     for query in queries:
         print(render(_explain_plan(query, store), indent=2))
-    # Shared-subplan accounting (multi-query optimization): per
-    # reformulation union when a schema is present, and across the
-    # workload batch.
+    # Per reformulation union when a schema is present, the route it
+    # takes (factorised, or the flat form's shared subplans); across the
+    # workload batch, the shared-subplan accounting.
     if schema is not None:
         from repro.reformulation.reformulate import reformulate
 
-        sharing = PlanNode(
-            "shared subplans per reformulation union", header=True
-        )
+        sharing = PlanNode("reformulation unions", header=True)
         for query in queries:
-            union = reformulate(query, schema)
-            line = describe_union_sharing(union.disjuncts, store)
+            line = describe_union_sharing(reformulate(query, schema), store)
             sharing.children.append(PlanNode(f"{query.name}: {line}"))
         print(render(sharing, indent=2))
     if len(queries) > 1:
@@ -422,8 +419,7 @@ def _print_analyze(queries, store, schema) -> None:
 
         print("  analyzed reformulation unions:")
         for query in queries:
-            union = reformulate(query, schema)
-            report = analyze_union(union.disjuncts, store)
+            report = analyze_union(reformulate(query, schema), store)
             report.tree.label = f"{query.name} {report.tree.label}"
             print(report.text(indent=4))
     if len(queries) > 1:

@@ -17,8 +17,9 @@ Public surface::
     run_plan(plan, extents)                     # rewriting Plan -> rows
     plan_query / plan_rewriting                 # operator trees (explain)
     plan_pushdown(query, store)                 # whole-plan SQL route
+    plan_factorised(union, store)               # a reformulation, factorised
     plan_batch / plan_union_pushdown            # shared-subplan DAG / union route
-    SQL_PUSHDOWN / INTERPRETED                  # the two routes
+    SQL_PUSHDOWN / INTERPRETED / FACTORISED     # the routes
     DEFAULT_BATCH_SIZE                          # rows per scan batch
 
 There is one execution path. Operators exchange
@@ -36,12 +37,17 @@ and evaluated inside the backend; the operator tree is the fallback
 for shapes SQL cannot express and, through ``pushdown=False``, the
 reference the pushdown tests compare against.
 
-Batches of queries — reformulation unions and independent workloads
-alike — run through the multi-query optimizer (:mod:`repro.engine.mqo`):
-shared join subtrees across the batch are fingerprinted by canonical
-form, cost-gated, executed once, and fanned out to every consumer; on a
-SQL-capable backend a union runs one prepared statement per disjunct,
-skipping every branch over a shared prefix that probes empty.
+A reformulation union (:func:`repro.reformulation.reformulate`) on
+the interpreted route never becomes a batch: it runs **factorised**
+(:func:`plan_factorised`) — each source atom is the union of its own
+reformulation, read by a :class:`UnionScan` or probed by a
+:class:`UnionProbe`, and the atoms join once. Other batches of queries
+— flat unions and independent workloads alike — run through the
+multi-query optimizer (:mod:`repro.engine.mqo`): shared join subtrees
+across the batch are fingerprinted by canonical form, cost-gated,
+executed once, and fanned out to every consumer; on a SQL-capable
+backend a union runs one prepared statement per disjunct, skipping
+every branch over a shared prefix that probes empty.
 
 The engine/layout/batch-size/workers matrix that used to be selectable
 here (hash, merge and partitioned joins, row-list batches, the
@@ -77,10 +83,14 @@ from repro.engine.operators import (
     Projection,
     Relabel,
     Selection,
+    UnionProbe,
+    UnionScan,
 )
 from repro.engine.planner import (
+    FACTORISED,
     INTERPRETED,
     SQL_PUSHDOWN,
+    plan_factorised,
     plan_pushdown,
     plan_query,
     plan_rewriting,
@@ -91,6 +101,7 @@ from repro.engine.sqlcompile import CompiledQuery, compile_query
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
+    "FACTORISED",
     "INTERPRETED",
     "MATERIALIZE_COST_FACTOR",
     "MQO_DAG",
@@ -105,6 +116,7 @@ __all__ = [
     "describe_union_sharing",
     "evaluate_union_shared",
     "plan_batch",
+    "plan_factorised",
     "plan_pushdown",
     "plan_union_pushdown",
     "run_query_batch",
@@ -118,6 +130,8 @@ __all__ = [
     "Projection",
     "Relabel",
     "Selection",
+    "UnionProbe",
+    "UnionScan",
     "ViewExtent",
     "plan_query",
     "plan_rewriting",

@@ -35,9 +35,10 @@ subplan once, fan results out — this module:
 
 Four consumers sit on top: :func:`run_query_batch` (independent
 queries, the server-mode hook), ``evaluate_union`` in
-:mod:`repro.query.evaluation` (reformulation unions),
-:func:`count_union` (the size of a union's answer and nothing else:
-images partitioned on head constants, never decoded — what
+:mod:`repro.query.evaluation` (flat unions; a deferred reformulation
+union on the interpreted route runs factorised instead and never
+reaches the DAG), :func:`count_union` (the size of a union's answer
+and nothing else, never decoded — what
 ``ReformulationAwareStatistics`` gathers its counts with), and
 :func:`plan_union_pushdown`, the route a union takes on a SQL-capable
 backend: one prepared statement per distinct disjunct, encoded answers
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.engine.operators import ExtentScan, IndexScan, Operator
+from repro.engine.operators import ExtentScan, Operator, UnionScan
 from repro.engine.planner import (
     _PLAN_CACHE_LIMIT,
     _estimator,
@@ -63,6 +64,8 @@ from repro.engine.planner import (
     _join_tree,
     _plan_cache_entry,
     decode_images,
+    factorised_images,
+    factorised_route,
     plan_pushdown,
     plan_query,
     run_query,
@@ -71,7 +74,7 @@ from repro.obs import metrics, tracing
 from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
 from repro.query.containment import canonical_labeling
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import Literal, Term
+from repro.rdf.terms import Term
 
 __all__ = [
     "BatchPlan",
@@ -586,22 +589,34 @@ def plan_union_pushdown(
 
 
 def evaluate_union_shared(
-    disjuncts: Sequence[ConjunctiveQuery],
+    disjuncts: UnionQuery | Sequence[ConjunctiveQuery],
     store: TripleStore,
     pushdown: bool = True,
 ) -> set[tuple[Term, ...]]:
-    """All answers of a union, evaluated as one shared batch.
+    """All answers of a union (its disjuncts, or the union itself),
+    evaluated as one shared batch.
 
-    On a SQL-capable backend each disjunct runs its own prepared
-    statement (:func:`plan_union_pushdown`); shared DAG prefixes are
-    probed once with ``SELECT EXISTS`` when the route is built, and
-    every branch over an empty prefix is skipped outright
-    (:func:`_empty_node_keys`). Disjuncts no statement can express — and
-    every disjunct on a backend without SQL, or with ``pushdown=False``
-    — share the interpreted DAG. Every route merges encoded answer
-    images across the *whole* union and decodes each distinct answer
-    exactly once.
+    A deferred reformulation union on the interpreted route (a backend
+    without SQL, or ``pushdown=False``) runs factorised: its source
+    query's atoms, each a union of its own reformulation, joined once
+    (:func:`~repro.engine.planner.plan_factorised`) — the flat
+    disjuncts are never built. Otherwise, on a SQL-capable backend each
+    disjunct runs its own prepared statement
+    (:func:`plan_union_pushdown`); shared DAG prefixes are probed once
+    with ``SELECT EXISTS`` when the route is built, and every branch
+    over an empty prefix is skipped outright (:func:`_empty_node_keys`).
+    Disjuncts no statement can express — and every disjunct of a flat
+    union on the interpreted route — share the interpreted DAG. Every
+    route merges encoded answer images across the *whole* union and
+    decodes each distinct answer exactly once.
     """
+    if factorised_route(disjuncts, store, pushdown):
+        with tracing.span(
+            "engine.evaluate_factorised", atoms=len(disjuncts.source.atoms)
+        ):
+            return decode_images(factorised_images(disjuncts, store), store)
+    if isinstance(disjuncts, UnionQuery):
+        disjuncts = disjuncts.disjuncts
     if tracing.sink is not None:
         with tracing.span("mqo.evaluate_union", disjuncts=len(disjuncts)):
             return _evaluate_union_impl(disjuncts, store, pushdown)
@@ -661,118 +676,25 @@ def count_union(
 
     The statistics collector's kernel (Section 4.3 needs
     ``|Reformulate(v, S)|``, never the answers): images stay dictionary
-    codes and nothing is decoded. A union of one-atom disjuncts — what
-    reformulating a one-atom query yields — has no join to plan and
-    nothing to share, and is counted straight off the index buckets
-    (:func:`_count_partitioned`). Any other union takes the routes of
+    codes and nothing is decoded. A union of one-atom queries — what
+    reformulating a one-atom query yields — has no join to plan and is
+    counted as the distinct rows of one :class:`UnionScan`, on every
+    backend (a deferred union of one atom from its memoised
+    alternatives). Any other union takes the routes of
     :func:`evaluate_union_shared` up to the decode.
     """
+    if isinstance(union, UnionQuery) and (
+        factorised_route(union, store)
+        or (union.source is not None and len(union.source.atoms) == 1)
+    ):
+        return len(factorised_images(union, store))
     disjuncts = union.disjuncts if isinstance(union, UnionQuery) else union
     distinct = _dedupe(disjuncts)
     if all(len(query.atoms) == 1 for query in distinct):
-        return _count_partitioned(
-            [(query.head, query) for query in distinct], store, {}
-        )
+        columns = tuple(f"h{index}" for index in range(len(distinct[0].head)))
+        return len(UnionScan(store, columns, distinct).distinct())
     distinct, branches = plan_union_pushdown(distinct, store)
     return len(_branch_images(distinct, branches, store))
-
-
-#: ``(remaining head, one-atom disjunct)``: the disjunct's images
-#: projected on the head positions no partition has consumed yet.
-_CountItem = tuple[tuple, ConjunctiveQuery]
-
-
-def _count_partitioned(
-    items: list[_CountItem], store: TripleStore, scans: dict
-) -> int:
-    """Distinct images of one-atom ``items``, partitioned on head constants.
-
-    Two images that differ in a head *constant* can never be equal, so
-    the union splits into independent, narrower image sets whose sizes
-    add. The split is on the first head position some item holds a
-    constant at: items sharing the constant ``c`` drop the position and
-    are counted among themselves; the *free* items (a variable there)
-    are counted whole, and what they contribute to ``c``'s partition —
-    the free item with its variable bound to ``c``, an index lookup
-    instead of a row filter — joins that partition and is subtracted
-    once. With no constant left, each item's head columns are folded
-    into one set of code tuples.
-    """
-    if not items:
-        return 0
-    for position in range(len(items[0][0])):
-        free: list[_CountItem] = []
-        groups: dict[Term, dict[_CountItem, None]] = {}
-        for item in items:
-            head, query = item
-            term = head[position]
-            if isinstance(term, Variable):
-                free.append(item)
-            else:
-                rest = head[:position] + head[position + 1:]
-                groups.setdefault(term, {})[(rest, query)] = None
-        if groups:
-            break
-    else:
-        batches = [
-            columns
-            for head, query in items
-            for columns in _head_columns(head, query, store, scans)
-        ]
-        if not items[0][0]:
-            # Every head position was a constant: one image, if any
-            # body matches at all.
-            return int(bool(batches))
-        images: set[tuple] = set()
-        for columns in batches:
-            images.update(zip(*columns))
-        return len(images)
-    total = _count_partitioned(free, store, scans)
-    for constant, members in groups.items():
-        bound: dict[_CountItem, None] = {}
-        for head, query in free:
-            variable = head[position]
-            if variable in query.non_literal and isinstance(constant, Literal):
-                continue
-            binding = {variable: constant}
-            rest = tuple(
-                binding.get(term, term)
-                for term in head[:position] + head[position + 1:]
-            )
-            bound[(rest, query.substitute(binding))] = None
-        total += _count_partitioned(list(members | bound), store, scans)
-        total -= _count_partitioned(list(bound), store, scans)
-    return total
-
-
-def _head_columns(
-    head: tuple, query: ConjunctiveQuery, store: TripleStore, scans: dict
-) -> list[tuple]:
-    """Per batch of a one-atom disjunct's matches, its ``head`` columns.
-
-    The scan honours ``non_literal`` and repeated variables. Memoized in
-    ``scans`` for one :func:`count_union` call under the disjunct's
-    shape with variable names abstracted away: reformulation repeats
-    every subclass's and subproperty's disjuncts — fresh variables
-    aside — under each of its ancestors, so most buckets would
-    otherwise be read several times over.
-    """
-    atom = query.atoms[0]
-    terms = atom.terms()
-    key = (
-        tuple(terms.index(t) if isinstance(t, Variable) else t for t in terms),
-        tuple(terms.index(variable) for variable in head),
-        frozenset(terms.index(variable) for variable in query.non_literal),
-    )
-    batches = scans.get(key)
-    if batches is None:
-        scan = IndexScan(store, atom, query.non_literal)
-        slots = [scan.schema.index(variable.name) for variable in head]
-        batches = scans[key] = [
-            tuple(cb.columns[slot] for slot in slots)
-            for cb in scan.column_batches()
-        ]
-    return batches
 
 
 def run_query_batch(
@@ -850,9 +772,24 @@ def _run_query_batch_impl(
 
 
 def describe_union_sharing(
-    disjuncts: Sequence[ConjunctiveQuery], store: TripleStore
+    disjuncts: UnionQuery | Sequence[ConjunctiveQuery], store: TripleStore
 ) -> str:
-    """One-line shared-subplan accounting for ``--explain``."""
+    """One-line accounting of a union's route for ``--explain``: the
+    factorised form's atoms and alternatives per atom, or the flat
+    form's shared subplans (and branch statements on SQL)."""
+    if factorised_route(disjuncts, store):
+        from repro.reformulation.reformulate import factorise
+
+        counts = [
+            len(part.alternatives)
+            for part in factorise(disjuncts.source, disjuncts.schema)
+        ]
+        return (
+            f"factorised: {len(counts)} atoms, "
+            f"{'×'.join(map(str, counts))} alternatives"
+        )
+    if isinstance(disjuncts, UnionQuery):
+        disjuncts = disjuncts.disjuncts
     distinct = _dedupe(disjuncts)
     batch = plan_batch(distinct, store)
     nodes, consuming = batch.sharing_summary()

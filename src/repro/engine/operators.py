@@ -19,7 +19,10 @@ Two value domains flow through the same operator classes:
   leaves are :class:`IndexScan`, a connected join step probes the store
   indexes through :class:`IndexNestedLoopJoin` (a whole batch of probes
   per ``match_many_encoded`` call — one SQL statement per batch on the
-  SQLite backend), a Cartesian step is a :class:`HashJoin`;
+  SQLite backend), a Cartesian step is a :class:`HashJoin`. A
+  factorised reformulation has one *union* of one-atom queries per
+  atom instead: :class:`UnionScan` reads one, :class:`UnionProbe`
+  probes one per key;
 * **decoded RDF terms** for plans over materialized view extents —
   leaves are :class:`ExtentScan`, joins are hash joins that reuse the
   extent's cached, pre-projected join tails (see
@@ -35,12 +38,14 @@ verdicts are kept in docs/benchmarks.md, "Retired paths".
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.columnar import ColumnBatch
 from repro.query.cq import Atom, Variable
 from repro.rdf.store import TripleStore
+from repro.rdf.vocabulary import RDF_TYPE
 from repro.storage.base import DEFAULT_BATCH_SIZE
 
 #: A physical row: a tuple of dictionary codes or of decoded RDF terms.
@@ -234,7 +239,8 @@ class IndexScan(Operator):
                     tuple(columns[p] for p in out_positions), len(columns[0])
                 )
             return
-        is_literal = self.store.dictionary.is_literal_code
+        dictionary = self.store.dictionary
+        is_literal = dictionary.is_literal_code
         for columns in source:
             length = len(columns[0])
             keep: Sequence[int] = range(length)
@@ -243,7 +249,8 @@ class IndexScan(Operator):
                 keep = [k for k in keep if column_i[k] == column_j[k]]
             for position in nl:
                 column = columns[position]
-                keep = [k for k in keep if not is_literal(column[k])]
+                if dictionary.any_literal(column):
+                    keep = [k for k in keep if not is_literal(column[k])]
             kept = len(keep)
             if not kept:
                 continue
@@ -392,6 +399,454 @@ class IndexNestedLoopJoin(Operator):
 
     def _children(self) -> tuple[Operator, ...]:
         return (self.child,)
+
+
+def _head_value(term, store: TripleStore):
+    """A head constant as it enters a row: its dictionary code, or the
+    term itself when the data never mentions it (as in head images)."""
+    code = store.encode_term(term)
+    return term if code is None else code
+
+
+def _atom_shape(atom: Atom, non_literal: frozenset[Variable]) -> tuple:
+    """An atom with its restriction, up to variable renaming: each
+    variable becomes the position of its first occurrence."""
+    terms = atom.terms()
+    return (
+        tuple(terms.index(t) if isinstance(t, Variable) else t for t in terms),
+        frozenset(terms.index(v) for v in non_literal if v in terms),
+    )
+
+
+class UnionScan(Operator):
+    """Scan a union of one-atom queries as one duplicate-free relation.
+
+    ``alternatives`` are one-atom queries whose head position ``j`` is
+    output column ``j`` of ``schema``. Every distinct atom among them
+    (up to variable renaming, with its ``non_literal`` restriction) is
+    read once through an :class:`IndexScan`, and every alternative over
+    it emits its head from that scan's columns — a head constant as a
+    repeated column. So an index bucket that several head constants
+    need (a subclass's instances under each of its ancestors) is read
+    once. The output is a set: alternatives overlap, and every consumer
+    — a join, a head-image fold, a count — wants distinct rows.
+    """
+
+    def __init__(
+        self,
+        store: TripleStore,
+        schema: tuple[str, ...],
+        alternatives: Sequence,
+        source: Atom | None = None,
+    ) -> None:
+        self.store = store
+        self.schema = tuple(schema)
+        self.alternatives = tuple(alternatives)
+        self.source = source
+        groups: dict[tuple, tuple[IndexScan, dict] | None] = {}
+        for alternative in self.alternatives:
+            atom = alternative.atoms[0]
+            shape = _atom_shape(atom, alternative.non_literal)
+            if shape not in groups:
+                scan = IndexScan(store, atom, alternative.non_literal)
+                groups[shape] = None if scan.impossible else (scan, {})
+            group = groups[shape]
+            if group is None:
+                continue
+            # The scan's columns are the atom's distinct variables in
+            # first-occurrence order, whatever each alternative calls them.
+            column = {
+                variable: index
+                for index, variable in enumerate(dict.fromkeys(
+                    term for term in atom if isinstance(term, Variable)
+                ))
+            }
+            emit = tuple(
+                column[term] if isinstance(term, Variable)
+                else (_head_value(term, store),)
+                for term in alternative.head
+            )
+            group[1][emit] = None
+        # Per distinct atom: its scan, the scan columns the head rows
+        # read, those rows (reading positions in that column list), and
+        # the all-constant rows one match is enough for.
+        self._groups = []
+        for scan, emits in filter(None, groups.values()):
+            used = sorted({p for e in emits for p in e if type(p) is int})
+            varying = [
+                tuple(used.index(p) if type(p) is int else p for p in e)
+                for e in emits
+                if any(type(p) is int for p in e)
+            ]
+            constant = [
+                tuple(p[0] for p in e)
+                for e in emits
+                if all(type(p) is tuple for p in e)
+            ]
+            self._groups.append((scan, used, varying, constant))
+
+    def distinct(self) -> set[tuple]:
+        """The output rows, as a set of tuples."""
+        rows: set[tuple] = set()
+        for scan, used, varying, constant in self._groups:
+            for cb in scan.column_batches(_UNION_SCAN_BATCH):
+                if varying:
+                    picked = [cb.columns[k] for k in used]
+                    if len(varying) > 1:
+                        # Several head rows read this match (a bucket
+                        # under each of its classes' ancestors): project
+                        # it to distinct values once, before the fan-out.
+                        picked = (
+                            [list(set(picked[0]))] if len(picked) == 1
+                            else list(zip(*set(zip(*picked))))
+                        )
+                    for emit in varying:
+                        rows.update(zip(*(
+                            picked[part] if type(part) is int else repeat(part[0])
+                            for part in emit
+                        )))
+                if constant:
+                    rows.update(constant)
+                    if not self.schema:
+                        return rows  # boolean: one match settles it
+                    if not varying:
+                        break
+        return rows
+
+    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
+        rows = list(self.distinct())
+        width = len(self.schema)
+        for start in range(0, len(rows), size):
+            yield ColumnBatch.from_rows(rows[start : start + size], width)
+
+    def _describe(self) -> str:
+        atom = "" if self.source is None else f"{self.source}, "
+        return (
+            f"UnionScan({atom}{len(self.alternatives)} alternatives)"
+            f"{list(self.schema)}"
+        )
+
+
+#: Rows per index read inside a :class:`UnionScan`: its output is one
+#: set, so bigger reads only mean fewer Python-level folds.
+_UNION_SCAN_BATCH = 1 << 16
+
+
+class _Lookup:
+    """One index lookup a :class:`UnionProbe` makes per probe key, and
+    the alternatives that read its matches.
+
+    ``template`` holds the lookup's constants, ``fills`` the
+    ``(position, key component)`` pairs filled per key. ``eqs`` / ``nl``
+    filter a matched triple (repeated variables, rule-4 restrictions),
+    ``key_nl`` the key components that must not be literals. Members are
+    ``(checks, tail)`` pairs: ``checks`` are ``(key component, value)``
+    equalities (a head constant at a bound column) and ``tail`` builds
+    the new columns from a triple. ``unfiltered`` members read every
+    match; ``by_code`` maps a triple position to the members that need
+    a given code there — alternatives that differ in one constant share
+    the lookup and pay a dictionary read per triple instead.
+    """
+
+    __slots__ = (
+        "template", "fills", "eqs", "nl", "key_nl", "unfiltered", "by_code",
+        "simple",
+    )
+
+    def __init__(self, template, fills, eqs, nl, key_nl) -> None:
+        self.template = template
+        self.fills = fills
+        self.eqs = eqs
+        self.nl = nl
+        self.key_nl = key_nl
+        self.unfiltered: dict[tuple, None] = {}
+        self.by_code: dict[int, dict[int, dict[tuple, None]]] = {}
+        #: The tail of the one member when nothing filters a match.
+        self.simple = None
+
+    def patterns(self, keys: list, scalar: bool, is_literal) -> tuple[list, list]:
+        """The probe keys that can match — not one holding a constant
+        the data never mentions, nor a literal where the alternatives
+        need a non-literal — and their encoded patterns. A ``scalar``
+        key is the bare value of a one-column key."""
+        template, fills = self.template, self.fills
+        if scalar and len(fills) == 1 and not self.key_nl:
+            # The common shape: the key fills one slot of the pattern.
+            position = fills[0][0]
+            before, after = template[:position], template[position + 1:]
+            kept = [key for key in keys if type(key) is int]
+            return kept, [before + (key,) + after for key in kept]
+        kept, patterns = [], []
+        for key in keys:
+            components = (key,) if scalar else key
+            pattern = list(template)
+            for position, component in fills:
+                pattern[position] = components[component]
+            if all(type(pattern[p]) is int for p, _ in fills) and not any(
+                is_literal(components[c]) for c in self.key_nl
+            ):
+                kept.append(key)
+                patterns.append(tuple(pattern))
+        return kept, patterns
+
+    def collect(self, matches, key: tuple, tails: set, is_literal, first: bool) -> None:
+        """Add the tails the members make of ``matches`` to ``tails``;
+        with ``first``, stop at the first one (a semi-join)."""
+        if self.simple is not None:
+            if first:
+                tails.add(self.simple(next(iter(matches))))
+            else:
+                tails.update(map(self.simple, matches))
+            return
+        eqs, nl = self.eqs, self.nl
+        unfiltered, by_code = self.unfiltered, self.by_code
+        for triple in matches:
+            if eqs and any(triple[i] != triple[j] for i, j in eqs):
+                continue
+            if nl and any(is_literal(triple[p]) for p in nl):
+                continue
+            members = unfiltered
+            for position, table in by_code:
+                found = table.get(triple[position])
+                if found:
+                    members = members + found
+            for checks, tail in members:
+                if checks and any(key[c] != value for c, value in checks):
+                    continue
+                tails.add(tail(triple))
+                if first:
+                    return
+
+
+def _members(members) -> tuple:
+    """``(checks, parts)`` members as ``(checks, tail)`` pairs."""
+    return tuple((checks, _make_tail(parts)) for checks, parts in members)
+
+
+def _make_tail(parts: tuple):
+    """A triple -> new-columns tuple function: ``parts`` are triple
+    positions or 1-tuples holding a constant."""
+    if all(type(part) is tuple for part in parts):
+        fixed = tuple(part[0] for part in parts)
+        return lambda triple: fixed
+    if all(type(part) is int for part in parts):
+        return _projector(parts)
+    return lambda triple: tuple(
+        triple[part] if type(part) is int else part[0] for part in parts
+    )
+
+
+class UnionProbe(Operator):
+    """Join the input with a union of one-atom queries by index probes.
+
+    ``columns`` name the union's head positions (as in
+    :class:`UnionScan`); those the input already binds form the probe
+    key, the rest are appended. Per distinct key, every alternative
+    whose head agrees with the key is matched through the store's
+    indexes; alternatives differing only in the predicate (or in the
+    class of an ``rdf:type`` atom) share one lookup and a code filter
+    (:class:`_Lookup`). The new columns of one key are deduplicated,
+    and a union adding no column is a semi-join that stops at the
+    first match.
+    """
+
+    def __init__(
+        self,
+        child: Operator,
+        store: TripleStore,
+        columns: tuple[str, ...],
+        alternatives: Sequence,
+        source: Atom | None = None,
+    ) -> None:
+        self.child = child
+        self.store = store
+        self.alternatives = tuple(alternatives)
+        self.source = source
+        position = {name: index for index, name in enumerate(child.schema)}
+        component = {}
+        fresh = []
+        for index, name in enumerate(columns):
+            if name in position:
+                component[index] = len(component)
+            else:
+                fresh.append(index)
+        self._key_columns = tuple(
+            position[columns[index]] for index in component
+        )
+        self.schema = child.schema + tuple(columns[index] for index in fresh)
+        compiled = [
+            found
+            for alternative in self.alternatives
+            for found in (_compile_probe(alternative, store, component, fresh),)
+            if found is not None
+        ]
+        # Relax a constant into a code filter only where that merges two
+        # or more distinct lookups into one.
+        merged: dict[tuple, set] = {}
+        for relaxed, exact, *_rest in compiled:
+            merged.setdefault(relaxed, set()).add(exact)
+        lookups: dict[tuple, _Lookup] = {}
+        for relaxed, exact, relax, checks, parts in compiled:
+            key = relaxed if len(merged[relaxed]) > 1 else exact
+            lookup = lookups.get(key)
+            if lookup is None:
+                lookup = lookups[key] = _Lookup(*key)
+            if relax is None or key is exact:
+                lookup.unfiltered[checks, parts] = None
+            else:
+                at, code = relax
+                table = lookup.by_code.setdefault(at, {})
+                table.setdefault(code, {})[checks, parts] = None
+        for lookup in lookups.values():
+            # A filtered member an unfiltered one repeats adds nothing
+            # (each class's instances next to ``t(X, rdf:type, Y)``).
+            for table in lookup.by_code.values():
+                for code, members in list(table.items()):
+                    kept = _members(m for m in members if m not in lookup.unfiltered)
+                    if kept:
+                        table[code] = kept
+                    else:
+                        del table[code]
+            lookup.unfiltered = _members(lookup.unfiltered)
+            lookup.by_code = tuple(
+                (at, table) for at, table in lookup.by_code.items() if table
+            )
+            if not (lookup.eqs or lookup.nl or lookup.by_code) and len(
+                lookup.unfiltered
+            ) == 1 and not lookup.unfiltered[0][0]:
+                lookup.simple = lookup.unfiltered[0][1]
+        self._lookups = tuple(lookups.values())
+
+    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
+        store = self.store
+        match_many = store.match_many_encoded
+        is_literal = store.dictionary.is_literal_code
+        key_columns = self._key_columns
+        scalar_key = len(key_columns) == 1
+        semi = len(self.schema) == len(self.child.schema)
+        lookups = self._lookups
+        for in_cb in self.child.column_batches(size):
+            if scalar_key:
+                keys: Iterable = in_cb.columns[key_columns[0]]
+            else:
+                keys = zip(*(in_cb.columns[c] for c in key_columns))
+            groups: dict = {}
+            for index, key in enumerate(keys):
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [index]
+                else:
+                    group.append(index)
+            # Per key with a match, the distinct new-column tails.
+            found: dict = {}
+            probe = list(groups)
+            for lookup in lookups:
+                probed, patterns = lookup.patterns(probe, scalar_key, is_literal)
+                if not patterns:
+                    continue
+                simple = None if semi else lookup.simple
+                for key, matches in zip(probed, match_many(patterns)):
+                    if not matches:
+                        continue
+                    tails = found.get(key)
+                    if tails is None:
+                        tails = found[key] = set()
+                    if simple is not None:
+                        tails.update(map(simple, matches))
+                    else:
+                        components = (key,) if scalar_key else key
+                        lookup.collect(matches, components, tails, is_literal, semi)
+                if semi:
+                    # One match settles a semi-join key.
+                    probe = [key for key in probe if not found.get(key)]
+            sel: list[int] = []
+            flat_tails: list = []
+            for key, tails in found.items():
+                if not tails:
+                    continue  # matches, but none an alternative accepts
+                indexes = groups[key]
+                fanout = len(tails)
+                if fanout == 1:
+                    sel.extend(indexes)
+                else:
+                    for index in indexes:
+                        sel.extend([index] * fanout)
+                if not semi:
+                    tails = list(tails)
+                    count = len(indexes)
+                    flat_tails.extend(tails if count == 1 else tails * count)
+            if not sel:
+                continue
+            columns = [
+                list(map(column.__getitem__, sel)) for column in in_cb.columns
+            ]
+            if not semi:
+                columns.extend(zip(*flat_tails))
+            yield ColumnBatch(tuple(columns), len(sel))
+
+    def _describe(self) -> str:
+        atom = "" if self.source is None else f"{self.source}, "
+        return (
+            f"UnionProbe({atom}{len(self.alternatives)} alternatives, "
+            f"{len(self._lookups)} lookups){list(self.schema)}"
+        )
+
+    def _children(self) -> tuple[Operator, ...]:
+        return (self.child,)
+
+
+def _compile_probe(alternative, store: TripleStore, component: dict, fresh: list):
+    """One alternative of a :class:`UnionProbe`, compiled.
+
+    Returns ``(relaxed, exact, relax, checks, parts)`` — the lookup key
+    with and without the relaxed constant (:class:`_Lookup`'s
+    constructor arguments), the relaxed ``(position, code)`` or None,
+    the key checks and the new columns' parts (see
+    :func:`_make_tail`) — or None when a constant of the atom is
+    absent from the data.
+    """
+    atom, head = alternative.atoms[0], alternative.head
+    restricted = alternative.non_literal
+    keyed: dict[str, int] = {}
+    checks = []
+    key_nl = []
+    for index, c in component.items():
+        term = head[index]
+        if isinstance(term, Variable):
+            keyed[term.name] = c
+            if term in restricted:
+                key_nl.append(c)
+        else:
+            checks.append((c, _head_value(term, store)))
+    # The key components play the input columns of an index probe.
+    template, fills, out, eqs, nl, impossible = _compile_atom(
+        atom, store, restricted, keyed
+    )
+    if impossible:
+        return None
+    first = {name: position for position, name in out}
+    parts = tuple(
+        first[head[index].name] if isinstance(head[index], Variable)
+        else (_head_value(head[index], store),)
+        for index in fresh
+    )
+    rest = (fills, eqs, nl, tuple(key_nl))
+    exact = (tuple(template),) + rest
+    # The constant alternatives differ in: a class under rdf:type, else
+    # the predicate — if a filled or constant position still remains.
+    p, o = template[1], template[2]
+    at = None
+    if p is not None and o is not None and p == store.encode_term(RDF_TYPE):
+        at = 2
+    elif p is not None:
+        at = 1
+    if at is not None:
+        relaxed_template = list(template)
+        relaxed_template[at] = None
+        if fills or any(code is not None for code in relaxed_template):
+            relaxed = (tuple(relaxed_template),) + rest
+            return relaxed, exact, (at, template[at]), tuple(checks), parts
+    return exact, exact, None, tuple(checks), parts
 
 
 class HashJoin(Operator):

@@ -14,6 +14,10 @@ Two entry families compile into the *same* physical operator algebra
   :class:`~repro.query.algebra.Plan` against materialized view extents,
   with hash joins that reuse the extents' cached join tails.
 
+A reformulation union on the interpreted route compiles through
+:func:`plan_factorised` into the same left-deep shape, one union of
+one-atom queries per source atom (:class:`UnionScan`, :class:`UnionProbe`).
+
 There is one plan shape (:func:`_join_tree`): a step that shares a
 variable with the rows bound so far probes the store's pattern indexes
 (:class:`~repro.engine.operators.IndexNestedLoopJoin` — the seed
@@ -46,7 +50,7 @@ from __future__ import annotations
 import logging
 import time
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.engine.operators import (
     Empty,
@@ -58,6 +62,9 @@ from repro.engine.operators import (
     Projection,
     Relabel,
     Selection,
+    UnionProbe,
+    UnionScan,
+    _head_value,
 )
 from repro.engine.sqlcompile import CompiledQuery, compile_query
 from repro.obs import metrics, tracing
@@ -66,7 +73,7 @@ from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.stats.estimator import CardinalityEstimator
-from repro.stats.provider import CatalogStatistics
+from repro.stats.provider import CatalogStatistics, atom_pattern
 
 _LOG = logging.getLogger("repro.engine")
 
@@ -77,6 +84,11 @@ SQL_PUSHDOWN = "sql-pushdown"
 
 #: The operator-tree route (and the cache token of compiled trees).
 INTERPRETED = "interpreted"
+
+#: The interpreted route of a reformulation union: the source query's
+#: atoms, each a union of its own reformulation, joined once (and the
+#: cache token of those trees).
+FACTORISED = "factorised"
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +278,97 @@ def _join_tree(
     return root
 
 
+# ----------------------------------------------------------------------
+# Reformulation unions, factorised
+# ----------------------------------------------------------------------
+
+
+def factorised_route(union, store: TripleStore, pushdown: bool = True) -> bool:
+    """Whether ``union`` runs factorised on ``store``: it carries its
+    source query (a deferred :func:`~repro.reformulation.reformulate`
+    union) and the route is interpreted — a backend without SQL, or
+    ``pushdown=False``. The SQL route keeps the flat per-branch form."""
+    return getattr(union, "source", None) is not None and not (
+        pushdown and getattr(store.backend, "supports_sql_plans", False)
+    )
+
+
+def plan_factorised(union, store: TripleStore) -> Operator:
+    """The factorised operator tree of a deferred reformulation union.
+
+    One union atom per source atom
+    (:func:`~repro.reformulation.reformulate.factorise`), joined in the
+    estimator's greedy order over each union atom's summed alternative
+    pattern counts: the first is a :class:`UnionScan`, a connected one
+    a :class:`UnionProbe`, a Cartesian one a hash join over a
+    :class:`UnionScan`. The tree yields rows over the source's join and
+    head variables. Cached in the prepared-plan cache under (source
+    query, schema identity, schema size), so a store version bump or a
+    schema statement builds it anew.
+    """
+    plans = _plan_cache_entry(store)["plans"]
+    key = (union.source, union.schema, len(union.schema), FACTORISED)
+    cached = plans.get(key)
+    if cached is not None:
+        if metrics.enabled:
+            metrics.inc("engine.plan_cache.hit")
+        return cached
+    if metrics.enabled:
+        metrics.inc("engine.plan_cache.miss")
+    with tracing.span("engine.plan_factorised", query=union.name):
+        root = _factorised_tree(union, store)
+    if len(plans) >= _PLAN_CACHE_LIMIT:
+        plans.clear()
+    plans[key] = root
+    return root
+
+
+def _factorised_tree(union, store: TripleStore) -> Operator:
+    from repro.reformulation.reformulate import factorise
+
+    unions = factorise(union.source, union.schema)
+    pattern_count = store.stats.pattern_count
+    counts = [
+        sum(
+            pattern_count(*pattern)
+            for pattern in {atom_pattern(alt.atoms[0]) for alt in part.alternatives}
+        )
+        for part in unions
+    ]
+    order = _estimator(store, None).join_order(
+        [part.atom for part in unions], counts=counts
+    )
+    root: Operator | None = None
+    for index in order:
+        atom, columns, alternatives = unions[index]
+        names = tuple(variable.name for variable in columns)
+        if root is None:
+            root = UnionScan(store, names, alternatives, atom)
+        elif any(name in root.schema for name in names):
+            root = UnionProbe(root, store, names, alternatives, atom)
+        else:
+            right = UnionScan(store, names, alternatives, atom)
+            pairs, keep_right = _natural_pairs(root.schema, right.schema)
+            root = HashJoin(root, right, pairs, keep_right)
+    return root
+
+
+def factorised_images(union, store: TripleStore) -> set[tuple]:
+    """Distinct encoded head images of a deferred union, evaluated
+    factorised."""
+    if metrics.enabled:
+        metrics.inc("engine.route.factorised")
+    root = plan_factorised(union, store)
+    head = union.source.head
+    if isinstance(root, UnionScan) and root.schema == tuple(
+        term.name if isinstance(term, Variable) else None for term in head
+    ):
+        # A one-atom query whose head is its columns: the scan's rows
+        # are the images.
+        return root.distinct()
+    return _head_images(head, root, store)
+
+
 def run_query(
     query: ConjunctiveQuery,
     store: TripleStore,
@@ -367,8 +470,7 @@ def _head_images(
         if isinstance(term, Variable):
             parts.append(schema.index(term.name))
         else:
-            code = store.encode_term(term)
-            parts.append(repeat(term if code is None else code))
+            parts.append(repeat(_head_value(term, store)))
     images: set[tuple] = set()
     if not any(isinstance(part, int) for part in parts):
         # No head variable: one image iff the body matches at all (a
@@ -390,27 +492,29 @@ def _head_images(
     return images
 
 
-def decode_images(images: Iterable[tuple], store: TripleStore) -> set[tuple[Term, ...]]:
+def decode_images(
+    images: Collection[tuple], store: TripleStore
+) -> set[tuple[Term, ...]]:
     """Decode encoded head images, each distinct code exactly once.
 
     Image positions are dictionary codes (``int``) or already-decoded
     constant head terms; both may mix within one union's image set.
+    The images are decoded column by column through one table of their
+    distinct parts, so no Python-level loop runs per image.
     """
+    columns = list(zip(*images))
+    if not columns:
+        # No image, or only the empty one of a boolean head.
+        return {()} if images else set()
     decode = store.dictionary.decode
-    cache: dict[int, Term] = {}
-    answers: set[tuple[Term, ...]] = set()
-    for image in images:
-        answer = []
-        for part in image:
-            if isinstance(part, int):
-                term = cache.get(part)
-                if term is None:
-                    term = decode(part)
-                    cache[part] = term
-                answer.append(term)
-            else:
-                answer.append(part)
-        answers.add(tuple(answer))
+    table = {
+        part: decode(part) if isinstance(part, int) else part
+        for part in set().union(*columns)
+    }
+    lookup = table.__getitem__
+    answers: set[tuple[Term, ...]] = set(
+        zip(*(map(lookup, column) for column in columns))
+    )
     return answers
 
 

@@ -36,15 +36,19 @@ from repro.engine.operators import (
     Operator,
 )
 from repro.engine.planner import (
+    FACTORISED,
     INTERPRETED,
     SQL_PUSHDOWN,
     _estimator,
+    _factorised_tree,
     _images_from_root,
     decode_images,
+    factorised_route,
     plan_pushdown,
     plan_query,
 )
 from repro.obs.render import PlanNode, operator_tree, query_header, render, sql_tree
+from repro.query.cq import UnionQuery
 from repro.stats.provider import CatalogStatistics
 
 _CHILD_ATTRS = ("child", "left", "right")
@@ -403,16 +407,51 @@ def _analyze_dag(queries, store):
     return batch, children, image_sets, operators
 
 
-def analyze_union(disjuncts, store) -> AnalyzeReport:
-    """EXPLAIN ANALYZE a union: MQO shared-node fan-out accounting.
+def _factorised_report(union, store) -> AnalyzeReport:
+    """EXPLAIN ANALYZE of the factorised route: a freshly built tree
+    (never the cached one), every union scan and probe timed."""
+    probe = instrument(_factorised_tree(union, store))
+    started = time.perf_counter()
+    images = _images_from_root(union.source, probe, store)
+    answers = decode_images(images, store)
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    header = query_header(
+        "union",
+        route=FACTORISED,
+        atoms=len(union.source.atoms),
+        rows=len(answers),
+        time_ms=round(wall_ms, 2),
+    )
+    header.children.append(operator_tree(probe, _annotate))
+    return AnalyzeReport(
+        tree=header,
+        answers=answers,
+        distinct_images=len(images),
+        root_rows=probe.stats.rows_out,
+        wall_ms=wall_ms,
+        route=FACTORISED,
+        operators=_probe_stats(probe),
+    )
 
-    Always executes the instrumented shared DAG (that is the accounting
-    being explained). On a SQL-capable backend the union's real route —
-    its per-branch statements (:func:`repro.engine.mqo.plan_union_pushdown`)
-    — executes as well: a ``per-branch statements`` node reports the
-    statements run, the branches pruned as provably empty, their time,
-    and parity against the DAG's answers.
+
+def analyze_union(disjuncts, store) -> AnalyzeReport:
+    """EXPLAIN ANALYZE a union (its disjuncts, or the union itself).
+
+    A deferred reformulation union on the interpreted route runs its
+    factorised tree instrumented: one ``UnionScan`` / ``UnionProbe`` line
+    per source atom with its rows, batches and time. Otherwise this is
+    MQO shared-node fan-out accounting: the instrumented shared DAG
+    always executes, and on a SQL-capable backend the union's real
+    route — its per-branch statements
+    (:func:`repro.engine.mqo.plan_union_pushdown`) — executes as well: a
+    ``per-branch statements`` node reports the statements run, the
+    branches pruned as provably empty, their time, and parity against
+    the DAG's answers.
     """
+    if factorised_route(disjuncts, store):
+        return _factorised_report(disjuncts, store)
+    if isinstance(disjuncts, UnionQuery):
+        disjuncts = disjuncts.disjuncts
     distinct, branches = mqo.plan_union_pushdown(disjuncts, store)
     batch, children, image_sets, operators = _analyze_dag(distinct, store)
     images: set = set()

@@ -329,27 +329,79 @@ class ConjunctiveQuery:
         return f"{self.name}({head}) :- {body}"
 
 
-@dataclass(frozen=True)
 class UnionQuery:
     """A union of conjunctive queries sharing one head arity.
 
     Reformulation (Algorithm 1) outputs unions; pre-reformulation states
     use them as views and rewritings.
+
+    A union built by :meth:`deferred` — what
+    :func:`repro.reformulation.reformulate` returns — also carries the
+    ``source`` query and ``schema`` it stands for, and expands its
+    ``disjuncts`` only on first access. The engine's interpreted route
+    evaluates such a union from its source, factorised, and never
+    expands it. Both forms follow the schema as it is when they are
+    read: a schema only grows, and the expansion is redone when its
+    size has moved. Equality and hashing compare disjuncts; ``name``,
+    ``source`` and ``schema`` take no part in them.
     """
 
-    disjuncts: tuple[ConjunctiveQuery, ...]
-    name: str = field(default="q", compare=False)
+    __slots__ = ("_disjuncts", "_expand", "_size", "name", "source", "schema")
 
-    def __post_init__(self) -> None:
-        if not self.disjuncts:
+    def __init__(
+        self, disjuncts: Iterable[ConjunctiveQuery], name: str = "q"
+    ) -> None:
+        disjuncts = tuple(disjuncts)
+        if not disjuncts:
             raise ValueError("a union query needs at least one disjunct")
-        arities = {len(cq.head) for cq in self.disjuncts}
+        arities = {len(cq.head) for cq in disjuncts}
         if len(arities) != 1:
             raise ValueError(f"union disjuncts disagree on head arity: {arities}")
+        self._disjuncts: tuple[ConjunctiveQuery, ...] | None = disjuncts
+        self._expand = None
+        self._size = 0
+        self.name = name
+        self.source: ConjunctiveQuery | None = None
+        self.schema = None
+
+    @classmethod
+    def deferred(cls, source: ConjunctiveQuery, schema, expand) -> "UnionQuery":
+        """The union ``expand(source, schema)`` returns, not yet expanded."""
+        union = cls.__new__(cls)
+        union._disjuncts = None
+        union._expand = expand
+        union._size = 0
+        union.name = source.name
+        union.source = source
+        union.schema = schema
+        return union
+
+    @property
+    def disjuncts(self) -> tuple[ConjunctiveQuery, ...]:
+        """The disjuncts, expanded on first access for a deferred union."""
+        if self._expand is not None and (
+            self._disjuncts is None or self._size != len(self.schema)
+        ):
+            self._size = len(self.schema)
+            self._disjuncts = tuple(self._expand(self.source, self.schema))
+        return self._disjuncts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnionQuery):
+            return NotImplemented
+        return self.disjuncts == other.disjuncts
+
+    def __hash__(self) -> int:
+        return hash(self.disjuncts)
+
+    def __repr__(self) -> str:
+        return f"UnionQuery(disjuncts={self.disjuncts!r}, name={self.name!r})"
 
     @property
     def arity(self) -> int:
         """Common head arity of the disjuncts."""
+        if self.source is not None:
+            return len(self.source.head)
         return len(self.disjuncts[0].head)
 
     def __len__(self) -> int:

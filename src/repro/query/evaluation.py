@@ -91,21 +91,27 @@ def evaluate_union(
     """All answers of a union of conjunctive queries (duplicates removed).
 
     Reformulation unions overlap heavily — every rule rewrites one atom
-    and keeps the rest — so the disjuncts are evaluated as **one shared
-    batch** through the multi-query optimizer (:mod:`repro.engine.mqo`):
-    common join subtrees execute once and fan out, encoded answer
-    images are deduplicated across the whole union, and each distinct
-    answer is decoded exactly once. On a SQL-capable backend each
-    disjunct runs as its own pushed-down statement, and branches over a
-    shared prefix that one ``SELECT EXISTS`` probe finds empty are
-    skipped.
+    and keeps the rest. The union :func:`repro.reformulation.reformulate`
+    returns therefore runs **factorised** on the interpreted route (a
+    backend without SQL, or ``pushdown=False``): each atom of its source
+    query is the union of that atom's own reformulation, and the atoms
+    join once — the disjuncts are never built. Any other union is
+    evaluated as **one shared batch** through the multi-query optimizer
+    (:mod:`repro.engine.mqo`): common join subtrees execute once and fan
+    out, and on a SQL-capable backend each disjunct runs as its own
+    pushed-down statement, with branches over a shared prefix that one
+    ``SELECT EXISTS`` probe finds empty skipped. Every route
+    deduplicates encoded answer images across the whole union and
+    decodes each distinct answer exactly once.
 
     ``shared=False`` evaluates every disjunct independently (the
-    reference the sharing tests compare against).
+    reference the sharing and factorised tests compare against).
     """
-    disjuncts = union.disjuncts if isinstance(union, UnionQuery) else tuple(union)
+    if not isinstance(union, UnionQuery):
+        union = tuple(union)
     if shared:
-        return evaluate_union_shared(disjuncts, store, pushdown=pushdown)
+        return evaluate_union_shared(union, store, pushdown=pushdown)
+    disjuncts = union.disjuncts if isinstance(union, UnionQuery) else union
     with tracing.span(
         "query.evaluate_union", disjuncts=len(disjuncts), shared=False
     ):

@@ -50,6 +50,11 @@ class Dictionary:
         """True when ``code`` encodes a literal (O(1), no decode)."""
         return code in self._literal_codes
 
+    def any_literal(self, codes) -> bool:
+        """True when some code of ``codes`` encodes a literal (one
+        C-speed set test, so a column without any skips a row filter)."""
+        return not self._literal_codes.isdisjoint(codes)
+
     def lookup(self, term: Term) -> int | None:
         """Return the code for ``term`` or None if the term is unknown."""
         return self._term_to_code.get(term)

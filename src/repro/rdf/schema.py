@@ -62,11 +62,20 @@ class RDFSchema:
     def __init__(self, statements: Iterable[SchemaStatement] = ()) -> None:
         self._statements: list[SchemaStatement] = []
         self._seen: set[SchemaStatement] = set()
-        # Direct adjacency, per kind.
+        # Direct adjacency, per kind, left -> rights ...
         self._sub_class: dict[URI, set[URI]] = {}
         self._sub_property: dict[URI, set[URI]] = {}
         self._domain: dict[URI, set[URI]] = {}
         self._range: dict[URI, set[URI]] = {}
+        # ... and its inverse, right -> lefts, so the accessors Algorithm
+        # 1 calls once per candidate are dictionary reads, not scans.
+        self._subclasses_of: dict[URI, set[URI]] = {}
+        self._subproperties_of: dict[URI, set[URI]] = {}
+        self._domain_of: dict[URI, set[URI]] = {}
+        self._range_of: dict[URI, set[URI]] = {}
+        # Everything mentioned in a class / property position.
+        self._classes: set[URI] = set()
+        self._properties: set[URI] = set()
         for statement in statements:
             self.add(statement)
 
@@ -80,13 +89,22 @@ class RDFSchema:
             return False
         self._seen.add(statement)
         self._statements.append(statement)
-        table = {
-            SchemaKind.SUBCLASS: self._sub_class,
-            SchemaKind.SUBPROPERTY: self._sub_property,
-            SchemaKind.DOMAIN: self._domain,
-            SchemaKind.RANGE: self._range,
-        }[statement.kind]
-        table.setdefault(statement.left, set()).add(statement.right)
+        kind, left, right = statement.kind, statement.left, statement.right
+        table, inverse = {
+            SchemaKind.SUBCLASS: (self._sub_class, self._subclasses_of),
+            SchemaKind.SUBPROPERTY: (self._sub_property, self._subproperties_of),
+            SchemaKind.DOMAIN: (self._domain, self._domain_of),
+            SchemaKind.RANGE: (self._range, self._range_of),
+        }[kind]
+        table.setdefault(left, set()).add(right)
+        inverse.setdefault(right, set()).add(left)
+        if kind is SchemaKind.SUBCLASS:
+            self._classes.update((left, right))
+        elif kind is SchemaKind.SUBPROPERTY:
+            self._properties.update((left, right))
+        else:
+            self._properties.add(left)
+            self._classes.add(right)
         return True
 
     def add_subclass(self, sub: URI, sup: URI) -> bool:
@@ -143,25 +161,12 @@ class RDFSchema:
     @property
     def classes(self) -> set[URI]:
         """All classes mentioned anywhere in the schema."""
-        found: set[URI] = set()
-        for sub, sups in self._sub_class.items():
-            found.add(sub)
-            found.update(sups)
-        for table in (self._domain, self._range):
-            for classes in table.values():
-                found.update(classes)
-        return found
+        return set(self._classes)
 
     @property
     def properties(self) -> set[URI]:
         """All properties mentioned anywhere in the schema."""
-        found: set[URI] = set()
-        for sub, sups in self._sub_property.items():
-            found.add(sub)
-            found.update(sups)
-        found.update(self._domain)
-        found.update(self._range)
-        return found
+        return set(self._properties)
 
     # Direct accessors (what Algorithm 1's rule conditions consult).
 
@@ -171,7 +176,7 @@ class RDFSchema:
 
     def direct_subclasses(self, cls: URI) -> set[URI]:
         """Classes ``c1`` with a direct ``c1 rdfs:subClassOf cls`` statement."""
-        return {sub for sub, sups in self._sub_class.items() if cls in sups}
+        return set(self._subclasses_of.get(cls, ()))
 
     def direct_superproperties(self, prop: URI) -> set[URI]:
         """Properties ``p2`` with a direct ``prop rdfs:subPropertyOf p2``."""
@@ -179,7 +184,7 @@ class RDFSchema:
 
     def direct_subproperties(self, prop: URI) -> set[URI]:
         """Properties ``p1`` with a direct ``p1 rdfs:subPropertyOf prop``."""
-        return {sub for sub, sups in self._sub_property.items() if prop in sups}
+        return set(self._subproperties_of.get(prop, ()))
 
     def domains(self, prop: URI) -> set[URI]:
         """Classes declared as domain of ``prop``."""
@@ -191,11 +196,11 @@ class RDFSchema:
 
     def properties_with_domain(self, cls: URI) -> set[URI]:
         """Properties whose declared domain includes ``cls``."""
-        return {prop for prop, classes in self._domain.items() if cls in classes}
+        return set(self._domain_of.get(cls, ()))
 
     def properties_with_range(self, cls: URI) -> set[URI]:
         """Properties whose declared range includes ``cls``."""
-        return {prop for prop, classes in self._range.items() if cls in classes}
+        return set(self._range_of.get(cls, ()))
 
     # Transitive accessors (what saturation consumes).
 
@@ -205,7 +210,7 @@ class RDFSchema:
 
     def subclasses(self, cls: URI) -> set[URI]:
         """All classes transitively below ``cls`` (strict)."""
-        return {c for c in self.classes if cls in _reachable(c, self._sub_class)}
+        return _reachable(cls, self._subclasses_of)
 
     def superproperties(self, prop: URI) -> set[URI]:
         """Strict transitive closure of ``rdfs:subPropertyOf`` above ``prop``."""
@@ -213,7 +218,7 @@ class RDFSchema:
 
     def subproperties(self, prop: URI) -> set[URI]:
         """All properties transitively below ``prop`` (strict)."""
-        return {p for p in self.properties if prop in _reachable(p, self._sub_property)}
+        return _reachable(prop, self._subproperties_of)
 
     def triples(self) -> list[Triple]:
         """All statements rendered as RDF triples."""

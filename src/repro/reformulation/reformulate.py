@@ -23,13 +23,26 @@ variables may become constants (as in Table 2).
 Generated queries are deduplicated by canonical form, which both keeps
 the output small and guarantees termination in the presence of the fresh
 existential variables introduced by rules 3 and 4.
+
+Because rules 1–4 rewrite one atom at a time, the union is, after the
+rule-5/6 bindings, a cross product of per-atom alternatives. The union
+:func:`reformulate` returns therefore has two forms. The *flat* form —
+the disjunct tuple of the fixpoint above — is built on first access to
+``disjuncts``. The *factorised* form is :func:`factorise`: per atom, the
+reformulation of that atom alone, memoised per atom shape and schema.
+By Theorem 4.2 applied to each atom, joining the per-atom unions on
+the plain store answers the query on the saturated store, which is how
+the engine's interpreted route evaluates a reformulation without ever
+building the flat form.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+import weakref
+from typing import Iterator, NamedTuple
 
+from repro.obs import metrics
 from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
 from repro.query.containment import canonical_form
 from repro.rdf import vocabulary
@@ -129,7 +142,16 @@ def reformulate(query: ConjunctiveQuery, schema: RDFSchema) -> UnionQuery:
     The output always contains the original query; evaluation of the
     union on a plain store equals evaluation of ``query`` on the
     saturated store (Theorem 4.2, property-tested in the test suite).
+    The union is deferred (:meth:`UnionQuery.deferred`): it carries
+    ``query`` and ``schema``, and its disjuncts are the fixpoint's,
+    computed on first access.
     """
+    return UnionQuery.deferred(query, schema, _fixpoint)
+
+
+def _fixpoint(query: ConjunctiveQuery, schema: RDFSchema) -> tuple[ConjunctiveQuery, ...]:
+    """The disjuncts of Algorithm 1: the rules applied backward to a
+    fixpoint, candidates deduplicated by canonical form."""
     fresh = _fresh_variables(query)
     seen: dict[tuple, ConjunctiveQuery] = {canonical_form(query): query}
     worklist: list[ConjunctiveQuery] = [query]
@@ -141,5 +163,84 @@ def reformulate(query: ConjunctiveQuery, schema: RDFSchema) -> UnionQuery:
                 continue
             seen[key] = candidate
             worklist.append(candidate)
-    disjuncts = tuple(seen.values())
-    return UnionQuery(disjuncts, name=query.name)
+    return tuple(seen.values())
+
+
+class AtomUnion(NamedTuple):
+    """One atom of a query, reformulated alone.
+
+    ``columns`` are the atom's variables the rest of the query sees —
+    head variables and join variables, in first-occurrence order;
+    variables local to the atom are projected away. ``alternatives``
+    are one-atom queries over their own variable names whose head
+    position ``j`` stands for ``columns[j]``.
+    """
+
+    atom: Atom
+    columns: tuple[Variable, ...]
+    alternatives: tuple[ConjunctiveQuery, ...]
+
+
+#: Per-atom alternatives, per schema: ``schema -> (len(schema), memo)``.
+#: A schema only grows, so its size tells whether a statement arrived
+#: since the memo was filled (as the statistics catalog's
+#: post-reformulation memo does); a collected schema drops its memo.
+_ATOM_MEMO: "weakref.WeakKeyDictionary[RDFSchema, tuple[int, dict]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+#: Most atom shapes memoised per schema; past it the memo starts over,
+#: so a stream of ever-new constants cannot grow it without bound.
+_ATOM_MEMO_LIMIT = 4096
+
+
+def factorise(query: ConjunctiveQuery, schema: RDFSchema) -> tuple[AtomUnion, ...]:
+    """The factorised reformulation of ``query``: one :class:`AtomUnion`
+    per body atom, in body order.
+
+    An atom's alternatives are :func:`reformulate` of the one-atom query
+    whose head is the atom's :attr:`AtomUnion.columns` and whose
+    ``non_literal`` is the query's restriction on the atom's variables.
+    They are memoised per (atom up to variable renaming, head, restriction)
+    and per schema identity and size, so most evaluations apply no rule.
+    """
+    occurrences: dict[Variable, int] = {}
+    for atom in query.atoms:
+        for variable in atom.variables():
+            occurrences[variable] = occurrences.get(variable, 0) + 1
+    exported = query.head_variables()
+    size = len(schema)
+    entry = _ATOM_MEMO.get(schema)
+    if entry is None or entry[0] != size:
+        entry = _ATOM_MEMO[schema] = (size, {})
+    memo = entry[1]
+    out = []
+    for atom in query.atoms:
+        names: dict[Variable, Variable] = {}
+        for term in atom:
+            if isinstance(term, Variable) and term not in names:
+                names[term] = Variable(f"A{len(names)}")
+        columns = tuple(
+            variable for variable in names
+            if variable in exported or occurrences[variable] > 1
+        )
+        key = (
+            atom.substitute(names),
+            tuple(names[variable] for variable in columns),
+            frozenset(names[v] for v in query.non_literal if v in names),
+        )
+        alternatives = memo.get(key)
+        if alternatives is None:
+            if metrics.enabled:
+                metrics.inc("reformulation.atom_memo.miss")
+            shape, head, restricted = key
+            one_atom = ConjunctiveQuery(
+                head, (shape,), name="atom", non_literal=restricted
+            )
+            if len(memo) >= _ATOM_MEMO_LIMIT:
+                memo.clear()
+            alternatives = memo[key] = _fixpoint(one_atom, schema)
+        elif metrics.enabled:
+            metrics.inc("reformulation.atom_memo.hit")
+        out.append(AtomUnion(atom, columns, alternatives))
+    return tuple(out)

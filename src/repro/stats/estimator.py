@@ -133,7 +133,10 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
 
     def join_order(
-        self, atoms: Sequence[Atom], bound: Iterable[Variable] = ()
+        self,
+        atoms: Sequence[Atom],
+        bound: Iterable[Variable] = (),
+        counts: Sequence[float] | None = None,
     ) -> list[int]:
         """Greedy selectivity order over a conjunction's atoms.
 
@@ -143,8 +146,11 @@ class CardinalityEstimator:
         atom index, keeping plans deterministic. ``bound`` names
         variables an input already binds (the leaf a prepared tree
         starts from), so the first step too prefers a connected atom.
+        ``counts`` replaces the atoms' own cardinalities (a factorised
+        union atom counts its alternatives' matches).
         """
-        counts = [self.atom_cardinality(atom) for atom in atoms]
+        if counts is None:
+            counts = [self.atom_cardinality(atom) for atom in atoms]
         remaining = set(range(len(atoms)))
         order: list[int] = []
         bound = set(bound)

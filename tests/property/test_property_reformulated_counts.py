@@ -1,9 +1,9 @@
 """The post-reformulation count kernel against three oracles.
 
 ``ReformulationAwareStatistics.atom_count`` counts a reformulated
-one-atom union without answering it (``repro.engine.count_union``:
-index buckets folded into sets of codes, partitioned on head constants,
-nothing decoded). On random stores (literal objects included) × random
+one-atom union without answering it (``repro.engine.count_union``: the
+distinct rows of one union scan, index buckets folded into sets of
+codes, nothing decoded). On random stores (literal objects included) × random
 RDF Schemas (sub-class and sub-property chains, domains *and* ranges so
 the rule-4 ``non_literal`` restriction bites, classes and properties the
 data never mentions) × all eight constant patterns, on both backends,
@@ -84,8 +84,8 @@ def test_count_equals_evaluated_union_and_saturated_store(data, backend):
 @given(data=st.data(), backend=BACKENDS)
 def test_count_union_matches_evaluated_reformulation(data, backend):
     """Reformulating a multi-atom query binds head variables to
-    constants: the partition on head constants meets the general union
-    routes (per-branch statements, the shared DAG)."""
+    constants: the count meets the general union routes (factorised,
+    per-branch statements)."""
     store = data.draw(stores(backend=backend), label="store")
     schema = data.draw(schemas(), label="schema")
     union = reformulate(data.draw(queries(max_atoms=2), label="query"), schema)

@@ -1,8 +1,17 @@
 """Unit tests for Algorithm 1 (Reformulate), rule by rule, plus the
-paper's Table 2 example and the Theorem 4.1 bound."""
+paper's Table 2 example, the Theorem 4.1 bound, and the union's two
+forms (flat and factorised)."""
+
+import hashlib
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.obs import metrics
 from repro.query.cq import Variable
 from repro.query.containment import is_isomorphic
 from repro.query.evaluation import evaluate, evaluate_union
@@ -15,6 +24,49 @@ from repro.reformulation.reformulate import reformulate, reformulation_bound
 from tests.conftest import ex
 
 X, Y = Variable("X1"), Variable("X2")
+ROOT = Path(__file__).resolve().parents[2]
+#: The module (the package re-exports its function under the same name).
+reformulate_module = importlib.import_module("repro.reformulation.reformulate")
+
+#: Digests of the flat disjuncts — order, text, variable names and
+#: restrictions — of the e2e ``adhoc`` pool and of Table 3's Q2 (which
+#: contains Q1), as Algorithm 1 produced them when ``reformulate`` still
+#: built every union eagerly; under PYTHONHASHSEED=0, because the
+#: generated catalogs depend on string hashing.
+FLAT_DIGESTS = ["33a69a67be34e7f3", "425846fd8d5984dc"]
+
+
+def adhoc_inputs():
+    """The e2e ``adhoc`` workloads' catalog, schema and 24 queries."""
+    from benchmarks.e2e.base import POOL_SEED, SCALES, generate_catalog
+    from benchmarks.e2e.wl_adhoc import CLASSES
+    from repro.workload import SatisfiableWorkloadGenerator
+
+    store, schema = generate_catalog(SCALES["full"])
+    generator = SatisfiableWorkloadGenerator(store, seed=POOL_SEED)
+    pool = [q for spec in CLASSES.values() for q in generator.generate(spec)]
+    return store, schema, pool
+
+
+def flat_digests() -> list[str]:
+    from benchmarks.bench_table3_reformulation_workloads import (
+        reformulation_workloads,
+    )
+    from benchmarks.support import barton
+
+    def digest(queries, schema) -> str:
+        h = hashlib.sha256()
+        for query in queries:
+            for d in reformulate(query, schema).disjuncts:
+                restricted = sorted(v.name for v in d.non_literal)
+                h.update(f"{d} | {restricted}\n".encode())
+        return h.hexdigest()[:16]
+
+    _, schema, pool = adhoc_inputs()
+    return [
+        digest(pool, schema),
+        digest(reformulation_workloads()["Q2"], barton()[1]),
+    ]
 
 
 @pytest.fixture()
@@ -252,3 +304,57 @@ class TestTheorem42Correctness:
         for query in queries:
             union = reformulate(query, barton_schema)
             assert evaluate_union(union, barton_store) == evaluate(query, saturated)
+
+
+class TestTwoForms:
+    """One union, two forms: the flat disjuncts are exactly Algorithm
+    1's, and the interpreted route answers without building them."""
+
+    def test_flat_form_is_unchanged(self):
+        environment = {
+            **os.environ,
+            "PYTHONHASHSEED": "0",
+            "REPRO_BENCH_SCALE": "quick",
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
+        }
+        script = (
+            "from tests.reformulation.test_reformulate import flat_digests; "
+            "print(' '.join(flat_digests()))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=environment,
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert completed.stdout.split() == FLAT_DIGESTS
+
+    def test_memory_route_never_builds_the_flat_form(self, monkeypatch):
+        store, schema, pool = adhoc_inputs()
+        expanded = []
+        fixpoint = reformulate_module._fixpoint
+
+        def counting(query, schema):
+            expanded.append(query)
+            return fixpoint(query, schema)
+
+        monkeypatch.setattr(reformulate_module, "_fixpoint", counting)
+        with metrics.enabled_registry():
+            metrics.reset()
+            for query in pool:
+                evaluate_union(reformulate(query, schema), store)
+            counters = metrics.snapshot()["counters"]
+        # Only single atoms were reformulated (the per-atom memo), never
+        # a pool query's flat union.
+        assert expanded and all(len(q.atoms) == 1 for q in expanded)
+        assert not any(q is source for q in expanded for source in pool)
+        assert counters["engine.route.factorised"] == len(pool)
+        assert "mqo.route.shared" not in counters
+        assert counters["reformulation.atom_memo.miss"] == len(expanded)
+
+    def test_union_follows_its_schema(self, table2_schema):
+        query = parse_query("q1(X1) :- t(X1, rdf:type, picture)")
+        union = reformulate(query, table2_schema)
+        assert union.source is query and union.schema is table2_schema
+        assert len(union.disjuncts) == 2
+        table2_schema.add_subclass(ex("fresco"), ex("painting"))
+        assert len(union.disjuncts) == 3
+        assert union == reformulate(query, table2_schema)
