@@ -690,6 +690,8 @@ def count_union(
         return len(factorised_images(union, store))
     disjuncts = union.disjuncts if isinstance(union, UnionQuery) else union
     distinct = _dedupe(disjuncts)
+    if not distinct:
+        return 0
     if all(len(query.atoms) == 1 for query in distinct):
         columns = tuple(f"h{index}" for index in range(len(distinct[0].head)))
         return len(UnionScan(store, columns, distinct).distinct())

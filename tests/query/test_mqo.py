@@ -219,6 +219,12 @@ class TestSharedExecution:
     def test_empty_batch(self, museum_store):
         assert run_query_batch([], museum_store) == []
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_empty_union_counts_zero(self, backend, museum_store, sqlite_museum):
+        store = {"memory": museum_store, "sqlite": sqlite_museum}[backend]
+        assert evaluate_union([], store) == set()
+        assert count_union([], store) == 0
+
     def test_decode_images_mixes_codes_and_constants(self, museum_store):
         code = museum_store.encode_term(ex("vanGogh"))
         images = {(code, ex("moma"))}
