@@ -54,12 +54,11 @@ from repro.engine import (
     INTERPRETED,
     SQL_PUSHDOWN,
     describe_union_sharing,
-    plan_batch,
     plan_pushdown,
     plan_query,
 )
 from repro.obs import metrics, tracing
-from repro.obs.analyze import analyze_batch, analyze_query, analyze_union
+from repro.obs.analyze import analyze_query, analyze_union
 from repro.obs.render import PlanNode, operator_tree, query_header, render, sql_tree
 from repro.query.parser import parse_queries
 from repro.rdf.ntriples import NTriplesParseError, parse_ntriples
@@ -151,19 +150,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print each workload query's physical plan on "
                         "the store (the operator tree, or the whole-plan "
                         "SQL pushdown statement on SQL-capable backends), the "
-                        "multi-query optimizer's shared-subplan counts per "
-                        "reformulation union (with --schema) and across the "
-                        "workload batch, plus the search's Figure-5 state "
-                        "accounting after the recommendation")
+                        "route of each reformulation union (with --schema), "
+                        "plus the search's Figure-5 state accounting after "
+                        "the recommendation")
     parser.add_argument("--analyze", action="store_true",
                         help="EXPLAIN ANALYZE: execute each workload query "
                         "instrumented and print the annotated plan tree — "
                         "per-operator rows in/out, batches, wall time, and "
                         "actual-vs-estimated cardinalities per join step; "
                         "covers the SQL pushdown route (with the backend's "
-                        "EXPLAIN QUERY PLAN and an answer-parity check), the "
-                        "MQO shared-node fan-out per reformulation union "
-                        "(with --schema) and the workload batch")
+                        "EXPLAIN QUERY PLAN and an answer-parity check) and "
+                        "each reformulation union (with --schema)")
     parser.add_argument("--log-level", choices=_LOG_LEVELS, default="info",
                         help="verbosity of the status narration on the "
                         "'repro' logger (default info)")
@@ -203,8 +200,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="worker processes answering queries "
                         "(default 2); each holds its own connection and "
-                        "prepared-plan cache and runs, as one shared "
-                        "batch, whatever queued while it was busy")
+                        "prepared-plan cache and runs, as one batch, "
+                        "whatever queued while it was busy")
     parser.add_argument("--replay", type=Path, default=None, metavar="PATH",
                         help="instead of serving forever: replay this "
                         "workload file through concurrent clients, verify "
@@ -393,8 +390,7 @@ def _print_explain(queries, store, schema) -> None:
     for query in queries:
         print(render(_explain_plan(query, store), indent=2))
     # Per reformulation union when a schema is present, the route it
-    # takes (factorised, or the flat form's shared subplans); across the
-    # workload batch, the shared-subplan accounting.
+    # takes (factorised, or the flat form's branches).
     if schema is not None:
         from repro.reformulation.reformulate import reformulate
 
@@ -403,10 +399,6 @@ def _print_explain(queries, store, schema) -> None:
             line = describe_union_sharing(reformulate(query, schema), store)
             sharing.children.append(PlanNode(f"{query.name}: {line}"))
         print(render(sharing, indent=2))
-    if len(queries) > 1:
-        nodes, consuming = plan_batch(queries, store).sharing_summary()
-        print(f"  workload batch: {nodes} shared subplans "
-              f"covering {consuming} of {len(queries)} queries")
     print()
 
 
@@ -422,9 +414,6 @@ def _print_analyze(queries, store, schema) -> None:
             report = analyze_union(reformulate(query, schema), store)
             report.tree.label = f"{query.name} {report.tree.label}"
             print(report.text(indent=4))
-    if len(queries) > 1:
-        tree, _answers = analyze_batch(queries, store)
-        print(render(tree, indent=2))
     print()
 
 

@@ -11,14 +11,15 @@ extents.
 Public surface::
 
     run_query(query, store, statistics=None, pushdown=True)  # CQ -> answers
-    run_query_batch(queries, store, shared=True, pushdown=True)  # MQO batch
+    run_query_batch(queries, store, pushdown=True)  # independent queries
     evaluate_union_shared(disjuncts, store, pushdown=True)   # union -> answers
     count_union(union, store)                   # |answers|, nothing decoded
     run_plan(plan, extents)                     # rewriting Plan -> rows
     plan_query / plan_rewriting                 # operator trees (explain)
     plan_pushdown(query, store)                 # whole-plan SQL route
     plan_factorised(union, store)               # a reformulation, factorised
-    plan_batch / plan_union_pushdown            # shared-subplan DAG / union route
+    plan_union_pushdown(disjuncts, store)       # a flat union's route
+    plan_batch(queries, store)                  # shared join-order prefixes
     SQL_PUSHDOWN / INTERPRETED / FACTORISED     # the routes
     DEFAULT_BATCH_SIZE                          # rows per scan batch
 
@@ -41,13 +42,11 @@ A reformulation union (:func:`repro.reformulation.reformulate`) on
 the interpreted route never becomes a batch: it runs **factorised**
 (:func:`plan_factorised`) — each source atom is the union of its own
 reformulation, read by a :class:`UnionScan` or probed by a
-:class:`UnionProbe`, and the atoms join once. Other batches of queries
-— flat unions and independent workloads alike — run through the
-multi-query optimizer (:mod:`repro.engine.mqo`): shared join subtrees
-across the batch are fingerprinted by canonical form, cost-gated,
-executed once, and fanned out to every consumer; on a SQL-capable
-backend a union runs one prepared statement per disjunct, skipping
-every branch over a shared prefix that probes empty.
+:class:`UnionProbe`, and the atoms join once. A flat union (:mod:`repro.engine.mqo`) runs its distinct
+disjuncts one by one — on a SQL-capable backend one prepared statement
+each, skipping every branch over a shared join-order prefix that one
+``SELECT EXISTS`` probe finds empty — and decodes the merged answer
+images once.
 
 The engine/layout/batch-size/workers matrix that used to be selectable
 here (hash, merge and partitioned joins, row-list batches, the
@@ -59,10 +58,6 @@ measured verdict.
 from repro.engine.columnar import ColumnBatch
 from repro.engine.extents import ViewExtent
 from repro.engine.mqo import (
-    MATERIALIZE_COST_FACTOR,
-    MQO_DAG,
-    BatchPlan,
-    SharedNode,
     count_union,
     decode_images,
     describe_union_sharing,
@@ -103,13 +98,9 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "FACTORISED",
     "INTERPRETED",
-    "MATERIALIZE_COST_FACTOR",
-    "MQO_DAG",
     "SQL_PUSHDOWN",
-    "BatchPlan",
     "ColumnBatch",
     "CompiledQuery",
-    "SharedNode",
     "compile_query",
     "count_union",
     "decode_images",

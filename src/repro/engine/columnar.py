@@ -17,7 +17,7 @@ between operators instead of row-tuple lists:
 
 Iteration and :meth:`ColumnBatch.rows` give the row view wherever a
 consumer wants tuples (selection predicates, duplicate elimination,
-``Operator.rows`` behind ``run_plan`` and MQO materialization). A batch
+``Operator.rows`` behind ``run_plan``). A batch
 is never empty; its width may be zero (boolean heads), which is why the
 row count is stored explicitly instead of being derived from a first
 column that may not exist.

@@ -1,86 +1,59 @@
-"""Multi-query optimization: shared-subplan execution across batches.
+"""Unions and batches of queries over the engine's single-query plans.
 
 Reformulation turns one query into a union of conjunctive queries whose
 bodies overlap heavily (Section 4.2: every rule rewrites one atom and
-keeps the rest), and a served workload is many simultaneous,
-highly-overlapping queries. Evaluating each one independently re-runs
-identical scans and join subtrees dozens of times. Following the GLADE
-MQO design — detect shared work across a batch, execute each shared
-subplan once, fan results out — this module:
+keeps the rest). A deferred reformulation union on the interpreted
+route runs factorised (:func:`~repro.engine.planner.plan_factorised`)
+and shares that work by construction. Every other union is *flat*: its
+distinct disjuncts run one by one, and this module owns that route.
 
-1. **fingerprints join-tree prefixes**: each query's atoms are put in
-   the estimator's join order once (exactly what :func:`plan_query`
-   compiles), and every prefix of that order becomes a headless
-   subquery whose canonical form
-   (:func:`repro.query.containment.canonical_labeling`) is its
-   fingerprint. Two prefixes share a fingerprint iff they are
-   isomorphic *including* constants and rule-4 restrictions, so
-   isomorphic-looking-but-distinct subtrees never unify;
-2. **assembles a shared-subplan DAG**: a fingerprint consumed by ≥ 2
-   queries becomes a :class:`SharedNode`, cost-gated — re-executing the
-   subtree ``n`` times must be priced above materializing its rows once
-   (:data:`MATERIALIZE_COST_FACTOR`). Longer nodes start from shorter
-   materialized nodes, so sharing nests;
-3. **executes each node once** and fans out: node rows are materialized
-   as encoded rows behind an
-   :class:`~repro.engine.operators.ExtentScan` (the ordinary batch
-   contract), relabeled per consumer through the canonical-index
-   correspondence, and each consumer joins only its remaining atoms
-   (:func:`repro.engine.planner._join_tree`, the planner's one plan
-   shape) and folds head images exactly like ``run_query``;
-4. **merges encoded answers**: consumers produce *images* (dictionary
-   codes, with constant head terms attached) that are deduplicated
-   across the whole batch/union before :func:`decode_images` decodes
-   each distinct answer once.
+- On a SQL-capable backend each distinct disjunct runs its own prepared
+  statement (:func:`plan_union_pushdown`). Before the first run, every
+  join-order prefix that two distinct disjuncts share
+  (:func:`plan_batch`) is probed once with ``SELECT EXISTS``, and every
+  branch over a prefix that probes empty is skipped outright. The route
+  is cached in the store's prepared-plan cache and flushed on mutation,
+  like every other prepared plan.
+- Elsewhere (a backend without SQL, ``pushdown=False``, a shape one
+  statement cannot express) a disjunct runs its cached
+  :func:`~repro.engine.planner.plan_query` tree.
+- Either way, encoded answer images are merged across the whole union
+  and :func:`decode_images` decodes each distinct answer once.
 
-Four consumers sit on top: :func:`run_query_batch` (independent
-queries, the server-mode hook), ``evaluate_union`` in
-:mod:`repro.query.evaluation` (flat unions; a deferred reformulation
-union on the interpreted route runs factorised instead and never
-reaches the DAG), :func:`count_union` (the size of a union's answer
-and nothing else, never decoded — what
-``ReformulationAwareStatistics`` gathers its counts with), and
-:func:`plan_union_pushdown`, the route a union takes on a SQL-capable
-backend: one prepared statement per distinct disjunct, encoded answers
-merged union-wide, and every branch over a shared prefix that a single
-``SELECT EXISTS`` probe finds empty skipped outright. The route is
-cached in the store's prepared-plan cache and flushed on mutation,
-like every other prepared plan.
-
-``shared=False`` runs every query independently through ``run_query`` —
-the reference the sharing tests compare against.
+Three consumers sit on top: ``evaluate_union`` in
+:mod:`repro.query.evaluation` (through :func:`evaluate_union_shared`),
+:func:`count_union` (the size of a union's answer and nothing else,
+never decoded — what ``ReformulationAwareStatistics`` gathers its
+counts with), and :func:`run_query_batch` (independent queries, the
+server's batch hook).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.engine.operators import ExtentScan, Operator, UnionScan
+from repro.engine.operators import UnionScan
 from repro.engine.planner import (
     _PLAN_CACHE_LIMIT,
     _estimator,
     _images_from_root,
-    _join_tree,
     _plan_cache_entry,
+    _run_query,
     decode_images,
     factorised_images,
     factorised_route,
     plan_pushdown,
     plan_query,
-    run_query,
 )
 from repro.obs import metrics, tracing
+from repro.query.containment import canonical_form
 from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
-from repro.query.containment import canonical_labeling
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 
 __all__ = [
-    "BatchPlan",
-    "SharedNode",
-    "MATERIALIZE_COST_FACTOR",
-    "MQO_DAG",
     "count_union",
     "decode_images",
     "evaluate_union_shared",
@@ -89,104 +62,46 @@ __all__ = [
     "run_query_batch",
 ]
 
-#: Token under which shared-subplan DAGs live in the prepared-plan
-#: cache (keyed by the tuple of distinct batch queries).
-MQO_DAG = "mqo-dag"
-
 #: Cache token for a union's route (keyed by the raw disjunct tuple, so
 #: repeated evaluations of the same union — a served or re-run query —
 #: skip deduplication, compilation and probing).
 _UNION_ROUTE = "mqo-union-route"
 
-#: Cost gate: a subtree consumed by ``n`` plans is shared only when
-#: ``(n - 1) * exec_cost > MATERIALIZE_COST_FACTOR * rows_out`` — the
-#: estimator must price the *avoided* re-executions above the overhead
-#: of materializing (building + re-scanning) its output rows. A cheap,
-#: wide subtree (one full scan feeding two consumers) stays unshared;
-#: the same scan feeding many consumers, or any subtree whose joins do
-#: real work, crosses the gate.
-MATERIALIZE_COST_FACTOR = 2.0
-
-#: Per-row factor of an index-nested-loop probe in the gate's cost walk:
-#: a probe fills a fresh pattern per input row before the index lookup,
-#: which costs more than streaming a row. Only the ratio against
-#: materialization matters.
-_PROBE_COST = 2.0
+#: Sentinel marking a union branch whose shared prefix was probed
+#: empty at route-build time: the branch provably has no answers on
+#: this store version and its statement is never executed.
+_EMPTY_BRANCH = object()
 
 
 # ----------------------------------------------------------------------
-# Fingerprinting and the shared-subplan DAG
+# Shared join-order prefixes
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _PrefixInfo:
-    """Fingerprint of one join-order prefix of one query.
+class SharedPrefix:
+    """A join-order prefix that at least two distinct queries share."""
 
-    ``key`` is the canonical form of the prefix as a headless subquery
-    (atoms + the rule-4 restrictions it binds), ``assignment`` maps the
-    query's prefix variables to their canonical indices — the column
-    correspondence consumers relabel materialized node rows through.
-    """
-
+    #: Canonical form of the prefix as a headless subquery.
     key: tuple
-    assignment: tuple[tuple[Variable, int], ...]
-
-
-@dataclass(frozen=True)
-class QueryPlan:
-    """One query's sharing-relevant shape inside a batch plan."""
-
-    query: ConjunctiveQuery
-    #: Body atoms in the estimator's join order.
-    ordered_atoms: tuple[Atom, ...]
-    #: ``prefixes[k - 1]`` fingerprints ``ordered_atoms[:k]``.
-    prefixes: tuple[_PrefixInfo, ...]
-
-
-@dataclass(frozen=True)
-class SharedNode:
-    """One shared join subtree, executed once per batch run."""
-
-    key: tuple
-    #: Representative prefix (the first consumer's atoms, in order).
+    #: The first sharing query's prefix atoms, in join order.
     atoms: tuple[Atom, ...]
-    #: Rule-4 restriction of the representative prefix.
+    #: That query's rule-4 restriction.
     non_literal: frozenset[Variable]
-    #: Representative variable -> canonical column index.
-    assignment: tuple[tuple[Variable, int], ...]
-    #: The representative's shorter prefixes — a longer node starts
-    #: from the longest already-materialized one (DAG nesting).
-    prefixes: tuple[_PrefixInfo, ...]
-    #: Number of batch queries whose longest gated prefix this is.
-    consumers: int
-    #: Estimated execution cost / output rows behind the gate decision.
-    est_cost: float
-    est_rows: float
-
-    @property
-    def length(self) -> int:
-        return len(self.atoms)
+    #: Keys of that query's shorter prefixes.
+    shorter: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
-class BatchPlan:
-    """The shared-subplan DAG for one batch of distinct queries."""
+class PrefixFingerprints:
+    """Join-order prefix fingerprints of a batch of distinct queries."""
 
     queries: tuple[ConjunctiveQuery, ...]
-    plans: tuple[QueryPlan, ...]
-    #: Executed nodes, shortest first (so nesting finds its leaves).
-    nodes: tuple[SharedNode, ...]
-
-    def sharing_summary(self) -> tuple[int, int]:
-        """``(shared nodes, queries consuming one)`` — for explain."""
-        keys = {node.key for node in self.nodes}
-        consuming = sum(
-            1
-            for plan in self.plans
-            if any(info.key in keys for info in plan.prefixes)
-        )
-        return len(self.nodes), consuming
+    #: ``keys[i][k - 1]`` fingerprints the first ``k`` atoms of
+    #: ``queries[i]`` in the estimator's join order.
+    keys: tuple[tuple[tuple, ...], ...]
+    #: Each query's longest shared prefix, shortest first.
+    shared: tuple[SharedPrefix, ...]
 
 
 def _dedupe(queries: Iterable[ConjunctiveQuery]) -> tuple[ConjunctiveQuery, ...]:
@@ -197,288 +112,59 @@ def _dedupe(queries: Iterable[ConjunctiveQuery]) -> tuple[ConjunctiveQuery, ...]
     return tuple(seen)
 
 
-def _prefix_query(
-    atoms: tuple[Atom, ...], non_literal: frozenset[Variable]
-) -> ConjunctiveQuery:
-    """A prefix as a headless subquery (restrictions auto-restricted to
-    the prefix's own variables by the query constructor)."""
-    return ConjunctiveQuery((), atoms, name="mqo-prefix", non_literal=non_literal)
-
-
-def _prefix_cost(estimator, atoms: tuple[Atom, ...]) -> tuple[float, float]:
-    """``(estimated execution cost, estimated output rows)`` of a prefix.
-
-    An index-nested-loop walk over the already-ordered atoms — the
-    shape the planner builds — priced from the estimator's prefix
-    cardinalities.
-    """
-    order = list(range(len(atoms)))
-    counts = [float(estimator.atom_cardinality(atom)) for atom in atoms]
-    prefix = estimator.prefix_cardinalities(atoms, order)
-    cost = counts[0]
-    bound = set(atoms[0].variables())
-    for step in range(1, len(atoms)):
-        rows_in, rows_out = prefix[step - 1], prefix[step]
-        if atoms[step].variables() & bound:
-            cost += rows_in * _PROBE_COST + rows_out
-        else:
-            cost += rows_in * max(counts[step], 1.0) + rows_out
-        bound |= atoms[step].variables()
-    return cost, max(prefix[-1], 1.0)
-
-
-def _build_batch_plan(
-    queries: tuple[ConjunctiveQuery, ...], estimator
-) -> BatchPlan:
-    plans: list[QueryPlan] = []
-    for query in queries:
-        order = estimator.join_order(query.atoms)
-        ordered = tuple(query.atoms[index] for index in order)
-        prefixes: list[_PrefixInfo] = []
-        for k in range(1, len(ordered) + 1):
-            sub = _prefix_query(ordered[:k], query.non_literal)
-            form, assignment = canonical_labeling(sub, include_head=False)
-            prefixes.append(
-                _PrefixInfo(form, tuple(sorted(assignment.items(), key=lambda kv: kv[1])))
-            )
-        plans.append(QueryPlan(query, ordered, tuple(prefixes)))
-
-    # Count potential consumers per fingerprint (prefixes of one query
-    # all have distinct lengths, hence distinct keys — at most one vote
-    # per query per key) and keep the first consumer as representative.
-    consumers: dict[tuple, int] = {}
-    representative: dict[tuple, tuple[QueryPlan, int]] = {}
-    for plan in plans:
-        for k, info in enumerate(plan.prefixes, start=1):
-            consumers[info.key] = consumers.get(info.key, 0) + 1
-            representative.setdefault(info.key, (plan, k))
-
-    # Cost gate: sharing must be priced cheaper than re-execution.
-    candidates: dict[tuple, tuple[QueryPlan, int, int, float, float]] = {}
-    for key, count in consumers.items():
-        if count < 2:
-            continue
-        plan, k = representative[key]
-        cost, rows = _prefix_cost(estimator, plan.ordered_atoms[:k])
-        if (count - 1) * cost > MATERIALIZE_COST_FACTOR * rows:
-            candidates[key] = (plan, k, count, cost, rows)
-
-    # Each query consumes its longest gated prefix; only chosen nodes
-    # execute (a gated key no query picks would materialize for nobody).
-    chosen: set[tuple] = set()
-    for plan in plans:
-        for k in range(len(plan.prefixes), 0, -1):
-            if plan.prefixes[k - 1].key in candidates:
-                chosen.add(plan.prefixes[k - 1].key)
-                break
-    nodes: list[SharedNode] = []
-    for key in chosen:
-        plan, k, count, cost, rows = candidates[key]
-        sub = _prefix_query(plan.ordered_atoms[:k], plan.query.non_literal)
-        nodes.append(
-            SharedNode(
-                key=key,
-                atoms=plan.ordered_atoms[:k],
-                non_literal=sub.non_literal,
-                assignment=plan.prefixes[k - 1].assignment,
-                prefixes=plan.prefixes[: k - 1],
-                consumers=count,
-                est_cost=cost,
-                est_rows=rows,
-            )
-        )
-    nodes.sort(key=lambda node: (node.length, node.key))
-    return BatchPlan(tuple(queries), tuple(plans), tuple(nodes))
+def _prefix_key(atoms: tuple[Atom, ...], non_literal: frozenset[Variable]) -> tuple:
+    """A prefix's fingerprint: the canonical form of the headless
+    subquery (restrictions auto-restricted to the prefix's own
+    variables by the query constructor). Two prefixes share it iff they
+    are isomorphic *including* constants and rule-4 restrictions."""
+    prefix = ConjunctiveQuery((), atoms, name="mqo-prefix", non_literal=non_literal)
+    return canonical_form(prefix, include_head=False)
 
 
 def plan_batch(
-    queries: Sequence[ConjunctiveQuery],
-    store: TripleStore,
-    statistics=None,
-) -> BatchPlan:
-    """The shared-subplan DAG for a batch of queries on a store.
+    queries: Sequence[ConjunctiveQuery], store: TripleStore
+) -> PrefixFingerprints:
+    """The join-order prefixes that two or more distinct queries share.
 
-    Pure structure — fingerprints, chosen nodes, column correspondences
-    — with no materialized rows, so it is cached in the store's
-    prepared-plan cache (keyed by the tuple of distinct queries under
-    the :data:`MQO_DAG` token) and flushed on mutation like every
-    other prepared plan: join orders and the cost gate both derive from
-    the store's statistics.
+    Each query's atoms are put in the estimator's join order once
+    (exactly what :func:`plan_query` and
+    :func:`~repro.engine.planner.plan_pushdown` join in), and every
+    prefix of that order is fingerprinted. Each query then names its
+    longest prefix another distinct query shares; those prefixes are
+    what :func:`plan_union_pushdown` probes. Uncached: the route that
+    calls it is.
     """
     distinct = _dedupe(queries)
-    if statistics is not None:
-        return _build_batch_plan(distinct, _estimator(store, statistics))
-    entry = _plan_cache_entry(store)
-    plans = entry["plans"]
-    key = (distinct, MQO_DAG)
-    cached = plans.get(key)
-    if cached is not None:
-        if metrics.enabled:
-            metrics.inc("engine.plan_cache.hit")
-        return cached
-    if metrics.enabled:
-        metrics.inc("engine.plan_cache.miss")
-    built = _build_batch_plan(distinct, _estimator(store, None))
-    if len(plans) >= _PLAN_CACHE_LIMIT:
-        plans.clear()
-    plans[key] = built
-    return built
-
-
-# ----------------------------------------------------------------------
-# Shared execution: materialize nodes once, fan out images
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _CompiledNode:
-    """One shared node's reusable operator tree.
-
-    ``leaf`` is the swappable :class:`ExtentScan` the tree starts from
-    when the node nests on a shorter one (``leaf_key`` names it);
-    ``columns`` maps canonical column index -> output row position.
-    """
-
-    key: tuple
-    root: Operator
-    leaf: ExtentScan | None
-    leaf_key: tuple | None
-    columns: dict[int, int]
-
-
-@dataclass
-class _CompiledConsumer:
-    """One query's reusable tree over its longest applicable node.
-
-    ``root is None`` means no node applies — the query runs its
-    ordinary (itself cached) :func:`plan_query` plan.
-    """
-
-    query: ConjunctiveQuery
-    root: Operator | None
-    leaf: ExtentScan | None
-    leaf_key: tuple | None
-
-
-@dataclass
-class _CompiledBatch:
-    """The batch plan compiled to operator trees, cached per store.
-
-    Trees are built once and re-executed by swapping each run's
-    materialized node rows into the leaf scans — the shared-execution
-    analogue of the prepared-plan cache, flushed with it on mutation.
-    """
-
-    nodes: list[_CompiledNode]
-    consumers: list[_CompiledConsumer]
-
-
-def _compile_leaf(
-    prefixes: Sequence[_PrefixInfo],
-    compiled: dict[tuple, _CompiledNode],
-) -> tuple[ExtentScan | None, int, tuple | None]:
-    """A scan over the longest compiled node covering a prefix chain.
-
-    The scan's schema is relabeled to the consumer's variable names
-    through the canonical-index correspondence; its rows are swapped in
-    per execution. Returns ``(None, 0, None)`` when no node applies.
-    """
-    for k in range(len(prefixes), 0, -1):
-        info = prefixes[k - 1]
-        node = compiled.get(info.key)
-        if node is None:
-            continue
-        index_to_name = {index: variable.name for variable, index in info.assignment}
-        schema: list[str] = [""] * len(node.columns)
-        for index, position in node.columns.items():
-            schema[position] = index_to_name[index]
-        return ExtentScan(f"mqo-node[{k}]", (), tuple(schema)), k, info.key
-    return None, 0, None
-
-
-def _compile_batch(plan: BatchPlan, store: TripleStore) -> _CompiledBatch:
-    """Compile the DAG's nodes and consumers to reusable operator trees."""
-    compiled: dict[tuple, _CompiledNode] = {}
-    nodes: list[_CompiledNode] = []
-    for node in plan.nodes:
-        leaf, covered, leaf_key = _compile_leaf(node.prefixes, compiled)
-        root = _join_tree(store, leaf, node.atoms[covered:], node.non_literal)
-        by_name = {variable.name: index for variable, index in node.assignment}
-        columns = {
-            by_name[name]: position for position, name in enumerate(root.schema)
-        }
-        entry = _CompiledNode(node.key, root, leaf, leaf_key, columns)
-        compiled[node.key] = entry
-        nodes.append(entry)
-    consumers: list[_CompiledConsumer] = []
-    for qplan in plan.plans:
-        leaf, covered, leaf_key = _compile_leaf(qplan.prefixes, compiled)
-        root = None
-        if leaf is not None:
-            root = _join_tree(
-                store, leaf, qplan.ordered_atoms[covered:], qplan.query.non_literal
+    estimator = _estimator(store, None)
+    ordered: list[tuple[Atom, ...]] = []
+    keys: list[tuple[tuple, ...]] = []
+    for query in distinct:
+        atoms = tuple(query.atoms[index] for index in estimator.join_order(query.atoms))
+        ordered.append(atoms)
+        keys.append(
+            tuple(
+                _prefix_key(atoms[:k], query.non_literal)
+                for k in range(1, len(atoms) + 1)
             )
-        consumers.append(_CompiledConsumer(qplan.query, root, leaf, leaf_key))
-    return _CompiledBatch(nodes, consumers)
-
-
-def _compiled_batch(plan: BatchPlan, store: TripleStore) -> _CompiledBatch:
-    """The compiled trees for ``plan``, cached in the prepared-plan
-    cache (so repeated shared evaluation pays operator construction
-    once, exactly like :func:`plan_query` does for single plans)."""
-    entry = _plan_cache_entry(store)
-    plans = entry["plans"]
-    key = (plan.queries, MQO_DAG, "compiled")
-    cached = plans.get(key)
-    if cached is not None:
-        return cached
-    built = _compile_batch(plan, store)
-    if len(plans) >= _PLAN_CACHE_LIMIT:
-        plans.clear()
-    plans[key] = built
-    return built
-
-
-def _batch_images(plan: BatchPlan, store: TripleStore) -> list[set[tuple]]:
-    """Encoded head images per distinct query, via the shared DAG.
-
-    Nodes materialize shortest-first, each starting from the longest
-    already-materialized node among its own prefixes; consumers then
-    scan the longest applicable node and join only their remaining
-    atoms. Queries touching no node run their ordinary cached plan.
-    The operator trees themselves come from the compiled-batch cache —
-    each execution only swaps the freshly materialized rows into the
-    leaf scans.
-    """
-    compiled = _compiled_batch(plan, store)
-    materialized: dict[tuple, list] = {}
-    for node in compiled.nodes:
-        if node.leaf is not None:
-            node.leaf._rows = materialized[node.leaf_key]
-        materialized[node.key] = node.root.rows()
-    if metrics.enabled and compiled.nodes:
-        metrics.inc("mqo.shared_nodes.materialized", len(compiled.nodes))
-        metrics.inc(
-            "mqo.shared_nodes.rows",
-            sum(len(rows) for rows in materialized.values()),
         )
-    out: list[set[tuple]] = []
-    for consumer in compiled.consumers:
-        if consumer.root is None:
-            root = plan_query(consumer.query, store)
-        else:
-            consumer.leaf._rows = materialized[consumer.leaf_key]
-            root = consumer.root
-        out.append(_images_from_root(consumer.query, root, store))
-    # Drop row references so cached trees don't pin this run's
-    # materialized batches in memory.
-    for node in compiled.nodes:
-        if node.leaf is not None:
-            node.leaf._rows = ()
-    for consumer in compiled.consumers:
-        if consumer.leaf is not None:
-            consumer.leaf._rows = ()
-    return out
+    # A query's prefixes have distinct lengths, hence distinct keys: at
+    # most one vote per query per key.
+    votes = Counter(key for query_keys in keys for key in query_keys)
+    shared: dict[tuple, SharedPrefix] = {}
+    for query, atoms, query_keys in zip(distinct, ordered, keys):
+        for k in range(len(query_keys), 0, -1):
+            key = query_keys[k - 1]
+            if votes[key] >= 2:
+                if key not in shared:
+                    shared[key] = SharedPrefix(
+                        key, atoms[:k], query.non_literal, query_keys[: k - 1]
+                    )
+                break
+    return PrefixFingerprints(
+        distinct,
+        tuple(keys),
+        tuple(sorted(shared.values(), key=lambda prefix: len(prefix.atoms))),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -486,49 +172,41 @@ def _batch_images(plan: BatchPlan, store: TripleStore) -> list[set[tuple]]:
 # ----------------------------------------------------------------------
 
 
-#: Sentinel marking a union branch whose shared prefix was probed
-#: empty at route-build time: the branch provably has no answers on
-#: this store version and its statement is never executed.
-_EMPTY_BRANCH = object()
+def _empty_node_keys(batch: PrefixFingerprints, store: TripleStore) -> frozenset:
+    """Keys of shared prefixes that have no matches right now.
 
-
-def _empty_node_keys(batch: BatchPlan, store: TripleStore) -> frozenset:
-    """Keys of shared nodes whose prefixes have no matches right now.
-
-    Each node's prefix runs once as a ``SELECT EXISTS`` probe — the
-    shared subplan executed exactly once, its (empty) result fanned out
-    to every consumer. The probe ignores the rule-4 residue filter, so
-    it checks a *superset* of the filtered prefix: ``EXISTS`` false is
-    therefore a sound proof that every consuming branch is empty. A
-    node extending an already-empty shorter node inherits emptiness
+    Each shared prefix runs once as a ``SELECT EXISTS`` probe, shortest
+    first. The probe ignores the rule-4 residue filter, so it checks a
+    *superset* of the filtered prefix: ``EXISTS`` false is therefore a
+    sound proof that every branch over the prefix is empty. A prefix
+    extending a shorter one already found empty inherits emptiness
     without a probe.
     """
     empty: set = set()
-    for node in batch.nodes:
-        if any(info.key in empty for info in node.prefixes[:-1]):
-            empty.add(node.key)
+    for prefix in batch.shared:
+        if any(key in empty for key in prefix.shorter):
+            empty.add(prefix.key)
             continue
-        prefix = _prefix_query(node.atoms, node.non_literal)
-        head = sorted(prefix.variables(), key=lambda v: v.name)[:1]
-        if not head:
+        variables = {v for atom in prefix.atoms for v in atom.variables()}
+        if not variables:
             continue
         probe = ConjunctiveQuery(
-            tuple(head),
-            node.atoms,
+            (min(variables, key=lambda v: v.name),),
+            prefix.atoms,
             name="mqo-probe",
-            non_literal=node.non_literal,
+            non_literal=prefix.non_literal,
         )
         compiled = plan_pushdown(probe, store)
         if compiled is None:
             continue
         if compiled.sql is None:
-            empty.add(node.key)
+            empty.add(prefix.key)
             continue
         rows = store.backend.execute_sql_plan(
             f"SELECT EXISTS ({compiled.sql})", compiled.params
         )
         if not next(iter(rows))[0]:
-            empty.add(node.key)
+            empty.add(prefix.key)
     return frozenset(empty)
 
 
@@ -540,9 +218,9 @@ def plan_union_pushdown(
     ``distinct`` are the deduplicated disjuncts and ``branches`` aligns
     with them: a disjunct's compiled statement
     (:func:`~repro.engine.planner.plan_pushdown`), ``None`` when it
-    runs on the interpreted shared DAG (a backend without SQL, a shape
-    one statement cannot express), or :data:`_EMPTY_BRANCH` when one of
-    its shared prefixes probed empty (:func:`_empty_node_keys`) and the
+    runs its interpreted plan (a backend without SQL, a shape one
+    statement cannot express), or :data:`_EMPTY_BRANCH` when one of its
+    shared prefixes probed empty (:func:`_empty_node_keys`) and the
     branch is skipped outright. Cached in the prepared-plan cache under
     the raw disjunct tuple — re-evaluating the same union is a single
     dictionary hit, counted as an ``engine.plan_cache`` hit — and
@@ -566,9 +244,9 @@ def plan_union_pushdown(
         empty = _empty_node_keys(batch, store)
         if empty:
             dead = {
-                plan.query
-                for plan in batch.plans
-                if any(info.key in empty for info in plan.prefixes)
+                query
+                for query, keys in zip(batch.queries, batch.keys)
+                if any(key in empty for key in keys)
             }
             if metrics.enabled:
                 metrics.inc("mqo.route.pruned_empty", len(dead))
@@ -593,22 +271,20 @@ def evaluate_union_shared(
     store: TripleStore,
     pushdown: bool = True,
 ) -> set[tuple[Term, ...]]:
-    """All answers of a union (its disjuncts, or the union itself),
-    evaluated as one shared batch.
+    """All answers of a union (its disjuncts, or the union itself).
 
     A deferred reformulation union on the interpreted route (a backend
     without SQL, or ``pushdown=False``) runs factorised: its source
     query's atoms, each a union of its own reformulation, joined once
     (:func:`~repro.engine.planner.plan_factorised`) — the flat
     disjuncts are never built. Otherwise, on a SQL-capable backend each
-    disjunct runs its own prepared statement
-    (:func:`plan_union_pushdown`); shared DAG prefixes are probed once
-    with ``SELECT EXISTS`` when the route is built, and every branch
-    over an empty prefix is skipped outright (:func:`_empty_node_keys`).
-    Disjuncts no statement can express — and every disjunct of a flat
-    union on the interpreted route — share the interpreted DAG. Every
-    route merges encoded answer images across the *whole* union and
-    decodes each distinct answer exactly once.
+    distinct disjunct runs its own prepared statement
+    (:func:`plan_union_pushdown`), and every branch over a shared
+    prefix that probed empty is skipped. Disjuncts no statement can
+    express — and every disjunct of a flat union on the interpreted
+    route — run their cached interpreted plans. Every route merges
+    encoded answer images across the *whole* union and decodes each
+    distinct answer exactly once.
     """
     if factorised_route(disjuncts, store, pushdown):
         with tracing.span(
@@ -642,11 +318,10 @@ def _branch_images(
     ``branches`` aligns with ``distinct`` (see
     :func:`plan_union_pushdown`): a compiled statement runs in the
     backend, an empty-prefix branch is skipped, and the rest (``None``)
-    share the interpreted DAG.
+    run their cached interpreted plans.
     """
     images: set[tuple] = set()
-    interpreted: list[ConjunctiveQuery] = []
-    executed = pruned = 0
+    executed = pruned = interpreted = 0
     for branch, disjunct in zip(branches, distinct):
         if branch is _EMPTY_BRANCH:
             pruned += 1
@@ -654,18 +329,15 @@ def _branch_images(
             images |= branch.images(store)
             executed += 1
         else:
-            interpreted.append(disjunct)
+            images |= _images_from_root(disjunct, plan_query(disjunct, store), store)
+            interpreted += 1
     if metrics.enabled:
         if executed:
             metrics.inc("mqo.route.per_branch")
         if pruned:
             metrics.inc("mqo.route.branch_pruned", pruned)
-    if interpreted:
-        if metrics.enabled:
+        if interpreted:
             metrics.inc("mqo.route.shared")
-        batch = plan_batch(interpreted, store)
-        for image_set in _batch_images(batch, store):
-            images |= image_set
     return images
 
 
@@ -702,22 +374,12 @@ def count_union(
 def run_query_batch(
     queries: Sequence[ConjunctiveQuery],
     store: TripleStore,
-    shared: bool = True,
     pushdown: bool = True,
 ) -> list[set[tuple[Term, ...]]]:
-    """Answer a batch of independent queries, sharing work across them.
-
-    Returns one answer set per input query, in input order — exactly
-    what ``[run_query(q, store) for q in queries]`` returns, but
-    common join subtrees across the batch execute once
-    (:func:`plan_batch`) and duplicate queries are answered once. This
-    is the cross-client batching hook for server mode.
-
-    With ``shared=False`` (the reference the sharing tests compare
-    against) every distinct query runs independently through
-    :func:`run_query`. On a SQL-capable backend, pushdown-eligible
-    queries keep their single-statement route — it beats interpreted
-    sharing — and the DAG shares work among the rest.
+    """Answer a batch of independent queries, one answer set per input
+    query, in input order: exactly ``[run_query(q, store) for q in
+    queries]``, with each duplicate query answered once. This is the
+    server's batch hook.
 
     >>> from repro.query.parser import parse_query
     >>> from repro.rdf.ntriples import parse_ntriples
@@ -734,42 +396,15 @@ def run_query_batch(
     ... ]
     >>> [len(answers) for answers in run_query_batch(batch, store)]
     [1, 1]
-    >>> run_query_batch(batch, store, shared=False) == run_query_batch(
-    ...     batch, store)
-    True
     """
     queries = list(queries)
     if not queries:
         return []
-    if tracing.sink is not None:
-        with tracing.span("engine.run_query_batch", queries=len(queries)):
-            return _run_query_batch_impl(queries, store, shared, pushdown)
-    return _run_query_batch_impl(queries, store, shared, pushdown)
-
-
-def _run_query_batch_impl(
-    queries: list[ConjunctiveQuery],
-    store: TripleStore,
-    shared: bool,
-    pushdown: bool,
-) -> list[set[tuple[Term, ...]]]:
     answers: dict[ConjunctiveQuery, set[tuple[Term, ...]]] = {}
-    if not shared:
-        for query in _dedupe(queries):
-            answers[query] = run_query(query, store, pushdown=pushdown)
-        return [answers[query] for query in queries]
-    interpreted: list[ConjunctiveQuery] = []
-    for query in _dedupe(queries):
-        compiled = plan_pushdown(query, store) if pushdown else None
-        if compiled is not None:
-            answers[query] = compiled.execute(store)
-        else:
-            interpreted.append(query)
-    if interpreted:
-        batch = plan_batch(interpreted, store)
-        images = _batch_images(batch, store)
-        for query, image_set in zip(batch.queries, images):
-            answers[query] = decode_images(image_set, store)
+    with tracing.span("engine.run_query_batch", queries=len(queries)):
+        for query in queries:
+            if query not in answers:
+                answers[query] = _run_query(query, store, None, pushdown)
     return [answers[query] for query in queries]
 
 
@@ -778,7 +413,7 @@ def describe_union_sharing(
 ) -> str:
     """One-line accounting of a union's route for ``--explain``: the
     factorised form's atoms and alternatives per atom, or the flat
-    form's shared subplans (and branch statements on SQL)."""
+    form's distinct disjuncts (and branch statements on SQL)."""
     if factorised_route(disjuncts, store):
         from repro.reformulation.reformulate import factorise
 
@@ -792,20 +427,13 @@ def describe_union_sharing(
         )
     if isinstance(disjuncts, UnionQuery):
         disjuncts = disjuncts.disjuncts
-    distinct = _dedupe(disjuncts)
-    batch = plan_batch(distinct, store)
-    nodes, consuming = batch.sharing_summary()
-    line = (
-        f"{len(tuple(disjuncts))} disjuncts ({len(distinct)} distinct), "
-        f"{nodes} shared subplans covering {consuming} disjuncts"
-    )
-    if getattr(store.backend, "supports_sql_plans", False):
-        _, branches = plan_union_pushdown(disjuncts, store)
-        statements = sum(
-            getattr(branch, "sql", None) is not None for branch in branches
-        )
-        pruned = sum(branch is _EMPTY_BRANCH for branch in branches)
-        line += f"; pushdown union: {statements} branch statements"
-        if pruned:
-            line += f", {pruned} branches pruned empty"
+    distinct, branches = plan_union_pushdown(disjuncts, store)
+    line = f"{len(tuple(disjuncts))} disjuncts ({len(distinct)} distinct)"
+    if not getattr(store.backend, "supports_sql_plans", False):
+        return line + ", one interpreted plan each"
+    statements = sum(getattr(branch, "sql", None) is not None for branch in branches)
+    pruned = sum(branch is _EMPTY_BRANCH for branch in branches)
+    line += f"; pushdown union: {statements} branch statements"
+    if pruned:
+        line += f", {pruned} branches pruned empty"
     return line

@@ -256,9 +256,9 @@ def _join_tree(
     ``leaf`` (or from a scan of the first atom).
 
     The one plan shape: index-nested-loop probes for connected steps,
-    hash joins for Cartesian ones. ``leaf`` is how the multi-query
-    optimizer (:mod:`repro.engine.mqo`) starts a tree from a
-    materialized shared node — probing keeps the fan-out from it cheap.
+    hash joins for Cartesian ones. ``leaf`` is how view maintenance
+    (:mod:`repro.selection.maintenance`) starts a delta rule's tree
+    from a swappable scan.
     """
     root = leaf
     remaining = list(atoms)

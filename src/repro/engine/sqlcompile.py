@@ -156,8 +156,8 @@ class CompiledQuery:
         and for constants; a constant the dictionary has never seen
         stays a term.
 
-        The multi-query optimizer merges images across a whole union of
-        disjuncts before decoding, so each distinct answer is decoded
+        A flat union merges images across all its disjuncts before
+        decoding, so each distinct answer is decoded
         once per union instead of once per disjunct
         (:func:`repro.engine.mqo.decode_images` is the inverse).
         """

@@ -1,7 +1,7 @@
 """EXPLAIN ANALYZE: instrumented execution with per-operator accounting.
 
-:func:`analyze_query` (and :func:`analyze_union` / :func:`analyze_batch`
-for the MQO routes) executes a query for real while every physical
+:func:`analyze_query` (and :func:`analyze_union` for a union's
+routes) executes a query for real while every physical
 operator records rows-out, batches and inclusive wall-clock time
 through a :class:`_Probe` wrapper, then renders the annotated plan tree
 through the shared :mod:`repro.obs.render` renderer — the same shapes
@@ -219,12 +219,19 @@ def _run_instrumented(query, store, probe: _Probe):
     return images, answers, wall_ms
 
 
-def _interpreted_report(query, store) -> AnalyzeReport:
+def _instrumented_plan(query, store) -> _Probe:
+    """A fresh interpreted tree for ``query``, every operator probed and
+    the join spine annotated with estimates."""
     # An explicit statistics provider bypasses the prepared-plan cache:
     # same catalog, same plan, but a private tree we may mutate.
     root = plan_query(query, store, statistics=CatalogStatistics(store.stats))
     probe = instrument(root)
     _annotate_estimates(probe, _estimator(store, None), query)
+    return probe
+
+
+def _interpreted_report(query, store) -> AnalyzeReport:
+    probe = _instrumented_plan(query, store)
     images, answers, wall_ms = _run_instrumented(query, store, probe)
     header = query_header(
         query.name, route=INTERPRETED,
@@ -328,85 +335,6 @@ def analyze_query(query, store, pushdown: bool = True) -> AnalyzeReport:
     )
 
 
-def _analyze_dag(queries, store):
-    """Instrumented shared-DAG execution over distinct queries.
-
-    Compiles a **fresh** (uncached) batch of operator trees, probes
-    them, and replays :func:`repro.engine.mqo._batch_images`'s
-    materialization order: shared nodes shortest-first, then consumers
-    over the longest applicable node. Returns the per-node/per-branch
-    plan nodes, one encoded image set per query, and the probe stats.
-    """
-    batch = mqo.plan_batch(queries, store)
-    compiled = mqo._compile_batch(batch, store)
-    estimator = _estimator(store, None)
-    node_probes: list[_Probe] = []
-    for node in compiled.nodes:
-        probe = instrument(node.root)
-        node.root = probe
-        node_probes.append(probe)
-    for consumer in compiled.consumers:
-        if consumer.root is not None:
-            consumer.root = instrument(consumer.root)
-
-    children: list[PlanNode] = []
-    operators: list[tuple[str, OpStats]] = []
-    materialized: dict[tuple, list] = {}
-    for node, shared, probe in zip(compiled.nodes, batch.nodes, node_probes):
-        if node.leaf is not None:
-            node.leaf._rows = materialized[node.leaf_key]
-        started = time.perf_counter()
-        rows = probe.rows()
-        node_ms = (time.perf_counter() - started) * 1000.0
-        materialized[node.key] = rows
-        title = query_header(
-            f"shared node[{shared.length} atoms]",
-            consumers=shared.consumers,
-            rows=len(rows),
-            est_rows=round(shared.est_rows, 1),
-            time_ms=round(node_ms, 2),
-        )
-        title.children.append(operator_tree(probe, _annotate))
-        children.append(title)
-        operators.extend(_probe_stats(probe))
-
-    image_sets: list[set] = []
-    for consumer, qplan in zip(compiled.consumers, batch.plans):
-        query = consumer.query
-        if consumer.root is None:
-            root = instrument(
-                plan_query(
-                    query, store, statistics=CatalogStatistics(store.stats)
-                )
-            )
-            _annotate_estimates(root, estimator, query)
-            shared_with = "none"
-        else:
-            consumer.leaf._rows = materialized[consumer.leaf_key]
-            root = consumer.root
-            shared_with = f"{len(consumer.leaf.schema)}-col node"
-        started = time.perf_counter()
-        images = _images_from_root(query, root, store)
-        branch_ms = (time.perf_counter() - started) * 1000.0
-        image_sets.append(images)
-        title = query_header(
-            f"branch {query.name}",
-            shared=shared_with,
-            images=len(images),
-            time_ms=round(branch_ms, 2),
-        )
-        title.children.append(operator_tree(root, _annotate))
-        children.append(title)
-        operators.extend(_probe_stats(root))
-    for node in compiled.nodes:
-        if node.leaf is not None:
-            node.leaf._rows = ()
-    for consumer in compiled.consumers:
-        if consumer.leaf is not None:
-            consumer.leaf._rows = ()
-    return batch, children, image_sets, operators
-
-
 def _factorised_report(union, store) -> AnalyzeReport:
     """EXPLAIN ANALYZE of the factorised route: a freshly built tree
     (never the cached one), every union scan and probe timed."""
@@ -439,34 +367,48 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
 
     A deferred reformulation union on the interpreted route runs its
     factorised tree instrumented: one ``UnionScan`` / ``UnionProbe`` line
-    per source atom with its rows, batches and time. Otherwise this is
-    MQO shared-node fan-out accounting: the instrumented shared DAG
-    always executes, and on a SQL-capable backend the union's real
-    route — its per-branch statements
-    (:func:`repro.engine.mqo.plan_union_pushdown`) — executes as well: a
-    ``per-branch statements`` node reports the statements run, the
-    branches pruned as provably empty, their time, and parity against
-    the DAG's answers.
+    per source atom with its rows, batches and time. A flat union runs
+    one fresh instrumented :func:`~repro.engine.planner.plan_query` tree
+    per distinct disjunct, its images merged union-wide and decoded
+    once. On a SQL-capable backend the union's real route — its
+    per-branch statements (:func:`repro.engine.mqo.plan_union_pushdown`)
+    — executes as well: a ``per-branch statements`` node reports the
+    statements run, the branches pruned as provably empty, their time,
+    and parity against the interpreted answers.
     """
     if factorised_route(disjuncts, store):
         return _factorised_report(disjuncts, store)
     if isinstance(disjuncts, UnionQuery):
         disjuncts = disjuncts.disjuncts
     distinct, branches = mqo.plan_union_pushdown(disjuncts, store)
-    batch, children, image_sets, operators = _analyze_dag(distinct, store)
+    children: list[PlanNode] = []
+    operators: list[tuple[str, OpStats]] = []
     images: set = set()
-    for image_set in image_sets:
-        images |= image_set
+    root_rows = 0
+    wall_ms = 0.0
+    for query in distinct:
+        probe = _instrumented_plan(query, store)
+        started = time.perf_counter()
+        branch_images = _images_from_root(query, probe, store)
+        branch_ms = (time.perf_counter() - started) * 1000.0
+        images |= branch_images
+        root_rows += len(branch_images)
+        wall_ms += branch_ms
+        title = query_header(
+            f"branch {query.name}",
+            images=len(branch_images),
+            time_ms=round(branch_ms, 2),
+        )
+        title.children.append(operator_tree(probe, _annotate))
+        children.append(title)
+        operators.extend(_probe_stats(probe))
     answers = decode_images(images, store)
-    nodes, consuming = batch.sharing_summary()
     on_sql = getattr(store.backend, "supports_sql_plans", False)
-    route = "per-branch-statements" if on_sql else "interpreted-dag"
+    route = "per-branch-statements" if on_sql else INTERPRETED
     header = query_header(
         "union",
         disjuncts=len(tuple(disjuncts)),
         distinct=len(distinct),
-        shared_nodes=nodes,
-        consuming=consuming,
         route=route,
         rows=len(answers),
     )
@@ -495,29 +437,8 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
         tree=header,
         answers=answers,
         distinct_images=len(images),
-        root_rows=sum(len(image_set) for image_set in image_sets),
-        wall_ms=sum(stats.wall_ms for _, stats in operators),
+        root_rows=root_rows,
+        wall_ms=wall_ms,
         route=route,
         operators=operators,
     )
-
-
-def analyze_batch(queries, store) -> tuple[PlanNode, list[set]]:
-    """EXPLAIN ANALYZE a workload batch: the shared-subplan DAG across
-    queries, with per-query answer sets (``run_query_batch``'s route).
-
-    Returns the annotated tree and one decoded answer set per distinct
-    query, in batch order.
-    """
-    distinct = mqo._dedupe(queries)
-    batch, children, image_sets, _operators = _analyze_dag(distinct, store)
-    answers = [decode_images(images, store) for images in image_sets]
-    nodes, consuming = batch.sharing_summary()
-    header = query_header(
-        "workload batch",
-        queries=len(distinct),
-        shared_nodes=nodes,
-        consuming=consuming,
-    )
-    header.children.extend(children)
-    return header, answers

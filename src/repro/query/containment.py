@@ -305,76 +305,6 @@ def canonical_form(query: ConjunctiveQuery, include_head: bool = True):
     return best[0]
 
 
-_LABELING_CACHE: dict[tuple[ConjunctiveQuery, bool], tuple] = {}
-
-
-def canonical_labeling(
-    query: ConjunctiveQuery, include_head: bool = True
-) -> tuple[tuple, dict[Variable, int]]:
-    """:func:`canonical_form` plus a variable assignment achieving it.
-
-    Returns ``(form, assignment)`` where ``form`` equals
-    ``canonical_form(query, include_head)`` and ``assignment`` maps every
-    body variable to its canonical index. When the query has non-trivial
-    automorphisms several assignments achieve the form; one of them is
-    returned (deterministically, same branch-and-bound expansion order
-    as :func:`canonical_form`) and they are interchangeable: relabeling
-    through any of them reproduces the same canonical body.
-
-    The multi-query optimizer (:mod:`repro.engine.mqo`) keys shared join
-    subtrees on the form and uses the assignment to align the columns of
-    a materialized subtree with each consuming query's variable names.
-    """
-    cache_key = (query, include_head)
-    cached = _LABELING_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    best: list[tuple[tuple, dict[Variable, int]]] = []
-
-    def recurse(
-        remaining: frozenset[int],
-        assignment: dict[Variable, int],
-        next_index: int,
-        prefix: list[_EncodedAtom],
-    ) -> None:
-        if not remaining:
-            restricted = tuple(
-                sorted(assignment[v] for v in query.non_literal if v in assignment)
-            )
-            if include_head:
-                head_tokens: list[_Token] = []
-                for term in query.head:
-                    if isinstance(term, Variable):
-                        head_tokens.append(("v", assignment[term]))
-                    else:
-                        head_tokens.append(("c", term.n3()))
-                candidate = (tuple(prefix), tuple(head_tokens), restricted)
-            else:
-                candidate = (tuple(prefix), (), restricted)
-            if not best or candidate < best[0][0]:
-                best[:] = [(candidate, dict(assignment))]
-            return
-        encodings = []
-        for index in remaining:
-            encoded, extended, nxt = _encode_atom(
-                query.atoms[index], assignment, next_index
-            )
-            encodings.append((encoded, index, extended, nxt))
-        least = min(encoding[0] for encoding in encodings)
-        for encoded, index, extended, nxt in encodings:
-            if encoded != least:
-                continue
-            prefix.append(encoded)
-            recurse(remaining - {index}, extended, nxt, prefix)
-            prefix.pop()
-
-    recurse(frozenset(range(len(query.atoms))), {}, 0, [])
-    if len(_LABELING_CACHE) > 1_000_000:
-        _LABELING_CACHE.clear()
-    _LABELING_CACHE[cache_key] = best[0]
-    return best[0]
-
-
 def canonical_rename(query: ConjunctiveQuery) -> ConjunctiveQuery:
     """An equivalent query with canonically named variables ``V0, V1, ...``.
 

@@ -95,17 +95,18 @@ def evaluate_union(
     returns therefore runs **factorised** on the interpreted route (a
     backend without SQL, or ``pushdown=False``): each atom of its source
     query is the union of that atom's own reformulation, and the atoms
-    join once — the disjuncts are never built. Any other union is
-    evaluated as **one shared batch** through the multi-query optimizer
-    (:mod:`repro.engine.mqo`): common join subtrees execute once and fan
-    out, and on a SQL-capable backend each disjunct runs as its own
-    pushed-down statement, with branches over a shared prefix that one
-    ``SELECT EXISTS`` probe finds empty skipped. Every route
-    deduplicates encoded answer images across the whole union and
-    decodes each distinct answer exactly once.
+    join once — the disjuncts are never built. Any other union runs its
+    distinct disjuncts one by one (:mod:`repro.engine.mqo`): on a
+    SQL-capable backend each as its own pushed-down statement, with
+    branches over a shared join-order prefix that one ``SELECT EXISTS``
+    probe finds empty skipped, elsewhere each through its cached
+    interpreted plan. Every route deduplicates encoded answer images
+    across the whole union and decodes each distinct answer exactly
+    once.
 
-    ``shared=False`` evaluates every disjunct independently (the
-    reference the sharing and factorised tests compare against).
+    ``shared=False`` evaluates every disjunct independently through
+    :func:`evaluate` and merges decoded answers (the reference the
+    union and factorised tests compare against).
     """
     if not isinstance(union, UnionQuery):
         union = tuple(union)

@@ -4,8 +4,8 @@ One :class:`Server` opens a single-file snapshot read-only, forks N
 worker processes (each with its own backend connection and per-worker
 prepared-plan cache), and serves concurrent clients over a local
 socket, running the queries that queue while a worker is busy as one
-shared ``run_query_batch`` call so multi-query optimization applies
-across clients. See ``docs/server.md`` for the architecture.
+``run_query_batch`` call, so a query several clients sent together
+runs once. See ``docs/server.md`` for the architecture.
 
 >>> from repro.server import Server, ServerConfig
 >>> with Server("kb.snapshot", ServerConfig(workers=2)) as server:

@@ -74,8 +74,8 @@ def _answer_batch(texts, store, parse_cache):
     """Answer one batch of query texts on the worker's store.
 
     Parse failures become per-text error entries; the valid remainder
-    runs through :func:`repro.engine.run_query_batch`, so cross-client
-    sharing (MQO) applies to whatever queued into the same batch.
+    runs through :func:`repro.engine.run_query_batch`, so a query that
+    several clients queued into the same batch runs once.
     """
     from repro.engine import run_query_batch
     from repro.query.parser import QuerySyntaxError, parse_query

@@ -13,13 +13,13 @@ Architecture (one process, N worker processes)::
                             each: read-only snapshot + plan cache)
 
 Load-formed batches are how one server turns concurrent clients into
-multi-query optimization wins: a driver blocks for one request, takes
+fewer worker round trips: a driver blocks for one request, takes
 whatever else is *already* queued (up to ``max_batch_requests``) and
 ships all their query texts as *one* ``run_query_batch`` call to its
 worker — a batch is exactly what arrived while that worker was busy,
-so an idle server dispatches at once and a loaded one shares identical
-scans and subplans across the clients that queued together. A
-multi-text request always ships whole (its own texts still share).
+so an idle server dispatches at once and a loaded one answers a query
+the clients that queued together share only once. A multi-text
+request always ships whole.
 
 Backpressure is the bounded intake queue, the only queue in the
 server: when the workers fall behind, reader threads block putting

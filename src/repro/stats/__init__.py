@@ -15,7 +15,7 @@ optimizer in the system:
 * :class:`CardinalityEstimator` — the System-R formulas implemented
   once: conjunction cardinalities for the view-selection cost model,
   greedy join ordering for the engine's planner, prefix cardinalities
-  for the multi-query optimizer's cost gate and EXPLAIN ANALYZE.
+  for EXPLAIN ANALYZE.
 
 The historical import path ``repro.selection.statistics`` re-exports the
 providers; new code should import from here.

@@ -15,7 +15,7 @@ gathered once per store version, whichever selector asks first.
 
 This is the single source of cardinality truth for the whole system:
 the view-selection cost model (Section 3.3 of the paper), the engine's
-join ordering, and the multi-query optimizer's cost gate all read from here
+join ordering, and EXPLAIN ANALYZE's estimates all read from here
 (via :mod:`repro.stats.provider` / :mod:`repro.stats.estimator`).
 
 The catalog deliberately imports nothing above the ``rdf`` layer: it

@@ -7,9 +7,8 @@ every optimizer in the system:
 * the view-selection cost model prices view extents and rewriting plans
   with :meth:`CardinalityEstimator.conjunction_cardinality`;
 * the engine planner orders joins with
-  :meth:`CardinalityEstimator.join_order`; the multi-query optimizer's
-  cost gate and EXPLAIN ANALYZE's ``est_rows=`` read
-  :meth:`CardinalityEstimator.prefix_cardinalities`.
+  :meth:`CardinalityEstimator.join_order`; EXPLAIN ANALYZE's
+  ``est_rows=`` read :meth:`CardinalityEstimator.prefix_cardinalities`.
 
 The estimate of a conjunction is the product of the atoms' exact
 pattern counts times, for each join variable, ``1/max(distinct)`` per
@@ -172,8 +171,8 @@ class CardinalityEstimator:
         """Estimated row count after each step of a join order.
 
         ``result[k]`` is the System-R estimate for the conjunction of
-        the first ``k + 1`` atoms of ``order`` — the input/output sizes
-        the shared-subplan cost gate prices each join step with.
+        the first ``k + 1`` atoms of ``order`` — the ``est_rows=`` of
+        each join step in EXPLAIN ANALYZE.
         Built incrementally in one pass: each step multiplies in the
         next atom's count and replaces the affected join variables'
         selectivity factors (dividing out the old power, multiplying

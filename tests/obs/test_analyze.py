@@ -10,7 +10,7 @@ predictions (``est_rows``) sit next to actuals on join steps.
 import pytest
 
 from repro.engine import SQL_PUSHDOWN, run_query
-from repro.obs.analyze import analyze_batch, analyze_query, analyze_union
+from repro.obs.analyze import analyze_query, analyze_union
 from repro.query.evaluation import evaluate, evaluate_union
 from repro.query.parser import parse_query
 
@@ -123,28 +123,18 @@ def test_analyze_union_matches_evaluate_union(backend, stores):
     assert report.answers == evaluate_union(disjuncts, store)
     assert report.tree.annotations["rows"] == report.answer_count
     assert report.route == {
-        "memory": "interpreted-dag", "sqlite": "per-branch-statements"
+        "memory": "interpreted", "sqlite": "per-branch-statements"
     }[backend]
-    # _chain is a prefix of _chain_typed: the MQO shares one node here
-    # (tests/query/test_mqo.py pins the gate), and the analyzed tree
-    # must surface its fan-out accounting.
-    assert report.tree.annotations["shared_nodes"] == 1
-    assert report.tree.annotations["consuming"] == 2
-    shared = [
-        node
-        for node in report.tree.children
-        if node.label.startswith("shared node")
-    ]
-    assert len(shared) == 1
-    assert shared[0].annotations["consumers"] == 2
-    assert shared[0].annotations["rows"] >= 1
+    # One instrumented plan per distinct disjunct, its images counted.
     branches = [
         node
         for node in report.tree.children
         if node.label.startswith("branch ")
     ]
-    assert len(branches) == 2
-    assert all("shared" in b.annotations for b in branches)
+    assert [b.label for b in branches] == ["branch qa", "branch qb"]
+    assert all(b.annotations["images"] >= 1 for b in branches)
+    assert all(b.children and "rows" in b.children[0].annotations for b in branches)
+    assert report.root_rows == sum(b.annotations["images"] for b in branches)
     statements = [
         node
         for node in report.tree.children
@@ -186,45 +176,34 @@ def test_analyze_union_runs_the_per_branch_statements(sqlite_museum):
     assert "per-branch statements [statements=2 pruned=2" in report.text()
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_analyze_batch_matches_per_query_evaluation(backend, stores):
-    store = stores[backend]
-    queries = [_chain(), _chain_typed()]
-    tree, answers = analyze_batch(queries, store)
-    assert len(answers) == 2
-    for query, answer_set in zip(queries, answers):
-        assert answer_set == evaluate(query, store)
-    assert tree.annotations["shared_nodes"] == 1
-    assert tree.annotations["consuming"] == 2
+def _assert_unprobed(op):
+    from repro.obs.analyze import _Probe
+
+    assert not isinstance(op, _Probe)
+    for child in op._children():
+        _assert_unprobed(child)
 
 
 def test_analyze_leaves_cached_plans_unprobed(museum_store, q_painters):
     from repro.engine import plan_query
-    from repro.obs.analyze import _Probe
 
     baseline = plan_query(q_painters, museum_store)
     analyze_query(q_painters, museum_store, pushdown=False)
     cached = plan_query(q_painters, museum_store)
     assert cached is baseline
-
-    def assert_unprobed(op):
-        assert not isinstance(op, _Probe)
-        for child in op._children():
-            assert_unprobed(child)
-
-    assert_unprobed(cached)
+    _assert_unprobed(cached)
 
 
-def test_analyze_restores_mqo_leaf_rows(museum_store):
-    from repro.engine import mqo
+def test_analyze_union_leaves_cached_plans_unprobed(museum_store):
+    """The analyzed branches are fresh trees: the cached plans the flat
+    union route runs stay as they were."""
+    from repro.engine import plan_query
 
     queries = (_chain(), _chain_typed())
+    evaluate_union(queries, museum_store)
+    baseline = [plan_query(query, museum_store) for query in queries]
     analyze_union(queries, museum_store)
-    batch = mqo.plan_batch(list(queries), museum_store)
-    compiled = mqo._compiled_batch(batch, museum_store)
-    for node in compiled.nodes:
-        if node.leaf is not None:
-            assert tuple(node.leaf._rows) == ()
-    for consumer in compiled.consumers:
-        if consumer.leaf is not None:
-            assert tuple(consumer.leaf._rows) == ()
+    for query, before in zip(queries, baseline):
+        cached = plan_query(query, museum_store)
+        assert cached is before
+        _assert_unprobed(cached)

@@ -1,18 +1,21 @@
-"""Answer-set parity of the multi-query optimizer's shared execution.
+"""Answer-set parity of flat unions and query batches.
 
-``evaluate_union(shared=True)`` and ``run_query_batch(shared=True)``
-must return exactly what fully independent evaluation returns, on every
-configuration the route can take: random unions of random conjunctive
-queries (overlapping, isomorphic-but-renamed, and unrelated disjuncts
-alike), both storage backends, pushdown on and off, and stores mutated
-between evaluations (the union-level prepared-plan cache must
-invalidate). The reference is the naive oracle, disjunct by disjunct.
+``evaluate_union`` and ``run_query_batch`` must return exactly what
+fully independent evaluation returns, on every configuration the route
+can take: random unions of random conjunctive queries (overlapping,
+isomorphic-but-renamed, and unrelated disjuncts alike), both storage
+backends, pushdown on and off, and stores mutated between evaluations
+(the union-level prepared-plan cache must invalidate). The reference
+is the naive oracle, disjunct by disjunct. On SQLite the empty-prefix
+probes must be sound: a pruned branch has no answers.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import run_query, run_query_batch
+from repro.engine import plan_union_pushdown, run_query, run_query_batch
+from repro.engine.mqo import _EMPTY_BRANCH
+from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 
 from tests.property.strategies import (
@@ -78,7 +81,6 @@ def test_query_batch_matches_individual_runs(data, backend):
     try:
         expected = [run_query(query, store) for query in batch]
         assert run_query_batch(batch, store) == expected
-        assert run_query_batch(batch, store, shared=False) == expected
     finally:
         store.backend.close()
 
@@ -118,5 +120,74 @@ def test_shared_union_with_non_literal_restrictions(data, backend):
         expected = _reference(restricted, store)
         assert evaluate_union(restricted, store) == expected
         assert evaluate_union(restricted, store, shared=False) == expected
+    finally:
+        store.backend.close()
+
+
+def _mutate(data, store):
+    """A few removals of stored triples, then a few additions."""
+    stored = sorted(store, key=lambda t: (t.s.n3(), t.p.n3(), t.o.n3()))
+    if stored:
+        for triple in data.draw(
+            st.lists(st.sampled_from(stored), max_size=3, unique=True),
+            label="removals",
+        ):
+            store.remove(triple)
+    for triple in data.draw(data_triples(min_size=0, max_size=5), label="additions"):
+        store.add(triple)
+
+
+def _assert_probes_sound(disjuncts, store):
+    """Every branch pruned at route-build time is empty, and every
+    distinct disjunct is exactly one of: a statement run, a branch
+    known empty (probed, or an absent constant), an interpreted plan."""
+    distinct, branches = plan_union_pushdown(disjuncts, store)
+    for disjunct, branch in zip(distinct, branches):
+        if branch is _EMPTY_BRANCH or getattr(branch, "sql", "") is None:
+            assert evaluate_nested_loop(disjunct, store) == set()
+    statements = []
+    execute = store.backend.execute_sql_plan
+
+    def spy(sql, params=()):
+        statements.append(sql)
+        return execute(sql, params)
+
+    store.backend.execute_sql_plan = spy
+    try:
+        assert evaluate_union(disjuncts, store) == _reference(disjuncts, store)
+    finally:
+        del store.backend.execute_sql_plan
+    pruned = sum(
+        branch is _EMPTY_BRANCH or getattr(branch, "sql", "") is None
+        for branch in branches
+    )
+    interpreted = sum(branch is None for branch in branches)
+    assert len(statements) + pruned + interpreted == len(distinct)
+
+
+def _with_sibling(disjuncts):
+    """The union plus the first disjunct's body under another head of
+    the same arity: the two share every join-order prefix, so every
+    union has a shared prefix to probe."""
+    first = disjuncts[0]
+    head = first.head[::-1]
+    if head == first.head and len(head) == 1:
+        others = sorted(first.variables() - set(head), key=lambda v: v.name)
+        head = tuple(others[:1]) or head
+    sibling = ConjunctiveQuery(
+        head, first.atoms, name="sibling", non_literal=first.non_literal
+    )
+    return [*disjuncts, sibling]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_empty_prefix_probes_are_sound(data):
+    store = data.draw(stores(backend="sqlite"), label="store")
+    disjuncts = _with_sibling(data.draw(restricted_unions(), label="union"))
+    try:
+        _assert_probes_sound(disjuncts, store)
+        _mutate(data, store)
+        _assert_probes_sound(disjuncts, store)
     finally:
         store.backend.close()

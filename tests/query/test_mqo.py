@@ -1,19 +1,19 @@
-"""Unit tests for the multi-query optimizer (repro.engine.mqo).
+"""Unit tests for flat unions and query batches (repro.engine.mqo).
 
-Covers subtree fingerprinting (isomorphic prefixes unify, distinct ones
-never collide), the materialization cost gate, shared execution parity
-with independent evaluation, the per-branch union route on SQL
-backends (provably-empty branches, empty-prefix pruning, the traffic a
-union sends to SQLite), and the union-level prepared-plan cache
-lifecycle — identity, plan-cache accounting and mutation invalidation
-mirroring the single-query pushdown cache tests.
+Covers join-order prefix fingerprinting (isomorphic prefixes unify,
+distinct ones never collide) and which shared prefixes are probed,
+union and batch parity with independent evaluation, the per-branch
+union route on SQL backends (provably-empty branches, empty-prefix
+pruning and its probe count, the traffic a union sends to SQLite), and
+the union-level prepared-plan cache lifecycle — identity, plan-cache
+accounting and mutation invalidation mirroring the single-query
+pushdown cache tests.
 """
 
 import pytest
 
 from repro.datagen import BartonConfig, generate_barton
 from repro.engine import (
-    MATERIALIZE_COST_FACTOR,
     count_union,
     describe_union_sharing,
     evaluate_union_shared,
@@ -23,7 +23,7 @@ from repro.engine import (
     run_query_batch,
 )
 from repro.engine.mqo import decode_images
-from repro.query.containment import canonical_form, canonical_labeling
+from repro.query.containment import canonical_form
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 from repro.query.parser import parse_query
@@ -60,7 +60,7 @@ def _chain_typed():
 
 def _headless_key(body, non_literal=frozenset()):
     sub = ConjunctiveQuery((), tuple(body), name="k", non_literal=non_literal)
-    return canonical_labeling(sub, include_head=False)[0]
+    return canonical_form(sub, include_head=False)
 
 
 def _union_reference(disjuncts, store):
@@ -73,12 +73,12 @@ def _union_reference(disjuncts, store):
 class TestFingerprints:
     def test_isomorphic_prefixes_unify(self, museum_store):
         batch = plan_batch([_chain(), _chain_renamed()], museum_store)
-        assert len(batch.plans) == 2
-        first, second = batch.plans
-        assert first.prefixes[-1].key == second.prefixes[-1].key
-        assert len(batch.nodes) == 1
-        assert batch.nodes[0].consumers == 2
-        assert batch.nodes[0].length == 2
+        assert len(batch.queries) == 2
+        first, second = batch.keys
+        assert first[-1] == second[-1]
+        (shared,) = batch.shared
+        assert shared.key == first[-1]
+        assert len(shared.atoms) == 2
 
     def test_different_constants_do_not_collide(self):
         a = _headless_key([Atom(X, ex("hasPainted"), ex("starryNight"))])
@@ -104,74 +104,36 @@ class TestFingerprints:
         ]
         assert _headless_key(a) == _headless_key(b)
 
-    def test_labeling_form_matches_canonical_form(self):
-        query = _chain_typed()
-        form, assignment = canonical_labeling(query)
-        assert form == canonical_form(query)
-        indices = sorted(assignment.values())
-        assert set(assignment) == query.variables()
-        assert indices == list(range(len(indices)))
 
+class TestSharedPrefixes:
+    """Each query names its longest join-order prefix that another
+    distinct query shares — the prefixes the SQL union route probes."""
 
-class TestCostGate:
-    def test_cheap_scan_with_two_consumers_stays_unshared(self, museum_store):
+    def test_a_scan_two_queries_share_is_shared(self, museum_store):
         body = (Atom(X, ex("isParentOf"), Y),)
         queries = [
             ConjunctiveQuery((X,), body, name="qc"),
             ConjunctiveQuery((Y,), body, name="qd"),
         ]
-        assert plan_batch(queries, museum_store).nodes == ()
+        (shared,) = plan_batch(queries, museum_store).shared
+        assert shared.atoms == body
+        assert shared.shorter == ()
 
-    def test_same_scan_with_many_consumers_crosses_gate(self, museum_store):
-        body = (Atom(X, ex("isParentOf"), Y),)
-        heads = [(X,), (Y,), (X, Y), (Y, X)]
-        queries = [
-            ConjunctiveQuery(head, body, name=f"q{i}")
-            for i, head in enumerate(heads)
-        ]
-        batch = plan_batch(queries, museum_store)
-        assert len(batch.nodes) == 1
-        node = batch.nodes[0]
-        assert node.length == 1
-        assert node.consumers == 4
+    def test_unshared_queries_share_nothing(self, museum_store):
+        queries = [_chain(), parse_query("qs(X) :- t(X, rdf:type, painter)")]
+        assert plan_batch(queries, museum_store).shared == ()
 
-    def test_chosen_nodes_satisfy_the_gate_inequality(self, museum_store):
-        batch = plan_batch([_chain(), _chain_typed()], museum_store)
-        assert batch.nodes
-        for node in batch.nodes:
-            assert (node.consumers - 1) * node.est_cost > (
-                MATERIALIZE_COST_FACTOR * node.est_rows
-            )
+    def test_longest_shared_prefix_is_named_shortest_first(self, museum_store):
+        batch = plan_batch([_chain(), _chain_typed(), _chain_renamed()], museum_store)
+        (shared,) = batch.shared
+        assert len(shared.atoms) == 2
+        assert len(shared.shorter) == 1
+        assert all(shared.key in keys for keys in batch.keys)
 
-    def test_sharing_summary_counts_consuming_queries(self, museum_store):
-        batch = plan_batch([_chain(), _chain_typed()], museum_store)
-        nodes, consuming = batch.sharing_summary()
-        assert nodes == 1
-        assert consuming == 2
-
-
-class TestDagCache:
-    def test_batch_plan_is_cached(self, sqlite_museum):
-        queries = [_chain(), _chain_typed()]
-        first = plan_batch(queries, sqlite_museum)
-        assert plan_batch(queries, sqlite_museum) is first
-
-    def test_explicit_statistics_bypass_the_cache(self, museum_store):
-        from repro.selection.statistics import StoreStatistics
-
-        queries = [_chain(), _chain_typed()]
-        cached = plan_batch(queries, museum_store)
-        fresh = plan_batch(
-            queries, museum_store, statistics=StoreStatistics(museum_store)
-        )
-        assert fresh is not cached
-
-    def test_mutation_invalidates_batch_plans(self, sqlite_museum):
-        queries = [_chain(), _chain_typed()]
-        first = plan_batch(queries, sqlite_museum)
-        sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
-        second = plan_batch(queries, sqlite_museum)
-        assert second is not first
+    def test_duplicates_are_one_query(self, museum_store):
+        batch = plan_batch([_chain(), _chain()], museum_store)
+        assert batch.queries == (_chain(),)
+        assert batch.shared == ()
 
 
 class TestSharedExecution:
@@ -200,7 +162,6 @@ class TestSharedExecution:
         ]
         expected = [run_query(query, museum_store) for query in queries]
         assert run_query_batch(queries, museum_store) == expected
-        assert run_query_batch(queries, museum_store, shared=False) == expected
 
     def test_batch_matches_individual_runs_on_sqlite(self, sqlite_museum):
         queries = [_chain(), _chain_typed()]
@@ -382,20 +343,17 @@ class TestUnionTraffic:
             store.backend.close()
 
 
+_LOCATED_PARENT = "t(X, isLocatedIn, Y), t(Y, isParentOf, Z)"
+
+
 def _empty_prefix_union():
-    """Two queries sharing a gated 2-atom prefix with no matches: the
+    """Two queries sharing a 2-atom prefix with no matches: the
     museum's located-in targets (moma, vienna) are nobody's parent, yet
-    both predicates are individually present — the estimator prices the
-    node, the ``SELECT EXISTS`` probe finds it empty."""
+    both predicates are individually present — only the
+    ``SELECT EXISTS`` probe finds the prefix empty."""
     return (
-        parse_query(
-            "q1(X, A) :- t(X, isLocatedIn, Y), t(Y, isParentOf, Z), "
-            "t(Z, hasPainted, A)"
-        ),
-        parse_query(
-            "q2(X, Z) :- t(X, isLocatedIn, Y), t(Y, isParentOf, Z), "
-            "t(Z, rdf:type, painter)"
-        ),
+        parse_query(f"q1(X, A) :- {_LOCATED_PARENT}, t(Z, hasPainted, A)"),
+        parse_query(f"q2(X, Z) :- {_LOCATED_PARENT}, t(Z, rdf:type, painter)"),
     )
 
 
@@ -407,7 +365,7 @@ class TestEmptyPrefixPruning:
 
         disjuncts = _empty_prefix_union()
         batch = plan_batch(disjuncts, sqlite_museum)
-        assert batch.nodes, "the shared prefix must form a gated node"
+        assert batch.shared, "the 2-atom prefix must be shared"
         _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
         assert all(branch is _EMPTY_BRANCH for branch in branches)
         assert evaluate_union(disjuncts, sqlite_museum) == set()
@@ -436,6 +394,33 @@ class TestEmptyPrefixPruning:
         assert expected
         assert evaluate_union(disjuncts, sqlite_museum) == expected
 
+    def test_prefix_over_an_empty_prefix_is_not_probed(
+        self, sqlite_museum, monkeypatch
+    ):
+        """q1 and q2 share a 3-atom prefix that extends the empty 2-atom
+        one q3 shares with them: one probe proves all three empty."""
+        from repro.engine.mqo import _EMPTY_BRANCH
+
+        disjuncts = (
+            parse_query(f"q1(X, A) :- {_LOCATED_PARENT}, t(Z, hasPainted, A)"),
+            parse_query(f"q2(X) :- {_LOCATED_PARENT}, t(Z, hasPainted, A)"),
+            parse_query(f"q3(X, Z) :- {_LOCATED_PARENT}, t(Z, rdf:type, painter)"),
+        )
+        shared = plan_batch(disjuncts, sqlite_museum).shared
+        assert [len(prefix.atoms) for prefix in shared] == [2, 3]
+        assert shared[0].key in shared[1].shorter
+        statements = []
+        execute = sqlite_museum.backend.execute_sql_plan
+
+        def spy(sql, params=()):
+            statements.append(sql)
+            return execute(sql, params)
+
+        monkeypatch.setattr(sqlite_museum.backend, "execute_sql_plan", spy)
+        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert all(branch is _EMPTY_BRANCH for branch in branches)
+        assert sum(sql.startswith("SELECT EXISTS") for sql in statements) == 1
+
     def test_describe_reports_pruned_branches(self, sqlite_museum):
         line = describe_union_sharing(_empty_prefix_union(), sqlite_museum)
         assert "2 branches pruned empty" in line
@@ -446,9 +431,7 @@ class TestDescribeUnionSharing:
         line = describe_union_sharing(
             [_chain(), _chain_renamed(), _chain()], museum_store
         )
-        assert "3 disjuncts (2 distinct)" in line
-        assert "1 shared subplans covering 2 disjuncts" in line
-        assert "pushdown union" not in line
+        assert line == "3 disjuncts (2 distinct), one interpreted plan each"
 
     def test_pushdown_summary(self, sqlite_museum):
         line = describe_union_sharing(

@@ -261,7 +261,7 @@ def test_analyze_prints_annotated_plan(capsys, data_file, workload_file):
     assert "q2 [route=interpreted " in out
     assert "rows=" in out and "batches=" in out and "time_ms=" in out
     assert "est_rows=" in out
-    assert "workload batch [queries=2" in out
+    assert "workload batch" not in out
 
 
 def test_analyze_covers_the_pushdown_route(capsys, data_file, workload_file,

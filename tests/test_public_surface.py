@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro.engine
+import repro.obs.analyze
 import repro.storage
 from repro.cli import build_parser, build_serve_parser
 from repro.engine import (
@@ -48,7 +49,7 @@ SIGNATURES = {
     plan_rewriting: ["plan", "extents"],
     evaluate: ["query", "store", "statistics", "pushdown"],
     evaluate_union: ["union", "store", "pushdown", "shared"],
-    run_query_batch: ["queries", "store", "shared", "pushdown"],
+    run_query_batch: ["queries", "store", "pushdown"],
     evaluate_union_shared: ["disjuncts", "store", "pushdown"],
     run_search: [
         "initial", "cost_model", "strategy", "enumerator", "budget",
@@ -83,17 +84,22 @@ RETIRED_NAMES = {
     "FIXED_ENGINES",
     "HYBRID",
     "LAYOUTS",
+    "MATERIALIZE_COST_FACTOR",
     "MAX_UNION_BRANCHES",
     "MORSEL_PARALLEL_THRESHOLD",
     "MORSEL_SIZE",
+    "MQO_DAG",
     "PARALLEL_ROW_THRESHOLD",
     "STATEMENT_OVERHEAD_ROWS",
     "UNION_PUSHDOWN",
+    "BatchPlan",
     "CompiledUnion",
     "MergeJoin",
     "PartitionedHashJoin",
+    "SharedNode",
     "UnionBranch",
     "UnionCTE",
+    "analyze_batch",
     "choose_engine",
     "compile_union",
     "union_signature",
@@ -170,6 +176,7 @@ def test_engine_exports_resolve_and_hold_no_retired_name():
     assert not RETIRED_NAMES & set(vars(repro.engine))
     for module in ("mqo", "sqlcompile"):
         assert not RETIRED_NAMES & set(vars(getattr(repro.engine, module)))
+    assert not RETIRED_NAMES & set(vars(repro.obs.analyze))
 
 
 def _benchmark_imports():
