@@ -143,10 +143,26 @@ def test_analyze_union_matches_evaluate_union(backend, stores):
     assert len(statements) == (backend == "sqlite")
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_analyze_union_runs_each_distinct_disjunct_once(backend, stores):
+    store = stores[backend]
+    disjuncts = (_chain(), _chain_typed(), _chain())
+    report = analyze_union(disjuncts, store)
+    assert report.answers == evaluate_union(disjuncts, store)
+    assert report.tree.annotations["disjuncts"] == 3
+    assert report.tree.annotations["distinct"] == 2
+    branches = [
+        node.label
+        for node in report.tree.children
+        if node.label.startswith("branch ")
+    ]
+    assert branches == ["branch qa", "branch qb"]
+
+
 def test_analyze_union_runs_the_per_branch_statements(sqlite_museum):
-    """On SQLite the route a union really takes runs next to the DAG:
-    every distinct disjunct is a statement run or a branch pruned empty,
-    and the statements' answers equal the DAG's."""
+    """On SQLite the route a union really takes runs next to the
+    instrumented plans: every distinct disjunct is a statement run or a
+    branch pruned empty, and the statements' answers equal the plans'."""
     located = "t(X, isLocatedIn, Y), t(Y, isParentOf, Z)"
     disjuncts = (
         _chain(),

@@ -6,15 +6,24 @@ can take: random unions of random conjunctive queries (overlapping,
 isomorphic-but-renamed, and unrelated disjuncts alike), both storage
 backends, pushdown on and off, and stores mutated between evaluations
 (the union-level prepared-plan cache must invalidate). The reference
-is the naive oracle, disjunct by disjunct. On SQLite the empty-prefix
-probes must be sound: a pruned branch has no answers.
+is the naive oracle, disjunct by disjunct. The shared join-order
+prefixes must be each query's longest one, and on SQLite their
+empty-prefix probes must be sound: a pruned branch has no answers.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import plan_union_pushdown, run_query, run_query_batch
+from repro.engine import (
+    plan_batch,
+    plan_union_pushdown,
+    run_query,
+    run_query_batch,
+)
 from repro.engine.mqo import _EMPTY_BRANCH
+from repro.query.containment import canonical_form
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 
@@ -178,6 +187,39 @@ def _with_sibling(disjuncts):
         head, first.atoms, name="sibling", non_literal=first.non_literal
     )
     return [*disjuncts, sibling]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_each_query_names_its_longest_shared_prefix(data):
+    """The shared prefixes are exactly each distinct query's longest
+    join-order prefix key that another distinct query also has, each
+    recorded with the atoms and shorter keys of a query it belongs to."""
+    store = data.draw(stores(), label="store")
+    batch = plan_batch(
+        _with_sibling(data.draw(restricted_unions(), label="union")), store
+    )
+    votes = Counter(key for keys in batch.keys for key in keys)
+    longest = set()
+    for keys in batch.keys:
+        shared_keys = [key for key in keys if votes[key] >= 2]
+        if shared_keys:
+            longest.add(shared_keys[-1])
+    assert {prefix.key for prefix in batch.shared} == longest
+    lengths = [len(prefix.atoms) for prefix in batch.shared]
+    assert lengths == sorted(lengths)
+    for prefix in batch.shared:
+        k = len(prefix.atoms)
+        assert any(
+            len(keys) >= k
+            and keys[k - 1] == prefix.key
+            and keys[: k - 1] == prefix.shorter
+            for keys in batch.keys
+        )
+        headless = ConjunctiveQuery(
+            (), prefix.atoms, name="prefix", non_literal=prefix.non_literal
+        )
+        assert canonical_form(headless, include_head=False) == prefix.key
 
 
 @settings(max_examples=40, deadline=None)

@@ -104,6 +104,19 @@ class TestFingerprints:
         ]
         assert _headless_key(a) == _headless_key(b)
 
+    def test_keys_fingerprint_the_estimator_join_order(self, museum_store):
+        """``keys[i][k - 1]`` is the first ``k`` atoms in the order the
+        single-query plans join them, not in the query's written order."""
+        from repro.engine.planner import _estimator
+
+        query = _chain_typed()
+        (keys,) = plan_batch([query], museum_store).keys
+        order = _estimator(museum_store, None).join_order(query.atoms)
+        atoms = [query.atoms[index] for index in order]
+        assert keys == tuple(
+            _headless_key(atoms[:k]) for k in range(1, len(atoms) + 1)
+        )
+
 
 class TestSharedPrefixes:
     """Each query names its longest join-order prefix that another
@@ -420,6 +433,18 @@ class TestEmptyPrefixPruning:
         _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
         assert all(branch is _EMPTY_BRANCH for branch in branches)
         assert sum(sql.startswith("SELECT EXISTS") for sql in statements) == 1
+
+    def test_pruned_branches_are_counted(self, sqlite_museum):
+        """Building the route counts the branches it prunes; running it
+        counts them as skipped and runs no branch statement."""
+        from repro.obs import metrics
+
+        disjuncts = _empty_prefix_union()
+        _, dump = metrics.collect(evaluate_union, disjuncts, sqlite_museum)
+        counters = dump["counters"]
+        assert counters.get("mqo.route.pruned_empty") == 2
+        assert counters.get("mqo.route.branch_pruned") == 2
+        assert "mqo.route.per_branch" not in counters
 
     def test_describe_reports_pruned_branches(self, sqlite_museum):
         line = describe_union_sharing(_empty_prefix_union(), sqlite_museum)
