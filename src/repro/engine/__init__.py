@@ -18,7 +18,7 @@ Public surface::
     plan_query / plan_rewriting                 # operator trees (explain)
     plan_pushdown(query, store)                 # whole-plan SQL route
     plan_factorised(union, store)               # a reformulation, factorised
-    plan_union_pushdown(disjuncts, store)       # a flat union's route
+    plan_union_pushdown(disjuncts, store)       # a flat union's statements
     plan_batch(queries, store)                  # shared join-order prefixes
     SQL_PUSHDOWN / INTERPRETED / FACTORISED     # the routes
     DEFAULT_BATCH_SIZE                          # rows per scan batch
@@ -38,15 +38,14 @@ and evaluated inside the backend; the operator tree is the fallback
 for shapes SQL cannot express and, through ``pushdown=False``, the
 reference the pushdown tests compare against.
 
-A reformulation union (:func:`repro.reformulation.reformulate`) on
-the interpreted route never becomes a batch: it runs **factorised**
-(:func:`plan_factorised`) — each source atom is the union of its own
-reformulation, read by a :class:`UnionScan` or probed by a
-:class:`UnionProbe`, and the atoms join once. A flat union (:mod:`repro.engine.mqo`) runs its distinct
-disjuncts one by one — on a SQL-capable backend one prepared statement
-each, skipping every branch over a shared join-order prefix that one
-``SELECT EXISTS`` probe finds empty — and decodes the merged answer
-images once.
+A reformulation union (:func:`repro.reformulation.reformulate`) runs
+**factorised** (:func:`plan_factorised`) — each source atom is the
+union of its own reformulation, read by a :class:`UnionScan` or probed
+by a :class:`UnionProbe`, and the atoms join once — on the interpreted
+route always, and on SQL whenever the product of its atoms' alternative
+counts exceeds its atom count. A flat union (:mod:`repro.engine.mqo`)
+runs its distinct disjuncts one by one — on a SQL-capable backend one
+prepared statement each — and decodes the merged answer images once.
 
 The engine/layout/batch-size/workers matrix that used to be selectable
 here (hash, merge and partitioned joins, row-list batches, the

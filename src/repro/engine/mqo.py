@@ -2,18 +2,16 @@
 
 Reformulation turns one query into a union of conjunctive queries whose
 bodies overlap heavily (Section 4.2: every rule rewrites one atom and
-keeps the rest). A deferred reformulation union on the interpreted
-route runs factorised (:func:`~repro.engine.planner.plan_factorised`)
-and shares that work by construction. Every other union is *flat*: its
-distinct disjuncts run one by one, and this module owns that route.
+keeps the rest). A deferred reformulation union runs factorised
+(:func:`~repro.engine.planner.plan_factorised`) and shares that work by
+construction: on the interpreted route always, on a SQL-capable backend
+unless the product of its atoms' alternative counts is at most its
+atom count (:func:`~repro.engine.planner.factorised_route`). Every
+other union is *flat*: its distinct disjuncts run one by one, and this
+module owns that route.
 
-- On a SQL-capable backend each distinct disjunct runs its own prepared
-  statement (:func:`plan_union_pushdown`). Before the first run, every
-  join-order prefix that two distinct disjuncts share
-  (:func:`plan_batch`) is probed once with ``SELECT EXISTS``, and every
-  branch over a prefix that probes empty is skipped outright. The route
-  is cached in the store's prepared-plan cache and flushed on mutation,
-  like every other prepared plan.
+- On a SQL-capable backend each distinct disjunct runs its own cached
+  prepared statement (:func:`plan_union_pushdown`).
 - Elsewhere (a backend without SQL, ``pushdown=False``, a shape one
   statement cannot express) a disjunct runs its cached
   :func:`~repro.engine.planner.plan_query` tree.
@@ -26,6 +24,10 @@ Three consumers sit on top: ``evaluate_union`` in
 never decoded — what ``ReformulationAwareStatistics`` gathers its
 counts with), and :func:`run_query_batch` (independent queries, the
 server's batch hook).
+
+:func:`plan_batch` fingerprints the join-order prefixes that distinct
+queries share. No route calls it; it stays public for planning-cost
+measurements.
 """
 
 from __future__ import annotations
@@ -34,12 +36,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.engine.operators import UnionScan
 from repro.engine.planner import (
-    _PLAN_CACHE_LIMIT,
     _estimator,
     _images_from_root,
-    _plan_cache_entry,
     _run_query,
     decode_images,
     factorised_images,
@@ -61,17 +60,6 @@ __all__ = [
     "plan_union_pushdown",
     "run_query_batch",
 ]
-
-#: Cache token for a union's route (keyed by the raw disjunct tuple, so
-#: repeated evaluations of the same union — a served or re-run query —
-#: skip deduplication, compilation and probing).
-_UNION_ROUTE = "mqo-union-route"
-
-#: Sentinel marking a union branch whose shared prefix was probed
-#: empty at route-build time: the branch provably has no answers on
-#: this store version and its statement is never executed.
-_EMPTY_BRANCH = object()
-
 
 # ----------------------------------------------------------------------
 # Shared join-order prefixes
@@ -130,9 +118,7 @@ def plan_batch(
     (exactly what :func:`plan_query` and
     :func:`~repro.engine.planner.plan_pushdown` join in), and every
     prefix of that order is fingerprinted. Each query then names its
-    longest prefix another distinct query shares; those prefixes are
-    what :func:`plan_union_pushdown` probes. Uncached: the route that
-    calls it is.
+    longest prefix another distinct query shares. Uncached.
     """
     distinct = _dedupe(queries)
     estimator = _estimator(store, None)
@@ -168,97 +154,24 @@ def plan_batch(
 
 
 # ----------------------------------------------------------------------
-# The union route: per-branch statements behind empty-prefix probes
+# The flat route: one statement or interpreted plan per distinct disjunct
 # ----------------------------------------------------------------------
-
-
-def _empty_node_keys(batch: PrefixFingerprints, store: TripleStore) -> frozenset:
-    """Keys of shared prefixes that have no matches right now.
-
-    Each shared prefix runs once as a ``SELECT EXISTS`` probe, shortest
-    first. The probe ignores the rule-4 residue filter, so it checks a
-    *superset* of the filtered prefix: ``EXISTS`` false is therefore a
-    sound proof that every branch over the prefix is empty. A prefix
-    extending a shorter one already found empty inherits emptiness
-    without a probe.
-    """
-    empty: set = set()
-    for prefix in batch.shared:
-        if any(key in empty for key in prefix.shorter):
-            empty.add(prefix.key)
-            continue
-        variables = {v for atom in prefix.atoms for v in atom.variables()}
-        if not variables:
-            continue
-        probe = ConjunctiveQuery(
-            (min(variables, key=lambda v: v.name),),
-            prefix.atoms,
-            name="mqo-probe",
-            non_literal=prefix.non_literal,
-        )
-        compiled = plan_pushdown(probe, store)
-        if compiled is None:
-            continue
-        if compiled.sql is None:
-            empty.add(prefix.key)
-            continue
-        rows = store.backend.execute_sql_plan(
-            f"SELECT EXISTS ({compiled.sql})", compiled.params
-        )
-        if not next(iter(rows))[0]:
-            empty.add(prefix.key)
-    return frozenset(empty)
 
 
 def plan_union_pushdown(
     disjuncts: Sequence[ConjunctiveQuery], store: TripleStore
 ) -> tuple[tuple[ConjunctiveQuery, ...], tuple]:
-    """The route a union takes on ``store``: ``(distinct, branches)``.
+    """The flat route of a union on ``store``: ``(distinct, branches)``.
 
     ``distinct`` are the deduplicated disjuncts and ``branches`` aligns
-    with them: a disjunct's compiled statement
-    (:func:`~repro.engine.planner.plan_pushdown`), ``None`` when it
-    runs its interpreted plan (a backend without SQL, a shape one
-    statement cannot express), or :data:`_EMPTY_BRANCH` when one of its
-    shared prefixes probed empty (:func:`_empty_node_keys`) and the
-    branch is skipped outright. Cached in the prepared-plan cache under
-    the raw disjunct tuple — re-evaluating the same union is a single
-    dictionary hit, counted as an ``engine.plan_cache`` hit — and
-    flushed on store mutation with every other prepared plan.
+    with them: each disjunct's own compiled statement
+    (:func:`~repro.engine.planner.plan_pushdown`, cached per store
+    version in the prepared-plan cache), or ``None`` when it runs its
+    interpreted plan (a backend without SQL, a shape one statement
+    cannot express).
     """
-    plans = _plan_cache_entry(store)["plans"]
-    key = (tuple(disjuncts), _UNION_ROUTE)
-    route = plans.get(key)
-    if route is not None:
-        if metrics.enabled:
-            metrics.inc("mqo.route.hit")
-            metrics.inc("engine.plan_cache.hit")
-        return route
-    if metrics.enabled:
-        metrics.inc("mqo.route.miss")
-        metrics.inc("engine.plan_cache.miss")
     distinct = _dedupe(disjuncts)
-    branches = [plan_pushdown(d, store) for d in distinct]
-    if getattr(store.backend, "supports_sql_plans", False):
-        batch = plan_batch(distinct, store)
-        empty = _empty_node_keys(batch, store)
-        if empty:
-            dead = {
-                query
-                for query, keys in zip(batch.queries, batch.keys)
-                if any(key in empty for key in keys)
-            }
-            if metrics.enabled:
-                metrics.inc("mqo.route.pruned_empty", len(dead))
-            branches = [
-                _EMPTY_BRANCH if disjunct in dead else branch
-                for branch, disjunct in zip(branches, distinct)
-            ]
-    route = (distinct, tuple(branches))
-    if len(plans) >= _PLAN_CACHE_LIMIT:
-        plans.clear()
-    plans[key] = route
-    return route
+    return distinct, tuple(plan_pushdown(query, store) for query in distinct)
 
 
 # ----------------------------------------------------------------------
@@ -273,18 +186,17 @@ def evaluate_union_shared(
 ) -> set[tuple[Term, ...]]:
     """All answers of a union (its disjuncts, or the union itself).
 
-    A deferred reformulation union on the interpreted route (a backend
-    without SQL, or ``pushdown=False``) runs factorised: its source
-    query's atoms, each a union of its own reformulation, joined once
+    A deferred reformulation union on its factorised route
+    (:func:`~repro.engine.planner.factorised_route`) joins its source
+    query's atoms, each a union of its own reformulation, once
     (:func:`~repro.engine.planner.plan_factorised`) — the flat
     disjuncts are never built. Otherwise, on a SQL-capable backend each
     distinct disjunct runs its own prepared statement
-    (:func:`plan_union_pushdown`), and every branch over a shared
-    prefix that probed empty is skipped. Disjuncts no statement can
-    express — and every disjunct of a flat union on the interpreted
-    route — run their cached interpreted plans. Every route merges
-    encoded answer images across the *whole* union and decodes each
-    distinct answer exactly once.
+    (:func:`plan_union_pushdown`). Disjuncts no statement can express —
+    and every disjunct of a flat union on the interpreted route — run
+    their cached interpreted plans. Every route merges encoded answer
+    images across the *whole* union and decodes each distinct answer
+    exactly once.
     """
     if factorised_route(disjuncts, store, pushdown):
         with tracing.span(
@@ -317,15 +229,12 @@ def _branch_images(
 
     ``branches`` aligns with ``distinct`` (see
     :func:`plan_union_pushdown`): a compiled statement runs in the
-    backend, an empty-prefix branch is skipped, and the rest (``None``)
-    run their cached interpreted plans.
+    backend, and the rest (``None``) run their cached interpreted plans.
     """
     images: set[tuple] = set()
-    executed = pruned = interpreted = 0
+    executed = interpreted = 0
     for branch, disjunct in zip(branches, distinct):
-        if branch is _EMPTY_BRANCH:
-            pruned += 1
-        elif branch is not None:
+        if branch is not None:
             images |= branch.images(store)
             executed += 1
         else:
@@ -334,8 +243,6 @@ def _branch_images(
     if metrics.enabled:
         if executed:
             metrics.inc("mqo.route.per_branch")
-        if pruned:
-            metrics.inc("mqo.route.branch_pruned", pruned)
         if interpreted:
             metrics.inc("mqo.route.shared")
     return images
@@ -348,26 +255,15 @@ def count_union(
 
     The statistics collector's kernel (Section 4.3 needs
     ``|Reformulate(v, S)|``, never the answers): images stay dictionary
-    codes and nothing is decoded. A union of one-atom queries — what
-    reformulating a one-atom query yields — has no join to plan and is
-    counted as the distinct rows of one :class:`UnionScan`, on every
-    backend (a deferred union of one atom from its memoised
-    alternatives). Any other union takes the routes of
-    :func:`evaluate_union_shared` up to the decode.
+    codes and nothing is decoded. The union takes the routes of
+    :func:`evaluate_union_shared` up to the decode — a reformulated
+    one-atom query with several alternatives is one
+    :class:`~repro.engine.operators.UnionScan` on every backend.
     """
-    if isinstance(union, UnionQuery) and (
-        factorised_route(union, store)
-        or (union.source is not None and len(union.source.atoms) == 1)
-    ):
+    if factorised_route(union, store):
         return len(factorised_images(union, store))
     disjuncts = union.disjuncts if isinstance(union, UnionQuery) else union
-    distinct = _dedupe(disjuncts)
-    if not distinct:
-        return 0
-    if all(len(query.atoms) == 1 for query in distinct):
-        columns = tuple(f"h{index}" for index in range(len(distinct[0].head)))
-        return len(UnionScan(store, columns, distinct).distinct())
-    distinct, branches = plan_union_pushdown(distinct, store)
+    distinct, branches = plan_union_pushdown(disjuncts, store)
     return len(_branch_images(distinct, branches, store))
 
 
@@ -432,8 +328,4 @@ def describe_union_sharing(
     if not getattr(store.backend, "supports_sql_plans", False):
         return line + ", one interpreted plan each"
     statements = sum(getattr(branch, "sql", None) is not None for branch in branches)
-    pruned = sum(branch is _EMPTY_BRANCH for branch in branches)
-    line += f"; pushdown union: {statements} branch statements"
-    if pruned:
-        line += f", {pruned} branches pruned empty"
-    return line
+    return line + f"; pushdown union: {statements} branch statements"

@@ -14,9 +14,10 @@ Two entry families compile into the *same* physical operator algebra
   :class:`~repro.query.algebra.Plan` against materialized view extents,
   with hash joins that reuse the extents' cached join tails.
 
-A reformulation union on the interpreted route compiles through
-:func:`plan_factorised` into the same left-deep shape, one union of
-one-atom queries per source atom (:class:`UnionScan`, :class:`UnionProbe`).
+A reformulation union compiles through :func:`plan_factorised` into
+the same left-deep shape, one union of one-atom queries per source atom
+(:class:`UnionScan`, :class:`UnionProbe`) — on the interpreted route
+always, on SQL unless :func:`factorised_route` keeps it flat.
 
 There is one plan shape (:func:`_join_tree`): a step that shares a
 variable with the rows bound so far probes the store's pattern indexes
@@ -48,6 +49,7 @@ down. Execution is columnar on both families; see
 from __future__ import annotations
 
 import logging
+import math
 import time
 from itertools import repeat
 from typing import Collection, Iterable, Mapping, Sequence
@@ -284,13 +286,28 @@ def _join_tree(
 
 
 def factorised_route(union, store: TripleStore, pushdown: bool = True) -> bool:
-    """Whether ``union`` runs factorised on ``store``: it carries its
-    source query (a deferred :func:`~repro.reformulation.reformulate`
-    union) and the route is interpreted — a backend without SQL, or
-    ``pushdown=False``. The SQL route keeps the flat per-branch form."""
-    return getattr(union, "source", None) is not None and not (
-        pushdown and getattr(store.backend, "supports_sql_plans", False)
+    """Whether ``union`` runs factorised on ``store``.
+
+    Only a deferred :func:`~repro.reformulation.reformulate` union (one
+    carrying its source query) can. On the interpreted route — a backend
+    without SQL, or ``pushdown=False`` — it always does. On the SQL
+    route it does when the product of its atoms' alternative counts
+    exceeds the number of atoms: the factorised tree reads at least one
+    index bucket per atom through Python, while the flat form sends one
+    statement per disjunct, so a union with no more disjuncts than
+    atoms stays flat.
+    """
+    source = getattr(union, "source", None)
+    if source is None:
+        return False
+    if not (pushdown and getattr(store.backend, "supports_sql_plans", False)):
+        return True
+    from repro.reformulation.reformulate import factorise
+
+    alternatives = math.prod(
+        len(part.alternatives) for part in factorise(source, union.schema)
     )
+    return alternatives > len(source.atoms)
 
 
 def plan_factorised(union, store: TripleStore) -> Operator:

@@ -365,16 +365,17 @@ def _factorised_report(union, store) -> AnalyzeReport:
 def analyze_union(disjuncts, store) -> AnalyzeReport:
     """EXPLAIN ANALYZE a union (its disjuncts, or the union itself).
 
-    A deferred reformulation union on the interpreted route runs its
-    factorised tree instrumented: one ``UnionScan`` / ``UnionProbe`` line
-    per source atom with its rows, batches and time. A flat union runs
-    one fresh instrumented :func:`~repro.engine.planner.plan_query` tree
-    per distinct disjunct, its images merged union-wide and decoded
-    once. On a SQL-capable backend the union's real route — its
+    A deferred reformulation union on its factorised route
+    (:func:`~repro.engine.planner.factorised_route`, any backend) runs
+    its factorised tree instrumented: one ``UnionScan`` / ``UnionProbe``
+    line per source atom with its rows, batches and time. A flat union
+    runs one fresh instrumented :func:`~repro.engine.planner.plan_query`
+    tree per distinct disjunct, its images merged union-wide and decoded
+    once. On a SQL-capable backend the flat union's real route — its
     per-branch statements (:func:`repro.engine.mqo.plan_union_pushdown`)
     — executes as well: a ``per-branch statements`` node reports the
-    statements run, the branches pruned as provably empty, their time,
-    and parity against the interpreted answers.
+    statements run, their time, and parity against the interpreted
+    answers.
     """
     if factorised_route(disjuncts, store):
         return _factorised_report(disjuncts, store)
@@ -418,14 +419,14 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
             mqo._branch_images(distinct, branches, store), store
         )
         route_ms = (time.perf_counter() - started) * 1000.0
-        pruned = sum(branch is mqo._EMPTY_BRANCH for branch in branches)
-        compiled = sum(branch is not None for branch in branches)
+        statements = sum(
+            getattr(branch, "sql", None) is not None for branch in branches
+        )
         header.children.append(
             PlanNode(
                 "per-branch statements",
                 {
-                    "statements": compiled - pruned,
-                    "pruned": pruned,
+                    "statements": statements,
                     "rows": len(route_answers),
                     "time_ms": round(route_ms, 2),
                     "parity": route_answers == answers,

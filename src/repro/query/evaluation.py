@@ -92,17 +92,18 @@ def evaluate_union(
 
     Reformulation unions overlap heavily — every rule rewrites one atom
     and keeps the rest. The union :func:`repro.reformulation.reformulate`
-    returns therefore runs **factorised** on the interpreted route (a
-    backend without SQL, or ``pushdown=False``): each atom of its source
-    query is the union of that atom's own reformulation, and the atoms
-    join once — the disjuncts are never built. Any other union runs its
-    distinct disjuncts one by one (:mod:`repro.engine.mqo`): on a
-    SQL-capable backend each as its own pushed-down statement, with
-    branches over a shared join-order prefix that one ``SELECT EXISTS``
-    probe finds empty skipped, elsewhere each through its cached
-    interpreted plan. Every route deduplicates encoded answer images
-    across the whole union and decodes each distinct answer exactly
-    once.
+    returns therefore runs **factorised**: each atom of its source query
+    is the union of that atom's own reformulation, and the atoms join
+    once — the disjuncts are never built. It does so always on the
+    interpreted route (a backend without SQL, or ``pushdown=False``),
+    and on a SQL-capable backend when the product of its atoms'
+    alternative counts exceeds its atom count
+    (:func:`repro.engine.planner.factorised_route`). Any other union
+    runs its distinct disjuncts one by one (:mod:`repro.engine.mqo`): on
+    a SQL-capable backend each as its own pushed-down statement,
+    elsewhere each through its cached interpreted plan. Every route
+    deduplicates encoded answer images across the whole union and
+    decodes each distinct answer exactly once.
 
     ``shared=False`` evaluates every disjunct independently through
     :func:`evaluate` and merges decoded answers (the reference the

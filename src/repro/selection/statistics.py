@@ -85,7 +85,8 @@ class ReformulationAwareStatistics:
     :class:`~repro.selection.recommender.ViewSelector` over the same
     store and schema starts warm, until the store mutates or the schema
     grows. A miss costs one :func:`~repro.engine.count_union`: index
-    buckets folded into sets of codes, no plan, no decoded answer.
+    buckets folded into sets of codes (on SQLite, one statement for a
+    pattern with a single alternative), no decoded answer.
     """
 
     def __init__(self, store: TripleStore, schema: RDFSchema) -> None:

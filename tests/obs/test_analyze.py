@@ -9,10 +9,11 @@ predictions (``est_rows``) sit next to actuals on join steps.
 
 import pytest
 
-from repro.engine import SQL_PUSHDOWN, run_query
+from repro.engine import FACTORISED, SQL_PUSHDOWN, run_query
 from repro.obs.analyze import analyze_query, analyze_union
 from repro.query.evaluation import evaluate, evaluate_union
 from repro.query.parser import parse_query
+from repro.reformulation import reformulate
 
 
 @pytest.fixture
@@ -160,16 +161,16 @@ def test_analyze_union_runs_each_distinct_disjunct_once(backend, stores):
 
 
 def test_analyze_union_runs_the_per_branch_statements(sqlite_museum):
-    """On SQLite the route a union really takes runs next to the
-    instrumented plans: every distinct disjunct is a statement run or a
-    branch pruned empty, and the statements' answers equal the plans'."""
+    """On SQLite the route a flat union really takes runs next to the
+    instrumented plans: every distinct disjunct is one statement, and
+    the statements' answers equal the plans'."""
     located = "t(X, isLocatedIn, Y), t(Y, isParentOf, Z)"
     disjuncts = (
         _chain(),
         _chain_typed(),
         _chain(),
-        # The museum's located-in targets are nobody's parent: the shared
-        # prefix probes empty and both branches are pruned.
+        # The museum's located-in targets are nobody's parent: these two
+        # branches share an empty prefix, and still run.
         parse_query(f"q1(X, A) :- {located}, t(Z, hasPainted, A)"),
         parse_query(f"q2(X, Z) :- {located}, t(Z, rdf:type, painter)"),
     )
@@ -182,14 +183,31 @@ def test_analyze_union_runs_the_per_branch_statements(sqlite_museum):
         if child.label == "per-branch statements"
     ]
     stats = node.annotations
-    assert stats["pruned"] == 2
-    assert stats["statements"] + stats["pruned"] == report.tree.annotations[
-        "distinct"
-    ] == 4
+    assert "pruned" not in stats
+    assert stats["statements"] == report.tree.annotations["distinct"] == 4
     assert stats["parity"] is True
     assert stats["rows"] == report.answer_count
     assert stats["time_ms"] >= 0
-    assert "per-branch statements [statements=2 pruned=2" in report.text()
+    assert "per-branch statements [statements=4 rows=" in report.text()
+
+
+def test_analyze_union_reports_the_sqlite_route_taken(
+    sqlite_museum, museum_schema, q_painters, q_pictures
+):
+    """A reformulation whose atoms' alternatives multiply past its atom
+    count is analyzed factorised on SQLite, as it runs; one that stays
+    flat gets the per-branch node."""
+    large = reformulate(q_pictures, museum_schema)
+    report = analyze_union(large, sqlite_museum)
+    assert report.route == FACTORISED
+    assert report.answers == evaluate_union(large, sqlite_museum)
+    assert report.tree.annotations["atoms"] == 2
+    assert "route=factorised" in report.text()
+    small = reformulate(q_painters, museum_schema)
+    report = analyze_union(small, sqlite_museum)
+    assert report.route == "per-branch-statements"
+    assert report.answers == evaluate_union(small, sqlite_museum)
+    assert "per-branch statements [statements=1 rows=" in report.text()
 
 
 def _assert_unprobed(op):

@@ -5,7 +5,9 @@ never builds the flat union: each atom of ``q`` is reformulated alone
 and the per-atom unions are joined once. On random stores × schemas ×
 queries it must answer exactly what the flat union answers disjunct by
 disjunct (``shared=False``) and what ``q`` answers on the saturated
-store (Theorem 4.2, by the unindexed :func:`evaluate_nested_loop`).
+store (Theorem 4.2, by the unindexed :func:`evaluate_nested_loop`) —
+and so must the default route, which on SQLite is factorised or flat
+by the union's shape.
 
 The queries go beyond :mod:`tests.property.strategies`' on purpose:
 variables in property and class positions shared across atoms,
@@ -117,6 +119,9 @@ def _routes_agree(query, store, schema):
     assert factorised == evaluate_union(
         reformulate(query, schema), store, pushdown=False, shared=False
     )
+    # The default route: on SQLite factorised or flat by the union's
+    # shape, so generated queries reach both sides of the rule.
+    assert evaluate_union(union, store) == factorised
     assert count_union(union, store) == len(factorised)
 
 

@@ -5,10 +5,11 @@ fully independent evaluation returns, on every configuration the route
 can take: random unions of random conjunctive queries (overlapping,
 isomorphic-but-renamed, and unrelated disjuncts alike), both storage
 backends, pushdown on and off, and stores mutated between evaluations
-(the union-level prepared-plan cache must invalidate). The reference
+(the cached per-disjunct statements must invalidate). The reference
 is the naive oracle, disjunct by disjunct. The shared join-order
-prefixes must be each query's longest one, and on SQLite their
-empty-prefix probes must be sound: a pruned branch has no answers.
+prefixes must be each query's longest one, and on SQLite every
+distinct disjunct is one statement, one provably empty branch or one
+interpreted plan.
 """
 
 from collections import Counter
@@ -22,7 +23,6 @@ from repro.engine import (
     run_query,
     run_query_batch,
 )
-from repro.engine.mqo import _EMPTY_BRANCH
 from repro.query.containment import canonical_form
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
@@ -146,13 +146,13 @@ def _mutate(data, store):
         store.add(triple)
 
 
-def _assert_probes_sound(disjuncts, store):
-    """Every branch pruned at route-build time is empty, and every
-    distinct disjunct is exactly one of: a statement run, a branch
-    known empty (probed, or an absent constant), an interpreted plan."""
+def _assert_one_route_per_branch(disjuncts, store):
+    """Every branch that compiled to no statement (a constant the
+    dictionary lacks) is empty, and every distinct disjunct is exactly
+    one of: a statement run, a branch known empty, an interpreted plan."""
     distinct, branches = plan_union_pushdown(disjuncts, store)
     for disjunct, branch in zip(distinct, branches):
-        if branch is _EMPTY_BRANCH or getattr(branch, "sql", "") is None:
+        if getattr(branch, "sql", "") is None:
             assert evaluate_nested_loop(disjunct, store) == set()
     statements = []
     execute = store.backend.execute_sql_plan
@@ -166,18 +166,15 @@ def _assert_probes_sound(disjuncts, store):
         assert evaluate_union(disjuncts, store) == _reference(disjuncts, store)
     finally:
         del store.backend.execute_sql_plan
-    pruned = sum(
-        branch is _EMPTY_BRANCH or getattr(branch, "sql", "") is None
-        for branch in branches
-    )
+    empty = sum(getattr(branch, "sql", "") is None for branch in branches)
     interpreted = sum(branch is None for branch in branches)
-    assert len(statements) + pruned + interpreted == len(distinct)
+    assert len(statements) + empty + interpreted == len(distinct)
 
 
 def _with_sibling(disjuncts):
     """The union plus the first disjunct's body under another head of
     the same arity: the two share every join-order prefix, so every
-    union has a shared prefix to probe."""
+    union has a shared prefix."""
     first = disjuncts[0]
     head = first.head[::-1]
     if head == first.head and len(head) == 1:
@@ -224,12 +221,12 @@ def test_each_query_names_its_longest_shared_prefix(data):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_empty_prefix_probes_are_sound(data):
+def test_flat_route_runs_one_statement_per_branch(data):
     store = data.draw(stores(backend="sqlite"), label="store")
     disjuncts = _with_sibling(data.draw(restricted_unions(), label="union"))
     try:
-        _assert_probes_sound(disjuncts, store)
+        _assert_one_route_per_branch(disjuncts, store)
         _mutate(data, store)
-        _assert_probes_sound(disjuncts, store)
+        _assert_one_route_per_branch(disjuncts, store)
     finally:
         store.backend.close()

@@ -3,7 +3,8 @@
 ``ReformulationAwareStatistics.atom_count`` counts a reformulated
 one-atom union without answering it (``repro.engine.count_union``: the
 distinct rows of one union scan, index buckets folded into sets of
-codes, nothing decoded). On random stores (literal objects included) × random
+codes, nothing decoded — or, on SQLite, one statement when the pattern
+has a single alternative). On random stores (literal objects included) × random
 RDF Schemas (sub-class and sub-property chains, domains *and* ranges so
 the rule-4 ``non_literal`` restriction bites, classes and properties the
 data never mentions) × all eight constant patterns, on both backends,

@@ -1,35 +1,40 @@
 """Unit tests for flat unions and query batches (repro.engine.mqo).
 
 Covers join-order prefix fingerprinting (isomorphic prefixes unify,
-distinct ones never collide) and which shared prefixes are probed,
-union and batch parity with independent evaluation, the per-branch
-union route on SQL backends (provably-empty branches, empty-prefix
-pruning and its probe count, the traffic a union sends to SQLite), and
-the union-level prepared-plan cache lifecycle — identity, plan-cache
-accounting and mutation invalidation mirroring the single-query
-pushdown cache tests.
+distinct ones never collide) and which prefixes are shared, union and
+batch parity with independent evaluation, the per-branch union route on
+SQL backends (provably-empty branches, per-disjunct statement caching,
+mutation invalidation), and which route a reformulation union takes on
+SQLite — factorised, or one statement per distinct disjunct — with the
+traffic each sends.
 """
+
+import math
+from collections import Counter
 
 import pytest
 
-from repro.datagen import BartonConfig, generate_barton
 from repro.engine import (
     count_union,
     describe_union_sharing,
     evaluate_union_shared,
     plan_batch,
+    plan_pushdown,
     plan_union_pushdown,
     run_query,
     run_query_batch,
 )
 from repro.engine.mqo import decode_images
+from repro.engine.planner import factorised_route
+from repro.obs import metrics
 from repro.query.containment import canonical_form
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 from repro.query.parser import parse_query
 from repro.rdf.triples import Triple
 from repro.reformulation import reformulate
-from repro.workload import QueryShape, SatisfiableWorkloadGenerator, WorkloadSpec
+from repro.reformulation.reformulate import factorise
+from repro.workload import SatisfiableWorkloadGenerator
 
 from tests.conftest import ex
 
@@ -120,7 +125,7 @@ class TestFingerprints:
 
 class TestSharedPrefixes:
     """Each query names its longest join-order prefix that another
-    distinct query shares — the prefixes the SQL union route probes."""
+    distinct query shares."""
 
     def test_a_scan_two_queries_share_is_shared(self, museum_store):
         body = (Atom(X, ex("isParentOf"), Y),)
@@ -223,7 +228,7 @@ class TestSharedExecution:
 
 class TestUnionPushdown:
     """The per-branch route: one prepared statement per distinct
-    disjunct, cached per store version."""
+    disjunct, each cached per store version as the disjunct's own."""
 
     def test_memory_backend_has_no_union_pushdown(self, museum_store):
         distinct, branches = plan_union_pushdown(
@@ -232,19 +237,23 @@ class TestUnionPushdown:
         assert distinct == (_chain(), _chain_typed())
         assert branches == (None, None)
 
-    def test_union_plan_is_cached(self, sqlite_museum):
+    def test_branch_statements_are_cached(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
-        first = plan_union_pushdown(disjuncts, sqlite_museum)
-        _, branches = first
-        assert all(branch.sql is not None for branch in branches)
-        assert plan_union_pushdown(disjuncts, sqlite_museum) is first
+        _, first = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert all(branch.sql is not None for branch in first)
+        _, second = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert all(a is b for a, b in zip(first, second))
+        assert all(
+            branch is plan_pushdown(query, sqlite_museum)
+            for branch, query in zip(first, disjuncts)
+        )
 
     def test_mutation_invalidates_union_plans(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
-        first = plan_union_pushdown(disjuncts, sqlite_museum)
+        _, first = plan_union_pushdown(disjuncts, sqlite_museum)
         sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
-        second = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert second is not first
+        _, second = plan_union_pushdown(disjuncts, sqlite_museum)
+        assert not any(a is b for a, b in zip(first, second))
         assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
             disjuncts, sqlite_museum
         )
@@ -283,145 +292,28 @@ class TestUnionPushdown:
         )
         assert evaluate_union([bad], sqlite_museum) == set()
 
-    def test_second_evaluation_is_one_plan_cache_hit(self, sqlite_museum):
-        """The route lives in the prepared-plan cache, and its lookup is
-        counted as one: the same union evaluated again adds exactly one
-        ``engine.plan_cache.hit`` and no miss."""
-        from repro.obs import metrics
-
-        disjuncts = (_chain(), _chain_typed())
+    def test_second_evaluation_hits_each_branch_statement(self, sqlite_museum):
+        """The statements live in the prepared-plan cache: the same
+        union evaluated again adds one ``engine.plan_cache.hit`` per
+        distinct disjunct and no miss."""
+        disjuncts = (_chain(), _chain_typed(), _chain())
         evaluate_union(disjuncts, sqlite_museum)
-        _, counters = metrics.collect(evaluate_union, disjuncts, sqlite_museum)
-        counters = counters["counters"]
-        assert counters.get("engine.plan_cache.hit") == 1
-        assert counters.get("mqo.route.hit") == 1
+        _, dump = metrics.collect(evaluate_union, disjuncts, sqlite_museum)
+        counters = dump["counters"]
+        assert counters.get("engine.plan_cache.hit") == 2
         assert "engine.plan_cache.miss" not in counters
+        assert counters.get("mqo.route.per_branch") == 1
 
-
-@pytest.fixture(scope="module")
-def barton_star_unions():
-    """``(plain store, unions)``: the star queries of the ad-hoc
-    benchmark's pool on its catalog at smoke scale, reformulated, that
-    have 2 to 200 disjuncts — most of them 93–186 disjuncts sharing a
-    wide prefix beside a ``t(X, rdf:type, C)`` atom. Which queries the
-    pool holds varies with hash randomization; that shape was among them
-    under every hash seed tried (0–39)."""
-    plain, schema = generate_barton(
-        BartonConfig(num_triples=12_000, num_entities=2_000, seed=3)
-    )
-    spec = WorkloadSpec(6, 4, QueryShape.STAR, "low", constant_probability=0.0)
-    unions = [
-        reformulate(query, schema)
-        for query in SatisfiableWorkloadGenerator(plain, seed=0).generate(spec)
-    ]
-    return plain, [u for u in unions if 1 < len(u.disjuncts) <= 200]
-
-
-class TestUnionTraffic:
-    """What a union sends to SQLite: one ``SELECT DISTINCT`` per branch
-    (``SELECT 1 … LIMIT 1`` for a boolean head) and ``SELECT EXISTS``
-    prefix probes — never a ``WITH`` statement or arms joined by
-    ``UNION``."""
-
-    def test_star_unions_run_only_single_statements(
-        self, barton_star_unions, monkeypatch
-    ):
-        plain, unions = barton_star_unions
-        assert unions
-        store = plain.copy(backend="sqlite")
-        statements = []
-        execute = store.backend.execute_sql_plan
-
-        def spy(sql, params=()):
-            statements.append(sql)
-            return execute(sql, params)
-
-        try:
-            monkeypatch.setattr(store.backend, "execute_sql_plan", spy)
-            for union in unions:
-                del statements[:]
-                answers = evaluate_union(union, store)
-                for sql in statements:
-                    assert not sql.startswith("WITH"), sql
-                    assert "UNION" not in sql, sql
-                    assert sql.startswith(
-                        ("SELECT DISTINCT ", "SELECT EXISTS (")
-                    ) or (
-                        sql.startswith("SELECT 1\n") and sql.endswith("LIMIT 1")
-                    ), sql
-                assert statements
-                assert answers == evaluate_union(union, store, pushdown=False)
-                assert answers == evaluate_union(union, store, shared=False)
-        finally:
-            store.backend.close()
-
-
-_LOCATED_PARENT = "t(X, isLocatedIn, Y), t(Y, isParentOf, Z)"
-
-
-def _empty_prefix_union():
-    """Two queries sharing a 2-atom prefix with no matches: the
-    museum's located-in targets (moma, vienna) are nobody's parent, yet
-    both predicates are individually present — only the
-    ``SELECT EXISTS`` probe finds the prefix empty."""
-    return (
-        parse_query(f"q1(X, A) :- {_LOCATED_PARENT}, t(Z, hasPainted, A)"),
-        parse_query(f"q2(X, Z) :- {_LOCATED_PARENT}, t(Z, rdf:type, painter)"),
-    )
-
-
-class TestEmptyPrefixPruning:
-    """Branches over a probed-empty shared prefix are skipped outright."""
-
-    def test_empty_shared_prefix_prunes_every_consumer(self, sqlite_museum):
-        from repro.engine.mqo import _EMPTY_BRANCH
-
-        disjuncts = _empty_prefix_union()
-        batch = plan_batch(disjuncts, sqlite_museum)
-        assert batch.shared, "the 2-atom prefix must be shared"
-        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert all(branch is _EMPTY_BRANCH for branch in branches)
-        assert evaluate_union(disjuncts, sqlite_museum) == set()
-        assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
-            disjuncts, sqlite_museum
-        )
-
-    def test_nonempty_prefixes_are_never_pruned(self, sqlite_museum):
-        from repro.engine.mqo import _EMPTY_BRANCH
-
-        disjuncts = (_chain(), _chain_typed())
-        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert all(branch is not _EMPTY_BRANCH for branch in branches)
-
-    def test_pruning_decision_invalidates_on_mutation(self, sqlite_museum):
-        from repro.engine.mqo import _EMPTY_BRANCH
-
-        disjuncts = _empty_prefix_union()
-        assert evaluate_union(disjuncts, sqlite_museum) == set()
-        # Making vienna a parent of a painter fills the probed prefix:
-        # the flushed route must re-probe and execute the branches.
-        sqlite_museum.add(Triple(ex("vienna"), ex("isParentOf"), ex("bruegelJr")))
-        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert all(branch is not _EMPTY_BRANCH for branch in branches)
-        expected = _union_reference(disjuncts, sqlite_museum)
-        assert expected
-        assert evaluate_union(disjuncts, sqlite_museum) == expected
-
-    def test_prefix_over_an_empty_prefix_is_not_probed(
-        self, sqlite_museum, monkeypatch
-    ):
-        """q1 and q2 share a 3-atom prefix that extends the empty 2-atom
-        one q3 shares with them: one probe proves all three empty."""
-        from repro.engine.mqo import _EMPTY_BRANCH
-
+    def test_branches_over_an_empty_prefix_run(self, sqlite_museum, monkeypatch):
+        """The museum's located-in targets (moma, vienna) are nobody's
+        parent, so both branches share an empty 2-atom prefix: each
+        still runs its own statement, and a write that fills the prefix
+        shows in the next answer."""
+        located = "t(X, isLocatedIn, Y), t(Y, isParentOf, Z)"
         disjuncts = (
-            parse_query(f"q1(X, A) :- {_LOCATED_PARENT}, t(Z, hasPainted, A)"),
-            parse_query(f"q2(X) :- {_LOCATED_PARENT}, t(Z, hasPainted, A)"),
-            parse_query(f"q3(X, Z) :- {_LOCATED_PARENT}, t(Z, rdf:type, painter)"),
+            parse_query(f"q1(X, A) :- {located}, t(Z, hasPainted, A)"),
+            parse_query(f"q2(X, Z) :- {located}, t(Z, rdf:type, painter)"),
         )
-        shared = plan_batch(disjuncts, sqlite_museum).shared
-        assert [len(prefix.atoms) for prefix in shared] == [2, 3]
-        assert shared[0].key in shared[1].shorter
         statements = []
         execute = sqlite_museum.backend.execute_sql_plan
 
@@ -430,25 +322,77 @@ class TestEmptyPrefixPruning:
             return execute(sql, params)
 
         monkeypatch.setattr(sqlite_museum.backend, "execute_sql_plan", spy)
-        _, branches = plan_union_pushdown(disjuncts, sqlite_museum)
-        assert all(branch is _EMPTY_BRANCH for branch in branches)
-        assert sum(sql.startswith("SELECT EXISTS") for sql in statements) == 1
+        assert evaluate_union(disjuncts, sqlite_museum) == set()
+        assert len(statements) == 2
+        assert all(sql.startswith("SELECT DISTINCT ") for sql in statements)
+        sqlite_museum.add(Triple(ex("vienna"), ex("isParentOf"), ex("bruegelJr")))
+        expected = _union_reference(disjuncts, sqlite_museum)
+        assert expected
+        assert evaluate_union(disjuncts, sqlite_museum) == expected
 
-    def test_pruned_branches_are_counted(self, sqlite_museum):
-        """Building the route counts the branches it prunes; running it
-        counts them as skipped and runs no branch statement."""
-        from repro.obs import metrics
 
-        disjuncts = _empty_prefix_union()
-        _, dump = metrics.collect(evaluate_union, disjuncts, sqlite_museum)
-        counters = dump["counters"]
-        assert counters.get("mqo.route.pruned_empty") == 2
-        assert counters.get("mqo.route.branch_pruned") == 2
-        assert "mqo.route.per_branch" not in counters
+@pytest.fixture(scope="module")
+def adhoc_smoke_pool():
+    """``(plain store, schema, queries)``: the ad-hoc benchmark's 24
+    queries on its catalog at smoke scale. One-atom scans, stars, chains
+    and selective stars: some reformulate to 1–2 disjuncts, others to
+    hundreds, so both sides of the SQLite route rule are taken."""
+    from benchmarks.e2e.base import POOL_SEED, SCALES, generate_catalog
+    from benchmarks.e2e.wl_adhoc import CLASSES
 
-    def test_describe_reports_pruned_branches(self, sqlite_museum):
-        line = describe_union_sharing(_empty_prefix_union(), sqlite_museum)
-        assert "2 branches pruned empty" in line
+    plain, schema = generate_catalog(SCALES["smoke"])
+    generator = SatisfiableWorkloadGenerator(plain, seed=POOL_SEED)
+    pool = [query for spec in CLASSES.values() for query in generator.generate(spec)]
+    return plain, schema, pool
+
+
+class TestUnionTraffic:
+    """What a reformulation union sends to SQLite. When the product of
+    its atoms' alternative counts exceeds its atom count it runs
+    factorised and sends nothing; otherwise it sends one ``SELECT
+    DISTINCT`` (``SELECT 1 … LIMIT 1`` for a boolean head) per distinct
+    disjunct — never a ``WITH``, a ``UNION`` or a ``SELECT EXISTS``."""
+
+    def test_each_union_takes_its_route(self, adhoc_smoke_pool, monkeypatch):
+        plain, schema, pool = adhoc_smoke_pool
+        store = plain.copy(backend="sqlite")
+        statements = []
+        execute = store.backend.execute_sql_plan
+
+        def spy(sql, params=()):
+            statements.append(sql)
+            return execute(sql, params)
+
+        routes = Counter()
+        try:
+            monkeypatch.setattr(store.backend, "execute_sql_plan", spy)
+            for query in pool:
+                union = reformulate(query, schema)
+                product = math.prod(
+                    len(part.alternatives) for part in factorise(query, schema)
+                )
+                del statements[:]
+                answers, dump = metrics.collect(evaluate_union, union, store)
+                counters = dump["counters"]
+                if product > len(query.atoms):
+                    routes["factorised"] += 1
+                    assert statements == [], query
+                    assert counters.get("engine.route.factorised") == 1
+                else:
+                    routes["flat"] += 1
+                    assert "engine.route.factorised" not in counters
+                    assert len(statements) == len(set(union.disjuncts)), query
+                    for sql in statements:
+                        assert not sql.startswith("WITH"), sql
+                        assert "UNION" not in sql and "EXISTS" not in sql, sql
+                        assert sql.startswith("SELECT DISTINCT ") or (
+                            sql.startswith("SELECT 1\n") and sql.endswith("LIMIT 1")
+                        ), sql
+                    assert answers == evaluate_union(union, store, shared=False)
+                assert answers == evaluate_union(union, store, pushdown=False)
+            assert routes["factorised"] and routes["flat"], routes
+        finally:
+            store.backend.close()
 
 
 class TestDescribeUnionSharing:
@@ -464,3 +408,73 @@ class TestDescribeUnionSharing:
         )
         assert "pushdown union: 2 branch statements" in line
         assert "CTE" not in line
+
+    def test_sqlite_reports_the_route_taken(
+        self, sqlite_museum, museum_schema, q_painters, q_pictures
+    ):
+        """A reformulation with more alternative combinations than atoms
+        is described factorised on SQLite too; one with no more stays a
+        line of branch statements."""
+        large = describe_union_sharing(
+            reformulate(q_pictures, museum_schema), sqlite_museum
+        )
+        assert large.startswith("factorised: 2 atoms, ")
+        small = describe_union_sharing(
+            reformulate(q_painters, museum_schema), sqlite_museum
+        )
+        assert small == "1 disjuncts (1 distinct); pushdown union: 1 branch statements"
+
+
+class TestRouteRule:
+    """``factorised_route``: the backend, ``pushdown`` and the union's
+    own factorised shape decide, nothing else."""
+
+    @pytest.mark.parametrize(
+        "text, factorised",
+        [
+            # One atom, one alternative: one statement is the union.
+            ("q(X, Y) :- t(X, isParentOf, Y)", False),
+            # One atom, isExposedIn ⊑ isLocatedIn: two alternatives.
+            ("q(X, Y) :- t(X, isLocatedIn, Y)", True),
+            # Two atoms, 1 × 1 alternatives.
+            ("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)", False),
+            # Two atoms, 2 × 1 alternatives: no more than the atoms.
+            ("q(X, Z) :- t(X, isLocatedIn, Y), t(X, isParentOf, Z)", False),
+            # Two atoms, ≥ 4 × 2 alternatives.
+            ("q(X, Y) :- t(X, rdf:type, picture), t(X, isLocatedIn, Y)", True),
+        ],
+    )
+    def test_sqlite_factorises_past_the_atom_count(
+        self, text, factorised, museum_store, sqlite_museum, museum_schema
+    ):
+        query = parse_query(text)
+        union = reformulate(query, museum_schema)
+        product = math.prod(
+            len(part.alternatives) for part in factorise(query, museum_schema)
+        )
+        assert (product > len(query.atoms)) is factorised
+        assert factorised_route(union, sqlite_museum) is factorised
+        # The interpreted route always factorises; a disjunct list never.
+        assert factorised_route(union, sqlite_museum, pushdown=False)
+        assert factorised_route(union, museum_store)
+        assert not factorised_route(union.disjuncts, sqlite_museum, pushdown=False)
+
+    def test_count_union_on_sqlite_follows_the_route(
+        self, sqlite_museum, museum_schema, q_painters, q_pictures, monkeypatch
+    ):
+        """Counting takes the answer's route: a factorised count sends
+        SQLite nothing, a flat one a statement per distinct disjunct."""
+        statements = []
+        execute = sqlite_museum.backend.execute_sql_plan
+
+        def spy(sql, params=()):
+            statements.append(sql)
+            return execute(sql, params)
+
+        monkeypatch.setattr(sqlite_museum.backend, "execute_sql_plan", spy)
+        for query, sent in ((q_pictures, 0), (q_painters, 1)):
+            union = reformulate(query, museum_schema)
+            del statements[:]
+            count = count_union(union, sqlite_museum)
+            assert len(statements) == sent
+            assert count == len(evaluate_union(union, sqlite_museum)) >= 1
