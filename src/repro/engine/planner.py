@@ -244,29 +244,21 @@ def _compile_query(
                 return Empty(tuple(sorted({v.name for v in query.variables()})))
     order = estimator.join_order(query.atoms)
     return _join_tree(
-        store, None, [query.atoms[index] for index in order], query.non_literal
+        store, [query.atoms[index] for index in order], query.non_literal
     )
 
 
 def _join_tree(
-    store: TripleStore,
-    leaf: Operator | None,
-    atoms: Sequence[Atom],
-    non_literal: frozenset[Variable],
+    store: TripleStore, atoms: Sequence[Atom], non_literal: frozenset[Variable]
 ) -> Operator:
-    """Left-deep join of ``atoms``, in the given order, on top of
-    ``leaf`` (or from a scan of the first atom).
+    """Left-deep join of ``atoms``, in the given order, from a scan of
+    the first atom.
 
     The one plan shape: index-nested-loop probes for connected steps,
-    hash joins for Cartesian ones. ``leaf`` is how view maintenance
-    (:mod:`repro.selection.maintenance`) starts a delta rule's tree
-    from a swappable scan.
+    hash joins for Cartesian ones.
     """
-    root = leaf
-    remaining = list(atoms)
-    if root is None:
-        root = IndexScan(store, remaining.pop(0), non_literal)
-    for atom in remaining:
+    root: Operator = IndexScan(store, atoms[0], non_literal)
+    for atom in atoms[1:]:
         connected = any(
             isinstance(term, Variable) and term.name in root.schema
             for term in atom
@@ -332,18 +324,32 @@ def plan_factorised(union, store: TripleStore) -> Operator:
         return cached
     if metrics.enabled:
         metrics.inc("engine.plan_cache.miss")
+    from repro.reformulation.reformulate import factorise
+
     with tracing.span("engine.plan_factorised", query=union.name):
-        root = _factorised_tree(union, store)
+        root = _factorised_tree(factorise(union.source, union.schema), store)
     if len(plans) >= _PLAN_CACHE_LIMIT:
         plans.clear()
     plans[key] = root
     return root
 
 
-def _factorised_tree(union, store: TripleStore) -> Operator:
-    from repro.reformulation.reformulate import factorise
+def _factorised_tree(
+    unions: Sequence, store: TripleStore, leaf: Operator | None = None
+) -> Operator:
+    """Left-deep join of atom unions
+    (:class:`~repro.reformulation.reformulate.AtomUnion`) on top of
+    ``leaf``, or from a scan of the first union.
 
-    unions = factorise(union.source, union.schema)
+    The order is the estimator's greedy one over each union's summed
+    alternative pattern counts, preferring unions connected to the
+    leaf's columns. The first union without a leaf is a
+    :class:`UnionScan`, a connected one a :class:`UnionProbe`, a
+    Cartesian one a hash join over a :class:`UnionScan`. The planner,
+    EXPLAIN ANALYZE and view maintenance
+    (:mod:`repro.selection.maintenance`, whose leaves hold an update's
+    rows) build their trees here.
+    """
     pattern_count = store.stats.pattern_count
     counts = [
         sum(
@@ -353,9 +359,11 @@ def _factorised_tree(union, store: TripleStore) -> Operator:
         for part in unions
     ]
     order = _estimator(store, None).join_order(
-        [part.atom for part in unions], counts=counts
+        [part.atom for part in unions],
+        () if leaf is None else [Variable(name) for name in leaf.schema],
+        counts=counts,
     )
-    root: Operator | None = None
+    root = leaf
     for index in order:
         atom, columns, alternatives = unions[index]
         names = tuple(variable.name for variable in columns)

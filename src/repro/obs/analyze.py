@@ -338,7 +338,9 @@ def analyze_query(query, store, pushdown: bool = True) -> AnalyzeReport:
 def _factorised_report(union, store) -> AnalyzeReport:
     """EXPLAIN ANALYZE of the factorised route: a freshly built tree
     (never the cached one), every union scan and probe timed."""
-    probe = instrument(_factorised_tree(union, store))
+    from repro.reformulation.reformulate import factorise
+
+    probe = instrument(_factorised_tree(factorise(union.source, union.schema), store))
     started = time.perf_counter()
     images = _images_from_root(union.source, probe, store)
     answers = decode_images(images, store)

@@ -244,9 +244,10 @@ class SqliteBackend(StorageBackend):
         """One SQL statement per probe batch instead of one per probe.
 
         Patterns are grouped by their bound-column mask; each group's
-        distinct key tuples become a single ``IN (VALUES ...)`` (or
-        plain ``IN`` for one column) query over the matching index
-        prefix, and the fetched triples are bucketed back per key. The
+        distinct key tuples become a single query over the matching
+        index prefix — ``IN (...)`` for one column, a ``VALUES`` CTE
+        joined to the table for several — and the fetched triples are
+        bucketed back per key. The
         common caller — the batched index-nested-loop join — sends
         same-mask batches, so the statement text is stable and sqlite3's
         statement cache kicks in.
@@ -283,11 +284,18 @@ class SqliteBackend(StorageBackend):
                     )
                     params = [key[0] for key in chunk]
                 else:
+                    # Keys as a CTE joined first: one index SEARCH per
+                    # key. SQLite plans a row-value ``IN (VALUES …)`` of
+                    # two or more keys as a full covering-index scan.
+                    names = [f"k{i}" for i in range(len(columns))]
                     row = "(" + ",".join("?" * len(columns)) + ")"
-                    placeholders = ",".join([row] * len(chunk))
+                    on = " AND ".join(
+                        f"t.{column} = k.{name}" for column, name in zip(columns, names)
+                    )
                     sql = (
-                        f"SELECT s, p, o FROM triples "
-                        f"WHERE ({', '.join(columns)}) IN (VALUES {placeholders})"
+                        f"WITH k({', '.join(names)}) AS "
+                        f"(VALUES {','.join([row] * len(chunk))}) "
+                        f"SELECT t.s, t.p, t.o FROM k CROSS JOIN triples AS t ON {on}"
                     )
                     params = [value for key in chunk for value in key]
                 for triple in execute(sql, params):

@@ -1,14 +1,12 @@
 """Unit tests for incremental view maintenance."""
 
-import sys
-
 import pytest
 
 from repro.query.evaluation import evaluate
 from repro.query.parser import parse_query
 from repro.rdf.entailment import saturate
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import URI
+from repro.rdf.terms import URI, Literal
 from repro.rdf.triples import Triple
 from repro.rdf.vocabulary import RDF_TYPE
 from repro.selection.maintenance import MaterializedViewSet
@@ -214,44 +212,66 @@ class TestNoOpUpdates:
 
 
 class TestLiteralRestriction:
-    def test_restricted_head_variable_rejects_a_literal_row(self, monkeypatch):
-        """A rule-4-shaped disjunct ``v(X) :- t(Y, p, X)`` with
-        ``non_literal={X}`` derives no literal row — neither when the
-        delta rules bind X from the triple nor when the deletion check
-        binds X from the candidate row."""
-        from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
-        from repro.rdf.terms import Literal
+    """``range(p) = C`` gives ``v(X) :- t(X, rdf:type, C)`` the rule-4
+    alternative ``t(R0, p, X)`` with ``non_literal={X}``: a literal
+    object of ``p`` is not typed ``C``."""
 
-        x, y = Variable("X"), Variable("Y")
-        plain = ConjunctiveQuery((x,), (Atom(y, ex("q"), x),), name="v")
-        restricted = ConjunctiveQuery(
-            (x,), (Atom(y, ex("p"), x),), name="v", non_literal=frozenset({x})
-        )
-        # The view set reformulates through this module attribute (the
-        # package re-exports the function under the module's own name).
-        monkeypatch.setattr(
-            sys.modules["repro.reformulation.reformulate"],
-            "reformulate",
-            lambda view, schema: UnionQuery((plain, restricted), name="v"),
-        )
+    @pytest.fixture()
+    def typed(self):
+        from repro.rdf.schema import RDFSchema
+
+        schema = RDFSchema()
+        schema.add_range(ex("p"), ex("C"))
         store = TripleStore()
-        by_q = Triple(ex("a"), ex("q"), Literal("lit"))
-        store.add(by_q)
+        store.add(Triple(ex("b"), ex("p"), ex("c")))
+        store.add(Triple(ex("d"), ex("q"), Literal("lit")))
+        state = initial_state([parse_query("v(X) :- t(X, rdf:type, C)")])
+        (view,) = state.views
+        maintained = MaterializedViewSet(state, store, schema=schema)
+        assert maintained.extent(view.name) == {(ex("c"),)}
+        return maintained, store, view.name
+
+    def test_delta_rules_derive_no_literal_row(self, typed):
+        maintained, store, name = typed
+        # Bound from the triple: the restricted alternative rejects it.
+        assert maintained.insert(Triple(ex("b"), ex("p"), Literal("lit"))) == {name: 0}
+        assert maintained.insert(Triple(ex("b"), ex("p"), ex("e"))) == {name: 1}
+        assert maintained.extent(name) == {(ex("c"),), (ex("e"),)}
+
+    def test_delta_probe_rejects_a_literal_key(self):
+        """The literal reaches the restricted alternative as a join key
+        (``X`` bound by the ``q`` atom) and is rejected there too."""
+        from repro.rdf.schema import RDFSchema
+
+        schema = RDFSchema()
+        schema.add_range(ex("p"), ex("C"))
+        store = TripleStore()
         store.add(Triple(ex("b"), ex("p"), Literal("lit")))
         store.add(Triple(ex("b"), ex("p"), ex("c")))
-        maintained = MaterializedViewSet(
-            initial_state([plain]), store, schema=object()
+        state = initial_state(
+            [parse_query("v(X) :- t(Y, q, X), t(X, rdf:type, C)")]
         )
-        (name,) = (view.name for view in maintained.state.views)
-        assert maintained.extent(name) == {(Literal("lit"),), (ex("c"),)}
-        # The literal row rests on the unrestricted disjunct alone: the
-        # restricted one must not keep it alive.
-        assert maintained.remove(by_q) == {name: 1}
-        assert maintained.extent(name) == {(ex("c"),)}
-        # Nor may the restricted disjunct's own delta rule add one.
-        other = Triple(ex("d"), ex("p"), Literal("other"))
-        assert maintained.insert(other) == {name: 0}
-        assert maintained.insert(by_q) == {name: 1}
+        (view,) = state.views
+        maintained = MaterializedViewSet(state, store, schema=schema)
+        assert maintained.insert(Triple(ex("a"), ex("q"), Literal("lit"))) == {
+            view.name: 0
+        }
+        assert maintained.insert(Triple(ex("a"), ex("q"), ex("c"))) == {view.name: 1}
+        assert maintained.extent(view.name) == {(ex("c"),)}
+
+    def test_recheck_keeps_no_literal_row_alive(self, typed):
+        """The deletion re-check of a literal row fails although a ``p``
+        triple has that literal as its object."""
+        maintained, store, name = typed
+        assert maintained.insert(Triple(ex("b"), ex("p"), Literal("lit"))) == {name: 0}
+        binding, tree = maintained._rederive[name]
+
+        def derives(value) -> bool:
+            root = tree.run([binding.row((value,), store)], len(store))
+            return next(iter(root.column_batches()), None) is not None
+
+        assert derives(ex("c"))
+        assert not derives(Literal("lit"))
 
 
 class TestRederivation:
@@ -277,28 +297,91 @@ class TestRederivation:
         assert maintained.extent(view.name) == {(ex("a"), ex("p1"))}
 
 
+    def test_row_holding_a_constant_the_store_never_saw_is_kept(self):
+        """``domain(p) = Agent`` puts ``(a, Agent)`` in the extent of
+        ``v(X, C) :- t(X, rdf:type, C)`` though no triple mentions
+        ``Agent``; with a second ``p`` triple left, removing one keeps
+        the row — the re-check binds ``C`` to the unseen term itself."""
+        from repro.rdf.schema import RDFSchema
+
+        schema = RDFSchema()
+        schema.add_domain(ex("p"), ex("Agent"))
+        store = TripleStore()
+        store.add(Triple(ex("a"), ex("p"), ex("b")))
+        store.add(Triple(ex("a"), ex("p"), ex("b2")))
+        state = initial_state([parse_query("v(X, C) :- t(X, rdf:type, C)")])
+        (view,) = state.views
+        maintained = MaterializedViewSet(state, store, schema=schema)
+        assert maintained.extent(view.name) == {(ex("a"), ex("Agent"))}
+        removed = Triple(ex("a"), ex("p"), ex("b"))
+        assert maintained.remove(removed) == {view.name: 0}
+        assert maintained.extent(view.name) == {(ex("a"), ex("Agent"))}
+        # Once a triple mentions `Agent`, rows carry its code: the trees
+        # compiled while it was unknown are compiled anew.
+        maintained.insert(removed)
+        assert maintained.insert(Triple(ex("z"), RDF_TYPE, ex("Agent"))) == {view.name: 1}
+        assert maintained.remove(removed) == {view.name: 0}
+        assert maintained.remove(Triple(ex("a"), ex("p"), ex("b2"))) == {view.name: 1}
+        assert maintained.extent(view.name) == {(ex("z"), ex("Agent"))}
+
+
+class TestNoFlatForm:
+    def test_only_one_atom_queries_reach_the_fixpoint(self, monkeypatch):
+        """Construction and updates reformulate atom by atom
+        (``factorise``); the flat union of a view is never built."""
+        import importlib
+
+        from repro.rdf.schema import RDFSchema
+
+        # The package re-exports the function under the module's name.
+        module = importlib.import_module("repro.reformulation.reformulate")
+        reached = []
+        fixpoint = module._fixpoint
+
+        def recording(query, schema):
+            reached.append(len(query.atoms))
+            return fixpoint(query, schema)
+
+        monkeypatch.setattr(module, "_fixpoint", recording)
+        schema = RDFSchema()
+        schema.add_subclass(ex("painting"), ex("work"))
+        schema.add_range(ex("hasPainted"), ex("painting"))
+        schema.add_subproperty(ex("hasSketched"), ex("hasPainted"))
+        store = TripleStore()
+        store.add(Triple(ex("a"), ex("hasPainted"), ex("b")))
+        query = parse_query("v(X, Y) :- t(X, hasPainted, Y), t(Y, rdf:type, work)")
+        state = initial_state([query])
+        (view,) = state.views
+        maintained = MaterializedViewSet(state, store, schema=schema)
+        assert maintained.insert(Triple(ex("c"), ex("hasSketched"), ex("d"))) == {
+            view.name: 1
+        }
+        assert maintained.remove(Triple(ex("a"), ex("hasPainted"), ex("b"))) == {
+            view.name: 1
+        }
+        assert reached and set(reached) == {1}
+
+
 class TestPreparedRules:
     @pytest.fixture()
     def item_view(self, barton_store, barton_schema):
         """A view whose reformulation rewrites the type atom 99 ways and
-        keeps the other two atoms in every disjunct."""
-        from repro.reformulation.reformulate import reformulate
+        leaves the other two atoms one alternative each."""
+        from repro.reformulation.reformulate import factorise
 
         view = parse_query(
             f"v(X, Y) :- t(X, rdf:type, <{BARTON}Item>), t(X, issued, Y), "
             "t(X, volume, Z)",
             namespace=BARTON,
         )
-        disjuncts = reformulate(view, barton_schema).disjuncts
-        assert all(
-            view.atoms[1] in d.atoms and view.atoms[2] in d.atoms for d in disjuncts
-        )
+        unions = factorise(view, barton_schema)
+        assert [len(part.alternatives) for part in unions] == [99, 1, 1]
         store = barton_store.copy()
         maintained = MaterializedViewSet(initial_state([view]), store, barton_schema)
-        return maintained, store, disjuncts
+        return maintained, store
 
     def test_unmentioned_predicate_runs_no_plan(self, item_view):
-        maintained, store, _ = item_view
+        maintained, store = item_view
         triple = Triple(URI(BARTON + "e1"), URI(BARTON + "unheardOf"), URI(BARTON + "e2"))
         for update in (maintained.insert, maintained.remove):
             counters = counters_of(update, triple)
@@ -306,10 +389,11 @@ class TestPreparedRules:
             assert maintain(counters, "plans_run") == 0
             assert maintain(counters, "plans_compiled") == 0
 
-    def test_shared_atoms_join_once_per_hit(self, item_view):
-        maintained, store, disjuncts = item_view
-        restricted = sum(1 for d in disjuncts if d.non_literal)
-        assert len(disjuncts) == 99 and restricted == 27
+    def test_one_tree_per_matched_atom(self, item_view):
+        """An ``issued`` triple binds the one alternative of its atom and
+        runs that (view, atom)'s one tree, which probes the 99-way type
+        union and the ``volume`` atom — whatever the alternative count."""
+        maintained, store = item_view
         volume = URI(BARTON + "volume")
         subject = next(
             t.s for t in sorted(store, key=lambda t: t.n3())
@@ -317,23 +401,22 @@ class TestPreparedRules:
         )
         issued = Triple(subject, URI(BARTON + "issued"), URI(BARTON + "e5"))
         counters = counters_of(maintained.insert, issued)
-        assert maintain(counters, "rules_matched") == len(disjuncts)
-        # The shared `volume` atom is probed once per literal restriction
-        # (the rule-4 rules form a group of their own) and comes up
-        # empty, so not one of the 99 alternatives runs.
-        assert maintain(counters, "plans_run") == 2
+        assert maintain(counters, "rules_matched") == 1
+        assert maintain(counters, "plans_run") == 1
         assert maintain(counters, "rows_added") == 0
-        # With the shared atom satisfied the alternatives do fan out.
+        # With the volume atom satisfied the row appears, still one tree.
         maintained.insert(Triple(subject, volume, URI(BARTON + "e6")))
         maintained.remove(issued)
         counters = counters_of(maintained.insert, issued)
-        assert maintain(counters, "plans_run") == 2 + len(disjuncts)
+        assert maintain(counters, "rules_matched") == 1
+        assert maintain(counters, "plans_run") == 1
+        assert maintain(counters, "rows_added") == 1
 
     def test_matches_rematerialization_after_hits(self, item_view, barton_schema):
         from repro.query.evaluation import evaluate_union
         from repro.reformulation.reformulate import reformulate
 
-        maintained, store, _ = item_view
+        maintained, store = item_view
         view = maintained.state.views[0]
         subject = URI(BARTON + "brandNew")
         updates = [
@@ -358,6 +441,9 @@ class TestPreparedRules:
         up."""
         store = TripleStore()
         store.add(Triple(ex("a"), ex("p"), ex("b")))
+        # Enough unrelated triples that the store never doubles below:
+        # only the new constant may trigger the recompilation.
+        store.add_all(Triple(ex(f"s{i}"), ex("q"), ex(f"o{i}")) for i in range(8))
         state = initial_state([parse_query("v(X) :- t(X, p, Y), t(X, rdf:type, rare)")])
         (view,) = state.views
         maintained = MaterializedViewSet(state, store)

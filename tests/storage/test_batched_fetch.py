@@ -4,13 +4,14 @@
 produces, and ``match_many`` must answer a batch of patterns exactly as
 per-pattern ``match`` calls would — on every backend, for every pattern
 shape (the SQLite backend routes each bound-column mask through a
-different index prefix and folds probe batches into single
-``IN (VALUES ...)`` statements, including chunking past its
+different index prefix and folds probe batches into single statements
+that search that index once per key, including chunking past its
 per-statement probe limit). The base-class derivations a third-party
 backend inherits are held to the built-in overrides.
 """
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -19,7 +20,7 @@ from repro.rdf.store import TripleStore
 from repro.rdf.terms import URI
 from repro.rdf.triples import Triple
 from repro.storage import BACKENDS, StorageBackend
-from repro.storage.sqlite import _PROBE_PARAM_BUDGET
+from repro.storage.sqlite import _PROBE_ORDER, _PROBE_PARAM_BUDGET
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
 
@@ -181,3 +182,45 @@ def test_sqlite_match_many_chunks_past_probe_limit():
     results = store.match_many_encoded(patterns)
     for pattern, result in zip(patterns, results):
         assert sorted(result) == sorted(store.match_encoded(pattern)), pattern
+
+
+class _RecordingConnection:
+    """A SQLite connection stand-in that records every statement."""
+
+    def __init__(self, con):
+        self.con = con
+        self.sent = []
+
+    def execute(self, sql, params=()):
+        self.sent.append((sql, params))
+        return self.con.execute(sql, params)
+
+
+@pytest.mark.parametrize(
+    "mask", [mask for mask, probe in _PROBE_ORDER.items() if len(probe) > 1]
+)
+def test_sqlite_multi_column_probe_batches_search_an_index(monkeypatch, mask):
+    """A batch of two or more multi-column keys runs one index SEARCH
+    per key: no statement ``match_many`` sends scans the triple table
+    (SQLite plans a row-value ``IN (VALUES …)`` of several keys as a
+    full covering-index scan)."""
+    store = _populated_store("sqlite")
+    patterns = list(dict.fromkeys(
+        tuple(code if bound else None for code, bound in zip(triple, mask))
+        for triple in sorted(store.backend)
+    ))[:3]
+    assert len(patterns) == 3
+    recorder = _RecordingConnection(store.backend._con)
+    monkeypatch.setattr(store.backend, "_con", recorder)
+    results = store.match_many_encoded(patterns)
+    (statement,) = recorder.sent
+    monkeypatch.undo()
+    for pattern, result in zip(patterns, results):
+        assert sorted(result) == sorted(store.match_encoded(pattern)), pattern
+    sql, params = statement
+    plan = [
+        row[-1]
+        for row in store.backend._con.execute("EXPLAIN QUERY PLAN " + sql, params)
+    ]
+    assert any(detail.startswith("SEARCH") for detail in plan), plan
+    assert not any(re.match(r"SCAN (triples|t)\b", detail) for detail in plan), plan
