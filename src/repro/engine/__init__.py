@@ -42,10 +42,11 @@ A reformulation union (:func:`repro.reformulation.reformulate`) runs
 **factorised** (:func:`plan_factorised`) — each source atom is the
 union of its own reformulation, read by a :class:`UnionScan` or probed
 by a :class:`UnionProbe`, and the atoms join once — on the interpreted
-route always, and on SQL whenever the product of its atoms' alternative
-counts exceeds its atom count. A flat union (:mod:`repro.engine.mqo`)
-runs its distinct disjuncts one by one — on a SQL-capable backend one
-prepared statement each — and decodes the merged answer images once.
+route always, and on SQL when it has one atom or the product of its
+atoms' alternative counts exceeds its atom count. A flat union
+(:mod:`repro.engine.mqo`) runs its distinct disjuncts one by one — on a
+SQL-capable backend one prepared statement each — and decodes the
+merged answer images once.
 
 The engine/layout/batch-size/workers matrix that used to be selectable
 here (hash, merge and partitioned joins, row-list batches, the

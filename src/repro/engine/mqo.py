@@ -5,8 +5,8 @@ bodies overlap heavily (Section 4.2: every rule rewrites one atom and
 keeps the rest). A deferred reformulation union runs factorised
 (:func:`~repro.engine.planner.plan_factorised`) and shares that work by
 construction: on the interpreted route always, on a SQL-capable backend
-unless the product of its atoms' alternative counts is at most its
-atom count (:func:`~repro.engine.planner.factorised_route`). Every
+unless it joins several atoms whose alternative counts multiply to at
+most its atom count (:func:`~repro.engine.planner.factorised_route`). Every
 other union is *flat*: its distinct disjuncts run one by one, and this
 module owns that route.
 
@@ -41,6 +41,7 @@ from repro.engine.planner import (
     _images_from_root,
     _run_query,
     decode_images,
+    factorised_answers,
     factorised_images,
     factorised_route,
     plan_pushdown,
@@ -202,7 +203,7 @@ def evaluate_union_shared(
         with tracing.span(
             "engine.evaluate_factorised", atoms=len(disjuncts.source.atoms)
         ):
-            return decode_images(factorised_images(disjuncts, store), store)
+            return factorised_answers(disjuncts, store)
     if isinstance(disjuncts, UnionQuery):
         disjuncts = disjuncts.disjuncts
     if tracing.sink is not None:
@@ -257,8 +258,8 @@ def count_union(
     ``|Reformulate(v, S)|``, never the answers): images stay dictionary
     codes and nothing is decoded. The union takes the routes of
     :func:`evaluate_union_shared` up to the decode — a reformulated
-    one-atom query with several alternatives is one
-    :class:`~repro.engine.operators.UnionScan` on every backend.
+    one-atom query is one :class:`~repro.engine.operators.UnionScan` on
+    every backend.
     """
     if factorised_route(union, store):
         return len(factorised_images(union, store))

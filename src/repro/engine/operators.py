@@ -425,11 +425,18 @@ class UnionScan(Operator):
     output column ``j`` of ``schema``. Every distinct atom among them
     (up to variable renaming, with its ``non_literal`` restriction) is
     read once through an :class:`IndexScan`, and every alternative over
-    it emits its head from that scan's columns — a head constant as a
-    repeated column. So an index bucket that several head constants
-    need (a subclass's instances under each of its ancestors) is read
-    once. The output is a set: alternatives overlap, and every consumer
-    — a join, a head-image fold, a count — wants distinct rows.
+    it emits its head from that scan's columns. So an index bucket that
+    several head constants need (a subclass's instances under each of
+    its ancestors) is read once.
+
+    Rows are kept per *head template*: an alternative's head with its
+    constants in place — a code, or the term itself when the data never
+    mentions it — and ``None`` at each column. Each scan adds the
+    columns it picks to the value set of every template that reads
+    them (see :meth:`partitions`), so a constant-headed match costs a
+    C-speed ``set.update`` and builds no row tuple. The output — a set,
+    because alternatives overlap and every consumer wants distinct rows
+    — fills the templates in (:func:`fill_template`).
     """
 
     def __init__(
@@ -461,56 +468,72 @@ class UnionScan(Operator):
                     term for term in atom if isinstance(term, Variable)
                 ))
             }
-            emit = tuple(
-                column[term] if isinstance(term, Variable)
-                else (_head_value(term, store),)
+            template = tuple(
+                None if isinstance(term, Variable) else _head_value(term, store)
                 for term in alternative.head
             )
-            group[1][emit] = None
-        # Per distinct atom: its scan, the scan columns the head rows
-        # read, those rows (reading positions in that column list), and
-        # the all-constant rows one match is enough for.
+            picks = tuple(
+                column[term] for term in alternative.head if isinstance(term, Variable)
+            )
+            group[1][template, picks] = None
+        # Per distinct atom: its scan, the scan columns the templates
+        # read, the templates with columns (and the positions in that
+        # column list they read), and the all-constant templates one
+        # match is enough for.
         self._groups = []
-        for scan, emits in filter(None, groups.values()):
-            used = sorted({p for e in emits for p in e if type(p) is int})
+        for scan, reads in filter(None, groups.values()):
+            used = sorted({p for _, picks in reads for p in picks})
             varying = [
-                tuple(used.index(p) if type(p) is int else p for p in e)
-                for e in emits
-                if any(type(p) is int for p in e)
+                (template, tuple(used.index(p) for p in picks))
+                for template, picks in reads
+                if picks
             ]
-            constant = [
-                tuple(p[0] for p in e)
-                for e in emits
-                if all(type(p) is tuple for p in e)
-            ]
+            constant = [template for template, picks in reads if not picks]
             self._groups.append((scan, used, varying, constant))
 
-    def distinct(self) -> set[tuple]:
-        """The output rows, as a set of tuples."""
-        rows: set[tuple] = set()
+    def partitions(self) -> dict[tuple, set]:
+        """The output, per head template: ``{template: values}``.
+
+        ``values`` holds the distinct values of the template's ``None``
+        columns — bare values when it has one, tuples in column order
+        otherwise (the empty tuple for an all-constant template that
+        matched). Templates overlap only where one's constant is
+        another's column value; :meth:`distinct` and
+        :func:`~repro.engine.planner.decode_images` merge them.
+        """
+        parts: dict[tuple, set] = {}
         for scan, used, varying, constant in self._groups:
             for cb in scan.column_batches(_UNION_SCAN_BATCH):
                 if varying:
                     picked = [cb.columns[k] for k in used]
                     if len(varying) > 1:
-                        # Several head rows read this match (a bucket
+                        # Several templates read this match (a bucket
                         # under each of its classes' ancestors): project
                         # it to distinct values once, before the fan-out.
                         picked = (
-                            [list(set(picked[0]))] if len(picked) == 1
+                            [set(picked[0])] if len(picked) == 1
                             else list(zip(*set(zip(*picked))))
                         )
-                    for emit in varying:
-                        rows.update(zip(*(
-                            picked[part] if type(part) is int else repeat(part[0])
-                            for part in emit
-                        )))
+                    for template, picks in varying:
+                        values = parts.setdefault(template, set())
+                        if len(picks) == 1:
+                            values.update(picked[picks[0]])
+                        else:
+                            values.update(zip(*(picked[k] for k in picks)))
                 if constant:
-                    rows.update(constant)
+                    for template in constant:
+                        parts[template] = {()}
                     if not self.schema:
-                        return rows  # boolean: one match settles it
+                        return parts  # boolean: one match settles it
                     if not varying:
                         break
+        return parts
+
+    def distinct(self) -> set[tuple]:
+        """The output rows, as a set of tuples."""
+        rows: set[tuple] = set()
+        for template, values in self.partitions().items():
+            rows.update(fill_template(template, template_columns(template, values)))
         return rows
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
@@ -525,6 +548,28 @@ class UnionScan(Operator):
             f"UnionScan({atom}{len(self.alternatives)} alternatives)"
             f"{list(self.schema)}"
         )
+
+
+def template_columns(template: tuple, values) -> list:
+    """The columns of one :meth:`UnionScan.partitions` entry, one per
+    ``None`` of ``template`` in order — a one-column entry's value set
+    as it is, without a transpose."""
+    holes = template.count(None)
+    if holes == 1:
+        return [values]
+    return list(zip(*values)) if holes else []
+
+
+def fill_template(template: tuple, columns: Sequence) -> Iterator[tuple]:
+    """The rows of ``template`` with its ``None`` positions read, in
+    order, from ``columns`` and its constants repeated; an all-constant
+    template is the one row."""
+    if None not in template:
+        return iter((template,))
+    taken = iter(columns)
+    return zip(*[
+        next(taken) if part is None else repeat(part) for part in template
+    ])
 
 
 #: Rows per index read inside a :class:`UnionScan`: its output is one

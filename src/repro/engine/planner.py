@@ -67,6 +67,8 @@ from repro.engine.operators import (
     UnionProbe,
     UnionScan,
     _head_value,
+    fill_template,
+    template_columns,
 )
 from repro.engine.sqlcompile import CompiledQuery, compile_query
 from repro.obs import metrics, tracing
@@ -283,23 +285,29 @@ def factorised_route(union, store: TripleStore, pushdown: bool = True) -> bool:
     Only a deferred :func:`~repro.reformulation.reformulate` union (one
     carrying its source query) can. On the interpreted route — a backend
     without SQL, or ``pushdown=False`` — it always does. On the SQL
-    route it does when the product of its atoms' alternative counts
-    exceeds the number of atoms: the factorised tree reads at least one
-    index bucket per atom through Python, while the flat form sends one
-    statement per disjunct, so a union with no more disjuncts than
+    route a one-atom union always does too: its factorised tree is one
+    :class:`UnionScan`, whose index reads cost no more than the one
+    statement per disjunct of the flat form. A multi-atom union does
+    when the product of its atoms' alternative counts exceeds the
+    number of atoms: the factorised tree reads at least one index
+    bucket per atom through Python, while the flat form sends one
+    statement per disjunct, so a join with no more disjuncts than
     atoms stays flat.
     """
     source = getattr(union, "source", None)
     if source is None:
         return False
-    if not (pushdown and getattr(store.backend, "supports_sql_plans", False)):
+    atoms = len(source.atoms)
+    if atoms == 1 or not (
+        pushdown and getattr(store.backend, "supports_sql_plans", False)
+    ):
         return True
     from repro.reformulation.reformulate import factorise
 
     alternatives = math.prod(
         len(part.alternatives) for part in factorise(source, union.schema)
     )
-    return alternatives > len(source.atoms)
+    return alternatives > atoms
 
 
 def plan_factorised(union, store: TripleStore) -> Operator:
@@ -378,20 +386,45 @@ def _factorised_tree(
     return root
 
 
+def _head_scan(union, root: Operator) -> UnionScan | None:
+    """``root`` when it is a :class:`UnionScan` whose columns are the
+    union's head — a one-atom query, whose scan output is its images."""
+    if isinstance(root, UnionScan) and root.schema == tuple(
+        term.name if isinstance(term, Variable) else None
+        for term in union.source.head
+    ):
+        return root
+    return None
+
+
 def factorised_images(union, store: TripleStore) -> set[tuple]:
     """Distinct encoded head images of a deferred union, evaluated
     factorised."""
     if metrics.enabled:
         metrics.inc("engine.route.factorised")
     root = plan_factorised(union, store)
-    head = union.source.head
-    if isinstance(root, UnionScan) and root.schema == tuple(
-        term.name if isinstance(term, Variable) else None for term in head
-    ):
-        # A one-atom query whose head is its columns: the scan's rows
-        # are the images.
-        return root.distinct()
-    return _head_images(head, root, store)
+    scan = _head_scan(union, root)
+    if scan is not None:
+        return scan.distinct()
+    return _head_images(union.source.head, root, store)
+
+
+def factorised_answers(union, store: TripleStore) -> set[tuple[Term, ...]]:
+    """All answers of a deferred union, evaluated factorised.
+
+    A one-atom union goes scan → partitions → answers: its
+    :class:`UnionScan`'s per-template values are decoded as they are
+    (:func:`decode_images`), and no tuple of codes is built per row.
+    """
+    if metrics.enabled:
+        metrics.inc("engine.route.factorised")
+    root = plan_factorised(union, store)
+    scan = _head_scan(union, root)
+    images = (
+        scan.partitions() if scan is not None
+        else _head_images(union.source.head, root, store)
+    )
+    return decode_images(images, store)
 
 
 def run_query(
@@ -518,29 +551,47 @@ def _head_images(
 
 
 def decode_images(
-    images: Collection[tuple], store: TripleStore
+    images: Collection[tuple] | Mapping[tuple, Collection], store: TripleStore
 ) -> set[tuple[Term, ...]]:
-    """Decode encoded head images, each distinct code exactly once.
+    """Decode encoded head images: a flat image set, or a
+    :meth:`UnionScan.partitions <repro.engine.operators.UnionScan.partitions>`
+    mapping of head templates to their values.
 
-    Image positions are dictionary codes (``int``) or already-decoded
-    constant head terms; both may mix within one union's image set.
-    The images are decoded column by column through one table of their
-    distinct parts, so no Python-level loop runs per image.
+    A flat image set is the one partition whose template is all
+    columns. Per partition the template's constants are decoded once
+    and each column is mapped through the dictionary's code list in C,
+    so no Python-level loop runs per image. An image position — a
+    template constant or a column value — is a dictionary code or an
+    already-decoded constant head term the dictionary never saw.
     """
-    columns = list(zip(*images))
-    if not columns:
-        # No image, or only the empty one of a boolean head.
-        return {()} if images else set()
-    decode = store.dictionary.decode
-    table = {
-        part: decode(part) if isinstance(part, int) else part
-        for part in set().union(*columns)
-    }
-    lookup = table.__getitem__
-    answers: set[tuple[Term, ...]] = set(
-        zip(*(map(lookup, column) for column in columns))
-    )
+    if isinstance(images, Mapping):
+        parts = [
+            (template, template_columns(template, values))
+            for template, values in images.items()
+        ]
+    elif images:
+        columns = list(zip(*images))
+        parts = [((None,) * len(columns), columns)]
+    else:
+        return set()
+    terms = store.dictionary.code_list()
+    answers: set[tuple[Term, ...]] = set()
+    for template, columns in parts:
+        constants = tuple(
+            terms[part] if type(part) is int else part for part in template
+        )
+        answers.update(fill_template(
+            constants, [_decode_column(column, terms) for column in columns]
+        ))
     return answers
+
+
+def _decode_column(column: Iterable, terms: Sequence[Term]) -> list[Term]:
+    try:
+        return list(map(terms.__getitem__, column))
+    except TypeError:
+        # A head constant the dictionary never saw rides along as a term.
+        return [terms[part] if type(part) is int else part for part in column]
 
 
 # ----------------------------------------------------------------------

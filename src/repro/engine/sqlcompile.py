@@ -159,7 +159,7 @@ class CompiledQuery:
         A flat union merges images across all its disjuncts before
         decoding, so each distinct answer is decoded
         once per union instead of once per disjunct
-        (:func:`repro.engine.mqo.decode_images` is the inverse).
+        (:func:`repro.engine.planner.decode_images` is the inverse).
         """
         if self.sql is None:
             return set()
@@ -194,28 +194,14 @@ class CompiledQuery:
     def execute(self, store: TripleStore) -> set[tuple[Term, ...]]:
         """Run the statement in the backend and decode the answers.
 
-        One backend call evaluates the whole plan; Python work is one
-        pass over the distinct result rows — a literal-code filter for
-        the restricted slots, then decoding with each code decoded once.
+        One backend call evaluates the whole plan; Python work is a
+        literal-code filter for the restricted slots, then
+        :func:`~repro.engine.planner.decode_images` over the distinct
+        images.
         """
-        if self.sql is None:
-            return set()
-        decode = store.dictionary.decode
-        answers: set[tuple[Term, ...]] = set()
-        cache: dict[int, Term] = {}
-        for image in self.images(store):
-            answer = []
-            for part in image:
-                if isinstance(part, int):
-                    term = cache.get(part)
-                    if term is None:
-                        term = decode(part)
-                        cache[part] = term
-                    answer.append(term)
-                else:
-                    answer.append(part)
-            answers.add(tuple(answer))
-        return answers
+        from repro.engine.planner import decode_images
+
+        return decode_images(self.images(store), store)
 
 
 def _implied_non_literal(query: ConjunctiveQuery, variable: Variable) -> bool:

@@ -96,8 +96,8 @@ def evaluate_union(
     is the union of that atom's own reformulation, and the atoms join
     once — the disjuncts are never built. It does so always on the
     interpreted route (a backend without SQL, or ``pushdown=False``),
-    and on a SQL-capable backend when the product of its atoms'
-    alternative counts exceeds its atom count
+    and on a SQL-capable backend when it has one atom or the product of
+    its atoms' alternative counts exceeds its atom count
     (:func:`repro.engine.planner.factorised_route`). Any other union
     runs its distinct disjuncts one by one (:mod:`repro.engine.mqo`): on
     a SQL-capable backend each as its own pushed-down statement,

@@ -9,6 +9,8 @@ uses to estimate view storage space.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.rdf.terms import Literal, Term, is_term
 
 
@@ -64,6 +66,15 @@ class Dictionary:
         if 0 <= code < len(self._code_to_term):
             return self._code_to_term[code]
         raise KeyError(f"unknown dictionary code {code}")
+
+    def code_list(self) -> Sequence[Term]:
+        """Every encoded term, at the index of its code.
+
+        The live list, not a copy: a decoder maps a whole column of
+        codes through ``code_list().__getitem__`` in C. Read it; only
+        :meth:`encode` may append to it.
+        """
+        return self._code_to_term
 
     def items(self, start: int = 0):
         """``(code, term)`` pairs in code order, from code ``start`` on.

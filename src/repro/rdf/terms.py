@@ -3,11 +3,26 @@
 Terms are small immutable value objects. They are hashable so they can be
 dictionary-encoded (:mod:`repro.rdf.dictionary`) and used as keys in the
 store indexes (:mod:`repro.rdf.store`).
+
+A term computes its hash once, when it is built: answer sets hash every
+term of every answer tuple. The value is the one a frozen dataclass
+generates — the hash of the tuple of its fields — so sets of terms
+iterate in the same order as they would without the cache. A term
+pickles through its constructor, so the receiving process (which may
+run under another ``PYTHONHASHSEED``) computes the hash anew:
+
+>>> import pickle
+>>> a, b = URI("http://e/a"), URI("http://e/a")
+>>> a == b and hash(a) == hash(b) == hash(("http://e/a",))
+True
+>>> back = pickle.loads(pickle.dumps(a))
+>>> back == a and hash(back) == hash(a)
+True
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 
@@ -20,10 +35,18 @@ class URI:
     """
 
     value: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("URI value must be a non-empty string")
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return URI, (self.value,)
 
     def n3(self) -> str:
         """Render in N-Triples syntax."""
@@ -47,10 +70,20 @@ class Literal:
     lexical: str
     datatype: URI | None = None
     language: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.datatype is not None and self.language is not None:
             raise ValueError("a literal cannot have both a datatype and a language tag")
+        object.__setattr__(
+            self, "_hash", hash((self.lexical, self.datatype, self.language))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.language)
 
     def n3(self) -> str:
         """Render in N-Triples syntax."""
@@ -90,10 +123,18 @@ class BlankNode:
     """
 
     label: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("blank node label must be a non-empty string")
+        object.__setattr__(self, "_hash", hash((self.label,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return BlankNode, (self.label,)
 
     def n3(self) -> str:
         """Render in N-Triples syntax."""

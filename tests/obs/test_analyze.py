@@ -218,6 +218,34 @@ def _assert_unprobed(op):
         _assert_unprobed(child)
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_one_atom_union_is_analyzed_through_its_partitions(
+    backend, stores, museum_schema, monkeypatch
+):
+    """A one-atom union is analyzed on the route it runs: its scan's
+    partitions are decoded as they are, never its row set, and the
+    header splits the images' ``time_ms`` from the ``decode_ms``."""
+    from repro.engine.operators import UnionScan
+
+    store = stores[backend]
+    union = reformulate(parse_query("q(X, Y) :- t(X, rdf:type, Y)"), museum_schema)
+    expected = evaluate_union(union, store, shared=False)
+
+    def refuse(self):
+        raise AssertionError("the one-atom union built its rows")
+
+    monkeypatch.setattr(UnionScan, "distinct", refuse)
+    report = analyze_union(union, store)
+    assert report.route == FACTORISED
+    assert report.answers == expected and expected
+    header = report.tree.annotations
+    assert header["rows"] == len(expected)
+    assert header["time_ms"] >= 0 and header["decode_ms"] >= 0
+    # The scan line counts partition values: at least one per answer.
+    assert report.root_rows >= len(expected)
+    assert " decode_ms=" in report.text().splitlines()[0]
+
+
 def test_analyze_leaves_cached_plans_unprobed(museum_store, q_painters):
     from repro.engine import plan_query
 

@@ -129,15 +129,17 @@ def connected_queries(draw, max_atoms=3, **kwargs):
 
 
 @st.composite
-def unions(draw, max_disjuncts=4):
+def unions(draw, max_disjuncts=4, max_atoms=3):
     """A same-arity list of random queries; renamings of earlier
     disjuncts are mixed in so shared fingerprints actually occur."""
-    first = draw(queries())
+    first = draw(queries(max_atoms=max_atoms))
     disjuncts = [first]
     for _ in range(draw(st.integers(0, max_disjuncts - 1))):
-        disjuncts.append(
-            draw(queries().filter(lambda q: len(q.head) == len(first.head)))
-        )
+        disjuncts.append(draw(
+            queries(max_atoms=max_atoms).filter(
+                lambda q: len(q.head) == len(first.head)
+            )
+        ))
     return disjuncts
 
 

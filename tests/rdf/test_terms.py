@@ -1,7 +1,14 @@
 """Unit tests for the RDF term model."""
 
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.rdf.terms import BlankNode, Literal, URI, is_term
 
 
@@ -71,3 +78,82 @@ def test_is_term():
     assert not is_term("http://a")
     assert not is_term(42)
     assert not is_term(None)
+
+
+#: One term of every kind and shape the hash formula distinguishes.
+TERMS = [
+    URI("http://a"),
+    Literal("42", datatype=URI("http://int")),
+    Literal("bonjour", language="fr"),
+    Literal("plain"),
+    BlankNode("b1"),
+]
+
+#: The fields a frozen dataclass hashes, per term class.
+FIELDS = {
+    URI: lambda term: (term.value,),
+    Literal: lambda term: (term.lexical, term.datatype, term.language),
+    BlankNode: lambda term: (term.label,),
+}
+
+
+class TestHashContract:
+    """A term computes its hash once, to the value the generated
+    dataclass hash returned, and pickles through its constructor, so a
+    process under another hash seed hashes it anew."""
+
+    @pytest.mark.parametrize("term", TERMS, ids=repr)
+    def test_hash_is_the_generated_formula(self, term):
+        assert hash(term) == hash(FIELDS[type(term)](term))
+
+    @pytest.mark.parametrize("term", TERMS, ids=repr)
+    def test_copies_are_equal_and_hash_equal(self, term):
+        for clone in (copy.copy(term), copy.deepcopy(term)):
+            assert clone == term and hash(clone) == hash(term)
+            assert type(clone) is type(term)
+
+    def test_repr_eq_and_str_are_unchanged(self):
+        assert [repr(term) for term in TERMS] == [
+            "URI('http://a')",
+            "Literal('42', datatype=URI('http://int'))",
+            "Literal('bonjour', language='fr')",
+            "Literal('plain')",
+            "BlankNode('b1')",
+        ]
+        assert [str(term) for term in TERMS] == [
+            "http://a", "42", "bonjour", "plain", "_:b1",
+        ]
+        assert URI("http://a") == URI("http://a") != Literal("http://a")
+        assert Literal("42", datatype=URI("http://int")) != Literal("42")
+        assert BlankNode("b1") != URI("b1")
+
+    def test_pickled_set_crosses_hash_seeds(self, tmp_path):
+        """A set pickled under one ``PYTHONHASHSEED`` and loaded under
+        another holds the terms that process builds itself."""
+        root = Path(repro.__file__).resolve().parent.parent
+        path = tmp_path / "terms.pickle"
+        build = (
+            "from repro.rdf.terms import BlankNode, Literal, URI\n"
+            "terms = [URI('http://a'), Literal('42', datatype=URI('http://int')),\n"
+            "         Literal('bonjour', language='fr'), Literal('plain'),\n"
+            "         BlankNode('b1')]\n"
+        )
+        dump = build + (
+            "import pickle, sys\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps(set(terms)))\n"
+        )
+        load = build + (
+            "import pickle, sys\n"
+            "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "assert all(term in loaded for term in terms), loaded\n"
+            "assert loaded == set(terms)\n"
+            "assert {hash(t) for t in loaded} == {hash(t) for t in terms}\n"
+            "print('ok')\n"
+        )
+        for seed, script in (("1", dump), ("2", load)):
+            completed = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(root)},
+                capture_output=True, text=True, timeout=60, check=True,
+            )
+        assert completed.stdout.split() == ["ok"]

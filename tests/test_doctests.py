@@ -2,7 +2,8 @@
 
 The examples in the docstrings of the engine and storage entry points
 (``run_query``/``run_plan``/``run_query_batch``, ``algebra.execute``,
-``StorageBackend``/``create_backend``, ``TripleStore.save``/``open``)
+``StorageBackend``/``create_backend``, ``TripleStore.save``/``open``,
+the term model's hash and pickle contract)
 double as regression tests; CI runs them through this module (and the
 docs job runs them standalone). A module listed here with zero
 collected doctests fails, so the examples cannot silently vanish.
@@ -17,6 +18,7 @@ import repro.engine.planner
 import repro.engine.sqlcompile
 import repro.query.algebra
 import repro.rdf.store
+import repro.rdf.terms
 import repro.storage.base
 
 DOCUMENTED_MODULES = [
@@ -25,6 +27,7 @@ DOCUMENTED_MODULES = [
     repro.engine.sqlcompile,
     repro.query.algebra,
     repro.rdf.store,
+    repro.rdf.terms,
     repro.storage.base,
 ]
 
