@@ -10,7 +10,7 @@ extents.
 
 Public surface::
 
-    run_query(query, store, statistics=None, pushdown=True)  # CQ -> answers
+    run_query(query, store, pushdown=True)      # CQ -> answers
     run_query_batch(queries, store, pushdown=True)  # independent queries
     evaluate_union_shared(disjuncts, store, pushdown=True)   # union -> answers
     count_union(union, store)                   # |answers|, nothing decoded
@@ -27,11 +27,14 @@ There is one execution path. Operators exchange
 :class:`~repro.engine.columnar.ColumnBatch` objects (one value sequence
 per column) through ``column_batches`` — the single operator contract,
 see :mod:`repro.engine.operators` — with storage backends transposing
-batches natively. There is one plan shape: joins run in the order the
-shared cardinality estimator (:mod:`repro.stats`) picks, a connected
-step as an index-nested-loop probe, a Cartesian step (and every join
-over view extents) as a hash join. On a backend that executes SQL
-itself (SQLite), ``run_query`` first tries **whole-plan SQL pushdown**:
+batches natively. There is one plan shape on a store: one union of
+one-atom queries per body atom (a conjunctive query's atom alone, or
+that atom's reformulation), joined in the order the shared cardinality
+estimator (:mod:`repro.stats`) picks — the first read by a
+:class:`UnionScan`, a connected one probed per key by a
+:class:`UnionProbe`, a Cartesian one (and every join over view
+extents) hash-joined. On a backend that executes SQL itself
+(SQLite), ``run_query`` first tries **whole-plan SQL pushdown**:
 the entire conjunctive query compiles to one SQL statement
 (:mod:`repro.engine.sqlcompile`), joined in the same estimator order
 and evaluated inside the backend; the operator tree is the fallback
@@ -40,17 +43,16 @@ reference the pushdown tests compare against.
 
 A reformulation union (:func:`repro.reformulation.reformulate`) runs
 **factorised** (:func:`plan_factorised`) — each source atom is the
-union of its own reformulation, read by a :class:`UnionScan` or probed
-by a :class:`UnionProbe`, and the atoms join once — on the interpreted
-route always, and on SQL when it has one atom or the product of its
+union of its own reformulation, and the atoms join once — on the
+interpreted route always, and on SQL when it has one atom or the product of its
 atoms' alternative counts exceeds its atom count. A flat union
 (:mod:`repro.engine.mqo`) runs its distinct disjuncts one by one — on a
 SQL-capable backend one prepared statement each — and decodes the
 merged answer images once.
 
 The engine/layout/batch-size/workers matrix that used to be selectable
-here (hash, merge and partitioned joins, row-list batches, the
-tuple-at-a-time path, adaptive batch sizes, morsel-parallel scans) is
+here (index-nested-loop, merge and partitioned joins, row-list batches,
+the tuple-at-a-time path, adaptive batch sizes, morsel-parallel scans) is
 retired; docs/benchmarks.md, "Retired paths", keeps each one's last
 measured verdict.
 """
@@ -68,11 +70,8 @@ from repro.engine.mqo import (
 )
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
-    Distinct,
-    Empty,
     ExtentScan,
     HashJoin,
-    IndexNestedLoopJoin,
     IndexScan,
     Operator,
     Projection,
@@ -111,11 +110,8 @@ __all__ = [
     "plan_pushdown",
     "plan_union_pushdown",
     "run_query_batch",
-    "Distinct",
-    "Empty",
     "ExtentScan",
     "HashJoin",
-    "IndexNestedLoopJoin",
     "IndexScan",
     "Operator",
     "Projection",

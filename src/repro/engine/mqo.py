@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from repro.engine.planner import (
     _estimator,
-    _images_from_root,
+    _image_set,
     _run_query,
     decode_images,
     factorised_answers,
@@ -122,7 +122,7 @@ def plan_batch(
     longest prefix another distinct query shares. Uncached.
     """
     distinct = _dedupe(queries)
-    estimator = _estimator(store, None)
+    estimator = _estimator(store)
     ordered: list[tuple[Atom, ...]] = []
     keys: list[tuple[tuple, ...]] = []
     for query in distinct:
@@ -239,7 +239,7 @@ def _branch_images(
             images |= branch.images(store)
             executed += 1
         else:
-            images |= _images_from_root(disjunct, plan_query(disjunct, store), store)
+            images |= _image_set(disjunct.head, plan_query(disjunct, store), store)
             interpreted += 1
     if metrics.enabled:
         if executed:
@@ -301,7 +301,7 @@ def run_query_batch(
     with tracing.span("engine.run_query_batch", queries=len(queries)):
         for query in queries:
             if query not in answers:
-                answers[query] = _run_query(query, store, None, pushdown)
+                answers[query] = _run_query(query, store, pushdown)
     return [answers[query] for query in queries]
 
 

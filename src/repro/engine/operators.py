@@ -10,19 +10,18 @@ assemble per column over a selection vector. The per-batch row target
 ``size`` is *advisory*: scans honour it, joins may emit batches larger
 than ``size`` (fan-out) rather than pay a repacking pass, and filters
 emit short batches. :meth:`Operator.rows` — the row-tuple view that
-``run_plan`` and shared-node materialization read — is derived from it
-once, in the base class.
+``run_plan`` reads — is derived from it once, in the base class.
 
 Two value domains flow through the same operator classes:
 
 * **dictionary codes** (ints) for plans over a :class:`TripleStore` —
-  leaves are :class:`IndexScan`, a connected join step probes the store
-  indexes through :class:`IndexNestedLoopJoin` (a whole batch of probes
-  per ``match_many_encoded`` call — one SQL statement per batch on the
-  SQLite backend), a Cartesian step is a :class:`HashJoin`. A
-  factorised reformulation has one *union* of one-atom queries per
-  atom instead: :class:`UnionScan` reads one, :class:`UnionProbe`
-  probes one per key;
+  every atom is a *union* of one-atom queries (a reformulation's
+  alternatives, or a conjunctive query's atom alone):
+  :class:`UnionScan` reads one through an :class:`IndexScan` per
+  distinct atom, :class:`UnionProbe` probes one per key (a whole batch
+  of probes per ``match_many_encoded`` call — one SQL statement per
+  batch on the SQLite backend), and a Cartesian step is a
+  :class:`HashJoin`;
 * **decoded RDF terms** for plans over materialized view extents —
   leaves are :class:`ExtentScan`, joins are hash joins that reuse the
   extent's cached, pre-projected join tails (see
@@ -30,10 +29,11 @@ Two value domains flow through the same operator classes:
 
 The planner (:mod:`repro.engine.planner`) decides which operators to
 instantiate; nothing here chooses join orders or algorithms. The join
-algorithms and execution paths that used to sit beside these (merge and
-partitioned hash joins, row-list batches, tuple-at-a-time iteration,
-morsel-parallel scans) lost on every measured workload; their last
-verdicts are kept in docs/benchmarks.md, "Retired paths".
+algorithms and execution paths that used to sit beside these (the
+index-nested-loop join, merge and partitioned hash joins, row-list
+batches, tuple-at-a-time iteration, morsel-parallel scans) lost on
+every measured workload or ran in none; their last verdicts are kept
+in docs/benchmarks.md, "Retired paths".
 """
 
 from __future__ import annotations
@@ -114,16 +114,6 @@ class Operator:
         return ()
 
 
-class Empty(Operator):
-    """A leaf producing no rows (a constant absent from the dictionary)."""
-
-    def __init__(self, schema: tuple[str, ...] = ()) -> None:
-        self.schema = schema
-
-    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        return iter(())
-
-
 class ExtentScan(Operator):
     """Scan a materialized view extent (rows of decoded terms)."""
 
@@ -154,7 +144,7 @@ def _compile_atom(
     non_literal: frozenset[Variable],
     bound: dict[str, int] | None = None,
 ):
-    """Shared atom compilation for scans and index-nested-loop probes.
+    """Shared atom compilation for index scans and union probes.
 
     Returns ``(template, fills, out, eqs, nl, impossible)``:
 
@@ -268,139 +258,6 @@ class IndexScan(Operator):
         return f"IndexScan({self.atom}){list(self.schema)}"
 
 
-class IndexNestedLoopJoin(Operator):
-    """Join the input with one atom by probing the store's indexes.
-
-    For every input row the atom's variables already present in the
-    input schema are substituted into the encoded pattern and the store
-    answers the probe through its tightest index — the engine version of
-    the seed's greedy index-nested-loop step, with the join order frozen
-    at plan time instead of re-counted per recursion.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        store: TripleStore,
-        atom: Atom,
-        non_literal: frozenset[Variable] = frozenset(),
-    ) -> None:
-        self.child = child
-        self.store = store
-        self.atom = atom
-        bound = {name: position for position, name in enumerate(child.schema)}
-        template, fills, out, eqs, nl, impossible = _compile_atom(
-            atom, store, non_literal, bound
-        )
-        self._template = template
-        self._fills = fills
-        self._out = out
-        self._eqs = eqs
-        self._nl = nl
-        self.impossible = impossible
-        self.schema = child.schema + tuple(name for _, name in out)
-
-    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        """Probe the store with one *batch* of patterns at a time.
-
-        Input row indexes are grouped by probe key read straight off
-        the fill columns (a scalar vector when one column fills the
-        pattern — no per-row key tuple), the distinct keys become one
-        ``match_many_encoded`` call (one SQL statement on the SQLite
-        backend instead of one SELECT per row), and the output
-        assembles per column over a selection vector into the input
-        batch plus the transposed match tails. Within an input batch
-        the output is grouped by probe key, not in input-row order.
-        """
-        if self.impossible:
-            return
-        template, fills, eqs, nl = self._template, self._fills, self._eqs, self._nl
-        match_many = self.store.match_many_encoded
-        is_literal = self.store.dictionary.is_literal_code
-        out_positions = tuple(position for position, _ in self._out)
-        project = _projector(out_positions)
-        fill_positions = tuple(position for position, _ in fills)
-        fill_columns = tuple(column for _, column in fills)
-        scalar_key = len(fill_columns) == 1
-        single_out = len(out_positions) == 1
-        out_position = out_positions[0] if single_out else None
-        filtered = bool(eqs or nl)
-        for in_cb in self.child.column_batches(size):
-            length = len(in_cb)
-            groups: dict = {}
-            if scalar_key:
-                keys: Iterable = in_cb.columns[fill_columns[0]]
-            elif fill_columns:
-                keys = zip(*(in_cb.columns[c] for c in fill_columns))
-            else:
-                keys = None
-            if keys is None:
-                groups[()] = range(length)
-            else:
-                for index, key in enumerate(keys):
-                    group = groups.get(key)
-                    if group is None:
-                        groups[key] = [index]
-                    else:
-                        group.append(index)
-            patterns = []
-            for key in groups:
-                pattern = list(template)
-                if scalar_key:
-                    pattern[fill_positions[0]] = key
-                else:
-                    for position, value in zip(fill_positions, key):
-                        pattern[position] = value
-                patterns.append((pattern[0], pattern[1], pattern[2]))
-            sel: list[int] = []
-            flat_tails: list = []
-            for indexes, matches in zip(groups.values(), match_many(patterns)):
-                if not matches:
-                    continue
-                if filtered:
-                    matches = [
-                        triple
-                        for triple in matches
-                        if not any(triple[i] != triple[j] for i, j in eqs)
-                        and not any(is_literal(triple[p]) for p in nl)
-                    ]
-                    if not matches:
-                        continue
-                # Single new column (the chain-join shape): tails are
-                # bare values, emitted as the output column directly —
-                # no 1-tuples, no transpose.
-                if single_out:
-                    tails = [triple[out_position] for triple in matches]
-                else:
-                    tails = [project(triple) for triple in matches]
-                fanout = len(tails)
-                if fanout == 1:
-                    sel.extend(indexes)
-                else:
-                    for index in indexes:
-                        sel.extend([index] * fanout)
-                # Per group the tails repeat once per input row, in row
-                # order — one C-level list repeat instead of a loop.
-                count = len(indexes)
-                flat_tails.extend(tails if count == 1 else tails * count)
-            if not sel:
-                continue
-            columns = [
-                list(map(column.__getitem__, sel)) for column in in_cb.columns
-            ]
-            if single_out:
-                columns.append(flat_tails)
-            elif out_positions:
-                columns.extend(zip(*flat_tails))
-            yield ColumnBatch(tuple(columns), len(sel))
-
-    def _describe(self) -> str:
-        return f"IndexNestedLoopJoin({self.atom}){list(self.schema)}"
-
-    def _children(self) -> tuple[Operator, ...]:
-        return (self.child,)
-
-
 def _head_value(term, store: TripleStore):
     """A head constant as it enters a row: its dictionary code, or the
     term itself when the data never mentions it (as in head images)."""
@@ -490,6 +347,18 @@ class UnionScan(Operator):
             ]
             constant = [template for template, picks in reads if not picks]
             self._groups.append((scan, used, varying, constant))
+        #: ``(scan, picks)`` when one alternative reads every column of
+        #: its scan into a constant-free head: the scan's rows are then
+        #: distinct already, and :meth:`column_batches` streams them.
+        self._stream = None
+        if len(self._groups) == 1:
+            scan, used, varying, constant = self._groups[0]
+            if not constant and len(varying) == 1 and len(used) == len(
+                scan.schema
+            ):
+                template, picks = varying[0]
+                if template.count(None) == len(template):
+                    self._stream = (scan, picks)
 
     def partitions(self) -> dict[tuple, set]:
         """The output, per head template: ``{template: values}``.
@@ -503,7 +372,8 @@ class UnionScan(Operator):
         """
         parts: dict[tuple, set] = {}
         for scan, used, varying, constant in self._groups:
-            for cb in scan.column_batches(_UNION_SCAN_BATCH):
+            size = _UNION_SCAN_BATCH if len(varying) > 1 else DEFAULT_BATCH_SIZE
+            for cb in scan.column_batches(size):
                 if varying:
                     picked = [cb.columns[k] for k in used]
                     if len(varying) > 1:
@@ -537,6 +407,11 @@ class UnionScan(Operator):
         return rows
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
+        if self._stream is not None:
+            scan, picks = self._stream
+            for cb in scan.column_batches(size):
+                yield ColumnBatch(tuple(cb.columns[p] for p in picks), len(cb))
+            return
         rows = list(self.distinct())
         width = len(self.schema)
         for start in range(0, len(rows), size):
@@ -572,8 +447,12 @@ def fill_template(template: tuple, columns: Sequence) -> Iterator[tuple]:
     ])
 
 
-#: Rows per index read inside a :class:`UnionScan`: its output is one
-#: set, so bigger reads only mean fewer Python-level folds.
+#: Rows per index read inside a :class:`UnionScan` whose matches fan
+#: out to several head templates: each read is projected to distinct
+#: values once before the fan-out, so a bigger read projects more rows
+#: at once. A read feeding one template is folded as it comes, in
+#: ``DEFAULT_BATCH_SIZE`` rows: a large read buys it nothing, and on
+#: SQLite it costs the fold and the decode after it cache locality.
 _UNION_SCAN_BATCH = 1 << 16
 
 
@@ -595,7 +474,7 @@ class _Lookup:
 
     __slots__ = (
         "template", "fills", "eqs", "nl", "key_nl", "unfiltered", "by_code",
-        "simple",
+        "simple", "injective",
     )
 
     def __init__(self, template, fills, eqs, nl, key_nl) -> None:
@@ -608,6 +487,10 @@ class _Lookup:
         self.by_code: dict[int, dict[int, dict[tuple, None]]] = {}
         #: The tail of the one member when nothing filters a match.
         self.simple = None
+        #: Whether ``simple`` reads every position the key and the
+        #: constants leave open, so distinct matches of one key give
+        #: distinct tails (an atom with no variable local to it).
+        self.injective = False
 
     def patterns(self, keys: list, scalar: bool, is_literal) -> tuple[list, list]:
         """The probe keys that can match — not one holding a constant
@@ -636,13 +519,8 @@ class _Lookup:
 
     def collect(self, matches, key: tuple, tails: set, is_literal, first: bool) -> None:
         """Add the tails the members make of ``matches`` to ``tails``;
-        with ``first``, stop at the first one (a semi-join)."""
-        if self.simple is not None:
-            if first:
-                tails.add(self.simple(next(iter(matches))))
-            else:
-                tails.update(map(self.simple, matches))
-            return
+        with ``first``, stop at the first one (a semi-join). The caller
+        folds a ``simple`` lookup's matches itself."""
         eqs, nl = self.eqs, self.nl
         unfiltered, by_code = self.unfiltered, self.by_code
         for triple in matches:
@@ -669,8 +547,15 @@ def _members(members) -> tuple:
 
 
 def _make_tail(parts: tuple):
-    """A triple -> new-columns tuple function: ``parts`` are triple
-    positions or 1-tuples holding a constant."""
+    """A triple -> new-columns function: ``parts`` are triple positions
+    or 1-tuples holding a constant. One new column is a bare value,
+    several are a tuple."""
+    if len(parts) == 1:
+        part = parts[0]
+        if type(part) is int:
+            return itemgetter(part)
+        fixed = part[0]
+        return lambda triple: fixed
     if all(type(part) is tuple for part in parts):
         fixed = tuple(part[0] for part in parts)
         return lambda triple: fixed
@@ -719,6 +604,7 @@ class UnionProbe(Operator):
             position[columns[index]] for index in component
         )
         self.schema = child.schema + tuple(columns[index] for index in fresh)
+        self._width = len(fresh)
         compiled = [
             found
             for alternative in self.alternatives
@@ -752,14 +638,19 @@ class UnionProbe(Operator):
                         table[code] = kept
                     else:
                         del table[code]
-            lookup.unfiltered = _members(lookup.unfiltered)
+            members = tuple(lookup.unfiltered)
+            lookup.unfiltered = _members(members)
             lookup.by_code = tuple(
                 (at, table) for at, table in lookup.by_code.items() if table
             )
             if not (lookup.eqs or lookup.nl or lookup.by_code) and len(
-                lookup.unfiltered
-            ) == 1 and not lookup.unfiltered[0][0]:
+                members
+            ) == 1 and not members[0][0]:
                 lookup.simple = lookup.unfiltered[0][1]
+                open_positions = {
+                    p for p, code in enumerate(lookup.template) if code is None
+                } - {p for p, _ in lookup.fills}
+                lookup.injective = open_positions <= set(members[0][1])
         self._lookups = tuple(lookups.values())
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
@@ -768,8 +659,12 @@ class UnionProbe(Operator):
         is_literal = store.dictionary.is_literal_code
         key_columns = self._key_columns
         scalar_key = len(key_columns) == 1
-        semi = len(self.schema) == len(self.child.schema)
+        width = self._width
+        semi = not width
         lookups = self._lookups
+        # One lookup whose matches give distinct tails: a key's tails
+        # are its matches' tails as they are, with no set built.
+        direct = not semi and len(lookups) == 1 and lookups[0].injective
         for in_cb in self.child.column_batches(size):
             if scalar_key:
                 keys: Iterable = in_cb.columns[key_columns[0]]
@@ -789,9 +684,14 @@ class UnionProbe(Operator):
                 probed, patterns = lookup.patterns(probe, scalar_key, is_literal)
                 if not patterns:
                     continue
-                simple = None if semi else lookup.simple
+                simple = lookup.simple
                 for key, matches in zip(probed, match_many(patterns)):
                     if not matches:
+                        continue
+                    if simple is not None and (semi or direct):
+                        # Nothing filters a match: it settles a semi-join
+                        # key, or the matches' tails are the key's tails.
+                        found[key] = True if semi else list(map(simple, matches))
                         continue
                     tails = found.get(key)
                     if tails is None:
@@ -801,7 +701,7 @@ class UnionProbe(Operator):
                     else:
                         components = (key,) if scalar_key else key
                         lookup.collect(matches, components, tails, is_literal, semi)
-                if semi:
+                if semi and lookup is not lookups[-1]:
                     # One match settles a semi-join key.
                     probe = [key for key in probe if not found.get(key)]
             sel: list[int] = []
@@ -810,22 +710,27 @@ class UnionProbe(Operator):
                 if not tails:
                     continue  # matches, but none an alternative accepts
                 indexes = groups[key]
+                if semi:
+                    sel.extend(indexes)
+                    continue
+                if not direct:
+                    tails = list(tails)
                 fanout = len(tails)
                 if fanout == 1:
                     sel.extend(indexes)
                 else:
                     for index in indexes:
                         sel.extend([index] * fanout)
-                if not semi:
-                    tails = list(tails)
-                    count = len(indexes)
-                    flat_tails.extend(tails if count == 1 else tails * count)
+                count = len(indexes)
+                flat_tails.extend(tails if count == 1 else tails * count)
             if not sel:
                 continue
             columns = [
                 list(map(column.__getitem__, sel)) for column in in_cb.columns
             ]
-            if not semi:
+            if width == 1:
+                columns.append(flat_tails)
+            elif width:
                 columns.extend(zip(*flat_tails))
             yield ColumnBatch(tuple(columns), len(sel))
 
@@ -1054,31 +959,6 @@ class Projection(Operator):
 
     def _describe(self) -> str:
         return f"Projection[{','.join(self.schema)}]"
-
-    def _children(self) -> tuple[Operator, ...]:
-        return (self.child,)
-
-
-class Distinct(Operator):
-    """Drop duplicate rows, preserving first-occurrence order."""
-
-    def __init__(self, child: Operator) -> None:
-        self.child = child
-        self.schema = child.schema
-
-    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        width = len(self.schema)
-        seen: set = set()
-        add = seen.add
-        for cb in self.child.column_batches(size):
-            batch: list[PhysicalRow] = []
-            append = batch.append
-            for row in cb:
-                if row not in seen:
-                    add(row)
-                    append(row)
-            if batch:
-                yield ColumnBatch.from_rows(batch, width)
 
     def _children(self) -> tuple[Operator, ...]:
         return (self.child,)

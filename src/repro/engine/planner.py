@@ -5,28 +5,25 @@ Two entry families compile into the *same* physical operator algebra
 
 * :func:`plan_query` / :func:`run_query` — a
   :class:`~repro.query.cq.ConjunctiveQuery` against a
-  :class:`~repro.rdf.store.TripleStore`. Atoms are ordered **once** by
-  the shared :class:`~repro.stats.estimator.CardinalityEstimator` (over
-  the store's incrementally maintained catalog, or any explicit
-  :class:`~repro.stats.provider.Statistics` provider), then compiled
-  into a left-deep join tree.
+  :class:`~repro.rdf.store.TripleStore`;
 * :func:`plan_rewriting` / :func:`run_plan` — a rewriting
   :class:`~repro.query.algebra.Plan` against materialized view extents,
   with hash joins that reuse the extents' cached join tails.
 
-A reformulation union compiles through :func:`plan_factorised` into
-the same left-deep shape, one union of one-atom queries per source atom
-(:class:`UnionScan`, :class:`UnionProbe`) — on the interpreted route
-always, on SQL unless :func:`factorised_route` keeps it flat.
-
-There is one plan shape (:func:`_join_tree`): a step that shares a
-variable with the rows bound so far probes the store's pattern indexes
-(:class:`~repro.engine.operators.IndexNestedLoopJoin` — the seed
-evaluator's strategy, with the join order frozen at plan time instead
-of re-counted at every recursion step), a Cartesian step hash-joins a
-fresh scan. The cost-based choice among index-nested-loop, hash, merge
-and hybrid plans that used to sit here picked exactly this shape on
-every measured query (docs/benchmarks.md, "Retired paths").
+There is one plan shape on a store, built by :func:`_factorised_tree`:
+a left-deep join of *atom unions*, one per body atom, ordered **once**
+by the shared :class:`~repro.stats.estimator.CardinalityEstimator` over
+the store's incrementally maintained catalog. The first union is read
+by a :class:`UnionScan`, a connected one is probed per key by a
+:class:`UnionProbe`, a Cartesian one is hash-joined over a fresh
+:class:`UnionScan`. A reformulation union (:func:`plan_factorised`)
+gives each atom the alternatives of its own reformulation — on the
+interpreted route always, on SQL unless :func:`factorised_route` keeps
+it flat. A conjunctive query (:func:`plan_query`) is the degenerate
+case: each atom's one alternative is the atom itself. The
+index-nested-loop tree that conjunctive queries had of their own, and
+the cost-based choice among join algorithms before it, are retired
+(docs/benchmarks.md, "Retired paths").
 
 On storage backends that are SQL engines themselves (the SQLite
 backend) there is a second physical route next to the operator tree:
@@ -34,10 +31,10 @@ backend) there is a second physical route next to the operator tree:
 conjunctive query — self-joins, constant selections, head projection,
 DISTINCT — into one SQL statement (:mod:`repro.engine.sqlcompile`)
 executed inside the backend, and :func:`run_query` prefers it whenever
-the query is expressible; shapes SQL cannot express, ``pushdown=False``
-(the reference tests compare against) and an explicit ``statistics``
-provider take the operator tree. Compiled statements live in the same
-prepared-plan cache as operator trees, keyed ``(query, route)`` —
+the query is expressible; shapes SQL cannot express and
+``pushdown=False`` (the reference tests compare against) take the
+operator tree. Compiled statements live in the same prepared-plan
+cache as operator trees, keyed ``(query, route)`` —
 :data:`SQL_PUSHDOWN` or :data:`INTERPRETED` — and are flushed with it
 when the store mutates.
 
@@ -55,11 +52,8 @@ from itertools import repeat
 from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.engine.operators import (
-    Empty,
     ExtentScan,
     HashJoin,
-    IndexNestedLoopJoin,
-    IndexScan,
     Operator,
     Projection,
     Relabel,
@@ -73,7 +67,7 @@ from repro.engine.operators import (
 from repro.engine.sqlcompile import CompiledQuery, compile_query
 from repro.obs import metrics, tracing
 from repro.query import algebra
-from repro.query.cq import Atom, ConjunctiveQuery, Variable
+from repro.query.cq import ConjunctiveQuery, Variable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.stats.estimator import CardinalityEstimator
@@ -100,16 +94,11 @@ FACTORISED = "factorised"
 # ----------------------------------------------------------------------
 
 
-def _estimator(store: TripleStore, statistics) -> CardinalityEstimator:
-    """The estimator join ordering runs on.
-
-    Without an explicit provider, estimates read the store's own
+def _estimator(store: TripleStore) -> CardinalityEstimator:
+    """The estimator join ordering runs on: it reads the store's own
     incrementally maintained catalog — exact pattern counts, O(1) per
-    lookup, memoized per store version.
-    """
-    if statistics is None:
-        statistics = CatalogStatistics(store.stats)
-    return CardinalityEstimator(statistics)
+    lookup, memoized per store version."""
+    return CardinalityEstimator(CatalogStatistics(store.stats))
 
 
 #: Cache marker for "compiled before, not expressible as one statement"
@@ -148,7 +137,7 @@ def plan_pushdown(query: ConjunctiveQuery, store: TripleStore) -> CompiledQuery 
         return None if cached is _PUSHDOWN_INELIGIBLE else cached
     if metrics.enabled:
         metrics.inc("engine.plan_cache.miss")
-    order = _estimator(store, None).join_order(query.atoms)
+    order = _estimator(store).join_order(query.atoms)
     compiled = compile_query(query, store, order)
     if len(plans) >= _PLAN_CACHE_LIMIT:
         plans.clear()
@@ -200,22 +189,36 @@ def _plan_cache_entry(store: TripleStore) -> dict:
     return entry
 
 
-def plan_query(
-    query: ConjunctiveQuery, store: TripleStore, statistics=None
-) -> Operator:
+def plan_query(query: ConjunctiveQuery, store: TripleStore) -> Operator:
     """Compile a conjunctive query into a physical operator tree.
 
-    The resulting operator yields rows of dictionary codes whose schema
-    covers every body variable (by name); :func:`run_query` adds head
-    assembly and decoding.
+    A conjunctive query plans as its own factorised reformulation under
+    no schema: one union per body atom whose one alternative is the
+    atom itself (:func:`_atom_unions`), joined by
+    :func:`_factorised_tree` in the order :func:`plan_pushdown` joins.
+    The tree yields distinct rows of dictionary codes over the head and
+    join variables — a variable local to one atom is projected away, so
+    a star leaf is a semi-join; :func:`run_query` adds head assembly
+    and decoding.
 
-    Plans compiled without an explicit ``statistics`` provider are
-    cached per store (prepared-statement style) and reused until the
-    store mutates — repeated workload evaluation pays join ordering
-    and operator construction once.
+    Plans are cached per store (prepared-statement style) and reused
+    until the store mutates — repeated workload evaluation pays join
+    ordering and operator construction once.
+
+    >>> from repro.query.parser import parse_query
+    >>> from repro.rdf.ntriples import parse_ntriples
+    >>> store = TripleStore()
+    >>> _ = store.add_all(parse_ntriples('''
+    ... <http://e/a> <http://e/knows> <http://e/b> .
+    ... <http://e/c> <http://e/knows> <http://e/b> .
+    ... <http://e/b> <http://e/age> "7" .
+    ... '''))
+    >>> query = parse_query(
+    ...     "q(X, Y) :- t(X, <http://e/knows>, Y), t(Y, <http://e/age>, A)")
+    >>> print(plan_query(query, store).explain())
+    UnionProbe(t(X, <http://e/knows>, Y), 1 alternatives, 1 lookups)['Y', 'X']
+      UnionScan(t(Y, <http://e/age>, A), 1 alternatives)['Y']
     """
-    if statistics is not None:
-        return _compile_query(query, store, _estimator(store, statistics))
     plans = _plan_cache_entry(store)["plans"]
     key = (query, INTERPRETED)
     cached = plans.get(key)
@@ -226,7 +229,7 @@ def plan_query(
     if metrics.enabled:
         metrics.inc("engine.plan_cache.miss")
     with tracing.span("engine.plan_query", query=query.name):
-        root = _compile_query(query, store, _estimator(store, None))
+        root = _factorised_tree(_atom_unions(query), store)
     if len(plans) >= _PLAN_CACHE_LIMIT:
         plans.clear()
     plans[key] = root
@@ -235,43 +238,19 @@ def plan_query(
     return root
 
 
-def _compile_query(
-    query: ConjunctiveQuery, store: TripleStore, estimator: CardinalityEstimator
-) -> Operator:
-    for atom in query.atoms:
-        for term in atom:
-            if not isinstance(term, Variable) and store.encode_term(term) is None:
-                # A constant the data never mentions: the whole query is
-                # unsatisfiable, no operator needs to run.
-                return Empty(tuple(sorted({v.name for v in query.variables()})))
-    order = estimator.join_order(query.atoms)
-    return _join_tree(
-        store, [query.atoms[index] for index in order], query.non_literal
-    )
+def _atom_unions(query: ConjunctiveQuery) -> list:
+    """Per body atom, an :class:`~repro.reformulation.reformulate.AtomUnion`
+    whose one alternative is the atom itself, over the columns
+    :func:`~repro.reformulation.reformulate.factorise` gives it, with
+    the query's ``non_literal`` restriction on the atom's variables."""
+    from repro.reformulation.reformulate import AtomUnion, atom_columns
 
-
-def _join_tree(
-    store: TripleStore, atoms: Sequence[Atom], non_literal: frozenset[Variable]
-) -> Operator:
-    """Left-deep join of ``atoms``, in the given order, from a scan of
-    the first atom.
-
-    The one plan shape: index-nested-loop probes for connected steps,
-    hash joins for Cartesian ones.
-    """
-    root: Operator = IndexScan(store, atoms[0], non_literal)
-    for atom in atoms[1:]:
-        connected = any(
-            isinstance(term, Variable) and term.name in root.schema
-            for term in atom
-        )
-        if connected:
-            root = IndexNestedLoopJoin(root, store, atom, non_literal)
-        else:
-            right = IndexScan(store, atom, non_literal)
-            pairs, keep_right = _natural_pairs(root.schema, right.schema)
-            root = HashJoin(root, right, pairs, keep_right)
-    return root
+    return [
+        AtomUnion(atom, columns, (ConjunctiveQuery(
+            columns, (atom,), name="atom", non_literal=query.non_literal
+        ),))
+        for atom, columns in zip(query.atoms, atom_columns(query))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -353,10 +332,12 @@ def _factorised_tree(
     alternative pattern counts, preferring unions connected to the
     leaf's columns. The first union without a leaf is a
     :class:`UnionScan`, a connected one a :class:`UnionProbe`, a
-    Cartesian one a hash join over a :class:`UnionScan`. The planner,
-    EXPLAIN ANALYZE and view maintenance
-    (:mod:`repro.selection.maintenance`, whose leaves hold an update's
-    rows) build their trees here.
+    Cartesian one a hash join over a :class:`UnionScan`. Every tree on a
+    store is built here: :func:`plan_query` (one alternative per atom,
+    so the summed counts are the estimator's own and the order is
+    :func:`plan_pushdown`'s), :func:`plan_factorised`, EXPLAIN ANALYZE
+    and view maintenance (:mod:`repro.selection.maintenance`, whose
+    leaves hold an update's rows).
     """
     pattern_count = store.stats.pattern_count
     counts = [
@@ -366,7 +347,7 @@ def _factorised_tree(
         )
         for part in unions
     ]
-    order = _estimator(store, None).join_order(
+    order = _estimator(store).join_order(
         [part.atom for part in unions],
         () if leaf is None else [Variable(name) for name in leaf.schema],
         counts=counts,
@@ -386,15 +367,41 @@ def _factorised_tree(
     return root
 
 
-def _head_scan(union, root: Operator) -> UnionScan | None:
-    """``root`` when it is a :class:`UnionScan` whose columns are the
-    union's head — a one-atom query, whose scan output is its images."""
-    if isinstance(root, UnionScan) and root.schema == tuple(
-        term.name if isinstance(term, Variable) else None
-        for term in union.source.head
-    ):
-        return root
-    return None
+def _head_scan(head: Sequence[Variable | Term], root: Operator) -> bool:
+    """Whether ``root`` is a :class:`UnionScan` whose columns are
+    ``head`` — a one-atom query, whose scan output is its images."""
+    return isinstance(root, UnionScan) and root.schema == tuple(
+        term.name if isinstance(term, Variable) else None for term in head
+    )
+
+
+def _tree_images(
+    head: Sequence[Variable | Term],
+    root: Operator,
+    store: TripleStore,
+    run: Operator | None = None,
+) -> Mapping[tuple, set] | set[tuple]:
+    """The encoded images of ``head`` over the tree ``root``, as
+    :func:`decode_images` reads them.
+
+    A one-atom tree goes scan → partitions: its :class:`UnionScan`'s
+    per-template values are decoded as they are, and no tuple of codes
+    is built per row. Any other tree is folded by :func:`_head_images`.
+    ``run`` executes in ``root``'s place (an instrumented copy).
+    """
+    run = root if run is None else run
+    if _head_scan(head, root):
+        return run.partitions()
+    return _head_images(head, run, store)
+
+
+def _image_set(
+    head: Sequence[Variable | Term], root: Operator, store: TripleStore
+) -> set[tuple]:
+    """:func:`_tree_images` as one set of encoded images."""
+    if _head_scan(head, root):
+        return root.distinct()
+    return _head_images(head, root, store)
 
 
 def factorised_images(union, store: TripleStore) -> set[tuple]:
@@ -402,36 +409,21 @@ def factorised_images(union, store: TripleStore) -> set[tuple]:
     factorised."""
     if metrics.enabled:
         metrics.inc("engine.route.factorised")
-    root = plan_factorised(union, store)
-    scan = _head_scan(union, root)
-    if scan is not None:
-        return scan.distinct()
-    return _head_images(union.source.head, root, store)
+    return _image_set(union.source.head, plan_factorised(union, store), store)
 
 
 def factorised_answers(union, store: TripleStore) -> set[tuple[Term, ...]]:
-    """All answers of a deferred union, evaluated factorised.
-
-    A one-atom union goes scan → partitions → answers: its
-    :class:`UnionScan`'s per-template values are decoded as they are
-    (:func:`decode_images`), and no tuple of codes is built per row.
-    """
+    """All answers of a deferred union, evaluated factorised."""
     if metrics.enabled:
         metrics.inc("engine.route.factorised")
-    root = plan_factorised(union, store)
-    scan = _head_scan(union, root)
-    images = (
-        scan.partitions() if scan is not None
-        else _head_images(union.source.head, root, store)
+    head = union.source.head
+    return decode_images(
+        _tree_images(head, plan_factorised(union, store), store), store
     )
-    return decode_images(images, store)
 
 
 def run_query(
-    query: ConjunctiveQuery,
-    store: TripleStore,
-    statistics=None,
-    pushdown: bool = True,
+    query: ConjunctiveQuery, store: TripleStore, pushdown: bool = True
 ) -> set[tuple[Term, ...]]:
     """All answers of the query on the store (set semantics, decoded).
 
@@ -439,12 +431,12 @@ def run_query(
     pushed-down SQL statement** inside the backend
     (:func:`plan_pushdown`) — the whole join pipeline evaluates next to
     the data and Python decodes one row per distinct head image.
-    ``pushdown=False`` forces the interpreted operator tree (the
-    reference the pushdown tests compare against), as does an explicit
-    ``statistics`` provider. The operator tree runs columnar: head
-    columns are picked off each batch, encoded head images are
-    deduplicated, and each distinct image is decoded once. The answer
-    set is identical on both routes.
+    ``pushdown=False`` forces the interpreted operator tree
+    (:func:`plan_query`, the reference the pushdown tests compare
+    against). The operator tree runs columnar: head columns are picked
+    off each batch, encoded head images are deduplicated, and each
+    distinct image is decoded once. The answer set is identical on both
+    routes.
 
     >>> from repro.query.parser import parse_query
     >>> from repro.rdf.ntriples import parse_ntriples
@@ -471,7 +463,7 @@ def run_query(
     ):
         started = time.perf_counter()
         with tracing.span("engine.run_query", query=query.name):
-            answers = _run_query(query, store, statistics, pushdown)
+            answers = _run_query(query, store, pushdown)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if metrics.enabled:
             metrics.inc("engine.queries")
@@ -483,13 +475,13 @@ def run_query(
                 query.name, elapsed_ms, threshold,
             )
         return answers
-    return _run_query(query, store, statistics, pushdown)
+    return _run_query(query, store, pushdown)
 
 
 def _run_query(
-    query: ConjunctiveQuery, store: TripleStore, statistics, pushdown: bool
+    query: ConjunctiveQuery, store: TripleStore, pushdown: bool
 ) -> set[tuple[Term, ...]]:
-    if pushdown and statistics is None:
+    if pushdown:
         compiled = plan_pushdown(query, store)
         if compiled is not None:
             if metrics.enabled:
@@ -497,15 +489,9 @@ def _run_query(
             return compiled.execute(store)
     if metrics.enabled:
         metrics.inc("engine.route.interpreted")
-    root = plan_query(query, store, statistics)
-    return decode_images(_images_from_root(query, root, store), store)
-
-
-def _images_from_root(
-    query: ConjunctiveQuery, root: Operator, store: TripleStore
-) -> set[tuple]:
-    """Distinct encoded head images of ``query`` from a compiled root."""
-    return _head_images(query.head, root, store)
+    return decode_images(
+        _tree_images(query.head, plan_query(query, store), store), store
+    )
 
 
 def _head_images(

@@ -9,11 +9,11 @@ through the shared :mod:`repro.obs.render` renderer — the same shapes
 actual-vs-estimated cardinalities (``est_rows=``) filled in per join
 step.
 
-Probes are only ever inserted into **freshly compiled** trees: passing
-an explicit statistics provider to :func:`~repro.engine.planner.plan_query`
-bypasses the store's prepared-plan cache (the estimator reads the same
-catalog, so the plan is identical), which keeps the cached, shared
-plans untouched. On the SQL pushdown route the backend's own
+Probes are only ever inserted into **freshly built** trees: a
+conjunctive query and a factorised union alike get a new
+:func:`~repro.engine.planner._factorised_tree` — the tree the planner
+would cache, built around the store's prepared-plan cache — so the
+cached, shared plans stay untouched. On the SQL pushdown route the backend's own
 ``EXPLAIN QUERY PLAN`` tree is attached, and the interpreted equivalent
 runs instrumented alongside it so per-join actuals exist on SQLite too;
 ``order=kept`` on the header says SQLite visited the aliases in the
@@ -29,31 +29,27 @@ from dataclasses import dataclass, field
 from repro.engine import mqo
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
-    Empty,
     HashJoin,
-    IndexNestedLoopJoin,
-    IndexScan,
     Operator,
+    UnionProbe,
 )
 from repro.engine.planner import (
     FACTORISED,
     INTERPRETED,
     SQL_PUSHDOWN,
+    _atom_unions,
     _estimator,
     _factorised_tree,
-    _head_scan,
-    _images_from_root,
+    _head_images,
+    _tree_images,
     decode_images,
     factorised_route,
     plan_pushdown,
-    plan_query,
 )
 from repro.obs.render import PlanNode, operator_tree, query_header, render, sql_tree
 from repro.query.cq import UnionQuery
-from repro.stats.provider import CatalogStatistics
 
 _CHILD_ATTRS = ("child", "left", "right")
-_JOINS = (HashJoin, IndexNestedLoopJoin)
 
 
 @dataclass
@@ -138,38 +134,36 @@ def instrument(root: Operator) -> _Probe:
 
 
 def _annotate_estimates(root: _Probe, estimator, query) -> None:
-    """Attach estimator predictions along the plan's left-deep spine.
+    """Attach estimator predictions along a conjunctive query's
+    left-deep spine.
 
     ``prefix_cardinalities`` prices the output of every join step in
     the estimator's order — the numbers the join order was decided
-    from — so ``est_rows=`` next to ``rows=`` is exactly the
-    actual-vs-estimated comparison that debugs the estimator.
+    from, and the order the tree joins in — so ``est_rows=`` next to
+    ``rows=`` is exactly the actual-vs-estimated comparison that debugs
+    the estimator. The estimate is of the bag join over every body
+    variable; ``rows`` counts the distinct rows the tree keeps over the
+    head and join variables.
     """
     atoms = query.atoms
-    if not atoms:
-        return
     order = estimator.join_order(atoms)
     prefix = estimator.prefix_cardinalities(atoms, order)
     node, step = root, len(order) - 1
-    while isinstance(node, _Probe) and step >= 0:
+    while isinstance(node, _Probe):
+        node.stats.est_rows = prefix[step]
         inner = node.inner
-        if isinstance(inner, _JOINS):
-            node.stats.est_rows = prefix[step]
-            right = getattr(inner, "right", None)
-            if isinstance(right, _Probe) and isinstance(right.inner, IndexScan):
-                right.stats.est_rows = float(
-                    estimator.atom_cardinality(right.inner.atom)
-                )
-            step -= 1
-            node = getattr(inner, "child", None) or getattr(inner, "left", None)
-        elif isinstance(inner, IndexScan):
-            node.stats.est_rows = prefix[0]
+        if isinstance(inner, HashJoin):
+            # A Cartesian step: its right input scans one atom alone.
+            right = inner.right
+            right.stats.est_rows = float(
+                estimator.atom_cardinality(right.inner.source)
+            )
+            node = inner.left
+        elif isinstance(inner, UnionProbe):
+            node = inner.child
+        else:  # the UnionScan the spine starts from
             return
-        elif isinstance(inner, Empty):
-            node.stats.est_rows = 0.0
-            return
-        else:  # Selection/Projection/Relabel: pass-through, no estimate
-            node = getattr(inner, "child", None)
+        step -= 1
 
 
 def _annotations(probe: _Probe) -> dict:
@@ -220,44 +214,57 @@ class AnalyzeReport:
         return render(self.tree, indent)
 
 
-def _run_instrumented(query, store, probe: _Probe):
-    """Execute a probed tree through ``run_query``'s head-image fold:
-    deduplicate encoded head images, decode each distinct image once —
-    so the analyzed answer set equals ``run_query``'s on every plan."""
-    started = time.perf_counter()
-    images = _images_from_root(query, probe, store)
-    answers = decode_images(images, store)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    return images, answers, wall_ms
-
-
 def _instrumented_plan(query, store) -> _Probe:
     """A fresh interpreted tree for ``query``, every operator probed and
     the join spine annotated with estimates."""
-    # An explicit statistics provider bypasses the prepared-plan cache:
-    # same catalog, same plan, but a private tree we may mutate.
-    root = plan_query(query, store, statistics=CatalogStatistics(store.stats))
-    probe = instrument(root)
-    _annotate_estimates(probe, _estimator(store, None), query)
+    probe = instrument(_factorised_tree(_atom_unions(query), store))
+    _annotate_estimates(probe, _estimator(store), query)
     return probe
 
 
-def _interpreted_report(query, store) -> AnalyzeReport:
-    probe = _instrumented_plan(query, store)
-    images, answers, wall_ms = _run_instrumented(query, store, probe)
+def _tree_report(
+    label, head, probe: _Probe, store, route, **fields
+) -> AnalyzeReport:
+    """Execute a probed, freshly built tree the way the engine does.
+
+    The images are taken by the engine's own step
+    (:func:`~repro.engine.planner._tree_images`: a one-atom tree's
+    :class:`~repro.engine.operators.UnionScan` partitions, any other
+    tree's head-image fold), so the analyzed answer set equals the
+    engine's on every plan. The header splits the time: ``time_ms``
+    until the images exist, ``decode_ms`` for
+    :func:`~repro.engine.planner.decode_images`.
+    """
+    started = time.perf_counter()
+    images = _tree_images(head, probe.inner, store, probe)
+    images_ms = (time.perf_counter() - started) * 1000.0
+    started = time.perf_counter()
+    answers = decode_images(images, store)
+    decode_ms = (time.perf_counter() - started) * 1000.0
     header = query_header(
-        query.name, route=INTERPRETED,
-        rows=len(answers), time_ms=round(wall_ms, 2),
+        label,
+        route=route,
+        **fields,
+        rows=len(answers),
+        time_ms=round(images_ms, 2),
+        decode_ms=round(decode_ms, 2),
     )
     header.children.append(operator_tree(probe, _annotate))
     return AnalyzeReport(
         tree=header,
         answers=answers,
-        distinct_images=len(images),
+        distinct_images=len(answers),
         root_rows=probe.stats.rows_out,
-        wall_ms=wall_ms,
-        route=INTERPRETED,
+        wall_ms=images_ms + decode_ms,
+        route=route,
         operators=_probe_stats(probe),
+    )
+
+
+def _interpreted_report(query, store) -> AnalyzeReport:
+    return _tree_report(
+        query.name, query.head, _instrumented_plan(query, store), store,
+        INTERPRETED,
     )
 
 
@@ -310,7 +317,7 @@ def analyze_query(query, store, pushdown: bool = True) -> AnalyzeReport:
     started = time.perf_counter()
     answers = compiled.execute(store)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    estimator = _estimator(store, None)
+    estimator = _estimator(store)
     atoms = query.atoms
     order = estimator.join_order(atoms)
     est_rows = None
@@ -347,49 +354,6 @@ def analyze_query(query, store, pushdown: bool = True) -> AnalyzeReport:
     )
 
 
-def _factorised_report(union, store) -> AnalyzeReport:
-    """EXPLAIN ANALYZE of the factorised route: a freshly built tree
-    (never the cached one), every union scan and probe timed.
-
-    The images are taken as ``evaluate_union`` takes them — a one-atom
-    union's :class:`~repro.engine.operators.UnionScan` partitions, any
-    other tree's head-image fold — and the header splits the time:
-    ``time_ms`` until the images exist, ``decode_ms`` for
-    :func:`~repro.engine.planner.decode_images`.
-    """
-    from repro.reformulation.reformulate import factorise
-
-    tree = _factorised_tree(factorise(union.source, union.schema), store)
-    probe = instrument(tree)
-    started = time.perf_counter()
-    if _head_scan(union, tree) is not None:
-        images = probe.partitions()
-    else:
-        images = _images_from_root(union.source, probe, store)
-    images_ms = (time.perf_counter() - started) * 1000.0
-    started = time.perf_counter()
-    answers = decode_images(images, store)
-    decode_ms = (time.perf_counter() - started) * 1000.0
-    header = query_header(
-        "union",
-        route=FACTORISED,
-        atoms=len(union.source.atoms),
-        rows=len(answers),
-        time_ms=round(images_ms, 2),
-        decode_ms=round(decode_ms, 2),
-    )
-    header.children.append(operator_tree(probe, _annotate))
-    return AnalyzeReport(
-        tree=header,
-        answers=answers,
-        distinct_images=len(answers),
-        root_rows=probe.stats.rows_out,
-        wall_ms=images_ms + decode_ms,
-        route=FACTORISED,
-        operators=_probe_stats(probe),
-    )
-
-
 def analyze_union(disjuncts, store) -> AnalyzeReport:
     """EXPLAIN ANALYZE a union (its disjuncts, or the union itself).
 
@@ -397,8 +361,7 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
     (:func:`~repro.engine.planner.factorised_route`, any backend) runs
     its factorised tree instrumented: one ``UnionScan`` / ``UnionProbe``
     line per source atom with its rows, batches and time. A flat union
-    runs one fresh instrumented :func:`~repro.engine.planner.plan_query`
-    tree per distinct disjunct, its images merged union-wide and decoded
+    runs one fresh instrumented interpreted tree per distinct disjunct, its images merged union-wide and decoded
     once. On a SQL-capable backend the flat union's real route — its
     per-branch statements (:func:`repro.engine.mqo.plan_union_pushdown`)
     — executes as well: a ``per-branch statements`` node reports the
@@ -406,7 +369,14 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
     answers.
     """
     if factorised_route(disjuncts, store):
-        return _factorised_report(disjuncts, store)
+        from repro.reformulation.reformulate import factorise
+
+        source = disjuncts.source
+        tree = _factorised_tree(factorise(source, disjuncts.schema), store)
+        return _tree_report(
+            "union", source.head, instrument(tree), store, FACTORISED,
+            atoms=len(source.atoms),
+        )
     if isinstance(disjuncts, UnionQuery):
         disjuncts = disjuncts.disjuncts
     distinct, branches = mqo.plan_union_pushdown(disjuncts, store)
@@ -418,7 +388,7 @@ def analyze_union(disjuncts, store) -> AnalyzeReport:
     for query in distinct:
         probe = _instrumented_plan(query, store)
         started = time.perf_counter()
-        branch_images = _images_from_root(query, probe, store)
+        branch_images = _head_images(query.head, probe, store)
         branch_ms = (time.perf_counter() - started) * 1000.0
         images |= branch_images
         root_rows += len(branch_images)

@@ -65,21 +65,17 @@ def _match_binding(
 
 
 def evaluate(
-    query: ConjunctiveQuery,
-    store: TripleStore,
-    statistics=None,
-    pushdown: bool = True,
+    query: ConjunctiveQuery, store: TripleStore, pushdown: bool = True
 ) -> set[Answer]:
     """All answers of a conjunctive query on the store (set semantics).
 
     Delegates to the physical-operator engine
-    (:func:`repro.engine.run_query`); ``statistics`` may supply
-    precomputed atom cardinalities for join ordering. On a SQL-capable
-    backend (SQLite) an eligible query runs as one pushed-down SQL
-    statement inside the backend; ``pushdown=False`` keeps the
-    interpreted operator tree (the reference tests compare against).
+    (:func:`repro.engine.run_query`). On a SQL-capable backend (SQLite)
+    an eligible query runs as one pushed-down SQL statement inside the
+    backend; ``pushdown=False`` keeps the interpreted operator tree (the
+    reference tests compare against).
     """
-    return run_query(query, store, statistics=statistics, pushdown=pushdown)
+    return run_query(query, store, pushdown=pushdown)
 
 
 def evaluate_union(

@@ -246,7 +246,7 @@ class TripleStore:
     def match_many_encoded(self, patterns):
         """Matches of a whole batch of encoded patterns, input-aligned.
 
-        The batched index-nested-loop probe path: the SQLite backend
+        The engine's batched probe path: the SQLite backend
         answers the batch with one SQL statement instead of one SELECT
         per probe (see :meth:`repro.storage.base.StorageBackend.match_many`).
         """

@@ -194,6 +194,27 @@ _ATOM_MEMO: "weakref.WeakKeyDictionary[RDFSchema, tuple[int, dict]]" = (
 _ATOM_MEMO_LIMIT = 4096
 
 
+def atom_columns(query: ConjunctiveQuery) -> list[tuple[Variable, ...]]:
+    """Per body atom, its :attr:`AtomUnion.columns`: the atom's head
+    variables and the variables it shares with another atom, in
+    first-occurrence order."""
+    occurrences: dict[Variable, int] = {}
+    for atom in query.atoms:
+        for variable in atom.variables():
+            occurrences[variable] = occurrences.get(variable, 0) + 1
+    exported = query.head_variables()
+    return [
+        tuple(
+            variable
+            for variable in dict.fromkeys(
+                term for term in atom if isinstance(term, Variable)
+            )
+            if variable in exported or occurrences[variable] > 1
+        )
+        for atom in query.atoms
+    ]
+
+
 def factorise(query: ConjunctiveQuery, schema: RDFSchema) -> tuple[AtomUnion, ...]:
     """The factorised reformulation of ``query``: one :class:`AtomUnion`
     per body atom, in body order.
@@ -204,26 +225,17 @@ def factorise(query: ConjunctiveQuery, schema: RDFSchema) -> tuple[AtomUnion, ..
     They are memoised per (atom up to variable renaming, head, restriction)
     and per schema identity and size, so most evaluations apply no rule.
     """
-    occurrences: dict[Variable, int] = {}
-    for atom in query.atoms:
-        for variable in atom.variables():
-            occurrences[variable] = occurrences.get(variable, 0) + 1
-    exported = query.head_variables()
     size = len(schema)
     entry = _ATOM_MEMO.get(schema)
     if entry is None or entry[0] != size:
         entry = _ATOM_MEMO[schema] = (size, {})
     memo = entry[1]
     out = []
-    for atom in query.atoms:
+    for atom, columns in zip(query.atoms, atom_columns(query)):
         names: dict[Variable, Variable] = {}
         for term in atom:
             if isinstance(term, Variable) and term not in names:
                 names[term] = Variable(f"A{len(names)}")
-        columns = tuple(
-            variable for variable in names
-            if variable in exported or occurrences[variable] > 1
-        )
         key = (
             atom.substitute(names),
             tuple(names[variable] for variable in columns),

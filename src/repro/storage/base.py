@@ -12,8 +12,8 @@ The execution engine pulls through two *batched* fetch paths:
 column batches (the scan input — one driver round-trip per batch
 instead of one per row for cursor-backed stores), and
 :meth:`StorageBackend.match_many` answers a whole batch of patterns at
-once (the index-nested-loop probe path — SQLite folds it into a single
-statement per batch). The base class derives both from :meth:`match`,
+once (the union probe path — SQLite folds it into a single statement
+per batch). The base class derives both from :meth:`match`,
 so third-party backends only implement the abstract core; the built-in
 backends override them natively.
 
@@ -130,7 +130,7 @@ class StorageBackend(ABC):
 
         ``result[i]`` holds the matches of ``patterns[i]`` (any sequence
         type; callers must not mutate it). This is the probe path of the
-        batched index-nested-loop join: the engine hands over one batch
+        engine's union probes: the engine hands over one batch
         of probe patterns and the backend answers them in as few
         round-trips as it can — the SQLite backend compiles the batch
         into a single SQL statement.

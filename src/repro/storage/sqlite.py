@@ -248,7 +248,7 @@ class SqliteBackend(StorageBackend):
         index prefix — ``IN (...)`` for one column, a ``VALUES`` CTE
         joined to the table for several — and the fetched triples are
         bucketed back per key. The
-        common caller — the batched index-nested-loop join — sends
+        common caller — the engine's union probe — sends
         same-mask batches, so the statement text is stable and sqlite3's
         statement cache kicks in.
         """

@@ -90,10 +90,28 @@ def test_joins_carry_estimates_next_to_actuals(backend, stores, q_painters):
         if not node.header and "rows" in node.annotations
     ]
     assert operators, "the interpreted tree must be annotated"
+    # Every step of the left-deep spine, the scan it starts from included.
+    assert len(operators) == len(q_painters.atoms)
+    assert all(node.annotations["est_rows"] is not None for node in operators)
     root = operators[0]
-    assert root.annotations["est_rows"] is not None
     assert root.annotations["batches"] >= 1
     assert root.annotations["time_ms"] >= 0
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_cartesian_step_and_its_scans_carry_estimates(backend, stores):
+    query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)")
+    report = analyze_query(query, stores[backend], pushdown=False)
+    operators = [
+        node
+        for node in report.tree.walk()
+        if not node.header and "rows" in node.annotations
+    ]
+    assert [node.label.split("(")[0].split("[")[0] for node in operators] == [
+        "HashJoin", "UnionScan", "UnionScan",
+    ]
+    assert all(node.annotations["est_rows"] is not None for node in operators)
+    assert report.answers == evaluate(query, stores[backend])
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.engine import (
-    Distinct,
     ExtentScan,
     HashJoin,
-    IndexNestedLoopJoin,
     IndexScan,
+    UnionProbe,
+    UnionScan,
     ViewExtent,
     plan_query,
     plan_rewriting,
@@ -29,7 +29,6 @@ from repro.query.parser import parse_query
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
-from repro.selection.statistics import FixedStatistics
 
 from tests.conftest import ex
 
@@ -106,20 +105,44 @@ class TestRunQuery:
         assert (Literal("The Starry Night"),) not in non_literal
         assert non_literal == {v for v in all_values if not isinstance(v[0], Literal)}
 
-    def test_statistics_provider_is_honored(self, museum_store):
-        query = parse_query("q(X, Y) :- t(X, hasPainted, Y), t(X, rdf:type, painter)")
-        answers = run_query(query, museum_store, statistics=FixedStatistics())
-        assert answers == evaluate_nested_loop(query, museum_store)
-
 
 class TestPlanQuery:
-    def test_schema_covers_all_variables(self, museum_store, q_painters):
-        root = plan_query(q_painters, museum_store)
-        assert set(root.schema) == {v.name for v in q_painters.variables()}
+    def test_schema_is_head_and_join_variables(self, museum_store):
+        # W occurs in one atom only and not in the head: projected away.
+        query = parse_query(
+            "q(X, Z) :- t(X, hasPainted, W), t(X, isParentOf, Y), "
+            "t(Y, hasPainted, Z)"
+        )
+        root = plan_query(query, museum_store)
+        assert sorted(root.schema) == ["X", "Y", "Z"]
 
     def test_explain_renders_tree(self, museum_store, q_painters):
         rendered = plan_query(q_painters, museum_store).explain()
-        assert "IndexScan" in rendered
+        assert rendered.splitlines()[-1].lstrip().startswith("UnionScan(")
+        assert "UnionProbe(" in rendered
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_star_leaf_with_a_local_variable_is_a_semi_join(
+        self, museum_store, backend
+    ):
+        store = museum_store if backend == "memory" else museum_store.copy(
+            backend=backend
+        )
+        try:
+            # isParentOf is the rarer atom, so hasPainted is the probed
+            # leaf; its only new variable, Z, is local to it.
+            query = parse_query(
+                "q(X, Y) :- t(X, isParentOf, Y), t(X, hasPainted, Z)"
+            )
+            root = plan_query(query, store)
+            assert isinstance(root, UnionProbe)
+            assert root.schema == root.child.schema == ("X", "Y")
+            answers = run_query(query, store, pushdown=False)
+            assert answers == evaluate_nested_loop(query, store)
+            assert len(answers) == 2
+        finally:
+            if store is not museum_store:
+                store.backend.close()
 
 
 class TestOperators:
@@ -136,10 +159,6 @@ class TestOperators:
         assert join.rows() == [(A, B, C)]
         # The extent cached the join tails the join asked for.
         assert ((0,), (1,)) in extent._tails
-
-    def test_distinct_preserves_first_occurrence_order(self):
-        child = ExtentScan("v", [(A,), (B,), (A,), (B,)], ("x",))
-        assert Distinct(child).rows() == [(A,), (B,)]
 
 
 class TestPlanRewriting:
@@ -211,16 +230,11 @@ class TestPlanCache:
         store.add(Triple(ex("a"), ex("later"), ex("b")))
         assert run_query(query, store) == {(ex("a"),)}
 
-    def test_statistics_bypass_the_cache(self, museum_store):
-        query = parse_query("q(X) :- t(X, hasPainted, Y)")
-        baseline = plan_query(query, museum_store)
-        with_stats = plan_query(query, museum_store, statistics=FixedStatistics())
-        assert with_stats is not baseline
-
 
 class TestCostBasedSelection:
-    """The one plan shape: joins in the estimator's order, a connected
-    step as an index probe, a Cartesian step as a hash join."""
+    """The one plan shape: joins in the estimator's order from a union
+    scan, a connected step as a union probe, a Cartesian step as a hash
+    join over a union scan."""
 
     def test_connected_join_prefers_index_probes(self, museum_store):
         query = parse_query(
@@ -228,15 +242,15 @@ class TestCostBasedSelection:
             "t(Z, rdf:type, W)"
         )
         kinds = [type(op) for op in _operators(plan_query(query, museum_store))]
-        assert kinds == [IndexNestedLoopJoin, IndexNestedLoopJoin, IndexScan]
+        assert kinds == [UnionProbe, UnionProbe, UnionScan]
 
     def test_cartesian_product_avoids_per_row_rescans(self, museum_store):
         query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)")
         kinds = [type(op) for op in _operators(plan_query(query, museum_store))]
-        assert kinds == [HashJoin, IndexScan, IndexScan]
+        assert kinds == [HashJoin, UnionScan, UnionScan]
 
     def test_mixed_query_selects_hybrid(self):
-        # A selective connected prefix (index probes) feeding a
+        # A selective connected prefix (union probes) feeding a
         # Cartesian step (one hash build instead of per-row rescans).
         store = TripleStore()
         store.add(Triple(ex("s0"), ex("p"), ex("c")))
@@ -249,7 +263,7 @@ class TestCostBasedSelection:
             "q(X, Y, Z) :- t(X, p, c), t(X, q, Y), t(Z, r, W)"
         )
         kinds = {type(op) for op in _operators(plan_query(query, store))}
-        assert kinds == {HashJoin, IndexNestedLoopJoin, IndexScan}
+        assert kinds == {HashJoin, UnionProbe, UnionScan}
         answers = run_query(query, store)
         assert len(answers) == 200  # 10 paintings x 20 Cartesian rows
         assert answers == evaluate_nested_loop(query, store)

@@ -116,7 +116,7 @@ class TestFingerprints:
 
         query = _chain_typed()
         (keys,) = plan_batch([query], museum_store).keys
-        order = _estimator(museum_store, None).join_order(query.atoms)
+        order = _estimator(museum_store).join_order(query.atoms)
         atoms = [query.atoms[index] for index in order]
         assert keys == tuple(
             _headless_key(atoms[:k]) for k in range(1, len(atoms) + 1)

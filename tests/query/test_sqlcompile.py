@@ -24,7 +24,6 @@ from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.rdf.vocabulary import RDF_TYPE
-from repro.selection.statistics import FixedStatistics
 
 from tests.conftest import ex
 
@@ -178,7 +177,7 @@ class TestJoinOrder:
     @pytest.mark.parametrize("text", [_CHAIN_TO_TYPE, _STAR_WITH_TYPE])
     def test_from_clause_is_the_estimators_order(self, skewed_store, text):
         query = parse_query(text, namespace="http://example.org/")
-        order = _estimator(skewed_store, None).join_order(query.atoms)
+        order = _estimator(skewed_store).join_order(query.atoms)
         assert order != sorted(order)  # the shape really reorders
         compiled = plan_pushdown(query, skewed_store)
         assert _from_aliases(compiled.sql) == order
@@ -263,12 +262,8 @@ class TestFallbackShapes:
             "execute_sql_plan",
             lambda *a, **k: pytest.fail("pushdown route taken"),
         )
-        # pushdown=False is the reference switch ...
+        # pushdown=False is the reference switch.
         assert evaluate(query, sqlite_museum, pushdown=False) == expected
-        # ... and an explicit statistics provider orders the operator tree.
-        assert (
-            evaluate(query, sqlite_museum, statistics=FixedStatistics()) == expected
-        )
 
     def test_auto_route_uses_pushdown(self, sqlite_museum, monkeypatch):
         query = _two_hop()

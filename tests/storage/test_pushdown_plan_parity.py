@@ -82,7 +82,7 @@ def _has_stat1(connection) -> bool:
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
 def test_same_statement_and_table_order_on_every_store(stores, query):
     expected = evaluate_nested_loop(query, stores["memory"])
-    order = _estimator(stores["memory"], None).join_order(query.atoms)
+    order = _estimator(stores["memory"]).join_order(query.atoms)
     compiled = {kind: plan_pushdown(query, store) for kind, store in stores.items()}
     for kind, store in stores.items():
         assert compiled[kind].sql == compiled["memory"].sql, kind
@@ -130,7 +130,7 @@ def test_analyzed_snapshot_keeps_the_emitted_order(tmp_path):
     reader = TripleStore.open(path, backend="sqlite", read_only=True)
     try:
         assert _has_stat1(reader.backend.connection)
-        estimator = _estimator(plain, None)
+        estimator = _estimator(plain)
         for query in QUERIES:
             compiled = plan_pushdown(query, reader)
             assert compiled.sql == plan_pushdown(query, plain).sql

@@ -88,7 +88,9 @@ def test_explain_prints_plans_and_route(capsys, data_file, workload_file):
     assert "physical plans on the store:" in out
     assert "q1 [route=interpreted]:" in out
     assert "q2 [route=interpreted]:" in out
-    assert "IndexScan" in out
+    # q1 is one union scan; q2 scans its rarer atom and probes the other.
+    assert "UnionScan(t(X, <http://example.org/hasPainted>" in out
+    assert "UnionProbe(t(X, <http://example.org/hasPainted>, Y)" in out
 
 
 def test_empty_workload_errors(capsys, data_file, tmp_path):

@@ -1,7 +1,7 @@
 """The public surface after the execution matrix was collapsed.
 
-One execution path means two settable values on ``run_query``
-(``statistics``, ``pushdown``), a serial search, and a storage contract
+One execution path means one settable value on ``run_query``
+(``pushdown``), a serial search, and a storage contract
 of pattern matches and counts only. A knob — an ``engine=``, a
 ``batch_size=``, a ``workers=``, a ``layout=`` — or a retired fetch
 method or union route cannot come back without one of these failing,
@@ -43,11 +43,11 @@ from repro.server import ServerConfig
 from repro.storage import StorageBackend
 
 SIGNATURES = {
-    run_query: ["query", "store", "statistics", "pushdown"],
-    plan_query: ["query", "store", "statistics"],
+    run_query: ["query", "store", "pushdown"],
+    plan_query: ["query", "store"],
     run_plan: ["plan", "extents"],
     plan_rewriting: ["plan", "extents"],
-    evaluate: ["query", "store", "statistics", "pushdown"],
+    evaluate: ["query", "store", "pushdown"],
     evaluate_union: ["union", "store", "pushdown", "shared"],
     run_query_batch: ["queries", "store", "pushdown"],
     evaluate_union_shared: ["disjuncts", "store", "pushdown"],
@@ -94,6 +94,9 @@ RETIRED_NAMES = {
     "UNION_PUSHDOWN",
     "BatchPlan",
     "CompiledUnion",
+    "Distinct",
+    "Empty",
+    "IndexNestedLoopJoin",
     "MergeJoin",
     "PartitionedHashJoin",
     "SharedNode",
