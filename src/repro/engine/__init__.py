@@ -1,12 +1,12 @@
-"""The unified physical query-execution engine.
+"""The physical query-execution engine.
 
-One operator algebra executes both halves of the paper's Figure 8
-comparison: conjunctive queries evaluated directly on the dictionary-
-encoded triple store, and rewriting plans evaluated over materialized
-view extents. See :mod:`repro.engine.operators` for the physical
-operators, :mod:`repro.engine.planner` for plan compilation and join
-ordering, and :mod:`repro.engine.extents` for hash-indexed view
-extents.
+Conjunctive queries and their reformulations run here, on the
+dictionary-encoded triple store: the triple-table half of the paper's
+Figure 8 comparison. (The other half, rewriting plans over
+materialized view extents, is a set fold of its own:
+:func:`repro.query.algebra.execute`.) See :mod:`repro.engine.operators`
+for the physical operators and :mod:`repro.engine.planner` for plan
+compilation and join ordering.
 
 Public surface::
 
@@ -14,8 +14,7 @@ Public surface::
     run_query_batch(queries, store, pushdown=True)  # independent queries
     evaluate_union_shared(disjuncts, store, pushdown=True)   # union -> answers
     count_union(union, store)                   # |answers|, nothing decoded
-    run_plan(plan, extents)                     # rewriting Plan -> rows
-    plan_query / plan_rewriting                 # operator trees (explain)
+    plan_query(query, store)                    # operator tree (explain)
     plan_pushdown(query, store)                 # whole-plan SQL route
     plan_factorised(union, store)               # a reformulation, factorised
     plan_union_pushdown(disjuncts, store)       # a flat union's statements
@@ -32,9 +31,9 @@ one-atom queries per body atom (a conjunctive query's atom alone, or
 that atom's reformulation), joined in the order the shared cardinality
 estimator (:mod:`repro.stats`) picks — the first read by a
 :class:`UnionScan`, a connected one probed per key by a
-:class:`UnionProbe`, a Cartesian one (and every join over view
-extents) hash-joined. On a backend that executes SQL itself
-(SQLite), ``run_query`` first tries **whole-plan SQL pushdown**:
+:class:`UnionProbe`, a Cartesian one hash-joined. On a backend
+that executes SQL itself (SQLite), ``run_query`` first tries
+**whole-plan SQL pushdown**:
 the entire conjunctive query compiles to one SQL statement
 (:mod:`repro.engine.sqlcompile`), joined in the same estimator order
 and evaluated inside the backend; the operator tree is the fallback
@@ -52,13 +51,13 @@ merged answer images once.
 
 The engine/layout/batch-size/workers matrix that used to be selectable
 here (index-nested-loop, merge and partitioned joins, row-list batches,
-the tuple-at-a-time path, adaptive batch sizes, morsel-parallel scans) is
+the tuple-at-a-time path, adaptive batch sizes, morsel-parallel scans,
+the operators that ran rewritings over cached view-extent indexes) is
 retired; docs/benchmarks.md, "Retired paths", keeps each one's last
 measured verdict.
 """
 
 from repro.engine.columnar import ColumnBatch
-from repro.engine.extents import ViewExtent
 from repro.engine.mqo import (
     count_union,
     decode_images,
@@ -74,9 +73,6 @@ from repro.engine.operators import (
     HashJoin,
     IndexScan,
     Operator,
-    Projection,
-    Relabel,
-    Selection,
     UnionProbe,
     UnionScan,
 )
@@ -87,8 +83,6 @@ from repro.engine.planner import (
     plan_factorised,
     plan_pushdown,
     plan_query,
-    plan_rewriting,
-    run_plan,
     run_query,
 )
 from repro.engine.sqlcompile import CompiledQuery, compile_query
@@ -114,14 +108,8 @@ __all__ = [
     "HashJoin",
     "IndexScan",
     "Operator",
-    "Projection",
-    "Relabel",
-    "Selection",
     "UnionProbe",
     "UnionScan",
-    "ViewExtent",
     "plan_query",
-    "plan_rewriting",
-    "run_plan",
     "run_query",
 ]

@@ -6,8 +6,6 @@ batch layout. The engine's one operator contract
 (:meth:`~repro.engine.operators.Operator.column_batches`) streams these
 between operators instead of row-tuple lists:
 
-* projection and relabeling become zero-copy column picks
-  (:meth:`ColumnBatch.project` reuses the column sequences as-is);
 * join probes on a single key column read the key *vector* directly —
   no per-row key tuple is ever built;
 * join outputs assemble per column (one C-speed list comprehension per
@@ -16,11 +14,9 @@ between operators instead of row-tuple lists:
   batches into the answer set through ``set.update(zip(*columns))``.
 
 Iteration and :meth:`ColumnBatch.rows` give the row view wherever a
-consumer wants tuples (selection predicates, duplicate elimination,
-``Operator.rows`` behind ``run_plan``). A batch
-is never empty; its width may be zero (boolean heads), which is why the
-row count is stored explicitly instead of being derived from a first
-column that may not exist.
+consumer wants tuples. A batch is never empty; its width may be zero
+(boolean heads), which is why the row count is stored explicitly
+instead of being derived from a first column that may not exist.
 
 >>> batch = ColumnBatch.from_rows([(1, 10), (2, 20), (3, 30)], 2)
 >>> batch.columns
@@ -29,8 +25,6 @@ column that may not exist.
 3
 >>> batch.rows()
 [(1, 10), (2, 20), (3, 30)]
->>> batch.project((1,)).columns
-((10, 20, 30),)
 """
 
 from __future__ import annotations
@@ -81,21 +75,6 @@ class ColumnBatch:
         if not self.columns:
             return [()] * self.length
         return list(zip(*self.columns))
-
-    # -- columnar operations -------------------------------------------
-
-    def project(self, positions: Sequence[int]) -> "ColumnBatch":
-        """Keep the given column positions — zero-copy, just a re-pick."""
-        return ColumnBatch(
-            tuple(self.columns[p] for p in positions), self.length
-        )
-
-    def take(self, indexes: Sequence[int]) -> "ColumnBatch":
-        """Rows at the given indexes (a selection vector), per column."""
-        return ColumnBatch(
-            tuple([column[i] for i in indexes] for column in self.columns),
-            len(indexes),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnBatch(width={len(self.columns)}, rows={self.length})"

@@ -4,36 +4,30 @@ Every operator exposes a ``schema`` (a tuple of column names) and **one**
 pull-based execution contract, :meth:`Operator.column_batches`: the
 operator produces :class:`~repro.engine.columnar.ColumnBatch` objects —
 one value sequence per schema column, all of one length, never empty.
-Projection and relabeling are zero-copy column picks, single-column
-join keys are read as vectors (no per-row key tuple), and join outputs
-assemble per column over a selection vector. The per-batch row target
-``size`` is *advisory*: scans honour it, joins may emit batches larger
-than ``size`` (fan-out) rather than pay a repacking pass, and filters
-emit short batches. :meth:`Operator.rows` — the row-tuple view that
-``run_plan`` reads — is derived from it once, in the base class.
+Single-column join keys are read as vectors (no per-row key tuple), and
+join outputs assemble per column over a selection vector. The per-batch
+row target ``size`` is *advisory*: scans honour it, and joins may emit
+batches larger than ``size`` (fan-out) rather than pay a repacking pass.
 
-Two value domains flow through the same operator classes:
-
-* **dictionary codes** (ints) for plans over a :class:`TripleStore` —
-  every atom is a *union* of one-atom queries (a reformulation's
-  alternatives, or a conjunctive query's atom alone):
-  :class:`UnionScan` reads one through an :class:`IndexScan` per
-  distinct atom, :class:`UnionProbe` probes one per key (a whole batch
-  of probes per ``match_many_encoded`` call — one SQL statement per
-  batch on the SQLite backend), and a Cartesian step is a
-  :class:`HashJoin`;
-* **decoded RDF terms** for plans over materialized view extents —
-  leaves are :class:`ExtentScan`, joins are hash joins that reuse the
-  extent's cached, pre-projected join tails (see
-  :mod:`repro.engine.extents`).
+Values are dictionary codes (ints) of a :class:`TripleStore`. Every
+atom is a *union* of one-atom queries (a reformulation's alternatives,
+or a conjunctive query's atom alone): :class:`UnionScan` reads one
+through an :class:`IndexScan` per distinct atom, :class:`UnionProbe`
+probes one per key (a whole batch of probes per ``match_many_encoded``
+call — one SQL statement per batch on the SQLite backend), and a
+Cartesian step is a :class:`HashJoin`. :class:`ExtentScan` is a leaf of
+given code rows: view maintenance swaps in the rows an update binds.
+Rewritings over decoded view extents do not run here; see
+:func:`repro.query.algebra.execute`.
 
 The planner (:mod:`repro.engine.planner`) decides which operators to
 instantiate; nothing here chooses join orders or algorithms. The join
 algorithms and execution paths that used to sit beside these (the
 index-nested-loop join, merge and partitioned hash joins, row-list
-batches, tuple-at-a-time iteration, morsel-parallel scans) lost on
-every measured workload or ran in none; their last verdicts are kept
-in docs/benchmarks.md, "Retired paths".
+batches, tuple-at-a-time iteration, morsel-parallel scans, the
+operators that ran rewritings over view extents) lost on every
+measured workload or ran in none; their last verdicts are kept in
+docs/benchmarks.md, "Retired paths".
 """
 
 from __future__ import annotations
@@ -48,7 +42,8 @@ from repro.rdf.store import TripleStore
 from repro.rdf.vocabulary import RDF_TYPE
 from repro.storage.base import DEFAULT_BATCH_SIZE
 
-#: A physical row: a tuple of dictionary codes or of decoded RDF terms.
+#: A physical row: a tuple of dictionary codes (a head constant the
+#: dictionary lacks rides along as its term).
 PhysicalRow = tuple
 
 
@@ -82,24 +77,6 @@ class Operator:
         """
         raise NotImplementedError
 
-    def rows(self) -> list[PhysicalRow]:
-        """Materialize the full output as row tuples, in output order."""
-        out: list[PhysicalRow] = []
-        for cb in self.column_batches():
-            out.extend(cb)
-        return out
-
-    def hash_tails(self, positions: tuple[int, ...], keep: tuple[int, ...]):
-        """Prebuilt, pre-projected join tails keyed on ``positions``.
-
-        The buckets hold rows already projected to ``keep`` — a hash
-        join's build side, ready-made. Overridden by
-        :class:`ExtentScan` over indexed extents so hash joins can skip
-        the build phase entirely; None when the operator cannot
-        provide it.
-        """
-        return None
-
     def explain(self, depth: int = 0) -> str:
         """An indented one-line-per-operator rendering of the subtree."""
         lines = [("  " * depth) + self._describe()]
@@ -115,7 +92,12 @@ class Operator:
 
 
 class ExtentScan(Operator):
-    """Scan a materialized view extent (rows of decoded terms)."""
+    """Scan a given sequence of rows.
+
+    View maintenance's swappable leaf (``maintenance._Tree``): a delta
+    tree is compiled once on top of it, and each update replaces its
+    rows with the ones it binds, in dictionary codes.
+    """
 
     def __init__(self, name: str, rows: Sequence[PhysicalRow], schema: tuple[str, ...]) -> None:
         self.name = name
@@ -127,12 +109,6 @@ class ExtentScan(Operator):
         width = len(self.schema)
         for start in range(0, len(rows), size):
             yield ColumnBatch.from_rows(rows[start : start + size], width)
-
-    def hash_tails(self, positions: tuple[int, ...], keep: tuple[int, ...]):
-        tails_on = getattr(self._rows, "tails_on", None)
-        if tails_on is None:
-            return None
-        return tails_on(positions, keep)
 
     def _describe(self) -> str:
         return f"ExtentScan({self.name}){list(self.schema)}"
@@ -805,8 +781,6 @@ class HashJoin(Operator):
     ``pairs`` are ``(left position, right position)`` key pairs;
     ``keep_right`` lists the right positions appended to each output row
     (natural-join semantics drop the right copy of shared columns).
-    When the right input exposes prebuilt join tails (a scan over an
-    indexed view extent), the build phase is skipped entirely.
     """
 
     def __init__(
@@ -823,54 +797,47 @@ class HashJoin(Operator):
         self._keep_right = tuple(keep_right)
         self.schema = left.schema + tuple(right.schema[p] for p in self._keep_right)
 
-    def _key_vector(self, cb: ColumnBatch, positions: tuple[int, ...], scalar: bool):
-        """The probe/build keys of one column batch, cheapest form first."""
-        if scalar:
+    @staticmethod
+    def _key_vector(cb: ColumnBatch, positions: tuple[int, ...]):
+        """The probe/build keys of one column batch: a bare column for a
+        one-column key, else one tuple per row."""
+        if len(positions) == 1:
             return cb.columns[positions[0]]
         if not positions:
             return [()] * len(cb)
-        if len(positions) == 1:
-            return [(value,) for value in cb.columns[positions[0]]]
         return zip(*(cb.columns[p] for p in positions))
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
         """Columnar build and probe.
 
-        When the build side is ours and the join key is one column, the
-        hash table is keyed on bare values read straight off the key
-        vectors — no per-row key tuple on either side. Prebuilt extent
-        tails stay tuple-keyed (their contract). Output columns
-        assemble over a selection vector into the left batch plus the
-        transposed build tails; rows come out in left order, then build
-        order per key — the seed's join output order.
+        When the join key is one column, the hash table is keyed on
+        bare values read straight off the key vectors — no per-row key
+        tuple on either side. Output columns assemble over a selection
+        vector into the left batch plus the transposed build tails;
+        rows come out in left order, then build order per key.
         """
         keep = self._keep_right
-        table = self.right.hash_tails(self._right_keys, keep)
-        scalar_key = False
-        if table is None:
-            scalar_key = len(self._right_keys) == 1
-            table = {}
-            get = table.get
-            for right_cb in self.right.column_batches(size):
-                build_keys = self._key_vector(right_cb, self._right_keys, scalar_key)
-                if keep:
-                    if len(keep) == 1:
-                        build_tails: Iterable = [
-                            (value,) for value in right_cb.columns[keep[0]]
-                        ]
-                    else:
-                        build_tails = zip(*(right_cb.columns[p] for p in keep))
-                else:
-                    build_tails = [()] * len(right_cb)
-                for key, tail in zip(build_keys, build_tails):
-                    tails = get(key)
-                    if tails is None:
-                        table[key] = [tail]
-                    else:
-                        tails.append(tail)
+        table: dict = {}
         get = table.get
+        for right_cb in self.right.column_batches(size):
+            build_keys = self._key_vector(right_cb, self._right_keys)
+            if keep:
+                if len(keep) == 1:
+                    build_tails: Iterable = [
+                        (value,) for value in right_cb.columns[keep[0]]
+                    ]
+                else:
+                    build_tails = zip(*(right_cb.columns[p] for p in keep))
+            else:
+                build_tails = [()] * len(right_cb)
+            for key, tail in zip(build_keys, build_tails):
+                tails = get(key)
+                if tails is None:
+                    table[key] = [tail]
+                else:
+                    tails.append(tail)
         for left_cb in self.left.column_batches(size):
-            probe_keys = self._key_vector(left_cb, self._left_keys, scalar_key)
+            probe_keys = self._key_vector(left_cb, self._left_keys)
             sel: list[int] = []
             flat_tails: list[tuple] = []
             for index, key in enumerate(probe_keys):
@@ -894,89 +861,3 @@ class HashJoin(Operator):
 
     def _children(self) -> tuple[Operator, ...]:
         return (self.left, self.right)
-
-
-class Selection(Operator):
-    """Filter rows by an arbitrary predicate; preserves order and schema."""
-
-    def __init__(self, child: Operator, predicate: Callable[[PhysicalRow], bool]) -> None:
-        self.child = child
-        self.predicate = predicate
-        self.schema = child.schema
-
-    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        # Predicates see row tuples (their contract); the kept row
-        # indexes become a selection vector applied per column.
-        predicate = self.predicate
-        for cb in self.child.column_batches(size):
-            keep = [index for index, row in enumerate(cb) if predicate(row)]
-            if not keep:
-                continue
-            yield cb if len(keep) == len(cb) else cb.take(keep)
-
-    def _children(self) -> tuple[Operator, ...]:
-        return (self.child,)
-
-
-class Projection(Operator):
-    """Keep the given column positions; optionally deduplicate.
-
-    Deduplication preserves first-occurrence order, matching the set
-    semantics of conjunctive rewritings (the algebra ``Project``).
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        positions: Sequence[int],
-        schema: tuple[str, ...],
-        distinct: bool = True,
-    ) -> None:
-        self.child = child
-        self._positions = tuple(positions)
-        self.schema = schema
-        self.distinct = distinct
-
-    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        positions = self._positions
-        if not self.distinct:
-            # Zero-copy: the projected batch aliases the input columns.
-            for cb in self.child.column_batches(size):
-                yield cb.project(positions)
-            return
-        width = len(self.schema)
-        seen: set = set()
-        add = seen.add
-        for cb in self.child.column_batches(size):
-            batch: list[PhysicalRow] = []
-            append = batch.append
-            for image in cb.project(positions):
-                if image not in seen:
-                    add(image)
-                    append(image)
-            if batch:
-                yield ColumnBatch.from_rows(batch, width)
-
-    def _describe(self) -> str:
-        return f"Projection[{','.join(self.schema)}]"
-
-    def _children(self) -> tuple[Operator, ...]:
-        return (self.child,)
-
-
-class Relabel(Operator):
-    """Rename the columns of the input positionally (zero-cost)."""
-
-    def __init__(self, child: Operator, schema: tuple[str, ...]) -> None:
-        if len(schema) != len(child.schema):
-            raise ValueError(
-                f"relabel arity {len(schema)} differs from child schema {child.schema}"
-            )
-        self.child = child
-        self.schema = schema
-
-    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        return self.child.column_batches(size)
-
-    def _children(self) -> tuple[Operator, ...]:
-        return (self.child,)

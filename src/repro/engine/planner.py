@@ -1,14 +1,11 @@
-"""Plan compilation: one engine for queries-on-stores and plans-on-views.
+"""Plan compilation: queries on a triple store into physical operators.
 
-Two entry families compile into the *same* physical operator algebra
-(:mod:`repro.engine.operators`):
-
-* :func:`plan_query` / :func:`run_query` — a
-  :class:`~repro.query.cq.ConjunctiveQuery` against a
-  :class:`~repro.rdf.store.TripleStore`;
-* :func:`plan_rewriting` / :func:`run_plan` — a rewriting
-  :class:`~repro.query.algebra.Plan` against materialized view extents,
-  with hash joins that reuse the extents' cached join tails.
+:func:`plan_query` / :func:`run_query` compile a
+:class:`~repro.query.cq.ConjunctiveQuery` against a
+:class:`~repro.rdf.store.TripleStore` into the physical operator
+algebra of :mod:`repro.engine.operators`. (A rewriting over view
+extents is not compiled here: :func:`repro.query.algebra.execute`
+folds it.)
 
 There is one plan shape on a store, built by :func:`_factorised_tree`:
 a left-deep join of *atom unions*, one per body atom, ordered **once**
@@ -38,9 +35,8 @@ cache as operator trees, keyed ``(query, route)`` —
 :data:`SQL_PUSHDOWN` or :data:`INTERPRETED` — and are flushed with it
 when the store mutates.
 
-Extent rows live in Python lists, so the rewriting route never pushes
-down. Execution is columnar on both families; see
-:mod:`repro.engine.operators` for the batch contract.
+Execution is columnar; see :mod:`repro.engine.operators` for the batch
+contract.
 """
 
 from __future__ import annotations
@@ -52,12 +48,8 @@ from itertools import repeat
 from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.engine.operators import (
-    ExtentScan,
     HashJoin,
     Operator,
-    Projection,
-    Relabel,
-    Selection,
     UnionProbe,
     UnionScan,
     _head_value,
@@ -66,7 +58,6 @@ from repro.engine.operators import (
 )
 from repro.engine.sqlcompile import CompiledQuery, compile_query
 from repro.obs import metrics, tracing
-from repro.query import algebra
 from repro.query.cq import ConjunctiveQuery, Variable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
@@ -578,87 +569,3 @@ def _decode_column(column: Iterable, terms: Sequence[Term]) -> list[Term]:
     except TypeError:
         # A head constant the dictionary never saw rides along as a term.
         return [terms[part] if type(part) is int else part for part in column]
-
-
-# ----------------------------------------------------------------------
-# Rewriting plans against materialized view extents
-# ----------------------------------------------------------------------
-
-
-def _compile_conditions(
-    conditions: Sequence[algebra.Condition], schema: tuple[str, ...]
-):
-    index = {column: position for position, column in enumerate(schema)}
-    checks: list[tuple[int, object, int | None]] = []
-    for condition in conditions:
-        if isinstance(condition, algebra.EqualsConstant):
-            checks.append((index[condition.column], condition.value, None))
-        else:
-            checks.append((index[condition.left], None, index[condition.right]))
-
-    def predicate(row) -> bool:
-        for position, value, other in checks:
-            if other is None:
-                if row[position] != value:
-                    return False
-            elif row[position] != row[other]:
-                return False
-        return True
-
-    return predicate
-
-
-
-def plan_rewriting(
-    plan: algebra.Plan, extents: Mapping[str, Sequence[tuple]]
-) -> Operator:
-    """Compile a rewriting plan into a physical operator tree over extents."""
-    if isinstance(plan, algebra.Scan):
-        try:
-            rows = extents[plan.view]
-        except KeyError as exc:
-            raise KeyError(f"no extent provided for view {plan.view!r}") from exc
-        return ExtentScan(plan.view, rows, plan.schema)
-    if isinstance(plan, algebra.Select):
-        child = plan_rewriting(plan.child, extents)
-        return Selection(child, _compile_conditions(plan.conditions, child.schema))
-    if isinstance(plan, algebra.Project):
-        child = plan_rewriting(plan.child, extents)
-        positions = [child.schema.index(column) for column in plan.columns]
-        return Projection(child, positions, tuple(plan.columns), distinct=True)
-    if isinstance(plan, algebra.Rename):
-        child = plan_rewriting(plan.child, extents)
-        return Relabel(child, tuple(plan.columns))
-    left = plan_rewriting(plan.left, extents)
-    right = plan_rewriting(plan.right, extents)
-    left_schema, right_schema = plan.left.schema, plan.right.schema
-    pairs = [
-        (left_schema.index(left_col), right_schema.index(right_col))
-        for left_col, right_col in plan.all_pairs
-    ]
-    keep_right = [
-        position
-        for position, column in enumerate(right_schema)
-        if column not in left_schema
-    ]
-    # Extents carry no triple indexes to probe: every join is the
-    # (extent-indexed) hash join.
-    return HashJoin(left, right, pairs, keep_right)
-
-
-def run_plan(
-    plan: algebra.Plan, extents: Mapping[str, Sequence[tuple]]
-) -> list[tuple]:
-    """Execute a rewriting plan over view extents.
-
-    Matches the historical ``algebra.execute`` contract: duplicates are
-    preserved except through ``Project``, and the row order is exactly
-    the seed's (scan order, hash joins streaming the left input).
-
-    >>> from repro.query.algebra import Join, Scan
-    >>> extents = {"v1": [(1, 2), (4, 5)], "v2": [(2, 3)]}
-    >>> plan = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
-    >>> run_plan(plan, extents)
-    [(1, 2, 3)]
-    """
-    return plan_rewriting(plan, extents).rows()

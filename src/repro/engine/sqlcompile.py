@@ -77,10 +77,10 @@ SQLite. Two cases:
 :func:`compile_query` returns ``None`` for the shapes one statement
 cannot (or should not) express — more joined tables than SQLite's
 64-way limit, more constants than the bound-parameter budget — and the
-caller falls back to the interpreted operator tree. Plans over
+caller falls back to the interpreted operator tree. Rewritings over
 materialized view extents never reach this module: extents live in
-Python lists, not in the backend, so the rewriting route
-(:func:`repro.engine.planner.run_plan`) is interpreted by construction.
+Python collections, not in the backend, and
+:func:`repro.query.algebra.execute` folds them.
 """
 
 from __future__ import annotations

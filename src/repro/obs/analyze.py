@@ -66,11 +66,10 @@ class OpStats:
 class _Probe(Operator):
     """Transparent operator wrapper recording its subtree's output.
 
-    Preserves ``schema`` and delegates the prebuilt-tails fast path
-    (``hash_tails``), so wrapped plans execute the exact code paths
-    unwrapped ones do; the recorded wall time is inclusive of the
-    subtree below (children are probed too, so per-operator self-time
-    is the difference).
+    Preserves ``schema`` (and a union scan's ``partitions``), so wrapped
+    plans execute the exact code paths unwrapped ones do; the recorded
+    wall time is inclusive of the subtree below (children are probed
+    too, so per-operator self-time is the difference).
     """
 
     def __init__(self, inner: Operator) -> None:
@@ -103,15 +102,6 @@ class _Probe(Operator):
         self.stats.batches += len(parts)
         self.stats.rows_out += sum(map(len, parts.values()))
         return parts
-
-    def hash_tails(self, positions, keep):
-        started = time.perf_counter()
-        table = self.inner.hash_tails(positions, keep)
-        self.stats.wall_ms += (time.perf_counter() - started) * 1000.0
-        if table is not None:
-            # A consumer took our prebuilt tails instead of pulling rows.
-            self.stats.rows_out += sum(len(bucket) for bucket in table.values())
-        return table
 
     def _describe(self) -> str:
         return self.inner._describe()

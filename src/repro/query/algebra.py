@@ -11,15 +11,16 @@ Every node optionally carries the conjunctive query it computes
 the original view), so the cost model can estimate every intermediate
 cardinality with the same estimator used for view sizes.
 
-Plans are executable: :func:`execute` runs a plan over materialized view
-extents with hash joins, which is how the benchmarks answer workload
-queries from the recommended views.
+Plans are executable: :func:`execute` folds a plan over materialized
+view extents into its set of rows, with hash joins, which is how the
+benchmarks answer workload queries from the recommended views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 from repro.query.cq import ConjunctiveQuery
 from repro.rdf.terms import Term
@@ -75,6 +76,22 @@ class Select:
     child: "Plan"
     conditions: tuple[Condition, ...]
     query: ConjunctiveQuery | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        named = [
+            column
+            for condition in self.conditions
+            for column in (
+                (condition.column,)
+                if isinstance(condition, EqualsConstant)
+                else (condition.left, condition.right)
+            )
+        ]
+        missing = [c for c in named if c not in self.child.schema]
+        if missing:
+            raise ValueError(
+                f"selection columns {missing} not in child schema {self.child.schema}"
+            )
 
     @property
     def schema(self) -> tuple[str, ...]:
@@ -263,27 +280,77 @@ def rename_scan(plan: Plan, old: str, new: str) -> Plan:
 # ----------------------------------------------------------------------
 
 
-def execute(plan: Plan, extents: Mapping[str, Sequence[Row]]) -> list[Row]:
-    """Run the plan over view extents; returns rows (duplicates preserved
-    except through Project, which deduplicates, matching set semantics of
-    the conjunctive rewritings).
+def execute(plan: Plan, extents: Mapping[str, Collection[Row]]) -> set[Row]:
+    """The set of rows the plan computes over view extents.
 
-    Delegates to the physical-operator engine (:mod:`repro.engine`).
-    Joins probe the extents' cached join tails when the extents are
-    :class:`~repro.engine.extents.ViewExtent` instances (as produced by
-    :func:`repro.selection.materialize.materialize_views`); plain
-    ``list`` extents still work, building a transient hash table per
-    join. The row order matches the historical interpreter exactly.
+    A fold over the plan's nodes with set semantics, the semantics of
+    the conjunctive rewritings: ``Scan`` reads an extent (any
+    collection of rows — a list or a set), ``Select`` filters it,
+    ``Project`` picks columns, ``Rename`` passes rows through, and
+    ``Join`` hash-joins on :attr:`Join.all_pairs`. Returns a new set;
+    no extent is mutated.
 
     >>> extents = {"v1": [(1, 2), (1, 2), (4, 5)], "v2": [(2, 3)]}
     >>> join = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
-    >>> execute(join, extents)          # duplicates preserved
-    [(1, 2, 3), (1, 2, 3)]
-    >>> execute(Project(join, ("x",)), extents)  # Project deduplicates
-    [(1,)]
+    >>> execute(join, extents)
+    {(1, 2, 3)}
+    >>> sorted(execute(Project(Scan("v1", ("x", "y")), ("x",)), extents))
+    [(1,), (4,)]
     """
-    # Imported lazily: the engine compiles this module's plan nodes, so
-    # a top-level import would be circular.
-    from repro.engine.planner import run_plan
+    return set(_rows(plan, extents))
 
-    return run_plan(plan, extents)
+
+def _rows(plan: Plan, extents: Mapping[str, Collection[Row]]) -> Iterable[Row]:
+    """The plan's rows: a scanned extent itself, or a new iterable.
+
+    Only ``Project`` can repeat a row of distinct inputs, so it is the
+    one node that deduplicates on the way up.
+    """
+    if isinstance(plan, Scan):
+        try:
+            return extents[plan.view]
+        except KeyError:
+            raise KeyError(f"no extent provided for view {plan.view!r}") from None
+    if isinstance(plan, Rename):
+        return _rows(plan.child, extents)
+    if isinstance(plan, Select):
+        schema = plan.child.schema
+        constants = [c for c in plan.conditions if isinstance(c, EqualsConstant)]
+        columns = [c for c in plan.conditions if isinstance(c, EqualsColumn)]
+        pick = _picker(schema, [c.column for c in constants])
+        wanted = tuple(c.value for c in constants)
+        left = _picker(schema, [c.left for c in columns])
+        right = _picker(schema, [c.right for c in columns])
+        return (
+            row
+            for row in _rows(plan.child, extents)
+            if pick(row) == wanted and left(row) == right(row)
+        )
+    if isinstance(plan, Project):
+        pick = _picker(plan.child.schema, plan.columns)
+        return set(map(pick, _rows(plan.child, extents)))
+    left_schema, right_schema = plan.left.schema, plan.right.schema
+    left_key = _picker(left_schema, [lc for lc, _ in plan.all_pairs])
+    right_key = _picker(right_schema, [rc for _, rc in plan.all_pairs])
+    tail = _picker(right_schema, [c for c in right_schema if c not in left_schema])
+    table: dict[tuple, list[tuple]] = {}
+    for row in _rows(plan.right, extents):
+        table.setdefault(right_key(row), []).append(tail(row))
+    return (
+        row + extra
+        for row in _rows(plan.left, extents)
+        for extra in table.get(left_key(row), ())
+    )
+
+
+def _picker(schema: tuple[str, ...], columns: Sequence[str]) -> Callable[[Row], tuple]:
+    """A function picking ``columns`` off a row of ``schema``, as a
+    tuple in every arity: ``itemgetter`` (which runs in C) returns a
+    bare value for one position and cannot take none."""
+    positions = [schema.index(column) for column in columns]
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions)

@@ -34,7 +34,7 @@ index probes read the live store and dictionary codes are append-only.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.engine.operators import ExtentScan, Operator, _head_value
 from repro.engine.planner import _factorised_tree, _head_images, decode_images
@@ -333,13 +333,9 @@ class MaterializedViewSet:
         """The current extent of one view (a copy)."""
         return set(self._extents[name])
 
-    def extents(self) -> Mapping[str, list[Answer]]:
-        """All extents, in the shape :func:`answer_query` expects."""
-        return {name: list(rows) for name, rows in self._extents.items()}
-
     def answer(self, query_name: str) -> set[Answer]:
         """Answer a workload query from the maintained extents."""
-        return answer_query(self.state, query_name, self.extents())
+        return answer_query(self.state, query_name, self._extents)
 
 
 def _derives(root: Operator) -> bool:

@@ -9,9 +9,8 @@ over the view extents — with no access to the triple store.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Collection, Mapping
 
-from repro.engine.extents import ViewExtent
 from repro.query.algebra import Row, execute
 from repro.query.evaluation import Answer, evaluate, evaluate_union
 from repro.rdf.schema import RDFSchema
@@ -24,7 +23,7 @@ def materialize_views(
     store: TripleStore,
     schema: RDFSchema | None = None,
     pushdown: bool = True,
-) -> dict[str, ViewExtent]:
+) -> dict[str, list[Row]]:
     """Compute the extent of every view of ``state`` on ``store``.
 
     With ``schema`` given, each view is reformulated first and the union
@@ -32,24 +31,22 @@ def materialize_views(
     materialization of Section 4.3. Without a schema, views are
     evaluated directly (appropriate for a plain or saturated store).
 
-    Extents come back as :class:`~repro.engine.extents.ViewExtent`
-    (plain ``list`` subclasses): rewriting plans executed over them
-    build each view's hash index on its join attributes once and reuse
-    it across queries and repeated executions.
+    Each extent is a sorted list of distinct rows, so a serialized view
+    set (:func:`repro.selection.persist.dumps`) is deterministic.
     """
-    extents: dict[str, ViewExtent] = {}
+    extents: dict[str, list[Row]] = {}
     if schema is None:
         for view in state.views:
-            extents[view.name] = ViewExtent(
-                _sorted_rows(evaluate(view, store, pushdown=pushdown))
+            extents[view.name] = _sorted_rows(
+                evaluate(view, store, pushdown=pushdown)
             )
         return extents
     from repro.reformulation.reformulate import reformulate
 
     for view in state.views:
         union = reformulate(view, schema)
-        extents[view.name] = ViewExtent(
-            _sorted_rows(evaluate_union(union, store, pushdown=pushdown))
+        extents[view.name] = _sorted_rows(
+            evaluate_union(union, store, pushdown=pushdown)
         )
     return extents
 
@@ -60,9 +57,24 @@ def _sorted_rows(rows) -> list[Row]:
 
 
 def answer_query(
-    state: State, query_name: str, extents: Mapping[str, Sequence[Row]]
+    state: State, query_name: str, extents: Mapping[str, Collection[Row]]
 ) -> set[Answer]:
-    """Answer one workload query purely from materialized view extents."""
+    """Answer one workload query purely from materialized view extents.
+
+    >>> from repro.query.parser import parse_query
+    >>> from repro.rdf.ntriples import parse_ntriples
+    >>> from repro.selection.state import initial_state
+    >>> store = TripleStore()
+    >>> _ = store.add_all(parse_ntriples('''
+    ... <http://e/vanGogh> <http://e/hasPainted> <http://e/starry> .
+    ... <http://e/monet> <http://e/hasPainted> <http://e/lilies> .
+    ... '''))
+    >>> query = parse_query("q(X) :- t(X, <http://e/hasPainted>, <http://e/starry>)")
+    >>> state = initial_state([query])
+    >>> extents = materialize_views(state, store)
+    >>> answer_query(state, "q", extents)
+    {(URI('http://e/vanGogh'),)}
+    """
     rewriting = state.rewritings.get(query_name)
     if rewriting is None:
         raise KeyError(f"state has no rewriting for query {query_name!r}")
@@ -74,7 +86,7 @@ def answer_query(
 
 
 def answer_all(
-    state: State, extents: Mapping[str, Sequence[Row]]
+    state: State, extents: Mapping[str, Collection[Row]]
 ) -> dict[str, set[Answer]]:
     """Answer every workload query of the state from the extents."""
     return {
@@ -82,6 +94,6 @@ def answer_all(
     }
 
 
-def extent_size(extents: Mapping[str, Sequence[Row]]) -> int:
+def extent_size(extents: Mapping[str, Collection[Row]]) -> int:
     """Total number of materialized tuples (a storage proxy)."""
     return sum(len(rows) for rows in extents.values())

@@ -167,7 +167,10 @@ def decode_plan(data: Any) -> Plan:
                 tuple(tuple(pair) for pair in data["pairs"]),
                 query=query,
             )
-    except (KeyError, TypeError) as exc:
+    except PersistenceError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: a node's constructor rejected its columns.
         raise PersistenceError(f"malformed plan: {exc}") from exc
     raise PersistenceError(f"unknown plan operator {data.get('op')!r}")
 
@@ -198,21 +201,27 @@ def encode_state(state: State) -> Any:
 
 
 def decode_state(data: Any) -> State:
-    views = tuple(decode_query(view) for view in data["views"])
-    rewritings = {}
-    for name, disjuncts in data["rewritings"].items():
-        rewritings[name] = tuple(
-            RewritingDisjunct(
-                decode_plan(entry["plan"]),
-                (
-                    tuple(decode_term(t) for t in entry["head_template"])
-                    if entry.get("head_template") is not None
-                    else None
-                ),
+    try:
+        views = tuple(decode_query(view) for view in data["views"])
+        rewritings = {}
+        for name, disjuncts in data["rewritings"].items():
+            rewritings[name] = tuple(
+                RewritingDisjunct(
+                    decode_plan(entry["plan"]),
+                    (
+                        tuple(decode_term(t) for t in entry["head_template"])
+                        if entry.get("head_template") is not None
+                        else None
+                    ),
+                )
+                for entry in disjuncts
             )
-            for entry in disjuncts
-        )
-    return State(views, rewritings)
+        return State(views, rewritings)
+    except PersistenceError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # ValueError: the state's invariants rejected its views.
+        raise PersistenceError(f"malformed state: {exc}") from exc
 
 
 def dumps(

@@ -24,7 +24,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import Answer
@@ -78,7 +78,7 @@ class Recommendation:
         return materialize_views(self.state, self.store)
 
     def answer(
-        self, query_name: str, extents: Mapping[str, Sequence]
+        self, query_name: str, extents: Mapping[str, Collection]
     ) -> set[Answer]:
         """Answer one workload query from materialized extents."""
         return answer_query(self.state, query_name, extents)

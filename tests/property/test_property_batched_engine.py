@@ -6,8 +6,10 @@ divides the row counts evenly and at the engine default, a compiled
 plan streams well-formed, never-empty
 :class:`~repro.engine.columnar.ColumnBatch` objects carrying the same
 row multiset, whose head images are exactly the oracle's answers.
-Rewriting plans over extents additionally keep the seed's row *order*
-and duplicate semantics.
+
+Rewriting plans over view extents do not run on operators: they fold
+into row sets through :func:`repro.query.algebra.execute`, checked at
+the end against a nested-loop reference.
 
 The matrix runs per storage backend: the SQLite backend serves columnar
 batches through a ``fetchmany`` transpose and batched probes through
@@ -21,9 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import DEFAULT_BATCH_SIZE, ColumnBatch, plan_query, run_plan
-from repro.engine.planner import plan_rewriting
-from repro.query.algebra import Join, Project, Scan
+from repro.engine import DEFAULT_BATCH_SIZE, ColumnBatch, plan_query
+from repro.query.algebra import (
+    EqualsColumn,
+    EqualsConstant,
+    Join,
+    Project,
+    Rename,
+    Scan,
+    Select,
+    execute,
+)
 from repro.query.cq import Variable
 from repro.query.evaluation import evaluate_nested_loop
 from repro.storage import BACKENDS
@@ -74,40 +84,111 @@ def test_column_batch_stream_is_well_formed(backend, data):
             reference = Counter(rows)
         assert Counter(rows) == reference, size
         assert _head_images(query, root, rows, store) == expected, size
-    assert Counter(root.rows()) == reference
+    assert Counter(row for cb in root.column_batches() for row in cb) == reference
 
 
-@settings(max_examples=30, deadline=None)
+#: Column names rewriting plans draw from: few enough that natural
+#: joins share columns often.
+COLUMNS = ("a", "b", "c", "d")
+
+#: View name -> arity of the extents the rewriting plans scan.
+VIEWS = {"v1": 1, "v2": 2, "v3": 3}
+
+
+def _names(data, count):
+    return tuple(data.draw(st.permutations(COLUMNS), label="columns")[:count])
+
+
+def _plan(data, depth, top=False):
+    """A random rewriting plan: every node kind below a ``top`` node
+    that is not a bare scan, joins with natural and explicit pairs,
+    nested ``depth`` levels at most."""
+    kinds = ["select", "project", "rename", "join"] + ([] if top else ["scan"])
+    kind = data.draw(st.sampled_from(kinds if depth else ["scan"]), label="node")
+    if kind == "scan":
+        view = data.draw(st.sampled_from(sorted(VIEWS)), label="view")
+        return Scan(view, _names(data, VIEWS[view]))
+    if kind == "join":
+        left, right = _plan(data, depth - 1), _plan(data, depth - 1)
+        if not (left.schema and right.schema):
+            return Join(left, right)
+        pair = st.tuples(st.sampled_from(left.schema), st.sampled_from(right.schema))
+        pairs = data.draw(st.lists(pair, max_size=2), label="pairs")
+        return Join(left, right, tuple(pairs))
+    child = _plan(data, depth - 1)
+    schema = child.schema
+    if not schema:
+        return child
+    if kind == "rename":
+        return Rename(child, _names(data, len(schema)))
+    if kind == "project":
+        picked = data.draw(
+            st.lists(st.sampled_from(schema), unique=True), label="projected"
+        )
+        return Project(child, tuple(picked))
+    column = st.sampled_from(schema)
+    distinct = st.permutations(schema).map(lambda columns: columns[:2])
+    condition = st.one_of(
+        st.builds(EqualsConstant, column, st.sampled_from(ENTITIES[:3])),
+        st.builds(lambda pair: EqualsColumn(pair[0], pair[-1]), distinct),
+    )
+    conditions = data.draw(st.lists(condition, min_size=1, max_size=2))
+    return Select(child, tuple(conditions))
+
+
+def _reference(plan, extents):
+    """Nested-loop semantics of ``plan``: every row as a column -> value
+    binding, each node the textbook definition over sets."""
+    if isinstance(plan, Scan):
+        return set(extents[plan.view])
+    if isinstance(plan, Rename):
+        return _reference(plan.child, extents)
+    if isinstance(plan, Select):
+        rows = _reference(plan.child, extents)
+
+        def holds(binding, condition):
+            if isinstance(condition, EqualsConstant):
+                return binding[condition.column] == condition.value
+            return binding[condition.left] == binding[condition.right]
+
+        return {
+            row
+            for row in rows
+            if all(
+                holds(dict(zip(plan.schema, row)), condition)
+                for condition in plan.conditions
+            )
+        }
+    if isinstance(plan, Project):
+        return {
+            tuple(dict(zip(plan.child.schema, row))[c] for c in plan.columns)
+            for row in _reference(plan.child, extents)
+        }
+    out = set()
+    for left in _reference(plan.left, extents):
+        for right in _reference(plan.right, extents):
+            lb = dict(zip(plan.left.schema, left))
+            rb = dict(zip(plan.right.schema, right))
+            if all(lb[lc] == rb[rc] for lc, rc in plan.all_pairs):
+                out.add(tuple({**rb, **lb}[c] for c in plan.schema))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_rewriting_plan_multiset_parity_across_batch_sizes(data):
-    """run_plan returns the seed interpreter's rows — its order, its
-    duplicates, ``Project`` deduplicating by first occurrence — and the
-    operator tree streams exactly those rows at every batch size."""
-    size_l = data.draw(st.integers(0, 12), label="left rows")
-    size_r = data.draw(st.integers(0, 12), label="right rows")
-    pick = st.sampled_from(ENTITIES)
-    extents = {
-        "v1": [
-            (data.draw(pick), data.draw(pick)) for _ in range(size_l)
-        ],
-        "v2": [
-            (data.draw(pick), data.draw(pick)) for _ in range(size_r)
-        ],
-    }
-    plan = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
-    projected = Project(plan, ("x", "z"))
-    # The seed's nested loops: left order, then right order per match.
-    joined = [
-        left + (right[1],)
-        for left in extents["v1"]
-        for right in extents["v2"]
-        if left[1] == right[0]
-    ]
-    distinct = list(dict.fromkeys((x, z) for x, _y, z in joined))
-    assert run_plan(plan, extents) == joined
-    assert run_plan(projected, extents) == distinct
-    for tree, reference in ((plan, joined), (projected, distinct)):
-        root = plan_rewriting(tree, extents)
-        for size in (1, 7, 1024):
-            rows = [row for cb in root.column_batches(size) for row in cb]
-            assert rows == reference, size
+def test_rewriting_plan_set_semantics(data):
+    """``execute`` returns exactly the nested-loop reference's row set
+    for any plan over any extents, given as lists (duplicates allowed)
+    or as sets, and leaves the extents as they were."""
+    pick = st.sampled_from(ENTITIES[:3])
+    extents = {}
+    for view, arity in VIEWS.items():
+        rows = data.draw(
+            st.lists(st.tuples(*[pick] * arity), min_size=2, max_size=6),
+            label=view,
+        )
+        extents[view] = data.draw(st.sampled_from([list, set]))(rows)
+    before = {view: list(rows) for view, rows in extents.items()}
+    plan = _plan(data, depth=3, top=True)
+    assert execute(plan, extents) == _reference(plan, extents)
+    assert {view: list(rows) for view, rows in extents.items()} == before

@@ -39,6 +39,17 @@ class TestConstruction:
         plan = Select(Scan("v1", ("x", "y")), (EqualsConstant("x", A),))
         assert plan.schema == ("x", "y")
 
+    @pytest.mark.parametrize(
+        "condition",
+        [EqualsConstant("z", A), EqualsColumn("x", "z"), EqualsColumn("z", "y")],
+        ids=str,
+    )
+    def test_select_columns_validated(self, condition):
+        """A malformed selection fails where it is built, not when it
+        runs."""
+        with pytest.raises(ValueError, match="not in child schema"):
+            Select(Scan("v1", ("x", "y")), (condition,))
+
     def test_project_schema_and_validation(self):
         plan = Project(Scan("v1", ("x", "y")), ("y",))
         assert plan.schema == ("y",)
@@ -109,45 +120,75 @@ class TestSubstitution:
 
 
 class TestExecution:
+    """``execute`` folds a plan into its *set* of rows (the semantics of
+    the conjunctive rewritings): no duplicates, no row order."""
+
     def test_scan(self):
-        assert execute(Scan("v1", ("x", "y")), EXTENTS) == V1_ROWS
+        assert execute(Scan("v1", ("x", "y")), EXTENTS) == set(V1_ROWS)
+
+    def test_scan_dedups_a_list_extent(self):
+        extents = {"v": [(A, B), (A, B)]}
+        assert execute(Scan("v", ("x", "y")), extents) == {(A, B)}
+
+    def test_set_extents_are_read_and_never_mutated(self):
+        extents = {"v1": set(V1_ROWS), "v2": set(V2_ROWS)}
+        scanned = execute(Scan("v1", ("x", "y")), extents)
+        assert scanned == set(V1_ROWS) and scanned is not extents["v1"]
+        scanned.clear()
+        execute(Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z"))), extents)
+        assert extents == {"v1": set(V1_ROWS), "v2": set(V2_ROWS)}
 
     def test_missing_extent_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no extent provided"):
             execute(Scan("zzz", ("x",)), EXTENTS)
 
     def test_select_constant(self):
         plan = Select(Scan("v1", ("x", "y")), (EqualsConstant("x", A),))
-        assert execute(plan, EXTENTS) == [(A, B), (A, C)]
+        assert execute(plan, EXTENTS) == {(A, B), (A, C)}
 
     def test_select_column_equality(self):
         extents = {"v": [(A, A), (A, B)]}
         plan = Select(Scan("v", ("x", "y")), (EqualsColumn("x", "y"),))
-        assert execute(plan, extents) == [(A, A)]
+        assert execute(plan, extents) == {(A, A)}
+
+    def test_select_conjunction(self):
+        extents = {"v": [(A, A, B), (A, A, C), (B, A, B)]}
+        plan = Select(
+            Scan("v", ("x", "y", "z")),
+            (EqualsColumn("x", "y"), EqualsConstant("z", B)),
+        )
+        assert execute(plan, extents) == {(A, A, B)}
 
     def test_project_dedups(self):
         plan = Project(Scan("v1", ("x", "y")), ("x",))
-        assert execute(plan, EXTENTS) == [(A,), (B,)]
+        assert execute(plan, EXTENTS) == {(A,), (B,)}
+
+    def test_project_to_no_column(self):
+        plan = Project(Scan("v1", ("x", "y")), ())
+        assert execute(plan, EXTENTS) == {()}
+        assert execute(plan, {"v1": []}) == set()
 
     def test_natural_join(self):
         plan = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
-        rows = execute(plan, EXTENTS)
-        assert set(rows) == {(A, B, D), (A, C, A), (B, C, A)}
+        assert execute(plan, EXTENTS) == {(A, B, D), (A, C, A), (B, C, A)}
 
     def test_explicit_pair_join(self):
         left = Scan("v1", ("x", "y"))
         right = Scan("v2", ("u", "z"))
         plan = Join(left, right, pairs=(("y", "u"),))
-        rows = execute(plan, EXTENTS)
-        assert set(rows) == {(A, B, B, D), (A, C, C, A), (B, C, C, A)}
+        assert execute(plan, EXTENTS) == {(A, B, B, D), (A, C, C, A), (B, C, C, A)}
+
+    def test_cross_join(self):
+        plan = Join(Scan("v1", ("x", "y")), Scan("v2", ("u", "z")))
+        assert len(execute(plan, EXTENTS)) == len(V1_ROWS) * len(V2_ROWS)
 
     def test_rename_is_identity_on_rows(self):
         plan = Rename(Scan("v1", ("x", "y")), ("a", "b"))
-        assert execute(plan, EXTENTS) == V1_ROWS
+        assert execute(plan, EXTENTS) == set(V1_ROWS)
         assert plan.schema == ("a", "b")
 
     def test_full_pipeline(self):
         # π_z(σ_x=A(v1 ⋈ v2)) over shared column y.
         join = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
         plan = Project(Select(join, (EqualsConstant("x", A),)), ("z",))
-        assert set(execute(plan, EXTENTS)) == {(D,), (A,)}
+        assert execute(plan, EXTENTS) == {(D,), (A,)}

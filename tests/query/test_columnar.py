@@ -22,17 +22,3 @@ class TestColumnBatch:
         assert len(batch) == 3
         assert batch.rows() == [(), (), ()]
         assert list(batch) == [(), (), ()]
-
-    def test_project_is_zero_copy(self):
-        batch = ColumnBatch.from_rows([(1, 10, 100), (2, 20, 200)], 3)
-        projected = batch.project((2, 0))
-        assert projected.rows() == [(100, 1), (200, 2)]
-        assert projected.columns[0] is batch.columns[2]
-        assert projected.columns[1] is batch.columns[0]
-        assert len(projected) == 2
-
-    def test_take_applies_a_selection_vector(self):
-        batch = ColumnBatch.from_rows([(1, 10), (2, 20), (3, 30)], 2)
-        taken = batch.take([2, 0])
-        assert taken.rows() == [(3, 30), (1, 10)]
-        assert len(taken) == 2

@@ -3,37 +3,23 @@
 import pytest
 
 from repro.engine import (
-    ExtentScan,
     HashJoin,
     IndexScan,
     UnionProbe,
     UnionScan,
-    ViewExtent,
     plan_query,
-    plan_rewriting,
-    run_plan,
     run_query,
-)
-from repro.query.algebra import (
-    EqualsConstant,
-    Join,
-    Project,
-    Rename,
-    Scan,
-    Select,
-    execute,
 )
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.query.parser import parse_query
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import Literal, URI
+from repro.rdf.terms import Literal
 from repro.rdf.triples import Triple
 
 from tests.conftest import ex
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-A, B, C, D = URI("http://a"), URI("http://b"), URI("http://c"), URI("http://d")
 
 
 def _operators(root):
@@ -149,62 +135,7 @@ class TestOperators:
     def test_index_scan_columns_in_spo_order(self, museum_store):
         scan = IndexScan(museum_store, Atom(X, ex("hasPainted"), Y))
         assert scan.schema == ("X", "Y")
-        assert len(scan.rows()) == 6
-
-    def test_hash_join_uses_prebuilt_extent_index(self):
-        extent = ViewExtent([(A, B), (A, C), (B, C)])
-        left = ExtentScan("l", extent, ("x", "y"))
-        right = ExtentScan("r", extent, ("y", "z"))
-        join = HashJoin(left, right, pairs=[(1, 0)], keep_right=[1])
-        assert join.rows() == [(A, B, C)]
-        # The extent cached the join tails the join asked for.
-        assert ((0,), (1,)) in extent._tails
-
-
-class TestPlanRewriting:
-    EXTENTS = {"v1": [(A, B), (A, C), (B, C)], "v2": [(B, D), (C, A)]}
-
-    def test_execute_matches_engine_default(self):
-        plan = Project(
-            Select(
-                Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z"))),
-                (EqualsConstant("x", A),),
-            ),
-            ("z",),
-        )
-        assert execute(plan, self.EXTENTS) == run_plan(plan, self.EXTENTS)
-
-    def test_join_returns_the_matching_rows(self):
-        plan = Join(Scan("v1", ("x", "y")), Scan("v2", ("y", "z")))
-        assert run_plan(plan, self.EXTENTS) == [(A, B, D), (A, C, A), (B, C, A)]
-
-    def test_rename_relabels_schema(self):
-        plan = Rename(Scan("v1", ("x", "y")), ("a", "b"))
-        root = plan_rewriting(plan, self.EXTENTS)
-        assert root.schema == ("a", "b")
-        assert root.rows() == self.EXTENTS["v1"]
-
-    def test_missing_extent_raises_keyerror(self):
-        with pytest.raises(KeyError, match="no extent provided"):
-            run_plan(Scan("zzz", ("x",)), self.EXTENTS)
-
-
-class TestViewExtent:
-    def test_behaves_like_a_list(self):
-        extent = ViewExtent([(A,), (B,)])
-        assert extent == [(A,), (B,)]
-        assert len(extent) == 2
-
-    def test_index_is_cached(self):
-        extent = ViewExtent([(A, B), (A, C)])
-        first = extent.tails_on((0,), (1,))
-        second = extent.tails_on((0,), (1,))
-        assert first is second
-        assert first[(A,)] == [(B,), (C,)]
-
-    def test_empty_key_groups_all_rows(self):
-        extent = ViewExtent([(A,), (B,)])
-        assert extent.tails_on((), (0,))[()] == [(A,), (B,)]
+        assert sum(map(len, scan.column_batches())) == 6
 
 
 class TestPlanCache:
@@ -271,7 +202,7 @@ class TestCostBasedSelection:
     def test_empty_store_selection_is_safe(self):
         query = parse_query("q(X, Z) :- t(X, p, Y), t(Y, q, Z)")
         store = TripleStore()
-        assert plan_query(query, store).rows() == []
+        assert list(plan_query(query, store).column_batches()) == []
         assert run_query(query, store) == set()
 
 

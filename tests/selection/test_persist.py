@@ -1,5 +1,7 @@
 """Unit tests for view-set persistence (the offline-client format)."""
 
+import json
+
 import pytest
 
 from repro.query.cq import Variable
@@ -91,6 +93,37 @@ class TestStateRoundtrip:
         assert restored_extents.keys() == extents.keys()
 
 
+def _scan(state):
+    """The scan plan of a one-query S0 document's one rewriting."""
+    (rewriting,) = state["rewritings"].values()
+    return rewriting[0]["plan"]
+
+
+def _wrap_scan(op, **fields):
+    """A corruption putting an ``op`` node with ``fields`` over the scan."""
+
+    def corrupt(state):
+        plan = _scan(state)
+        child = dict(plan)
+        plan.clear()
+        plan.update(op=op, child=child, query=None, **fields)
+
+    return corrupt
+
+
+#: Corruptions of a valid document's state, one per way it can be
+#: malformed.
+MALFORMED = {
+    "project-unknown-column": _wrap_scan("project", columns=["nowhere"]),
+    "duplicate-scan-column": lambda state: _scan(state).update(schema=["X", "X"]),
+    "missing-views": lambda state: state.pop("views"),
+    "unknown-view": lambda state: _scan(state).update(view="unknown"),
+    "select-unknown-column": _wrap_scan(
+        "select", conditions=[{"kind": "col", "left": "nowhere", "right": "nowhere"}]
+    ),
+}
+
+
 class TestFormatValidation:
     def test_not_json(self):
         with pytest.raises(persist.PersistenceError):
@@ -103,6 +136,16 @@ class TestFormatValidation:
     def test_wrong_version(self):
         with pytest.raises(persist.PersistenceError):
             persist.loads('{"format": "repro-viewset", "version": 99}')
+
+    @pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_state_raises_persistence_error(self, q_painters, corrupt):
+        """Every malformed document fails in ``loads``, with the one
+        error type the format promises: never a stray ``KeyError``, and
+        never a plan that fails only when it runs."""
+        document = json.loads(persist.dumps(initial_state([q_painters])))
+        corrupt(document["state"])
+        with pytest.raises(persist.PersistenceError):
+            persist.loads(json.dumps(document))
 
     def test_extents_optional(self, q_painters):
         state = initial_state([q_painters])

@@ -1,9 +1,10 @@
 """Executable documentation: the public-API doctest suite.
 
 The examples in the docstrings of the engine and storage entry points
-(``run_query``/``run_plan``/``run_query_batch``, ``algebra.execute``,
-``StorageBackend``/``create_backend``, ``TripleStore.save``/``open``,
-the term model's hash and pickle contract)
+(``run_query``/``run_query_batch``, ``algebra.execute``,
+``materialize.answer_query``, ``StorageBackend``/``create_backend``,
+``TripleStore.save``/``open``, the term model's hash and pickle
+contract)
 double as regression tests; CI runs them through this module (and the
 docs job runs them standalone). A module listed here with zero
 collected doctests fails, so the examples cannot silently vanish.
@@ -19,6 +20,7 @@ import repro.engine.sqlcompile
 import repro.query.algebra
 import repro.rdf.store
 import repro.rdf.terms
+import repro.selection.materialize
 import repro.storage.base
 
 DOCUMENTED_MODULES = [
@@ -28,6 +30,7 @@ DOCUMENTED_MODULES = [
     repro.query.algebra,
     repro.rdf.store,
     repro.rdf.terms,
+    repro.selection.materialize,
     repro.storage.base,
 ]
 

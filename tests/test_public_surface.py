@@ -24,11 +24,10 @@ from repro.cli import build_parser, build_serve_parser
 from repro.engine import (
     evaluate_union_shared,
     plan_query,
-    plan_rewriting,
-    run_plan,
     run_query,
     run_query_batch,
 )
+from repro.query import algebra
 from repro.query.evaluation import evaluate, evaluate_union
 from repro.rdf.store import TripleStore
 import repro
@@ -45,8 +44,7 @@ from repro.storage import StorageBackend
 SIGNATURES = {
     run_query: ["query", "store", "pushdown"],
     plan_query: ["query", "store"],
-    run_plan: ["plan", "extents"],
-    plan_rewriting: ["plan", "extents"],
+    algebra.execute: ["plan", "extents"],
     evaluate: ["query", "store", "pushdown"],
     evaluate_union: ["union", "store", "pushdown", "shared"],
     run_query_batch: ["queries", "store", "pushdown"],
@@ -99,12 +97,18 @@ RETIRED_NAMES = {
     "IndexNestedLoopJoin",
     "MergeJoin",
     "PartitionedHashJoin",
+    "Projection",
+    "Relabel",
+    "Selection",
     "SharedNode",
     "UnionBranch",
     "UnionCTE",
+    "ViewExtent",
     "analyze_batch",
     "choose_engine",
     "compile_union",
+    "plan_rewriting",
+    "run_plan",
     "union_signature",
 }
 
@@ -127,6 +131,7 @@ RETIRED_STORAGE_NAMES = {
 }
 
 RETIRED_MODULES = (
+    "repro.engine.extents",
     "repro.engine.parallel",
     "repro.query.sparql",
     "repro.selection.stategraph",
@@ -177,7 +182,7 @@ def test_engine_exports_resolve_and_hold_no_retired_name():
         assert hasattr(repro.engine, name), name
     assert not RETIRED_NAMES & set(repro.engine.__all__)
     assert not RETIRED_NAMES & set(vars(repro.engine))
-    for module in ("mqo", "sqlcompile"):
+    for module in ("mqo", "operators", "planner", "sqlcompile"):
         assert not RETIRED_NAMES & set(vars(getattr(repro.engine, module)))
     assert not RETIRED_NAMES & set(vars(repro.obs.analyze))
 
