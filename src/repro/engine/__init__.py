@@ -25,8 +25,8 @@ Public surface::
 There is one execution path. Operators exchange
 :class:`~repro.engine.columnar.ColumnBatch` objects (one value sequence
 per column) through ``column_batches`` — the single operator contract,
-see :mod:`repro.engine.operators` — with storage backends transposing
-batches natively. There is one plan shape on a store: one union of
+see :mod:`repro.engine.operators` — with storage backends delivering
+columns natively. There is one plan shape on a store: one union of
 one-atom queries per body atom (a conjunctive query's atom alone, or
 that atom's reformulation), joined in the order the shared cardinality
 estimator (:mod:`repro.stats`) picks — the first read by a
@@ -71,7 +71,6 @@ from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
     ExtentScan,
     HashJoin,
-    IndexScan,
     Operator,
     UnionProbe,
     UnionScan,
@@ -106,7 +105,6 @@ __all__ = [
     "run_query_batch",
     "ExtentScan",
     "HashJoin",
-    "IndexScan",
     "Operator",
     "UnionProbe",
     "UnionScan",

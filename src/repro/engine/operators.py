@@ -12,7 +12,7 @@ batches larger than ``size`` (fan-out) rather than pay a repacking pass.
 Values are dictionary codes (ints) of a :class:`TripleStore`. Every
 atom is a *union* of one-atom queries (a reformulation's alternatives,
 or a conjunctive query's atom alone): :class:`UnionScan` reads one
-through an :class:`IndexScan` per distinct atom, :class:`UnionProbe`
+with a columnar index read per distinct pattern, :class:`UnionProbe`
 probes one per key (a whole batch of probes per ``match_many_encoded``
 call — one SQL statement per batch on the SQLite backend), and a
 Cartesian step is a :class:`HashJoin`. :class:`ExtentScan` is a leaf of
@@ -32,8 +32,9 @@ docs/benchmarks.md, "Retired paths".
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import itemgetter
+import sys
+from itertools import compress, filterfalse, repeat
+from operator import eq, itemgetter, not_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.columnar import ColumnBatch
@@ -120,7 +121,7 @@ def _compile_atom(
     non_literal: frozenset[Variable],
     bound: dict[str, int] | None = None,
 ):
-    """Shared atom compilation for index scans and union probes.
+    """Shared atom compilation for union scans and union probes.
 
     Returns ``(template, fills, out, eqs, nl, impossible)``:
 
@@ -165,75 +166,6 @@ def _compile_atom(
     return template, tuple(fills), tuple(out), tuple(eqs), tuple(nl), impossible
 
 
-class IndexScan(Operator):
-    """Match one triple atom through the store's pattern indexes.
-
-    Output columns are the atom's distinct variables in ``(s, p, o)``
-    order; repeated variables become intra-atom equality filters, and
-    ``non_literal`` variables reject literal codes at binding time (the
-    reformulation rule-4 semantics).
-    """
-
-    def __init__(
-        self,
-        store: TripleStore,
-        atom: Atom,
-        non_literal: frozenset[Variable] = frozenset(),
-    ) -> None:
-        self.store = store
-        self.atom = atom
-        self.non_literal = non_literal
-        template, _, out, eqs, nl, impossible = _compile_atom(atom, store, non_literal)
-        self.pattern = (template[0], template[1], template[2])
-        self._out = out
-        self._eqs = eqs
-        self._nl = nl
-        self.impossible = impossible
-        self.schema = tuple(name for _, name in out)
-
-    def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        if self.impossible:
-            return
-        out_positions = tuple(position for position, _ in self._out)
-        eqs, nl = self._eqs, self._nl
-        source = self.store.match_encoded_columns(self.pattern, size)
-        if not eqs and not nl:
-            # The vectorized fast path: pick 0–3 of the backend's s/p/o
-            # columns per batch — no per-row tuple is ever built.
-            for columns in source:
-                yield ColumnBatch(
-                    tuple(columns[p] for p in out_positions), len(columns[0])
-                )
-            return
-        dictionary = self.store.dictionary
-        is_literal = dictionary.is_literal_code
-        for columns in source:
-            length = len(columns[0])
-            keep: Sequence[int] = range(length)
-            for i, j in eqs:
-                column_i, column_j = columns[i], columns[j]
-                keep = [k for k in keep if column_i[k] == column_j[k]]
-            for position in nl:
-                column = columns[position]
-                if dictionary.any_literal(column):
-                    keep = [k for k in keep if not is_literal(column[k])]
-            kept = len(keep)
-            if not kept:
-                continue
-            if kept == length:
-                yield ColumnBatch(
-                    tuple(columns[p] for p in out_positions), length
-                )
-            else:
-                yield ColumnBatch(
-                    tuple([columns[p][k] for k in keep] for p in out_positions),
-                    kept,
-                )
-
-    def _describe(self) -> str:
-        return f"IndexScan({self.atom}){list(self.schema)}"
-
-
 def _head_value(term, store: TripleStore):
     """A head constant as it enters a row: its dictionary code, or the
     term itself when the data never mentions it (as in head images)."""
@@ -241,35 +173,29 @@ def _head_value(term, store: TripleStore):
     return term if code is None else code
 
 
-def _atom_shape(atom: Atom, non_literal: frozenset[Variable]) -> tuple:
-    """An atom with its restriction, up to variable renaming: each
-    variable becomes the position of its first occurrence."""
-    terms = atom.terms()
-    return (
-        tuple(terms.index(t) if isinstance(t, Variable) else t for t in terms),
-        frozenset(terms.index(v) for v in non_literal if v in terms),
-    )
-
-
 class UnionScan(Operator):
     """Scan a union of one-atom queries as one duplicate-free relation.
 
     ``alternatives`` are one-atom queries whose head position ``j`` is
-    output column ``j`` of ``schema``. Every distinct atom among them
-    (up to variable renaming, with its ``non_literal`` restriction) is
-    read once through an :class:`IndexScan`, and every alternative over
-    it emits its head from that scan's columns. So an index bucket that
-    several head constants need (a subclass's instances under each of
-    its ancestors) is read once.
+    output column ``j`` of ``schema``. They are grouped by **read**: an
+    encoded index pattern plus the equalities of its repeated
+    variables. Each read is made once, through
+    :meth:`~repro.rdf.store.TripleStore.match_encoded_columns`, and
+    fetches only the triple positions its members use — the ones their
+    heads pick, their rule-4 restrictions filter and its equalities
+    compare. So an index bucket several alternatives need (a subclass's
+    instances under each of its ancestors, a property's domain and
+    range alternatives) is read once, and every member applies its own
+    non-literal filter to the shared columns.
 
     Rows are kept per *head template*: an alternative's head with its
     constants in place — a code, or the term itself when the data never
-    mentions it — and ``None`` at each column. Each scan adds the
-    columns it picks to the value set of every template that reads
-    them (see :meth:`partitions`), so a constant-headed match costs a
-    C-speed ``set.update`` and builds no row tuple. The output — a set,
-    because alternatives overlap and every consumer wants distinct rows
-    — fills the templates in (:func:`fill_template`).
+    mentions it — and ``None`` at each column. Each read adds the values
+    a member picks to the value set of every template that reads them
+    (see :meth:`partitions`), so a constant-headed match costs a C-speed
+    ``set.update`` and builds no row tuple. The output — a set, because
+    alternatives overlap and every consumer wants distinct rows — fills
+    the templates in (:func:`fill_template`).
     """
 
     def __init__(
@@ -283,58 +209,74 @@ class UnionScan(Operator):
         self.schema = tuple(schema)
         self.alternatives = tuple(alternatives)
         self.source = source
-        groups: dict[tuple, tuple[IndexScan, dict] | None] = {}
+        # (pattern, equalities) -> (picks, non-literal positions) ->
+        # templates, all in triple positions.
+        reads: dict[tuple, dict[tuple, dict]] = {}
         for alternative in self.alternatives:
-            atom = alternative.atoms[0]
-            shape = _atom_shape(atom, alternative.non_literal)
-            if shape not in groups:
-                scan = IndexScan(store, atom, alternative.non_literal)
-                groups[shape] = None if scan.impossible else (scan, {})
-            group = groups[shape]
-            if group is None:
+            pattern, _, out, eqs, nl, impossible = _compile_atom(
+                alternative.atoms[0], store, alternative.non_literal
+            )
+            if impossible:
                 continue
-            # The scan's columns are the atom's distinct variables in
-            # first-occurrence order, whatever each alternative calls them.
-            column = {
-                variable: index
-                for index, variable in enumerate(dict.fromkeys(
-                    term for term in atom if isinstance(term, Variable)
-                ))
-            }
+            first = {name: position for position, name in out}
             template = tuple(
                 None if isinstance(term, Variable) else _head_value(term, store)
                 for term in alternative.head
             )
             picks = tuple(
-                column[term] for term in alternative.head if isinstance(term, Variable)
+                first[term.name]
+                for term in alternative.head
+                if isinstance(term, Variable)
             )
-            group[1][template, picks] = None
-        # Per distinct atom: its scan, the scan columns the templates
-        # read, the templates with columns (and the positions in that
-        # column list they read), and the all-constant templates one
-        # match is enough for.
-        self._groups = []
-        for scan, reads in filter(None, groups.values()):
-            used = sorted({p for _, picks in reads for p in picks})
-            varying = [
-                (template, tuple(used.index(p) for p in picks))
-                for template, picks in reads
-                if picks
-            ]
-            constant = [template for template, picks in reads if not picks]
-            self._groups.append((scan, used, varying, constant))
-        #: ``(scan, picks)`` when one alternative reads every column of
-        #: its scan into a constant-free head: the scan's rows are then
-        #: distinct already, and :meth:`column_batches` streams them.
-        self._stream = None
-        if len(self._groups) == 1:
-            scan, used, varying, constant = self._groups[0]
-            if not constant and len(varying) == 1 and len(used) == len(
-                scan.schema
-            ):
-                template, picks = varying[0]
-                if template.count(None) == len(template):
-                    self._stream = (scan, picks)
+            members = reads.setdefault((tuple(pattern), eqs), {})
+            members.setdefault((picks, nl), {})[template] = None
+        #: Per read: ``(pattern, positions, eqs, projections)`` — the
+        #: triple positions it fetches (one at least: a read no member
+        #: takes a column from still tells whether anything matches),
+        #: then the equalities and each projection's ``(picks, nl,
+        #: templates)`` as indexes into the fetched columns.
+        self._reads = []
+        for (pattern, eqs), members in reads.items():
+            used = {p for pair in eqs for p in pair}
+            for picks, nl in members:
+                used.update(picks, nl)
+            positions = tuple(sorted(used)) or (0,)
+            column = {p: k for k, p in enumerate(positions)}
+            self._reads.append((
+                pattern,
+                positions,
+                tuple((column[i], column[j]) for i, j in eqs),
+                tuple(
+                    (
+                        tuple(column[p] for p in picks),
+                        tuple(column[p] for p in nl),
+                        tuple(templates),
+                    )
+                    for (picks, nl), templates in members.items()
+                ),
+            ))
+        #: Whether the only read has one member, a constant-free head
+        #: over every variable of its atom: its rows are then distinct
+        #: already, and :meth:`column_batches` streams them.
+        self._stream = False
+        if len(reads) == 1:
+            ((pattern, eqs), members), = reads.items()
+            variables = {p for p, code in enumerate(pattern) if code is None}
+            variables -= {j for _, j in eqs}
+            self._stream = [
+                (set(picks), list(templates))
+                for (picks, _), templates in members.items()
+            ] == [(variables, [(None,) * len(self.schema)])]
+
+    def _read(self, read: tuple, size: int) -> Iterator[tuple]:
+        """The fetched columns of one read with its equalities applied,
+        in chunks of at most ``size`` rows; an emptied chunk is dropped."""
+        pattern, positions, eqs, _ = read
+        for columns in self.store.match_encoded_columns(pattern, positions, size):
+            for i, j in eqs:
+                columns = _select(columns, map(eq, columns[i], columns[j]))
+            if columns[0]:
+                yield columns
 
     def partitions(self) -> dict[tuple, set]:
         """The output, per head template: ``{template: values}``.
@@ -347,33 +289,22 @@ class UnionScan(Operator):
         :func:`~repro.engine.planner.decode_images` merge them.
         """
         parts: dict[tuple, set] = {}
-        for scan, used, varying, constant in self._groups:
-            size = _UNION_SCAN_BATCH if len(varying) > 1 else DEFAULT_BATCH_SIZE
-            for cb in scan.column_batches(size):
-                if varying:
-                    picked = [cb.columns[k] for k in used]
-                    if len(varying) > 1:
-                        # Several templates read this match (a bucket
-                        # under each of its classes' ancestors): project
-                        # it to distinct values once, before the fan-out.
-                        picked = (
-                            [set(picked[0])] if len(picked) == 1
-                            else list(zip(*set(zip(*picked))))
-                        )
-                    for template, picks in varying:
-                        values = parts.setdefault(template, set())
-                        if len(picks) == 1:
-                            values.update(picked[picks[0]])
-                        else:
-                            values.update(zip(*(picked[k] for k in picks)))
-                if constant:
-                    for template in constant:
-                        parts[template] = {()}
-                    if not self.schema:
-                        return parts  # boolean: one match settles it
-                    if not varying:
-                        break
-        return parts
+        codes = self.store.dictionary.literal_codes()
+        for read in self._reads:
+            # One chunk: the whole columns, folded as they arrive.
+            for columns in self._read(read, sys.maxsize):
+                for picks, nl, templates in read[3]:
+                    values = _values(columns, picks, nl, codes)
+                    if len(templates) > 1:
+                        # Several templates take these values (a bucket
+                        # under each of its classes' ancestors): make
+                        # them distinct once, before the fan-out.
+                        values = set(values)
+                    for template in templates:
+                        parts.setdefault(template, set()).update(values)
+            if not self.schema and parts.get(()):
+                return parts  # boolean: one match settles it
+        return {template: values for template, values in parts.items() if values}
 
     def distinct(self) -> set[tuple]:
         """The output rows, as a set of tuples."""
@@ -383,10 +314,17 @@ class UnionScan(Operator):
         return rows
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        if self._stream is not None:
-            scan, picks = self._stream
-            for cb in scan.column_batches(size):
-                yield ColumnBatch(tuple(cb.columns[p] for p in picks), len(cb))
+        if self._stream:
+            read = self._reads[0]
+            ((picks, nl, _),) = read[3]
+            codes = self.store.dictionary.literal_codes()
+            for columns in self._read(read, size):
+                keep = _non_literal(columns, nl, codes)
+                if keep is not None:
+                    columns = _select(columns, keep)
+                    if not columns[0]:
+                        continue
+                yield ColumnBatch(tuple(columns[k] for k in picks), len(columns[0]))
             return
         rows = list(self.distinct())
         width = len(self.schema)
@@ -396,9 +334,47 @@ class UnionScan(Operator):
     def _describe(self) -> str:
         atom = "" if self.source is None else f"{self.source}, "
         return (
-            f"UnionScan({atom}{len(self.alternatives)} alternatives)"
-            f"{list(self.schema)}"
+            f"UnionScan({atom}{len(self.alternatives)} alternatives, "
+            f"{len(self._reads)} reads){list(self.schema)}"
         )
+
+
+def _select(columns: tuple, keep: Iterable) -> tuple:
+    """The rows of ``columns`` whose ``keep`` selector is true."""
+    keep = list(keep)
+    return tuple(list(compress(column, keep)) for column in columns)
+
+
+def _non_literal(columns: tuple, nl: tuple, codes: set) -> Iterator | None:
+    """A selector keeping the rows whose ``nl`` columns hold no literal
+    code, or None when none of those columns holds one. It iterates the
+    dictionary's literal-code set in C: no Python call per row."""
+    nl = [k for k in nl if not codes.isdisjoint(columns[k])]
+    if not nl:
+        return None
+    if len(nl) == 1:
+        return map(not_, map(codes.__contains__, columns[nl[0]]))
+    return map(codes.isdisjoint, zip(*[columns[k] for k in nl]))
+
+
+def _values(columns: tuple, picks: tuple, nl: tuple, codes: set) -> Iterable:
+    """What one projection of a read adds to its templates: the picked
+    column as it is for one pick, tuples for several, ``()`` once for
+    none — without the rows whose ``nl`` columns hold a literal."""
+    if len(picks) == 1 and nl == picks:
+        # A restricted head variable: drop its literals in one C pass.
+        column = columns[picks[0]]
+        if codes.isdisjoint(column):
+            return column
+        return filterfalse(codes.__contains__, column)
+    keep = _non_literal(columns, nl, codes)
+    if not picks:
+        return ((),) if keep is None or any(keep) else ()
+    if len(picks) == 1:
+        picked = columns[picks[0]]
+    else:
+        picked = zip(*[columns[k] for k in picks])
+    return picked if keep is None else compress(picked, keep)
 
 
 def template_columns(template: tuple, values) -> list:
@@ -422,14 +398,6 @@ def fill_template(template: tuple, columns: Sequence) -> Iterator[tuple]:
         next(taken) if part is None else repeat(part) for part in template
     ])
 
-
-#: Rows per index read inside a :class:`UnionScan` whose matches fan
-#: out to several head templates: each read is projected to distinct
-#: values once before the fan-out, so a bigger read projects more rows
-#: at once. A read feeding one template is folded as it comes, in
-#: ``DEFAULT_BATCH_SIZE`` rows: a large read buys it nothing, and on
-#: SQLite it costs the fold and the decode after it cache locality.
-_UNION_SCAN_BATCH = 1 << 16
 
 
 class _Lookup:

@@ -208,7 +208,7 @@ def plan_query(query: ConjunctiveQuery, store: TripleStore) -> Operator:
     ...     "q(X, Y) :- t(X, <http://e/knows>, Y), t(Y, <http://e/age>, A)")
     >>> print(plan_query(query, store).explain())
     UnionProbe(t(X, <http://e/knows>, Y), 1 alternatives, 1 lookups)['Y', 'X']
-      UnionScan(t(Y, <http://e/age>, A), 1 alternatives)['Y']
+      UnionScan(t(Y, <http://e/age>, A), 1 alternatives, 1 reads)['Y']
     """
     plans = _plan_cache_entry(store)["plans"]
     key = (query, INTERPRETED)

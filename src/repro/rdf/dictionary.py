@@ -52,10 +52,15 @@ class Dictionary:
         """True when ``code`` encodes a literal (O(1), no decode)."""
         return code in self._literal_codes
 
-    def any_literal(self, codes) -> bool:
-        """True when some code of ``codes`` encodes a literal (one
-        C-speed set test, so a column without any skips a row filter)."""
-        return not self._literal_codes.isdisjoint(codes)
+    def literal_codes(self) -> set[int]:
+        """The codes of every encoded literal.
+
+        The live set, not a copy: a scan filters a whole column against
+        it in C (``isdisjoint``, ``filterfalse(codes.__contains__, …)``)
+        instead of calling :meth:`is_literal_code` per row. Read it;
+        only :meth:`encode` may add to it.
+        """
+        return self._literal_codes
 
     def lookup(self, term: Term) -> int | None:
         """Return the code for ``term`` or None if the term is unknown."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.obs import metrics, tracing
 
@@ -233,15 +233,19 @@ class TripleStore:
         return self._backend.count(pattern)
 
     def match_encoded_columns(
-        self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
+        self,
+        pattern: EncodedPattern,
+        positions: Sequence[int],
+        size: int = DEFAULT_BATCH_SIZE,
     ):
-        """Matches of an encoded pattern in columnar layout.
+        """Matches of an encoded pattern in columnar layout, projected
+        to the triple ``positions`` the caller keeps.
 
-        The vectorized engine's scan input: ``(s, p, o)`` column tuples
-        of at most ``size`` values each, transposed natively by the
-        backend (see :meth:`repro.storage.base.StorageBackend.match_columns`).
+        The union scan's input: one column per requested position, at
+        most ``size`` values each, read natively by the backend (see
+        :meth:`repro.storage.base.StorageBackend.match_columns`).
         """
-        return self._backend.match_columns(pattern, size)
+        return self._backend.match_columns(pattern, positions, size)
 
     def match_many_encoded(self, patterns):
         """Matches of a whole batch of encoded patterns, input-aligned.

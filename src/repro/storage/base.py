@@ -9,8 +9,9 @@ against.
 
 The execution engine pulls through two *batched* fetch paths:
 :meth:`StorageBackend.match_columns` delivers one pattern's matches as
-column batches (the scan input — one driver round-trip per batch
-instead of one per row for cursor-backed stores), and
+columns of only the triple positions the caller keeps (the scan input —
+SQLite answers it with one aggregate statement, not one row per
+match), and
 :meth:`StorageBackend.match_many` answers a whole batch of patterns at
 once (the union probe path — SQLite folds it into a single statement
 per batch). The base class derives both from :meth:`match`,
@@ -106,22 +107,29 @@ class StorageBackend(ABC):
     # -- batched fetch (the engine's input paths) ----------------------
 
     def match_columns(
-        self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
-    ) -> Iterator[tuple[Sequence[int], Sequence[int], Sequence[int]]]:
-        """Matches of a pattern in **columnar** layout.
+        self,
+        pattern: EncodedPattern,
+        positions: Sequence[int],
+        size: int = DEFAULT_BATCH_SIZE,
+    ) -> Iterator[tuple[Sequence[int], ...]]:
+        """Matches of a pattern in **columnar** layout, projected to
+        ``positions``.
 
-        Yields one ``(s_column, p_column, o_column)`` triple of equal-
-        length value sequences per batch of at most ``size`` matches —
-        the native input of the engine's vectorized scan
-        (:meth:`repro.engine.operators.IndexScan.column_batches`). The
-        base derivation chunks :meth:`match` and transposes each chunk
-        with one C-speed ``zip``; the built-in backends override it
-        (the memory backend transposes an index bucket once, SQLite
-        transposes each ``fetchmany`` chunk).
+        Yields one tuple of equal-length value sequences per batch of at
+        most ``size`` matches: sequence ``k`` holds triple position
+        ``positions[k]`` (0 = s, 1 = p, 2 = o) of every match, and a
+        position not asked for is never fetched. This is the input of
+        the engine's union scan
+        (:meth:`repro.engine.operators.UnionScan.partitions`). The base
+        derivation chunks :meth:`match` and transposes each chunk with
+        one C-speed ``zip``; the built-in backends override it (the
+        memory backend projects an index bucket once, SQLite reads each
+        position as one aggregated column).
         """
         iterator = iter(self.match(pattern))
         while batch := list(islice(iterator, size)):
-            yield tuple(zip(*batch))
+            columns = tuple(zip(*batch))
+            yield tuple(columns[i] for i in positions)
 
     def match_many(
         self, patterns: Sequence[EncodedPattern]
@@ -216,8 +224,8 @@ def create_backend(name: str, *, path=None) -> StorageBackend:
     1
     >>> [sorted(m) for m in backend.match_many([(1, 2, None), (9, None, None)])]
     [[(1, 2, 3), (1, 2, 4)], []]
-    >>> [sorted(column) for column in next(backend.match_columns((1, 2, None)))]
-    [[1, 1], [2, 2], [3, 4]]
+    >>> [sorted(column) for column in next(backend.match_columns((1, 2, None), (2, 0)))]
+    [[3, 4], [1, 1]]
     """
     from repro.storage.memory import MemoryBackend
     from repro.storage.sqlite import SqliteBackend

@@ -12,9 +12,15 @@ in :class:`~repro.rdf.store.TripleStore`).
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from repro.storage.base import EncodedPattern, EncodedTriple, StorageBackend
+from repro.storage.base import (
+    DEFAULT_BATCH_SIZE,
+    EncodedPattern,
+    EncodedTriple,
+    StorageBackend,
+)
 
 
 class MemoryBackend(StorageBackend):
@@ -103,22 +109,26 @@ class MemoryBackend(StorageBackend):
             return self._idx_o.get(o, ())
         return self._triples
 
-    def match_columns(self, pattern, size=1024):
-        # One C-speed transpose of the whole index bucket, then yield
-        # column slices: no per-row tuple is ever built, and the common
-        # bucket-fits-one-batch case hands the transposed columns out
-        # without any further copying.
+    def match_columns(self, pattern, positions, size=DEFAULT_BATCH_SIZE):
+        # One C-speed pass over the whole index bucket, then yield column
+        # slices: no per-row tuple is ever built, and the common
+        # bucket-fits-one-batch case hands the columns out without any
+        # further copying. One position is projected alone (half the
+        # cost of a transpose); several share one transpose.
         matches = self.match(pattern)
         if not matches:
             return
-        s_col, p_col, o_col = zip(*matches)
-        length = len(s_col)
+        if len(positions) == 1:
+            columns = (list(map(itemgetter(positions[0]), matches)),)
+        else:
+            transposed = tuple(zip(*matches))
+            columns = tuple(transposed[position] for position in positions)
+        length = len(columns[0])
         if length <= size:
-            yield (s_col, p_col, o_col)
+            yield columns
             return
         for start in range(0, length, size):
-            end = start + size
-            yield (s_col[start:end], p_col[start:end], o_col[start:end])
+            yield tuple(column[start : start + size] for column in columns)
 
     def match_many(self, patterns):
         # The dict indexes already hold each answer as a collection:

@@ -24,14 +24,17 @@ connection always see pending writes.
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.obs import metrics
 from repro.storage.base import (
+    COLUMNS,
     DEFAULT_BATCH_SIZE,
     EncodedPattern,
     EncodedTriple,
@@ -225,53 +228,79 @@ class SqliteBackend(StorageBackend):
         return self._con.execute(f"SELECT s, p, o FROM triples{where}", params)
 
     def match_columns(
-        self, pattern: EncodedPattern, size: int = DEFAULT_BATCH_SIZE
+        self,
+        pattern: EncodedPattern,
+        positions: Sequence[int],
+        size: int = DEFAULT_BATCH_SIZE,
     ) -> Iterator[tuple]:
+        """One aggregate statement per read: ``count(*)`` plus one
+        ``json_group_array`` per requested position, so SQLite hands
+        each position over as one JSON text and ``json.loads`` turns it
+        into a list of ints in C — the sqlite3 module builds no row
+        tuple per match. Every aggregate steps over the same rows in the
+        same order, so the columns stay aligned. The read holds its
+        columns whole (one bucket's, not the table's); ``size`` only
+        slices them. Needs SQLite's JSON functions (built in since
+        SQLite 3.38)."""
         s, p, o = pattern
         if s is not None and p is not None and o is not None:
-            if (s, p, o) in self:
-                yield ((s,), (p,), (o,))
+            if pattern in self:
+                yield tuple((pattern[i],) for i in positions)
             return
         where, params = _where(pattern)
-        cursor = self._con.execute(f"SELECT s, p, o FROM triples{where}", params)
-        while True:
-            batch = cursor.fetchmany(size)
-            if not batch:
-                return
-            yield tuple(zip(*batch))
+        arrays = ", ".join(f"json_group_array({COLUMNS[i]})" for i in positions)
+        count, *texts = self._con.execute(
+            f"SELECT count(*), {arrays} FROM triples{where}", params
+        ).fetchone()
+        if not count:
+            return
+        columns = tuple(map(json.loads, texts))
+        if count <= size:
+            yield columns
+            return
+        for start in range(0, count, size):
+            yield tuple(column[start : start + size] for column in columns)
 
     def match_many(self, patterns):
         """One SQL statement per probe batch instead of one per probe.
 
         Patterns are grouped by their bound-column mask; each group's
-        distinct key tuples become a single query over the matching
-        index prefix — ``IN (...)`` for one column, a ``VALUES`` CTE
-        joined to the table for several — and the fetched triples are
-        bucketed back per key. The
-        common caller — the engine's union probe — sends
-        same-mask batches, so the statement text is stable and sqlite3's
-        statement cache kicks in.
+        distinct keys become a single query over the matching index
+        prefix — ``IN (...)`` for one column, a ``VALUES`` CTE joined to
+        the table for several — and the fetched triples are bucketed
+        back per key. A key is read off a pattern and off a fetched
+        triple by the same ``itemgetter`` (a bare value for a
+        one-column mask). The common caller — the engine's union probe —
+        sends same-mask batches, so the statement text is stable and
+        sqlite3's statement cache kicks in.
         """
         if not patterns:
             return []
         execute = self._con.execute
-        # key tuple (in probe-column order) -> shared result bucket.
-        by_mask: dict[tuple[bool, bool, bool], dict[tuple, list]] = {}
+        # mask -> (key getter, {key: shared result bucket}).
+        by_mask: dict[tuple[bool, bool, bool], tuple] = {}
+        keys_of = []
         for pattern in patterns:
             mask = (
                 pattern[0] is not None,
                 pattern[1] is not None,
                 pattern[2] is not None,
             )
-            probe = _PROBE_ORDER.get(mask)
-            key = () if probe is None else tuple(pattern[i] for i in probe)
-            by_mask.setdefault(mask, {}).setdefault(key, [])
-        for mask, buckets in by_mask.items():
+            group = by_mask.get(mask)
+            if group is None:
+                probe = _PROBE_ORDER.get(mask)
+                getter = (lambda _: ()) if probe is None else itemgetter(*probe)
+                group = by_mask[mask] = (getter, {})
+            getter, buckets = group
+            key = getter(pattern)
+            buckets.setdefault(key, [])
+            keys_of.append((buckets, key))
+        for mask, (getter, buckets) in by_mask.items():
             probe = _PROBE_ORDER.get(mask)
             if probe is None:  # unconstrained pattern: one full scan
                 buckets[()] = list(execute("SELECT s, p, o FROM triples"))
                 continue
-            columns = [("s", "p", "o")[i] for i in probe]
+            columns = [COLUMNS[i] for i in probe]
             keys = list(buckets)
             chunk_size = max(1, _PROBE_PARAM_BUDGET // len(columns))
             for start in range(0, len(keys), chunk_size):
@@ -282,7 +311,7 @@ class SqliteBackend(StorageBackend):
                         f"SELECT s, p, o FROM triples "
                         f"WHERE {columns[0]} IN ({placeholders})"
                     )
-                    params = [key[0] for key in chunk]
+                    params = chunk
                 else:
                     # Keys as a CTE joined first: one index SEARCH per
                     # key. SQLite plans a row-value ``IN (VALUES …)`` of
@@ -299,18 +328,8 @@ class SqliteBackend(StorageBackend):
                     )
                     params = [value for key in chunk for value in key]
                 for triple in execute(sql, params):
-                    buckets[tuple(triple[i] for i in probe)].append(triple)
-        results = []
-        for pattern in patterns:
-            mask = (
-                pattern[0] is not None,
-                pattern[1] is not None,
-                pattern[2] is not None,
-            )
-            probe = _PROBE_ORDER.get(mask)
-            key = () if probe is None else tuple(pattern[i] for i in probe)
-            results.append(by_mask[mask][key])
-        return results
+                    buckets[getter(triple)].append(triple)
+        return [buckets[key] for buckets, key in keys_of]
 
     def count(self, pattern: EncodedPattern) -> int:
         if pattern == (None, None, None):

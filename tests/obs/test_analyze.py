@@ -262,6 +262,9 @@ def test_one_atom_union_is_analyzed_through_its_partitions(
     # The scan line counts partition values: at least one per answer.
     assert report.root_rows >= len(expected)
     assert " decode_ms=" in report.text().splitlines()[0]
+    # hasPainted's domain and range alternatives share one read, as do
+    # the instances of a class under each of its ancestors.
+    assert "), 15 alternatives, 5 reads)['X', 'Y'] [rows=" in report.text()
 
 
 def test_analyze_leaves_cached_plans_unprobed(museum_store, q_painters):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.engine import (
     HashJoin,
-    IndexScan,
     UnionProbe,
     UnionScan,
     plan_query,
@@ -132,10 +131,29 @@ class TestPlanQuery:
 
 
 class TestOperators:
-    def test_index_scan_columns_in_spo_order(self, museum_store):
-        scan = IndexScan(museum_store, Atom(X, ex("hasPainted"), Y))
-        assert scan.schema == ("X", "Y")
-        assert sum(map(len, scan.column_batches())) == 6
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_one_atom_scan_streams_its_read(self, museum_store, backend):
+        """A constant-free head over every variable of its atom streams
+        the one read's columns in head order, in chunks of ``size``."""
+        store = museum_store if backend == "memory" else museum_store.copy(
+            backend=backend
+        )
+        try:
+            query = ConjunctiveQuery(
+                (Y, X), (Atom(X, ex("hasPainted"), Y),), name="q"
+            )
+            scan = UnionScan(store, ("Y", "X"), [query])
+            assert scan._stream
+            batches = list(scan.column_batches(4))
+            assert [len(batch) for batch in batches] == [4, 2]
+            rows = {row for batch in batches for row in zip(*batch.columns)}
+            assert rows == scan.distinct()
+            assert {
+                tuple(map(store.dictionary.decode, row)) for row in rows
+            } == evaluate_nested_loop(query, store)
+        finally:
+            if store is not museum_store:
+                store.backend.close()
 
 
 class TestPlanCache:

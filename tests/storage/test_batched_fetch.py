@@ -1,7 +1,8 @@
 """Contract tests for the storage layer's batched fetch paths.
 
-``match_columns`` must chunk and transpose exactly what ``match``
-produces, and ``match_many`` must answer a batch of patterns exactly as
+``match_columns`` must chunk exactly what ``match`` produces, projected
+to the requested triple positions in their order, and ``match_many``
+must answer a batch of patterns exactly as
 per-pattern ``match`` calls would — on every backend, for every pattern
 shape (the SQLite backend routes each bound-column mask through a
 different index prefix and folds probe batches into single statements
@@ -10,8 +11,11 @@ per-statement probe limit). The base-class derivations a third-party
 backend inherits are held to the built-in overrides.
 """
 
+import itertools
+import json
 import random
 import re
+import sqlite3
 from collections import Counter
 
 import pytest
@@ -56,25 +60,6 @@ def _all_shapes(store):
         some,
         (s, p, o),
     ]
-
-
-@backends
-@pytest.mark.parametrize("size", [1, 7, 1024])
-def test_match_columns_transpose_match_exactly(backend, size):
-    """``match_columns`` is ``match_encoded`` chunked and transposed:
-    same triples, at most ``size`` per chunk, one equal-length sequence
-    per column."""
-    store = _populated_store(backend)
-    for pattern in _all_shapes(store):
-        expected = sorted(store.match_encoded(pattern))
-        flattened = []
-        for columns in store.match_encoded_columns(pattern, size):
-            assert len(columns) == 3
-            s_col, p_col, o_col = columns
-            assert len(s_col) == len(p_col) == len(o_col)
-            assert 0 < len(s_col) <= size
-            flattened.extend(zip(s_col, p_col, o_col))
-        assert sorted(flattened) == expected, pattern
 
 
 class _CoreOnlyBackend(StorageBackend):
@@ -126,23 +111,83 @@ class _CoreOnlyBackend(StorageBackend):
         return _CoreOnlyBackend(self._triples)
 
 
+#: Every non-empty positions tuple: each subset of (s, p, o) in each order.
+POSITIONS = [
+    positions
+    for width in (1, 2, 3)
+    for positions in itertools.permutations(range(3), width)
+]
+
+
+def _chunks(source, pattern, positions, size):
+    """(chunk lengths, projected rows) of one columnar fetch, with each
+    chunk's shape checked."""
+    lengths, rows = [], []
+    for columns in source.match_columns(pattern, positions, size):
+        assert len(columns) == len(positions)
+        (length,) = {len(column) for column in columns}
+        lengths.append(length)
+        rows.extend(zip(*columns))
+    return lengths, rows
+
+
 @backends
+@pytest.mark.parametrize("derived", [False, True], ids=["native", "base-class"])
 @pytest.mark.parametrize("size", [1, 7, 1024])
-def test_base_class_match_columns_equals_the_builtin_override(backend, size):
+def test_match_columns_is_the_projection_of_match(backend, derived, size):
+    """``match_columns(pattern, positions, size)`` yields the matches of
+    ``match_encoded`` projected to ``positions`` (in that order), in
+    full chunks of ``size`` but the last — for every pattern shape and
+    every positions tuple, on each backend's override and on the
+    base-class derivation a third-party backend inherits."""
     store = _populated_store(backend)
-    derived = _CoreOnlyBackend(store.backend)
-
-    def chunks(source, pattern):
-        """(chunk lengths, sorted triples) of one columnar fetch."""
-        lengths, triples = [], []
-        for columns in source.match_columns(pattern, size):
-            assert len(columns) == 3
-            lengths.append(len(columns[0]))
-            triples.extend(zip(*columns))
-        return lengths, sorted(triples)
-
+    source = _CoreOnlyBackend(store.backend) if derived else store.backend
     for pattern in _all_shapes(store) + [(10**6, None, None)]:
-        assert chunks(derived, pattern) == chunks(store.backend, pattern), pattern
+        matches = list(store.match_encoded(pattern))
+        full, rest = divmod(len(matches), size)
+        for positions in POSITIONS:
+            lengths, rows = _chunks(source, pattern, positions, size)
+            assert lengths == [size] * full + ([rest] if rest else [])
+            assert sorted(rows) == sorted(
+                tuple(triple[i] for i in positions) for triple in matches
+            ), (pattern, positions)
+
+
+@backends
+@pytest.mark.parametrize("derived", [False, True], ids=["native", "base-class"])
+def test_match_columns_fully_bound_and_empty(backend, derived):
+    """A fully bound pattern yields its triple once when present and
+    nothing when absent; a pattern nothing matches yields no chunk."""
+    store = _populated_store(backend)
+    source = _CoreOnlyBackend(store.backend) if derived else store.backend
+    present = min(store.backend)
+    absent = (present[0], present[1], 10**6)
+    assert absent not in store.backend
+    assert [
+        tuple(map(list, columns)) for columns in source.match_columns(present, (2, 0))
+    ] == [([present[2]], [present[0]])]
+    for pattern in (absent, (10**6, None, None), (None, 10**6, None)):
+        for positions in POSITIONS:
+            assert list(source.match_columns(pattern, positions, 7)) == []
+
+
+def test_sqlite_build_provides_json_group_array():
+    """The SQLite backend reads ``match_columns`` through the JSON
+    aggregate; a build without SQLite's JSON functions cannot serve it."""
+    con = sqlite3.connect(":memory:")
+    try:
+        (text,) = con.execute(
+            "SELECT json_group_array(v) FROM (SELECT 1 AS v UNION ALL SELECT 2)"
+        ).fetchone()
+    except sqlite3.OperationalError as error:
+        pytest.fail(
+            "the SQLite backend's match_columns needs SQLite's JSON "
+            "functions (json_group_array, built in since SQLite 3.38); "
+            f"this build is SQLite {sqlite3.sqlite_version}: {error}"
+        )
+    finally:
+        con.close()
+    assert json.loads(text) == [1, 2]
 
 
 @backends
@@ -224,3 +269,26 @@ def test_sqlite_multi_column_probe_batches_search_an_index(monkeypatch, mask):
     ]
     assert any(detail.startswith("SEARCH") for detail in plan), plan
     assert not any(re.match(r"SCAN (triples|t)\b", detail) for detail in plan), plan
+
+
+def test_sqlite_match_columns_is_one_aggregate_statement(monkeypatch):
+    """A columnar read is one statement that aggregates only the
+    requested positions into JSON arrays: the sqlite3 module builds no
+    row per match."""
+    store = _populated_store("sqlite")
+    p = store.encode_term(URI("http://u/p1"))
+    recorder = _RecordingConnection(store.backend._con)
+    monkeypatch.setattr(store.backend, "_con", recorder)
+    chunks = list(store.backend.match_columns((None, p, None), (2, 0), 10**9))
+    (statement,) = recorder.sent
+    monkeypatch.undo()
+    sql, params = statement
+    assert sql == (
+        "SELECT count(*), json_group_array(o), json_group_array(s) "
+        "FROM triples WHERE p = ?"
+    )
+    assert params == (p,)
+    (columns,) = chunks
+    assert sorted(zip(*columns)) == sorted(
+        (o, s) for s, _, o in store.match_encoded((None, p, None))
+    )

@@ -89,7 +89,10 @@ def test_explain_prints_plans_and_route(capsys, data_file, workload_file):
     assert "q1 [route=interpreted]:" in out
     assert "q2 [route=interpreted]:" in out
     # q1 is one union scan; q2 scans its rarer atom and probes the other.
-    assert "UnionScan(t(X, <http://example.org/hasPainted>" in out
+    assert (
+        "UnionScan(t(X, <http://example.org/hasPainted>, "
+        "<http://example.org/starryNight>), 1 alternatives, 1 reads)"
+    ) in out
     assert "UnionProbe(t(X, <http://example.org/hasPainted>, Y)" in out
 
 

@@ -95,6 +95,7 @@ RETIRED_NAMES = {
     "Distinct",
     "Empty",
     "IndexNestedLoopJoin",
+    "IndexScan",
     "MergeJoin",
     "PartitionedHashJoin",
     "Projection",
