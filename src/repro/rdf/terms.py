@@ -4,17 +4,25 @@ Terms are small immutable value objects. They are hashable so they can be
 dictionary-encoded (:mod:`repro.rdf.dictionary`) and used as keys in the
 store indexes (:mod:`repro.rdf.store`).
 
-A term computes its hash once, when it is built: answer sets hash every
-term of every answer tuple. The value is the one a frozen dataclass
-generates — the hash of the tuple of its fields — so sets of terms
-iterate in the same order as they would without the cache. A term
+A term is a ``tuple`` of its fields: ``(value,)`` for a URI,
+``(lexical, datatype, language)`` for a literal, ``(label,)`` for a
+blank node. Answer sets hash every term of every answer tuple, and a
+term hashes as that tuple, in C, with no Python frame. The value is the
+one a frozen dataclass of the same fields generates, so sets of terms
+iterate in the same order as they did when terms were dataclasses.
+
+The tuple is how a term is stored, not what it means. The fields are
+read-only properties; a term equals only a term of its own class with
+equal fields, never a plain tuple; and terms have no order. A term
 pickles through its constructor, so the receiving process (which may
-run under another ``PYTHONHASHSEED``) computes the hash anew:
+run under another ``PYTHONHASHSEED``) hashes it anew:
 
 >>> import pickle
 >>> a, b = URI("http://e/a"), URI("http://e/a")
 >>> a == b and hash(a) == hash(b) == hash(("http://e/a",))
 True
+>>> a == ("http://e/a",) or a == BlankNode("http://e/a")
+False
 >>> back = pickle.loads(pickle.dumps(a))
 >>> back == a and hash(back) == hash(a)
 True
@@ -22,31 +30,72 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Union
 
 
-@dataclass(frozen=True, slots=True)
-class URI:
+def _field(index: int, doc: str) -> property:
+    """A read-only field: position ``index`` of the term's tuple."""
+    return property(itemgetter(index), doc=doc)
+
+
+def _require_str(value: object, what: str) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a str, not {type(value).__name__}")
+
+
+# Bound once: looking them up on ``tuple`` in every comparison is
+# measurably slower.
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
+class _Term(tuple):
+    """The base of the three term classes: a tuple of the fields that
+    compares by exact class, hashes as the tuple and has no order.
+
+    ``__hash__`` names tuple's own slot, so CPython installs the C
+    function itself; ``__eq__`` stays a Python method, which set and
+    dict probes skip when the two objects are one.
+    """
+
+    __slots__ = ()
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and _tuple_eq(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not type(self) or _tuple_ne(self, other)
+
+    def _unordered(self, other: object):
+        # As on a dataclass without ``order``; tuple's own order would
+        # also hold against plain tuples.
+        raise TypeError(f"{type(self).__name__} terms have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    del _unordered
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class URI(_Term):
     """A Uniform Resource Identifier reference.
 
     The ``value`` is kept verbatim; no IRI normalization is attempted
     (the paper's datasets use opaque URIs).
     """
 
-    value: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    value = _field(0, "The URI string.")
+
+    def __new__(cls, value: str) -> URI:
+        _require_str(value, "URI value")
+        if not value:
             raise ValueError("URI value must be a non-empty string")
-        object.__setattr__(self, "_hash", hash((self.value,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return URI, (self.value,)
+        return tuple.__new__(cls, (value,))
 
     def n3(self) -> str:
         """Render in N-Triples syntax."""
@@ -59,31 +108,36 @@ class URI:
         return f"URI({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(_Term):
     """An RDF literal (a value), optionally tagged with a datatype URI.
 
     Language tags are supported through ``language``; a literal has at most
     one of ``datatype`` / ``language`` per the RDF specification.
     """
 
-    lexical: str
-    datatype: URI | None = None
-    language: str | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
-            raise ValueError("a literal cannot have both a datatype and a language tag")
-        object.__setattr__(
-            self, "_hash", hash((self.lexical, self.datatype, self.language))
-        )
+    lexical = _field(0, "The lexical form.")
+    datatype = _field(1, "The datatype URI, or None.")
+    language = _field(2, "The language tag, or None.")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Literal, (self.lexical, self.datatype, self.language)
+    def __new__(
+        cls, lexical: str, datatype: URI | None = None, language: str | None = None
+    ) -> Literal:
+        _require_str(lexical, "literal lexical form")
+        if datatype is not None and not isinstance(datatype, URI):
+            raise TypeError(
+                f"literal datatype must be a URI, not {type(datatype).__name__}"
+            )
+        if language is not None:
+            _require_str(language, "literal language tag")
+            if datatype is not None:
+                raise ValueError(
+                    "a literal cannot have both a datatype and a language tag"
+                )
+            if not language:
+                raise ValueError("literal language tag must be non-empty")
+        return tuple.__new__(cls, (lexical, datatype, language))
 
     def n3(self) -> str:
         """Render in N-Triples syntax."""
@@ -113,8 +167,7 @@ class Literal:
         return f"Literal({self.lexical!r}{extras})"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
+class BlankNode(_Term):
     """A blank node: a placeholder for an unknown URI or literal.
 
     From a database perspective blank nodes behave as existential
@@ -122,19 +175,15 @@ class BlankNode:
     to the same blank node label join on it.
     """
 
-    label: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    label = _field(0, "The blank node label.")
+
+    def __new__(cls, label: str) -> BlankNode:
+        _require_str(label, "blank node label")
+        if not label:
             raise ValueError("blank node label must be a non-empty string")
-        object.__setattr__(self, "_hash", hash((self.label,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return BlankNode, (self.label,)
+        return tuple.__new__(cls, (label,))
 
     def n3(self) -> str:
         """Render in N-Triples syntax."""
@@ -152,7 +201,7 @@ Term = Union[URI, Literal, BlankNode]
 
 def is_term(value: object) -> bool:
     """Return True if ``value`` is an RDF term."""
-    return isinstance(value, (URI, Literal, BlankNode))
+    return isinstance(value, _Term)
 
 
 def term_to_parts(term: Term) -> tuple[str, str, str | None, str | None]:

@@ -1,6 +1,7 @@
 """Unit tests for the RDF term model."""
 
 import copy
+import operator
 import os
 import subprocess
 import sys
@@ -31,6 +32,10 @@ class TestURI:
         with pytest.raises(AttributeError):
             URI("http://a").value = "http://b"
 
+    def test_non_str_value_rejected(self):
+        with pytest.raises(TypeError):
+            URI(123)
+
 
 class TestLiteral:
     def test_plain_literal(self):
@@ -54,6 +59,23 @@ class TestLiteral:
         rendered = lit.n3()
         assert rendered == '"say \\"hi\\"\\nplease\\t\\\\ok"'
 
+    def test_str_datatype_rejected(self):
+        with pytest.raises(TypeError):
+            Literal("x", datatype="http://int")
+
+    def test_empty_language_rejected(self):
+        with pytest.raises(ValueError):
+            Literal("x", language="")
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Literal(42), lambda: Literal("x", language=1)],
+        ids=["lexical", "language"],
+    )
+    def test_non_str_field_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
     def test_equality_distinguishes_language(self):
         assert Literal("x", language="en") != Literal("x", language="fr")
         assert Literal("x") != Literal("x", language="fr")
@@ -69,6 +91,10 @@ class TestBlankNode:
 
     def test_distinct_labels_differ(self):
         assert BlankNode("a") != BlankNode("b")
+
+    def test_non_str_label_rejected(self):
+        with pytest.raises(TypeError):
+            BlankNode(7)
 
 
 def test_is_term():
@@ -98,9 +124,10 @@ FIELDS = {
 
 
 class TestHashContract:
-    """A term computes its hash once, to the value the generated
-    dataclass hash returned, and pickles through its constructor, so a
-    process under another hash seed hashes it anew."""
+    """A term hashes to the value the generated dataclass hash returned,
+    in C, and pickles through its constructor, so a process under
+    another hash seed hashes it anew. The tuple that holds its fields
+    never shows through equality, order or ``is_term``."""
 
     @pytest.mark.parametrize("term", TERMS, ids=repr)
     def test_hash_is_the_generated_formula(self, term):
@@ -157,3 +184,68 @@ class TestHashContract:
                 capture_output=True, text=True, timeout=60, check=True,
             )
         assert completed.stdout.split() == ["ok"]
+
+    def test_never_equals_a_plain_tuple_of_its_fields(self):
+        assert URI("a") != ("a",) and ("a",) != URI("a")
+        assert not URI("a") == ("a",) and not ("a",) == URI("a")
+        assert Literal("x") != ("x", None, None)
+        assert ("x", None, None) != Literal("x")
+        for term in TERMS:
+            assert term != FIELDS[type(term)](term)
+            assert term not in {FIELDS[type(term)](term)}
+
+    def test_never_equals_a_term_of_another_kind(self):
+        assert URI("a") != BlankNode("a") and BlankNode("a") != URI("a")
+        assert len({URI("a"), BlankNode("a"), ("a",)}) == 3
+
+    def test_ne_is_not_eq(self):
+        values = TERMS + [copy.copy(t) for t in TERMS] + [
+            FIELDS[type(t)](t) for t in TERMS
+        ] + ["http://a", None]
+        for left in values:
+            for right in values:
+                assert (left != right) is (not left == right), (left, right)
+
+    @pytest.mark.parametrize(
+        "compare", [operator.lt, operator.le, operator.gt, operator.ge],
+        ids=["<", "<=", ">", ">="],
+    )
+    def test_terms_have_no_order(self, compare):
+        for left, right in [
+            (URI("a"), URI("b")),
+            (Literal("1"), Literal("2")),
+            (BlankNode("a"), BlankNode("a")),
+            (URI("a"), ("b",)),
+            (("b",), URI("a")),
+        ]:
+            with pytest.raises(TypeError):
+                compare(left, right)
+
+    def test_a_plain_tuple_is_not_a_term(self):
+        assert not is_term(("a",))
+        assert not is_term(("x", None, None))
+
+    def test_hashing_runs_no_python_frame(self):
+        """``hash(term)`` and an answer set over term tuples run in C:
+        the profiler sees no Python-level call."""
+        pool = [URI(f"http://e/{i}") for i in range(40)] + [
+            Literal(str(i)) for i in range(20)
+        ] + TERMS
+        answers = [
+            (pool[i % len(pool)], pool[(7 * i) % 45]) for i in range(1000)
+        ]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for term in TERMS:
+                hash(term)
+            distinct = set(answers)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert len(distinct) == len({(repr(a), repr(b)) for a, b in answers})
