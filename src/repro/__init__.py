@@ -47,7 +47,6 @@ from repro.query import (
     UnionQuery,
     Variable,
     evaluate,
-    evaluate_union,
     parse_queries,
     parse_query,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "UnionQuery",
     "Variable",
     "evaluate",
-    "evaluate_union",
     "parse_queries",
     "parse_query",
     "reformulate",

@@ -50,15 +50,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.engine import (
-    INTERPRETED,
-    SQL_PUSHDOWN,
-    describe_union_sharing,
-    plan_pushdown,
-    plan_query,
-)
+from repro.engine import CompiledQuery, plan
 from repro.obs import metrics, tracing
-from repro.obs.analyze import analyze_query, analyze_union
+from repro.obs.analyze import analyze
 from repro.obs.render import PlanNode, operator_tree, query_header, render, sql_tree
 from repro.query.parser import parse_queries
 from repro.rdf.ntriples import NTriplesParseError, parse_ntriples
@@ -231,7 +225,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def _run_serve(args) -> int:
-    from repro.engine import run_query
+    from repro.engine import evaluate
     from repro.query.parser import parse_queries as _parse_workload
     from repro.server import Server, ServerConfig, ServerError, replay
     from repro.workload.generator import replay_schedule
@@ -280,7 +274,7 @@ def _run_serve(args) -> int:
             )
             try:
                 reference = {
-                    str(query): frozenset(run_query(query, reference_store))
+                    str(query): frozenset(evaluate(query, reference_store))
                     for query in queries
                 }
             finally:
@@ -372,46 +366,53 @@ def _load_store(args) -> TripleStore | None:
     return store
 
 
-def _explain_plan(query, store) -> PlanNode:
-    """The ``--explain`` plan tree for one query (no execution): the
-    route ``run_query`` takes and what it runs there."""
-    compiled = plan_pushdown(query, store)
-    if compiled is not None:
-        header = query_header(query.name, route=SQL_PUSHDOWN)
-        header.children.append(sql_tree(compiled))
-        return header
-    header = query_header(query.name, route=INTERPRETED)
-    header.children.append(operator_tree(plan_query(query, store)))
+def _explain_plan(label, question, store) -> PlanNode:
+    """The ``--explain`` tree of one question (no execution): the plan
+    :func:`~repro.engine.planner.plan` gives it — its route, and per
+    branch the statement or operator tree that runs."""
+    route, branches = plan(question, store)
+    header = query_header(label, route=route)
+    nodes = [
+        sql_tree(branch) if isinstance(branch, CompiledQuery) else operator_tree(branch)
+        for _, branch in branches
+    ]
+    if len(nodes) > 1:
+        header.annotations["branches"] = len(nodes)
+        nodes = [
+            PlanNode(f"branch {query.name}", children=[node], header=True)
+            for (query, _), node in zip(branches, nodes)
+        ]
+    header.children.extend(nodes)
     return header
 
 
 def _print_explain(queries, store, schema) -> None:
     print(query_header("physical plans on the store").line())
     for query in queries:
-        print(render(_explain_plan(query, store), indent=2))
-    # Per reformulation union when a schema is present, the route it
-    # takes (factorised, or the flat form's branches).
+        print(render(_explain_plan(query.name, query, store), indent=2))
+    # Per reformulation union when a schema is present, its plan.
     if schema is not None:
         from repro.reformulation.reformulate import reformulate
 
-        sharing = PlanNode("reformulation unions", header=True)
+        unions = PlanNode("reformulation unions", header=True)
         for query in queries:
-            line = describe_union_sharing(reformulate(query, schema), store)
-            sharing.children.append(PlanNode(f"{query.name}: {line}"))
-        print(render(sharing, indent=2))
+            unions.children.append(_explain_plan(
+                f"{query.name} union", reformulate(query, schema), store
+            ))
+        print(render(unions, indent=2))
     print()
 
 
 def _print_analyze(queries, store, schema) -> None:
     print(query_header("explain analyze on the store").line())
     for query in queries:
-        print(analyze_query(query, store).text(indent=2))
+        print(analyze(query, store).text(indent=2))
     if schema is not None:
         from repro.reformulation.reformulate import reformulate
 
         print("  analyzed reformulation unions:")
         for query in queries:
-            report = analyze_union(reformulate(query, schema), store)
+            report = analyze(reformulate(query, schema), store)
             report.tree.label = f"{query.name} {report.tree.label}"
             print(report.text(indent=4))
     print()

@@ -10,7 +10,7 @@ between operators instead of row-tuple lists:
   no per-row key tuple is ever built;
 * join outputs assemble per column (one C-speed list comprehension per
   column over a selection vector) instead of per row;
-* the head-image deduplication at the top of ``run_query`` folds whole
+* the head-image deduplication at the top of ``evaluate`` folds whole
   batches into the answer set through ``set.update(zip(*columns))``.
 
 Iteration and :meth:`ColumnBatch.rows` give the row view wherever a

@@ -1,39 +1,44 @@
-"""Plan compilation: queries on a triple store into physical operators.
+"""Plan compilation: one route decision per question, and the one
+evaluator that reads it.
 
-:func:`plan_query` / :func:`run_query` compile a
-:class:`~repro.query.cq.ConjunctiveQuery` against a
-:class:`~repro.rdf.store.TripleStore` into the physical operator
-algebra of :mod:`repro.engine.operators`. (A rewriting over view
-extents is not compiled here: :func:`repro.query.algebra.execute`
-folds it.)
+A *question* is a :class:`~repro.query.cq.ConjunctiveQuery`, a
+:class:`~repro.query.cq.UnionQuery` or a sequence of disjuncts.
+:func:`plan` decides its route once and returns ``(route, branches)``;
+:func:`evaluate`, :func:`count_union`, ``--explain`` and
+:func:`repro.obs.analyze.analyze` all read that plan. (A rewriting over
+view extents is not compiled here: :func:`repro.query.algebra.execute`
+folds it.) There are two cases:
 
-There is one plan shape on a store, built by :func:`_factorised_tree`:
+- a deferred reformulation on its factorised route
+  (:func:`factorised_route`) is one :func:`plan_factorised` tree;
+- anything else is *flat*: one branch per distinct disjunct — a
+  conjunctive query is the one-disjunct case — each its cached
+  :func:`plan_pushdown` statement, or its :func:`plan_query` tree when
+  no statement can express it (a backend without SQL,
+  ``pushdown=False``, a shape one statement cannot hold).
+
+There is one tree shape on a store, built by :func:`_factorised_tree`:
 a left-deep join of *atom unions*, one per body atom, ordered **once**
 by the shared :class:`~repro.stats.estimator.CardinalityEstimator` over
 the store's incrementally maintained catalog. The first union is read
 by a :class:`UnionScan`, a connected one is probed per key by a
 :class:`UnionProbe`, a Cartesian one is hash-joined over a fresh
-:class:`UnionScan`. A reformulation union (:func:`plan_factorised`)
-gives each atom the alternatives of its own reformulation — on the
-interpreted route always, on SQL unless :func:`factorised_route` keeps
-it flat. A conjunctive query (:func:`plan_query`) is the degenerate
-case: each atom's one alternative is the atom itself. The
-index-nested-loop tree that conjunctive queries had of their own, and
-the cost-based choice among join algorithms before it, are retired
+:class:`UnionScan`. A reformulation union gives each atom the
+alternatives of its own reformulation; a conjunctive query is the
+degenerate case where each atom's one alternative is the atom itself.
+The index-nested-loop tree that conjunctive queries had of their own,
+and the cost-based choice among join algorithms before it, are retired
 (docs/benchmarks.md, "Retired paths").
 
 On storage backends that are SQL engines themselves (the SQLite
-backend) there is a second physical route next to the operator tree:
-**whole-plan SQL pushdown**. :func:`plan_pushdown` compiles the entire
-conjunctive query — self-joins, constant selections, head projection,
-DISTINCT — into one SQL statement (:mod:`repro.engine.sqlcompile`)
-executed inside the backend, and :func:`run_query` prefers it whenever
-the query is expressible; shapes SQL cannot express and
-``pushdown=False`` (the reference tests compare against) take the
-operator tree. Compiled statements live in the same prepared-plan
-cache as operator trees, keyed ``(query, route)`` —
-:data:`SQL_PUSHDOWN` or :data:`INTERPRETED` — and are flushed with it
-when the store mutates.
+backend) a flat branch is **one SQL statement**: :func:`plan_pushdown`
+compiles the entire conjunctive query — self-joins, constant
+selections, head projection, DISTINCT — into one statement
+(:mod:`repro.engine.sqlcompile`) executed inside the backend.
+Compiled statements live in the same prepared-plan cache as operator
+trees, keyed ``(query, route)`` — :data:`SQL_PUSHDOWN`,
+:data:`INTERPRETED` or :data:`FACTORISED` — and are flushed with it when
+the store mutates.
 
 Execution is columnar; see :mod:`repro.engine.operators` for the batch
 contract.
@@ -58,7 +63,7 @@ from repro.engine.operators import (
 )
 from repro.engine.sqlcompile import CompiledQuery, compile_query
 from repro.obs import metrics, tracing
-from repro.query.cq import ConjunctiveQuery, Variable
+from repro.query.cq import ConjunctiveQuery, UnionQuery, Variable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.stats.estimator import CardinalityEstimator
@@ -66,18 +71,28 @@ from repro.stats.provider import CatalogStatistics, atom_pattern
 
 _LOG = logging.getLogger("repro.engine")
 
-#: The whole-plan SQL pushdown route: the entire conjunctive query runs
-#: as one SQL statement inside the storage backend. Also the token
-#: under which compiled statements are cached.
+#: The whole-plan SQL pushdown route: each flat branch runs as one SQL
+#: statement inside the storage backend. Also the token under which
+#: compiled statements are cached.
 SQL_PUSHDOWN = "sql-pushdown"
 
-#: The operator-tree route (and the cache token of compiled trees).
+#: The flat route on operator trees (and the cache token of compiled
+#: trees).
 INTERPRETED = "interpreted"
 
-#: The interpreted route of a reformulation union: the source query's
-#: atoms, each a union of its own reformulation, joined once (and the
-#: cache token of those trees).
+#: The route of a reformulation union on its source query's atoms,
+#: each a union of its own reformulation, joined once (and the cache
+#: token of those trees).
 FACTORISED = "factorised"
+
+#: The counter :func:`evaluate` and :func:`count_union` add once per
+#: question, by the route its plan takes. The two flat routes keep the
+#: names the end-to-end benchmark reads (``benchmarks/e2e/wl_adhoc.py``).
+ROUTE_COUNTERS = {
+    FACTORISED: "engine.route.factorised",
+    SQL_PUSHDOWN: "mqo.route.per_branch",
+    INTERPRETED: "mqo.route.shared",
+}
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +119,7 @@ def plan_pushdown(query: ConjunctiveQuery, store: TripleStore) -> CompiledQuery 
     (:class:`~repro.engine.sqlcompile.CompiledQuery`) when the store's
     backend can execute SQL plans (``supports_sql_plans``) and the
     query is expressible as one statement; ``None`` otherwise — the
-    caller falls back to the interpreted operator tree. The statement
+    branch runs its interpreted operator tree (:func:`plan`). The statement
     joins in :meth:`CardinalityEstimator.join_order
     <repro.stats.estimator.CardinalityEstimator.join_order>` — the very
     order :func:`plan_query` compiles the interpreted tree in — spelled
@@ -189,7 +204,7 @@ def plan_query(query: ConjunctiveQuery, store: TripleStore) -> Operator:
     :func:`_factorised_tree` in the order :func:`plan_pushdown` joins.
     The tree yields distinct rows of dictionary codes over the head and
     join variables — a variable local to one atom is projected away, so
-    a star leaf is a semi-join; :func:`run_query` adds head assembly
+    a star leaf is a semi-join; :func:`evaluate` adds head assembly
     and decoding.
 
     Plans are cached per store (prepared-statement style) and reused
@@ -395,39 +410,116 @@ def _image_set(
     return _head_images(head, root, store)
 
 
-def factorised_images(union, store: TripleStore) -> set[tuple]:
-    """Distinct encoded head images of a deferred union, evaluated
-    factorised."""
-    if metrics.enabled:
-        metrics.inc("engine.route.factorised")
-    return _image_set(union.source.head, plan_factorised(union, store), store)
+# ----------------------------------------------------------------------
+# The one route decision, and what reads it
+# ----------------------------------------------------------------------
 
 
-def factorised_answers(union, store: TripleStore) -> set[tuple[Term, ...]]:
-    """All answers of a deferred union, evaluated factorised."""
-    if metrics.enabled:
-        metrics.inc("engine.route.factorised")
-    head = union.source.head
-    return decode_images(
-        _tree_images(head, plan_factorised(union, store), store), store
+def _dedupe(queries: Iterable[ConjunctiveQuery]) -> tuple[ConjunctiveQuery, ...]:
+    """Distinct queries, first occurrence order (equality ignores names)."""
+    seen: dict[ConjunctiveQuery, None] = {}
+    for query in queries:
+        seen.setdefault(query)
+    return tuple(seen)
+
+
+def plan_union_pushdown(
+    disjuncts: Iterable[ConjunctiveQuery], store: TripleStore
+) -> tuple[tuple[ConjunctiveQuery, CompiledQuery | Operator], ...]:
+    """The flat form's branches on ``store``: per distinct disjunct, the
+    disjunct and its cached :func:`plan_pushdown` statement, or its
+    :func:`plan_query` tree when no statement can express it (or the
+    backend runs no SQL)."""
+    return tuple(
+        (query, plan_pushdown(query, store) or plan_query(query, store))
+        for query in _dedupe(disjuncts)
     )
 
 
-def run_query(
-    query: ConjunctiveQuery, store: TripleStore, pushdown: bool = True
-) -> set[tuple[Term, ...]]:
-    """All answers of the query on the store (set semantics, decoded).
+def plan(
+    question, store: TripleStore, pushdown: bool = True
+) -> tuple[str, tuple[tuple[ConjunctiveQuery, CompiledQuery | Operator], ...]]:
+    """The route and branches of ``question`` on ``store``: the one
+    place a route is decided.
 
-    On a SQL-capable backend an eligible query runs as **one
-    pushed-down SQL statement** inside the backend
-    (:func:`plan_pushdown`) — the whole join pipeline evaluates next to
-    the data and Python decodes one row per distinct head image.
-    ``pushdown=False`` forces the interpreted operator tree
-    (:func:`plan_query`, the reference the pushdown tests compare
-    against). The operator tree runs columnar: head columns are picked
-    off each batch, encoded head images are deduplicated, and each
-    distinct image is decoded once. The answer set is identical on both
-    routes.
+    ``question`` is a :class:`~repro.query.cq.ConjunctiveQuery`, a
+    :class:`~repro.query.cq.UnionQuery` or a sequence of disjuncts.
+    Each branch pairs the conjunctive query whose head it answers with
+    what runs for it:
+
+    - a deferred reformulation on its factorised route
+      (:func:`factorised_route`) is one branch, its source query and
+      its :func:`plan_factorised` tree — route :data:`FACTORISED`;
+    - anything else is one branch per distinct disjunct, a conjunctive
+      query being its own one disjunct: with ``pushdown`` its cached
+      statement where one expresses it (:func:`plan_union_pushdown`),
+      else its :func:`plan_query` tree — route :data:`SQL_PUSHDOWN`
+      when some branch is a statement, :data:`INTERPRETED` when none is.
+
+    >>> from repro.query.parser import parse_query
+    >>> from repro.rdf.ntriples import parse_ntriples
+    >>> store = TripleStore()
+    >>> _ = store.add_all(parse_ntriples(
+    ...     '<http://e/a> <http://e/knows> <http://e/b> .'))
+    >>> knows = parse_query("q(X) :- t(X, <http://e/knows>, Y)")
+    >>> route, ((query, tree),) = plan([knows, knows], store)
+    >>> route, query is knows, tree.explain()
+    ('interpreted', True, "UnionScan(t(X, <http://e/knows>, Y), 1 alternatives, 1 reads)['X']")
+    """
+    if factorised_route(question, store, pushdown):
+        return FACTORISED, ((question.source, plan_factorised(question, store)),)
+    if isinstance(question, ConjunctiveQuery):
+        disjuncts = (question,)
+    elif isinstance(question, UnionQuery):
+        disjuncts = question.disjuncts
+    else:
+        disjuncts = question
+    if pushdown:
+        branches = plan_union_pushdown(disjuncts, store)
+    else:
+        branches = tuple(
+            (query, plan_query(query, store)) for query in _dedupe(disjuncts)
+        )
+    if any(isinstance(branch, CompiledQuery) for _, branch in branches):
+        return SQL_PUSHDOWN, branches
+    return INTERPRETED, branches
+
+
+def _plan_images(
+    route: str, branches: Sequence, store: TripleStore, partitions: bool = False
+) -> Mapping[tuple, set] | set[tuple]:
+    """The distinct encoded head images of a plan, before any decoding,
+    merged across its branches; with ``partitions`` a one-tree plan
+    gives them as :func:`_tree_images` does. Counts the route."""
+    if metrics.enabled:
+        metrics.inc(ROUTE_COUNTERS[route])
+    if partitions and len(branches) == 1:
+        ((query, branch),) = branches
+        if not isinstance(branch, CompiledQuery):
+            return _tree_images(query.head, branch, store)
+    parts = [
+        branch.images(store)
+        if isinstance(branch, CompiledQuery)
+        else _image_set(query.head, branch, store)
+        for query, branch in branches
+    ]
+    images = parts.pop() if parts else set()
+    images.update(*parts)
+    return images
+
+
+def evaluate(
+    question, store: TripleStore, pushdown: bool = True
+) -> set[tuple[Term, ...]]:
+    """All answers of ``question`` on the store (set semantics, decoded).
+
+    The paper's ``evaluate`` (Theorem 4.2) for every question: a
+    conjunctive query, a union or a sequence of disjuncts. It runs the
+    plan :func:`plan` gives it, merges the encoded answer images across
+    the whole plan and decodes each distinct answer once.
+    ``pushdown=False`` keeps a SQL-capable backend on the interpreted
+    route (the reference the pushdown tests compare against). The
+    answer set is identical on every route.
 
     >>> from repro.query.parser import parse_query
     >>> from repro.rdf.ntriples import parse_ntriples
@@ -439,22 +531,24 @@ def run_query(
     ... '''))
     >>> query = parse_query(
     ...     "q(X, Z) :- t(X, <http://e/knows>, Y), t(Y, <http://e/knows>, Z)")
-    >>> answers = run_query(query, store)
+    >>> answers = evaluate(query, store)
     >>> sorted((s.n3(), o.n3()) for s, o in answers)
     [('<http://e/a>', '<http://e/c>')]
-    >>> run_query(query, store, pushdown=False) == answers
+    >>> evaluate(query, store, pushdown=False) == answers
     True
     """
-    # Observability detour, costing one flag check per query when off:
-    # a span, a latency histogram sample, and the slow-query warning.
+    # Observability detour, costing one flag check per question when
+    # off: a span, a latency histogram sample, and the slow-query
+    # warning.
     if (
         metrics.enabled
         or metrics.slow_query_ms is not None
         or tracing.sink is not None
     ):
+        name = getattr(question, "name", "union")
         started = time.perf_counter()
-        with tracing.span("engine.run_query", query=query.name):
-            answers = _run_query(query, store, pushdown)
+        with tracing.span("engine.evaluate", query=name):
+            answers = _evaluate(question, store, pushdown)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if metrics.enabled:
             metrics.inc("engine.queries")
@@ -463,26 +557,38 @@ def run_query(
         if threshold is not None and elapsed_ms > threshold:
             _LOG.warning(
                 "slow query %s: %.1f ms (threshold %.0f ms)",
-                query.name, elapsed_ms, threshold,
+                name, elapsed_ms, threshold,
             )
         return answers
-    return _run_query(query, store, pushdown)
+    return _evaluate(question, store, pushdown)
 
 
-def _run_query(
-    query: ConjunctiveQuery, store: TripleStore, pushdown: bool
+def _evaluate(
+    question, store: TripleStore, pushdown: bool = True
 ) -> set[tuple[Term, ...]]:
-    if pushdown:
-        compiled = plan_pushdown(query, store)
-        if compiled is not None:
-            if metrics.enabled:
-                metrics.inc("engine.route.pushdown")
-            return compiled.execute(store)
-    if metrics.enabled:
-        metrics.inc("engine.route.interpreted")
+    """:func:`evaluate` without the observability detour (the server's
+    batch path)."""
+    route, branches = plan(question, store, pushdown)
     return decode_images(
-        _tree_images(query.head, plan_query(query, store), store), store
+        _plan_images(route, branches, store, partitions=True), store
     )
+
+
+#: :func:`evaluate` under the name ``benchmarks/e2e/wl_serve.py``
+#: imports; it exists only for that harness until the benchmark is
+#: next re-baselined (ROADMAP item 1).
+run_query = evaluate
+
+
+def count_union(question, store: TripleStore) -> int:
+    """``len(evaluate(question, store))`` without producing an answer:
+    the size of the plan's image set, nothing decoded.
+
+    The statistics collector's kernel (Section 4.3 needs
+    ``|Reformulate(v, S)|``, never the answers).
+    """
+    route, branches = plan(question, store)
+    return len(_plan_images(route, branches, store))
 
 
 def _head_images(

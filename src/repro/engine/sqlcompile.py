@@ -39,7 +39,7 @@ data:
   9–13 ms against 0.1 ms interpreted, 3-atom chains 25–78 ms;
 * *with* it SQLite 3.40 adds per-execution bloom filters to the
   plans it runs: the 24-query ad-hoc mix on a writable store took
-  1.2 s of ``evaluate_union`` with statistics against 0.42–0.51 s
+  1.2 s of ``evaluate`` with statistics against 0.42–0.51 s
   without (same emitted order).
 
 Hence the backend never runs ``ANALYZE`` and keeps no staleness

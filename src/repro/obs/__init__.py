@@ -9,7 +9,7 @@ Three cooperating layers (see ``docs/observability.md``):
     load and a branch — unmeasurable on the Figure 8 hot loop.
 
 ``repro.obs.tracing``
-    Nested spans (``with span("engine.run_query", query=q):``) emitting
+    Nested spans (``with span("engine.evaluate", query=q):``) emitting
     one JSONL event per span to a configured sink.
 
 ``repro.obs.analyze`` / ``repro.obs.render``

@@ -1,32 +1,32 @@
 """EXPLAIN ANALYZE: instrumented execution with per-operator accounting.
 
-:func:`analyze_query` (and :func:`analyze_union` for a union's
-routes) executes a query for real while every physical
-operator records rows-out, batches and inclusive wall-clock time
-through a :class:`_Probe` wrapper, then renders the annotated plan tree
-through the shared :mod:`repro.obs.render` renderer — the same shapes
-``--explain`` prints, with ``rows=/batches=/time_ms=`` and
+:func:`analyze` executes a question — a conjunctive query, a union or
+its disjuncts — on the plan :func:`~repro.engine.planner.plan` gives
+it, the plan ``evaluate`` runs and ``--explain`` prints. Every physical
+operator of a tree branch records rows-out, batches and inclusive
+wall-clock time through a :class:`_Probe` wrapper, and the annotated
+plan renders through the shared :mod:`repro.obs.render` renderer — the
+same shapes ``--explain`` prints, with ``rows=/batches=/time_ms=`` and
 actual-vs-estimated cardinalities (``est_rows=``) filled in per join
 step.
 
-Probes are only ever inserted into **freshly built** trees: a
-conjunctive query and a factorised union alike get a new
-:func:`~repro.engine.planner._factorised_tree` — the tree the planner
-would cache, built around the store's prepared-plan cache — so the
-cached, shared plans stay untouched. On the SQL pushdown route the backend's own
-``EXPLAIN QUERY PLAN`` tree is attached, and the interpreted equivalent
-runs instrumented alongside it so per-join actuals exist on SQLite too;
-``order=kept`` on the header says SQLite visited the aliases in the
-order the interpreted tree joins them (:func:`visited_aliases`).
+Probes wrap **copies** of the plan's operators (:func:`instrument`), so
+the cached, shared plans stay untouched. A statement branch (the SQL
+pushdown route) is timed, the backend's own ``EXPLAIN QUERY PLAN`` tree
+is attached, and the branch's interpreted equivalent runs instrumented
+beside it, so per-join actuals exist on SQLite too: ``parity=yes`` says
+both gave the same answers, ``order=kept`` that SQLite visited the
+aliases in the order the interpreted tree joins them
+(:func:`visited_aliases`).
 """
 
 from __future__ import annotations
 
+import copy
 import re
 import time
 from dataclasses import dataclass, field
 
-from repro.engine import mqo
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
     HashJoin,
@@ -37,17 +37,15 @@ from repro.engine.planner import (
     FACTORISED,
     INTERPRETED,
     SQL_PUSHDOWN,
-    _atom_unions,
     _estimator,
-    _factorised_tree,
-    _head_images,
     _tree_images,
     decode_images,
-    factorised_route,
-    plan_pushdown,
+    plan,
+    plan_query,
 )
+from repro.engine.sqlcompile import CompiledQuery
 from repro.obs.render import PlanNode, operator_tree, query_header, render, sql_tree
-from repro.query.cq import UnionQuery
+from repro.query.cq import ConjunctiveQuery
 
 _CHILD_ATTRS = ("child", "left", "right")
 
@@ -111,14 +109,13 @@ class _Probe(Operator):
 
 
 def instrument(root: Operator) -> _Probe:
-    """Wrap every operator of a (freshly compiled) tree in a probe.
-
-    Mutates the tree's child links in place — never call this on a plan
-    that came out of the prepared-plan cache.
-    """
+    """A probed copy of the tree ``root``: every operator is copied
+    (operators hold no execution state) and wrapped in a probe, so a
+    plan out of the prepared-plan cache stays as it was."""
+    root = copy.copy(root)
     for attr in _CHILD_ATTRS:
         child = getattr(root, attr, None)
-        if isinstance(child, Operator) and not isinstance(child, _Probe):
+        if isinstance(child, Operator):
             setattr(root, attr, instrument(child))
     return _Probe(root)
 
@@ -204,60 +201,6 @@ class AnalyzeReport:
         return render(self.tree, indent)
 
 
-def _instrumented_plan(query, store) -> _Probe:
-    """A fresh interpreted tree for ``query``, every operator probed and
-    the join spine annotated with estimates."""
-    probe = instrument(_factorised_tree(_atom_unions(query), store))
-    _annotate_estimates(probe, _estimator(store), query)
-    return probe
-
-
-def _tree_report(
-    label, head, probe: _Probe, store, route, **fields
-) -> AnalyzeReport:
-    """Execute a probed, freshly built tree the way the engine does.
-
-    The images are taken by the engine's own step
-    (:func:`~repro.engine.planner._tree_images`: a one-atom tree's
-    :class:`~repro.engine.operators.UnionScan` partitions, any other
-    tree's head-image fold), so the analyzed answer set equals the
-    engine's on every plan. The header splits the time: ``time_ms``
-    until the images exist, ``decode_ms`` for
-    :func:`~repro.engine.planner.decode_images`.
-    """
-    started = time.perf_counter()
-    images = _tree_images(head, probe.inner, store, probe)
-    images_ms = (time.perf_counter() - started) * 1000.0
-    started = time.perf_counter()
-    answers = decode_images(images, store)
-    decode_ms = (time.perf_counter() - started) * 1000.0
-    header = query_header(
-        label,
-        route=route,
-        **fields,
-        rows=len(answers),
-        time_ms=round(images_ms, 2),
-        decode_ms=round(decode_ms, 2),
-    )
-    header.children.append(operator_tree(probe, _annotate))
-    return AnalyzeReport(
-        tree=header,
-        answers=answers,
-        distinct_images=len(answers),
-        root_rows=probe.stats.rows_out,
-        wall_ms=images_ms + decode_ms,
-        route=route,
-        operators=_probe_stats(probe),
-    )
-
-
-def _interpreted_report(query, store) -> AnalyzeReport:
-    return _tree_report(
-        query.name, query.head, _instrumented_plan(query, store), store,
-        INTERPRETED,
-    )
-
-
 def _query_plan_rows(compiled, store) -> list[tuple[int, int, str]]:
     """SQLite's own ``EXPLAIN QUERY PLAN`` tree for a compiled statement."""
     if compiled.sql is None:
@@ -287,39 +230,74 @@ def visited_aliases(plan_rows) -> list[int]:
     return [int(match.group(1)) for match in matches if match]
 
 
-def analyze_query(query, store, pushdown: bool = True) -> AnalyzeReport:
-    """EXPLAIN ANALYZE one query: execute it instrumented, return the
-    annotated plan tree plus the actual answers.
+def _tree_branch(label, query, tree, store, route) -> AnalyzeReport:
+    """Run a probed copy of a tree branch the way the engine runs it.
 
-    Routes exactly like :func:`~repro.engine.planner.run_query`: on a
-    SQL-capable backend the pushed-down statement executes (timed, with
-    the backend's ``EXPLAIN QUERY PLAN`` attached) *and* the
-    interpreted equivalent runs instrumented beneath it, so
-    per-operator actuals and estimator comparisons exist on every
-    backend. ``parity=yes`` on the header confirms both routes
-    agreed on the answer set, ``order=kept`` that SQLite ran the joins
-    in the estimator's order (``reordered`` would mean the ``CROSS
-    JOIN`` text no longer pins it).
+    A factorised union's tree (``route`` :data:`FACTORISED`) reports
+    its atom count; a conjunctive query's tree gets its join spine
+    annotated with the estimator's predictions. The images are taken by
+    the engine's own step (:func:`~repro.engine.planner._tree_images`:
+    a one-atom tree's :class:`~repro.engine.operators.UnionScan`
+    partitions, any other tree's head-image fold), so the analyzed
+    answer set equals the engine's on every plan. The header splits the
+    time: ``time_ms`` until the images exist, ``decode_ms`` for
+    :func:`~repro.engine.planner.decode_images`.
     """
-    compiled = plan_pushdown(query, store) if pushdown else None
-    if compiled is None:
-        return _interpreted_report(query, store)
+    probe = instrument(tree)
+    if route == FACTORISED:
+        fields = {"atoms": len(query.atoms)}
+    else:
+        route, fields = INTERPRETED, {}
+        _annotate_estimates(probe, _estimator(store), query)
+    started = time.perf_counter()
+    images = _tree_images(query.head, tree, store, probe)
+    images_ms = (time.perf_counter() - started) * 1000.0
+    started = time.perf_counter()
+    answers = decode_images(images, store)
+    decode_ms = (time.perf_counter() - started) * 1000.0
+    header = query_header(
+        label,
+        route=route,
+        **fields,
+        rows=len(answers),
+        time_ms=round(images_ms, 2),
+        decode_ms=round(decode_ms, 2),
+    )
+    header.children.append(operator_tree(probe, _annotate))
+    return AnalyzeReport(
+        tree=header,
+        answers=answers,
+        distinct_images=len(answers),
+        root_rows=probe.stats.rows_out,
+        wall_ms=images_ms + decode_ms,
+        route=route,
+        operators=_probe_stats(probe),
+    )
+
+
+def _statement_branch(label, query, compiled, store) -> AnalyzeReport:
+    """Run a statement branch timed, with the backend's ``EXPLAIN QUERY
+    PLAN`` attached and the query's interpreted equivalent instrumented
+    beneath it: ``parity=`` compares their answers, ``order=`` SQLite's
+    join order with the estimator's (``reordered`` would mean the
+    ``CROSS JOIN`` text no longer pins it)."""
     started = time.perf_counter()
     answers = compiled.execute(store)
     wall_ms = (time.perf_counter() - started) * 1000.0
     estimator = _estimator(store)
     atoms = query.atoms
     order = estimator.join_order(atoms)
-    est_rows = None
-    if atoms:
-        est_rows = round(estimator.prefix_cardinalities(atoms, order)[-1], 1)
-    interpreted = _interpreted_report(query, store)
+    interpreted = _tree_branch(
+        label, query, plan_query(query, store), store, INTERPRETED
+    )
     plan_rows = _query_plan_rows(compiled, store)
     sql_annotations = {"rows": len(answers), "time_ms": round(wall_ms, 2)}
-    if est_rows is not None:
-        sql_annotations["est_rows"] = est_rows
+    if atoms:
+        sql_annotations["est_rows"] = round(
+            estimator.prefix_cardinalities(atoms, order)[-1], 1
+        )
     header = query_header(
-        query.name,
+        label,
         route=SQL_PUSHDOWN,
         rows=len(answers),
         time_ms=round(wall_ms, 2),
@@ -344,90 +322,45 @@ def analyze_query(query, store, pushdown: bool = True) -> AnalyzeReport:
     )
 
 
-def analyze_union(disjuncts, store) -> AnalyzeReport:
-    """EXPLAIN ANALYZE a union (its disjuncts, or the union itself).
+def analyze(question, store, pushdown: bool = True) -> AnalyzeReport:
+    """EXPLAIN ANALYZE a question: execute its plan
+    (:func:`~repro.engine.planner.plan`) instrumented, and return the
+    annotated plan tree plus the actual answers.
 
-    A deferred reformulation union on its factorised route
-    (:func:`~repro.engine.planner.factorised_route`, any backend) runs
-    its factorised tree instrumented: one ``UnionScan`` / ``UnionProbe``
-    line per source atom with its rows, batches and time. A flat union
-    runs one fresh instrumented interpreted tree per distinct disjunct, its images merged union-wide and decoded
-    once. On a SQL-capable backend the flat union's real route — its
-    per-branch statements (:func:`repro.engine.mqo.plan_union_pushdown`)
-    — executes as well: a ``per-branch statements`` node reports the
-    statements run, their time, and parity against the interpreted
-    answers.
+    A one-branch plan is reported as its branch: a conjunctive query
+    under its own name, a union as ``union``. A plan of several
+    branches gets a ``union [route=… branches=… rows=…]`` header over
+    one ``branch qN`` report per distinct disjunct. A tree branch runs
+    probed; a statement branch runs timed beside its probed
+    interpreted equivalent (``parity=`` / ``order=``).
     """
-    if factorised_route(disjuncts, store):
-        from repro.reformulation.reformulate import factorise
-
-        source = disjuncts.source
-        tree = _factorised_tree(factorise(source, disjuncts.schema), store)
-        return _tree_report(
-            "union", source.head, instrument(tree), store, FACTORISED,
-            atoms=len(source.atoms),
-        )
-    if isinstance(disjuncts, UnionQuery):
-        disjuncts = disjuncts.disjuncts
-    distinct, branches = mqo.plan_union_pushdown(disjuncts, store)
-    children: list[PlanNode] = []
-    operators: list[tuple[str, OpStats]] = []
-    images: set = set()
-    root_rows = 0
-    wall_ms = 0.0
-    for query in distinct:
-        probe = _instrumented_plan(query, store)
-        started = time.perf_counter()
-        branch_images = _head_images(query.head, probe, store)
-        branch_ms = (time.perf_counter() - started) * 1000.0
-        images |= branch_images
-        root_rows += len(branch_images)
-        wall_ms += branch_ms
-        title = query_header(
-            f"branch {query.name}",
-            images=len(branch_images),
-            time_ms=round(branch_ms, 2),
-        )
-        title.children.append(operator_tree(probe, _annotate))
-        children.append(title)
-        operators.extend(_probe_stats(probe))
-    answers = decode_images(images, store)
-    on_sql = getattr(store.backend, "supports_sql_plans", False)
-    route = "per-branch-statements" if on_sql else INTERPRETED
+    route, branches = plan(question, store, pushdown)
+    label = question.name if isinstance(question, ConjunctiveQuery) else "union"
+    reports = []
+    for query, branch in branches:
+        name = label if len(branches) == 1 else f"branch {query.name}"
+        if isinstance(branch, CompiledQuery):
+            reports.append(_statement_branch(name, query, branch, store))
+        else:
+            reports.append(_tree_branch(name, query, branch, store, route))
+    if len(reports) == 1:
+        return reports[0]
+    answers = set().union(*(report.answers for report in reports))
+    wall_ms = sum(report.wall_ms for report in reports)
     header = query_header(
-        "union",
-        disjuncts=len(tuple(disjuncts)),
-        distinct=len(distinct),
+        label,
         route=route,
+        branches=len(reports),
         rows=len(answers),
+        time_ms=round(wall_ms, 2),
     )
-    if on_sql:
-        started = time.perf_counter()
-        route_answers = decode_images(
-            mqo._branch_images(distinct, branches, store), store
-        )
-        route_ms = (time.perf_counter() - started) * 1000.0
-        statements = sum(
-            getattr(branch, "sql", None) is not None for branch in branches
-        )
-        header.children.append(
-            PlanNode(
-                "per-branch statements",
-                {
-                    "statements": statements,
-                    "rows": len(route_answers),
-                    "time_ms": round(route_ms, 2),
-                    "parity": route_answers == answers,
-                },
-            )
-        )
-    header.children.extend(children)
+    header.children.extend(report.tree for report in reports)
     return AnalyzeReport(
         tree=header,
         answers=answers,
-        distinct_images=len(images),
-        root_rows=root_rows,
+        distinct_images=len(answers),
+        root_rows=sum(report.root_rows for report in reports),
         wall_ms=wall_ms,
         route=route,
-        operators=operators,
+        operators=[op for report in reports for op in report.operators],
     )

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 #: library users pay one attribute load + branch per touchpoint.
 enabled = False
 
-#: When not ``None``, ``engine.run_query`` logs a warning through the
+#: When not ``None``, ``engine.evaluate`` logs a warning through the
 #: ``repro.engine`` logger for any query slower than this many
 #: milliseconds (the CLI sets it; see ``--slow-query-ms``).
 slow_query_ms: float | None = None

@@ -2,8 +2,8 @@
 
 Historically the CLI printed plans through three disjoint code paths —
 ``Operator.explain()`` for interpreted trees, ``CompiledQuery.describe()``
-for pushed-down SQL, and ``describe_union_sharing`` for union routes.
-They now all funnel into :class:`PlanNode`, a plain tree of
+for pushed-down SQL, and a one-line summary for union routes. They
+now all funnel into :class:`PlanNode`, a plain tree of
 ``label [key=value ...]`` lines with optional verbatim detail lines
 (SQL text, EXPLAIN QUERY PLAN rows), rendered by :func:`render` with
 two-space indentation per level. ``--analyze`` reuses the same shapes

@@ -5,12 +5,12 @@ Usage::
     from repro.obs import tracing
 
     tracing.configure("trace.jsonl")          # or any .write()-able
-    with tracing.span("engine.run_query", query="q1"):
+    with tracing.span("engine.evaluate", query="q1"):
         ...
 
 Each span closes by appending one JSON line to the sink::
 
-    {"name": "engine.run_query", "span_id": 2, "parent_id": 1,
+    {"name": "engine.evaluate", "span_id": 2, "parent_id": 1,
      "start_ms": 12.031, "duration_ms": 4.118,
      "attrs": {"query": "q1"}}
 

@@ -2,10 +2,13 @@
 
 The evaluator is the "standard query evaluation for plain RDF" the paper
 relies on (its ``evaluate`` function in Theorem 4.2). :func:`evaluate`
-delegates to the physical-operator engine (:mod:`repro.engine`): atoms
-are ordered once by estimated pattern cardinality (RDF-3X-style
-selectivity ordering) and joined through index probes, or the whole
-query runs as one SQL statement on a SQL-capable backend.
+is the physical-operator engine's one entry
+(:func:`repro.engine.planner.evaluate`) for every question — a
+conjunctive query, a union or a sequence of disjuncts: atoms are
+ordered once by estimated pattern cardinality (RDF-3X-style selectivity
+ordering) and joined through index probes, a reformulation union runs
+factorised, and on a SQL-capable backend a flat branch runs as one SQL
+statement.
 
 One reference implementation is kept alongside:
 :func:`evaluate_nested_loop`, the unindexed full-scan evaluator playing
@@ -18,16 +21,18 @@ engine route is property-tested against
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.engine import evaluate_union_shared, run_query
-from repro.obs import tracing
-from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
+from repro.engine import evaluate
+from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 
 #: A query answer: one RDF term per head position.
 Answer = tuple[Term, ...]
+
+#: :func:`evaluate` under the name ``benchmarks/e2e/`` imports; it
+#: exists only for that harness until the benchmark is next
+#: re-baselined (ROADMAP item 1).
+evaluate_union = evaluate
 
 
 def _match_binding(
@@ -62,66 +67,6 @@ def _match_binding(
         elif bound != code:
             return None
     return extended
-
-
-def evaluate(
-    query: ConjunctiveQuery, store: TripleStore, pushdown: bool = True
-) -> set[Answer]:
-    """All answers of a conjunctive query on the store (set semantics).
-
-    Delegates to the physical-operator engine
-    (:func:`repro.engine.run_query`). On a SQL-capable backend (SQLite)
-    an eligible query runs as one pushed-down SQL statement inside the
-    backend; ``pushdown=False`` keeps the interpreted operator tree (the
-    reference tests compare against).
-    """
-    return run_query(query, store, pushdown=pushdown)
-
-
-def evaluate_union(
-    union: UnionQuery | Iterable[ConjunctiveQuery],
-    store: TripleStore,
-    pushdown: bool = True,
-    shared: bool = True,
-) -> set[Answer]:
-    """All answers of a union of conjunctive queries (duplicates removed).
-
-    Reformulation unions overlap heavily — every rule rewrites one atom
-    and keeps the rest. The union :func:`repro.reformulation.reformulate`
-    returns therefore runs **factorised**: each atom of its source query
-    is the union of that atom's own reformulation, and the atoms join
-    once — the disjuncts are never built. It does so always on the
-    interpreted route (a backend without SQL, or ``pushdown=False``),
-    and on a SQL-capable backend when it has one atom or the product of
-    its atoms' alternative counts exceeds its atom count
-    (:func:`repro.engine.planner.factorised_route`). Any other union
-    runs its distinct disjuncts one by one (:mod:`repro.engine.mqo`): on
-    a SQL-capable backend each as its own pushed-down statement,
-    elsewhere each through its cached interpreted plan. Every route
-    deduplicates encoded answer images across the whole union and
-    decodes each distinct answer exactly once.
-
-    ``shared=False`` evaluates every disjunct independently through
-    :func:`evaluate` and merges decoded answers (the reference the
-    union and factorised tests compare against).
-    """
-    if not isinstance(union, UnionQuery):
-        union = tuple(union)
-    if shared:
-        return evaluate_union_shared(union, store, pushdown=pushdown)
-    disjuncts = union.disjuncts if isinstance(union, UnionQuery) else union
-    with tracing.span(
-        "query.evaluate_union", disjuncts=len(disjuncts), shared=False
-    ):
-        results: set[Answer] = set()
-        for disjunct in disjuncts:
-            results |= evaluate(disjunct, store, pushdown=pushdown)
-        return results
-
-
-def count_answers(query: ConjunctiveQuery, store: TripleStore) -> int:
-    """Number of distinct answers; convenience for statistics collection."""
-    return len(evaluate(query, store))
 
 
 def evaluate_nested_loop(query: ConjunctiveQuery, store: TripleStore) -> set[Answer]:

@@ -40,7 +40,7 @@ from repro.engine.operators import ExtentScan, Operator, _head_value
 from repro.engine.planner import _factorised_tree, _head_images, decode_images
 from repro.obs import metrics, tracing
 from repro.query.cq import ConjunctiveQuery, QueryTerm, Variable
-from repro.query.evaluation import Answer, evaluate_union
+from repro.query.evaluation import Answer, evaluate
 from repro.rdf.schema import RDFSchema
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, Term
@@ -212,7 +212,7 @@ class MaterializedViewSet:
         self._rederive: dict[str, tuple[_Binding, _Tree]] = {}
         for view in state.views:
             name = view.name
-            self._extents[name] = evaluate_union(reformulate(view, schema), store)
+            self._extents[name] = evaluate(reformulate(view, schema), store)
             unions = factorise(view, schema)
             head = _Binding(view.head, view.non_literal)
             self._rederive[name] = (

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Collection, Mapping
 
 from repro.query.algebra import Row, execute
-from repro.query.evaluation import Answer, evaluate, evaluate_union
+from repro.query.evaluation import Answer, evaluate
 from repro.rdf.schema import RDFSchema
 from repro.rdf.store import TripleStore
 from repro.selection.state import State
@@ -22,7 +22,6 @@ def materialize_views(
     state: State,
     store: TripleStore,
     schema: RDFSchema | None = None,
-    pushdown: bool = True,
 ) -> dict[str, list[Row]]:
     """Compute the extent of every view of ``state`` on ``store``.
 
@@ -37,17 +36,13 @@ def materialize_views(
     extents: dict[str, list[Row]] = {}
     if schema is None:
         for view in state.views:
-            extents[view.name] = _sorted_rows(
-                evaluate(view, store, pushdown=pushdown)
-            )
+            extents[view.name] = _sorted_rows(evaluate(view, store))
         return extents
     from repro.reformulation.reformulate import reformulate
 
     for view in state.views:
         union = reformulate(view, schema)
-        extents[view.name] = _sorted_rows(
-            evaluate_union(union, store, pushdown=pushdown)
-        )
+        extents[view.name] = _sorted_rows(evaluate(union, store))
     return extents
 
 

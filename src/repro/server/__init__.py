@@ -3,9 +3,9 @@
 One :class:`Server` opens a single-file snapshot read-only, forks N
 worker processes (each with its own backend connection and per-worker
 prepared-plan cache), and serves concurrent clients over a local
-socket, running the queries that queue while a worker is busy as one
-``run_query_batch`` call, so a query several clients sent together
-runs once. See ``docs/server.md`` for the architecture.
+socket, running the queries that queue while a worker is busy as one batch,
+so a query several clients sent together runs once. See
+``docs/server.md`` for the architecture.
 
 >>> from repro.server import Server, ServerConfig
 >>> with Server("kb.snapshot", ServerConfig(workers=2)) as server:

@@ -73,11 +73,12 @@ def _snapshot_identity(path: str) -> tuple[int, int]:
 def _answer_batch(texts, store, parse_cache):
     """Answer one batch of query texts on the worker's store.
 
-    Parse failures become per-text error entries; the valid remainder
-    runs through :func:`repro.engine.run_query_batch`, so a query that
-    several clients queued into the same batch runs once.
+    Parse failures become per-text error entries; each distinct valid
+    query runs once through the engine's evaluator without its
+    observability detour (:func:`repro.engine.planner._evaluate`), so a
+    query that several clients queued into the same batch runs once.
     """
-    from repro.engine import run_query_batch
+    from repro.engine.planner import _evaluate
     from repro.query.parser import QuerySyntaxError, parse_query
 
     entries: list = [None] * len(texts)
@@ -96,12 +97,15 @@ def _answer_batch(texts, store, parse_cache):
         queries.append(query)
         positions.append(index)
     if queries:
-        answers = run_query_batch(queries, store)
+        answers: dict = {}
+        for query in queries:
+            if query not in answers:
+                answers[query] = _evaluate(query, store)
         if metrics.enabled:
             metrics.inc("serve.worker.queries", len(queries))
             metrics.inc("serve.worker.batches")
-        for index, answer in zip(positions, answers):
-            entries[index] = ("ok", answer)
+        for index, query in zip(positions, queries):
+            entries[index] = ("ok", answers[query])
     return entries
 
 

@@ -70,7 +70,9 @@ def check_request(message) -> tuple[object, str | None]:
             '("query", request_id, texts, options)'
         )
     texts, options = message[2:]
-    if not isinstance(texts, (list, tuple)) or not all(
+    # An exact type check: RDF terms are tuple subclasses, and a term
+    # is not a list of texts.
+    if type(texts) not in (list, tuple) or not all(
         isinstance(text, str) for text in texts
     ):
         return request_id, (
@@ -86,7 +88,7 @@ class ServeResult:
     """One served query's outcome, as the client API returns it.
 
     ``answers`` is the decoded answer set (exactly what
-    :func:`repro.engine.run_query` returns) when ``ok``; ``error``
+    :func:`repro.engine.evaluate` returns) when ``ok``; ``error``
     carries the server's message otherwise. ``latency_ms`` is measured
     by the client around the whole round trip; ``server_ms`` is the
     server-side intake-to-reply latency of the carrying request.

@@ -15,10 +15,10 @@ Architecture (one process, N worker processes)::
 Load-formed batches are how one server turns concurrent clients into
 fewer worker round trips: a driver blocks for one request, takes
 whatever else is *already* queued (up to ``max_batch_requests``) and
-ships all their query texts as *one* ``run_query_batch`` call to its
-worker — a batch is exactly what arrived while that worker was busy,
-so an idle server dispatches at once and a loaded one answers a query
-the clients that queued together share only once. A multi-text
+ships all their query texts as *one* batch to its worker — a batch is
+exactly what arrived while that worker was busy, so an idle server
+dispatches at once and a loaded one answers a query the clients that
+queued together share only once. A multi-text
 request always ships whole.
 
 Backpressure is the bounded intake queue, the only queue in the

@@ -9,9 +9,9 @@ predictions (``est_rows``) sit next to actuals on join steps.
 
 import pytest
 
-from repro.engine import FACTORISED, SQL_PUSHDOWN, run_query
-from repro.obs.analyze import analyze_query, analyze_union
-from repro.query.evaluation import evaluate, evaluate_union
+from repro.engine import FACTORISED, INTERPRETED, SQL_PUSHDOWN
+from repro.obs.analyze import analyze
+from repro.query.evaluation import evaluate, evaluate_nested_loop, evaluate_union
 from repro.query.parser import parse_query
 from repro.reformulation import reformulate
 
@@ -42,7 +42,7 @@ def _chain_typed():
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_analyze_matches_evaluate(backend, stores, q_painters):
     store = stores[backend]
-    report = analyze_query(q_painters, store)
+    report = analyze(q_painters, store)
     assert report.answers == evaluate(q_painters, store)
     assert report.answer_count == len(report.answers)
     header = report.tree
@@ -53,7 +53,7 @@ def test_analyze_matches_evaluate(backend, stores, q_painters):
 def test_pushdown_route_reports_parity_and_backend_plan(
     sqlite_museum, q_painters
 ):
-    report = analyze_query(q_painters, sqlite_museum)
+    report = analyze(q_painters, sqlite_museum)
     assert report.route == SQL_PUSHDOWN
     assert report.tree.annotations["parity"] is True
     # SQLite walked the tables in the interpreted tree's join order.
@@ -70,7 +70,7 @@ def test_pushdown_route_reports_parity_and_backend_plan(
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_rows_in_equals_child_rows_out(backend, stores, q_painters):
     store = stores[backend]
-    report = analyze_query(q_painters, store, pushdown=False)
+    report = analyze(q_painters, store, pushdown=False)
     checked = 0
     for node in report.tree.walk():
         if "rows_in" not in node.annotations:
@@ -83,7 +83,7 @@ def test_rows_in_equals_child_rows_out(backend, stores, q_painters):
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_joins_carry_estimates_next_to_actuals(backend, stores, q_painters):
-    report = analyze_query(q_painters, stores[backend], pushdown=False)
+    report = analyze(q_painters, stores[backend], pushdown=False)
     operators = [
         node
         for node in report.tree.walk()
@@ -101,7 +101,7 @@ def test_joins_carry_estimates_next_to_actuals(backend, stores, q_painters):
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_cartesian_step_and_its_scans_carry_estimates(backend, stores):
     query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)")
-    report = analyze_query(query, stores[backend], pushdown=False)
+    report = analyze(query, stores[backend], pushdown=False)
     operators = [
         node
         for node in report.tree.walk()
@@ -115,17 +115,17 @@ def test_cartesian_step_and_its_scans_carry_estimates(backend, stores):
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_analyzed_actuals_match_run_query_on_fig8(backend, fig8):
+def test_analyzed_actuals_match_evaluate_on_fig8(backend, fig8):
     """Every Figure 8 query analyzed once (the pushdown route on
     SQLite, interpreted in memory): the probed answers equal
-    ``run_query``'s, distinct encoded images map 1:1 to decoded answers,
+    ``evaluate``'s, distinct encoded images map 1:1 to decoded answers,
     and the probed root cannot report fewer rows than it answered."""
     queries, saturated = fig8
     store = saturated if backend == "memory" else saturated.copy(backend=backend)
     try:
         for query in queries:
-            report = analyze_query(query, store)
-            assert report.answers == run_query(query, store)
+            report = analyze(query, store)
+            assert report.answers == evaluate(query, store)
             assert report.distinct_images == report.answer_count >= 1
             assert report.root_rows >= report.answer_count
             assert sum(stats.rows_out for _, stats in report.operators) >= 1
@@ -134,54 +134,43 @@ def test_analyzed_actuals_match_run_query_on_fig8(backend, fig8):
             store.backend.close()
 
 
+def _branches(report):
+    return [
+        node for node in report.tree.children if node.label.startswith("branch ")
+    ]
+
+
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_analyze_union_matches_evaluate_union(backend, stores):
     store = stores[backend]
     disjuncts = (_chain(), _chain_typed())
-    report = analyze_union(disjuncts, store)
+    report = analyze(disjuncts, store)
     assert report.answers == evaluate_union(disjuncts, store)
     assert report.tree.annotations["rows"] == report.answer_count
-    assert report.route == {
-        "memory": "interpreted", "sqlite": "per-branch-statements"
-    }[backend]
-    # One instrumented plan per distinct disjunct, its images counted.
-    branches = [
-        node
-        for node in report.tree.children
-        if node.label.startswith("branch ")
-    ]
+    assert report.route == {"memory": INTERPRETED, "sqlite": SQL_PUSHDOWN}[backend]
+    # One analyzed branch per distinct disjunct, on the route it runs.
+    branches = _branches(report)
     assert [b.label for b in branches] == ["branch qa", "branch qb"]
-    assert all(b.annotations["images"] >= 1 for b in branches)
+    assert all(b.annotations["route"] == report.route for b in branches)
+    assert all(b.annotations["rows"] >= 1 for b in branches)
     assert all(b.children and "rows" in b.children[0].annotations for b in branches)
-    assert report.root_rows == sum(b.annotations["images"] for b in branches)
-    statements = [
-        node
-        for node in report.tree.children
-        if node.label == "per-branch statements"
-    ]
-    assert len(statements) == (backend == "sqlite")
+    assert report.root_rows >= report.answer_count
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_analyze_union_runs_each_distinct_disjunct_once(backend, stores):
     store = stores[backend]
     disjuncts = (_chain(), _chain_typed(), _chain())
-    report = analyze_union(disjuncts, store)
+    report = analyze(disjuncts, store)
     assert report.answers == evaluate_union(disjuncts, store)
-    assert report.tree.annotations["disjuncts"] == 3
-    assert report.tree.annotations["distinct"] == 2
-    branches = [
-        node.label
-        for node in report.tree.children
-        if node.label.startswith("branch ")
-    ]
-    assert branches == ["branch qa", "branch qb"]
+    assert report.tree.annotations["branches"] == 2
+    assert [b.label for b in _branches(report)] == ["branch qa", "branch qb"]
 
 
-def test_analyze_union_runs_the_per_branch_statements(sqlite_museum):
-    """On SQLite the route a flat union really takes runs next to the
-    instrumented plans: every distinct disjunct is one statement, and
-    the statements' answers equal the plans'."""
+def test_analyze_union_runs_the_branch_statements(sqlite_museum):
+    """On SQLite each distinct disjunct of a flat union is analyzed as
+    the statement it runs, beside its interpreted equivalent: every
+    branch reports parity and SQLite's join order."""
     located = "t(X, isLocatedIn, Y), t(Y, isParentOf, Z)"
     disjuncts = (
         _chain(),
@@ -192,21 +181,18 @@ def test_analyze_union_runs_the_per_branch_statements(sqlite_museum):
         parse_query(f"q1(X, A) :- {located}, t(Z, hasPainted, A)"),
         parse_query(f"q2(X, Z) :- {located}, t(Z, rdf:type, painter)"),
     )
-    report = analyze_union(disjuncts, sqlite_museum)
-    assert report.route == "per-branch-statements"
+    report = analyze(disjuncts, sqlite_museum)
+    assert report.route == SQL_PUSHDOWN
     assert report.answers == evaluate_union(disjuncts, sqlite_museum)
-    (node,) = [
-        child
-        for child in report.tree.children
-        if child.label == "per-branch statements"
-    ]
-    stats = node.annotations
-    assert "pruned" not in stats
-    assert stats["statements"] == report.tree.annotations["distinct"] == 4
-    assert stats["parity"] is True
-    assert stats["rows"] == report.answer_count
-    assert stats["time_ms"] >= 0
-    assert "per-branch statements [statements=4 rows=" in report.text()
+    branches = _branches(report)
+    assert len(branches) == report.tree.annotations["branches"] == 4
+    for branch in branches:
+        assert branch.annotations["parity"] is True
+        assert branch.annotations["order"] == "kept"
+        labels = [node.label for node in branch.children]
+        assert labels == ["SQLPushdown", "interpreted equivalent"]
+    assert sum(b.annotations["rows"] for b in branches) >= report.answer_count
+    assert "order=reordered" not in report.text()
 
 
 def test_analyze_union_reports_the_sqlite_route_taken(
@@ -214,18 +200,19 @@ def test_analyze_union_reports_the_sqlite_route_taken(
 ):
     """A reformulation whose atoms' alternatives multiply past its atom
     count is analyzed factorised on SQLite, as it runs; one that stays
-    flat gets the per-branch node."""
+    flat is analyzed as its one statement."""
     large = reformulate(q_pictures, museum_schema)
-    report = analyze_union(large, sqlite_museum)
+    report = analyze(large, sqlite_museum)
     assert report.route == FACTORISED
     assert report.answers == evaluate_union(large, sqlite_museum)
     assert report.tree.annotations["atoms"] == 2
     assert "route=factorised" in report.text()
     small = reformulate(q_painters, museum_schema)
-    report = analyze_union(small, sqlite_museum)
-    assert report.route == "per-branch-statements"
+    report = analyze(small, sqlite_museum)
+    assert report.route == SQL_PUSHDOWN
     assert report.answers == evaluate_union(small, sqlite_museum)
-    assert "per-branch statements [statements=1 rows=" in report.text()
+    assert report.text().startswith("union [route=sql-pushdown ")
+    assert "parity=yes order=kept" in report.text()
 
 
 def _assert_unprobed(op):
@@ -247,13 +234,15 @@ def test_one_atom_union_is_analyzed_through_its_partitions(
 
     store = stores[backend]
     union = reformulate(parse_query("q(X, Y) :- t(X, rdf:type, Y)"), museum_schema)
-    expected = evaluate_union(union, store, shared=False)
+    expected = set()
+    for disjunct in union.disjuncts:
+        expected |= evaluate_nested_loop(disjunct, store)
 
     def refuse(self):
         raise AssertionError("the one-atom union built its rows")
 
     monkeypatch.setattr(UnionScan, "distinct", refuse)
-    report = analyze_union(union, store)
+    report = analyze(union, store)
     assert report.route == FACTORISED
     assert report.answers == expected and expected
     header = report.tree.annotations
@@ -271,22 +260,28 @@ def test_analyze_leaves_cached_plans_unprobed(museum_store, q_painters):
     from repro.engine import plan_query
 
     baseline = plan_query(q_painters, museum_store)
-    analyze_query(q_painters, museum_store, pushdown=False)
+    analyze(q_painters, museum_store, pushdown=False)
     cached = plan_query(q_painters, museum_store)
     assert cached is baseline
     _assert_unprobed(cached)
 
 
-def test_analyze_union_leaves_cached_plans_unprobed(museum_store):
-    """The analyzed branches are fresh trees: the cached plans the flat
-    union route runs stay as they were."""
-    from repro.engine import plan_query
+def test_analyze_union_leaves_cached_plans_unprobed(museum_store, museum_schema):
+    """The analyzed branches are probed copies: the cached plans the
+    union runs — flat or factorised — stay as they were."""
+    from repro.engine import plan, plan_query
 
     queries = (_chain(), _chain_typed())
     evaluate_union(queries, museum_store)
     baseline = [plan_query(query, museum_store) for query in queries]
-    analyze_union(queries, museum_store)
+    analyze(queries, museum_store)
     for query, before in zip(queries, baseline):
         cached = plan_query(query, museum_store)
         assert cached is before
         _assert_unprobed(cached)
+    union = reformulate(_chain_typed(), museum_schema)
+    _, ((_, before),) = plan(union, museum_store)
+    analyze(union, museum_store)
+    _, ((_, cached),) = plan(union, museum_store)
+    assert cached is before
+    _assert_unprobed(cached)

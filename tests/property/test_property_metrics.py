@@ -97,7 +97,7 @@ def test_served_answers_and_metrics_match_serial(data):
     permutation of single-process evaluation.
 
     For any store, workload, worker count and client count: (1) every
-    served answer set equals serial ``run_query_batch`` on the same
+    served answer set equals serial ``evaluate`` on the same
     snapshot, regardless of which worker served it or in what order
     requests interleaved; and (2) the server's merged registry equals a
     serial replay of each worker's logged batch sequence — the counters
@@ -108,7 +108,7 @@ def test_served_answers_and_metrics_match_serial(data):
     import tempfile
     import threading
 
-    from repro.engine import run_query_batch
+    from repro.engine import evaluate
     from repro.query.parser import parse_query
     from repro.rdf.store import TripleStore
     from repro.server import Server, ServerConfig
@@ -135,9 +135,10 @@ def test_served_answers_and_metrics_match_serial(data):
                                         read_only=True)
         try:
             parsed = [parse_query(text) for text in texts]
-            reference = dict(
-                zip(texts, run_query_batch(parsed, serial_store))
-            )
+            reference = {
+                text: evaluate(query, serial_store)
+                for text, query in zip(texts, parsed)
+            }
         finally:
             serial_store.close()
 

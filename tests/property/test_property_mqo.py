@@ -1,7 +1,7 @@
 """Answer-set parity of flat unions and query batches.
 
-``evaluate_union`` and ``run_query_batch`` must return exactly what
-fully independent evaluation returns, on every configuration the route
+``evaluate`` on a union and the server's batch path must return
+exactly what fully independent evaluation returns, on every configuration the route
 can take: random unions of random conjunctive queries (overlapping,
 isomorphic-but-renamed, and unrelated disjuncts alike), both storage
 backends, pushdown on and off, and stores mutated between evaluations
@@ -17,15 +17,11 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    plan_batch,
-    plan_union_pushdown,
-    run_query,
-    run_query_batch,
-)
+from repro.engine import CompiledQuery, plan_batch, plan_union_pushdown
 from repro.query.containment import canonical_form
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluation import evaluate_nested_loop, evaluate_union
+from repro.query.evaluation import evaluate, evaluate_nested_loop, evaluate_union
+from repro.server.pool import _answer_batch
 
 from tests.property.strategies import (
     data_triples,
@@ -43,6 +39,13 @@ def _reference(disjuncts, store):
     return answers
 
 
+def _per_disjunct(disjuncts, store):
+    answers = set()
+    for disjunct in disjuncts:
+        answers |= evaluate(disjunct, store)
+    return answers
+
+
 def _same_arity(disjuncts):
     return len({len(q.head) for q in disjuncts}) == 1
 
@@ -55,7 +58,7 @@ def test_shared_union_matches_independent(data, backend):
     try:
         expected = _reference(disjuncts, store)
         assert evaluate_union(disjuncts, store) == expected
-        assert evaluate_union(disjuncts, store, shared=False) == expected
+        assert _per_disjunct(disjuncts, store) == expected
     finally:
         store.backend.close()
 
@@ -65,16 +68,13 @@ def test_shared_union_matches_independent(data, backend):
     data=st.data(),
     backend=st.sampled_from(["memory", "sqlite"]),
     pushdown=st.booleans(),
-    shared=st.booleans(),
 )
-def test_shared_union_across_the_configuration_matrix(
-    data, backend, pushdown, shared
-):
+def test_shared_union_across_the_configuration_matrix(data, backend, pushdown):
     store = data.draw(stores(backend=backend), label="store")
     disjuncts = data.draw(unions(), label="union")
     try:
         assert evaluate_union(
-            disjuncts, store, pushdown=pushdown, shared=shared
+            disjuncts, store, pushdown=pushdown
         ) == _reference(disjuncts, store)
     finally:
         store.backend.close()
@@ -87,9 +87,11 @@ def test_query_batch_matches_individual_runs(data, backend):
     batch = data.draw(
         st.lists(queries(), min_size=1, max_size=4), label="batch"
     )
+    texts = [f"text {index}" for index in range(len(batch))]
     try:
-        expected = [run_query(query, store) for query in batch]
-        assert run_query_batch(batch, store) == expected
+        expected = [("ok", evaluate(query, store)) for query in batch]
+        # A primed parse cache hands the batch its queries as they are.
+        assert _answer_batch(texts, store, dict(zip(texts, batch))) == expected
     finally:
         store.backend.close()
 
@@ -128,7 +130,7 @@ def test_shared_union_with_non_literal_restrictions(data, backend):
     try:
         expected = _reference(restricted, store)
         assert evaluate_union(restricted, store) == expected
-        assert evaluate_union(restricted, store, shared=False) == expected
+        assert _per_disjunct(restricted, store) == expected
     finally:
         store.backend.close()
 
@@ -150,8 +152,8 @@ def _assert_one_route_per_branch(disjuncts, store):
     """Every branch that compiled to no statement (a constant the
     dictionary lacks) is empty, and every distinct disjunct is exactly
     one of: a statement run, a branch known empty, an interpreted plan."""
-    distinct, branches = plan_union_pushdown(disjuncts, store)
-    for disjunct, branch in zip(distinct, branches):
+    branches = plan_union_pushdown(disjuncts, store)
+    for disjunct, branch in branches:
         if getattr(branch, "sql", "") is None:
             assert evaluate_nested_loop(disjunct, store) == set()
     statements = []
@@ -166,9 +168,11 @@ def _assert_one_route_per_branch(disjuncts, store):
         assert evaluate_union(disjuncts, store) == _reference(disjuncts, store)
     finally:
         del store.backend.execute_sql_plan
-    empty = sum(getattr(branch, "sql", "") is None for branch in branches)
-    interpreted = sum(branch is None for branch in branches)
-    assert len(statements) + empty + interpreted == len(distinct)
+    empty = sum(getattr(branch, "sql", "") is None for _, branch in branches)
+    interpreted = sum(
+        not isinstance(branch, CompiledQuery) for _, branch in branches
+    )
+    assert len(statements) + empty + interpreted == len(branches)
 
 
 def _with_sibling(disjuncts):

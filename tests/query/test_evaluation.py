@@ -1,7 +1,8 @@
 """Unit tests for conjunctive-query evaluation over the store."""
 
 from repro.query.cq import Atom, ConjunctiveQuery, UnionQuery, Variable
-from repro.query.evaluation import count_answers, evaluate, evaluate_union
+from repro.engine import count_union
+from repro.query.evaluation import evaluate, evaluate_union
 from repro.query.parser import parse_query
 from repro.rdf.store import TripleStore
 from repro.rdf.triples import Triple
@@ -102,6 +103,8 @@ class TestUnion:
         assert evaluate_union([q1], museum_store) == evaluate(q1, museum_store)
 
 
-def test_count_answers(museum_store):
+def test_count_union_counts_a_query(museum_store):
+    """A conjunctive query is a one-disjunct question: ``count_union``
+    counts its answers without decoding them."""
     query = parse_query("q(X, Y) :- t(X, hasPainted, Y)")
-    assert count_answers(query, museum_store) == 6
+    assert count_union(query, museum_store) == 6 == len(evaluate(query, museum_store))

@@ -1,10 +1,11 @@
-"""Unit tests for flat unions and query batches (repro.engine.mqo).
+"""Unit tests for flat unions, batches and the route decision.
 
-Covers join-order prefix fingerprinting (isomorphic prefixes unify,
-distinct ones never collide) and which prefixes are shared, union and
-batch parity with independent evaluation, the per-branch union route on
-SQL backends (provably-empty branches, per-disjunct statement caching,
-mutation invalidation), and which route a reformulation union takes on
+Covers join-order prefix fingerprinting (:mod:`repro.engine.mqo`:
+isomorphic prefixes unify, distinct ones never collide) and which
+prefixes are shared, union and served-batch parity with independent
+evaluation, the flat form's branches on SQL backends (provably-empty
+branches, per-disjunct statement caching, mutation invalidation), and
+the route :func:`repro.engine.plan` gives a reformulation union on
 SQLite — factorised, or one statement per distinct disjunct — with the
 traffic each sends.
 """
@@ -15,17 +16,20 @@ from collections import Counter
 import pytest
 
 from repro.engine import (
+    FACTORISED,
+    INTERPRETED,
+    SQL_PUSHDOWN,
+    CompiledQuery,
+    Operator,
     count_union,
-    describe_union_sharing,
-    evaluate_union_shared,
+    decode_images,
+    evaluate,
+    plan,
     plan_batch,
     plan_pushdown,
+    plan_query,
     plan_union_pushdown,
-    run_query,
-    run_query_batch,
 )
-from repro.engine.mqo import decode_images
-from repro.engine.planner import factorised_route
 from repro.obs import metrics
 from repro.query.containment import canonical_form
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
@@ -73,6 +77,24 @@ def _union_reference(disjuncts, store):
     for disjunct in disjuncts:
         answers |= evaluate_nested_loop(disjunct, store)
     return answers
+
+
+def _per_disjunct(disjuncts, store, pushdown=True):
+    """The union evaluated one disjunct at a time."""
+    answers = set()
+    for disjunct in disjuncts:
+        answers |= evaluate(disjunct, store, pushdown=pushdown)
+    return answers
+
+
+def _answer_batch(queries, store):
+    """The served batch path on ``queries``' texts: one answer set per
+    text, in order."""
+    from repro.server.pool import _answer_batch
+
+    entries = _answer_batch([str(query) for query in queries], store, {})
+    assert all(status == "ok" for status, _ in entries)
+    return [answers for _, answers in entries]
 
 
 class TestFingerprints:
@@ -159,7 +181,7 @@ class TestSharedExecution:
         disjuncts = [_chain(), _chain_typed(), _chain_renamed()]
         expected = _union_reference(disjuncts, museum_store)
         assert evaluate_union(disjuncts, museum_store) == expected
-        assert evaluate_union(disjuncts, museum_store, shared=False) == expected
+        assert _per_disjunct(disjuncts, museum_store) == expected
 
     def test_union_parity_on_sqlite(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
@@ -168,9 +190,7 @@ class TestSharedExecution:
         assert (
             evaluate_union(disjuncts, sqlite_museum, pushdown=False) == expected
         )
-        assert (
-            evaluate_union(disjuncts, sqlite_museum, shared=False) == expected
-        )
+        assert _per_disjunct(disjuncts, sqlite_museum) == expected
 
     def test_batch_matches_individual_runs(self, museum_store):
         queries = [
@@ -178,25 +198,25 @@ class TestSharedExecution:
             _chain_typed(),
             parse_query("qs(X) :- t(X, rdf:type, painter)"),
         ]
-        expected = [run_query(query, museum_store) for query in queries]
-        assert run_query_batch(queries, museum_store) == expected
+        expected = [evaluate(query, museum_store) for query in queries]
+        assert _answer_batch(queries, museum_store) == expected
 
     def test_batch_matches_individual_runs_on_sqlite(self, sqlite_museum):
         queries = [_chain(), _chain_typed()]
-        expected = [run_query(query, sqlite_museum) for query in queries]
-        assert run_query_batch(queries, sqlite_museum) == expected
-        assert (
-            run_query_batch(queries, sqlite_museum, pushdown=False) == expected
-        )
+        expected = [evaluate(query, sqlite_museum) for query in queries]
+        assert _answer_batch(queries, sqlite_museum) == expected
+        assert [
+            evaluate(query, sqlite_museum, pushdown=False) for query in queries
+        ] == expected
 
     def test_duplicate_queries_are_answered_once(self, museum_store):
         query = _chain()
-        results = run_query_batch([query, _chain_typed(), query], museum_store)
+        results = _answer_batch([query, _chain_typed(), query], museum_store)
         assert results[0] is results[2]
-        assert results[0] == run_query(query, museum_store)
+        assert results[0] == evaluate(query, museum_store)
 
     def test_empty_batch(self, museum_store):
-        assert run_query_batch([], museum_store) == []
+        assert _answer_batch([], museum_store) == []
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_empty_union_counts_zero(self, backend, museum_store, sqlite_museum):
@@ -222,26 +242,33 @@ class TestSharedExecution:
             return original(code)
 
         monkeypatch.setattr(museum_store.dictionary, "decode", counting)
-        assert evaluate_union_shared(disjuncts, museum_store) == expected
+        assert evaluate(disjuncts, museum_store) == expected
         assert len(calls) == len(set(calls))
 
 
+def _statements(disjuncts, store):
+    return [branch for _, branch in plan_union_pushdown(disjuncts, store)]
+
+
 class TestUnionPushdown:
-    """The per-branch route: one prepared statement per distinct
+    """The flat form on SQL: one prepared statement per distinct
     disjunct, each cached per store version as the disjunct's own."""
 
     def test_memory_backend_has_no_union_pushdown(self, museum_store):
-        distinct, branches = plan_union_pushdown(
-            [_chain(), _chain_typed()], museum_store
+        branches = plan_union_pushdown(
+            [_chain(), _chain_typed(), _chain()], museum_store
         )
-        assert distinct == (_chain(), _chain_typed())
-        assert branches == (None, None)
+        assert [query for query, _ in branches] == [_chain(), _chain_typed()]
+        assert all(
+            branch is plan_query(query, museum_store)
+            for query, branch in branches
+        )
 
     def test_branch_statements_are_cached(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
-        _, first = plan_union_pushdown(disjuncts, sqlite_museum)
+        first = _statements(disjuncts, sqlite_museum)
         assert all(branch.sql is not None for branch in first)
-        _, second = plan_union_pushdown(disjuncts, sqlite_museum)
+        second = _statements(disjuncts, sqlite_museum)
         assert all(a is b for a, b in zip(first, second))
         assert all(
             branch is plan_pushdown(query, sqlite_museum)
@@ -250,9 +277,9 @@ class TestUnionPushdown:
 
     def test_mutation_invalidates_union_plans(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
-        _, first = plan_union_pushdown(disjuncts, sqlite_museum)
+        first = _statements(disjuncts, sqlite_museum)
         sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
-        _, second = plan_union_pushdown(disjuncts, sqlite_museum)
+        second = _statements(disjuncts, sqlite_museum)
         assert not any(a is b for a, b in zip(first, second))
         assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
             disjuncts, sqlite_museum
@@ -262,7 +289,7 @@ class TestUnionPushdown:
         disjuncts = [
             ConjunctiveQuery((), (Atom(X, ex("hasPainted"), Y),), name="ask")
         ]
-        _, (branch,) = plan_union_pushdown(disjuncts, sqlite_museum)
+        (branch,) = _statements(disjuncts, sqlite_museum)
         assert branch.sql.startswith("SELECT 1\n")
         assert evaluate_union(disjuncts, sqlite_museum) == {()}
         assert count_union(disjuncts, sqlite_museum) == 1
@@ -271,7 +298,7 @@ class TestUnionPushdown:
         bad = ConjunctiveQuery(
             (X, Y), (Atom(X, ex("neverSeen"), Y),), name="bad"
         )
-        _, (chain, empty) = plan_union_pushdown([_chain(), bad], sqlite_museum)
+        chain, empty = _statements([_chain(), bad], sqlite_museum)
         assert chain.sql is not None and empty.sql is None
         assert evaluate_union([_chain(), bad], sqlite_museum) == (
             evaluate_nested_loop(_chain(), sqlite_museum)
@@ -283,7 +310,7 @@ class TestUnionPushdown:
         bad = ConjunctiveQuery(
             (X, Y), (Atom(X, ex("neverSeen"), Y),), name="bad"
         )
-        _, (branch,) = plan_union_pushdown([bad], sqlite_museum)
+        (branch,) = _statements([bad], sqlite_museum)
         assert "EMPTY" in branch.describe()
         monkeypatch.setattr(
             sqlite_museum.backend,
@@ -389,46 +416,53 @@ class TestUnionTraffic:
                         assert sql.startswith("SELECT DISTINCT ") or (
                             sql.startswith("SELECT 1\n") and sql.endswith("LIMIT 1")
                         ), sql
-                    assert answers == evaluate_union(union, store, shared=False)
+                    assert answers == _per_disjunct(union.disjuncts, store)
                 assert answers == evaluate_union(union, store, pushdown=False)
             assert routes["factorised"] and routes["flat"], routes
         finally:
             store.backend.close()
 
 
-class TestDescribeUnionSharing:
-    def test_interpreted_summary(self, museum_store):
-        line = describe_union_sharing(
-            [_chain(), _chain_renamed(), _chain()], museum_store
-        )
-        assert line == "3 disjuncts (2 distinct), one interpreted plan each"
+class TestPlan:
+    """What :func:`repro.engine.plan` gives a question: its route and
+    one branch per distinct disjunct, or one factorised tree."""
 
-    def test_pushdown_summary(self, sqlite_museum):
-        line = describe_union_sharing(
-            [_chain(), _chain_typed()], sqlite_museum
-        )
-        assert "pushdown union: 2 branch statements" in line
-        assert "CTE" not in line
+    def test_interpreted_branches(self, museum_store):
+        route, branches = plan([_chain(), _chain_renamed(), _chain()], museum_store)
+        assert route == INTERPRETED
+        assert [query for query, _ in branches] == [_chain(), _chain_renamed()]
+        assert all(isinstance(branch, Operator) for _, branch in branches)
 
-    def test_sqlite_reports_the_route_taken(
+    def test_pushdown_branches(self, sqlite_museum):
+        route, branches = plan([_chain(), _chain_typed()], sqlite_museum)
+        assert route == SQL_PUSHDOWN
+        assert all(isinstance(branch, CompiledQuery) for _, branch in branches)
+        route, branches = plan(
+            [_chain(), _chain_typed()], sqlite_museum, pushdown=False
+        )
+        assert route == INTERPRETED
+        assert all(isinstance(branch, Operator) for _, branch in branches)
+
+    def test_sqlite_plans_the_route_taken(
         self, sqlite_museum, museum_schema, q_painters, q_pictures
     ):
         """A reformulation with more alternative combinations than atoms
-        is described factorised on SQLite too; one with no more stays a
-        line of branch statements."""
-        large = describe_union_sharing(
-            reformulate(q_pictures, museum_schema), sqlite_museum
-        )
-        assert large.startswith("factorised: 2 atoms, ")
-        small = describe_union_sharing(
+        plans factorised on SQLite too, one tree over its source query;
+        one with no more stays flat, a statement per distinct disjunct."""
+        large = reformulate(q_pictures, museum_schema)
+        route, ((query, tree),) = plan(large, sqlite_museum)
+        assert route == FACTORISED and query is large.source
+        assert isinstance(tree, Operator)
+        route, ((query, branch),) = plan(
             reformulate(q_painters, museum_schema), sqlite_museum
         )
-        assert small == "1 disjuncts (1 distinct); pushdown union: 1 branch statements"
+        assert route == SQL_PUSHDOWN and isinstance(branch, CompiledQuery)
 
 
 class TestRouteRule:
-    """``factorised_route``: the backend, ``pushdown`` and the union's
-    own factorised shape decide, nothing else. On SQLite only a
+    """The route rule :func:`repro.engine.plan` applies: the backend,
+    ``pushdown`` and the union's own factorised shape decide, nothing
+    else. On SQLite only a
     multi-atom union whose alternative counts multiply to at most its
     atom count stays flat."""
 
@@ -457,11 +491,11 @@ class TestRouteRule:
         )
         one_atom = len(query.atoms) == 1
         assert (one_atom or product > len(query.atoms)) is factorised
-        assert factorised_route(union, sqlite_museum) is factorised
+        assert (plan(union, sqlite_museum)[0] == FACTORISED) is factorised
         # The interpreted route always factorises; a disjunct list never.
-        assert factorised_route(union, sqlite_museum, pushdown=False)
-        assert factorised_route(union, museum_store)
-        assert not factorised_route(union.disjuncts, sqlite_museum, pushdown=False)
+        assert plan(union, sqlite_museum, pushdown=False)[0] == FACTORISED
+        assert plan(union, museum_store)[0] == FACTORISED
+        assert plan(union.disjuncts, sqlite_museum, pushdown=False)[0] == INTERPRETED
 
     def test_count_union_on_sqlite_follows_the_route(
         self, sqlite_museum, museum_schema, q_painters, q_pictures, monkeypatch

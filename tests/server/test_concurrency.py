@@ -13,6 +13,7 @@ from multiprocessing.connection import Client
 
 import pytest
 
+from repro.rdf.terms import BlankNode, URI
 from repro.server import Server, ServerClient, ServerConfig
 from tests.server.conftest import WORKLOAD
 
@@ -264,7 +265,8 @@ def test_abandoned_request_gets_no_worker_time(snapshot, reference):
 
 def test_malformed_message_is_answered_not_fatal(snapshot, reference):
     """Neither a short tuple nor a bare string may kill the reader
-    thread: each gets an error reply and the connection stays usable."""
+    thread: each gets an error reply and the connection stays usable.
+    An RDF term is a tuple subclass, and is not a list of texts."""
     with Server(snapshot, ServerConfig(workers=1)) as server:
         conn = Client(server.address, authkey=server.authkey)
         try:
@@ -273,6 +275,8 @@ def test_malformed_message_is_answered_not_fatal(snapshot, reference):
                 ("query", None),
                 (("query", 8, "not a list", {}), 8),
                 (("query", 9, [WORKLOAD[0]], None), 9),
+                (("query", 11, URI(WORKLOAD[0]), {}), 11),
+                (("query", 12, BlankNode(WORKLOAD[0]), {}), 12),
             ]:
                 conn.send(message)
                 assert conn.poll(60.0), f"no reply to {message!r}"

@@ -1,7 +1,7 @@
 """Executable documentation: the public-API doctest suite.
 
 The examples in the docstrings of the engine and storage entry points
-(``run_query``/``run_query_batch``, ``algebra.execute``,
+(``plan``/``evaluate``, ``algebra.execute``,
 ``materialize.answer_query``, ``StorageBackend``/``create_backend``,
 ``TripleStore.save``/``open``, the term model's hash and pickle
 contract)
@@ -14,7 +14,6 @@ import doctest
 
 import pytest
 
-import repro.engine.mqo
 import repro.engine.planner
 import repro.engine.sqlcompile
 import repro.query.algebra
@@ -24,7 +23,6 @@ import repro.selection.materialize
 import repro.storage.base
 
 DOCUMENTED_MODULES = [
-    repro.engine.mqo,
     repro.engine.planner,
     repro.engine.sqlcompile,
     repro.query.algebra,
