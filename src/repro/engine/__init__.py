@@ -10,13 +10,13 @@ compilation and join ordering.
 
 Public surface::
 
-    plan(question, store, pushdown=True)        # the one route decision:
+    plan(question, store)                       # the one route decision and
+                                                #   the one plan cache:
                                                 #   (route, branches)
-    evaluate(question, store, pushdown=True)    # CQ / union / disjuncts -> answers
+    evaluate(question, store)                   # CQ / union / disjuncts -> answers
     count_union(question, store)                # |answers|, nothing decoded
-    plan_query / plan_pushdown                  # a CQ's tree / SQL statement
-    plan_factorised / plan_union_pushdown       # a reformulation's tree /
-                                                #   the flat form's branches
+    plan_query / plan_pushdown                  # build a CQ's tree / statement
+    plan_union_pushdown                         # build the flat form's branches
     SQL_PUSHDOWN / INTERPRETED / FACTORISED     # the routes
     DEFAULT_BATCH_SIZE                          # rows per scan batch
 
@@ -29,7 +29,9 @@ Public surface::
 A *question* is a conjunctive query, a union or a sequence of
 disjuncts, and :func:`plan` is the one place its route is decided:
 ``evaluate``, ``count_union``, ``--explain`` and
-:func:`repro.obs.analyze.analyze` all read the plan it returns. There
+:func:`repro.obs.analyze.analyze` all read the plan it returns. It
+caches each question's whole plan per store version, so a warm
+question is one lookup; the builders it calls cache nothing. There
 is one execution path. Operators exchange
 :class:`~repro.engine.columnar.ColumnBatch` objects (one value sequence
 per column) through ``column_batches`` — the single operator contract,
@@ -39,19 +41,19 @@ one-atom queries per body atom (a conjunctive query's atom alone, or
 that atom's reformulation), joined in the order the shared cardinality
 estimator (:mod:`repro.stats`) picks — the first read by a
 :class:`UnionScan`, a connected one probed per key by a
-:class:`UnionProbe`, a Cartesian one hash-joined.
+:class:`UnionProbe`, a Cartesian one a :class:`CrossJoin`.
 
 A reformulation union (:func:`repro.reformulation.reformulate`) runs
-**factorised** (:func:`plan_factorised`) — each source atom is the
-union of its own reformulation, and the atoms join once — on the
-interpreted route always, and on SQL when it has one atom or the
-product of its atoms' alternative counts exceeds its atom count. Any
+**factorised** — each source atom is the union of its own
+reformulation, and the atoms join once — on a backend without SQL
+always, and on SQL when it has one atom or the product of its atoms'
+alternative counts exceeds its atom count. Any
 other question is *flat*: its distinct disjuncts are its branches. On
 a backend that executes SQL itself (SQLite) each branch is **one
 pushed-down statement** (:mod:`repro.engine.sqlcompile`), joined in the
 same estimator order and evaluated inside the backend; the operator
-tree is the fallback for shapes SQL cannot express and, through
-``pushdown=False``, the reference the pushdown tests compare against.
+tree is the fallback for shapes SQL cannot express, and ``--analyze``
+runs it beside each statement as its reference (``parity=``).
 Every route merges the encoded answer images across the whole plan and
 decodes each distinct answer once.
 
@@ -67,8 +69,8 @@ from repro.engine.columnar import ColumnBatch
 from repro.engine.mqo import plan_batch
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
+    CrossJoin,
     ExtentScan,
-    HashJoin,
     Operator,
     UnionProbe,
     UnionScan,
@@ -81,7 +83,6 @@ from repro.engine.planner import (
     decode_images,
     evaluate,
     plan,
-    plan_factorised,
     plan_pushdown,
     plan_query,
     plan_union_pushdown,
@@ -102,11 +103,10 @@ __all__ = [
     "evaluate",
     "plan",
     "plan_batch",
-    "plan_factorised",
     "plan_pushdown",
     "plan_union_pushdown",
+    "CrossJoin",
     "ExtentScan",
-    "HashJoin",
     "Operator",
     "UnionProbe",
     "UnionScan",

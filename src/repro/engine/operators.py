@@ -15,7 +15,7 @@ or a conjunctive query's atom alone): :class:`UnionScan` reads one
 with a columnar index read per distinct pattern, :class:`UnionProbe`
 probes one per key (a whole batch of probes per ``match_many_encoded``
 call — one SQL statement per batch on the SQLite backend), and a
-Cartesian step is a :class:`HashJoin`. :class:`ExtentScan` is a leaf of
+Cartesian step is a :class:`CrossJoin`. :class:`ExtentScan` is a leaf of
 given code rows: view maintenance swaps in the rows an update binds.
 Rewritings over decoded view extents do not run here; see
 :func:`repro.query.algebra.execute`.
@@ -33,7 +33,7 @@ docs/benchmarks.md, "Retired paths".
 from __future__ import annotations
 
 import sys
-from itertools import compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import eq, itemgetter, not_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -743,89 +743,40 @@ def _compile_probe(alternative, store: TripleStore, component: dict, fresh: list
     return exact, exact, None, tuple(checks), parts
 
 
-class HashJoin(Operator):
-    """Equi-join: build a hash table on the right input, stream the left.
+class CrossJoin(Operator):
+    """Cartesian product: each left row with every right row.
 
-    ``pairs`` are ``(left position, right position)`` key pairs;
-    ``keep_right`` lists the right positions appended to each output row
-    (natural-join semantics drop the right copy of shared columns).
+    The planner builds one only where the right input shares no column
+    with the left, so there is no key to match: the right input is read
+    once, and its columns are repeated for each left batch. Rows come
+    out in left order, then right order.
     """
 
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        pairs: Sequence[tuple[int, int]],
-        keep_right: Sequence[int],
-    ) -> None:
+    def __init__(self, left: Operator, right: Operator) -> None:
         self.left = left
         self.right = right
-        self._left_keys = tuple(lp for lp, _ in pairs)
-        self._right_keys = tuple(rp for _, rp in pairs)
-        self._keep_right = tuple(keep_right)
-        self.schema = left.schema + tuple(right.schema[p] for p in self._keep_right)
-
-    @staticmethod
-    def _key_vector(cb: ColumnBatch, positions: tuple[int, ...]):
-        """The probe/build keys of one column batch: a bare column for a
-        one-column key, else one tuple per row."""
-        if len(positions) == 1:
-            return cb.columns[positions[0]]
-        if not positions:
-            return [()] * len(cb)
-        return zip(*(cb.columns[p] for p in positions))
+        self.schema = left.schema + right.schema
 
     def column_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
-        """Columnar build and probe.
-
-        When the join key is one column, the hash table is keyed on
-        bare values read straight off the key vectors — no per-row key
-        tuple on either side. Output columns assemble over a selection
-        vector into the left batch plus the transposed build tails;
-        rows come out in left order, then build order per key.
-        """
-        keep = self._keep_right
-        table: dict = {}
-        get = table.get
+        right: list[list] = [[] for _ in self.right.schema]
+        width = 0
         for right_cb in self.right.column_batches(size):
-            build_keys = self._key_vector(right_cb, self._right_keys)
-            if keep:
-                if len(keep) == 1:
-                    build_tails: Iterable = [
-                        (value,) for value in right_cb.columns[keep[0]]
-                    ]
-                else:
-                    build_tails = zip(*(right_cb.columns[p] for p in keep))
-            else:
-                build_tails = [()] * len(right_cb)
-            for key, tail in zip(build_keys, build_tails):
-                tails = get(key)
-                if tails is None:
-                    table[key] = [tail]
-                else:
-                    tails.append(tail)
+            width += len(right_cb)
+            for column, values in zip(right, right_cb.columns):
+                column.extend(values)
+        if not width:
+            return
         for left_cb in self.left.column_batches(size):
-            probe_keys = self._key_vector(left_cb, self._left_keys)
-            sel: list[int] = []
-            flat_tails: list[tuple] = []
-            for index, key in enumerate(probe_keys):
-                matches = get(key)
-                if matches:
-                    sel.extend([index] * len(matches))
-                    flat_tails.extend(matches)
-            if not sel:
-                continue
-            columns = [[column[i] for i in sel] for column in left_cb.columns]
-            if keep:
-                columns.extend(zip(*flat_tails))
-            yield ColumnBatch(tuple(columns), len(sel))
+            n = len(left_cb)
+            columns = [
+                list(chain.from_iterable(map(repeat, column, repeat(width, n))))
+                for column in left_cb.columns
+            ]
+            columns.extend(column * n for column in right)
+            yield ColumnBatch(tuple(columns), n * width)
 
     def _describe(self) -> str:
-        condition = ",".join(
-            f"{self.left.schema[lp]}={self.right.schema[rp]}"
-            for lp, rp in zip(self._left_keys, self._right_keys)
-        )
-        return f"HashJoin[{condition}]{list(self.schema)}"
+        return f"CrossJoin{list(self.schema)}"
 
     def _children(self) -> tuple[Operator, ...]:
         return (self.left, self.right)

@@ -3,27 +3,33 @@ evaluator that reads it.
 
 A *question* is a :class:`~repro.query.cq.ConjunctiveQuery`, a
 :class:`~repro.query.cq.UnionQuery` or a sequence of disjuncts.
-:func:`plan` decides its route once and returns ``(route, branches)``;
+:func:`plan` decides its route and returns ``(route, branches)``;
 :func:`evaluate`, :func:`count_union`, ``--explain`` and
 :func:`repro.obs.analyze.analyze` all read that plan. (A rewriting over
 view extents is not compiled here: :func:`repro.query.algebra.execute`
 folds it.) There are two cases:
 
 - a deferred reformulation on its factorised route
-  (:func:`factorised_route`) is one :func:`plan_factorised` tree;
+  (:func:`factorised_route`) is one tree over its source query's atoms;
 - anything else is *flat*: one branch per distinct disjunct — a
-  conjunctive query is the one-disjunct case — each its cached
+  conjunctive query is the one-disjunct case — each its
   :func:`plan_pushdown` statement, or its :func:`plan_query` tree when
-  no statement can express it (a backend without SQL,
-  ``pushdown=False``, a shape one statement cannot hold).
+  no statement can express it (a backend without SQL, a shape one
+  statement cannot hold).
+
+A plan depends only on the question, the schema and the store version,
+so :func:`plan` caches each question's whole plan in the store's
+prepared-plan cache, and the cache is flushed when the store mutates:
+a warm question is one dictionary lookup. :func:`plan_pushdown` and
+:func:`plan_query` build, and cache nothing.
 
 There is one tree shape on a store, built by :func:`_factorised_tree`:
 a left-deep join of *atom unions*, one per body atom, ordered **once**
 by the shared :class:`~repro.stats.estimator.CardinalityEstimator` over
 the store's incrementally maintained catalog. The first union is read
 by a :class:`UnionScan`, a connected one is probed per key by a
-:class:`UnionProbe`, a Cartesian one is hash-joined over a fresh
-:class:`UnionScan`. A reformulation union gives each atom the
+:class:`UnionProbe`, a Cartesian one is a :class:`CrossJoin` with a
+fresh :class:`UnionScan`. A reformulation union gives each atom the
 alternatives of its own reformulation; a conjunctive query is the
 degenerate case where each atom's one alternative is the atom itself.
 The index-nested-loop tree that conjunctive queries had of their own,
@@ -35,10 +41,6 @@ backend) a flat branch is **one SQL statement**: :func:`plan_pushdown`
 compiles the entire conjunctive query — self-joins, constant
 selections, head projection, DISTINCT — into one statement
 (:mod:`repro.engine.sqlcompile`) executed inside the backend.
-Compiled statements live in the same prepared-plan cache as operator
-trees, keyed ``(query, route)`` — :data:`SQL_PUSHDOWN`,
-:data:`INTERPRETED` or :data:`FACTORISED` — and are flushed with it when
-the store mutates.
 
 Execution is columnar; see :mod:`repro.engine.operators` for the batch
 contract.
@@ -53,7 +55,7 @@ from itertools import repeat
 from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.engine.operators import (
-    HashJoin,
+    CrossJoin,
     Operator,
     UnionProbe,
     UnionScan,
@@ -63,7 +65,7 @@ from repro.engine.operators import (
 )
 from repro.engine.sqlcompile import CompiledQuery, compile_query
 from repro.obs import metrics, tracing
-from repro.query.cq import ConjunctiveQuery, UnionQuery, Variable
+from repro.query.cq import ConjunctiveQuery, Variable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.stats.estimator import CardinalityEstimator
@@ -72,17 +74,14 @@ from repro.stats.provider import CatalogStatistics, atom_pattern
 _LOG = logging.getLogger("repro.engine")
 
 #: The whole-plan SQL pushdown route: each flat branch runs as one SQL
-#: statement inside the storage backend. Also the token under which
-#: compiled statements are cached.
+#: statement inside the storage backend.
 SQL_PUSHDOWN = "sql-pushdown"
 
-#: The flat route on operator trees (and the cache token of compiled
-#: trees).
+#: The flat route on operator trees.
 INTERPRETED = "interpreted"
 
 #: The route of a reformulation union on its source query's atoms,
-#: each a union of its own reformulation, joined once (and the cache
-#: token of those trees).
+#: each a union of its own reformulation, joined once.
 FACTORISED = "factorised"
 
 #: The counter :func:`evaluate` and :func:`count_union` add once per
@@ -107,11 +106,6 @@ def _estimator(store: TripleStore) -> CardinalityEstimator:
     return CardinalityEstimator(CatalogStatistics(store.stats))
 
 
-#: Cache marker for "compiled before, not expressible as one statement"
-#: — distinguishes a cached negative from a cache miss.
-_PUSHDOWN_INELIGIBLE = object()
-
-
 def plan_pushdown(query: ConjunctiveQuery, store: TripleStore) -> CompiledQuery | None:
     """The whole-plan SQL pushdown route for this query, if it exists.
 
@@ -125,54 +119,19 @@ def plan_pushdown(query: ConjunctiveQuery, store: TripleStore) -> CompiledQuery 
     order :func:`plan_query` compiles the interpreted tree in — spelled
     ``CROSS JOIN`` so SQLite runs it as written: one planner orders
     both routes, and SQLite's own only picks the index per step.
-    Compilation results (including the negative) are cached in the
-    store's prepared-plan cache under ``(query, SQL_PUSHDOWN)``, so
-    repeated workloads pay ordering and SQL generation once per store
-    version; any mutation flushes the entry, which also re-validates
-    provably-empty compilations whose missing constants may have
+    Nothing is cached here: :func:`plan` caches the plan that holds the
+    statement, per store version, which also re-validates a
+    provably-empty compilation whose missing constants may have
     appeared.
     """
     if not getattr(store.backend, "supports_sql_plans", False):
         return None
-    plans = _plan_cache_entry(store)["plans"]
-    key = (query, SQL_PUSHDOWN)
-    cached = plans.get(key)
-    if cached is not None:
-        if metrics.enabled:
-            metrics.inc("engine.plan_cache.hit")
-        return None if cached is _PUSHDOWN_INELIGIBLE else cached
-    if metrics.enabled:
-        metrics.inc("engine.plan_cache.miss")
-    order = _estimator(store).join_order(query.atoms)
-    compiled = compile_query(query, store, order)
-    if len(plans) >= _PLAN_CACHE_LIMIT:
-        plans.clear()
-    plans[key] = _PUSHDOWN_INELIGIBLE if compiled is None else compiled
-    return compiled
-
-
-def _natural_pairs(
-    left_schema: tuple[str, ...], right_schema: tuple[str, ...]
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Natural-join position pairs plus the right positions to keep."""
-    pairs = [
-        (left_schema.index(column), position)
-        for position, column in enumerate(right_schema)
-        if column in left_schema
-    ]
-    keep_right = [
-        position
-        for position, column in enumerate(right_schema)
-        if column not in left_schema
-    ]
-    return pairs, keep_right
-
+    return compile_query(query, store, _estimator(store).join_order(query.atoms))
 
 
 #: Flush threshold for a single store's prepared plans (a workload far
 #: larger than anything the selection search produces).
 _PLAN_CACHE_LIMIT = 4096
-
 
 
 def _plan_cache_entry(store: TripleStore) -> dict:
@@ -207,9 +166,8 @@ def plan_query(query: ConjunctiveQuery, store: TripleStore) -> Operator:
     a star leaf is a semi-join; :func:`evaluate` adds head assembly
     and decoding.
 
-    Plans are cached per store (prepared-statement style) and reused
-    until the store mutates — repeated workload evaluation pays join
-    ordering and operator construction once.
+    Nothing is cached here: :func:`plan` caches the plan that holds
+    the tree.
 
     >>> from repro.query.parser import parse_query
     >>> from repro.rdf.ntriples import parse_ntriples
@@ -225,23 +183,7 @@ def plan_query(query: ConjunctiveQuery, store: TripleStore) -> Operator:
     UnionProbe(t(X, <http://e/knows>, Y), 1 alternatives, 1 lookups)['Y', 'X']
       UnionScan(t(Y, <http://e/age>, A), 1 alternatives, 1 reads)['Y']
     """
-    plans = _plan_cache_entry(store)["plans"]
-    key = (query, INTERPRETED)
-    cached = plans.get(key)
-    if cached is not None:
-        if metrics.enabled:
-            metrics.inc("engine.plan_cache.hit")
-        return cached
-    if metrics.enabled:
-        metrics.inc("engine.plan_cache.miss")
-    with tracing.span("engine.plan_query", query=query.name):
-        root = _factorised_tree(_atom_unions(query), store)
-    if len(plans) >= _PLAN_CACHE_LIMIT:
-        plans.clear()
-    plans[key] = root
-    if metrics.enabled:
-        metrics.gauge("engine.plan_cache.size", len(plans))
-    return root
+    return _factorised_tree(_atom_unions(query), store)
 
 
 def _atom_unions(query: ConjunctiveQuery) -> list:
@@ -264,28 +206,25 @@ def _atom_unions(query: ConjunctiveQuery) -> list:
 # ----------------------------------------------------------------------
 
 
-def factorised_route(union, store: TripleStore, pushdown: bool = True) -> bool:
+def factorised_route(union, store: TripleStore) -> bool:
     """Whether ``union`` runs factorised on ``store``.
 
     Only a deferred :func:`~repro.reformulation.reformulate` union (one
-    carrying its source query) can. On the interpreted route — a backend
-    without SQL, or ``pushdown=False`` — it always does. On the SQL
-    route a one-atom union always does too: its factorised tree is one
-    :class:`UnionScan`, whose index reads cost no more than the one
-    statement per disjunct of the flat form. A multi-atom union does
-    when the product of its atoms' alternative counts exceeds the
-    number of atoms: the factorised tree reads at least one index
-    bucket per atom through Python, while the flat form sends one
-    statement per disjunct, so a join with no more disjuncts than
-    atoms stays flat.
+    carrying its source query) can. On a backend without SQL it always
+    does. On the SQL route a one-atom union always does too: its
+    factorised tree is one :class:`UnionScan`, whose index reads cost no
+    more than the one statement per disjunct of the flat form. A
+    multi-atom union does when the product of its atoms' alternative
+    counts exceeds the number of atoms: the factorised tree reads at
+    least one index bucket per atom through Python, while the flat form
+    sends one statement per disjunct, so a join with no more disjuncts
+    than atoms stays flat.
     """
     source = getattr(union, "source", None)
     if source is None:
         return False
     atoms = len(source.atoms)
-    if atoms == 1 or not (
-        pushdown and getattr(store.backend, "supports_sql_plans", False)
-    ):
+    if atoms == 1 or not getattr(store.backend, "supports_sql_plans", False):
         return True
     from repro.reformulation.reformulate import factorise
 
@@ -293,38 +232,6 @@ def factorised_route(union, store: TripleStore, pushdown: bool = True) -> bool:
         len(part.alternatives) for part in factorise(source, union.schema)
     )
     return alternatives > atoms
-
-
-def plan_factorised(union, store: TripleStore) -> Operator:
-    """The factorised operator tree of a deferred reformulation union.
-
-    One union atom per source atom
-    (:func:`~repro.reformulation.reformulate.factorise`), joined in the
-    estimator's greedy order over each union atom's summed alternative
-    pattern counts: the first is a :class:`UnionScan`, a connected one
-    a :class:`UnionProbe`, a Cartesian one a hash join over a
-    :class:`UnionScan`. The tree yields rows over the source's join and
-    head variables. Cached in the prepared-plan cache under (source
-    query, schema identity, schema size), so a store version bump or a
-    schema statement builds it anew.
-    """
-    plans = _plan_cache_entry(store)["plans"]
-    key = (union.source, union.schema, len(union.schema), FACTORISED)
-    cached = plans.get(key)
-    if cached is not None:
-        if metrics.enabled:
-            metrics.inc("engine.plan_cache.hit")
-        return cached
-    if metrics.enabled:
-        metrics.inc("engine.plan_cache.miss")
-    from repro.reformulation.reformulate import factorise
-
-    with tracing.span("engine.plan_factorised", query=union.name):
-        root = _factorised_tree(factorise(union.source, union.schema), store)
-    if len(plans) >= _PLAN_CACHE_LIMIT:
-        plans.clear()
-    plans[key] = root
-    return root
 
 
 def _factorised_tree(
@@ -338,12 +245,13 @@ def _factorised_tree(
     alternative pattern counts, preferring unions connected to the
     leaf's columns. The first union without a leaf is a
     :class:`UnionScan`, a connected one a :class:`UnionProbe`, a
-    Cartesian one a hash join over a :class:`UnionScan`. Every tree on a
-    store is built here: :func:`plan_query` (one alternative per atom,
-    so the summed counts are the estimator's own and the order is
-    :func:`plan_pushdown`'s), :func:`plan_factorised`, EXPLAIN ANALYZE
-    and view maintenance (:mod:`repro.selection.maintenance`, whose
-    leaves hold an update's rows).
+    Cartesian one a :class:`CrossJoin` with a :class:`UnionScan`. Every
+    tree on a store is built here: :func:`plan_query` (one alternative
+    per atom, so the summed counts are the estimator's own and the order
+    is :func:`plan_pushdown`'s), a reformulation's factorised tree
+    (:func:`plan`), EXPLAIN ANALYZE and view maintenance
+    (:mod:`repro.selection.maintenance`, whose leaves hold an update's
+    rows).
     """
     pattern_count = store.stats.pattern_count
     counts = [
@@ -367,9 +275,7 @@ def _factorised_tree(
         elif any(name in root.schema for name in names):
             root = UnionProbe(root, store, names, alternatives, atom)
         else:
-            right = UnionScan(store, names, alternatives, atom)
-            pairs, keep_right = _natural_pairs(root.schema, right.schema)
-            root = HashJoin(root, right, pairs, keep_right)
+            root = CrossJoin(root, UnionScan(store, names, alternatives, atom))
     return root
 
 
@@ -427,9 +333,9 @@ def plan_union_pushdown(
     disjuncts: Iterable[ConjunctiveQuery], store: TripleStore
 ) -> tuple[tuple[ConjunctiveQuery, CompiledQuery | Operator], ...]:
     """The flat form's branches on ``store``: per distinct disjunct, the
-    disjunct and its cached :func:`plan_pushdown` statement, or its
+    disjunct and its :func:`plan_pushdown` statement, or its
     :func:`plan_query` tree when no statement can express it (or the
-    backend runs no SQL)."""
+    backend runs no SQL). Uncached: :func:`plan` caches its result."""
     return tuple(
         (query, plan_pushdown(query, store) or plan_query(query, store))
         for query in _dedupe(disjuncts)
@@ -437,10 +343,11 @@ def plan_union_pushdown(
 
 
 def plan(
-    question, store: TripleStore, pushdown: bool = True
+    question, store: TripleStore
 ) -> tuple[str, tuple[tuple[ConjunctiveQuery, CompiledQuery | Operator], ...]]:
     """The route and branches of ``question`` on ``store``: the one
-    place a route is decided.
+    place a route is decided, and the only reader and writer of the
+    store's prepared-plan cache.
 
     ``question`` is a :class:`~repro.query.cq.ConjunctiveQuery`, a
     :class:`~repro.query.cq.UnionQuery` or a sequence of disjuncts.
@@ -449,12 +356,21 @@ def plan(
 
     - a deferred reformulation on its factorised route
       (:func:`factorised_route`) is one branch, its source query and
-      its :func:`plan_factorised` tree — route :data:`FACTORISED`;
+      the :func:`_factorised_tree` of its
+      :func:`~repro.reformulation.reformulate.factorise` — route
+      :data:`FACTORISED`;
     - anything else is one branch per distinct disjunct, a conjunctive
-      query being its own one disjunct: with ``pushdown`` its cached
-      statement where one expresses it (:func:`plan_union_pushdown`),
-      else its :func:`plan_query` tree — route :data:`SQL_PUSHDOWN`
-      when some branch is a statement, :data:`INTERPRETED` when none is.
+      query being its own one disjunct: its statement where one
+      expresses it (:func:`plan_union_pushdown`), else its
+      :func:`plan_query` tree — route :data:`SQL_PUSHDOWN` when some
+      branch is a statement, :data:`INTERPRETED` when none is.
+
+    The whole plan is cached per store version under the question: a
+    conjunctive query as itself, a deferred reformulation as its
+    source, schema and schema size, any other question as its tuple of
+    disjuncts. Equal questions share one plan, and a warm question is
+    one lookup (one ``engine.plan_cache.hit``); a miss builds the plan
+    inside one ``engine.plan`` span.
 
     >>> from repro.query.parser import parse_query
     >>> from repro.rdf.ntriples import parse_ntriples
@@ -465,21 +381,44 @@ def plan(
     >>> route, ((query, tree),) = plan([knows, knows], store)
     >>> route, query is knows, tree.explain()
     ('interpreted', True, "UnionScan(t(X, <http://e/knows>, Y), 1 alternatives, 1 reads)['X']")
+    >>> plan((knows, knows), store)[1][0][1] is tree
+    True
     """
-    if factorised_route(question, store, pushdown):
-        return FACTORISED, ((question.source, plan_factorised(question, store)),)
     if isinstance(question, ConjunctiveQuery):
-        disjuncts = (question,)
-    elif isinstance(question, UnionQuery):
-        disjuncts = question.disjuncts
-    else:
-        disjuncts = question
-    if pushdown:
-        branches = plan_union_pushdown(disjuncts, store)
-    else:
-        branches = tuple(
-            (query, plan_query(query, store)) for query in _dedupe(disjuncts)
-        )
+        key = question
+    elif getattr(question, "source", None) is not None:
+        key = (question.source, question.schema, len(question.schema))
+    else:  # a union iterates its disjuncts
+        key = question = tuple(question)
+    plans = _plan_cache_entry(store)["plans"]
+    cached = plans.get(key)
+    if cached is not None:
+        if metrics.enabled:
+            metrics.inc("engine.plan_cache.hit")
+        return cached
+    if metrics.enabled:
+        metrics.inc("engine.plan_cache.miss")
+    with tracing.span("engine.plan", query=getattr(question, "name", "union")):
+        built = _build_plan(question, store)
+    if len(plans) >= _PLAN_CACHE_LIMIT:
+        plans.clear()
+    plans[key] = built
+    if metrics.enabled:
+        metrics.gauge("engine.plan_cache.size", len(plans))
+    return built
+
+
+def _build_plan(question, store: TripleStore) -> tuple:
+    """:func:`plan` on a cache miss."""
+    if factorised_route(question, store):
+        from repro.reformulation.reformulate import factorise
+
+        source = question.source
+        tree = _factorised_tree(factorise(source, question.schema), store)
+        return FACTORISED, ((source, tree),)
+    if isinstance(question, ConjunctiveQuery):
+        question = (question,)
+    branches = plan_union_pushdown(question, store)
     if any(isinstance(branch, CompiledQuery) for _, branch in branches):
         return SQL_PUSHDOWN, branches
     return INTERPRETED, branches
@@ -508,18 +447,14 @@ def _plan_images(
     return images
 
 
-def evaluate(
-    question, store: TripleStore, pushdown: bool = True
-) -> set[tuple[Term, ...]]:
+def evaluate(question, store: TripleStore) -> set[tuple[Term, ...]]:
     """All answers of ``question`` on the store (set semantics, decoded).
 
     The paper's ``evaluate`` (Theorem 4.2) for every question: a
     conjunctive query, a union or a sequence of disjuncts. It runs the
     plan :func:`plan` gives it, merges the encoded answer images across
-    the whole plan and decodes each distinct answer once.
-    ``pushdown=False`` keeps a SQL-capable backend on the interpreted
-    route (the reference the pushdown tests compare against). The
-    answer set is identical on every route.
+    the whole plan and decodes each distinct answer once. The answer
+    set is identical on every route and backend.
 
     >>> from repro.query.parser import parse_query
     >>> from repro.rdf.ntriples import parse_ntriples
@@ -534,7 +469,8 @@ def evaluate(
     >>> answers = evaluate(query, store)
     >>> sorted((s.n3(), o.n3()) for s, o in answers)
     [('<http://e/a>', '<http://e/c>')]
-    >>> evaluate(query, store, pushdown=False) == answers
+    >>> from repro.query.evaluation import evaluate_nested_loop
+    >>> evaluate_nested_loop(query, store) == answers
     True
     """
     # Observability detour, costing one flag check per question when
@@ -548,7 +484,7 @@ def evaluate(
         name = getattr(question, "name", "union")
         started = time.perf_counter()
         with tracing.span("engine.evaluate", query=name):
-            answers = _evaluate(question, store, pushdown)
+            answers = _evaluate(question, store)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if metrics.enabled:
             metrics.inc("engine.queries")
@@ -560,15 +496,13 @@ def evaluate(
                 name, elapsed_ms, threshold,
             )
         return answers
-    return _evaluate(question, store, pushdown)
+    return _evaluate(question, store)
 
 
-def _evaluate(
-    question, store: TripleStore, pushdown: bool = True
-) -> set[tuple[Term, ...]]:
+def _evaluate(question, store: TripleStore) -> set[tuple[Term, ...]]:
     """:func:`evaluate` without the observability detour (the server's
     batch path)."""
-    route, branches = plan(question, store, pushdown)
+    route, branches = plan(question, store)
     return decode_images(
         _plan_images(route, branches, store, partitions=True), store
     )

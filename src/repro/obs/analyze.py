@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
-    HashJoin,
+    CrossJoin,
     Operator,
     UnionProbe,
 )
@@ -139,7 +139,7 @@ def _annotate_estimates(root: _Probe, estimator, query) -> None:
     while isinstance(node, _Probe):
         node.stats.est_rows = prefix[step]
         inner = node.inner
-        if isinstance(inner, HashJoin):
+        if isinstance(inner, CrossJoin):
             # A Cartesian step: its right input scans one atom alone.
             right = inner.right
             right.stats.est_rows = float(
@@ -322,7 +322,7 @@ def _statement_branch(label, query, compiled, store) -> AnalyzeReport:
     )
 
 
-def analyze(question, store, pushdown: bool = True) -> AnalyzeReport:
+def analyze(question, store) -> AnalyzeReport:
     """EXPLAIN ANALYZE a question: execute its plan
     (:func:`~repro.engine.planner.plan`) instrumented, and return the
     annotated plan tree plus the actual answers.
@@ -334,7 +334,7 @@ def analyze(question, store, pushdown: bool = True) -> AnalyzeReport:
     probed; a statement branch runs timed beside its probed
     interpreted equivalent (``parity=`` / ``order=``).
     """
-    route, branches = plan(question, store, pushdown)
+    route, branches = plan(question, store)
     label = question.name if isinstance(question, ConjunctiveQuery) else "union"
     reports = []
     for query, branch in branches:

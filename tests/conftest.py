@@ -22,6 +22,23 @@ def ex(name: str) -> URI:
     return URI(EX + name)
 
 
+def tree_answers(query, root, store) -> set:
+    """``query``'s answers read off the operator tree ``root`` the way
+    ``evaluate`` reads a tree branch, on any backend."""
+    from repro.engine.planner import _tree_images, decode_images
+
+    return decode_images(_tree_images(query.head, root, store), store)
+
+
+def interpreted_answers(query, store) -> set:
+    """``query``'s answers from its operator tree (``plan_query``) on
+    any backend: the interpreted route, which a SQLite store's plan
+    replaces by a statement and ``--analyze`` runs beside it."""
+    from repro.engine import plan_query
+
+    return tree_answers(query, plan_query(query, store), store)
+
+
 @pytest.fixture(scope="session")
 def museum_store() -> TripleStore:
     """The paper's museum running example: painters, paintings, families."""

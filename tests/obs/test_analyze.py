@@ -28,6 +28,20 @@ def stores(museum_store, sqlite_museum):
     return {"memory": museum_store, "sqlite": sqlite_museum}
 
 
+def _operator_lines(report):
+    """The annotated operator lines of the report's tree: on a statement
+    branch, those of the interpreted equivalent it runs beside."""
+    root = next(
+        (n for n in report.tree.walk() if n.label == "interpreted equivalent"),
+        report.tree,
+    )
+    return [
+        node
+        for node in root.walk()
+        if not node.header and "rows" in node.annotations
+    ]
+
+
 def _chain():
     return parse_query("qa(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)")
 
@@ -70,7 +84,7 @@ def test_pushdown_route_reports_parity_and_backend_plan(
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_rows_in_equals_child_rows_out(backend, stores, q_painters):
     store = stores[backend]
-    report = analyze(q_painters, store, pushdown=False)
+    report = analyze(q_painters, store)
     checked = 0
     for node in report.tree.walk():
         if "rows_in" not in node.annotations:
@@ -83,12 +97,8 @@ def test_rows_in_equals_child_rows_out(backend, stores, q_painters):
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_joins_carry_estimates_next_to_actuals(backend, stores, q_painters):
-    report = analyze(q_painters, stores[backend], pushdown=False)
-    operators = [
-        node
-        for node in report.tree.walk()
-        if not node.header and "rows" in node.annotations
-    ]
+    report = analyze(q_painters, stores[backend])
+    operators = _operator_lines(report)
     assert operators, "the interpreted tree must be annotated"
     # Every step of the left-deep spine, the scan it starts from included.
     assert len(operators) == len(q_painters.atoms)
@@ -101,14 +111,10 @@ def test_joins_carry_estimates_next_to_actuals(backend, stores, q_painters):
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_cartesian_step_and_its_scans_carry_estimates(backend, stores):
     query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)")
-    report = analyze(query, stores[backend], pushdown=False)
-    operators = [
-        node
-        for node in report.tree.walk()
-        if not node.header and "rows" in node.annotations
-    ]
+    report = analyze(query, stores[backend])
+    operators = _operator_lines(report)
     assert [node.label.split("(")[0].split("[")[0] for node in operators] == [
-        "HashJoin", "UnionScan", "UnionScan",
+        "CrossJoin", "UnionScan", "UnionScan",
     ]
     assert all(node.annotations["est_rows"] is not None for node in operators)
     assert report.answers == evaluate(query, stores[backend])
@@ -257,11 +263,11 @@ def test_one_atom_union_is_analyzed_through_its_partitions(
 
 
 def test_analyze_leaves_cached_plans_unprobed(museum_store, q_painters):
-    from repro.engine import plan_query
+    from repro.engine import plan
 
-    baseline = plan_query(q_painters, museum_store)
-    analyze(q_painters, museum_store, pushdown=False)
-    cached = plan_query(q_painters, museum_store)
+    _, ((_, baseline),) = plan(q_painters, museum_store)
+    analyze(q_painters, museum_store)
+    _, ((_, cached),) = plan(q_painters, museum_store)
     assert cached is baseline
     _assert_unprobed(cached)
 
@@ -269,14 +275,14 @@ def test_analyze_leaves_cached_plans_unprobed(museum_store, q_painters):
 def test_analyze_union_leaves_cached_plans_unprobed(museum_store, museum_schema):
     """The analyzed branches are probed copies: the cached plans the
     union runs — flat or factorised — stay as they were."""
-    from repro.engine import plan, plan_query
+    from repro.engine import plan
 
     queries = (_chain(), _chain_typed())
     evaluate_union(queries, museum_store)
-    baseline = [plan_query(query, museum_store) for query in queries]
+    _, baseline = plan(queries, museum_store)
     analyze(queries, museum_store)
-    for query, before in zip(queries, baseline):
-        cached = plan_query(query, museum_store)
+    _, branches = plan(queries, museum_store)
+    for (_, before), (_, cached) in zip(baseline, branches):
         assert cached is before
         _assert_unprobed(cached)
     union = reformulate(_chain_typed(), museum_schema)

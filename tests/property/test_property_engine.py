@@ -3,8 +3,8 @@
 The unindexed full-scan evaluator (`evaluate_nested_loop`, the oracle:
 it shares no index, plan or batch code with the engine) and both routes
 of the engine — the default one, which is whole-plan SQL pushdown on a
-SQL-capable backend, and the interpreted operator tree
-(``pushdown=False``) — must agree on the answer set of any conjunctive
+SQL-capable backend, and the interpreted operator tree run on the same
+store — must agree on the answer set of any conjunctive
 query, including self-join atoms like ``t(X, p, X)``, Cartesian
 products, and the rule-4 ``non_literal`` restriction.
 
@@ -25,6 +25,7 @@ from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.storage import BACKENDS
 
+from tests.conftest import interpreted_answers
 from tests.property.strategies import queries, stores
 
 X = Variable("X")
@@ -32,8 +33,9 @@ X = Variable("X")
 backends = pytest.mark.parametrize("backend", BACKENDS)
 
 
-#: The engine's two routes, selected by ``pushdown``.
-ROUTES = (True, False)
+#: The engine's two routes: the plan ``evaluate`` runs, and the
+#: operator tree on any backend.
+ROUTES = (evaluate, interpreted_answers)
 
 
 @backends
@@ -43,8 +45,8 @@ def test_every_route_matches_the_oracle(backend, data):
     store = data.draw(stores(backend=backend), label="store")
     query = data.draw(queries(), label="query")
     expected = evaluate_nested_loop(query, store)
-    for pushdown in ROUTES:
-        assert evaluate(query, store, pushdown=pushdown) == expected, pushdown
+    for route in ROUTES:
+        assert route(query, store) == expected, route.__name__
 
 
 @backends
@@ -60,8 +62,8 @@ def test_non_literal_restriction_parity(backend, data):
         )
         query = query.with_non_literal(restricted)
     expected = evaluate_nested_loop(query, store)
-    for pushdown in ROUTES:
-        assert evaluate(query, store, pushdown=pushdown) == expected, pushdown
+    for route in ROUTES:
+        assert route(query, store) == expected, route.__name__
 
 
 @backends
@@ -75,8 +77,8 @@ def test_self_join_atom_parity(backend, data):
     query = ConjunctiveQuery((X,), (Atom(X, prop, X),))
     expected = evaluate_nested_loop(query, store)
     assert (URI("http://u/e0"),) in expected
-    for pushdown in ROUTES:
-        assert evaluate(query, store, pushdown=pushdown) == expected, pushdown
+    for route in ROUTES:
+        assert route(query, store) == expected, route.__name__
 
 
 @backends
@@ -105,11 +107,9 @@ def test_non_literal_never_binds_literals_deterministic(backend):
     store.add(Triple(URI("http://u/s"), prop, URI("http://u/o")))
     query = ConjunctiveQuery((X,), (Atom(URI("http://u/s"), prop, X),))
     restricted = query.with_non_literal([X])
-    for pushdown in ROUTES:
-        assert evaluate(query, store, pushdown=pushdown) == {
+    for route in ROUTES:
+        assert route(query, store) == {
             (Literal("text"),),
             (URI("http://u/o"),),
         }
-        assert evaluate(restricted, store, pushdown=pushdown) == {
-            (URI("http://u/o"),)
-        }
+        assert route(restricted, store) == {(URI("http://u/o"),)}

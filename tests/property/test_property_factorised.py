@@ -1,8 +1,9 @@
 """The factorised route against the flat union and the saturated store.
 
-``evaluate_union(reformulate(q, S), store)`` on an interpreted route
+``evaluate_union(reformulate(q, S), store)`` on its factorised route
 never builds the flat union: each atom of ``q`` is reformulated alone
-and the per-atom unions are joined once. On random stores × schemas ×
+and the per-atom unions are joined once. The factorised tree runs here
+on both backends, whatever route the union's plan takes. On random stores × schemas ×
 queries it must answer exactly what the flat union answers disjunct by
 disjunct (an ``evaluate`` loop) and what ``q`` answers on the saturated
 store (Theorem 4.2, by the unindexed :func:`evaluate_nested_loop`) —
@@ -20,16 +21,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import count_union
+from repro.engine.planner import _factorised_tree
 from repro.query.cq import Atom, ConjunctiveQuery
-from repro.query.evaluation import evaluate, evaluate_nested_loop, evaluate_union
+from repro.query.evaluation import evaluate_nested_loop, evaluate_union
 from repro.rdf.entailment import saturate
 from repro.rdf.schema import RDFSchema
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.rdf.vocabulary import RDF_TYPE
-from repro.reformulation.reformulate import reformulate
+from repro.reformulation.reformulate import factorise, reformulate
 
+from tests.conftest import interpreted_answers, tree_answers
 from tests.property import strategies as us
 
 ABSENT_ENTITY = URI(f"{us.NS}absent")
@@ -112,21 +115,26 @@ def _oracle(query, store, schema):
     return evaluate_nested_loop(query, saturate(store, schema))
 
 
-def _per_disjunct(union, store, pushdown=True):
-    """The flat union, one disjunct at a time."""
+def _per_disjunct(union, store):
+    """The flat union, one disjunct's operator tree at a time."""
     answers = set()
     for disjunct in union.disjuncts:
-        answers |= evaluate(disjunct, store, pushdown=pushdown)
+        answers |= interpreted_answers(disjunct, store)
     return answers
+
+
+def _factorised(union, store):
+    """The union's factorised tree, run on any backend."""
+    source = union.source
+    tree = _factorised_tree(factorise(source, union.schema), store)
+    return tree_answers(source, tree, store)
 
 
 def _routes_agree(query, store, schema):
     union = reformulate(query, schema)
-    factorised = evaluate_union(union, store, pushdown=False)
+    factorised = _factorised(union, store)
     assert factorised == _oracle(query, store, schema)
-    assert factorised == _per_disjunct(
-        reformulate(query, schema), store, pushdown=False
-    )
+    assert factorised == _per_disjunct(reformulate(query, schema), store)
     # The default route: on SQLite factorised or flat by the union's
     # shape, so generated queries reach both sides of the rule.
     assert evaluate_union(union, store) == factorised

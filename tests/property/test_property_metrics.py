@@ -18,6 +18,7 @@ from repro.obs import metrics
 from repro.query.evaluation import evaluate
 from repro.storage import BACKENDS
 
+from tests.conftest import interpreted_answers
 from tests.property.strategies import queries, stores
 
 
@@ -228,7 +229,7 @@ def test_batch_counters_are_guarded_per_query(backend):
 
     metrics.reset()
     with metrics.enabled_registry():
-        answers = evaluate(query, store, pushdown=False)
+        answers = interpreted_answers(query, store)
     counters = dict(metrics.registry().counters)
     assert counters["engine.batch.count"] >= 1
     assert counters["engine.batch.rows"] >= len(answers)

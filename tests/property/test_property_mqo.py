@@ -4,8 +4,8 @@
 exactly what fully independent evaluation returns, on every configuration the route
 can take: random unions of random conjunctive queries (overlapping,
 isomorphic-but-renamed, and unrelated disjuncts alike), both storage
-backends, pushdown on and off, and stores mutated between evaluations
-(the cached per-disjunct statements must invalidate). The reference
+backends and copies across them, and stores mutated between
+evaluations (the cached plans must invalidate). The reference
 is the naive oracle, disjunct by disjunct. The shared join-order
 prefixes must be each query's longest one, and on SQLite every
 distinct disjunct is one statement, one provably empty branch or one
@@ -67,17 +67,21 @@ def test_shared_union_matches_independent(data, backend):
 @given(
     data=st.data(),
     backend=st.sampled_from(["memory", "sqlite"]),
-    pushdown=st.booleans(),
+    target=st.sampled_from(["memory", "sqlite"]),
 )
-def test_shared_union_across_the_configuration_matrix(data, backend, pushdown):
+def test_shared_union_across_the_configuration_matrix(data, backend, target):
+    """A union answers alike on its store and on a copy of it in either
+    backend, each with its own plan cache."""
     store = data.draw(stores(backend=backend), label="store")
     disjuncts = data.draw(unions(), label="union")
+    clone = store.copy(backend=target)
     try:
-        assert evaluate_union(
-            disjuncts, store, pushdown=pushdown
-        ) == _reference(disjuncts, store)
+        expected = _reference(disjuncts, store)
+        assert evaluate_union(disjuncts, store) == expected
+        assert evaluate_union(disjuncts, clone) == expected
     finally:
         store.backend.close()
+        clone.backend.close()
 
 
 @settings(max_examples=40, deadline=None)

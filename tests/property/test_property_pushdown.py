@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.engine import plan_pushdown
 from repro.query.evaluation import evaluate, evaluate_nested_loop
 
+from tests.conftest import interpreted_answers
 from tests.property.strategies import data_triples, queries, stores
 
 
@@ -46,7 +47,7 @@ def test_pushdown_matches_oracle_and_interpreted(data):
         # on sqlite = pushdown whenever the shape is eligible ...
         assert evaluate(query, store) == expected
         # ... and the interpreted operator tree agrees.
-        assert evaluate(query, store, pushdown=False) == expected
+        assert interpreted_answers(query, store) == expected
     finally:
         store.backend.close()
 
@@ -116,7 +117,7 @@ def test_pushdown_parity_on_order_sensitive_shapes(data):
             assert plan_pushdown(query, store) is not None
             expected = evaluate_nested_loop(query, store)
             assert evaluate(query, store) == expected, query.name
-            assert evaluate(query, store, pushdown=False) == expected, query.name
+            assert interpreted_answers(query, store) == expected, query.name
     finally:
         store.backend.close()
 

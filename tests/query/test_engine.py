@@ -3,20 +3,23 @@
 import pytest
 
 from repro.engine import (
-    HashJoin,
+    CrossJoin,
     UnionProbe,
     UnionScan,
+    plan,
     plan_query,
     run_query,
 )
 from repro.query.cq import Atom, ConjunctiveQuery, Variable
 from repro.query.evaluation import evaluate, evaluate_nested_loop
 from repro.query.parser import parse_query
+from repro.rdf.entailment import saturate
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal
 from repro.rdf.triples import Triple
+from repro.reformulation import reformulate
 
-from tests.conftest import ex
+from tests.conftest import ex, tree_answers
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -122,7 +125,7 @@ class TestPlanQuery:
             root = plan_query(query, store)
             assert isinstance(root, UnionProbe)
             assert root.schema == root.child.schema == ("X", "Y")
-            answers = run_query(query, store, pushdown=False)
+            answers = tree_answers(query, root, store)
             assert answers == evaluate_nested_loop(query, store)
             assert len(answers) == 2
         finally:
@@ -161,11 +164,11 @@ class TestPlanCache:
         store = TripleStore()
         store.add(Triple(ex("a"), ex("p"), ex("b")))
         query = parse_query("q(X, Y) :- t(X, p, Y)")
-        first = plan_query(query, store)
-        assert plan_query(query, store) is first
+        first = plan(query, store)
+        assert plan(query, store) is first
         stale_entry = store._engine_plan_cache
         store.add(Triple(ex("b"), ex("p"), ex("c")))
-        assert plan_query(query, store) is not first
+        assert plan(query, store) is not first
         # The stale entry is discarded wholesale, not patched.
         assert store._engine_plan_cache is not stale_entry
         assert store._engine_plan_cache["version"] == store.version
@@ -182,8 +185,8 @@ class TestPlanCache:
 
 class TestCostBasedSelection:
     """The one plan shape: joins in the estimator's order from a union
-    scan, a connected step as a union probe, a Cartesian step as a hash
-    join over a union scan."""
+    scan, a connected step as a union probe, a Cartesian step as a
+    cross join with a union scan."""
 
     def test_connected_join_prefers_index_probes(self, museum_store):
         query = parse_query(
@@ -196,11 +199,11 @@ class TestCostBasedSelection:
     def test_cartesian_product_avoids_per_row_rescans(self, museum_store):
         query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)")
         kinds = [type(op) for op in _operators(plan_query(query, museum_store))]
-        assert kinds == [HashJoin, UnionScan, UnionScan]
+        assert kinds == [CrossJoin, UnionScan, UnionScan]
 
     def test_mixed_query_selects_hybrid(self):
         # A selective connected prefix (union probes) feeding a
-        # Cartesian step (one hash build instead of per-row rescans).
+        # Cartesian step (one read of its right input, not per-row rescans).
         store = TripleStore()
         store.add(Triple(ex("s0"), ex("p"), ex("c")))
         for i in range(10):
@@ -212,10 +215,72 @@ class TestCostBasedSelection:
             "q(X, Y, Z) :- t(X, p, c), t(X, q, Y), t(Z, r, W)"
         )
         kinds = {type(op) for op in _operators(plan_query(query, store))}
-        assert kinds == {HashJoin, UnionProbe, UnionScan}
+        assert kinds == {CrossJoin, UnionProbe, UnionScan}
         answers = run_query(query, store)
         assert len(answers) == 200  # 10 paintings x 20 Cartesian rows
         assert answers == evaluate_nested_loop(query, store)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)",
+            # The Cartesian atom exports no column: it only has to match.
+            "q(X) :- t(X, hasPainted, starryNight), t(Z, rdf:type, W)",
+            "q(X) :- t(X, hasPainted, starryNight), t(Z, neverSeen, W)",
+            "q(X, Y, Z) :- t(X, isParentOf, Y), t(Z, rdf:type, painter), "
+            "t(Z, hasPainted, W)",
+        ],
+    )
+    def test_disconnected_query_matches_oracle(
+        self, text, backend, museum_store, museum_schema
+    ):
+        """A Cartesian step's tree, its query's answers and its
+        reformulation's answers equal the unindexed oracle's."""
+        store = museum_store if backend == "memory" else museum_store.copy(
+            backend=backend
+        )
+        try:
+            query = parse_query(text)
+            assert not query.is_connected()
+            expected = evaluate_nested_loop(query, store)
+            root = plan_query(query, store)
+            assert CrossJoin in {type(op) for op in _operators(root)}
+            assert tree_answers(query, root, store) == expected
+            assert evaluate(query, store) == expected
+            assert evaluate(reformulate(query, museum_schema), store) == (
+                evaluate_nested_loop(query, saturate(store, museum_schema))
+            )
+        finally:
+            if store is not museum_store:
+                store.backend.close()
+
+    def test_cross_join_repeats_its_right_input(self, museum_store):
+        """Rows come out in left order, then right order, over batches
+        of the left input; the right input is read once."""
+        query = parse_query("q(X, Z) :- t(X, hasPainted, Y), t(Z, rdf:type, W)")
+        root = plan_query(query, museum_store)
+        assert isinstance(root, CrossJoin)
+        reads = []
+        right = root.right
+        original = right.column_batches
+
+        def counting(size):
+            reads.append(size)
+            return original(size)
+
+        right.column_batches = counting
+        left_rows = [
+            row for cb in root.left.column_batches(2) for row in zip(*cb.columns)
+        ]
+        right_rows = [
+            row for cb in original(2) for row in zip(*cb.columns)
+        ]
+        rows = [row for cb in root.column_batches(2) for row in zip(*cb.columns)]
+        assert reads == [2]
+        assert rows == [
+            left + right for left in left_rows for right in right_rows
+        ]
 
     def test_empty_store_selection_is_safe(self):
         query = parse_query("q(X, Z) :- t(X, p, Y), t(Y, q, Z)")

@@ -79,11 +79,11 @@ def _union_reference(disjuncts, store):
     return answers
 
 
-def _per_disjunct(disjuncts, store, pushdown=True):
+def _per_disjunct(disjuncts, store):
     """The union evaluated one disjunct at a time."""
     answers = set()
     for disjunct in disjuncts:
-        answers |= evaluate(disjunct, store, pushdown=pushdown)
+        answers |= evaluate(disjunct, store)
     return answers
 
 
@@ -187,9 +187,8 @@ class TestSharedExecution:
         disjuncts = [_chain(), _chain_typed()]
         expected = _union_reference(disjuncts, sqlite_museum)
         assert evaluate_union(disjuncts, sqlite_museum) == expected
-        assert (
-            evaluate_union(disjuncts, sqlite_museum, pushdown=False) == expected
-        )
+        memory = sqlite_museum.copy(backend="memory")
+        assert evaluate_union(disjuncts, memory) == expected
         assert _per_disjunct(disjuncts, sqlite_museum) == expected
 
     def test_batch_matches_individual_runs(self, museum_store):
@@ -205,9 +204,8 @@ class TestSharedExecution:
         queries = [_chain(), _chain_typed()]
         expected = [evaluate(query, sqlite_museum) for query in queries]
         assert _answer_batch(queries, sqlite_museum) == expected
-        assert [
-            evaluate(query, sqlite_museum, pushdown=False) for query in queries
-        ] == expected
+        memory = sqlite_museum.copy(backend="memory")
+        assert [evaluate(query, memory) for query in queries] == expected
 
     def test_duplicate_queries_are_answered_once(self, museum_store):
         query = _chain()
@@ -250,9 +248,15 @@ def _statements(disjuncts, store):
     return [branch for _, branch in plan_union_pushdown(disjuncts, store)]
 
 
+def _cached_statements(disjuncts, store):
+    route, branches = plan(disjuncts, store)
+    assert route == SQL_PUSHDOWN
+    return [branch for _, branch in branches]
+
+
 class TestUnionPushdown:
     """The flat form on SQL: one prepared statement per distinct
-    disjunct, each cached per store version as the disjunct's own."""
+    disjunct, cached per store version in the question's plan."""
 
     def test_memory_backend_has_no_union_pushdown(self, museum_store):
         branches = plan_union_pushdown(
@@ -260,26 +264,25 @@ class TestUnionPushdown:
         )
         assert [query for query, _ in branches] == [_chain(), _chain_typed()]
         assert all(
-            branch is plan_query(query, museum_store)
+            branch.explain() == plan_query(query, museum_store).explain()
             for query, branch in branches
         )
 
     def test_branch_statements_are_cached(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
-        first = _statements(disjuncts, sqlite_museum)
+        first = _cached_statements(disjuncts, sqlite_museum)
         assert all(branch.sql is not None for branch in first)
-        second = _statements(disjuncts, sqlite_museum)
+        second = _cached_statements(tuple(disjuncts), sqlite_museum)
         assert all(a is b for a, b in zip(first, second))
-        assert all(
-            branch is plan_pushdown(query, sqlite_museum)
-            for branch, query in zip(first, disjuncts)
-        )
+        assert [branch.sql for branch in first] == [
+            plan_pushdown(query, sqlite_museum).sql for query in disjuncts
+        ]
 
     def test_mutation_invalidates_union_plans(self, sqlite_museum):
         disjuncts = [_chain(), _chain_typed()]
-        first = _statements(disjuncts, sqlite_museum)
+        first = _cached_statements(disjuncts, sqlite_museum)
         sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
-        second = _statements(disjuncts, sqlite_museum)
+        second = _cached_statements(disjuncts, sqlite_museum)
         assert not any(a is b for a, b in zip(first, second))
         assert evaluate_union(disjuncts, sqlite_museum) == _union_reference(
             disjuncts, sqlite_museum
@@ -320,14 +323,14 @@ class TestUnionPushdown:
         assert evaluate_union([bad], sqlite_museum) == set()
 
     def test_second_evaluation_hits_each_branch_statement(self, sqlite_museum):
-        """The statements live in the prepared-plan cache: the same
-        union evaluated again adds one ``engine.plan_cache.hit`` per
-        distinct disjunct and no miss."""
+        """The statements live in the question's cached plan: the same
+        union evaluated again is one ``engine.plan_cache.hit`` — one
+        lookup per question, not per distinct disjunct — and no miss."""
         disjuncts = (_chain(), _chain_typed(), _chain())
         evaluate_union(disjuncts, sqlite_museum)
         _, dump = metrics.collect(evaluate_union, disjuncts, sqlite_museum)
         counters = dump["counters"]
-        assert counters.get("engine.plan_cache.hit") == 2
+        assert counters.get("engine.plan_cache.hit") == 1
         assert "engine.plan_cache.miss" not in counters
         assert counters.get("mqo.route.per_branch") == 1
 
@@ -417,7 +420,7 @@ class TestUnionTraffic:
                             sql.startswith("SELECT 1\n") and sql.endswith("LIMIT 1")
                         ), sql
                     assert answers == _per_disjunct(union.disjuncts, store)
-                assert answers == evaluate_union(union, store, pushdown=False)
+                assert answers == evaluate_union(union, plain)
             assert routes["factorised"] and routes["flat"], routes
         finally:
             store.backend.close()
@@ -437,11 +440,6 @@ class TestPlan:
         route, branches = plan([_chain(), _chain_typed()], sqlite_museum)
         assert route == SQL_PUSHDOWN
         assert all(isinstance(branch, CompiledQuery) for _, branch in branches)
-        route, branches = plan(
-            [_chain(), _chain_typed()], sqlite_museum, pushdown=False
-        )
-        assert route == INTERPRETED
-        assert all(isinstance(branch, Operator) for _, branch in branches)
 
     def test_sqlite_plans_the_route_taken(
         self, sqlite_museum, museum_schema, q_painters, q_pictures
@@ -460,11 +458,10 @@ class TestPlan:
 
 
 class TestRouteRule:
-    """The route rule :func:`repro.engine.plan` applies: the backend,
-    ``pushdown`` and the union's own factorised shape decide, nothing
-    else. On SQLite only a
-    multi-atom union whose alternative counts multiply to at most its
-    atom count stays flat."""
+    """The route rule :func:`repro.engine.plan` applies: the backend and
+    the union's own factorised shape decide, nothing else. On SQLite
+    only a multi-atom union whose alternative counts multiply to at
+    most its atom count stays flat."""
 
     @pytest.mark.parametrize(
         "text, factorised",
@@ -492,10 +489,9 @@ class TestRouteRule:
         one_atom = len(query.atoms) == 1
         assert (one_atom or product > len(query.atoms)) is factorised
         assert (plan(union, sqlite_museum)[0] == FACTORISED) is factorised
-        # The interpreted route always factorises; a disjunct list never.
-        assert plan(union, sqlite_museum, pushdown=False)[0] == FACTORISED
+        # A backend without SQL always factorises; a disjunct list never.
         assert plan(union, museum_store)[0] == FACTORISED
-        assert plan(union.disjuncts, sqlite_museum, pushdown=False)[0] == INTERPRETED
+        assert plan(union.disjuncts, museum_store)[0] == INTERPRETED
 
     def test_count_union_on_sqlite_follows_the_route(
         self, sqlite_museum, museum_schema, q_painters, q_pictures, monkeypatch

@@ -9,7 +9,7 @@ and the answers must equal the unindexed oracle's.
 import pytest
 
 from repro.cli import _explain_plan
-from repro.engine import FACTORISED, INTERPRETED, SQL_PUSHDOWN, evaluate
+from repro.engine import FACTORISED, INTERPRETED, SQL_PUSHDOWN, evaluate, plan
 from repro.engine.planner import ROUTE_COUNTERS
 from repro.obs import metrics
 from repro.obs.analyze import analyze
@@ -81,6 +81,44 @@ def test_explain_analyze_and_evaluate_agree_on_the_route(
         expected = _oracle(question, store, museum_schema)
         assert expected, shape
         assert answers == report.answers == expected
+    finally:
+        if store is not museum_store:
+            store.backend.close()
+
+
+#: ``(shape, text, sqlite route)``: two multi-atom reformulations, one
+#: on each side of the SQLite route rule.
+WARM = [
+    # 4 × 2 alternatives over 2 atoms: factorised.
+    ("product > atoms",
+     "q(X, Y) :- t(X, rdf:type, picture), t(X, isLocatedIn, Y)", FACTORISED),
+    # 1 × 1 alternatives over 2 atoms: one statement per disjunct.
+    ("product <= atoms", CHAIN, SQL_PUSHDOWN),
+]
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize(
+    "shape, text, sqlite_route", WARM, ids=[shape for shape, *_ in WARM]
+)
+def test_a_warm_question_is_one_lookup(
+    backend, shape, text, sqlite_route, museum_store, museum_schema
+):
+    """Asked again, a question's whole plan is one cache hit: no miss,
+    and no reformulation or route rule runs again."""
+    store = museum_store if backend == "memory" else museum_store.copy(backend="sqlite")
+    try:
+        union = reformulate(parse_query(text), museum_schema)
+        expected = {"memory": FACTORISED, "sqlite": sqlite_route}[backend]
+        assert plan(union, store)[0] == expected
+        first = evaluate(union, store)
+        answers, dump = metrics.collect(evaluate, union, store)
+        counters = dump["counters"]
+        assert answers == first
+        assert counters.get("engine.plan_cache.hit") == 1
+        assert "engine.plan_cache.miss" not in counters
+        assert "reformulation.atom_memo.hit" not in counters
+        assert "reformulation.atom_memo.miss" not in counters
     finally:
         if store is not museum_store:
             store.backend.close()

@@ -10,7 +10,10 @@ mutations.
 import pytest
 
 from repro.engine import (
+    INTERPRETED,
+    SQL_PUSHDOWN,
     compile_query,
+    plan,
     plan_pushdown,
     run_query,
 )
@@ -25,7 +28,7 @@ from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.rdf.vocabulary import RDF_TYPE
 
-from tests.conftest import ex
+from tests.conftest import ex, interpreted_answers
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -188,7 +191,7 @@ class TestJoinOrder:
             query, skewed_store
         )
         assert compiled.execute(skewed_store) == evaluate(
-            query, skewed_store, pushdown=False
+            query, skewed_store.copy(backend="memory")
         )
 
     def test_explicit_order_keeps_body_aliases(self, sqlite_museum):
@@ -224,7 +227,7 @@ class TestJoinOrder:
             )
         )
         assert answers == evaluate_nested_loop(query, skewed_store)
-        assert answers == evaluate(query, skewed_store, pushdown=False)
+        assert answers == evaluate(query, skewed_store.copy(backend="memory"))
 
 
 class TestFallbackShapes:
@@ -255,6 +258,8 @@ class TestFallbackShapes:
         assert plan_pushdown(_two_hop(), museum_store) is None
 
     def test_routes_that_must_stay_interpreted(self, sqlite_museum, monkeypatch):
+        """The tree ``--analyze`` runs beside each statement reads the
+        SQLite store through pattern matches only."""
         query = _two_hop()
         expected = evaluate_nested_loop(query, sqlite_museum)
         monkeypatch.setattr(
@@ -262,8 +267,7 @@ class TestFallbackShapes:
             "execute_sql_plan",
             lambda *a, **k: pytest.fail("pushdown route taken"),
         )
-        # pushdown=False is the reference switch.
-        assert evaluate(query, sqlite_museum, pushdown=False) == expected
+        assert interpreted_answers(query, sqlite_museum) == expected
 
     def test_auto_route_uses_pushdown(self, sqlite_museum, monkeypatch):
         query = _two_hop()
@@ -280,25 +284,29 @@ class TestFallbackShapes:
 
 
 class TestPreparedSqlCache:
+    """A statement lives in its question's cached plan (:func:`plan`)."""
+
     def test_compiled_plan_is_cached(self, sqlite_museum):
         query = _two_hop()
-        first = plan_pushdown(query, sqlite_museum)
-        assert first is not None
-        assert plan_pushdown(query, sqlite_museum) is first
+        route, ((_, first),) = plan(query, sqlite_museum)
+        assert route == SQL_PUSHDOWN and first.sql is not None
+        assert plan(query, sqlite_museum)[1][0][1] is first
 
     def test_ineligible_shape_is_cached(self, sqlite_museum):
         atom = Atom(X, ex("hasPainted"), Y)
         body = (atom,) * (sqlcompile.MAX_PUSHDOWN_TABLES + 1)
         query = ConjunctiveQuery((X,), body, name="q")
         assert plan_pushdown(query, sqlite_museum) is None
-        assert plan_pushdown(query, sqlite_museum) is None
+        route, ((_, tree),) = plan(query, sqlite_museum)
+        assert route == INTERPRETED
+        assert plan(query, sqlite_museum)[1][0][1] is tree
 
     def test_mutation_invalidates_compiled_plans(self, sqlite_museum):
         query = _two_hop()
-        first = plan_pushdown(query, sqlite_museum)
+        _, ((_, first),) = plan(query, sqlite_museum)
         sqlite_museum.add(Triple(ex("x"), ex("isParentOf"), ex("y")))
-        second = plan_pushdown(query, sqlite_museum)
-        assert second is not None and second is not first
+        _, ((_, second),) = plan(query, sqlite_museum)
+        assert second.sql is not None and second is not first
 
     def test_empty_compilation_revalidated_after_mutation(self):
         # A provably-empty plan (unknown constant) must not outlive the

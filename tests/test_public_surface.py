@@ -1,7 +1,7 @@
 """The public surface after the execution matrix was collapsed.
 
-One execution path means one planner (``plan``), one evaluator
-(``evaluate``) with one settable value (``pushdown``), a serial search,
+One execution path means one planner (``plan``) with one plan cache,
+one evaluator (``evaluate``) with no option, a serial search,
 and a storage contract of pattern matches and counts only. A knob — an ``engine=``, a
 ``batch_size=``, a ``workers=``, a ``layout=`` — or a retired fetch
 method or union route cannot come back without one of these failing,
@@ -41,10 +41,10 @@ from repro.server import ServerConfig
 from repro.storage import StorageBackend
 
 SIGNATURES = {
-    plan: ["question", "store", "pushdown"],
-    evaluate: ["question", "store", "pushdown"],
+    plan: ["question", "store"],
+    evaluate: ["question", "store"],
     count_union: ["question", "store"],
-    analyze: ["question", "store", "pushdown"],
+    analyze: ["question", "store"],
     plan_query: ["query", "store"],
     materialize_views: ["state", "store", "schema"],
     algebra.execute: ["plan", "extents"],
@@ -104,6 +104,7 @@ RETIRED_NAMES = {
     "CompiledUnion",
     "Distinct",
     "Empty",
+    "HashJoin",
     "IndexNestedLoopJoin",
     "IndexScan",
     "MergeJoin",
@@ -118,6 +119,7 @@ RETIRED_NAMES = {
     "analyze_batch",
     "choose_engine",
     "compile_union",
+    "plan_factorised",
     "plan_rewriting",
     "run_plan",
     "union_signature",
