@@ -10,8 +10,8 @@ precisely the statistics gathered by the cost model (Section 3.3).
 The physical triple table lives behind a
 :class:`~repro.storage.base.StorageBackend` (``repro.storage``):
 
-* ``backend="memory"`` (default) — the hexastore-style dict-of-sets
-  structures this store always had, byte-for-byte;
+* ``backend="memory"`` (default) — the hexastore-style dict indexes,
+  each bucket a tuple while small and a set past that;
 * ``backend="sqlite"`` — a disk-backed SQLite table with SPO/POS/OSP
   B-tree indexes, for datasets beyond Python object memory.
 
@@ -425,6 +425,8 @@ class TripleStore:
         )
         store = object.__new__(cls)
         store.dictionary = Dictionary()
+        # code -> the dictionary's own int object for it (see below).
+        shared: dict[int, int] = {}
         for code, kind, value, datatype, language in term_rows:
             try:
                 term = term_from_parts(kind, value, datatype, language)
@@ -439,11 +441,21 @@ class TripleStore:
                     f"corrupt snapshot {path}: term {term!r} maps to "
                     f"code {assigned}, expected {code}"
                 )
+            shared[assigned] = assigned
         if backend == "sqlite":
             store._attach_backend(SqliteBackend(path, read_only=read_only))
         else:
             # The memory backend loads via the snapshot reader's own
             # read-only connection; read_only needs no further plumbing.
+            # sqlite3 builds a fresh int for every code above 256, so
+            # each row is rebuilt over the dictionary's one int per code
+            # (in place, so the old rows are freed as it goes). A code
+            # the dictionary lacks stays as read: the guards below
+            # report it.
+            get = shared.get
+            for at, (s, p, o) in enumerate(triples):
+                triples[at] = (get(s, s), get(p, p), get(o, o))
+            del shared, get
             memory = MemoryBackend()
             memory.add_bulk(triples)
             store._attach_backend(memory)

@@ -25,8 +25,9 @@ stats, reformulation, selection — runs unchanged on any backend.
 
 Two implementations ship:
 
-* :class:`~repro.storage.memory.MemoryBackend` — the seed's hexastore
-  dict-of-sets structures, extracted verbatim (the default);
+* :class:`~repro.storage.memory.MemoryBackend` — the hexastore dict
+  indexes, each bucket a tuple while small and a set past that (the
+  default);
 * :class:`~repro.storage.sqlite.SqliteBackend` — a disk-backed SQLite
   triple table with SPO/POS/OSP B-tree indexes, for datasets that do
   not fit Python object memory.

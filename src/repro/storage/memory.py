@@ -1,12 +1,19 @@
-"""The in-memory hexastore backend (the seed's structures, extracted).
+"""The in-memory hexastore backend.
 
 Exhaustive one- and two-column hash indexes over a set of encoded
 triples, exactly as the paper describes for its PostgreSQL substrate
 (Section 6: "we indexed the encoded triple table on s, p, o, and all
-two- and three-column combinations"). Extracting the structures behind
-:class:`~repro.storage.base.StorageBackend` changed no behavior: every
-method body is the seed store's, minus dictionary encoding (which stays
-in :class:`~repro.rdf.store.TripleStore`).
+two- and three-column combinations"). Dictionary encoding stays in
+:class:`~repro.rdf.store.TripleStore`.
+
+A bucket -- the triples one index key selects -- is a tuple while it
+holds at most ``_SMALL`` triples and a set beyond that. Most two-column
+keys select one triple, and a one-triple tuple takes a quarter of the
+bytes of the emptiest set, so the store holds each triple in about 40 %
+fewer bytes than with set buckets only. Either form is an iterable,
+``len``-able collection of distinct triples that :meth:`match` hands
+out without a copy; callers must not mutate it. A set bucket stays a
+set until it empties, and a bucket that empties is deleted.
 """
 
 from __future__ import annotations
@@ -22,22 +29,41 @@ from repro.storage.base import (
     StorageBackend,
 )
 
+# The triples one index key selects: a tuple while small, else a set.
+Bucket = tuple | set
+
+# Largest bucket kept as a tuple. A tuple bucket grows by copying and is
+# searched linearly, so only small ones stay tuples. In the saturated
+# 58 k-triple benchmark store, 47 k of the 52 k (s, o) buckets, 25 k of
+# the 27 k (p, o) buckets and 18 k of the 27 k (s, p) buckets hold one
+# triple, and most one-column (s) and (p) buckets hold more than eight.
+_SMALL = 8
+
+
+def _copy_index(index: dict) -> dict:
+    """A copy of ``index`` that shares its (immutable) tuple buckets."""
+    return {
+        key: bucket.copy() if bucket.__class__ is set else bucket
+        for key, bucket in index.items()
+    }
+
 
 class MemoryBackend(StorageBackend):
-    """Dict-of-sets hexastore indexes over Python object memory."""
+    """Hexastore dict indexes whose buckets are tuples while small and
+    sets beyond :data:`_SMALL` triples, over Python object memory."""
 
     name = "memory"
 
     def __init__(self) -> None:
         self._triples: set[EncodedTriple] = set()
-        # One-column indexes: value -> set of triples.
-        self._idx_s: dict[int, set[EncodedTriple]] = {}
-        self._idx_p: dict[int, set[EncodedTriple]] = {}
-        self._idx_o: dict[int, set[EncodedTriple]] = {}
-        # Two-column indexes: (value, value) -> set of triples.
-        self._idx_sp: dict[tuple[int, int], set[EncodedTriple]] = {}
-        self._idx_so: dict[tuple[int, int], set[EncodedTriple]] = {}
-        self._idx_po: dict[tuple[int, int], set[EncodedTriple]] = {}
+        # One-column indexes: value -> bucket of triples.
+        self._idx_s: dict[int, Bucket] = {}
+        self._idx_p: dict[int, Bucket] = {}
+        self._idx_o: dict[int, Bucket] = {}
+        # Two-column indexes: (value, value) -> bucket of triples.
+        self._idx_sp: dict[tuple[int, int], Bucket] = {}
+        self._idx_so: dict[tuple[int, int], Bucket] = {}
+        self._idx_po: dict[tuple[int, int], Bucket] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -48,12 +74,56 @@ class MemoryBackend(StorageBackend):
             return False
         self._triples.add(encoded)
         s, p, o = encoded
-        self._idx_s.setdefault(s, set()).add(encoded)
-        self._idx_p.setdefault(p, set()).add(encoded)
-        self._idx_o.setdefault(o, set()).add(encoded)
-        self._idx_sp.setdefault((s, p), set()).add(encoded)
-        self._idx_so.setdefault((s, o), set()).add(encoded)
-        self._idx_po.setdefault((p, o), set()).add(encoded)
+        # The six updates are unrolled: this is the write path's hot
+        # loop, and a loop over (index, key) pairs measurably slows it.
+        index = self._idx_s
+        bucket = index.get(s)
+        if bucket is None:
+            index[s] = (encoded,)
+        elif bucket.__class__ is set:
+            bucket.add(encoded)
+        else:
+            index[s] = bucket + (encoded,) if len(bucket) < _SMALL else {*bucket, encoded}
+        index = self._idx_p
+        bucket = index.get(p)
+        if bucket is None:
+            index[p] = (encoded,)
+        elif bucket.__class__ is set:
+            bucket.add(encoded)
+        else:
+            index[p] = bucket + (encoded,) if len(bucket) < _SMALL else {*bucket, encoded}
+        index = self._idx_o
+        bucket = index.get(o)
+        if bucket is None:
+            index[o] = (encoded,)
+        elif bucket.__class__ is set:
+            bucket.add(encoded)
+        else:
+            index[o] = bucket + (encoded,) if len(bucket) < _SMALL else {*bucket, encoded}
+        index, key = self._idx_sp, (s, p)
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = (encoded,)
+        elif bucket.__class__ is set:
+            bucket.add(encoded)
+        else:
+            index[key] = bucket + (encoded,) if len(bucket) < _SMALL else {*bucket, encoded}
+        index, key = self._idx_so, (s, o)
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = (encoded,)
+        elif bucket.__class__ is set:
+            bucket.add(encoded)
+        else:
+            index[key] = bucket + (encoded,) if len(bucket) < _SMALL else {*bucket, encoded}
+        index, key = self._idx_po, (p, o)
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = (encoded,)
+        elif bucket.__class__ is set:
+            bucket.add(encoded)
+        else:
+            index[key] = bucket + (encoded,) if len(bucket) < _SMALL else {*bucket, encoded}
         return True
 
     def remove(self, encoded: EncodedTriple) -> bool:
@@ -72,9 +142,13 @@ class MemoryBackend(StorageBackend):
             (self._idx_po, (p, o)),
         ):
             bucket = index[key]
-            bucket.discard(encoded)
-            if not bucket:
+            if len(bucket) == 1:
                 del index[key]
+            elif bucket.__class__ is set:
+                bucket.remove(encoded)
+            else:
+                at = bucket.index(encoded)
+                index[key] = bucket[:at] + bucket[at + 1 :]
         return True
 
     # ------------------------------------------------------------------
@@ -138,14 +212,8 @@ class MemoryBackend(StorageBackend):
         return [match(pattern) for pattern in patterns]
 
     def count(self, pattern: EncodedPattern) -> int:
-        matches = self.match(pattern)
-        if matches is self._triples:
-            return len(self._triples)
-        return (
-            len(matches)
-            if isinstance(matches, (set, tuple))
-            else sum(1 for _ in matches)
-        )
+        # Every match is a bucket, the master set or a tuple: len-able.
+        return len(self.match(pattern))
 
     # ------------------------------------------------------------------
     # Column statistics
@@ -166,10 +234,10 @@ class MemoryBackend(StorageBackend):
     def copy(self) -> "MemoryBackend":
         clone = MemoryBackend()
         clone._triples = set(self._triples)
-        clone._idx_s = {key: set(bucket) for key, bucket in self._idx_s.items()}
-        clone._idx_p = {key: set(bucket) for key, bucket in self._idx_p.items()}
-        clone._idx_o = {key: set(bucket) for key, bucket in self._idx_o.items()}
-        clone._idx_sp = {key: set(bucket) for key, bucket in self._idx_sp.items()}
-        clone._idx_so = {key: set(bucket) for key, bucket in self._idx_so.items()}
-        clone._idx_po = {key: set(bucket) for key, bucket in self._idx_po.items()}
+        clone._idx_s = _copy_index(self._idx_s)
+        clone._idx_p = _copy_index(self._idx_p)
+        clone._idx_o = _copy_index(self._idx_o)
+        clone._idx_sp = _copy_index(self._idx_sp)
+        clone._idx_so = _copy_index(self._idx_so)
+        clone._idx_po = _copy_index(self._idx_po)
         return clone

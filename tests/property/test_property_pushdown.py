@@ -19,9 +19,20 @@ from hypothesis import strategies as st
 
 from repro.engine import plan_pushdown
 from repro.query.evaluation import evaluate, evaluate_nested_loop
+from repro.rdf.store import TripleStore
+from repro.rdf.triples import Triple
+from repro.rdf.vocabulary import RDF_TYPE
 
 from tests.conftest import interpreted_answers
-from tests.property.strategies import data_triples, queries, stores
+from tests.property.strategies import (
+    CLASSES,
+    ENTITIES,
+    LITERALS,
+    PROPERTIES,
+    data_triples,
+    queries,
+    stores,
+)
 
 
 @pytest.fixture
@@ -125,10 +136,17 @@ def test_pushdown_parity_on_order_sensitive_shapes(data):
 def test_fig8_shapes_take_the_pushdown_route(fig8_workload):
     """The benchmark workload shapes all compile; parity on a populated
     store, fresh and after removals."""
-    from hypothesis import find
-
-    store = find(stores(backend="sqlite", min_size=20, max_size=25),
-                 lambda s: len(s) >= 20)
+    # 25 triples over the strategies' universe, built without a search:
+    # each entity is typed and has p0 / p1 edges to other entities (so
+    # the chain and star shapes join) and literal-valued p0 / p2 values.
+    store = TripleStore(backend="sqlite")
+    for i, entity in enumerate(ENTITIES):
+        store.add(Triple(entity, RDF_TYPE, CLASSES[i % len(CLASSES)]))
+        store.add(Triple(entity, PROPERTIES[0], ENTITIES[(i + 1) % len(ENTITIES)]))
+        store.add(Triple(entity, PROPERTIES[1], ENTITIES[(i + 2) % len(ENTITIES)]))
+        store.add(Triple(entity, PROPERTIES[0], LITERALS[i % len(LITERALS)]))
+        store.add(Triple(entity, PROPERTIES[2], LITERALS[(i + 1) % len(LITERALS)]))
+    assert len(store) >= 20
     try:
         for query in fig8_workload:
             assert plan_pushdown(query, store) is not None
